@@ -405,10 +405,17 @@ fn parse_faults(
     Ok(Arc::new(sched))
 }
 
-/// Write a run artifact to `path`, diagnosing a missing parent directory
-/// up front — the common scripted mistake — with the path *and* the cause,
-/// instead of the bare OS error `std::fs::write` would surface.
-fn write_output_file(path: &str, data: &str) -> Result<(), String> {
+/// Write a run artifact to `path` through `render`, diagnosing a missing
+/// parent directory up front — the common scripted mistake — with the path
+/// *and* the cause, instead of the bare OS error the open would surface.
+/// The file is buffered and flushed before success is reported, so an I/O
+/// error in the middle of a streamed artifact is an error here, not a
+/// truncated file.
+fn write_output_with(
+    path: &str,
+    render: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    use std::io::Write;
     let p = std::path::Path::new(path);
     if let Some(dir) = p.parent() {
         if !dir.as_os_str().is_empty() && !dir.is_dir() {
@@ -418,7 +425,17 @@ fn write_output_file(path: &str, data: &str) -> Result<(), String> {
             ));
         }
     }
-    std::fs::write(p, data).map_err(|e| format!("cannot write {path}: {e}"))
+    std::fs::File::create(p)
+        .and_then(|file| {
+            let mut w = std::io::BufWriter::new(file);
+            render(&mut w)?;
+            w.flush()
+        })
+        .map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+fn write_output_file(path: &str, data: &str) -> Result<(), String> {
+    write_output_with(path, |w| std::io::Write::write_all(w, data.as_bytes()))
 }
 
 /// Render the `--shard-profile` epilogue. The numbers are host wall-clock
@@ -678,6 +695,14 @@ pub fn run(args: &[String]) -> Result<String, String> {
             // no flag is given.
             let mode = o.mode.as_deref().unwrap_or("detailed");
             let tracing = o.trace_out.is_some() || o.metrics || o.attribution.is_some();
+            if let (Some(trace), Some(attribution)) = (&o.trace_out, &o.attribution) {
+                if std::path::Path::new(trace) == std::path::Path::new(attribution) {
+                    return Err(format!(
+                        "--trace-out and --attribution both name `{trace}`; \
+                         the second artifact would overwrite the first"
+                    ));
+                }
+            }
             if tracing && mode == "direct" {
                 return Err(
                     "--trace-out/--metrics/--attribution need --mode detailed or task".into(),
@@ -863,10 +888,18 @@ pub fn run(args: &[String]) -> Result<String, String> {
             }
 
             if let Some(path) = &o.trace_out {
-                let json = probe.chrome_trace_json().ok_or("no trace was collected")?;
-                crate::probe::validate_chrome_trace(&json)
-                    .map_err(|e| format!("internal error: emitted trace is invalid: {e}"))?;
-                write_output_file(path, &json)?;
+                // The sink checked the trace as it recorded it and streams
+                // the document straight into the file: nothing is rendered
+                // in memory or parsed back.
+                probe
+                    .with_stack(|s| {
+                        let chrome = s.chrome.as_ref().ok_or("no trace was collected")?;
+                        chrome.summary().map_err(|e| {
+                            format!("internal error: emitted trace is invalid: {e}")
+                        })?;
+                        write_output_with(path, |w| chrome.write_json(w))
+                    })
+                    .ok_or("no trace was collected")??;
                 out.push_str(&format!("trace written: {path}\n"));
             }
             if let Some(path) = &o.attribution {
@@ -1202,6 +1235,34 @@ mod tests {
             assert!(err.contains("does not exist"), "{err}");
             assert!(err.contains("/nonexistent-mermaid-dir"), "{err}");
         }
+    }
+
+    #[test]
+    fn one_path_for_two_artifacts_is_rejected_before_the_run() {
+        let path = std::env::temp_dir().join(format!("mermaid-collide-{}", std::process::id()));
+        let path_s = path.to_str().unwrap();
+        let mut args = vec!["sim", "--machine", "test", "--topology", "ring:4"];
+        args.extend(["--mode", "task", "--trace-out", path_s]);
+        args.extend(["--attribution", path_s]);
+        let err = run(&s(&args)).unwrap_err();
+        assert!(err.contains("--trace-out and --attribution"), "{err}");
+        assert!(err.contains(path_s), "{err}");
+        assert!(!path.exists(), "rejected before anything was written");
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_failing_trace_write_is_an_error_not_a_truncated_file() {
+        // /dev/full accepts the open and fails every write with ENOSPC:
+        // the error surfaces when the stream is flushed, mid-document.
+        if !std::path::Path::new("/dev/full").exists() {
+            return;
+        }
+        let mut args = vec!["sim", "--machine", "test", "--topology", "ring:4"];
+        args.extend(["--mode", "task", "--phases", "2"]);
+        args.extend(["--trace-out", "/dev/full"]);
+        let err = run(&s(&args)).unwrap_err();
+        assert!(err.starts_with("cannot write /dev/full: "), "{err}");
     }
 
     #[test]

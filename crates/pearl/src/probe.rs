@@ -4,8 +4,8 @@
 //! offers an object-safe [`EngineProbe`] trait that an observer crate can
 //! implement, plus ladder-tier transition counters maintained by
 //! [`crate::EventQueue`]. An [`crate::Engine`] without a probe attached
-//! pays exactly one `Option` null-check per delivered event (verified by
-//! the workspace's `probe_overhead` benchmark); the counters themselves
+//! pays exactly one `Option` null-check per delivered event (watched by
+//! `probe.off_run_s` in the `mermaid-bench` ledger); the counters themselves
 //! are plain integer increments on the queue's *cold* paths (bucket
 //! promotion, rebase, far-drain), never per push or pop.
 

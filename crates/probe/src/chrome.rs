@@ -20,10 +20,21 @@
 //! picoseconds); trace viewers ignore unknown keys, and the workspace's
 //! end-to-end test uses it to compare a traced run against an untraced
 //! one without going through lossy `f64` microseconds.
+//!
+//! Recording and rendering are separate. [`ChromeTraceSink::record`]
+//! copies the events the trace shows into a `Vec<SimEvent>` (80 bytes
+//! each) and keeps the running [`TraceSummary`]; nothing is formatted
+//! while the simulation runs. [`ChromeTraceSink::write_json`] later
+//! streams the document into any `io::Write`, and because the summary —
+//! span-order check included — was taken at record time, the writer of a
+//! trace never has to parse it back. [`validate_chrome_trace`] is the
+//! parsing counterpart, for documents that come from somewhere else.
 
-use crate::value_json::{kv, s, u, Raw};
+use crate::value_json::{fields, JsonObj, JsonVal, Micros, Raw};
 use crate::{Probe, SimEvent};
 use serde::Value;
+use std::collections::HashMap;
+use std::io;
 
 /// Engine deliveries are decimated to one queue-depth counter sample
 /// every this many events, so long runs stay viewable.
@@ -34,14 +45,33 @@ const PID_NETWORK: u64 = 2;
 const PID_LINKS: u64 = 3;
 const PID_MEMORY: u64 = 4;
 
-/// Collects trace events in memory; [`ChromeTraceSink::to_json`] renders
-/// the complete document.
+/// The `process_name` metadata records that lead every document.
+const PROCESSES: [(u64, &str); 4] = [
+    (PID_ENGINE, "engine"),
+    (PID_NETWORK, "network"),
+    (PID_LINKS, "links"),
+    (PID_MEMORY, "memory"),
+];
+
+/// Records the events the trace shows, as the fixed-width [`SimEvent`]s
+/// they arrived as (`size_of::<SimEvent>()` bytes each, nothing else per
+/// event), and renders them on demand: [`ChromeTraceSink::write_json`]
+/// streams the complete document, [`ChromeTraceSink::summary`] says what
+/// it will contain without rendering or parsing anything.
 #[derive(Default)]
 pub struct ChromeTraceSink {
-    events: Vec<Value>,
+    events: Vec<SimEvent>,
     deliveries: u64,
     msg_delivers: u64,
     max_ts_ps: u64,
+    spans: u64,
+    counters: u64,
+    fault_events: u64,
+    /// Last span start (trace microseconds) per `(pid, tid, name)` track;
+    /// the name is keyed by the number that distinguishes it on its pid.
+    span_clock: HashMap<(u64, u32, u32), f64>,
+    /// The first span found starting before its track's previous one.
+    scrambled: Option<String>,
 }
 
 impl ChromeTraceSink {
@@ -60,299 +90,277 @@ impl ChromeTraceSink {
         self.events.is_empty()
     }
 
-    fn push(
+    /// What the rendered document contains, counted as events were
+    /// recorded — equal to what [`validate_chrome_trace`] finds by parsing
+    /// it, including the error for a span that starts before the previous
+    /// span of its `(pid, tid, name)` track.
+    pub fn summary(&self) -> Result<TraceSummary, String> {
+        if let Some(err) = &self.scrambled {
+            return Err(err.clone());
+        }
+        let metadata = PROCESSES.len() as u64;
+        let events = self.events.len() as u64;
+        Ok(TraceSummary {
+            events: metadata + events,
+            spans: self.spans,
+            instants: events - self.spans - self.counters,
+            counters: self.counters,
+            metadata,
+            fault_events: self.fault_events,
+            delivered_messages: Some(self.msg_delivers),
+            finish_ps: Some(self.max_ts_ps),
+        })
+    }
+
+    /// Count one span and check its start against its track's clock;
+    /// `name_key` tells the track's names apart on its pid, `name` renders
+    /// the one the document will carry.
+    fn span(
         &mut self,
-        name: &str,
-        ph: &str,
-        ts_ps: u64,
-        pid: u64,
-        tid: u64,
-        extra: Vec<(String, Value)>,
+        (pid, tid, name_key): (u64, u32, u32),
+        start_ps: u64,
+        name: impl FnOnce() -> String,
     ) {
-        let mut m = vec![
-            kv("name", s(name)),
-            kv("ph", s(ph)),
-            kv("ts", Value::F64(ts_ps as f64 / 1e6)),
-            kv("pid", u(pid)),
-            kv("tid", u(tid)),
-        ];
-        m.extend(extra);
-        self.events.push(Value::Map(m));
+        self.spans += 1;
+        // The `f64` microseconds the document carries and a parser
+        // compares, so both sides order any two starts the same way.
+        let ts = start_ps as f64 / 1e6;
+        let prev = self.span_clock.insert((pid, tid, name_key), ts);
+        if let Some(prev) = prev.filter(|&prev| ts < prev) {
+            let i = PROCESSES.len() + self.events.len();
+            self.scrambled
+                .get_or_insert_with(|| regressing_span(i, &name(), pid, tid as u64, ts, prev));
+        }
     }
 
-    fn span(&mut self, name: &str, start_ps: u64, end_ps: u64, pid: u64, tid: u64, args: Value) {
-        let dur = Value::F64((end_ps.saturating_sub(start_ps)) as f64 / 1e6);
-        self.push(
-            name,
-            "X",
-            start_ps,
-            pid,
-            tid,
-            vec![kv("dur", dur), kv("args", args)],
-        );
-        self.max_ts_ps = self.max_ts_ps.max(end_ps);
-    }
-
-    fn instant(&mut self, name: &str, ts_ps: u64, pid: u64, tid: u64, args: Value) {
-        self.push(
-            name,
-            "i",
-            ts_ps,
-            pid,
-            tid,
-            vec![kv("s", s("t")), kv("args", args)],
-        );
-        self.max_ts_ps = self.max_ts_ps.max(ts_ps);
-    }
-
-    fn counter(&mut self, name: &str, ts_ps: u64, pid: u64, series: &str, value: f64) {
-        let args = Value::Map(vec![kv(series, Value::F64(value))]);
-        self.push(name, "C", ts_ps, pid, 0, vec![kv("args", args)]);
-        self.max_ts_ps = self.max_ts_ps.max(ts_ps);
+    /// Stream the complete Chrome-trace JSON document into `w`, byte for
+    /// byte what the vendored `serde_json` would emit for the same tree.
+    pub fn write_json(&self, w: &mut impl io::Write) -> io::Result<()> {
+        // Events are rendered into a scratch string (infallibly) that is
+        // handed to `w` in chunks.
+        let mut buf = String::new();
+        buf.push_str("{\"traceEvents\":[");
+        for (i, (pid, name)) in PROCESSES.into_iter().enumerate() {
+            if i > 0 {
+                buf.push(',');
+            }
+            let mut o = head(&mut buf, "process_name", "M", 0, pid, 0);
+            o.descend("args");
+            fields!(o; name);
+            o.end();
+        }
+        for ev in &self.events {
+            buf.push(',');
+            write_event(&mut buf, ev);
+            if buf.len() >= 1 << 16 {
+                w.write_all(buf.as_bytes())?;
+                buf.clear();
+            }
+        }
+        buf.push_str("],\"displayTimeUnit\":\"ns\",\"mermaidSummary\":");
+        let mut o = JsonObj::new(&mut buf);
+        o.field("delivered_messages", self.msg_delivers);
+        o.field("finish_ps", self.max_ts_ps);
+        o.field("engine_deliveries", self.deliveries);
+        o.end();
+        buf.push('}');
+        w.write_all(buf.as_bytes())
     }
 
     /// Render the complete Chrome-trace JSON document.
     pub fn to_json(&self) -> String {
-        let mut events = Vec::with_capacity(self.events.len() + 4);
-        for (pid, name) in [
-            (PID_ENGINE, "engine"),
-            (PID_NETWORK, "network"),
-            (PID_LINKS, "links"),
-            (PID_MEMORY, "memory"),
-        ] {
-            events.push(Value::Map(vec![
-                kv("name", s("process_name")),
-                kv("ph", s("M")),
-                kv("ts", Value::F64(0.0)),
-                kv("pid", u(pid)),
-                kv("tid", u(0)),
-                kv("args", Value::Map(vec![kv("name", s(name))])),
-            ]));
-        }
-        events.extend(self.events.iter().cloned());
-        let doc = Value::Map(vec![
-            kv("traceEvents", Value::Seq(events)),
-            kv("displayTimeUnit", s("ns")),
-            kv(
-                "mermaidSummary",
-                Value::Map(vec![
-                    kv("delivered_messages", u(self.msg_delivers)),
-                    kv("finish_ps", u(self.max_ts_ps)),
-                    kv("engine_deliveries", u(self.deliveries)),
-                ]),
-            ),
-        ]);
-        serde_json::to_string(&Raw(doc)).expect("trace document contains only finite numbers")
+        let mut doc = Vec::new();
+        self.write_json(&mut doc)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(doc).expect("the writer emits UTF-8")
     }
 }
 
 impl Probe for ChromeTraceSink {
     fn record(&mut self, ev: &SimEvent) {
+        let mut end_ps = ev.ts_ps();
         match *ev {
-            SimEvent::EngineDelivery { ts_ps, pending, .. } => {
+            SimEvent::EngineDelivery { .. } => {
                 self.deliveries += 1;
-                self.max_ts_ps = self.max_ts_ps.max(ts_ps);
-                if self.deliveries % DEPTH_SAMPLE_EVERY == 1 {
-                    self.counter(
-                        "pending_events",
-                        ts_ps,
-                        PID_ENGINE,
-                        "pending",
-                        pending as f64,
-                    );
+                if self.deliveries % DEPTH_SAMPLE_EVERY != 1 {
+                    // Not sampled, but it still moves the finish time.
+                    self.max_ts_ps = self.max_ts_ps.max(end_ps);
+                    return;
                 }
+                self.counters += 1;
             }
-            SimEvent::QueueTier { ts_ps, kind, total } => {
-                let args = Value::Map(vec![kv("total", u(total))]);
-                self.instant(kind.label(), ts_ps, PID_ENGINE, 0, args);
-            }
+            // Hop-level packet traffic is visible via the link spans;
+            // per-packet instants would dominate the trace. The metrics
+            // aggregator still counts them.
+            SimEvent::PacketForward { .. } | SimEvent::PacketDeliver { .. } => return,
             SimEvent::Activation {
                 node,
                 kind,
                 start_ps,
-                end_ps,
+                end_ps: end,
             } => {
-                self.span(
-                    kind.label(),
-                    start_ps,
-                    end_ps,
-                    PID_NETWORK,
-                    node as u64,
-                    Value::Map(vec![]),
-                );
-            }
-            SimEvent::MsgSend {
-                ts_ps,
-                src,
-                dst,
-                bytes,
-                sync,
-            } => {
-                let args = Value::Map(vec![
-                    kv("dst", u(dst as u64)),
-                    kv("bytes", u(bytes as u64)),
-                    kv("sync", Value::Bool(sync)),
-                ]);
-                self.instant("msg_send", ts_ps, PID_NETWORK, src as u64, args);
-            }
-            SimEvent::MsgDeliver {
-                ts_ps,
-                src,
-                dst,
-                bytes,
-                latency_ps,
-            } => {
-                self.msg_delivers += 1;
-                let args = Value::Map(vec![
-                    kv("src", u(src as u64)),
-                    kv("bytes", u(bytes as u64)),
-                    kv("latency_ps", u(latency_ps)),
-                ]);
-                self.instant("msg_deliver", ts_ps, PID_NETWORK, dst as u64, args);
-            }
-            SimEvent::MsgPath {
-                ts_ps,
-                src,
-                dst,
-                latency_ps,
-                overhead_ps,
-                retry_ps,
-                queue_ps,
-                routing_ps,
-                ser_ps,
-                wire_ps,
-                ..
-            } => {
-                let args = Value::Map(vec![
-                    kv("src", u(src as u64)),
-                    kv("latency_ps", u(latency_ps)),
-                    kv("overhead_ps", u(overhead_ps)),
-                    kv("retry_ps", u(retry_ps)),
-                    kv("queue_ps", u(queue_ps)),
-                    kv("routing_ps", u(routing_ps)),
-                    kv("ser_ps", u(ser_ps)),
-                    kv("wire_ps", u(wire_ps)),
-                ]);
-                self.instant("msg_path", ts_ps, PID_NETWORK, dst as u64, args);
+                end_ps = end;
+                self.span((PID_NETWORK, node, kind as u32), start_ps, || {
+                    kind.label().to_string()
+                });
             }
             SimEvent::LinkBusy {
                 node,
                 to,
                 start_ps,
-                end_ps,
+                end_ps: end,
             } => {
-                let name = format!("link->{to}");
-                let args = Value::Map(vec![kv("to", u(to as u64))]);
-                self.span(&name, start_ps, end_ps, PID_LINKS, node as u64, args);
-            }
-            SimEvent::PacketForward { .. } | SimEvent::PacketDeliver { .. } => {
-                // Hop-level packet traffic is visible via the link spans;
-                // per-packet instants would dominate the trace. The
-                // metrics aggregator still counts them.
-            }
-            SimEvent::CacheAccess {
-                ts_ps,
-                node,
-                cpu,
-                kind,
-                hit,
-            } => {
-                let name = format!("{}:{}", kind.label(), hit.label());
-                let args = Value::Map(vec![kv("cpu", u(cpu as u64))]);
-                self.instant(&name, ts_ps, PID_MEMORY, node as u64, args);
-            }
-            SimEvent::CacheEvict {
-                ts_ps,
-                node,
-                cpu,
-                level,
-                dirty,
-            } => {
-                let args = Value::Map(vec![
-                    kv("cpu", u(cpu as u64)),
-                    kv("level", u(level as u64)),
-                    kv("dirty", Value::Bool(dirty)),
-                ]);
-                self.instant("cache_evict", ts_ps, PID_MEMORY, node as u64, args);
+                end_ps = end;
+                self.span((PID_LINKS, node, to), start_ps, || format!("link->{to}"));
             }
             SimEvent::BusTransaction {
                 node,
                 start_ps,
-                end_ps,
-                wait_ps,
+                end_ps: end,
+                ..
             } => {
-                let args = Value::Map(vec![kv("wait_ps", u(wait_ps))]);
-                self.span("bus", start_ps, end_ps, PID_MEMORY, node as u64, args);
+                end_ps = end;
+                self.span((PID_MEMORY, node, 0), start_ps, || "bus".to_string());
             }
-            SimEvent::LinkFault {
-                ts_ps,
-                node,
-                to,
-                up,
-            } => {
-                let name = if up { "link_up" } else { "link_down" };
-                let args = Value::Map(vec![kv("to", u(to as u64))]);
-                self.instant(name, ts_ps, PID_LINKS, node as u64, args);
+            SimEvent::MsgDeliver { .. } => self.msg_delivers += 1,
+            _ => {}
+        }
+        self.fault_events += ev.is_fault() as u64;
+        self.max_ts_ps = self.max_ts_ps.max(end_ps);
+        self.events.push(*ev);
+    }
+}
+
+/// Open a trace event: the five keys every phase carries.
+fn head<'a>(
+    out: &'a mut String,
+    name: impl JsonVal,
+    ph: &str,
+    ts_ps: u64,
+    pid: u64,
+    tid: u32,
+) -> JsonObj<'a> {
+    let mut o = JsonObj::new(out);
+    o.field("name", name);
+    o.field("ph", ph);
+    o.field("ts", Micros(ts_ps));
+    fields!(o; pid, tid);
+    o
+}
+
+/// Open a complete span (`ph == "X"`) on track `(pid, tid)`, up to and
+/// into its `args`.
+fn span<'a>(
+    out: &'a mut String,
+    name: impl JsonVal,
+    (start_ps, end_ps): (u64, u64),
+    (pid, tid): (u64, u32),
+) -> JsonObj<'a> {
+    let mut o = head(out, name, "X", start_ps, pid, tid);
+    o.field("dur", Micros(end_ps.saturating_sub(start_ps)));
+    o.descend("args");
+    o
+}
+
+/// Open a thread-scoped instant (`ph == "i"`) on track `(pid, tid)`, up
+/// to and into its `args`.
+fn instant<'a>(
+    out: &'a mut String,
+    name: impl JsonVal,
+    ts_ps: u64,
+    (pid, tid): (u64, u32),
+) -> JsonObj<'a> {
+    let mut o = head(out, name, "i", ts_ps, pid, tid);
+    o.field("s", "t");
+    o.descend("args");
+    o
+}
+
+/// Render one recorded event as its `traceEvents` entry.
+fn write_event(out: &mut String, ev: &SimEvent) {
+    // One row per variant: the fields it takes from the event, the opener
+    // (phase, name, start, track), and which of the fields become `args`,
+    // keyed by their own names. Arms after the `;` are spelled out.
+    macro_rules! entries {
+        (
+            $($variant:ident { $($bind:ident),* } => $open:expr => { $($arg:ident),* })*
+            ; $($arms:tt)*
+        ) => {
+            match *ev {
+                $(SimEvent::$variant { $($bind,)* .. } => {
+                    #[allow(unused_mut)]
+                    let mut a = $open;
+                    fields!(a; $($arg),*);
+                    a.end();
+                })*
+                $($arms)*
             }
-            SimEvent::RouterFault { ts_ps, node, up } => {
-                let name = if up { "router_up" } else { "router_down" };
-                self.instant(name, ts_ps, PID_NETWORK, node as u64, Value::Map(vec![]));
-            }
-            SimEvent::PacketDropped {
-                ts_ps,
-                node,
-                src,
-                seq,
-                reason,
-            } => {
-                let name = format!("drop:{}", reason.label());
-                let args = Value::Map(vec![kv("src", u(src as u64)), kv("seq", u(seq))]);
-                self.instant(&name, ts_ps, PID_NETWORK, node as u64, args);
-            }
-            SimEvent::PacketCorrupted {
-                ts_ps,
-                node,
-                to,
-                src,
-                seq,
-            } => {
-                let args = Value::Map(vec![
-                    kv("to", u(to as u64)),
-                    kv("src", u(src as u64)),
-                    kv("seq", u(seq)),
-                ]);
-                self.instant("corrupt", ts_ps, PID_LINKS, node as u64, args);
-            }
-            SimEvent::MsgRetry {
-                ts_ps,
-                src,
-                dst,
-                attempt,
-            } => {
-                let args = Value::Map(vec![
-                    kv("dst", u(dst as u64)),
-                    kv("attempt", u(attempt as u64)),
-                ]);
-                self.instant("msg_retry", ts_ps, PID_NETWORK, src as u64, args);
-            }
-            SimEvent::MsgGaveUp {
-                ts_ps,
-                src,
-                dst,
-                retries,
-            } => {
-                let args = Value::Map(vec![
-                    kv("dst", u(dst as u64)),
-                    kv("retries", u(retries as u64)),
-                ]);
-                self.instant("msg_gave_up", ts_ps, PID_NETWORK, src as u64, args);
-            }
-            SimEvent::Reroute { ts_ps, node, to } => {
-                let args = Value::Map(vec![kv("to", u(to as u64))]);
-                self.instant("reroute", ts_ps, PID_NETWORK, node as u64, args);
-            }
+        };
+    }
+    entries! {
+        QueueTier { ts_ps, kind, total } => instant(out, kind, ts_ps, (PID_ENGINE, 0)) => { total }
+        Activation { node, kind, start_ps, end_ps }
+            => span(out, kind, (start_ps, end_ps), (PID_NETWORK, node)) => {}
+        MsgSend { ts_ps, src, dst, bytes, sync }
+            => instant(out, "msg_send", ts_ps, (PID_NETWORK, src)) => { dst, bytes, sync }
+        MsgDeliver { ts_ps, src, dst, bytes, latency_ps }
+            => instant(out, "msg_deliver", ts_ps, (PID_NETWORK, dst)) => { src, bytes, latency_ps }
+        MsgPath {
+            ts_ps, src, dst, latency_ps,
+            overhead_ps, retry_ps, queue_ps, routing_ps, ser_ps, wire_ps
+        }
+            => instant(out, "msg_path", ts_ps, (PID_NETWORK, dst))
+            => { src, latency_ps, overhead_ps, retry_ps, queue_ps, routing_ps, ser_ps, wire_ps }
+        LinkBusy { node, to, start_ps, end_ps }
+            => span(out, format_args!("link->{to}"), (start_ps, end_ps), (PID_LINKS, node))
+            => { to }
+        CacheAccess { ts_ps, node, cpu, kind, hit }
+            => instant(
+                out, format_args!("{}:{}", kind.label(), hit.label()), ts_ps, (PID_MEMORY, node)
+            )
+            => { cpu }
+        CacheEvict { ts_ps, node, cpu, level, dirty }
+            => instant(out, "cache_evict", ts_ps, (PID_MEMORY, node)) => { cpu, level, dirty }
+        BusTransaction { node, start_ps, end_ps, wait_ps }
+            => span(out, "bus", (start_ps, end_ps), (PID_MEMORY, node)) => { wait_ps }
+        LinkFault { ts_ps, node, to, up }
+            => instant(out, if up { "link_up" } else { "link_down" }, ts_ps, (PID_LINKS, node))
+            => { to }
+        RouterFault { ts_ps, node, up }
+            => instant(
+                out, if up { "router_up" } else { "router_down" }, ts_ps, (PID_NETWORK, node)
+            )
+            => {}
+        PacketDropped { ts_ps, node, src, seq, reason }
+            => instant(out, format_args!("drop:{}", reason.label()), ts_ps, (PID_NETWORK, node))
+            => { src, seq }
+        PacketCorrupted { ts_ps, node, to, src, seq }
+            => instant(out, "corrupt", ts_ps, (PID_LINKS, node)) => { to, src, seq }
+        MsgRetry { ts_ps, src, dst, attempt }
+            => instant(out, "msg_retry", ts_ps, (PID_NETWORK, src)) => { dst, attempt }
+        MsgGaveUp { ts_ps, src, dst, retries }
+            => instant(out, "msg_gave_up", ts_ps, (PID_NETWORK, src)) => { dst, retries }
+        Reroute { ts_ps, node, to } => instant(out, "reroute", ts_ps, (PID_NETWORK, node)) => { to }
+        ;
+        // The one counter track; its sample is a float.
+        SimEvent::EngineDelivery { ts_ps, pending, .. } => {
+            let mut a = head(out, "pending_events", "C", ts_ps, PID_ENGINE, 0);
+            a.descend("args");
+            a.field("pending", pending as f64);
+            a.end();
+        }
+        SimEvent::PacketForward { .. } | SimEvent::PacketDeliver { .. } => {
+            unreachable!("record() keeps hop-level packet events out of the trace")
         }
     }
+}
+
+/// The validator's (and the sink's) report of a scrambled span track.
+fn regressing_span(i: usize, name: &str, pid: u64, tid: u64, ts: f64, prev: f64) -> String {
+    format!(
+        "traceEvents[{i}] span `{name}` on pid {pid} tid {tid} starts at {ts}us, \
+         before the previous span at {prev}us"
+    )
 }
 
 /// What [`validate_chrome_trace`] found in a trace document.
@@ -475,11 +483,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
                 let key = (pid as u64, tid as u64, name.to_string());
                 if let Some(&prev) = span_clock.get(&key) {
                     if ts < prev {
-                        return Err(format!(
-                            "traceEvents[{i}] span `{name}` on pid {} tid {} starts at \
-                             {ts}us, before the previous span at {prev}us",
-                            key.0, key.1
-                        ));
+                        return Err(regressing_span(i, name, key.0, key.1, ts, prev));
                     }
                 }
                 span_clock.insert(key, ts);
@@ -592,6 +596,32 @@ mod tests {
             {"name":"compute","ph":"X","ts":5.0,"pid":2,"tid":1,"dur":1},
             {"name":"compute","ph":"X","ts":2.0,"pid":2,"tid":2,"dur":1}]}"#;
         assert_eq!(validate_chrome_trace(other_track).unwrap().spans, 2);
+    }
+
+    #[test]
+    fn record_time_summary_agrees_with_the_parser() {
+        let mut sink = ChromeTraceSink::new();
+        let span = |start_ps| SimEvent::Activation {
+            node: 1,
+            kind: ActKind::Compute,
+            start_ps,
+            end_ps: start_ps + 10,
+        };
+        sink.record(&span(5_000_000));
+        sink.record(&SimEvent::Reroute {
+            ts_ps: 6_000_000,
+            node: 1,
+            to: 2,
+        });
+        assert_eq!(sink.summary(), validate_chrome_trace(&sink.to_json()));
+        assert_eq!(sink.summary().unwrap().fault_events, 1);
+
+        // A span starting before its track's previous one: both report it,
+        // in the same words.
+        sink.record(&span(2_000_000));
+        let err = sink.summary().unwrap_err();
+        assert!(err.contains("traceEvents[6] span `compute` on pid 2 tid 1"));
+        assert_eq!(Err(err), validate_chrome_trace(&sink.to_json()));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! conversion, so this is the format of choice for programmatic
 //! post-processing.
 
-use crate::value_json::{event_value, Raw};
+use crate::value_json::{fields, JsonObj};
 use crate::{Probe, SimEvent};
 
 /// Accumulates the JSONL stream in memory.
@@ -38,12 +38,51 @@ impl JsonlSink {
     }
 }
 
+/// Append the canonical JSON line of one [`SimEvent`]: an object led by
+/// an `"ev"` discriminator, then every field of the variant, in this
+/// order, keyed by its own name. The match is exhaustive in variants and
+/// (no `..`) in fields, so a new variant or field cannot be left out.
+fn write_line(out: &mut String, ev: &SimEvent) {
+    macro_rules! all_fields {
+        ($($variant:ident { $($f:ident),* })*) => {{
+            let mut o = JsonObj::new(out);
+            o.field("ev", ev.label());
+            match *ev {
+                $(SimEvent::$variant { $($f),* } => { fields!(o; $($f),*); })*
+            }
+            o.end();
+        }};
+    }
+    all_fields! {
+        EngineDelivery { ts_ps, src, dst, pending }
+        QueueTier { ts_ps, kind, total }
+        Activation { node, kind, start_ps, end_ps }
+        MsgSend { ts_ps, src, dst, bytes, sync }
+        MsgDeliver { ts_ps, src, dst, bytes, latency_ps }
+        MsgPath {
+            ts_ps, src, dst, bytes, latency_ps,
+            overhead_ps, retry_ps, queue_ps, routing_ps, ser_ps, wire_ps
+        }
+        LinkBusy { node, to, start_ps, end_ps }
+        PacketForward { ts_ps, node, to, packets }
+        PacketDeliver { ts_ps, node, packets }
+        CacheAccess { ts_ps, node, cpu, kind, hit }
+        CacheEvict { ts_ps, node, cpu, level, dirty }
+        BusTransaction { node, start_ps, end_ps, wait_ps }
+        LinkFault { ts_ps, node, to, up }
+        RouterFault { ts_ps, node, up }
+        PacketDropped { ts_ps, node, src, seq, reason }
+        PacketCorrupted { ts_ps, node, to, src, seq }
+        MsgRetry { ts_ps, src, dst, attempt }
+        MsgGaveUp { ts_ps, src, dst, retries }
+        Reroute { ts_ps, node, to }
+    }
+    out.push('\n');
+}
+
 impl Probe for JsonlSink {
     fn record(&mut self, ev: &SimEvent) {
-        let line = serde_json::to_string(&Raw(event_value(ev)))
-            .expect("sim events contain only finite numbers");
-        self.out.push_str(&line);
-        self.out.push('\n');
+        write_line(&mut self.out, ev);
         self.events += 1;
     }
 }
@@ -51,6 +90,7 @@ impl Probe for JsonlSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value_json::Raw;
     use crate::{AccessKind, HitWhere};
     use serde::{map_get, Value};
 

@@ -21,9 +21,18 @@
 //! A disabled handle is `None` inside: every emission site is one branch
 //! and the event is never constructed ([`ProbeHandle::emit`] takes a
 //! closure). The engine-side hook is the same shape
-//! (`Option<Box<dyn pearl::EngineProbe>>`). The workspace's
-//! `probe_overhead` benchmark pins the disabled path within noise of a
-//! build without any instrumentation.
+//! (`Option<Box<dyn pearl::EngineProbe>>`). The benchmark harness's
+//! `probe.off_run_s` pins the disabled path, and five of its six
+//! end-to-end workloads run on nothing else.
+//!
+//! # Record, then render
+//!
+//! While a simulation runs, sinks only fold or copy: [`SimEvent`] is
+//! `Copy` and fixed-width, the Chrome sink keeps the events it will show
+//! as they are, the metrics aggregator bumps counters keyed by `Copy`
+//! enums. JSON is produced afterwards by one streaming writer (the JSONL
+//! sink, whose product *is* the text, uses the same writer per event);
+//! no `serde::Value` tree is built on a record or render path.
 //!
 //! # Determinism under observation
 //!
@@ -182,7 +191,7 @@ impl TierMove {
 /// All times are virtual picoseconds (`pearl::Time`); node/cpu indices
 /// match the model's own numbering. Variants with a `start_ps`/`end_ps`
 /// pair describe a closed span; the rest are instants.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimEvent {
     /// The engine delivered one event to component `dst`; `pending` is
     /// the queue depth after the pop.
@@ -368,6 +377,22 @@ impl SimEvent {
         )
     }
 
+    /// True for the seven variants only fault injection emits (link and
+    /// router status changes, drops, corruption, retries, give-ups,
+    /// reroutes) — a healthy run has none.
+    pub fn is_fault(&self) -> bool {
+        matches!(
+            self,
+            SimEvent::LinkFault { .. }
+                | SimEvent::RouterFault { .. }
+                | SimEvent::PacketDropped { .. }
+                | SimEvent::PacketCorrupted { .. }
+                | SimEvent::MsgRetry { .. }
+                | SimEvent::MsgGaveUp { .. }
+                | SimEvent::Reroute { .. }
+        )
+    }
+
     /// The event's anchor timestamp in virtual picoseconds (span start
     /// for span-shaped events).
     pub fn ts_ps(&self) -> u64 {
@@ -451,7 +476,7 @@ impl EventBuffer {
 
 impl Probe for EventBuffer {
     fn record(&mut self, ev: &SimEvent) {
-        self.events.push(ev.clone());
+        self.events.push(*ev);
     }
 }
 
@@ -783,6 +808,15 @@ mod tests {
         assert!(out.contains("promotion"));
         assert!(out.contains("rebase"));
         assert!(!out.contains("far_drain"));
+    }
+
+    #[test]
+    fn events_are_small_copy_records() {
+        // What every buffering sink pays per event, and the record width
+        // a binary trace file would have.
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<SimEvent>();
+        assert!(std::mem::size_of::<SimEvent>() <= 80);
     }
 
     #[test]

@@ -7,16 +7,92 @@
 //! renders them as a [`MetricsReport`] (ASCII tables plus CSV through
 //! `stats::csv`).
 
-use crate::{Probe, SimEvent, TierMove};
+use crate::{AccessKind, ActKind, DropReason, HitWhere, Probe, SimEvent, TierMove};
 use mermaid_stats::{chart, csv, Counters, Histogram, Table, TimeSeries, Utilization};
 use std::collections::BTreeMap;
 
 /// Queue depth is sampled once per this many engine deliveries.
 const DEPTH_SAMPLE_EVERY: u64 = 256;
 
+/// What a counter counts. Recording touches counters by this `Copy` key,
+/// per node or run-wide; [`Key::name`] spells the registry name when a
+/// report is made, so no string is built or compared per event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Key {
+    // Per node.
+    ActivePs(ActKind),
+    Sends,
+    Recvs,
+    PktsForwarded,
+    PktsDelivered,
+    PktsDropped,
+    Retries,
+    GaveUp,
+    Reroutes,
+    Access(AccessKind),
+    Hit(HitWhere),
+    Misses,
+    Evict(u8),
+    Writebacks,
+    BusWaitPs,
+    // Run-wide.
+    Tier(TierMove),
+    BytesSent,
+    SyncSends,
+    Messages,
+    LatencyPs(&'static str),
+    LinkFault(bool),
+    RouterFault(bool),
+    Dropped(DropReason),
+    Corrupted,
+    NetRetries,
+    MsgsFailed,
+    NetReroutes,
+}
+
+impl Key {
+    /// The counter's registry name; run-wide keys ignore `node`.
+    fn name(self, node: usize) -> String {
+        let up_down = |up| if up { "up" } else { "down" };
+        match self {
+            Key::ActivePs(kind) => format!("node{node}/{}_ps", kind.label()),
+            Key::Sends => format!("node{node}/sends"),
+            Key::Recvs => format!("node{node}/recvs"),
+            Key::PktsForwarded => format!("node{node}/pkts_forwarded"),
+            Key::PktsDelivered => format!("node{node}/pkts_delivered"),
+            Key::PktsDropped => format!("node{node}/pkts_dropped"),
+            Key::Retries => format!("node{node}/retries"),
+            Key::GaveUp => format!("node{node}/gave_up"),
+            Key::Reroutes => format!("node{node}/reroutes"),
+            Key::Access(kind) => format!("mem{node}/{}", kind.label()),
+            Key::Hit(hit) => format!("mem{node}/hit_{}", hit.label()),
+            Key::Misses => format!("mem{node}/misses"),
+            Key::Evict(level) => format!("mem{node}/evict_l{level}"),
+            Key::Writebacks => format!("mem{node}/writebacks"),
+            Key::BusWaitPs => format!("mem{node}/bus_wait_ps"),
+            Key::Tier(kind) => format!("queue/{}", kind.label()),
+            Key::BytesSent => "net/bytes_sent".into(),
+            Key::SyncSends => "net/sync_sends".into(),
+            Key::Messages => "net/messages".into(),
+            Key::LatencyPs(part) => format!("lat/{part}_ps"),
+            Key::LinkFault(up) => format!("fault/link_{}", up_down(up)),
+            Key::RouterFault(up) => format!("fault/router_{}", up_down(up)),
+            Key::Dropped(reason) => format!("net/dropped_{}", reason.label()),
+            Key::Corrupted => "net/corrupted".into(),
+            Key::NetRetries => "net/retries".into(),
+            Key::MsgsFailed => "net/msgs_failed".into(),
+            Key::NetReroutes => "net/reroutes".into(),
+        }
+    }
+}
+
 /// Folds [`SimEvent`]s into per-component statistics.
 pub struct MetricsAggregator {
-    counters: Counters,
+    /// Per-node counters, indexed by node (the models number nodes
+    /// densely from zero).
+    per_node: Vec<BTreeMap<Key, u64>>,
+    /// Run-wide counters (`engine/deliveries` is `deliveries`).
+    run_wide: BTreeMap<Key, u64>,
     msg_latency_ps: Histogram,
     link_util: BTreeMap<(u32, u32), Utilization>,
     bus_util: BTreeMap<u32, Utilization>,
@@ -36,7 +112,8 @@ impl MetricsAggregator {
     /// An empty aggregator.
     pub fn new() -> Self {
         MetricsAggregator {
-            counters: Counters::new(),
+            per_node: Vec::new(),
+            run_wide: BTreeMap::new(),
             msg_latency_ps: Histogram::log2(),
             link_util: BTreeMap::new(),
             bus_util: BTreeMap::new(),
@@ -47,9 +124,35 @@ impl MetricsAggregator {
         }
     }
 
-    /// The aggregated counter registry (sorted iteration order).
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+    /// The aggregated counter registry (sorted iteration order), with a
+    /// counter for everything recorded so far — including those an event
+    /// touched with a zero, such as a zero-length activation.
+    pub fn counters(&self) -> Counters {
+        let mut counters = Counters::new();
+        if self.deliveries > 0 {
+            counters.add("engine/deliveries", self.deliveries);
+        }
+        for (&key, &n) in &self.run_wide {
+            counters.add(&key.name(0), n);
+        }
+        for (node, keys) in self.per_node.iter().enumerate() {
+            for (&key, &n) in keys {
+                counters.add(&key.name(node), n);
+            }
+        }
+        counters
+    }
+
+    fn add(&mut self, key: Key, n: u64) {
+        *self.run_wide.entry(key).or_default() += n;
+    }
+
+    fn add_at(&mut self, node: u32, key: Key, n: u64) {
+        let node = node as usize;
+        if node >= self.per_node.len() {
+            self.per_node.resize_with(node + 1, BTreeMap::new);
+        }
+        *self.per_node[node].entry(key).or_default() += n;
     }
 
     /// Message end-to-end latency distribution (picoseconds).
@@ -98,7 +201,7 @@ impl MetricsAggregator {
         }
 
         let mut counters = Table::new(["counter", "value"]).with_title("Component counters");
-        for (name, value) in self.counters.iter() {
+        for (name, value) in self.counters().iter() {
             counters.row([name.to_string(), value.to_string()]);
         }
 
@@ -141,7 +244,6 @@ impl Probe for MetricsAggregator {
         match *ev {
             SimEvent::EngineDelivery { ts_ps, pending, .. } => {
                 self.deliveries += 1;
-                self.counters.incr("engine/deliveries");
                 if self.deliveries % DEPTH_SAMPLE_EVERY == 1 {
                     self.queue_depth.push(ts_ps, pending as f64);
                 }
@@ -150,7 +252,7 @@ impl Probe for MetricsAggregator {
                 let i = Self::tier_index(kind);
                 let delta = total.saturating_sub(self.last_tier[i]);
                 self.last_tier[i] = total;
-                self.counters.add(&format!("queue/{}", kind.label()), delta);
+                self.add(Key::Tier(kind), delta);
             }
             SimEvent::Activation {
                 node,
@@ -158,24 +260,23 @@ impl Probe for MetricsAggregator {
                 start_ps,
                 end_ps,
             } => {
-                let key = format!("node{node}/{}_ps", kind.label());
-                self.counters.add(&key, end_ps.saturating_sub(start_ps));
+                self.add_at(node, Key::ActivePs(kind), end_ps.saturating_sub(start_ps));
                 self.finish_ps = self.finish_ps.max(end_ps);
             }
             SimEvent::MsgSend {
                 src, bytes, sync, ..
             } => {
-                self.counters.incr(&format!("node{src}/sends"));
-                self.counters.add("net/bytes_sent", bytes as u64);
+                self.add_at(src, Key::Sends, 1);
+                self.add(Key::BytesSent, bytes as u64);
                 if sync {
-                    self.counters.incr("net/sync_sends");
+                    self.add(Key::SyncSends, 1);
                 }
             }
             SimEvent::MsgDeliver {
                 dst, latency_ps, ..
             } => {
-                self.counters.incr(&format!("node{dst}/recvs"));
-                self.counters.incr("net/messages");
+                self.add_at(dst, Key::Recvs, 1);
+                self.add(Key::Messages, 1);
                 self.msg_latency_ps.record(latency_ps);
             }
             SimEvent::MsgPath {
@@ -187,12 +288,12 @@ impl Probe for MetricsAggregator {
                 wire_ps,
                 ..
             } => {
-                self.counters.add("lat/overhead_ps", overhead_ps);
-                self.counters.add("lat/retry_ps", retry_ps);
-                self.counters.add("lat/queue_ps", queue_ps);
-                self.counters.add("lat/routing_ps", routing_ps);
-                self.counters.add("lat/ser_ps", ser_ps);
-                self.counters.add("lat/wire_ps", wire_ps);
+                self.add(Key::LatencyPs("overhead"), overhead_ps);
+                self.add(Key::LatencyPs("retry"), retry_ps);
+                self.add(Key::LatencyPs("queue"), queue_ps);
+                self.add(Key::LatencyPs("routing"), routing_ps);
+                self.add(Key::LatencyPs("ser"), ser_ps);
+                self.add(Key::LatencyPs("wire"), wire_ps);
             }
             SimEvent::LinkBusy {
                 node,
@@ -207,29 +308,26 @@ impl Probe for MetricsAggregator {
                 self.finish_ps = self.finish_ps.max(end_ps);
             }
             SimEvent::PacketForward { node, packets, .. } => {
-                self.counters
-                    .add(&format!("node{node}/pkts_forwarded"), packets as u64);
+                self.add_at(node, Key::PktsForwarded, packets as u64);
             }
             SimEvent::PacketDeliver { node, packets, .. } => {
-                self.counters
-                    .add(&format!("node{node}/pkts_delivered"), packets as u64);
+                self.add_at(node, Key::PktsDelivered, packets as u64);
             }
             SimEvent::CacheAccess {
                 node, kind, hit, ..
             } => {
-                self.counters.incr(&format!("mem{node}/{}", kind.label()));
-                self.counters
-                    .incr(&format!("mem{node}/hit_{}", hit.label()));
+                self.add_at(node, Key::Access(kind), 1);
+                self.add_at(node, Key::Hit(hit), 1);
                 if hit.is_miss() {
-                    self.counters.incr(&format!("mem{node}/misses"));
+                    self.add_at(node, Key::Misses, 1);
                 }
             }
             SimEvent::CacheEvict {
                 node, level, dirty, ..
             } => {
-                self.counters.incr(&format!("mem{node}/evict_l{level}"));
+                self.add_at(node, Key::Evict(level), 1);
                 if dirty {
-                    self.counters.incr(&format!("mem{node}/writebacks"));
+                    self.add_at(node, Key::Writebacks, 1);
                 }
             }
             SimEvent::BusTransaction {
@@ -242,43 +340,27 @@ impl Probe for MetricsAggregator {
                     .entry(node)
                     .or_default()
                     .record(start_ps, end_ps);
-                self.counters
-                    .add(&format!("mem{node}/bus_wait_ps"), wait_ps);
+                self.add_at(node, Key::BusWaitPs, wait_ps);
                 self.finish_ps = self.finish_ps.max(end_ps);
             }
-            SimEvent::LinkFault { up, .. } => {
-                self.counters.incr(if up {
-                    "fault/link_up"
-                } else {
-                    "fault/link_down"
-                });
-            }
-            SimEvent::RouterFault { up, .. } => {
-                self.counters.incr(if up {
-                    "fault/router_up"
-                } else {
-                    "fault/router_down"
-                });
-            }
+            SimEvent::LinkFault { up, .. } => self.add(Key::LinkFault(up), 1),
+            SimEvent::RouterFault { up, .. } => self.add(Key::RouterFault(up), 1),
             SimEvent::PacketDropped { node, reason, .. } => {
-                self.counters.incr(&format!("node{node}/pkts_dropped"));
-                self.counters
-                    .incr(&format!("net/dropped_{}", reason.label()));
+                self.add_at(node, Key::PktsDropped, 1);
+                self.add(Key::Dropped(reason), 1);
             }
-            SimEvent::PacketCorrupted { .. } => {
-                self.counters.incr("net/corrupted");
-            }
+            SimEvent::PacketCorrupted { .. } => self.add(Key::Corrupted, 1),
             SimEvent::MsgRetry { src, .. } => {
-                self.counters.incr(&format!("node{src}/retries"));
-                self.counters.incr("net/retries");
+                self.add_at(src, Key::Retries, 1);
+                self.add(Key::NetRetries, 1);
             }
             SimEvent::MsgGaveUp { src, .. } => {
-                self.counters.incr(&format!("node{src}/gave_up"));
-                self.counters.incr("net/msgs_failed");
+                self.add_at(src, Key::GaveUp, 1);
+                self.add(Key::MsgsFailed, 1);
             }
             SimEvent::Reroute { node, .. } => {
-                self.counters.incr(&format!("node{node}/reroutes"));
-                self.counters.incr("net/reroutes");
+                self.add_at(node, Key::Reroutes, 1);
+                self.add(Key::NetReroutes, 1);
             }
         }
     }

@@ -48,8 +48,10 @@ struct CatStats {
 /// Measures host-side cost of a traced run from inside the event stream.
 pub struct SelfProfiler {
     host_hz: f64,
-    started: Instant,
-    last_record: Instant,
+    /// Host time of the first and the latest `record`: the profile covers
+    /// the event stream, not whatever its owner did before (trace
+    /// generation) or after (rendering and writing artefacts).
+    span: Option<(Instant, Instant)>,
     per_cat: BTreeMap<&'static str, CatStats>,
     event_host_ns: Histogram,
     events: u64,
@@ -59,11 +61,9 @@ pub struct SelfProfiler {
 impl SelfProfiler {
     /// A profiler calibrated to `host_hz` host cycles per second.
     pub fn new(host_hz: f64) -> Self {
-        let now = Instant::now();
         SelfProfiler {
             host_hz,
-            started: now,
-            last_record: now,
+            span: None,
             per_cat: BTreeMap::new(),
             event_host_ns: Histogram::log2(),
             events: 0,
@@ -73,7 +73,9 @@ impl SelfProfiler {
 
     /// Snapshot the profile collected so far.
     pub fn profile(&self) -> HostProfile {
-        let wall_ns = self.started.elapsed().as_nanos() as u64;
+        let wall_ns = self.span.map_or(0, |(first, last)| {
+            last.duration_since(first).as_nanos() as u64
+        });
         let wall_secs = wall_ns as f64 / 1e9;
         let events_per_sec = if wall_secs > 0.0 {
             self.events as f64 / wall_secs
@@ -112,8 +114,9 @@ impl SelfProfiler {
 impl Probe for SelfProfiler {
     fn record(&mut self, ev: &SimEvent) {
         let now = Instant::now();
-        let gap_ns = now.duration_since(self.last_record).as_nanos() as u64;
-        self.last_record = now;
+        let (first, last) = self.span.unwrap_or((now, now));
+        let gap_ns = now.duration_since(last).as_nanos() as u64;
+        self.span = Some((first, now));
         self.events += 1;
         self.max_ts_ps = self.max_ts_ps.max(ev.ts_ps());
         self.event_host_ns.record(gap_ns);
@@ -130,7 +133,7 @@ pub struct HostProfile {
     pub host_hz: f64,
     /// Probe events recorded.
     pub events: u64,
-    /// Wall-clock time since the profiler was created.
+    /// Wall-clock time from the first recorded event to the last.
     pub wall_ns: u64,
     /// Probe events per host second.
     pub events_per_sec: f64,
@@ -222,6 +225,31 @@ mod tests {
         assert!(text.contains("Self-profile"));
         assert!(text.contains("engine"));
         assert!(text.contains("per-event host latency"));
+    }
+
+    #[test]
+    fn the_profile_clocks_the_event_stream_only() {
+        // Host time before the first event (trace generation) and after
+        // the last (rendering, writing) is not the simulation's.
+        let pause = std::time::Duration::from_millis(100);
+        let mut p = SelfProfiler::new(1e9);
+        std::thread::sleep(pause);
+        for ts_ps in [100, 200] {
+            p.record(&SimEvent::PacketDeliver {
+                ts_ps,
+                node: 0,
+                packets: 1,
+            });
+        }
+        std::thread::sleep(pause);
+        let prof = p.profile();
+        assert!(
+            prof.wall_ns < pause.as_nanos() as u64,
+            "{} ns of wall clock for two back-to-back events",
+            prof.wall_ns
+        );
+        let attributed: u64 = prof.per_category.iter().map(|&(_, _, ns)| ns).sum();
+        assert_eq!(attributed, prof.wall_ns, "gaps partition the span");
     }
 
     #[test]

@@ -8,12 +8,38 @@
 //! non-zero if any observable disagrees with an untraced run.
 //!
 //! Run with: `cargo run --release --example traced_run`
+//!
+//! Given a path — `traced_run <trace.json> [--faulty]` — it instead
+//! validates that file (say, one `mermaid-cli sim --trace-out` wrote, which
+//! the CLI itself no longer parses back) and prints what it holds;
+//! `--faulty` additionally demands fault events. Non-zero exit on an
+//! invalid trace.
 
 use mermaid::prelude::*;
 use mermaid::probe::validate_chrome_trace;
 use mermaid_network::CommSim;
 
+/// Validate the Chrome trace at `path`; with `faulty`, also require that
+/// fault injection left its mark.
+fn validate_file(path: &str, faulty: bool) -> Result<(), String> {
+    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let summary = validate_chrome_trace(&json).map_err(|e| format!("{path}: {e}"))?;
+    println!("{path}: valid Chrome trace, {summary:?}");
+    if faulty && summary.fault_events == 0 {
+        return Err(format!("{path}: a faulty run's trace has no fault events"));
+    }
+    Ok(())
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(path) = args.first() {
+        if let Err(e) = validate_file(path, args.get(1).is_some_and(|a| a == "--faulty")) {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+        return;
+    }
     let nodes = 16;
     let app = StochasticApp {
         phases: 5,

@@ -23,13 +23,25 @@ echo "==> example: traced_run (validates the emitted Chrome trace round-trips)"
 cargo run --release --example traced_run > /dev/null
 
 echo "==> cli: traced simulation emits parseable Chrome-trace JSON"
+# The CLI checks its trace as it records it and never parses the file it
+# wrote, so the gate does: traced_run, given a path, runs the parsing
+# validator over it (and with --faulty demands fault events).
 trace_file="$(mktemp -t mermaid-check-trace.XXXXXX.json)"
 serial_out="$(mktemp -t mermaid-check-serial.XXXXXX.txt)"
 sharded_out="$(mktemp -t mermaid-check-sharded.XXXXXX.txt)"
 trap 'rm -f "$trace_file" "$serial_out" "$sharded_out"' EXIT
 cargo run --release -p mermaid --bin mermaid-cli -- sim --machine test \
     --topology mesh:2x2 --mode task --phases 2 --trace-out "$trace_file" --metrics > /dev/null
-test -s "$trace_file" || { echo "trace file is empty" >&2; exit 1; }
+cargo run --release --example traced_run -- "$trace_file" > /dev/null
+cargo run --release -p mermaid --bin mermaid-cli -- sim --machine test \
+    --topology mesh:2x2 --mode task --phases 2 --trace-out "$trace_file" \
+    --faults "link:0-1:2000:60000; drop:20000" --fault-seed 9 > /dev/null
+cargo run --release --example traced_run -- "$trace_file" --faulty > /dev/null
+
+echo "==> bench harness: its own unit tests build against the public API"
+# The harness is a package of its own, outside the workspace: a `pub` API
+# break in a crate it links shows here, not at the next benchmark run.
+cargo test -q --offline --manifest-path crates/bench/src/bin/mermaid-bench/Cargo.toml
 
 echo "==> cli: sharded run is bit-identical to the serial run"
 for mode in detailed task; do

@@ -535,3 +535,239 @@ proptest! {
         );
     }
 }
+
+/// A `u64` biased to the values a hand-written number formatter gets
+/// wrong: zero, digit-count boundaries, the range where trace
+/// microseconds switch to exponent form, integers `f64` cannot hold
+/// exactly, and the top of the range.
+fn extreme_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        any::<u64>().prop_map(|x| x >> 40),
+        0u64..200,
+        (0u32..20, 0u64..3).prop_map(|(exp, off)| (10u64.pow(exp) + off).saturating_sub(1)),
+        ((1u64 << 53) - 2)..((1u64 << 53) + 3),
+        (u64::MAX - 2)..=u64::MAX,
+    ]
+}
+
+/// Strategy for one arbitrary probe event, over all 19 variants. Nodes
+/// come from three values half of the time, so that span tracks collide
+/// and regress, and from all of `u32` otherwise; spans are zero-length
+/// one time in three.
+fn sim_event_strategy() -> impl Strategy<Value = mermaid_probe::SimEvent> {
+    use mermaid_probe::{AccessKind, ActKind, DropReason, HitWhere, SimEvent, TierMove};
+    (
+        0u8..19,
+        prop::collection::vec(extreme_u64(), 11..12),
+        any::<bool>(),
+        0u8..3,
+        any::<bool>(),
+    )
+        .prop_map(|(variant, v, few_nodes, len, flag)| {
+            let ts_ps = v[0];
+            let (start_ps, end_ps) = (v[0], v[0].saturating_add(v[1].saturating_mul(len as u64)));
+            let node = if few_nodes {
+                (v[2] % 3) as u32
+            } else {
+                v[2] as u32
+            };
+            let (src, dst, to, bytes) = (v[3] as u32, v[4] as u32, (v[5] % 5) as u32, v[6] as u32);
+            let act = [
+                ActKind::Compute,
+                ActKind::SendBlock,
+                ActKind::RecvBlock,
+                ActKind::GetBlock,
+            ][(v[7] % 4) as usize];
+            let access =
+                [AccessKind::IFetch, AccessKind::Read, AccessKind::Write][(v[7] % 3) as usize];
+            let hit = [
+                HitWhere::L1,
+                HitWhere::L2,
+                HitWhere::CacheToCache,
+                HitWhere::Dram,
+            ][(v[8] % 4) as usize];
+            let reason = [
+                DropReason::LinkDown,
+                DropReason::RouterDown,
+                DropReason::Corrupt,
+                DropReason::Transient,
+            ][(v[8] % 4) as usize];
+            let tier =
+                [TierMove::Promotion, TierMove::Rebase, TierMove::FarDrain][(v[7] % 3) as usize];
+            match variant {
+                0 => SimEvent::EngineDelivery {
+                    ts_ps,
+                    src: v[3] as usize,
+                    dst: v[4] as usize,
+                    pending: v[5] as usize,
+                },
+                1 => SimEvent::QueueTier {
+                    ts_ps,
+                    kind: tier,
+                    total: v[9],
+                },
+                2 => SimEvent::Activation {
+                    node,
+                    kind: act,
+                    start_ps,
+                    end_ps,
+                },
+                3 => SimEvent::MsgSend {
+                    ts_ps,
+                    src,
+                    dst,
+                    bytes,
+                    sync: flag,
+                },
+                4 => SimEvent::MsgDeliver {
+                    ts_ps,
+                    src,
+                    dst,
+                    bytes,
+                    latency_ps: v[9],
+                },
+                5 => SimEvent::MsgPath {
+                    ts_ps,
+                    src,
+                    dst,
+                    bytes,
+                    latency_ps: v[1],
+                    overhead_ps: v[2],
+                    retry_ps: v[5],
+                    queue_ps: v[7],
+                    routing_ps: v[8],
+                    ser_ps: v[9],
+                    wire_ps: v[10],
+                },
+                6 => SimEvent::LinkBusy {
+                    node,
+                    to,
+                    start_ps,
+                    end_ps,
+                },
+                7 => SimEvent::PacketForward {
+                    ts_ps,
+                    node,
+                    to,
+                    packets: bytes,
+                },
+                8 => SimEvent::PacketDeliver {
+                    ts_ps,
+                    node,
+                    packets: bytes,
+                },
+                9 => SimEvent::CacheAccess {
+                    ts_ps,
+                    node,
+                    cpu: src,
+                    kind: access,
+                    hit,
+                },
+                10 => SimEvent::CacheEvict {
+                    ts_ps,
+                    node,
+                    cpu: src,
+                    level: v[9] as u8,
+                    dirty: flag,
+                },
+                11 => SimEvent::BusTransaction {
+                    node,
+                    start_ps,
+                    end_ps,
+                    wait_ps: v[9],
+                },
+                12 => SimEvent::LinkFault {
+                    ts_ps,
+                    node,
+                    to,
+                    up: flag,
+                },
+                13 => SimEvent::RouterFault {
+                    ts_ps,
+                    node,
+                    up: flag,
+                },
+                14 => SimEvent::PacketDropped {
+                    ts_ps,
+                    node,
+                    src,
+                    seq: v[9],
+                    reason,
+                },
+                15 => SimEvent::PacketCorrupted {
+                    ts_ps,
+                    node,
+                    to,
+                    src,
+                    seq: v[9],
+                },
+                16 => SimEvent::MsgRetry {
+                    ts_ps,
+                    src,
+                    dst,
+                    attempt: bytes,
+                },
+                17 => SimEvent::MsgGaveUp {
+                    ts_ps,
+                    src,
+                    dst,
+                    retries: bytes,
+                },
+                _ => SimEvent::Reroute { ts_ps, node, to },
+            }
+        })
+}
+
+/// Identity (de)serialisation of a `serde::Value` tree: what the vendored
+/// `serde_json` parses a document into and prints it back from.
+struct JsonTree(serde::Value);
+
+impl serde::Serialize for JsonTree {
+    fn to_value(&self) -> serde::Value {
+        self.0.clone()
+    }
+}
+
+impl serde::Deserialize for JsonTree {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(JsonTree(v.clone()))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The streaming JSON writer of the probe sinks emits exactly what the
+    /// vendored `serde_json` emits: the Chrome document and every JSONL
+    /// line parse, and print back to the same bytes. The summary the
+    /// Chrome sink keeps while recording equals the one the validator
+    /// computes by parsing the document — including, word for word, the
+    /// error for a span that starts before its track's previous span.
+    #[test]
+    fn probe_writer_matches_serde_json_and_the_parsing_validator(
+        events in prop::collection::vec(sim_event_strategy(), 0..120),
+    ) {
+        use mermaid_probe::{validate_chrome_trace, ProbeHandle, ProbeStack};
+        let probe = ProbeHandle::new(ProbeStack::new().with_chrome().with_jsonl());
+        events.iter().for_each(|ev| probe.replay(ev));
+        let reprint = |text: &str| -> Result<String, TestCaseError> {
+            let tree: JsonTree = serde_json::from_str(text)
+                .map_err(|e| TestCaseError::fail(format!("{e}: {text}")))?;
+            serde_json::to_string(&tree).map_err(|e| TestCaseError::fail(e.to_string()))
+        };
+
+        let doc = probe.chrome_trace_json().unwrap();
+        prop_assert_eq!(&reprint(&doc)?, &doc);
+        let recorded = probe
+            .with_stack(|s| s.chrome.as_ref().unwrap().summary())
+            .unwrap();
+        prop_assert_eq!(recorded, validate_chrome_trace(&doc));
+
+        let jsonl = probe.jsonl_output().unwrap();
+        prop_assert_eq!(jsonl.lines().count(), events.len());
+        for line in jsonl.lines() {
+            prop_assert_eq!(&reprint(line)?, line);
+        }
+    }
+}

@@ -212,3 +212,152 @@ fn run_time_watching_does_not_perturb_results() {
     assert_eq!(fine.total_messages, coarse.total_messages);
     assert_eq!(fine.events, coarse.events);
 }
+
+/// The fault spec of the faulty golden run: a healing link outage, a
+/// healing router outage, transient loss, corruption, and one retry —
+/// small enough that some messages are given up, so all seven fault
+/// variants of `SimEvent` appear in the pinned streams.
+const GOLDEN_FAULTS: &str =
+    "link:0-1:2000:60000; router:3:5000:90000; drop:20000; corrupt:30000; retries:1";
+
+/// Compare `got` with `tests/golden/<name>` (or, with `BLESS=1`, rewrite
+/// the file).
+fn check_golden(name: &str, got: &str) {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&path, got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!(
+            "missing golden file {} — run `BLESS=1 cargo test --test tooling_end_to_end`",
+            path.display()
+        )
+    });
+    // Traces run to hundreds of kilobytes: report the first differing
+    // byte, not two whole documents.
+    if got != want {
+        let at = got
+            .bytes()
+            .zip(want.bytes())
+            .position(|(a, b)| a != b)
+            .unwrap_or(got.len().min(want.len()));
+        let lo = at.saturating_sub(80);
+        panic!(
+            "{name} drifted from its golden at byte {at} (got {} bytes, want {}):\n  got:  …{}\n  want: …{}\n\
+             if intentional, regenerate with `BLESS=1 cargo test --test tooling_end_to_end`",
+            got.len(),
+            want.len(),
+            &got[lo..(at + 80).min(got.len())],
+            &want[lo..(at + 80).min(want.len())],
+        );
+    }
+}
+
+/// Byte goldens of every probe artefact — Chrome trace, `--metrics` text,
+/// `attribution.json` through the CLI, the JSONL stream through the
+/// library on the same run — for a healthy, a faulty and a detailed run.
+/// They pin the renderers: any change to `mermaid-probe`'s output paths
+/// must reproduce these files exactly.
+#[test]
+fn probe_artefacts_match_their_byte_goldens() {
+    use mermaid_network::{FaultSchedule, RetryParams};
+    use std::sync::Arc;
+
+    let dir = std::env::temp_dir().join(format!("mermaid-probe-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    for (name, mode, phases, ops, faults) in [
+        ("healthy", "task", 2u32, 5_000u64, None),
+        ("faulty", "task", 2, 5_000, Some(GOLDEN_FAULTS)),
+        ("detailed", "detailed", 1, 200, None),
+    ] {
+        let trace = dir.join(format!("{name}.trace.json"));
+        let attribution = dir.join(format!("{name}.attribution.json"));
+        let mut args: Vec<String> = [
+            "sim",
+            "--machine",
+            "test",
+            "--topology",
+            "mesh:2x2",
+            "--mode",
+            mode,
+            "--phases",
+            &phases.to_string(),
+            "--ops",
+            &ops.to_string(),
+            "--metrics",
+            "--trace-out",
+            trace.to_str().unwrap(),
+            "--attribution",
+            attribution.to_str().unwrap(),
+        ]
+        .map(String::from)
+        .to_vec();
+        if let Some(spec) = faults {
+            args.extend(["--faults", spec, "--fault-seed", "9"].map(String::from));
+        }
+        let stdout = mermaid::cli::run(&args).unwrap_or_else(|e| panic!("{name}: {e}"));
+
+        // Stdout minus host time: the scratch path, detailed mode's
+        // `slowdown` line, and the `Self-profile` block that ends it.
+        let stable = stdout
+            .split("\nSelf-profile")
+            .next()
+            .unwrap()
+            .replace(dir.to_str().unwrap(), "$D")
+            .lines()
+            .filter(|l| !l.starts_with("slowdown "))
+            .map(|l| format!("{l}\n"))
+            .collect::<String>();
+        check_golden(&format!("probe_{name}.metrics.txt"), &stable);
+        let trace_json = std::fs::read_to_string(&trace).unwrap();
+        check_golden(&format!("probe_{name}.trace.json"), &trace_json);
+        check_golden(
+            &format!("probe_{name}.attribution.json"),
+            &std::fs::read_to_string(&attribution).unwrap(),
+        );
+
+        // The CLI has no JSONL flag: rebuild the same run through the
+        // library, prove it is the same run by its Chrome trace, and pin
+        // the JSONL stream it recorded.
+        let machine = MachineConfig::test_machine(Topology::Mesh2D { w: 2, h: 2 });
+        let gen = StochasticGenerator::new(
+            StochasticApp {
+                phases,
+                ops_per_phase: SizeDist::Fixed(ops),
+                pattern: CommPattern::NearestNeighborRing,
+                ..StochasticApp::scientific(4)
+            },
+            1,
+        );
+        let faults = faults.map(|spec| {
+            let retry = RetryParams::default_for(&machine.network);
+            Arc::new(FaultSchedule::parse(spec, 9, retry).unwrap())
+        });
+        let probe = ProbeHandle::new(ProbeStack::new().with_chrome().with_jsonl());
+        if mode == "task" {
+            TaskLevelSim::new(machine.network)
+                .with_probe(probe.clone())
+                .with_faults(faults)
+                .run(&gen.generate_task_level());
+        } else {
+            HybridSim::new(machine)
+                .with_probe(probe.clone())
+                .run(&gen.generate());
+        }
+        assert_eq!(
+            probe.chrome_trace_json().unwrap(),
+            trace_json,
+            "{name}: the library run is not the CLI run"
+        );
+        check_golden(
+            &format!("probe_{name}.events.jsonl"),
+            &probe.jsonl_output().unwrap(),
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
