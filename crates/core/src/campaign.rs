@@ -535,6 +535,17 @@ impl CampaignSpec {
                     .map_err(|e| format!("campaign faults `{f}` is invalid for topo `{t}`: {e}"))?;
             }
         }
+        // Likewise each (pattern, topo) pairing: butterfly needs 2^k nodes.
+        for p in &self.patterns {
+            for t in &self.topos {
+                StochasticApp {
+                    pattern: parse_pattern(p)?,
+                    ..StochasticApp::scientific(parse_topology(t)?.nodes())
+                }
+                .try_validate()
+                .map_err(|e| format!("campaign pattern `{p}` is invalid for topo `{t}`: {e}"))?;
+            }
+        }
         let mut runs = Vec::with_capacity(total.min(1 << 20));
         for machine in &self.machines {
             for topo in &self.topos {
@@ -760,12 +771,11 @@ fn execute_run_ckpt(
     };
     let (predicted, comm, ops_simulated) = match cfg.mode.as_str() {
         "detailed" => {
-            let traces = gen.generate();
             let r = HybridSim::new(machine)
                 .with_probe(probe.clone())
                 .with_shards(cfg.shards)
                 .with_faults(faults)
-                .run(&traces);
+                .run_streams(gen.streams());
             (r.predicted_time, r.comm, r.ops_simulated)
         }
         _ => {
@@ -1151,6 +1161,21 @@ mod tests {
                 "`{bad}` must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn expansion_rejects_patterns_a_topology_cannot_run() {
+        // Each value parses on its own; only the pairing is wrong, and it
+        // must surface here rather than as a panic inside a worker.
+        let spec = CampaignSpec::parse("topo = ring:8, ring:6; pattern = ring, butterfly").unwrap();
+        let err = spec.expand().unwrap_err();
+        assert!(
+            err.contains("`butterfly` is invalid for topo `ring:6`"),
+            "{err}"
+        );
+        assert!(err.contains("power-of-two"), "{err}");
+        let ok = CampaignSpec::parse("topo = ring:8, mesh:2x2; pattern = butterfly").unwrap();
+        assert_eq!(ok.expand().unwrap().len(), 2);
     }
 
     #[test]

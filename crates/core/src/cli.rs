@@ -466,6 +466,8 @@ fn build_generator(o: &Opts, nodes: u32) -> Result<StochasticGenerator, String> 
         pattern: parse_pattern(o.pattern.as_deref().unwrap_or("ring"))?,
         ..StochasticApp::scientific(nodes)
     };
+    app.try_validate()
+        .map_err(|e| format!("{e}; pick another --pattern or --topology"))?;
     Ok(StochasticGenerator::new(app, o.seed.unwrap_or(1)))
 }
 
@@ -795,14 +797,18 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let mut finish_ps = 0u64;
             match mode {
                 "detailed" => {
-                    let traces = gen.generate();
+                    // Operations are generated as the simulator pulls them, so
+                    // the `slowdown` line below covers trace generation plus
+                    // simulation — the paper's own set-up (Section 6). Bench
+                    // figures that time simulation of a ready `TraceSet` alone
+                    // are not comparable with it.
                     let meter = SlowdownMeter::start(nodes, machine.cpu.clock);
                     let r = HybridSim::new(machine)
                         .with_probe(probe.clone())
                         .with_shards(shards)
                         .with_faults(faults.clone())
                         .with_speculation(o.speculate.unwrap_or_default())
-                        .run(&traces);
+                        .run_streams(gen.streams());
                     let slow = meter.finish(r.predicted_time);
                     finish_ps = r.predicted_time.as_ps();
                     out.push_str(&format!("predicted time: {}\n\n", r.predicted_time));
@@ -877,8 +883,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     }
                 }
                 "direct" => {
-                    let traces = gen.generate();
-                    let r = DirectExecSim::new(machine).run(&traces);
+                    let r = DirectExecSim::new(machine).run_streams(gen.streams());
                     out.push_str(&format!(
                         "predicted time: {} (direct-execution estimate; cache-blind)\n",
                         r.predicted_time
@@ -972,13 +977,12 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     (r.predicted_time.as_ps(), r.shard_profile)
                 }
                 "detailed" => {
-                    let traces = gen.generate();
                     let r = HybridSim::new(machine)
                         .with_probe(probe.clone())
                         .with_shards(shards)
                         .with_faults(faults.clone())
                         .with_speculation(o.speculate.unwrap_or_default())
-                        .run(&traces);
+                        .run_streams(gen.streams());
                     out.push_str(&format!("predicted time: {}\n", r.predicted_time));
                     (r.predicted_time.as_ps(), r.shard_profile)
                 }
@@ -1082,6 +1086,48 @@ mod tests {
         // ... while the boundary cases stay valid.
         assert!(parse_topology("ring:2").is_ok());
         assert!(parse_topology("hypercube:20").is_ok());
+    }
+
+    #[test]
+    fn butterfly_on_a_non_power_of_two_machine_is_an_error_not_a_panic() {
+        // Used to die in `StochasticApp::validate()` with the whole binary.
+        for cmd in ["sim", "analyze"] {
+            for mode in ["task", "detailed"] {
+                let err = run(&s(&[
+                    cmd,
+                    "--topology",
+                    "ring:6",
+                    "--pattern",
+                    "butterfly",
+                    "--mode",
+                    mode,
+                ]))
+                .expect_err("ring:6 cannot run a butterfly");
+                assert!(err.contains("power-of-two"), "{err}");
+                assert!(
+                    err.contains("6 nodes") && err.contains("--pattern"),
+                    "{err}"
+                );
+            }
+        }
+        let err = run(&s(&[
+            "campaign",
+            "topo = ring:8, ring:6; pattern = ring, butterfly",
+            "--dry-run",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.contains("`butterfly` is invalid for topo `ring:6`"),
+            "{err}"
+        );
+        assert!(run(&s(&[
+            "sim",
+            "--topology",
+            "ring:8",
+            "--pattern",
+            "butterfly"
+        ]))
+        .is_ok());
     }
 
     #[test]

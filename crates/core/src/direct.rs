@@ -18,7 +18,7 @@
 
 use mermaid_cpu::CpuParams;
 use mermaid_network::{CommResult, CommSim};
-use mermaid_ops::{Operation, Trace, TraceSet};
+use mermaid_ops::{NodeId, Operation, Trace, TraceSet};
 use pearl::{Duration, Time};
 
 use crate::machines::MachineConfig;
@@ -99,9 +99,13 @@ impl DirectExecSim {
 
     /// Statically fold one node's local operations into compute tasks.
     pub fn fold_trace(&self, trace: &Trace) -> Trace {
-        let mut out = Trace::new(trace.node);
+        self.fold(trace.node, trace.iter().copied())
+    }
+
+    fn fold(&self, node: NodeId, ops: impl Iterator<Item = Operation>) -> Trace {
+        let mut out = Trace::new(node);
         let mut acc = Duration::ZERO;
-        for &op in trace.iter() {
+        ops.for_each(|op| {
             if op.is_global_event() {
                 if !acc.is_zero() {
                     out.push(Operation::Compute { ps: acc.as_ps() });
@@ -113,7 +117,7 @@ impl DirectExecSim {
             } else {
                 acc += self.costs.cost(op);
             }
-        }
+        });
         if !acc.is_zero() {
             out.push(Operation::Compute { ps: acc.as_ps() });
         }
@@ -122,12 +126,25 @@ impl DirectExecSim {
 
     /// Run the baseline over instruction-level traces.
     pub fn run(&self, traces: &TraceSet) -> DirectExecResult {
-        let folded = TraceSet::from_traces(traces.iter().map(|t| self.fold_trace(t)).collect());
-        let comm = CommSim::new(self.machine.network, &folded).run();
+        self.run_streams(traces.iter().map(|t| t.iter().copied()))
+    }
+
+    /// Run the baseline over one stream of instruction-level operations
+    /// per node, in node order; each is folded as it is pulled.
+    pub fn run_streams<I>(&self, streams: impl IntoIterator<Item = I>) -> DirectExecResult
+    where
+        I: Iterator<Item = Operation>,
+    {
+        let mut ops_processed = 0u64;
+        let folded = (0..)
+            .zip(streams)
+            .map(|(node, ops)| self.fold(node, ops.inspect(|_| ops_processed += 1)))
+            .collect();
+        let comm = CommSim::new(self.machine.network, &TraceSet::from_traces(folded)).run();
         DirectExecResult {
             predicted_time: comm.finish,
             comm,
-            ops_processed: traces.total_ops() as u64,
+            ops_processed,
         }
     }
 }

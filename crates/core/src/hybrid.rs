@@ -17,14 +17,15 @@
 //! still uses physical-time interleaving (see `mermaid-tracegen`) so that
 //! generating threads never run ahead of the simulator.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use mermaid_cpu::{CpuStats, SingleNodeSim};
-use mermaid_memory::{MemStats, MemSystemConfig};
+use mermaid_memory::MemStats;
 use mermaid_network::{
     run_checkpointed_with, CommResult, CommSim, FaultSchedule, ShardProfile, Speculation,
 };
-use mermaid_ops::{NodeId, Trace, TraceSet};
+use mermaid_ops::{NodeId, Operation, TraceSet};
 use mermaid_probe::ProbeHandle;
 use mermaid_tracegen::InterleavedTraceGen;
 use pearl::{Duration, Time};
@@ -162,32 +163,7 @@ impl HybridSim {
     /// Run the detailed simulation over instruction-level traces (one per
     /// node).
     pub fn run(&self, traces: &TraceSet) -> HybridResult {
-        assert_eq!(
-            traces.nodes() as u32,
-            self.machine.nodes(),
-            "trace set has {} nodes, machine has {}",
-            traces.nodes(),
-            self.machine.nodes()
-        );
-        let mut task_traces = Vec::with_capacity(traces.nodes());
-        let mut nodes = Vec::with_capacity(traces.nodes());
-        let mut ops_simulated = 0u64;
-        for trace in traces.iter() {
-            ops_simulated += trace.len() as u64;
-            let (task, stats) = self.extract_node(trace);
-            task_traces.push(task);
-            nodes.push(stats);
-        }
-        let task_traces = TraceSet::from_traces(task_traces);
-        let (comm, shard_profile) = self.run_comm(&task_traces);
-        HybridResult {
-            predicted_time: comm.finish,
-            nodes,
-            task_traces,
-            comm,
-            ops_simulated,
-            shard_profile,
-        }
+        self.run_streams(traces.iter().map(|t| t.iter().copied()))
     }
 
     /// Run the detailed simulation *execution-driven*: pull operations from
@@ -195,52 +171,62 @@ impl HybridSim {
     /// resuming each node's thread only after its global event has been
     /// recorded. Equivalent to generating the full traces first (control
     /// flow is value-independent) but with flat memory consumption.
-    pub fn run_from_generator(&self, mut gen: InterleavedTraceGen) -> HybridResult {
+    pub fn run_from_generator(&self, gen: InterleavedTraceGen) -> HybridResult {
+        let gen = RefCell::new(gen);
+        let nodes = 0..gen.borrow().node_count() as NodeId;
+        self.run_streams(nodes.map(|node| {
+            let mut suspended = false;
+            let gen = &gen;
+            std::iter::from_fn(move || {
+                let mut gen = gen.borrow_mut();
+                if suspended {
+                    gen.resume(node);
+                }
+                let op = gen.next_op(node)?;
+                suspended = op.is_global_event();
+                Some(op)
+            })
+        }))
+    }
+
+    /// Run the detailed simulation over one stream of instruction-level
+    /// operations per node, in node order — the loop every entry point
+    /// shares. Each stream is pulled to its end through that node's
+    /// computational model before the next one is touched, so a source that
+    /// produces operations on demand is never materialised, and the probe
+    /// sees the nodes' cache and bus events in node-major order whatever
+    /// the source.
+    pub fn run_streams<S>(&self, streams: S) -> HybridResult
+    where
+        S: IntoIterator<IntoIter: ExactSizeIterator>,
+        S::Item: Iterator<Item = Operation>,
+    {
+        let streams = streams.into_iter();
         assert_eq!(
-            gen.node_count() as u32,
-            self.machine.nodes(),
-            "generator has {} nodes, machine has {}",
-            gen.node_count(),
+            streams.len(),
+            self.machine.nodes() as usize,
+            "got {} per-node operation streams, machine has {} nodes",
+            streams.len(),
             self.machine.nodes()
         );
-        let single = self.single_node_config();
-        let mut task_traces = Vec::new();
-        let mut nodes = Vec::new();
+        let mut mem_cfg = self.machine.node_mem.clone();
+        mem_cfg.cpus = 1;
+        let mut task_traces = Vec::with_capacity(streams.len());
+        let mut nodes = Vec::with_capacity(streams.len());
         let mut ops_simulated = 0u64;
-        for node in 0..self.machine.nodes() {
-            // Stream the node's operations through the computational model.
-            let mut sim = SingleNodeSim::new(self.machine.cpu, single.clone());
+        for (node, ops) in (0..).zip(streams) {
+            let mut sim = SingleNodeSim::new(self.machine.cpu, mem_cfg.clone());
             sim.set_probe(node, self.probe.clone());
-            let mut chunk = Trace::new(node);
-            let mut task = Trace::new(node);
-            let mut compute_total = Duration::ZERO;
-            while let Some(op) = gen.next_op(node) {
-                if op.is_global_event() {
-                    ops_simulated += chunk.len() as u64 + 1;
-                    let x = sim.extract_tasks(&chunk);
-                    compute_total += x.compute_total;
-                    task.ops.extend(x.task_trace.ops);
-                    task.push(op);
-                    chunk.ops.clear();
-                    gen.resume(node);
-                } else {
-                    chunk.push(op);
-                }
-            }
-            if !chunk.is_empty() {
-                ops_simulated += chunk.len() as u64;
-                let x = sim.extract_tasks(&chunk);
-                compute_total += x.compute_total;
-                task.ops.extend(x.task_trace.ops);
-            }
-            let x = sim.extract_tasks(&Trace::new(node));
+            let mut extractor = sim.task_extractor(node);
+            extractor.feed(ops.inspect(|_| ops_simulated += 1));
+            let x = extractor.finish();
+            task_traces.push(x.task_trace);
             nodes.push(NodeComputeStats {
                 node,
                 cpu: x.cpu_stats,
                 mem: x.mem_stats,
-                compute_total,
+                compute_total: x.compute_total,
             });
-            task_traces.push(task);
         }
         let task_traces = TraceSet::from_traces(task_traces);
         let (comm, shard_profile) = self.run_comm(&task_traces);
@@ -252,29 +238,6 @@ impl HybridSim {
             ops_simulated,
             shard_profile,
         }
-    }
-
-    /// The memory configuration of one node restricted to a single CPU
-    /// (the computational model instance that backs task extraction).
-    fn single_node_config(&self) -> MemSystemConfig {
-        let mut cfg = self.machine.node_mem.clone();
-        cfg.cpus = 1;
-        cfg
-    }
-
-    fn extract_node(&self, trace: &Trace) -> (Trace, NodeComputeStats) {
-        let mut sim = SingleNodeSim::new(self.machine.cpu, self.single_node_config());
-        sim.set_probe(trace.node, self.probe.clone());
-        let x = sim.extract_tasks(trace);
-        (
-            x.task_trace,
-            NodeComputeStats {
-                node: trace.node,
-                cpu: x.cpu_stats,
-                mem: x.mem_stats,
-                compute_total: x.compute_total,
-            },
-        )
     }
 }
 
@@ -397,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "trace set has")]
+    #[should_panic(expected = "machine has 4 nodes")]
     fn node_count_mismatch_is_rejected() {
         let traces = stochastic_traces(3, 5);
         HybridSim::new(machine(4)).run(&traces);

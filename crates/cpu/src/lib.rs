@@ -27,5 +27,5 @@ pub mod node;
 pub mod params;
 
 pub use cpu::{Cpu, CpuStats};
-pub use node::{NodeResult, SingleNodeSim, TaskExtraction};
+pub use node::{NodeResult, SingleNodeSim, TaskExtraction, TaskExtractor};
 pub use params::CpuParams;

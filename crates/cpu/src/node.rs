@@ -15,7 +15,7 @@
 //!   model.
 
 use mermaid_memory::{MemStats, MemSystemConfig, MemorySystem};
-use mermaid_ops::{Operation, Trace};
+use mermaid_ops::{NodeId, Operation, Trace};
 use pearl::{Duration, Time};
 
 use crate::cpu::{Cpu, CpuStats};
@@ -132,36 +132,71 @@ impl SingleNodeSim {
     /// Zero-length runs (consecutive communication operations) produce no
     /// `compute` operation.
     pub fn extract_tasks(&mut self, trace: &Trace) -> TaskExtraction {
+        let mut extractor = self.task_extractor(trace.node);
+        extractor.feed(trace.iter().copied());
+        extractor.finish()
+    }
+
+    /// [`SingleNodeSim::extract_tasks`] for a trace that arrives in pieces:
+    /// feed `node`'s operations in program order, in chunks of any size.
+    pub fn task_extractor(&mut self, node: NodeId) -> TaskExtractor<'_> {
         assert_eq!(self.cpus.len(), 1, "task extraction uses a single-CPU node");
         let cpu = &mut self.cpus[0];
-        let mut task_trace = Trace::new(trace.node);
-        let mut run_start = cpu.now();
-        let mut compute_total = Duration::ZERO;
-        for &op in trace.iter() {
+        TaskExtractor {
+            run_start: cpu.now(),
+            cpu,
+            mem: &mut self.mem,
+            task_trace: Trace::new(node),
+            compute_total: Duration::ZERO,
+        }
+    }
+}
+
+/// Incremental task extraction over one node's computational model. The
+/// start of the current compute run is kept across [`TaskExtractor::feed`]
+/// calls, so where the operation stream is cut never splits a task.
+pub struct TaskExtractor<'a> {
+    cpu: &'a mut Cpu,
+    mem: &'a mut MemorySystem,
+    task_trace: Trace,
+    run_start: Time,
+    compute_total: Duration,
+}
+
+impl TaskExtractor<'_> {
+    /// Close the compute run in progress, if it has any length.
+    fn end_run(&mut self) {
+        let elapsed = self.cpu.now().since(self.run_start);
+        if !elapsed.is_zero() {
+            self.task_trace.push(Operation::Compute {
+                ps: elapsed.as_ps(),
+            });
+            self.compute_total += elapsed;
+        }
+        self.run_start = self.cpu.now();
+    }
+
+    /// Simulate the next operations of the node's trace.
+    pub fn feed(&mut self, ops: impl IntoIterator<Item = Operation>) {
+        ops.into_iter().for_each(|op| {
             if op.is_computational() {
-                cpu.execute(op, &mut self.mem);
+                self.cpu.execute(op, self.mem);
             } else {
-                let elapsed = cpu.now().since(run_start);
-                if !elapsed.is_zero() {
-                    task_trace.push(Operation::Compute {
-                        ps: elapsed.as_ps(),
-                    });
-                    compute_total += elapsed;
-                }
-                task_trace.push(op);
-                run_start = cpu.now();
+                self.end_run();
+                self.task_trace.push(op);
             }
-        }
-        let tail = cpu.now().since(run_start);
-        if !tail.is_zero() {
-            task_trace.push(Operation::Compute { ps: tail.as_ps() });
-            compute_total += tail;
-        }
+        });
+    }
+
+    /// End of trace: close the trailing compute run and hand over the
+    /// task-level trace with the model's statistics.
+    pub fn finish(mut self) -> TaskExtraction {
+        self.end_run();
         TaskExtraction {
-            task_trace,
-            cpu_stats: self.cpus[0].stats().clone(),
+            task_trace: self.task_trace,
+            cpu_stats: self.cpu.stats().clone(),
             mem_stats: self.mem.stats(),
-            compute_total,
+            compute_total: self.compute_total,
         }
     }
 }

@@ -33,4 +33,6 @@ pub mod stochastic;
 
 pub use annotate::{Translator, VarId};
 pub use interleave::{InterleavedTraceGen, NodeCtx};
-pub use stochastic::{CommPattern, InstructionMix, SizeDist, StochasticApp, StochasticGenerator};
+pub use stochastic::{
+    CommPattern, InstructionMix, NodeStream, SizeDist, StochasticApp, StochasticGenerator,
+};

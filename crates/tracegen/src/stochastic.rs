@@ -70,35 +70,36 @@ impl InstructionMix {
         }
     }
 
-    fn total(&self) -> f64 {
-        self.load
-            + self.store
-            + self.load_const
-            + self.int_alu
-            + self.int_muldiv
-            + self.flt_alu
-            + self.flt_muldiv
-            + self.branch
+    fn weights(&self) -> [f64; 8] {
+        [
+            self.load,
+            self.store,
+            self.load_const,
+            self.int_alu,
+            self.int_muldiv,
+            self.flt_alu,
+            self.flt_muldiv,
+            self.branch,
+        ]
+    }
+
+    fn try_validate(&self) -> Result<(), String> {
+        let w = self.weights();
+        if !w.iter().all(|&w| w >= 0.0) {
+            return Err("negative weight in instruction mix".into());
+        }
+        if w.iter().sum::<f64>() > 0.0 {
+            Ok(())
+        } else {
+            Err("instruction mix has zero total weight".into())
+        }
     }
 
     /// Validate that at least one class has weight.
     pub fn validate(&self) {
-        assert!(self.total() > 0.0, "instruction mix has zero total weight");
-        assert!(
-            [
-                self.load,
-                self.store,
-                self.load_const,
-                self.int_alu,
-                self.int_muldiv,
-                self.flt_alu,
-                self.flt_muldiv,
-                self.branch
-            ]
-            .iter()
-            .all(|&w| w >= 0.0),
-            "negative weight in instruction mix"
-        );
+        if let Err(e) = self.try_validate() {
+            panic!("{e}");
+        }
     }
 }
 
@@ -229,18 +230,32 @@ impl StochasticApp {
         }
     }
 
-    /// Validate the description.
+    /// Validate the description, returning a user-facing error instead of
+    /// panicking — the CLI and campaign expansion check user input here.
+    pub fn try_validate(&self) -> Result<(), String> {
+        let check = |ok: bool, msg: &str| if ok { Ok(()) } else { Err(msg.to_string()) };
+        check(self.nodes >= 1, "need at least one node")?;
+        self.mix.try_validate()?;
+        check(self.working_set >= 64, "working set too small")?;
+        check(self.seq_permille <= 1000, "seq_permille > 1000")?;
+        check(
+            self.loop_body_ops >= 1 && self.loop_iters >= 1,
+            "loop_body_ops and loop_iters must be >= 1",
+        )?;
+        if self.pattern == CommPattern::Butterfly && !self.nodes.is_power_of_two() {
+            return Err(format!(
+                "butterfly needs a power-of-two node count (got {} nodes)",
+                self.nodes
+            ));
+        }
+        Ok(())
+    }
+
+    /// Validate the description (panics on an invalid one). Wrapper over
+    /// [`StochasticApp::try_validate`] for model-internal call sites.
     pub fn validate(&self) {
-        assert!(self.nodes >= 1, "need at least one node");
-        self.mix.validate();
-        assert!(self.working_set >= 64, "working set too small");
-        assert!(self.seq_permille <= 1000, "seq_permille > 1000");
-        assert!(self.loop_body_ops >= 1 && self.loop_iters >= 1);
-        if self.pattern == CommPattern::Butterfly {
-            assert!(
-                self.nodes.is_power_of_two(),
-                "butterfly needs a power-of-two node count"
-            );
+        if let Err(e) = self.try_validate() {
+            panic!("invalid application description: {e}");
         }
     }
 }
@@ -264,6 +279,78 @@ struct NodeGen {
 const DATA_BASE: Address = 0x1000_0000;
 const CODE_BASE: Address = 0x1000;
 
+/// One node's instruction-level operations, generated as they are pulled.
+///
+/// Besides the RNG the stream holds the loop being replayed (at most
+/// `2·loop_body_ops` operations × `2·loop_iters` iterations) and the node's
+/// share of the communication skeleton, so its memory does not grow with
+/// `ops_per_phase`.
+pub struct NodeStream<'a> {
+    gen: &'a StochasticGenerator,
+    g: NodeGen,
+    /// The node's communication step of every phase still to come.
+    steps: std::vec::IntoIter<Vec<Operation>>,
+    /// Computational operations the current phase still owes; `None`
+    /// between phases.
+    left: Option<u64>,
+    /// The piece being handed out: one loop, or one communication step.
+    buf: Vec<Operation>,
+    pos: usize,
+}
+
+impl NodeStream<'_> {
+    /// Replace the drained buffer with the node's next piece; false at the
+    /// end of the trace.
+    fn refill(&mut self) -> bool {
+        self.buf.clear();
+        self.pos = 0;
+        match self.left {
+            Some(0) => {
+                self.buf
+                    .extend(self.steps.next().expect("one step per phase"));
+                self.left = None;
+            }
+            Some(left) => {
+                self.left = Some(left - self.gen.gen_loop(&mut self.g, &mut self.buf, left))
+            }
+            None if self.steps.len() == 0 => return false,
+            None => self.left = Some(self.gen.app.ops_per_phase.sample(&mut self.g.rng)),
+        }
+        true
+    }
+}
+
+impl Iterator for NodeStream<'_> {
+    type Item = Operation;
+
+    #[inline]
+    fn next(&mut self) -> Option<Operation> {
+        while self.pos == self.buf.len() {
+            if !self.refill() {
+                return None;
+            }
+        }
+        self.pos += 1;
+        Some(self.buf[self.pos - 1])
+    }
+
+    /// Internal iteration (`for_each`, `inspect(..).for_each(..)`) hands
+    /// out each piece as a slice: the consumer's loop over a loop's worth
+    /// of operations is as tight as one over a materialised trace.
+    fn fold<B, F: FnMut(B, Operation) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        loop {
+            for &op in &self.buf[self.pos..] {
+                acc = f(acc, op);
+            }
+            self.pos = self.buf.len();
+            if !self.refill() {
+                return acc;
+            }
+        }
+    }
+}
+
 impl StochasticGenerator {
     /// Create a generator for the given description and seed. Identical
     /// `(app, seed)` pairs generate identical traces.
@@ -282,27 +369,48 @@ impl StochasticGenerator {
         )
     }
 
-    /// Generate instruction-level traces (the reality-based quadrant's
-    /// synthetic sibling in Fig. 4).
-    pub fn generate(&self) -> TraceSet {
-        let n = self.app.nodes;
-        let mut traces: Vec<Trace> = (0..n).map(Trace::new).collect();
-        // A shared RNG for cross-node decisions (permutation patterns),
-        // so traces stay balanced.
+    /// The instruction-level trace of every node as a pull stream (the
+    /// reality-based quadrant's synthetic sibling in Fig. 4), for feeding a
+    /// simulator without materialising the traces.
+    ///
+    /// A node's computation draws only from that node's RNG, and the
+    /// cross-node decisions (message sizes, permutations) only from a shared
+    /// one that is kept apart so traces stay balanced. The communication
+    /// skeleton is therefore fixed up front and every node's stream is
+    /// independent of the order the streams are consumed in.
+    pub fn streams(&self) -> Vec<NodeStream<'_>> {
         let mut shared = self.node_rng(u32::MAX, 7);
-        let mut gens: Vec<NodeGen> = (0..n)
-            .map(|node| NodeGen {
-                rng: self.node_rng(node, 1),
-                data_ptr: DATA_BASE,
-                pc: CODE_BASE,
-            })
-            .collect();
+        let mut comm: Vec<Trace> = (0..self.app.nodes).map(Trace::new).collect();
+        let mut steps = vec![Vec::new(); comm.len()];
         for phase in 0..self.app.phases {
-            for node in 0..n {
-                let count = self.app.ops_per_phase.sample(&mut gens[node as usize].rng);
-                self.gen_computation(&mut gens[node as usize], &mut traces[node as usize], count);
+            self.gen_communication(phase, &mut comm, &mut shared);
+            for (steps, trace) in steps.iter_mut().zip(&mut comm) {
+                steps.push(std::mem::take(&mut trace.ops));
             }
-            self.gen_communication(phase, &mut traces, &mut shared, false);
+        }
+        (0..self.app.nodes)
+            .zip(steps)
+            .map(|(node, steps)| NodeStream {
+                gen: self,
+                g: NodeGen {
+                    rng: self.node_rng(node, 1),
+                    data_ptr: DATA_BASE,
+                    pc: CODE_BASE,
+                },
+                steps: steps.into_iter(),
+                left: None,
+                buf: Vec::new(),
+                pos: 0,
+            })
+            .collect()
+    }
+
+    /// Generate instruction-level traces: [`StochasticGenerator::streams`],
+    /// collected.
+    pub fn generate(&self) -> TraceSet {
+        let mut traces: Vec<Trace> = (0..self.app.nodes).map(Trace::new).collect();
+        for (trace, ops) in traces.iter_mut().zip(self.streams()) {
+            ops.for_each(|op| trace.push(op));
         }
         TraceSet::from_traces(traces)
     }
@@ -320,61 +428,50 @@ impl StochasticGenerator {
                 let ps = self.app.task_ps.sample(&mut rngs[node as usize]);
                 traces[node as usize].push(Operation::Compute { ps });
             }
-            self.gen_communication(phase, &mut traces, &mut shared, true);
+            self.gen_communication(phase, &mut traces, &mut shared);
         }
         TraceSet::from_traces(traces)
     }
 
-    /// Emit `count` computational operations, organised into loop bodies
-    /// whose instruction-fetch addresses recur across iterations.
-    fn gen_computation(&self, g: &mut NodeGen, trace: &mut Trace, count: u64) {
+    /// Emit one loop — a body of operations replayed for some iterations,
+    /// so its instruction-fetch addresses recur — cut short after `count`
+    /// computational operations. Returns how many it emitted.
+    fn gen_loop(&self, g: &mut NodeGen, out: &mut Vec<Operation>, count: u64) -> u64 {
         let mut emitted = 0u64;
-        while emitted < count {
-            // One loop: a body of `body` ops replayed `iters` times.
-            let body = 1 + g.rng.gen_range(0..self.app.loop_body_ops.max(1) * 2) as u64;
-            let iters = 1 + g.rng.gen_range(0..self.app.loop_iters.max(1) * 2) as u64;
-            let body_start_pc = g.pc;
-            // Pre-draw the body's operation classes so every iteration
-            // fetches the same instruction addresses.
-            let classes: Vec<u8> = (0..body).map(|_| self.draw_class(&mut g.rng)).collect();
-            for _ in 0..iters {
+        let body = 1 + g.rng.gen_range(0..self.app.loop_body_ops.max(1) * 2) as u64;
+        let iters = 1 + g.rng.gen_range(0..self.app.loop_iters.max(1) * 2) as u64;
+        let body_start_pc = g.pc;
+        // Pre-draw the body's operation classes so every iteration
+        // fetches the same instruction addresses.
+        let classes: Vec<u8> = (0..body).map(|_| self.draw_class(&mut g.rng)).collect();
+        for _ in 0..iters {
+            if emitted >= count {
+                break;
+            }
+            g.pc = body_start_pc;
+            for &class in &classes {
                 if emitted >= count {
                     break;
                 }
-                g.pc = body_start_pc;
-                for &class in &classes {
-                    if emitted >= count {
-                        break;
-                    }
-                    trace.push(Operation::IFetch { addr: g.pc });
-                    g.pc += 4;
-                    trace.push(self.materialize(class, g));
-                    emitted += 1;
-                }
-                // The backward branch closing the loop body.
-                trace.push(Operation::IFetch { addr: g.pc });
-                trace.push(Operation::Branch {
-                    addr: body_start_pc,
-                });
+                out.push(Operation::IFetch { addr: g.pc });
+                g.pc += 4;
+                out.push(self.materialize(class, g));
+                emitted += 1;
             }
-            // Fall through: continue at fresh code addresses.
-            g.pc = body_start_pc + (body + 1) * 4;
+            // The backward branch closing the loop body.
+            out.push(Operation::IFetch { addr: g.pc });
+            out.push(Operation::Branch {
+                addr: body_start_pc,
+            });
         }
+        // Fall through: continue at fresh code addresses.
+        g.pc = body_start_pc + (body + 1) * 4;
+        emitted
     }
 
     /// Draw an operation class index according to the mix.
     fn draw_class(&self, rng: &mut StdRng) -> u8 {
-        let m = &self.app.mix;
-        let weights = [
-            m.load,
-            m.store,
-            m.load_const,
-            m.int_alu,
-            m.int_muldiv,
-            m.flt_alu,
-            m.flt_muldiv,
-            m.branch,
-        ];
+        let weights = self.app.mix.weights();
         let total: f64 = weights.iter().sum();
         let mut x = rng.gen_range(0.0..total);
         for (i, w) in weights.iter().enumerate() {
@@ -461,13 +558,7 @@ impl StochasticGenerator {
     }
 
     /// Append one phase's communication step to every node's trace.
-    fn gen_communication(
-        &self,
-        phase: u32,
-        traces: &mut [Trace],
-        shared: &mut StdRng,
-        _task_level: bool,
-    ) {
+    fn gen_communication(&self, phase: u32, traces: &mut [Trace], shared: &mut StdRng) {
         let n = self.app.nodes;
         if n < 2 {
             return;

@@ -71,6 +71,38 @@ for shards in 1 3; do
         || { echo "sim output drifted from golden snapshot (shards=$shards)" >&2; exit 1; }
 done
 
+echo "==> cli: detailed/direct output matches the pre-streaming golden snapshots"
+# tests/golden/sim_{detailed,direct}.txt were written by the code that
+# materialised every trace before simulating it. Each section starts with
+# a `## <args>` line; replay those against the release binary (detailed
+# mode also on 3 shards) and diff the whole document.
+cargo build --release -p mermaid
+cli="${CARGO_TARGET_DIR:-target}/release/mermaid-cli"
+replay_golden() { # <golden file> [extra args...]
+    local golden="$1" args; shift
+    grep '^## ' "$golden" | while read -r _ args; do
+        echo "## $args"
+        # shellcheck disable=SC2086  # $args is a flag list by construction
+        "$cli" $args "$@" | grep -v '^slowdown '
+    done
+}
+replay_golden tests/golden/sim_direct.txt > "$serial_out"
+diff -u tests/golden/sim_direct.txt "$serial_out" \
+    || { echo "direct-mode output drifted from the golden snapshot" >&2; exit 1; }
+for shards in 1 3; do
+    replay_golden tests/golden/sim_detailed.txt --shards "$shards" > "$serial_out"
+    diff -u tests/golden/sim_detailed.txt "$serial_out" \
+        || { echo "detailed-mode output drifted from the golden snapshot (shards=$shards)" >&2; exit 1; }
+done
+
+echo "==> cli: detailed mode fits in 128 MiB of address space"
+# Traces are generated as they are simulated: this call held 214 MB
+# resident when it materialised them first.
+( ulimit -v 131072
+  "$cli" sim --machine ppc601 --topology mesh:4x4 --pattern ring --phases 4 \
+      --ops 100000 --mode detailed --seed 7 > /dev/null ) \
+    || { echo "detailed mode no longer runs under ulimit -v 131072" >&2; exit 1; }
+
 echo "==> bench: comm-heavy hot path (quick mode)"
 MERMAID_BENCH_QUICK=1 cargo bench -p mermaid-bench --bench arena_hot_path
 
@@ -125,6 +157,17 @@ for spec in "frob:1" "link:0-99:1000" "drop:2000000"; do
         echo "fault spec $spec should have been rejected" >&2; exit 1
     fi
 done
+
+echo "==> cli: a pattern the topology cannot run fails cleanly (no panic)"
+# Exit status 1 is the CLI's own error path; a panic exits with 101.
+for mode in task detailed direct; do
+    "$cli" sim --topology ring:6 --pattern butterfly --mode "$mode" > /dev/null 2>&1 && rc=0 || rc=$?
+    [ "$rc" -eq 1 ] \
+        || { echo "butterfly on ring:6 ($mode) should be a clean error, got exit $rc" >&2; exit 1; }
+done
+"$cli" campaign "topo = ring:6; pattern = butterfly" --dry-run > /dev/null 2>&1 && rc=0 || rc=$?
+[ "$rc" -eq 1 ] \
+    || { echo "campaign butterfly on ring:6 should be a clean error, got exit $rc" >&2; exit 1; }
 
 echo "==> cli: invalid topology specs fail cleanly (no panic)"
 for spec in ring:1 mesh:0x4 hypercube:21 mesh:100000x100000; do

@@ -17,6 +17,7 @@ use proptest::prelude::*;
 use mermaid_memory::{Access, MemSystemConfig, MemorySystem};
 use mermaid_network::Topology;
 use mermaid_ops::{codec, text, ArithOp, DataType, Operation, Trace};
+use mermaid_tracegen::SizeDist;
 use pearl::{EventQueue, Time};
 
 /// Strategy for one arbitrary operation.
@@ -769,5 +770,94 @@ proptest! {
         for line in jsonl.lines() {
             prop_assert_eq!(&reprint(line)?, line);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Streaming is not a second model: for a random application and seed,
+    /// the detailed and direct-execution runs that pull operations from
+    /// `StochasticGenerator::streams()` equal the runs over the collected
+    /// `generate()` traces in every result field, and an extractor fed a
+    /// trace in chunks of any size equals one fed the whole trace.
+    #[test]
+    fn streamed_runs_match_batch_runs(
+        nodes in 1u32..10,
+        pattern_kind in 0u8..6,
+        ops_per_phase in prop_oneof![
+            (0u64..500).prop_map(SizeDist::Fixed),
+            (0u64..300, 0u64..300).prop_map(|(lo, span)| SizeDist::Uniform(lo, lo + span)),
+            (0u32..=1000).prop_map(|p| SizeDist::Bimodal { small: 20, large: 700, large_permille: p }),
+        ],
+        integer_mix in any::<bool>(),
+        seq_permille in prop_oneof![Just(0u32), Just(1000u32), 0u32..=1000],
+        phases in 0u32..4,
+        two_level_caches in any::<bool>(),
+        seed in any::<u64>(),
+        chunk in prop_oneof![Just(1usize), Just(7usize), Just(4096usize), Just(usize::MAX)],
+    ) {
+        use mermaid::{DirectExecSim, HybridSim, MachineConfig};
+        use mermaid_cpu::SingleNodeSim;
+        use mermaid_tracegen::{CommPattern, InstructionMix, StochasticApp, StochasticGenerator};
+
+        let pattern = [
+            CommPattern::None,
+            CommPattern::NearestNeighborRing,
+            CommPattern::AllToAll,
+            CommPattern::MasterWorker,
+            CommPattern::RandomPermutation,
+            CommPattern::Butterfly,
+        ][pattern_kind as usize];
+        // Butterfly runs on 1, 2, 4 or 8 nodes only.
+        let nodes = if pattern == CommPattern::Butterfly { 1 << (nodes % 4) } else { nodes };
+        let app = StochasticApp {
+            phases,
+            ops_per_phase,
+            pattern,
+            mix: if integer_mix { InstructionMix::integer() } else { InstructionMix::scientific() },
+            seq_permille,
+            msg_bytes: SizeDist::Uniform(1, 9000),
+            ..StochasticApp::scientific(nodes)
+        };
+        let gen = StochasticGenerator::new(app, seed);
+        let traces = gen.generate();
+        let debug = |x: &dyn std::fmt::Debug| format!("{x:?}");
+
+        let machine = |topo| if two_level_caches {
+            MachineConfig::powerpc601_cluster(topo, 1)
+        } else {
+            MachineConfig::test_machine(topo)
+        };
+        // No topology has a single node; that case checks the extractor only.
+        if nodes >= 2 {
+            let m = machine(Topology::FullyConnected(nodes));
+            let batch = HybridSim::new(m.clone()).run(&traces);
+            let streamed = HybridSim::new(m.clone()).run_streams(gen.streams());
+            prop_assert_eq!(streamed.predicted_time, batch.predicted_time);
+            prop_assert_eq!(&streamed.task_traces, &batch.task_traces);
+            prop_assert_eq!(streamed.ops_simulated, batch.ops_simulated);
+            prop_assert_eq!(streamed.ops_simulated, traces.total_ops() as u64);
+            prop_assert_eq!(debug(&streamed.nodes), debug(&batch.nodes));
+            prop_assert_eq!(debug(&streamed.comm), debug(&batch.comm));
+
+            let batch = DirectExecSim::new(m.clone()).run(&traces);
+            let streamed = DirectExecSim::new(m).run_streams(gen.streams());
+            prop_assert_eq!(streamed.predicted_time, batch.predicted_time);
+            prop_assert_eq!(streamed.ops_processed, batch.ops_processed);
+            prop_assert_eq!(debug(&streamed.comm), debug(&batch.comm));
+        }
+
+        let m = machine(Topology::Ring(2));
+        let mut mem = m.node_mem.clone();
+        mem.cpus = 1;
+        let trace = traces.trace(nodes - 1);
+        let whole = SingleNodeSim::new(m.cpu, mem.clone()).extract_tasks(trace);
+        let mut sim = SingleNodeSim::new(m.cpu, mem);
+        let mut extractor = sim.task_extractor(trace.node);
+        for piece in trace.ops.chunks(chunk.min(trace.len().max(1))) {
+            extractor.feed(piece.iter().copied());
+        }
+        prop_assert_eq!(debug(&extractor.finish()), debug(&whole));
     }
 }
