@@ -52,14 +52,11 @@ fn main() {
         // Channel operations: one per batch post-PR10, one per message
         // before (the before/after "cross-shard sends" comparison).
         let batches = p.total_flush_batches();
-        let commits = p.total_spec_commits();
-        let rollbacks = p.total_spec_rollbacks();
         let ns = time(shards);
         println!(
             "{{\"shards\":{shards},\"min_ns\":{ns},\"ratio_vs_serial\":{:.3},\
              \"barrier_rounds_total\":{windows},\"cross_shard_msgs\":{cross},\
-             \"cross_shard_sends\":{batches},\"spec_commits\":{commits},\
-             \"spec_rollbacks\":{rollbacks}}}",
+             \"cross_shard_sends\":{batches}}}",
             serial_ns as f64 / ns as f64
         );
     }

@@ -45,7 +45,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use mermaid_network::{run_checkpointed, CheckpointOpts, FaultSchedule, RetryParams, Snapshot};
+use mermaid_network::{run_comm, CheckpointOpts, FaultSchedule, RetryParams, RunOptions, Snapshot};
 use mermaid_stats::csv::csv_line;
 use mermaid_stats::DeliveryStats;
 use pearl::{Duration, Time};
@@ -790,16 +790,15 @@ fn execute_run_ckpt(
                         config_hash: hash.clone(),
                         write: &write,
                     };
-                    let (comm, _) = run_checkpointed(
-                        machine.network,
-                        &traces,
-                        probe.clone(),
-                        cfg.shards,
+                    let opts = RunOptions {
+                        probe: probe.clone(),
+                        shards: cfg.shards,
                         faults,
-                        restored.as_ref(),
-                        Some(&ck),
-                    )
-                    .map_err(|e| format!("campaign run {hash}: {e}"))?;
+                        restore_from: restored.as_ref(),
+                        checkpoint: Some(&ck),
+                    };
+                    let (comm, _) = run_comm(machine.network, &traces, &opts)
+                        .map_err(|e| format!("campaign run {hash}: {e}"))?;
                     if !plan.keep {
                         // The run completed; its rolling checkpoint is spent.
                         std::fs::remove_file(plan.path).ok();

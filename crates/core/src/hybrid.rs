@@ -22,9 +22,7 @@ use std::sync::Arc;
 
 use mermaid_cpu::{CpuStats, SingleNodeSim};
 use mermaid_memory::MemStats;
-use mermaid_network::{
-    run_checkpointed_with, CommResult, CommSim, FaultSchedule, ShardProfile, Speculation,
-};
+use mermaid_network::{run_comm, CommResult, FaultSchedule, RunOptions, ShardProfile};
 use mermaid_ops::{NodeId, Operation, TraceSet};
 use mermaid_probe::ProbeHandle;
 use mermaid_tracegen::InterleavedTraceGen;
@@ -70,7 +68,6 @@ pub struct HybridSim {
     probe: ProbeHandle,
     shards: usize,
     faults: Option<Arc<FaultSchedule>>,
-    speculation: Speculation,
 }
 
 impl HybridSim {
@@ -82,7 +79,6 @@ impl HybridSim {
             probe: ProbeHandle::disabled(),
             shards: 1,
             faults: None,
-            speculation: Speculation::default(),
         }
     }
 
@@ -114,45 +110,17 @@ impl HybridSim {
         self
     }
 
-    /// Set the speculative-window policy for a sharded communication
-    /// phase (builder style). Scheduling only: results are bit-identical
-    /// across every policy. Ignored by serial runs.
-    pub fn with_speculation(mut self, speculation: Speculation) -> Self {
-        self.speculation = speculation;
-        self
-    }
-
     /// Run the communication model over already-extracted task-level
     /// traces, honouring the configured shard count and fault schedule.
     fn run_comm(&self, task_traces: &TraceSet) -> (CommResult, Option<ShardProfile>) {
-        if self.shards > 1 {
-            run_checkpointed_with(
-                self.machine.network,
-                task_traces,
-                self.probe.clone(),
-                self.shards,
-                self.faults.clone(),
-                None,
-                None,
-                self.speculation,
-            )
-            .expect("a run without checkpoint options cannot fail")
-        } else {
-            let comm = match &self.faults {
-                Some(f) => CommSim::new_with_faults(
-                    self.machine.network,
-                    task_traces,
-                    self.probe.clone(),
-                    Arc::clone(f),
-                )
-                .run(),
-                None => {
-                    CommSim::new_with_probe(self.machine.network, task_traces, self.probe.clone())
-                        .run()
-                }
-            };
-            (comm, None)
-        }
+        let opts = RunOptions {
+            probe: self.probe.clone(),
+            shards: self.shards,
+            faults: self.faults.clone(),
+            ..RunOptions::default()
+        };
+        run_comm(self.machine.network, task_traces, &opts)
+            .expect("a run without snapshot options cannot fail")
     }
 
     /// The machine being simulated.

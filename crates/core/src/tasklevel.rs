@@ -10,8 +10,7 @@
 use std::sync::Arc;
 
 use mermaid_network::{
-    run_checkpointed_with, CommResult, CommSim, FaultSchedule, NetworkConfig, ShardProfile,
-    Speculation,
+    run_comm, CommResult, FaultSchedule, NetworkConfig, RunOptions, ShardProfile,
 };
 use mermaid_ops::TraceSet;
 use mermaid_probe::ProbeHandle;
@@ -38,7 +37,6 @@ pub struct TaskLevelSim {
     probe: ProbeHandle,
     shards: usize,
     faults: Option<Arc<FaultSchedule>>,
-    speculation: Speculation,
 }
 
 impl TaskLevelSim {
@@ -50,7 +48,6 @@ impl TaskLevelSim {
             probe: ProbeHandle::disabled(),
             shards: 1,
             faults: None,
-            speculation: Speculation::default(),
         }
     }
 
@@ -79,14 +76,6 @@ impl TaskLevelSim {
         self
     }
 
-    /// Set the speculative-window policy for sharded runs (builder
-    /// style). Scheduling only: results are bit-identical across every
-    /// policy. Ignored by serial runs.
-    pub fn with_speculation(mut self, speculation: Speculation) -> Self {
-        self.speculation = speculation;
-        self
-    }
-
     /// The interconnect configuration.
     pub fn network(&self) -> &NetworkConfig {
         &self.network
@@ -95,31 +84,14 @@ impl TaskLevelSim {
     /// Run over task-level traces (one per node).
     pub fn run(&self, traces: &TraceSet) -> TaskLevelResult {
         let ops_simulated = traces.total_ops() as u64;
-        let (comm, shard_profile) = if self.shards > 1 {
-            run_checkpointed_with(
-                self.network,
-                traces,
-                self.probe.clone(),
-                self.shards,
-                self.faults.clone(),
-                None,
-                None,
-                self.speculation,
-            )
-            .expect("a run without checkpoint options cannot fail")
-        } else {
-            let comm = match &self.faults {
-                Some(f) => CommSim::new_with_faults(
-                    self.network,
-                    traces,
-                    self.probe.clone(),
-                    Arc::clone(f),
-                )
-                .run(),
-                None => CommSim::new_with_probe(self.network, traces, self.probe.clone()).run(),
-            };
-            (comm, None)
+        let opts = RunOptions {
+            probe: self.probe.clone(),
+            shards: self.shards,
+            faults: self.faults.clone(),
+            ..RunOptions::default()
         };
+        let (comm, shard_profile) = run_comm(self.network, traces, &opts)
+            .expect("a run without snapshot options cannot fail");
         TaskLevelResult {
             predicted_time: comm.finish,
             comm,

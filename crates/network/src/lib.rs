@@ -22,8 +22,10 @@
 //!   packet travelling back through the network). `asend`/`arecv` are
 //!   non-blocking.
 //!
-//! The entry point is [`CommSim`]: build it from a [`NetworkConfig`] and a
-//! task-level [`mermaid_ops::TraceSet`], run it, and read a [`CommResult`].
+//! The entry point is [`run_comm`]: hand it a [`NetworkConfig`], a
+//! task-level [`mermaid_ops::TraceSet`] and [`RunOptions`] (probe, shards,
+//! faults, snapshot in/out) and read a [`CommResult`]. [`CommSim`] is the
+//! single-threaded simulation underneath, for callers that step it.
 
 pub mod config;
 pub mod fault;
@@ -39,11 +41,10 @@ pub(crate) mod world;
 
 pub use config::{LinkParams, NetworkConfig, RouterParams, Routing, Switching};
 pub use fault::{FaultEvent, FaultKind, FaultSchedule, RetryParams};
-pub use partition::{lookahead, PairLookahead, Partition};
+pub use partition::{lookahead, Partition};
 pub use processor::{ProcStats, UnreachableReport};
 pub use sharded::{
-    auto_shards, run_checkpointed, run_checkpointed_with, run_sharded, run_sharded_with_faults,
-    run_sharded_with_faults_profiled, CheckpointOpts, ShardProfile, ShardProfileEntry, Speculation,
+    auto_shards, run_comm, CheckpointOpts, RunOptions, ShardProfile, ShardProfileEntry,
 };
 pub use sim::{CommResult, CommSim, NodeCommStats};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_SCHEMA};

@@ -101,111 +101,30 @@ pub fn lookahead(cfg: &NetworkConfig) -> Duration {
         + cfg.link.transfer_time(cfg.router.header_bytes)
 }
 
-/// Node-count ceiling for the exact all-pairs block-distance scan.
-/// Beyond it [`PairLookahead::compute`] falls back to the (always safe)
-/// one-hop floor for every pair rather than spend O(nodes²) at startup.
-const EXACT_DISTANCE_NODE_LIMIT: u32 = 4096;
-
-/// The per-shard-*pair* lookahead matrix: `between(j, i)` is a lower
-/// bound, in integer picoseconds, on the virtual-time distance between
-/// any event executing in shard `j` and the earliest effect it can cause
-/// in shard `i` — the minimum topological hop distance between the two
-/// contiguous blocks times the per-hop [`lookahead`].
+/// Shard `me`'s conservative window end, in integer picoseconds, given
+/// every shard's published earliest pending event time (`mins[j]`, with
+/// [`pearl::IDLE_PS`] meaning idle) and the per-hop [`lookahead`]: the
+/// earliest instant at which a cross-shard event `me` has not yet
+/// received could still arrive.
 ///
-/// Every cross-shard effect travels router→router; reaching block `i`
-/// from a node `a` of block `j` takes at least `dist(a, block_i)` hops
-/// and each hop pays at least the per-hop lookahead, so the bound holds
-/// for direct messages, and because topological distance obeys the
-/// triangle inequality (`dist(j,i) <= dist(j,k) + dist(k,i)`), it also
-/// holds for any multi-shard causal chain. Blocks are disjoint, so every
-/// pair is at least one hop apart: `between(j, i) >=` the global
-/// [`lookahead`], and the matrix is symmetric because every supported
-/// topology's links are bidirectional. See DESIGN.md §17 for the window
-/// bound built on top of this.
-#[derive(Debug, Clone)]
-pub struct PairLookahead {
-    k: usize,
-    /// Row-major `ps[j * k + i]` = bound from shard `j` to shard `i`.
-    /// The diagonal is unused (intra-shard causality is the engine's
-    /// job) and stored as the one-hop floor.
-    ps: Vec<u64>,
-}
-
-impl PairLookahead {
-    /// Compute the matrix for `part`'s blocks on `topo` with the given
-    /// per-hop lookahead. Cost is O(nodes²) pair scans (closed-form
-    /// distances, no BFS); above [`EXACT_DISTANCE_NODE_LIMIT`] nodes it
-    /// conservatively uses one hop for every pair, which reduces to the
-    /// PR 3 global-lookahead protocol.
-    pub fn compute(topo: &Topology, part: &Partition, per_hop: Duration) -> Self {
-        let k = part.shards();
-        let hop = per_hop.as_ps();
-        let mut ps = vec![hop; k * k];
-        if topo.nodes() <= EXACT_DISTANCE_NODE_LIMIT {
-            for j in 0..k {
-                for i in (j + 1)..k {
-                    let mut hops = u32::MAX;
-                    'scan: for a in part.range(j) {
-                        for b in part.range(i) {
-                            hops = hops.min(topo.distance(a, b));
-                            if hops == 1 {
-                                break 'scan; // the floor; no pair is closer
-                            }
-                        }
-                    }
-                    let bound = hop.saturating_mul(hops as u64);
-                    ps[j * k + i] = bound;
-                    ps[i * k + j] = bound;
-                }
-            }
-        }
-        PairLookahead { k, ps }
-    }
-
-    /// Number of shards the matrix covers.
-    pub fn shards(&self) -> usize {
-        self.k
-    }
-
-    /// Lower bound (ps) on the delay of any effect from shard `from`
-    /// reaching shard `to`.
-    pub fn between(&self, from: usize, to: usize) -> u64 {
-        self.ps[from * self.k + to]
-    }
-
-    /// Shard `me`'s conservative window end given every shard's published
-    /// promise (`mins[j]`, in raw ps with [`pearl::IDLE_PS`] meaning
-    /// idle): the earliest instant at which a cross-shard event could
-    /// still arrive. Every future arrival traces causally back to some
-    /// event pending *now*: one pending at peer `j` reaches `me` no
-    /// earlier than `mins[j] + between(j, me)` (chaining the per-node hop
-    /// metric along the real relay path), and one pending at `me` itself
-    /// must leave the block and come back, costing at least the minimal
-    /// round trip `min over j != me of (between(me, j) + between(j, me))`.
-    /// Omitting that self term lets a shard whose own queue head is far
-    /// below its peers' outrun the replies to its own sends — peers'
-    /// promises cannot cover arrivals the shard is about to cause.
-    /// Events strictly before the returned bound can never be preempted
-    /// by a not-yet-received message. `u64::MAX` when every shard is idle
-    /// and silent — the shard may drain freely.
-    pub fn window_end_ps(&self, me: usize, mins: &[u64]) -> u64 {
-        debug_assert_eq!(mins.len(), self.k);
-        let mut end = u64::MAX;
-        let mut rt = u64::MAX;
-        for (j, &m) in mins.iter().enumerate() {
-            if j == me {
-                continue;
-            }
-            if m != pearl::IDLE_PS {
-                end = end.min(m.saturating_add(self.between(j, me)));
-            }
-            rt = rt.min(self.between(me, j).saturating_add(self.between(j, me)));
-        }
-        if mins[me] != pearl::IDLE_PS {
-            end = end.min(mins[me].saturating_add(rt));
-        }
-        end
-    }
+/// Every future arrival traces causally back to some event pending *now*.
+/// Blocks are disjoint, so one pending at peer `j` crosses at least one
+/// link to reach `me`: it arrives no earlier than `mins[j] + lookahead`.
+/// One pending at `me` itself must leave the block and come back, costing
+/// at least two hops: `mins[me] + 2 * lookahead`. Omitting that self term
+/// lets a shard whose own queue head is far below its peers' outrun the
+/// replies to its own sends — peers' promises cannot cover arrivals the
+/// shard is about to cause. Events strictly before the returned bound can
+/// never be preempted by a not-yet-received message. `u64::MAX` when every
+/// shard is idle — nothing is pending anywhere.
+pub(crate) fn window_end_ps(me: usize, mins: &[u64], lookahead: Duration) -> u64 {
+    let hop = lookahead.as_ps();
+    mins.iter()
+        .enumerate()
+        .filter(|&(_, &m)| m != pearl::IDLE_PS)
+        .map(|(j, &m)| m.saturating_add(if j == me { 2 * hop } else { hop }))
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -263,129 +182,36 @@ mod tests {
         }
     }
 
-    /// `between` in hop units for a test config whose lookahead is known.
-    fn hops(topo: Topology, shards: usize) -> (PairLookahead, u64) {
-        let cfg = NetworkConfig::test(topo);
-        let la = lookahead(&cfg).as_ps();
-        let part = Partition::contiguous(topo, shards);
-        (PairLookahead::compute(&topo, &part, lookahead(&cfg)), la)
-    }
-
     #[test]
-    fn ring_pair_distances_use_the_wraparound() {
-        // Ring(12) in 4 blocks of 3: consecutive blocks touch (1 hop);
-        // opposite blocks are separated by a full block — nearest ends
-        // are 4 hops apart either way around.
-        let (m, la) = hops(Topology::Ring(12), 4);
-        for i in 0..4usize {
-            let next = (i + 1) % 4;
-            let opposite = (i + 2) % 4;
-            assert_eq!(m.between(i, next), la, "adjacent blocks are one hop");
-            assert_eq!(m.between(i, opposite), 4 * la, "{i} vs {opposite}");
-        }
-        // The wraparound matters: block 3 and block 0 are adjacent.
-        assert_eq!(m.between(3, 0), la);
-    }
-
-    #[test]
-    fn mesh_pair_distances_have_no_wraparound() {
-        // Mesh 4x4 in 4 blocks = one row each. No wraparound: row 0 to
-        // row 3 is 3 hops, unlike the torus below.
-        let (m, la) = hops(Topology::Mesh2D { w: 4, h: 4 }, 4);
-        assert_eq!(m.between(0, 1), la);
-        assert_eq!(m.between(0, 2), 2 * la);
-        assert_eq!(m.between(0, 3), 3 * la);
-        assert_eq!(m.between(1, 3), 2 * la);
-    }
-
-    #[test]
-    fn torus_pair_distances_wrap_both_ways() {
-        // Torus 4x4 in 4 row-blocks: the vertical wraparound makes rows
-        // 0 and 3 adjacent, and nothing is further than 2 hops.
-        let (m, la) = hops(Topology::Torus2D { w: 4, h: 4 }, 4);
-        assert_eq!(m.between(0, 3), la, "vertical wraparound");
-        assert_eq!(m.between(0, 2), 2 * la);
-        assert_eq!(m.between(1, 3), 2 * la);
-    }
-
-    #[test]
-    fn hypercube_pair_distances_follow_hamming_weight() {
-        // Hypercube dim 3 in 4 blocks of 2: block j = nodes {2j, 2j+1}.
-        // dist(a, b) = popcount(a ^ b); blocks {0,1} and {6,7} differ in
-        // the two high bits whatever the low bit: 2 hops.
-        let (m, la) = hops(Topology::Hypercube { dim: 3 }, 4);
-        assert_eq!(m.between(0, 1), la); // 1 ^ 3 = 2, one bit
-        assert_eq!(m.between(0, 3), 2 * la); // {0,1} vs {6,7}
-        assert_eq!(m.between(1, 2), 2 * la); // {2,3} vs {4,5}
-    }
-
-    #[test]
-    fn window_end_combines_promises_with_pair_bounds() {
-        let (m, la) = hops(Topology::Ring(12), 4);
+    fn window_end_combines_promises_with_the_lookahead() {
+        let la = lookahead(&NetworkConfig::test(Topology::Ring(12)));
+        let hop = la.as_ps();
         // Peers promise 100 (shard 1), 50 (shard 2), idle (shard 3);
         // shard 0 itself is idle, so no self round-trip term applies.
         let mins = [pearl::IDLE_PS, 100, 50, pearl::IDLE_PS];
-        assert_eq!(m.window_end_ps(0, &mins), (100 + la).min(50 + 4 * la));
+        assert_eq!(window_end_ps(0, &mins, la), 50 + hop);
         // All peers idle: a shard with its own events pending is still
-        // bounded by the minimal round trip through the nearest peer —
-        // its sends can wake an idle peer whose replies come back.
+        // bounded by the round trip through a neighbour — its sends can
+        // wake an idle peer whose replies come back.
         assert_eq!(
-            m.window_end_ps(1, &[pearl::IDLE_PS, 7, pearl::IDLE_PS, pearl::IDLE_PS]),
-            7 + 2 * la
+            window_end_ps(1, &[pearl::IDLE_PS, 7, pearl::IDLE_PS, pearl::IDLE_PS], la),
+            7 + 2 * hop
         );
         // Everyone idle and silent: unbounded.
-        assert_eq!(m.window_end_ps(1, &[pearl::IDLE_PS; 4]), u64::MAX);
+        assert_eq!(window_end_ps(1, &[pearl::IDLE_PS; 4], la), u64::MAX);
     }
 
     #[test]
     fn window_end_self_round_trip_caps_a_runaway_shard() {
         // Shard 0's own queue head (10) is far below its peers' (1000):
         // replies to what shard 0 is about to send bound its window at
-        // head + the minimal round trip, not at the peers' promises.
-        let (m, la) = hops(Topology::Ring(12), 4);
+        // head + the round trip, not at the peers' promises.
+        let la = lookahead(&NetworkConfig::test(Topology::Ring(12)));
         let far = 1_000_000_000;
-        let mins = [10, far, far, far];
-        let rt = 2 * la; // blocks 0 and 1 (also 0 and 3) are adjacent
-        assert_eq!(m.window_end_ps(0, &mins), 10 + rt);
-    }
-
-    proptest::proptest! {
-        /// Random topology/shard-count draws: the matrix is symmetric and
-        /// every pair's bound is at least the global lookahead — in
-        /// particular for adjacent pairs, whose bound is exactly one hop.
-        #[test]
-        fn pair_bounds_are_symmetric_and_at_least_the_global_lookahead(
-            pick in 0usize..4,
-            size in 2u32..9,
-            shards in 2usize..9,
-        ) {
-            let topo = match pick {
-                0 => Topology::Ring(size * 2),
-                1 => Topology::Mesh2D { w: size, h: 3 },
-                2 => Topology::Torus2D { w: size, h: 4 },
-                _ => Topology::Hypercube { dim: 2 + size % 3 },
-            };
-            let cfg = NetworkConfig::test(topo);
-            let la = lookahead(&cfg).as_ps();
-            let part = Partition::contiguous(topo, shards);
-            let m = PairLookahead::compute(&topo, &part, lookahead(&cfg));
-            let k = part.shards();
-            proptest::prop_assert_eq!(m.shards(), k);
-            for j in 0..k {
-                for i in 0..k {
-                    proptest::prop_assert_eq!(m.between(j, i), m.between(i, j));
-                    proptest::prop_assert!(m.between(j, i) >= la);
-                    if i == j { continue; }
-                    // The bound is achieved by some concrete node pair.
-                    let best = part.range(j)
-                        .flat_map(|a| part.range(i).map(move |b| (a, b)))
-                        .map(|(a, b)| topo.distance(a, b) as u64 * la)
-                        .min()
-                        .unwrap();
-                    proptest::prop_assert_eq!(m.between(j, i), best);
-                }
-            }
-        }
+        assert_eq!(
+            window_end_ps(0, &[10, far, far, far], la),
+            10 + 2 * la.as_ps()
+        );
     }
 
     #[test]

@@ -1,43 +1,43 @@
-//! Sharded (multi-threaded) execution of the communication model.
+//! Running the communication model: the one entry point, [`run_comm`],
+//! and the sharded (multi-threaded) execution behind it.
 //!
 //! The machine's nodes are partitioned into contiguous shards
 //! ([`Partition`]); each shard runs its routers and processors in a
 //! private [`pearl::Engine`] on its own thread. Threads advance in
-//! conservative windows of width `L` — the configuration's
-//! [`lookahead`]: every round the shards agree on the globally earliest
-//! pending event `m` ([`WindowBarrier::agree_min`]) and then each executes
-//! all its events in `[m, m+L)`. Any cross-shard message produced inside
-//! the window arrives at `≥ m+L` (every router→router hand-off pays at
-//! least `L` of modelled latency), so no shard can miss an event — and
-//! because cross-shard messages carry the exact [`pearl::EventKey`] the
-//! serial schedule would have used, each shard's queue pops in exactly the
-//! serial delivery order. A sharded run is therefore *bit-identical* to
-//! [`CommSim::run`]: same results, same per-node statistics, same
-//! model-level probe events. See DESIGN.md §11 for the full argument.
+//! conservative windows: every round the shards exchange their earliest
+//! pending event times and each executes all its events strictly before
+//! [`window_end_ps`] — the earliest instant a message it has not yet
+//! received could arrive, given that every router→router hand-off pays at
+//! least the configuration's [`lookahead`] of modelled latency. No shard
+//! can therefore miss an event — and because cross-shard messages carry
+//! the exact [`pearl::EventKey`] the serial schedule would have used, each
+//! shard's queue pops in exactly the serial delivery order. A sharded run
+//! is *bit-identical* to [`CommSim::run`]: same results, same per-node
+//! statistics, same model-level probe events. See DESIGN.md §11 for the
+//! full argument.
 //!
 //! Zero lookahead or a single shard falls back to the serial path.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::thread;
+use std::time::Instant;
 
 use mermaid_ops::TraceSet;
 use mermaid_probe::{canonical_sort, AttributionSink, ProbeHandle, ProbeStack, SimEvent};
 use pearl::engine::RunResult;
-use pearl::{CompId, Duration, Engine, Time, WindowBarrier, IDLE_PS};
+use pearl::{Duration, Engine, Time, WindowBarrier, IDLE_PS};
 
 use crate::config::NetworkConfig;
 use crate::fault::FaultSchedule;
 use crate::packet::NetMsg;
-use crate::partition::{lookahead, PairLookahead, Partition};
-use crate::processor::AbstractProcessor;
-use crate::router::{CrossShard, OutMsg, Router};
-use crate::sim::{CommResult, CommSim, NodeCommStats};
-use crate::snapshot::{
-    capture_piece, load_engine_state, restore_engine, save_engine_state, EngineState, ShardPiece,
-    Snapshot, SnapshotError,
-};
+use crate::partition::{lookahead, window_end_ps, Partition};
+use crate::router::{CrossShard, OutMsg};
+use crate::sim::{assert_trace_count, post_scripted_faults, CommResult, CommSim, NodeCommStats};
+use crate::snapshot::{capture_piece, restore_engine, ShardPiece, Snapshot, SnapshotError};
 use crate::world::NetWorld;
 
 /// One cross-shard transfer: every message a shard produced for one
@@ -46,16 +46,16 @@ type Batch = Vec<OutMsg>;
 
 /// Capacity (in batches) of each shard's cross-shard inbox channel,
 /// derived from the protocol rather than guessed: a sender ships at most
-/// one batch per destination per flush point, there are at most two flush
-/// points per round (the round-top flush and the pre-capture flush of a
-/// checkpoint rendezvous), and a receiver drains its inbox between any
-/// two of its own flush points — so at most `2` undrained batches can
-/// exist per sender at any instant, `2 * (k - 1)` per channel. A full
-/// channel therefore cannot happen in a correct run; [`ship`] treats it
-/// as a protocol-invariant violation instead of retrying (the PR 3 code
-/// sized the channel at a magic 1024 messages and span on full).
+/// one batch per destination per round (the round-top flush), and between
+/// its flushes of rounds `r` and `r + 1` lies round `r`'s window barrier,
+/// which the receiver enters only after draining its inbox behind round
+/// `r`'s gate — so at most one undrained batch exists per sender at any
+/// instant, `k - 1` per channel. A full channel therefore cannot happen in
+/// a correct run; [`ship`] treats it as a protocol-invariant violation
+/// instead of retrying (the PR 3 code sized the channel at a magic 1024
+/// messages and span on full).
 fn channel_capacity(shards: usize) -> usize {
-    2 * shards.saturating_sub(1).max(1)
+    shards - 1
 }
 
 /// Push one batch into a destination shard's inbox, panicking on the
@@ -75,45 +75,14 @@ fn ship(tx: &SyncSender<Batch>, batch: Batch, from: usize, to: usize) {
     }
 }
 
-/// Speculative-window policy for sharded runs. Speculation never changes
-/// results — a mis-speculated window is rolled back and re-executed from
-/// an in-memory snapshot — it only trades (bounded) re-execution risk for
-/// fewer barrier rounds when the conservative window bound is degenerate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Speculation {
-    /// Never speculate: pure conservative windows.
-    Off,
-    /// Speculate past degenerate windows with a threshold derived from
-    /// the configuration's lookahead (currently `8 x` lookahead).
-    #[default]
-    Auto,
-    /// Speculate with an explicit window threshold: a conservative window
-    /// narrower than this triggers a speculative run out to
-    /// `next event + threshold`.
-    Threshold(Duration),
-}
-
-impl Speculation {
-    /// The speculation threshold in picoseconds; `None` when off.
-    fn threshold_ps(self, la: Duration) -> Option<u64> {
-        match self {
-            Speculation::Off => None,
-            Speculation::Auto => Some(8 * la.as_ps()),
-            Speculation::Threshold(d) => Some(d.as_ps()).filter(|&ps| ps > 0),
-        }
-    }
-}
-
 /// Iterations a waiting shard spends yielding (the fast path: peers
 /// usually arrive within a scheduling quantum) before it parks on a
 /// condvar. Yield — not `spin_loop` — so single-core hosts still make
 /// progress during the spin phase.
 const SPIN_LIMIT: u32 = 64;
 
-/// How long a parked shard sleeps between inbox drains. Parked shards
-/// must keep draining their channel — a peer blocked on a full channel
-/// to us needs our capacity back — so the park is a timed wait, not an
-/// unbounded one. Host-time only; simulated time is unaffected.
+/// Longest a parked shard sleeps before re-checking the gate. Host-time
+/// only; simulated time is unaffected.
 const PARK_WAIT: std::time::Duration = std::time::Duration::from_millis(1);
 
 /// A shard's preferred worker count for `--shards auto`.
@@ -128,9 +97,8 @@ pub fn auto_shards() -> usize {
 ///
 /// Waiting yields for a bounded number of iterations and then parks on a
 /// condvar instead of spinning — an idle shard must not burn a core while
-/// a busy peer finishes its window (ISSUE 8 satellite 1). The park is a
-/// timed wait so the shard keeps draining its own inbox, which keeps the
-/// bounded channels deadlock-free even while parked.
+/// a busy peer finishes its window (ISSUE 8 satellite 1).
+#[derive(Default)]
 struct RoundGate {
     arrivals: AtomicU64,
     lock: Mutex<()>,
@@ -138,14 +106,6 @@ struct RoundGate {
 }
 
 impl RoundGate {
-    fn new() -> Self {
-        RoundGate {
-            arrivals: AtomicU64::new(0),
-            lock: Mutex::new(()),
-            cond: Condvar::new(),
-        }
-    }
-
     /// Register this shard's arrival for the current round and wake any
     /// parked waiters.
     fn arrive(&self) {
@@ -157,28 +117,17 @@ impl RoundGate {
         self.cond.notify_all();
     }
 
-    /// Wait until at least `target` shards have arrived, calling `drain`
-    /// between checks so this shard's inbox keeps emptying.
-    fn wait(&self, target: u64, mut drain: impl FnMut()) {
+    /// Wait until at least `target` shards have arrived.
+    fn wait(&self, target: u64) {
         for _ in 0..SPIN_LIMIT {
             if self.arrivals.load(Ordering::Acquire) >= target {
                 return;
             }
-            drain();
             thread::yield_now();
         }
-        loop {
-            if self.arrivals.load(Ordering::Acquire) >= target {
-                return;
-            }
-            {
-                let guard = self.lock.lock().unwrap();
-                if self.arrivals.load(Ordering::Acquire) >= target {
-                    return;
-                }
-                let _ = self.cond.wait_timeout(guard, PARK_WAIT).unwrap();
-            }
-            drain();
+        let mut guard = self.lock.lock().unwrap();
+        while self.arrivals.load(Ordering::Acquire) < target {
+            guard = self.cond.wait_timeout(guard, PARK_WAIT).unwrap().0;
         }
     }
 }
@@ -187,8 +136,6 @@ impl RoundGate {
 struct ShardOut {
     /// Stats of this shard's nodes, in node order.
     nodes: Vec<NodeCommStats>,
-    /// Events this shard's engine delivered.
-    events: u64,
     /// Model-level probe events recorded by this shard (emission order).
     probe_events: Vec<SimEvent>,
     /// This shard's self-profile.
@@ -202,7 +149,8 @@ struct ShardOut {
 /// between machines, so they are deliberately kept out of `CommResult`,
 /// probe streams and any deterministic output (attribution reports,
 /// default stdout); they exist to answer "which sharding overhead
-/// dominates" for a given run (ROADMAP open item 2).
+/// dominates" for a given run (ROADMAP open item 2). Every other field is
+/// a deterministic function of the configuration, traces and shard count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardProfileEntry {
     /// Shard index.
@@ -218,11 +166,6 @@ pub struct ShardProfileEntry {
     /// Batched channel sends carrying those messages (one per destination
     /// shard per flush with traffic) — the actual channel operation count.
     pub flush_batches: u64,
-    /// Speculative windows whose results were validated and kept.
-    pub spec_commits: u64,
-    /// Speculative windows rolled back and re-executed conservatively
-    /// (including stagnation aborts, which restore the same snapshot).
-    pub spec_rollbacks: u64,
     /// Log2 histogram of executed window widths: `window_hist[b]` counts
     /// windows whose width in picoseconds satisfied `2^b <= width <
     /// 2^(b+1)` (bucket 0 also holds zero-width rounds). Empty when the
@@ -283,14 +226,18 @@ impl ShardProfile {
         self.shards.iter().map(|s| s.flush_batches).sum()
     }
 
-    /// Total committed speculative windows across all shards.
+    /// Always 0: speculative windows are gone (DESIGN.md §17). Kept only
+    /// because the benchmark harness, which this PR may not edit, still
+    /// calls it; ROADMAP item 1a removes it with the harness's
+    /// `network.sharded.spec_commits` manifest row.
     pub fn total_spec_commits(&self) -> u64 {
-        self.shards.iter().map(|s| s.spec_commits).sum()
+        0
     }
 
-    /// Total rolled-back speculative windows across all shards.
+    /// Always 0, for the same reason as [`ShardProfile::total_spec_commits`]
+    /// (ROADMAP item 1a removes it with the `spec_rollbacks` manifest row).
     pub fn total_spec_rollbacks(&self) -> u64 {
-        self.shards.iter().map(|s| s.spec_rollbacks).sum()
+        0
     }
 
     /// Element-wise sum of every shard's window-width histogram.
@@ -317,11 +264,11 @@ impl ShardProfile {
     pub fn render(&self) -> String {
         let mut out = String::from(
             "shard  windows  events  ev/window  cross-sent  cross-recv  batches  \
-             spec-commit  spec-rollback  barrier-us  work-us\n",
+             barrier-us  work-us\n",
         );
         for s in &self.shards {
             out.push_str(&format!(
-                "{:>5}  {:>7}  {:>6}  {:>9}  {:>10}  {:>10}  {:>7}  {:>11}  {:>13}  {:>10}  {:>7}\n",
+                "{:>5}  {:>7}  {:>6}  {:>9}  {:>10}  {:>10}  {:>7}  {:>10}  {:>7}\n",
                 s.shard,
                 s.windows,
                 s.events,
@@ -329,8 +276,6 @@ impl ShardProfile {
                 s.cross_sent,
                 s.cross_recv,
                 s.flush_batches,
-                s.spec_commits,
-                s.spec_rollbacks,
                 s.barrier_wait_ns / 1_000,
                 s.work_ns / 1_000,
             ));
@@ -356,60 +301,6 @@ impl ShardProfile {
     }
 }
 
-/// Run the communication model across `shards` worker threads and return
-/// a result bit-identical to `CommSim::new_with_probe(cfg, traces,
-/// probe).run()`.
-///
-/// Falls back to the serial path when `shards <= 1`, when the topology is
-/// too small to split, or when the configuration has zero lookahead.
-/// With an enabled `probe`, the merged per-shard event stream is replayed
-/// into it in canonical order; engine-internal events (queue depths,
-/// ladder-tier moves) are per-shard artifacts and are not reproduced —
-/// model-level events all are.
-pub fn run_sharded(
-    cfg: NetworkConfig,
-    traces: &TraceSet,
-    probe: ProbeHandle,
-    shards: usize,
-) -> CommResult {
-    run_sharded_with_faults(cfg, traces, probe, shards, None)
-}
-
-/// [`run_sharded`] with deterministic fault injection: bit-identical to
-/// `CommSim::new_with_faults(cfg, traces, probe, faults).run()`.
-///
-/// Scripted fault events are self-events of the affected router, so each
-/// shard posts only its own nodes' events — in the same per-node order as
-/// the serial engine — before priming, which consumes exactly the serial
-/// per-component key counters. Per-packet transient losses and corruptions
-/// are drawn from a stateless seeded hash over the packet's identity and
-/// the link it crosses, so the draw is the same whichever shard makes it.
-pub fn run_sharded_with_faults(
-    cfg: NetworkConfig,
-    traces: &TraceSet,
-    probe: ProbeHandle,
-    shards: usize,
-    faults: Option<Arc<FaultSchedule>>,
-) -> CommResult {
-    run_sharded_with_faults_profiled(cfg, traces, probe, shards, faults).0
-}
-
-/// [`run_sharded_with_faults`] that also returns the run's
-/// [`ShardProfile`] — `None` when the run fell back to the serial path
-/// (single shard, tiny topology, or zero lookahead). The `CommResult` is
-/// unaffected by profiling; the profile is host-wall-clock data and must
-/// stay out of deterministic outputs.
-pub fn run_sharded_with_faults_profiled(
-    cfg: NetworkConfig,
-    traces: &TraceSet,
-    probe: ProbeHandle,
-    shards: usize,
-    faults: Option<Arc<FaultSchedule>>,
-) -> (CommResult, Option<ShardProfile>) {
-    run_checkpointed(cfg, traces, probe, shards, faults, None, None)
-        .expect("a run without checkpoint options cannot fail")
-}
-
 /// A request to write periodic checkpoints during a run: capture the
 /// complete simulation state at every multiple of `every` (virtual time)
 /// and hand the composed [`Snapshot`] to `write`. The same snapshot file
@@ -427,14 +318,45 @@ pub struct CheckpointOpts<'a> {
     pub write: &'a (dyn Fn(&Snapshot) -> Result<(), SnapshotError> + Sync),
 }
 
+impl CheckpointOpts<'_> {
+    /// The first capture instant of a run: the cadence itself, or — for a
+    /// restored run, which resumes the original cadence — the first
+    /// multiple after the restore instant.
+    fn first_capture_ps(&self, restore_from: Option<&Snapshot>) -> u64 {
+        let every = self.every.as_ps();
+        assert!(every > 0, "checkpoint cadence must be non-zero");
+        match restore_from {
+            Some(snap) => (snap.time.as_ps() / every + 1) * every,
+            None => every,
+        }
+    }
+}
+
+/// How to run the communication model: everything [`run_comm`] takes
+/// beyond the configuration and the traces. The default is a serial,
+/// healthy, unprobed run with no snapshot in or out.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// Instrumentation handle the run records into (observation only).
+    pub probe: ProbeHandle,
+    /// Worker threads; `0` and `1` both mean the serial path.
+    pub shards: usize,
+    /// Deterministic fault injection; `None` runs the healthy machine.
+    pub faults: Option<Arc<FaultSchedule>>,
+    /// Resume from this snapshot instead of starting at time zero.
+    pub restore_from: Option<&'a Snapshot>,
+    /// Write periodic snapshots during the run.
+    pub checkpoint: Option<&'a CheckpointOpts<'a>>,
+}
+
+/// One shard's deposited capture: its partition slice plus the probe
+/// events it has buffered so far.
+type CaptureSlot = Option<(ShardPiece, Vec<SimEvent>)>;
+
 /// Shared state of the sharded capture protocol: every shard deposits
 /// its [`ShardPiece`] (plus its buffered probe events, when attribution
 /// is attached), all shards rendezvous on the barrier, then shard 0
-/// composes and writes while the rest move on.
-/// One shard's deposited capture: its partition slice plus the probe
-/// events buffered since the previous checkpoint.
-type CaptureSlot = Option<(ShardPiece, Vec<SimEvent>)>;
-
+/// composes and writes while the rest wait for it to finish.
 struct CkptSync<'a> {
     opts: &'a CheckpointOpts<'a>,
     /// Seed for the composed attribution record when the run itself was
@@ -445,9 +367,8 @@ struct CkptSync<'a> {
     want_attr: bool,
     slots: Mutex<Vec<CaptureSlot>>,
     barrier: Barrier,
-    /// Set after a failed write: captures keep their (deterministic)
-    /// rendezvous but no further snapshots are written.
-    failed: AtomicBool,
+    /// The first failed write. Captures keep their (deterministic)
+    /// rendezvous after it, but no further snapshots are written.
     error: Mutex<Option<SnapshotError>>,
 }
 
@@ -462,7 +383,8 @@ impl CkptSync<'_> {
             .iter_mut()
             .map(|s| s.take().expect("every shard deposited a piece"))
             .collect();
-        if self.failed.load(Ordering::Acquire) {
+        let mut error = self.error.lock().unwrap();
+        if error.is_some() {
             return;
         }
         let mut pieces = Vec::with_capacity(taken.len());
@@ -488,10 +410,7 @@ impl CkptSync<'_> {
             }
             snap.attribution = Some(sink.snapshot_ints());
         }
-        if let Err(e) = (self.opts.write)(&snap) {
-            *self.error.lock().unwrap() = Some(e);
-            self.failed.store(true, Ordering::Release);
-        }
+        *error = (self.opts.write)(&snap).err();
     }
 }
 
@@ -506,233 +425,190 @@ fn capture_attribution(probe: &ProbeHandle) -> Option<Vec<u64>> {
 /// no matching record is refused: it would silently report only post-
 /// restore evidence.
 fn seed_attribution(probe: &ProbeHandle, snap: &Snapshot) -> Result<(), SnapshotError> {
-    let has_sink = probe
-        .with_stack(|s| s.attribution.is_some())
-        .unwrap_or(false);
-    if !has_sink {
-        return Ok(());
-    }
-    match &snap.attribution {
-        Some(ints) => probe
-            .with_stack(|s| {
-                s.attribution
-                    .as_mut()
-                    .expect("presence checked above")
-                    .restore_ints(ints)
-            })
-            .expect("probe is enabled")
-            .map_err(|detail| SnapshotError::Parse {
-                context: "attribution record".into(),
-                detail,
-            }),
-        None => Err(SnapshotError::Parse {
+    probe
+        .with_stack(|s| match (s.attribution.as_mut(), &snap.attribution) {
+            (None, _) => Ok(()),
+            (Some(sink), Some(ints)) => sink.restore_ints(ints),
+            (Some(_), None) => Err(
+                "the snapshot has no `attr` record but this run attaches an attribution \
+                 sink — re-create the checkpoint with attribution enabled, or drop it"
+                    .to_string(),
+            ),
+        })
+        .unwrap_or(Ok(()))
+        .map_err(|detail| SnapshotError::Parse {
             context: "attribution record".into(),
-            detail: "the snapshot has no `attr` record but this run attaches an attribution \
-                     sink — re-create the checkpoint with attribution enabled, or drop it"
-                .into(),
-        }),
-    }
+            detail,
+        })
 }
 
-/// [`run_sharded_with_faults_profiled`] extended with checkpoint/restore:
-/// `restore_from` resumes a run from a [`Snapshot`] (bit-identically —
-/// results, stats, probe stream and attribution match the uninterrupted
-/// run from the instant on), and `ckpt` writes periodic snapshots during
-/// the run. Serial and sharded execution accept both; a single shard or
-/// zero lookahead falls back to the serial path exactly as the plain
-/// entry does.
-pub fn run_checkpointed(
+/// Run the communication model over one task-level trace per node — the
+/// single entry point behind `TaskLevelSim`, `HybridSim`, the CLI and
+/// campaigns.
+///
+/// With `opts.shards > 1` the run is spread over worker threads and the
+/// result is bit-identical to the serial one (results, per-node stats,
+/// model-level probe stream, attribution, snapshot files — with or
+/// without faults); the second element is then the run's [`ShardProfile`].
+/// It is `None` when the run took the serial path: one shard, a topology
+/// too small to split, or a configuration with zero lookahead. With an
+/// enabled probe a sharded run replays the merged per-shard event stream
+/// into it in canonical order; engine-internal events (queue depths,
+/// ladder-tier moves) are per-shard artifacts and are not reproduced.
+///
+/// `opts.restore_from` resumes from a [`Snapshot`] — the run continues
+/// exactly as the uninterrupted one would from that instant — and
+/// `opts.checkpoint` writes periodic snapshots; serial and sharded runs
+/// accept both. Only those two options can fail: a run with neither
+/// always returns `Ok`.
+pub fn run_comm(
     cfg: NetworkConfig,
     traces: &TraceSet,
-    probe: ProbeHandle,
-    shards: usize,
-    faults: Option<Arc<FaultSchedule>>,
-    restore_from: Option<&Snapshot>,
-    ckpt: Option<&CheckpointOpts<'_>>,
-) -> Result<(CommResult, Option<ShardProfile>), SnapshotError> {
-    run_checkpointed_with(
-        cfg,
-        traces,
-        probe,
-        shards,
-        faults,
-        restore_from,
-        ckpt,
-        Speculation::default(),
-    )
-}
-
-/// [`run_checkpointed`] with an explicit [`Speculation`] policy. The
-/// policy affects scheduling only — results, stats, probe streams and
-/// checkpoint files are bit-identical across every policy (and to the
-/// serial run).
-#[allow(clippy::too_many_arguments)]
-pub fn run_checkpointed_with(
-    cfg: NetworkConfig,
-    traces: &TraceSet,
-    probe: ProbeHandle,
-    shards: usize,
-    faults: Option<Arc<FaultSchedule>>,
-    restore_from: Option<&Snapshot>,
-    ckpt: Option<&CheckpointOpts<'_>>,
-    speculation: Speculation,
+    opts: &RunOptions<'_>,
 ) -> Result<(CommResult, Option<ShardProfile>), SnapshotError> {
     cfg.validate();
-    let part = Partition::contiguous(cfg.topology, shards);
+    let part = Partition::contiguous(cfg.topology, opts.shards);
     let la = lookahead(&cfg);
     if part.shards() <= 1 || la == Duration::ZERO {
-        let result = run_serial_checkpointed(cfg, traces, probe, faults, restore_from, ckpt)?;
-        return Ok((result, None));
+        return Ok((run_serial(cfg, traces, opts)?, None));
     }
-    run_sharded_inner(
-        cfg,
-        traces,
-        probe,
-        part,
-        la,
-        faults,
-        restore_from,
-        ckpt,
-        speculation,
-    )
+    run_on_shards(cfg, traces, opts, part, la)
 }
 
-/// The serial path of [`run_checkpointed`]: restore (if asked), then run
-/// in stretches bounded by the next checkpoint instant, capturing at
-/// each multiple of the cadence until the event set drains.
-fn run_serial_checkpointed(
+/// The serial path of [`run_comm`]: restore (if asked), then run in
+/// stretches bounded by the next checkpoint instant, capturing at each
+/// multiple of the cadence until the event set drains.
+fn run_serial(
     cfg: NetworkConfig,
     traces: &TraceSet,
-    probe: ProbeHandle,
-    faults: Option<Arc<FaultSchedule>>,
-    restore_from: Option<&Snapshot>,
-    ckpt: Option<&CheckpointOpts<'_>>,
+    opts: &RunOptions<'_>,
 ) -> Result<CommResult, SnapshotError> {
-    let mut sim = match restore_from {
+    let probe = &opts.probe;
+    let mut sim = match opts.restore_from {
         Some(snap) => {
-            let sim = CommSim::restore(cfg, traces, probe.clone(), faults, snap)?;
-            seed_attribution(&probe, snap)?;
+            let sim = CommSim::restore(cfg, traces, probe.clone(), opts.faults.clone(), snap)?;
+            seed_attribution(probe, snap)?;
             sim
         }
-        None => match faults {
-            Some(f) => CommSim::new_with_faults(cfg, traces, probe.clone(), f),
-            None => CommSim::new_with_probe(cfg, traces, probe.clone()),
-        },
+        None => CommSim::build(cfg, traces, probe.clone(), opts.faults.clone()),
     };
-    if let Some(ck) = ckpt {
-        let every = ck.every.as_ps();
-        assert!(every > 0, "checkpoint cadence must be non-zero");
-        let mut next_cp = match restore_from {
-            // A restored run resumes the original cadence: its next
-            // capture is the first multiple after the restore instant.
-            Some(snap) => (snap.time.as_ps() / every + 1) * every,
-            None => every,
-        };
-        loop {
-            // Deliver everything strictly before the capture instant;
-            // anything else means the event set drained first.
-            if sim.run_until(Time::from_ps(next_cp - 1)) != RunResult::TimeLimit {
-                break;
-            }
+    if let Some(ck) = opts.checkpoint {
+        let mut next_cp = ck.first_capture_ps(opts.restore_from);
+        // Deliver everything strictly before the capture instant; anything
+        // but a time-limit stop means the event set drained first.
+        while sim.run_until(Time::from_ps(next_cp - 1)) == RunResult::TimeLimit {
             let mut snap = sim.checkpoint(&ck.config_hash, Time::from_ps(next_cp));
-            snap.attribution = capture_attribution(&probe);
+            snap.attribution = capture_attribution(probe);
             (ck.write)(&snap)?;
-            next_cp += every;
+            next_cp += ck.every.as_ps();
         }
     }
     Ok(sim.run())
 }
 
-/// The genuinely sharded body of [`run_checkpointed`].
-#[allow(clippy::too_many_arguments)]
-fn run_sharded_inner(
+/// Everything the shard workers of one run share.
+struct Shared<'a> {
     cfg: NetworkConfig,
-    traces: &TraceSet,
-    probe: ProbeHandle,
+    traces: &'a TraceSet,
     part: Partition,
+    /// The per-hop lookahead every window bound is built from.
     la: Duration,
     faults: Option<Arc<FaultSchedule>>,
-    restore_from: Option<&Snapshot>,
-    ckpt: Option<&CheckpointOpts<'_>>,
-    speculation: Speculation,
+    restore_from: Option<&'a Snapshot>,
+    /// Whether the caller's probe is enabled (shards then buffer events).
+    want_probe: bool,
+    built: BuildGate,
+    /// Round-arrival gate: shards increment once per round; a shard may
+    /// compute its round-`r` local minimum only after all `k` increments
+    /// of round `r` — by then every cross-shard batch of the previous
+    /// window has been pushed into its destination channel.
+    gate: RoundGate,
+    barrier: WindowBarrier,
+    /// Inbox senders, indexed by destination shard.
+    txs: Vec<SyncSender<Batch>>,
+    ckpt: Option<CkptSync<'a>>,
+}
+
+/// The construction rendezvous: every worker builds (or restores) its
+/// engine and reports the outcome here *before* its first round-gate
+/// arrival, so that when any shard cannot restore, all of them return
+/// instead of the survivors waiting on a peer that will never arrive.
+struct BuildGate {
+    barrier: Barrier,
+    failed: AtomicBool,
+}
+
+impl BuildGate {
+    /// Report whether this shard's construction succeeded and wait for
+    /// every peer's report; true when all shards succeeded.
+    fn agree(&self, built: bool) -> bool {
+        if !built {
+            self.failed.store(true, Ordering::SeqCst);
+        }
+        self.barrier.wait();
+        !self.failed.load(Ordering::SeqCst)
+    }
+}
+
+/// The genuinely sharded body of [`run_comm`].
+fn run_on_shards(
+    cfg: NetworkConfig,
+    traces: &TraceSet,
+    opts: &RunOptions<'_>,
+    part: Partition,
+    la: Duration,
 ) -> Result<(CommResult, Option<ShardProfile>), SnapshotError> {
     let n = cfg.topology.nodes();
-    if let Some(snap) = restore_from {
+    if let Some(snap) = opts.restore_from {
         if snap.nodes != n {
             return Err(SnapshotError::NodesMismatch {
                 found: snap.nodes,
                 expected: n,
             });
         }
-        seed_attribution(&probe, snap)?;
+        seed_attribution(&opts.probe, snap)?;
     }
-    assert_eq!(
-        traces.nodes(),
-        n as usize,
-        "trace set has {} nodes, topology {} needs {}",
-        traces.nodes(),
-        cfg.topology.label(),
-        n
-    );
+    assert_trace_count(&cfg, traces);
 
     let k = part.shards();
-    let barrier = WindowBarrier::new(k);
-    // Per-shard-pair lookahead matrix, computed once per partition: the
-    // window bound of shard `i` is `min over j of (mins[j] + L[j][i])`
-    // instead of the global minimum plus the global lookahead.
-    let pairla = PairLookahead::compute(&cfg.topology, &part, la);
-    // Round-arrival gate: shards increment once per round; a shard may
-    // compute its round-`r` local minimum only after all `k` increments of
-    // round `r` — by then every cross-shard batch of the previous window
-    // has been pushed into its destination channel.
-    let gate = RoundGate::new();
-    let mut txs = Vec::with_capacity(k);
-    let mut rxs = Vec::with_capacity(k);
-    for _ in 0..k {
-        let (tx, rx) = sync_channel::<Batch>(channel_capacity(k));
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let want_probe = probe.is_enabled();
-    let ckpt_sync = ckpt.map(|opts| CkptSync {
-        opts,
-        base_attr: restore_from.and_then(|s| s.attribution.clone()),
-        want_attr: probe
-            .with_stack(|s| s.attribution.is_some())
-            .unwrap_or(false),
-        slots: Mutex::new((0..k).map(|_| None).collect()),
-        barrier: Barrier::new(k),
-        failed: AtomicBool::new(false),
-        error: Mutex::new(None),
-    });
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..k)
+        .map(|_| sync_channel::<Batch>(channel_capacity(k)))
+        .unzip();
+    let shared = Shared {
+        cfg,
+        traces,
+        part,
+        la,
+        faults: opts.faults.clone(),
+        restore_from: opts.restore_from,
+        want_probe: opts.probe.is_enabled(),
+        built: BuildGate {
+            barrier: Barrier::new(k),
+            failed: AtomicBool::new(false),
+        },
+        gate: RoundGate::default(),
+        barrier: WindowBarrier::new(k),
+        txs,
+        ckpt: opts.checkpoint.map(|ck| CkptSync {
+            opts: ck,
+            base_attr: opts.restore_from.and_then(|s| s.attribution.clone()),
+            want_attr: opts
+                .probe
+                .with_stack(|s| s.attribution.is_some())
+                .unwrap_or(false),
+            slots: Mutex::new((0..k).map(|_| None).collect()),
+            barrier: Barrier::new(k),
+            error: Mutex::new(None),
+        }),
+    };
 
-    let outs: Vec<ShardOut> = thread::scope(|scope| {
+    let outs: Vec<Result<Option<ShardOut>, SnapshotError>> = thread::scope(|scope| {
         let handles: Vec<_> = rxs
             .into_iter()
             .enumerate()
             .map(|(s, rx)| {
-                let txs = txs.clone();
-                let faults = faults.clone();
-                let (part, barrier, gate, pairla) = (&part, &barrier, &gate, &pairla);
-                let ckpt_sync = ckpt_sync.as_ref();
-                scope.spawn(move || {
-                    shard_worker(
-                        s,
-                        cfg,
-                        traces,
-                        part,
-                        pairla,
-                        barrier,
-                        gate,
-                        txs,
-                        rx,
-                        want_probe,
-                        faults,
-                        restore_from,
-                        ckpt_sync,
-                        speculation.threshold_ps(la),
-                    )
-                })
+                let shared = &shared;
+                scope.spawn(move || shard_worker(s, shared, rx))
             })
             .collect();
         handles
@@ -741,442 +617,253 @@ fn run_sharded_inner(
             .collect()
     });
 
-    if let Some(sync) = &ckpt_sync {
-        if let Some(e) = sync.error.lock().unwrap().take() {
-            return Err(e);
-        }
+    // Shards restore their nodes in node order, so the lowest-numbered
+    // failing shard reports the error the serial restore would.
+    let outs: Vec<Option<ShardOut>> = outs.into_iter().collect::<Result<_, _>>()?;
+    if let Some(e) = shared.ckpt.and_then(|ck| ck.error.into_inner().unwrap()) {
+        return Err(e);
     }
-    let (result, profile) = merge(outs, &probe);
+    let outs = outs
+        .into_iter()
+        .map(|out| out.expect("every shard built, so every shard ran"));
+    let (result, profile) = merge(outs, &opts.probe);
     Ok((result, Some(profile)))
 }
 
-/// Cap on the speculation rollback backoff, in conservative rounds. The
-/// penalty doubles on every rollback up to this cap and resets to zero on
-/// a commit, so a workload where speculation keeps losing pays for at most
-/// one rollback per `SPEC_BACKOFF_CAP` rounds in steady state.
-const SPEC_BACKOFF_CAP: u64 = 1024;
-
-/// An in-flight speculative window: the rollback snapshot plus everything
-/// needed to validate, commit, or unwind it.
-struct Spec {
-    /// Exclusive end of the speculated region; an incoming message
-    /// timestamped strictly below it invalidates the speculation.
-    end_ps: u64,
-    /// The promise to publish while this speculation is pending: the
-    /// engine's queue-head time at launch, exactly what a conservative
-    /// shard stalled at the same frontier would publish. The sped-ahead
-    /// engine's own `next_event_time` is NOT a valid promise — a later
-    /// arrival above `end_ps` can land below it and legally drag it
-    /// back down after peers already built their frontiers on it.
-    promise_ps: u64,
-    /// Engine + world state at the conservative frontier the speculation
-    /// started from.
-    state: EngineState,
-    /// Probe buffer length at the snapshot (rollback truncation point).
-    probe_len: usize,
-    /// Cross-shard output generated by the speculative run, withheld from
-    /// the channels until the window commits.
-    held: Vec<OutMsg>,
-    /// Cross-shard input received while pending — already posted to the
-    /// speculated engine, re-posted after a rollback (the wholesale
-    /// restore wipes the queue), dropped on commit.
-    incoming_log: Vec<OutMsg>,
-}
-
-/// Roll a mis-speculated (or stagnation-aborted) window back: restore the
-/// engine to the conservative frontier, drop the speculated probe suffix
-/// and held output, and re-post every cross-shard message received since
-/// the snapshot (`extra` carries the current round's, including the
-/// invalidating one).
-fn unwind(
-    engine: &mut Engine<NetMsg, NetWorld>,
-    probe: &ProbeHandle,
-    sp: Spec,
-    extra: Vec<OutMsg>,
-    profile: &mut ShardProfileEntry,
-) {
-    profile.spec_rollbacks += 1;
-    load_engine_state(engine, &sp.state);
-    let _ = probe.with_stack(|st| {
-        if let Some(b) = st.buffer.as_mut() {
-            b.truncate(sp.probe_len);
-        }
-    });
-    for m in sp.incoming_log.into_iter().chain(extra) {
-        engine.post_keyed(m.time, m.key, m.src, m.dst, m.msg);
-    }
-}
-
-/// One shard's whole life: build its arena world, run the window loop,
-/// collect local stats.
-#[allow(clippy::too_many_arguments)]
+/// One shard's whole life: build (or restore) its engine, agree with the
+/// peers that all of them could, run the window loop, collect local stats.
+/// `Err` when this shard could not restore, `Ok(None)` when a peer could
+/// not.
 fn shard_worker(
     s: usize,
-    cfg: NetworkConfig,
-    traces: &TraceSet,
-    part: &Partition,
-    pairla: &PairLookahead,
-    barrier: &WindowBarrier,
-    gate: &RoundGate,
-    txs: Vec<SyncSender<Batch>>,
+    shared: &Shared<'_>,
     rx: Receiver<Batch>,
-    want_probe: bool,
-    faults: Option<Arc<FaultSchedule>>,
-    restore_from: Option<&Snapshot>,
-    ckpt: Option<&CkptSync<'_>>,
-    spec_threshold: Option<u64>,
-) -> ShardOut {
-    let n = part.nodes();
-    let k = part.shards() as u64;
-    let range = part.range(s);
-    let local_mask: Arc<[bool]> = part.local_mask(s).into();
-    let my_probe = if want_probe {
-        ProbeHandle::new(ProbeStack::new().with_buffer())
-    } else {
-        ProbeHandle::disabled()
-    };
+) -> Result<Option<ShardOut>, SnapshotError> {
+    let built = Shard::build(s, shared, rx);
+    let all_built = shared.built.agree(built.is_ok());
+    let mut shard = built?;
+    if !all_built {
+        return Ok(None);
+    }
+    shard.run_windows();
+    Ok(Some(shard.finish()))
+}
 
-    // Mirror component layout: the shard's world owns only the slabs of
-    // its own node range, but reports the full `2n` id space, so
-    // component ids, event keys and key-counter indexing match the serial
-    // engine exactly. An event addressed to an unowned id panics inside
-    // `NetWorld` — the window protocol routes every event to the shard
-    // owning its destination.
-    let outbox = std::rc::Rc::new(std::cell::RefCell::new(Vec::<OutMsg>::new()));
-    let mut routers = Vec::with_capacity(range.len());
-    let mut procs = Vec::with_capacity(range.len());
-    for node in range.clone() {
-        routers.push(
-            Router::new(
-                node,
-                cfg.topology,
-                cfg.link,
-                cfg.router,
-                (n + node) as CompId,
-            )
-            .with_probe(my_probe.clone())
-            .with_faults(faults.clone())
-            .with_cross_shard(CrossShard {
-                local: Arc::clone(&local_mask),
-                outbox: outbox.clone(),
-            }),
+/// One shard worker's state.
+struct Shard<'a> {
+    s: usize,
+    shared: &'a Shared<'a>,
+    /// This shard's inbox.
+    rx: Receiver<Batch>,
+    engine: Engine<NetMsg, NetWorld>,
+    /// Cross-shard messages this shard's routers produced in the window
+    /// just executed, awaiting the next flush.
+    outbox: Rc<RefCell<Vec<OutMsg>>>,
+    probe: ProbeHandle,
+    profile: ShardProfileEntry,
+}
+
+impl<'a> Shard<'a> {
+    /// Build shard `s`'s engine over its own node range and bring it to
+    /// the run's starting state: primed at time zero, or overlaid with its
+    /// slice of the snapshot being restored.
+    fn build(s: usize, shared: &'a Shared<'a>, rx: Receiver<Batch>) -> Result<Self, SnapshotError> {
+        let probe = if shared.want_probe {
+            ProbeHandle::new(ProbeStack::new().with_buffer())
+        } else {
+            ProbeHandle::disabled()
+        };
+        let outbox = Rc::new(RefCell::new(Vec::new()));
+        let range = shared.part.range(s);
+        let cross = CrossShard {
+            local: shared.part.local_mask(s).into(),
+            outbox: Rc::clone(&outbox),
+        };
+        let mut engine = crate::sim::build_engine(
+            shared.cfg,
+            shared.traces,
+            range.clone(),
+            &probe,
+            &shared.faults,
+            Some(cross),
         );
-    }
-    for node in range.clone() {
-        procs.push(
-            AbstractProcessor::new(node, traces.trace(node).shared_ops(), node as CompId, cfg)
-                .with_probe(my_probe.clone())
-                .with_faults(faults.clone()),
-        );
-    }
-    let mut engine = Engine::with_world(NetWorld::new(n, range.start, routers, procs));
-    match restore_from {
-        Some(snap) => {
-            // A restored shard overlays the snapshot instead of priming:
-            // the queue, clock and counters are replaced wholesale with
-            // the owned-destination slice of the snapshot (scripted fault
-            // events at or after the instant are in that pending set
-            // under their original keys, so nothing is posted here).
-            // Shard 0 carries the snapshot's delivery count; the merge
-            // sums per-shard counts, so the total matches an
-            // uninterrupted run.
-            let base = if s == 0 { snap.events_processed } else { 0 };
-            restore_engine(&mut engine, snap, base)
-                .unwrap_or_else(|e| panic!("shard {s} cannot restore: {e}"));
+        match shared.restore_from {
+            Some(snap) => {
+                // A restored shard overlays the snapshot instead of
+                // priming: the queue, clock and counters are replaced
+                // wholesale with the owned-destination slice of the
+                // snapshot (scripted fault events at or after the instant
+                // are in that pending set under their original keys, so
+                // nothing is posted here). Shard 0 carries the snapshot's
+                // delivery count; the merge sums per-shard counts, so the
+                // total matches an uninterrupted run.
+                let base = if s == 0 { snap.events_processed } else { 0 };
+                restore_engine(&mut engine, snap, base)?;
+            }
+            None => {
+                // Post this shard's scripted fault events *before*
+                // priming, exactly as the serial engine posts them before
+                // running. Per-packet transient losses need no such care:
+                // they are drawn from a stateless seeded hash over the
+                // packet's identity and the link it crosses, so the draw
+                // is the same whichever shard makes it.
+                if let Some(f) = &shared.faults {
+                    post_scripted_faults(&mut engine, f, range);
+                }
+                engine.prime();
+            }
         }
-        None => {
-            // Post this shard's scripted fault events *before* priming,
-            // exactly as the serial engine posts them before running:
-            // fault events are self-events of their router, so posting
-            // only the local nodes' events (in the same per-node schedule
-            // order) consumes the same per-component key counters and
-            // yields serial-identical event keys.
-            if let Some(f) = &faults {
-                for node in range.clone() {
-                    for ev in f.events_for(node) {
-                        engine.post(
-                            ev.at,
-                            node as CompId,
-                            node as CompId,
-                            NetMsg::Fault(ev.kind),
-                        );
-                    }
+        let profile = ShardProfileEntry {
+            shard: s,
+            ..ShardProfileEntry::default()
+        };
+        Ok(Shard {
+            s,
+            shared,
+            rx,
+            engine,
+            outbox,
+            probe,
+            profile,
+        })
+    }
+
+    /// The conservative window loop (DESIGN.md §11), one round per
+    /// iteration, until every shard is idle with nothing in flight.
+    fn run_windows(&mut self) {
+        let shared = self.shared;
+        // Every shard tracks the same next-capture instant (same cadence,
+        // same agreed minima), so all reach each capture in the same round.
+        let mut next_cp = match &shared.ckpt {
+            Some(ck) => ck.opts.first_capture_ps(shared.restore_from),
+            None => u64::MAX,
+        };
+        let mut mins: Vec<u64> = Vec::new();
+        let mut round: u64 = 0;
+        loop {
+            // 1. Ship the cross-shard messages of the window just executed.
+            self.flush();
+            // 2. Round gate: wait until every shard has flushed.
+            // 3. Inject the arrivals at their exact serial queue keys.
+            round += 1;
+            self.receive(round);
+            // 4. Publish this shard's earliest pending event and read every
+            //    peer's; all idle means nothing is pending or in flight.
+            let head = self.engine.next_event_time().map_or(IDLE_PS, |t| t.as_ps());
+            self.profile.barrier_wait_ns +=
+                shared.barrier.publish_mins_timed(self.s, head, &mut mins);
+            let global_min = mins.iter().copied().min().unwrap_or(IDLE_PS);
+            if global_min == IDLE_PS {
+                break;
+            }
+            // Capture every checkpoint instant at or before the global
+            // minimum: all events before it were processed (windows are
+            // clamped to the cadence), all pending events are at or after
+            // it, and step 3 left nothing in flight.
+            if let Some(ck) = &shared.ckpt {
+                while next_cp <= global_min {
+                    self.capture(ck, Time::from_ps(next_cp));
+                    next_cp += ck.opts.every.as_ps();
                 }
             }
-            engine.prime();
+            // 5. Execute the window. Events *at* the window end belong to
+            //    the next round (times are integer picoseconds, so
+            //    `end - 1` is exact).
+            self.profile.windows += 1;
+            let end = window_end_ps(self.s, &mins, shared.la).min(next_cp);
+            if head < end {
+                let work = Instant::now();
+                self.engine.run_until(Time::from_ps(end - 1));
+                self.profile.work_ns += work.elapsed().as_nanos() as u64;
+                self.profile.record_width(end - head);
+            }
         }
     }
 
-    // Checkpoint cadence: every shard tracks the same next-capture
-    // instant (same cadence, same agreed windows), so all of them reach
-    // every capture rendezvous in the same round.
-    let (mut next_cp, every_ps) = match ckpt {
-        Some(ck) => {
-            let every = ck.opts.every.as_ps();
-            assert!(every > 0, "checkpoint cadence must be non-zero");
-            let first = match restore_from {
-                Some(snap) => (snap.time.as_ps() / every + 1) * every,
-                None => every,
-            };
-            (first, every)
-        }
-        None => (u64::MAX, 0),
-    };
-
-    let ks = part.shards();
-    let mut round: u64 = 0;
-    let mut inbox: Vec<Batch> = Vec::new();
-    let mut profile = ShardProfileEntry {
-        shard: s,
-        ..ShardProfileEntry::default()
-    };
-    // Batch the outbox into one channel send per destination shard with
-    // traffic. The channels never fill (see [`channel_capacity`]), so
-    // there is no retry path.
-    let do_flush = |msgs: &mut Vec<OutMsg>, profile: &mut ShardProfileEntry| {
+    /// Batch the outbox into one channel send per destination shard with
+    /// traffic. The channels never fill (see [`channel_capacity`]), so
+    /// there is no retry path.
+    fn flush(&mut self) {
+        let mut msgs = self.outbox.borrow_mut();
         if msgs.is_empty() {
             return;
         }
-        profile.cross_sent += msgs.len() as u64;
-        let mut batches: Vec<Batch> = vec![Vec::new(); ks];
+        let part = &self.shared.part;
+        self.profile.cross_sent += msgs.len() as u64;
+        let mut batches: Vec<Batch> = vec![Vec::new(); part.shards()];
         for m in msgs.drain(..) {
             batches[part.shard_of(m.dst as u32)].push(m);
         }
-        for (d, b) in batches.into_iter().enumerate() {
-            if !b.is_empty() {
-                profile.flush_batches += 1;
-                ship(&txs[d], b, s, d);
-            }
-        }
-    };
-    let mut spec: Option<Spec> = None;
-    let mut mins: Vec<u64> = Vec::new();
-    let mut prev_mins: Vec<u64> = Vec::new();
-    // Rollback backoff. Speculation is a bet that no peer sends into the
-    // speculated region; when the bet loses, the shard pays a snapshot
-    // restore plus a re-executed window — far more than the stall it
-    // tried to hide. On comm-heavy workloads the bet loses almost every
-    // round, so unbounded retry turns speculation into a large slowdown.
-    // The penalty doubles on every rollback (capped) and suppresses new
-    // launches for that many conservative rounds; a commit resets it, so
-    // workloads where speculation wins keep speculating freely.
-    let mut spec_penalty: u64 = 0;
-    let mut spec_cooldown: u64 = 0;
-    loop {
-        // 1. Flush this round's cross-shard messages. During a pending
-        //    speculation the outbox only ever holds validated output —
-        //    the speculative suffix lives in `spec.held`.
-        do_flush(&mut outbox.borrow_mut(), &mut profile);
-        // 2. Round gate: wait (draining) until every shard has flushed.
-        round += 1;
-        gate.arrive();
-        let gate_wait = std::time::Instant::now();
-        gate.wait(round * k, || inbox.extend(rx.try_iter()));
-        profile.barrier_wait_ns += gate_wait.elapsed().as_nanos() as u64;
-        inbox.extend(rx.try_iter());
-        // 3. Inject cross-shard arrivals at their exact serial queue
-        //    keys. An arrival inside a speculated region proves the
-        //    speculation wrong: rewind and re-execute with it.
-        let mut incoming: Vec<OutMsg> = Vec::new();
-        for b in inbox.drain(..) {
-            incoming.extend(b);
-        }
-        profile.cross_recv += incoming.len() as u64;
-        if let Some(mut sp) = spec.take() {
-            if incoming.iter().any(|m| m.time.as_ps() < sp.end_ps) {
-                unwind(&mut engine, &my_probe, sp, incoming, &mut profile);
-                spec_penalty = (spec_penalty * 2).clamp(1, SPEC_BACKOFF_CAP);
-                spec_cooldown = spec_penalty;
-            } else {
-                for m in &incoming {
-                    engine.post_keyed(m.time, m.key, m.src, m.dst, m.msg);
-                }
-                sp.incoming_log.append(&mut incoming);
-                spec = Some(sp);
-            }
-        } else {
-            for m in incoming.drain(..) {
-                engine.post_keyed(m.time, m.key, m.src, m.dst, m.msg);
-            }
-        }
-        // 4. Publish this shard's promise and read every peer's. The
-        //    promise must lower-bound (through the pair matrix) every
-        //    message this shard may still deliver. Conservatively that is
-        //    the queue head. While a speculation is pending it is the
-        //    queue head *at launch*, frozen: every speculated event (and
-        //    hence every held message, and the identical replayed prefix
-        //    after a rollback) executes at or after that head, and
-        //    rollback divergence is bounded by the trigger sender's own
-        //    promise chained through real node paths — see DESIGN.md
-        //    §17. Speculation therefore never widens what a peer may
-        //    execute; it only precomputes this shard's side of a window
-        //    the conservative protocol will eventually grant.
-        let local_ps = match &spec {
-            Some(sp) => sp.promise_ps,
-            None => engine.next_event_time().map_or(IDLE_PS, |t| t.as_ps()),
-        };
-        let waited_ns = barrier.publish_mins_timed(s, local_ps, &mut mins);
-        profile.barrier_wait_ns += waited_ns;
-        let m_ps = mins.iter().copied().min().unwrap_or(IDLE_PS);
-        if m_ps == IDLE_PS {
-            // Every engine drained, nothing in flight. A shard with a
-            // pending speculation publishes its finite frozen promise,
-            // so all-idle implies no speculation is pending anywhere.
-            debug_assert!(
-                spec.is_none(),
-                "a pending speculation publishes a finite promise"
-            );
-            break;
-        }
-        // 5. Validate a pending speculation against the new bound.
-        let bound = pairla.window_end_ps(s, &mins);
-        if let Some(sp) = spec.take() {
-            if bound >= sp.end_ps {
-                // Proven: no shard can ever send into the speculated
-                // region. Release the held output (flushed next round).
-                profile.spec_commits += 1;
-                outbox.borrow_mut().extend(sp.held);
-                spec_penalty = 0;
-            } else if mins == prev_mins {
-                // Stagnation: a full round with no published value moving
-                // means every shard is frozen behind pending speculations
-                // (an executing shard strictly raises its promise).
-                // Revert to the conservative protocol to restore
-                // liveness.
-                unwind(&mut engine, &my_probe, sp, Vec::new(), &mut profile);
-                spec_penalty = (spec_penalty * 2).clamp(1, SPEC_BACKOFF_CAP);
-                spec_cooldown = spec_penalty;
-            } else {
-                spec = Some(sp);
-            }
-        }
-        prev_mins.clone_from(&mins);
-        // 6. Capture every checkpoint instant at or before the global
-        //    minimum: all events before it were processed (windows and
-        //    speculations are clamped to the cadence), all pending events
-        //    are at or after it. Every shard sees the same `mins` and
-        //    cadence, so all deposit pieces for the same instants in the
-        //    same rounds. A speculation pending here is impossible: its
-        //    end is clamped to `next_cp <= m < bound`, which commits it
-        //    in step 5.
-        if let Some(ck) = ckpt {
-            while next_cp <= m_ps {
-                debug_assert!(
-                    spec.is_none(),
-                    "speculation never crosses a capture instant"
-                );
-                // Deliver every in-flight message first: a speculative
-                // batch committed this round still sits in the outbox,
-                // and the composed snapshot must show it in its
-                // destination's queue exactly as a serial capture would.
-                do_flush(&mut outbox.borrow_mut(), &mut profile);
-                ck.barrier.wait();
-                inbox.extend(rx.try_iter());
-                let mut late: Vec<OutMsg> = Vec::new();
-                for b in inbox.drain(..) {
-                    late.extend(b);
-                }
-                profile.cross_recv += late.len() as u64;
-                for m in late {
-                    engine.post_keyed(m.time, m.key, m.src, m.dst, m.msg);
-                }
-                let at = Time::from_ps(next_cp);
-                let piece = capture_piece(&engine, &ck.opts.config_hash, at);
-                let buffered = if ck.want_attr {
-                    my_probe
-                        .with_stack(|st| st.buffer.as_ref().map(|b| b.events().to_vec()))
-                        .flatten()
-                        .unwrap_or_default()
-                } else {
-                    Vec::new()
-                };
-                ck.slots.lock().unwrap()[s] = Some((piece, buffered));
-                // First rendezvous: every piece is deposited. Second:
-                // shard 0 has consumed them — without it, a fast shard
-                // could overwrite its slot with the *next* instant's
-                // piece before the compose reads this one.
-                ck.barrier.wait();
-                if s == 0 {
-                    ck.compose_and_write();
-                }
-                ck.barrier.wait();
-                next_cp += every_ps;
-            }
-        }
-        // 7. Execute the window. Events *at* the window end belong to the
-        //    next round (times are integer picoseconds, so `end - 1` is
-        //    exact). While a speculation is pending the engine has
-        //    already run ahead; the shard stalls until validation.
-        profile.windows += 1;
-        if spec.is_none() {
-            let end_ps = bound.min(next_cp);
-            let nev = engine.next_event_time().map(|t| t.as_ps());
-            if let Some(start) = nev {
-                if start < end_ps {
-                    let work = std::time::Instant::now();
-                    engine.run_until(Time::from_ps(end_ps - 1));
-                    profile.work_ns += work.elapsed().as_nanos() as u64;
-                    profile.record_width(end_ps - start);
-                }
-            }
-            // 8. Launch a speculative window when the proven bound left
-            //    less than a threshold of runway: snapshot, run ahead to
-            //    `next event + threshold` (never across a checkpoint
-            //    instant), and hold all cross-shard output back until the
-            //    bound catches up.
-            if let Some(thr) = spec_threshold {
-                if spec_cooldown > 0 {
-                    spec_cooldown -= 1;
-                    // Backing off after recent rollbacks — see the
-                    // penalty bookkeeping at the unwind sites.
-                } else {
-                    let start = nev.unwrap_or(end_ps);
-                    let spec_end = start.saturating_add(thr).min(next_cp);
-                    if end_ps != u64::MAX && end_ps.saturating_sub(start) < thr && spec_end > end_ps
-                    {
-                        if let Some(head) = engine.next_event_time() {
-                            if head.as_ps() < spec_end {
-                                let mark = outbox.borrow().len();
-                                let state = save_engine_state(&engine);
-                                let probe_len = my_probe
-                                    .with_stack(|st| st.buffer.as_ref().map_or(0, |b| b.len()))
-                                    .unwrap_or(0);
-                                let work = std::time::Instant::now();
-                                engine.run_until(Time::from_ps(spec_end - 1));
-                                profile.work_ns += work.elapsed().as_nanos() as u64;
-                                profile.record_width(spec_end - head.as_ps());
-                                let held = outbox.borrow_mut().split_off(mark);
-                                spec = Some(Spec {
-                                    end_ps: spec_end,
-                                    promise_ps: head.as_ps(),
-                                    state,
-                                    probe_len,
-                                    held,
-                                    incoming_log: Vec::new(),
-                                });
-                            }
-                        }
-                    }
-                }
+        for (to, batch) in batches.into_iter().enumerate() {
+            if !batch.is_empty() {
+                self.profile.flush_batches += 1;
+                ship(&self.shared.txs[to], batch, self.s, to);
             }
         }
     }
-    profile.events = engine.events_processed();
 
-    let mut nodes = Vec::with_capacity(range.len());
-    let world = engine.world();
-    for node in range {
-        nodes.push(NodeCommStats {
-            node,
-            proc: world.proc(node).stats.clone(),
-            router: world.router(node).snapshot_stats(),
-        });
+    /// Arrive at round `round`'s gate, wait until all shards have, then
+    /// post everything they sent this shard into the engine.
+    fn receive(&mut self, round: u64) {
+        let gate = &self.shared.gate;
+        gate.arrive();
+        let waited = Instant::now();
+        gate.wait(round * self.shared.part.shards() as u64);
+        self.profile.barrier_wait_ns += waited.elapsed().as_nanos() as u64;
+        for m in self.rx.try_iter().flatten() {
+            self.profile.cross_recv += 1;
+            self.engine.post_keyed(m.time, m.key, m.src, m.dst, m.msg);
+        }
     }
-    ShardOut {
-        nodes,
-        events: engine.events_processed(),
-        probe_events: my_probe.take_buffer().unwrap_or_default(),
-        profile,
+
+    /// The capture rendezvous: deposit this shard's slice of the machine
+    /// as of instant `at`; shard 0 composes and writes the snapshot.
+    fn capture(&mut self, ck: &CkptSync<'_>, at: Time) {
+        debug_assert!(
+            self.outbox.borrow().is_empty(),
+            "nothing runs between the round-top flush and a capture"
+        );
+        let piece = capture_piece(&self.engine, &ck.opts.config_hash, at);
+        let buffered = if ck.want_attr {
+            self.probe
+                .with_stack(|st| st.buffer.as_ref().map(|b| b.events().to_vec()))
+                .flatten()
+                .unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        ck.slots.lock().unwrap()[self.s] = Some((piece, buffered));
+        // First rendezvous: every piece is deposited. Second: shard 0 has
+        // consumed them — without it, a fast shard could overwrite its
+        // slot with the *next* instant's piece before the compose reads
+        // this one.
+        ck.barrier.wait();
+        if self.s == 0 {
+            ck.compose_and_write();
+        }
+        ck.barrier.wait();
+    }
+
+    /// Collect this shard's results once the window loop has ended.
+    fn finish(self) -> ShardOut {
+        let mut profile = self.profile;
+        profile.events = self.engine.events_processed();
+        let world = self.engine.world();
+        let nodes = self
+            .shared
+            .part
+            .range(self.s)
+            .map(|node| NodeCommStats {
+                node,
+                proc: world.proc(node).stats.clone(),
+                router: world.router(node).snapshot_stats(),
+            })
+            .collect();
+        ShardOut {
+            nodes,
+            probe_events: self.probe.take_buffer().unwrap_or_default(),
+            profile,
+        }
     }
 }
 
@@ -1184,13 +871,13 @@ fn shard_worker(
 /// `CommSim::collect` field for field (shards are in node order, so the
 /// merge order — and hence every merged histogram — matches the serial
 /// collection exactly).
-fn merge(outs: Vec<ShardOut>, probe: &ProbeHandle) -> (CommResult, ShardProfile) {
+fn merge(outs: impl Iterator<Item = ShardOut>, probe: &ProbeHandle) -> (CommResult, ShardProfile) {
     let mut nodes = Vec::new();
     let mut events = 0;
     let mut probe_events = Vec::new();
     let mut profile = ShardProfile::default();
     for out in outs {
-        events += out.events;
+        events += out.profile.events;
         probe_events.extend(out.probe_events);
         nodes.extend(out.nodes);
         profile.shards.push(out.profile);
@@ -1269,13 +956,32 @@ mod tests {
         assert_eq!(a.msg_latency.max(), b.msg_latency.max());
     }
 
+    /// A plain sharded run: no faults, no snapshot in or out.
+    fn sharded(cfg: NetworkConfig, ts: &TraceSet, probe: ProbeHandle, shards: usize) -> CommResult {
+        profiled(cfg, ts, probe, shards).0
+    }
+
+    fn profiled(
+        cfg: NetworkConfig,
+        ts: &TraceSet,
+        probe: ProbeHandle,
+        shards: usize,
+    ) -> (CommResult, Option<ShardProfile>) {
+        let opts = RunOptions {
+            probe,
+            shards,
+            ..RunOptions::default()
+        };
+        run_comm(cfg, ts, &opts).expect("a run without snapshot options cannot fail")
+    }
+
     #[test]
     fn sharded_matches_serial_on_a_ring() {
         let cfg = NetworkConfig::test(Topology::Ring(8));
         let ts = exchange_traces(8);
         let serial = CommSim::new(cfg, &ts).run();
         for shards in [2, 3, 8] {
-            let sh = run_sharded(cfg, &ts, ProbeHandle::disabled(), shards);
+            let sh = sharded(cfg, &ts, ProbeHandle::disabled(), shards);
             assert_identical(&serial, &sh);
         }
     }
@@ -1289,7 +995,7 @@ mod tests {
             let cfg = NetworkConfig::test(topo);
             let ts = exchange_traces(16);
             let serial = CommSim::new(cfg, &ts).run();
-            let sh = run_sharded(cfg, &ts, ProbeHandle::disabled(), 4);
+            let sh = sharded(cfg, &ts, ProbeHandle::disabled(), 4);
             assert_identical(&serial, &sh);
         }
     }
@@ -1308,7 +1014,7 @@ mod tests {
             ]
         });
         let serial = CommSim::new(cfg, &ts).run();
-        let sh = run_sharded(cfg, &ts, ProbeHandle::disabled(), 4);
+        let sh = sharded(cfg, &ts, ProbeHandle::disabled(), 4);
         assert_identical(&serial, &sh);
     }
 
@@ -1320,7 +1026,7 @@ mod tests {
             _ => vec![Operation::Compute { ps: 100 }],
         });
         let serial = CommSim::new(cfg, &ts).run();
-        let sh = run_sharded(cfg, &ts, ProbeHandle::disabled(), 2);
+        let sh = sharded(cfg, &ts, ProbeHandle::disabled(), 2);
         assert_identical(&serial, &sh);
         assert_eq!(sh.deadlocked, vec![0]);
     }
@@ -1330,7 +1036,7 @@ mod tests {
         let cfg = NetworkConfig::test(Topology::Ring(4));
         let ts = exchange_traces(4);
         let serial = CommSim::new(cfg, &ts).run();
-        let sh = run_sharded(cfg, &ts, ProbeHandle::disabled(), 1);
+        let sh = sharded(cfg, &ts, ProbeHandle::disabled(), 1);
         assert_identical(&serial, &sh);
     }
 
@@ -1350,7 +1056,7 @@ mod tests {
         canonical_sort(&mut serial_events);
 
         let sharded_probe = ProbeHandle::new(ProbeStack::new().with_buffer());
-        let sharded = run_sharded(cfg, &ts, sharded_probe.clone(), 3);
+        let sharded = sharded(cfg, &ts, sharded_probe.clone(), 3);
         let sharded_events = sharded_probe.take_buffer().unwrap();
         // Replay is already canonical; assert bit-identical streams.
         assert_eq!(serial_events, sharded_events);
@@ -1363,8 +1069,7 @@ mod tests {
         let cfg = NetworkConfig::test(Topology::Torus2D { w: 4, h: 2 });
         let ts = exchange_traces(8);
         let serial = CommSim::new(cfg, &ts).run();
-        let (sh, profile) =
-            run_sharded_with_faults_profiled(cfg, &ts, ProbeHandle::disabled(), 4, None);
+        let (sh, profile) = profiled(cfg, &ts, ProbeHandle::disabled(), 4);
         assert_identical(&serial, &sh);
         let profile = profile.expect("a real sharded run self-profiles");
         assert_eq!(profile.shards.len(), 4);
@@ -1388,122 +1093,149 @@ mod tests {
         assert!(table.lines().count() >= 5);
     }
 
-    /// Run sharded under an explicit speculative-window policy.
-    fn run_with_policy(
-        cfg: NetworkConfig,
-        ts: &TraceSet,
-        shards: usize,
-        policy: Speculation,
-    ) -> (CommResult, ShardProfile) {
-        let (r, profile) = run_checkpointed_with(
-            cfg,
-            ts,
-            ProbeHandle::disabled(),
-            shards,
-            None,
-            None,
-            None,
-            policy,
-        )
-        .expect("a run without checkpoint options cannot fail");
-        (r, profile.expect("a real sharded run self-profiles"))
-    }
-
-    #[test]
-    fn speculation_off_is_bit_identical_and_never_speculates() {
-        let cfg = NetworkConfig::test(Topology::Torus2D { w: 4, h: 4 });
-        let ts = exchange_traces(16);
-        let serial = CommSim::new(cfg, &ts).run();
-        let (sh, profile) = run_with_policy(cfg, &ts, 4, Speculation::Off);
-        assert_identical(&serial, &sh);
-        assert_eq!(profile.total_spec_commits(), 0);
-        assert_eq!(profile.total_spec_rollbacks(), 0);
-    }
-
-    #[test]
-    fn forced_speculation_is_bit_identical_and_counted() {
-        // A threshold far beyond every conservative window forces a
-        // speculative attempt whenever a shard has pending work, so the
-        // commit/rollback machinery is genuinely exercised — and the
-        // results must still match the serial run exactly.
-        let cfg = NetworkConfig::test(Topology::Torus2D { w: 4, h: 4 });
-        let ts = exchange_traces(16);
-        let serial = CommSim::new(cfg, &ts).run();
-        let aggressive = Speculation::Threshold(Duration::from_ps(1_000_000_000));
-        let (sh, profile) = run_with_policy(cfg, &ts, 4, aggressive);
-        assert_identical(&serial, &sh);
-        assert!(
-            profile.total_spec_commits() + profile.total_spec_rollbacks() > 0,
-            "an aggressive threshold must trigger speculation"
-        );
-        // The flush path batches: cross-shard traffic moves in at most one
-        // batch per destination per flush point.
-        assert!(profile.total_flush_batches() > 0);
-        assert!(profile.total_flush_batches() <= profile.total_cross_msgs());
-    }
-
-    #[test]
-    fn forced_speculation_keeps_the_probe_stream_exact() {
-        // Rollbacks must leave no trace in the probe buffer (speculated
-        // events are truncated before re-execution).
-        let cfg = NetworkConfig::test(Topology::Torus2D { w: 4, h: 2 });
-        let ts = exchange_traces(8);
-        let serial_probe = ProbeHandle::new(ProbeStack::new().with_buffer());
-        let serial = CommSim::new_with_probe(cfg, &ts, serial_probe.clone()).run();
-        let mut serial_events: Vec<SimEvent> = serial_probe
-            .take_buffer()
-            .unwrap()
-            .into_iter()
-            .filter(|e| !e.is_engine_internal())
-            .collect();
-        canonical_sort(&mut serial_events);
-
-        let probe = ProbeHandle::new(ProbeStack::new().with_buffer());
-        let (sh, _) = run_checkpointed_with(
-            cfg,
-            &ts,
-            probe.clone(),
-            3,
-            None,
-            None,
-            None,
-            Speculation::Threshold(Duration::from_ps(1_000_000_000)),
-        )
-        .expect("a run without checkpoint options cannot fail");
-        let sharded_events = probe.take_buffer().unwrap();
-        assert_eq!(serial_events, sharded_events);
-        assert!(!sharded_events.is_empty());
-        assert_identical(&serial, &sh);
-    }
-
     #[test]
     fn window_histogram_accounts_for_every_window() {
         let cfg = NetworkConfig::test(Topology::Torus2D { w: 4, h: 2 });
         let ts = exchange_traces(8);
-        let (_, profile) = run_with_policy(cfg, &ts, 3, Speculation::default());
+        let (_, profile) = profiled(cfg, &ts, ProbeHandle::disabled(), 3);
+        let profile = profile.expect("a real sharded run self-profiles");
         let hist = profile.window_hist();
         let total: u64 = hist.iter().sum();
         let windows: u64 = profile.shards.iter().map(|p| p.windows).sum();
-        // A round records at most two widths: the conservative slice it
-        // executed, plus a speculative window launched in the same round
-        // (which later resolves as exactly one commit or rollback).
-        let launches = profile.total_spec_commits() + profile.total_spec_rollbacks();
         assert!(total > 0, "a finite run records window widths");
+        // A round records a width only when the shard had work inside its
+        // window, so the histogram never exceeds the round count.
         assert!(
-            total <= windows + launches,
-            "histogram counts executed windows only ({total} vs {windows} rounds + {launches} speculative launches)"
+            total <= windows,
+            "histogram counts executed windows only ({total} vs {windows} rounds)"
         );
         let rendered = profile.render();
         assert!(rendered.contains("window widths (log2):"), "{rendered}");
-        assert!(rendered.contains("spec-commit"), "{rendered}");
+    }
+
+    /// Three phases of compute, send to the next node, receive from the
+    /// previous one.
+    fn ring_pattern(n: u32) -> TraceSet {
+        trace_set(n, |node| {
+            let mut ops = Vec::new();
+            for phase in 0..3u64 {
+                ops.push(Operation::Compute {
+                    ps: 20_000 + 1_000 * phase + 300 * node as u64,
+                });
+                ops.push(Operation::ASend {
+                    bytes: 2048,
+                    dst: (node + 1) % n,
+                });
+                ops.push(Operation::Recv {
+                    src: (node + n - 1) % n,
+                });
+            }
+            ops
+        })
+    }
+
+    /// Two phases of compute, send to every other node, receive from
+    /// every other node.
+    fn all2all_pattern(n: u32) -> TraceSet {
+        trace_set(n, |node| {
+            let mut ops = Vec::new();
+            for phase in 0..2u64 {
+                ops.push(Operation::Compute {
+                    ps: 15_000 + 2_000 * phase + 500 * node as u64,
+                });
+                for d in 1..n {
+                    ops.push(Operation::ASend {
+                        bytes: 1024,
+                        dst: (node + d) % n,
+                    });
+                }
+                for d in 1..n {
+                    ops.push(Operation::Recv {
+                        src: (node + n - d) % n,
+                    });
+                }
+            }
+            ops
+        })
+    }
+
+    /// One pinned cell: topology, pattern, shard count, then per shard
+    /// `[windows, events, cross_sent, cross_recv, flush_batches]`, then
+    /// the non-empty `(log2 bucket, count)` pairs of the summed window
+    /// histogram.
+    type ProtocolGolden = (
+        Topology,
+        &'static str,
+        usize,
+        &'static [[u64; 5]],
+        &'static [(usize, u64)],
+    );
+
+    /// The deterministic half of the shard profile, recorded from the
+    /// commit *before* the wide-window protocol of DESIGN.md §17 was
+    /// removed (its run-ahead policy switched off). Wherever every block
+    /// pair is one hop apart that protocol's per-pair bound was exactly
+    /// [`window_end_ps`], so the rounds, batches and window widths must
+    /// not have moved.
+    #[test]
+    fn window_protocol_matches_the_pinned_pre_simplification_profile() {
+        let ring = Topology::Ring(16);
+        let torus = Topology::Torus2D { w: 4, h: 4 };
+        let cube = Topology::Hypercube { dim: 4 };
+        #[rustfmt::skip]
+        let table: [ProtocolGolden; 12] = [
+            (ring, "ring", 2, &[[9, 96, 3, 3, 3], [9, 96, 3, 3, 3]], &[(13, 5), (14, 13)]),
+            (ring, "ring", 3, &[[9, 72, 3, 3, 3], [9, 60, 3, 3, 3], [9, 60, 3, 3, 3]], &[(13, 12), (14, 15)]),
+            (ring, "all2all", 2, &[[100, 1520, 128, 128, 67], [100, 1520, 128, 128, 64]], &[(13, 59), (14, 141)]),
+            (ring, "all2all", 3, &[[100, 1140, 128, 128, 100], [100, 950, 128, 128, 102], [100, 950, 128, 128, 102]], &[(13, 124), (14, 176)]),
+            (torus, "ring", 2, &[[13, 102, 3, 3, 3], [13, 102, 3, 3, 3]], &[(10, 1), (13, 7), (14, 15), (15, 2)]),
+            (torus, "ring", 3, &[[13, 78, 6, 6, 5], [13, 63, 9, 9, 9], [13, 63, 6, 6, 6]], &[(13, 10), (14, 29)]),
+            (torus, "all2all", 2, &[[73, 1008, 128, 128, 40], [73, 1008, 128, 128, 38]], &[(12, 1), (13, 13), (14, 127), (15, 3)]),
+            (torus, "all2all", 3, &[[73, 756, 160, 160, 58], [73, 630, 192, 192, 64], [73, 630, 160, 160, 59]], &[(11, 1), (12, 3), (13, 47), (14, 165), (15, 1)]),
+            (cube, "ring", 2, &[[18, 117, 3, 3, 3], [18, 117, 3, 3, 3]], &[(11, 2), (12, 1), (13, 4), (14, 25), (15, 3)]),
+            (cube, "ring", 3, &[[20, 90, 6, 6, 5], [20, 75, 12, 12, 12], [20, 69, 6, 6, 6]], &[(10, 1), (12, 2), (13, 14), (14, 34), (15, 2)]),
+            (cube, "all2all", 2, &[[67, 1008, 128, 128, 37], [67, 1008, 128, 128, 35]], &[(11, 1), (12, 3), (13, 15), (14, 102), (15, 8)]),
+            (cube, "all2all", 3, &[[69, 756, 160, 160, 70], [69, 630, 224, 224, 68], [69, 630, 160, 160, 54]], &[(13, 39), (14, 147), (15, 4)]),
+        ];
+        for (topo, pattern, shards, per_shard, hist) in table {
+            let ts = match pattern {
+                "ring" => ring_pattern(16),
+                _ => all2all_pattern(16),
+            };
+            let cfg = NetworkConfig::test(topo);
+            let serial = CommSim::new(cfg, &ts).run();
+            let (sh, profile) = profiled(cfg, &ts, ProbeHandle::disabled(), shards);
+            assert_identical(&serial, &sh);
+            let profile = profile.expect("a real sharded run self-profiles");
+            let got: Vec<[u64; 5]> = profile
+                .shards
+                .iter()
+                .map(|p| {
+                    [
+                        p.windows,
+                        p.events,
+                        p.cross_sent,
+                        p.cross_recv,
+                        p.flush_batches,
+                    ]
+                })
+                .collect();
+            assert_eq!(got, per_shard, "{topo:?} {pattern} x{shards}: counters");
+            let got_hist: Vec<(usize, u64)> = profile
+                .window_hist()
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, c)| c > 0)
+                .collect();
+            assert_eq!(got_hist, hist, "{topo:?} {pattern} x{shards}: widths");
+        }
     }
 
     #[test]
     fn serial_fallback_yields_no_profile() {
         let cfg = NetworkConfig::test(Topology::Ring(4));
         let ts = exchange_traces(4);
-        let (_, profile) =
-            run_sharded_with_faults_profiled(cfg, &ts, ProbeHandle::disabled(), 1, None);
+        let (_, profile) = profiled(cfg, &ts, ProbeHandle::disabled(), 1);
         assert!(profile.is_none());
     }
 
@@ -1512,7 +1244,7 @@ mod tests {
         let cfg = NetworkConfig::test(Topology::Ring(3));
         let ts = exchange_traces(3);
         let serial = CommSim::new(cfg, &ts).run();
-        let sh = run_sharded(cfg, &ts, ProbeHandle::disabled(), 16);
+        let sh = sharded(cfg, &ts, ProbeHandle::disabled(), 16);
         assert_identical(&serial, &sh);
     }
 
@@ -1535,16 +1267,13 @@ mod tests {
             config_hash: "00000000deadbeef".into(),
             write: &write,
         };
-        let (r, _) = run_checkpointed(
-            cfg,
-            ts,
-            ProbeHandle::disabled(),
+        let run = RunOptions {
             shards,
-            None,
             restore_from,
-            Some(&opts),
-        )
-        .expect("collecting sink cannot fail");
+            checkpoint: Some(&opts),
+            ..RunOptions::default()
+        };
+        let (r, _) = run_comm(cfg, ts, &run).expect("collecting sink cannot fail");
         (r, files.into_inner().unwrap())
     }
 
@@ -1579,30 +1308,16 @@ mod tests {
         let (_, files) = run_collecting(cfg, &ts, 3, 3_000, None);
         for file in &files {
             let snap = Snapshot::parse(file).expect("own capture parses");
-            // Restore into a sharded run…
-            let (sh, _) = run_checkpointed(
-                cfg,
-                &ts,
-                ProbeHandle::disabled(),
-                3,
-                None,
-                Some(&snap),
-                None,
-            )
-            .expect("restore succeeds");
-            assert_identical(&plain, &sh);
-            // …and into a serial one.
-            let (serial, _) = run_checkpointed(
-                cfg,
-                &ts,
-                ProbeHandle::disabled(),
-                1,
-                None,
-                Some(&snap),
-                None,
-            )
-            .expect("restore succeeds");
-            assert_identical(&plain, &serial);
+            // Restore into a sharded run and into a serial one.
+            for shards in [3, 1] {
+                let run = RunOptions {
+                    shards,
+                    restore_from: Some(&snap),
+                    ..RunOptions::default()
+                };
+                let (restored, _) = run_comm(cfg, &ts, &run).expect("restore succeeds");
+                assert_identical(&plain, &restored);
+            }
         }
     }
 
@@ -1634,16 +1349,12 @@ mod tests {
             write: &write,
         };
         for shards in [1, 3] {
-            let err = run_checkpointed(
-                cfg,
-                &ts,
-                ProbeHandle::disabled(),
+            let run = RunOptions {
                 shards,
-                None,
-                None,
-                Some(&opts),
-            )
-            .expect_err("a failing sink must surface");
+                checkpoint: Some(&opts),
+                ..RunOptions::default()
+            };
+            let err = run_comm(cfg, &ts, &run).expect_err("a failing sink must surface");
             assert!(err.to_string().contains("disk full"), "{err}");
         }
     }
@@ -1664,8 +1375,13 @@ mod tests {
                 write: &write,
             };
             let probe = ProbeHandle::new(ProbeStack::new().with_attribution());
-            let (r, _) = run_checkpointed(cfg, &ts, probe.clone(), shards, None, None, Some(&opts))
-                .expect("capture succeeds");
+            let run = RunOptions {
+                probe: probe.clone(),
+                shards,
+                checkpoint: Some(&opts),
+                ..RunOptions::default()
+            };
+            let (r, _) = run_comm(cfg, &ts, &run).expect("capture succeeds");
             let json = probe
                 .with_stack(|s| {
                     s.attribution
@@ -1685,8 +1401,13 @@ mod tests {
         // uninterrupted report.
         let snap = Snapshot::parse(&serial_files[0]).unwrap();
         let probe = ProbeHandle::new(ProbeStack::new().with_attribution());
-        let (r, _) = run_checkpointed(cfg, &ts, probe.clone(), 3, None, Some(&snap), None)
-            .expect("restore succeeds");
+        let run = RunOptions {
+            probe: probe.clone(),
+            shards: 3,
+            restore_from: Some(&snap),
+            ..RunOptions::default()
+        };
+        let (r, _) = run_comm(cfg, &ts, &run).expect("restore succeeds");
         let json = probe
             .with_stack(|s| {
                 s.attribution
@@ -1707,7 +1428,13 @@ mod tests {
         assert!(snap.attribution.is_none());
         let probe = ProbeHandle::new(ProbeStack::new().with_attribution());
         for shards in [1, 3] {
-            let err = run_checkpointed(cfg, &ts, probe.clone(), shards, None, Some(&snap), None)
+            let run = RunOptions {
+                probe: probe.clone(),
+                shards,
+                restore_from: Some(&snap),
+                ..RunOptions::default()
+            };
+            let err = run_comm(cfg, &ts, &run)
                 .expect_err("a silent partial attribution report must be refused");
             assert!(err.to_string().contains("attribution"), "{err}");
         }

@@ -11,7 +11,7 @@ use crate::config::NetworkConfig;
 use crate::fault::FaultSchedule;
 use crate::packet::NetMsg;
 use crate::processor::{AbstractProcessor, ProcStats, UnreachableReport};
-use crate::router::{Router, RouterStats};
+use crate::router::{CrossShard, Router, RouterStats};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::world::NetWorld;
 
@@ -170,6 +170,87 @@ impl CommResult {
     }
 }
 
+/// Panic unless `traces` holds exactly one trace per node of the topology.
+pub(crate) fn assert_trace_count(cfg: &NetworkConfig, traces: &TraceSet) {
+    // Compare as usize — casting `traces.nodes()` down to u32 could
+    // truncate an oversized trace set into a spurious match.
+    assert_eq!(
+        traces.nodes(),
+        cfg.topology.nodes() as usize,
+        "trace set has {} nodes, topology {} needs {}",
+        traces.nodes(),
+        cfg.topology.label(),
+        cfg.topology.nodes()
+    );
+}
+
+/// Build an engine whose world owns the routers and processors of `nodes`
+/// — every node for the serial simulation, one shard's block (with its
+/// `cross` egress wiring) for a sharded one.
+///
+/// Arena layout (DESIGN.md §15): router of node `i` is component `i`, its
+/// processor is component `n + i`. Components address each other by that
+/// arithmetic — no id tables. A shard's world owns only the slabs of its
+/// own node range but reports the full `2n` id space, so component ids,
+/// event keys and key-counter indexing match the serial engine exactly;
+/// an event addressed to an unowned id panics inside `NetWorld`.
+pub(crate) fn build_engine(
+    cfg: NetworkConfig,
+    traces: &TraceSet,
+    nodes: std::ops::Range<NodeId>,
+    probe: &ProbeHandle,
+    faults: &Option<Arc<FaultSchedule>>,
+    cross: Option<CrossShard>,
+) -> Engine<NetMsg, NetWorld> {
+    let n = cfg.topology.nodes();
+    let mut routers = Vec::with_capacity(nodes.len());
+    let mut procs = Vec::with_capacity(nodes.len());
+    for node in nodes.clone() {
+        routers.push(
+            Router::new(
+                node,
+                cfg.topology,
+                cfg.link,
+                cfg.router,
+                (n + node) as CompId,
+            )
+            .with_probe(probe.clone())
+            .with_faults(faults.clone())
+            .with_cross_shard(cross.clone()),
+        );
+    }
+    for node in nodes.clone() {
+        procs.push(
+            AbstractProcessor::new(node, traces.trace(node).shared_ops(), node as CompId, cfg)
+                .with_probe(probe.clone())
+                .with_faults(faults.clone()),
+        );
+    }
+    Engine::with_world(NetWorld::new(n, nodes.start, routers, procs))
+}
+
+/// Post the scripted fault events of `nodes` before the run, node by node
+/// in schedule order. They are self-events of the affected router, so a
+/// shard's engine posting only *its* nodes' events consumes exactly the
+/// same per-component key counters as the serial engine posting all of
+/// them — the foundation of serial/sharded bit-identity under faults.
+pub(crate) fn post_scripted_faults(
+    engine: &mut Engine<NetMsg, NetWorld>,
+    faults: &FaultSchedule,
+    nodes: std::ops::Range<NodeId>,
+) {
+    for node in nodes {
+        for ev in faults.events_for(node) {
+            engine.post(
+                ev.at,
+                node as CompId,
+                node as CompId,
+                NetMsg::Fault(ev.kind),
+            );
+        }
+    }
+}
+
 /// The multi-node communication model, ready to run.
 ///
 /// Component layout in the engine: routers occupy component ids
@@ -218,7 +299,8 @@ impl CommSim {
         CommSim::build(cfg, traces, probe, Some(faults))
     }
 
-    fn build(
+    /// Build the simulation; `faults: None` keeps the fault layer off.
+    pub(crate) fn build(
         cfg: NetworkConfig,
         traces: &TraceSet,
         probe: ProbeHandle,
@@ -231,61 +313,13 @@ impl CommSim {
             }
         }
         let n = cfg.topology.nodes();
-        // Compare as usize — casting `traces.nodes()` down to u32 could
-        // truncate an oversized trace set into a spurious match.
-        assert_eq!(
-            traces.nodes(),
-            n as usize,
-            "trace set has {} nodes, topology {} needs {}",
-            traces.nodes(),
-            cfg.topology.label(),
-            n
-        );
-        // Arena layout (DESIGN.md §15): router of node `i` is component
-        // `i`, its processor is component `n + i`. Components address each
-        // other by that arithmetic — no id tables.
-        let mut routers = Vec::with_capacity(n as usize);
-        let mut procs = Vec::with_capacity(n as usize);
-        for node in 0..n {
-            routers.push(
-                Router::new(
-                    node,
-                    cfg.topology,
-                    cfg.link,
-                    cfg.router,
-                    (n + node) as CompId,
-                )
-                .with_probe(probe.clone())
-                .with_faults(faults.clone()),
-            );
-        }
-        for node in 0..n {
-            procs.push(
-                AbstractProcessor::new(node, traces.trace(node).shared_ops(), node as CompId, cfg)
-                    .with_probe(probe.clone())
-                    .with_faults(faults.clone()),
-            );
-        }
-        let mut engine = Engine::with_world(NetWorld::new(n, 0, routers, procs));
+        assert_trace_count(&cfg, traces);
+        let mut engine = build_engine(cfg, traces, 0..n, &probe, &faults, None);
         if let Some(adapter) = probe.engine_adapter() {
             engine.set_probe(adapter);
         }
         if let Some(f) = &faults {
-            // Post the scripted fault events before the run, node by node
-            // in schedule order. They are self-events of the affected
-            // router, so a sharded mirror engine posting only *its* nodes'
-            // events consumes exactly the same per-component key counters —
-            // the foundation of serial/sharded bit-identity under faults.
-            for node in 0..n {
-                for ev in f.events_for(node) {
-                    engine.post(
-                        ev.at,
-                        node as CompId,
-                        node as CompId,
-                        NetMsg::Fault(ev.kind),
-                    );
-                }
-            }
+            post_scripted_faults(&mut engine, f, 0..n);
         }
         CommSim {
             engine,

@@ -922,87 +922,6 @@ pub(crate) fn restore_engine(
     Ok(())
 }
 
-/// In-memory image of one shard engine's complete mutable state: clock,
-/// delivery count, key counters, pending queue, and the owned routers' and
-/// processors' integer slabs. This is the speculation rollback primitive
-/// (DESIGN.md §17): a shard saves its state before running past its proven
-/// window bound and loads it back if a message lands inside the speculated
-/// region. Unlike [`ShardPiece`] it never leaves the process, so it needs
-/// no versioning, hashing, or ownership filtering.
-pub(crate) struct EngineState {
-    now: Time,
-    events_processed: u64,
-    key_counters: Vec<u64>,
-    events: Vec<PendingEvent<NetMsg>>,
-    /// Indexed by local offset (`0..owned`), not global node id.
-    routers: Vec<Vec<u64>>,
-    procs: Vec<Vec<u64>>,
-}
-
-/// Capture the engine's current state for a possible in-process rewind.
-pub(crate) fn save_engine_state(
-    engine: &pearl::Engine<NetMsg, crate::world::NetWorld>,
-) -> EngineState {
-    let world = engine.world();
-    let (base, owned) = (world.base(), world.owned());
-    let mut routers = Vec::with_capacity(owned as usize);
-    let mut procs = Vec::with_capacity(owned as usize);
-    for i in 0..owned {
-        let node = base + i;
-        let mut r = Vec::new();
-        world.router(node).snapshot_ints(&mut r);
-        routers.push(r);
-        let mut p = Vec::new();
-        world.proc(node).snapshot_ints(&mut p);
-        procs.push(p);
-    }
-    EngineState {
-        now: engine.now(),
-        events_processed: engine.events_processed(),
-        key_counters: engine.key_counters().to_vec(),
-        events: engine.snapshot_pending(),
-        routers,
-        procs,
-    }
-}
-
-/// Rewind the engine to a state previously captured by
-/// [`save_engine_state`] *from the same engine*. The queue is replaced
-/// wholesale — cross-shard messages received after the capture are gone
-/// and must be re-posted by the caller from its own receive log.
-pub(crate) fn load_engine_state(
-    engine: &mut pearl::Engine<NetMsg, crate::world::NetWorld>,
-    state: &EngineState,
-) {
-    engine.restore(
-        state.now,
-        state.events_processed,
-        state.key_counters.clone(),
-        state.events.clone(),
-    );
-    let (base, owned) = {
-        let w = engine.world();
-        (w.base(), w.owned())
-    };
-    debug_assert_eq!(owned as usize, state.routers.len());
-    let world = engine.world_mut();
-    for i in 0..owned {
-        let node = base + i;
-        let mut r = IntReader::new(&state.routers[i as usize]);
-        world
-            .router_mut(node)
-            .restore_ints(&mut r)
-            .and_then(|()| r.finish("the router state"))
-            .expect("a self-captured router state always restores");
-        let mut p = IntReader::new(&state.procs[i as usize]);
-        world
-            .proc_mut(node)
-            .restore_ints(&mut p)
-            .and_then(|()| p.finish("the processor state"))
-            .expect("a self-captured processor state always restores");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -113,21 +113,17 @@ impl WindowBarrier {
     /// *every* shard's published value, indexed by shard id. Returns how
     /// long this shard blocked waiting for its peers, in host nanoseconds.
     ///
-    /// This is the primitive behind per-shard-*pair* window bounds: a
-    /// caller that knows a lower bound `L[j][i]` on the latency of any
-    /// cross-shard effect from shard `j` to shard `i` can widen its window
-    /// to `min over j != i of (out[j] + L[j][i])` instead of the global
-    /// minimum plus the global lookahead — see the sharded runner in the
-    /// network crate (DESIGN.md §17).
+    /// This is the primitive behind per-shard window bounds: a caller that
+    /// knows a lower bound `L` on the latency of any cross-shard effect can
+    /// run shard `i` up to `min(min over j != i of out[j] + L, out[i] + 2L)`
+    /// — every peer's earliest event plus one crossing, and its own plus a
+    /// round trip — see the sharded runner in the network crate
+    /// (DESIGN.md §11).
     ///
     /// The published value is a *promise*, not just a queue peek: a shard
     /// must publish a value `p` such that every event it will ever hand to
-    /// shard `j` from now on arrives no earlier than `p + L[self][j]`.
-    /// Publishing the earliest pending event time satisfies this; a shard
-    /// that has run ahead speculatively must instead keep publishing the
-    /// floor it would publish conservatively (its queue head when the
-    /// speculation launched) — the sped-ahead queue head is not a floor,
-    /// since later arrivals can legally land below it.
+    /// a peer from now on arrives no earlier than `p + L`. Publishing the
+    /// earliest pending event time satisfies this.
     ///
     /// The same barrier memory-ordering argument as [`agree_min`]
     /// (see the type-level docs) covers the whole-slice read: every slot

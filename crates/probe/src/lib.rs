@@ -463,15 +463,6 @@ impl EventBuffer {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Discard every event recorded after the first `len` — the rollback
-    /// primitive for speculative execution: a shard records the buffer
-    /// length before speculating and truncates back to it when the
-    /// speculation is squashed, so squashed events never reach the merged
-    /// stream (re-execution re-emits them identically).
-    pub fn truncate(&mut self, len: usize) {
-        self.events.truncate(len);
-    }
 }
 
 impl Probe for EventBuffer {

@@ -178,77 +178,6 @@ fn serial_and_sharded_captures_write_identical_snapshot_files() {
     }
 }
 
-/// Speculative windows are a scheduling policy, not a model change:
-/// sharded restores under `--speculate on`, `off`, and a forced
-/// threshold all reproduce the uninterrupted serial output byte for
-/// byte — healthy and faulty alike — and a speculative sharded capture
-/// writes the same snapshot files as a conservative serial one.
-#[test]
-fn speculative_sharded_runs_conform_byte_for_byte() {
-    for faults in [None, Some("link:0-1:2000:400000; drop:20000")] {
-        let base = base_args("torus:4x2", "all2all", faults);
-        let straight = run(&base).unwrap();
-        let dir = temp_dir(&format!("spec-{}", faults.is_some()));
-        let snaps = capture(&base, &dir, false);
-        let mid = &snaps[snaps.len() / 2];
-        for policy in ["on", "off", "1000000000"] {
-            let mut args = base.clone();
-            args.extend(s(&[
-                "--restore",
-                mid.to_str().unwrap(),
-                "--shards",
-                "3",
-                "--speculate",
-                policy,
-            ]));
-            assert_eq!(
-                straight,
-                run(&args).unwrap(),
-                "--speculate {policy} restore diverged (faults: {faults:?})"
-            );
-        }
-
-        // Capture pass under forced speculation: instants and bytes must
-        // match the conservative serial capture exactly.
-        let d2 = temp_dir(&format!("spec-cap-{}", faults.is_some()));
-        let mut cap = base.clone();
-        cap.extend(s(&[
-            "--checkpoint-every",
-            "200000",
-            "--checkpoint-dir",
-            d2.to_str().unwrap(),
-            "--shards",
-            "3",
-            "--speculate",
-            "1000000000",
-        ]));
-        run(&cap).unwrap();
-        let mut spec_files: Vec<PathBuf> = std::fs::read_dir(&d2)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "snap"))
-            .collect();
-        spec_files.sort();
-        let names = |v: &[PathBuf]| -> Vec<String> {
-            v.iter()
-                .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
-                .collect()
-        };
-        assert_eq!(names(&snaps), names(&spec_files), "capture instants differ");
-        for (a, b) in snaps.iter().zip(&spec_files) {
-            assert_eq!(
-                std::fs::read_to_string(a).unwrap(),
-                std::fs::read_to_string(b).unwrap(),
-                "{} differs between conservative and speculative capture",
-                a.file_name().unwrap().to_string_lossy()
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&d2).ok();
-    }
-}
-
 /// Attribution state rides in the snapshot: a restored run's
 /// `attribution.json` is byte-identical to the uninterrupted run's.
 #[test]
@@ -378,6 +307,68 @@ fn torn_snapshots_are_detected_never_restored() {
     std::fs::write(&torn, "").unwrap();
     let err = run(&args).unwrap_err();
     assert!(err.contains("not a mermaid snapshot"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A snapshot whose body hash checks out but whose component records do
+/// not fit — one integer short in a router record, one too many in a
+/// processor record — is refused with the same error at every shard
+/// count. The watchdog is the point: the sharded restore used to panic in
+/// the shard that owned the bad record and leave its peers waiting at the
+/// round gate for ever.
+#[test]
+fn malformed_snapshot_records_fail_sharded_restores_like_serial_ones() {
+    use mermaid_network::Snapshot;
+
+    let dir = temp_dir("malformed");
+    let base = base_args("ring:8", "ring", None);
+    let good = capture(&base, &dir, false).remove(0);
+    let straight = run(&base).unwrap();
+
+    fn short_router(snap: &mut Snapshot) {
+        snap.routers[0].pop();
+    }
+    fn long_proc(snap: &mut Snapshot) {
+        snap.procs[7].push(0);
+    }
+    let tampers = [
+        (
+            "router",
+            short_router as fn(&mut Snapshot),
+            "corrupt snapshot (router 0 record)",
+        ),
+        ("proc", long_proc, "corrupt snapshot (proc 7 record)"),
+    ];
+    for (tag, tamper, want) in tampers {
+        let mut snap = Snapshot::read_file(&good).unwrap();
+        tamper(&mut snap);
+        let bad = dir.join(format!("bad-{tag}.snap"));
+        snap.write_file(&bad).unwrap();
+
+        let mut serial_args = base.clone();
+        serial_args.extend(s(&["--restore", bad.to_str().unwrap()]));
+        let serial_err = run(&serial_args).unwrap_err();
+        assert!(serial_err.starts_with(want), "{serial_err}");
+
+        for shards in ["2", "3"] {
+            let mut args = serial_args.clone();
+            args.extend(s(&["--shards", shards]));
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || tx.send(run(&args)).ok());
+            let outcome = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("--shards {shards} restore of bad-{tag}.snap hung"));
+            assert_eq!(
+                outcome.unwrap_err(),
+                serial_err,
+                "--shards {shards} ({tag})"
+            );
+        }
+    }
+    // The untampered file still restores at every shard count.
+    for shards in [None, Some("2"), Some("3")] {
+        assert_eq!(straight, restore(&base, &good, shards), "{shards:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -386,11 +386,10 @@ proptest! {
     ) {
         use std::sync::{Arc, Mutex};
         use mermaid_network::{
-            run_checkpointed, CheckpointOpts, FaultSchedule, NetworkConfig, RetryParams,
+            run_comm, CheckpointOpts, FaultSchedule, NetworkConfig, RetryParams, RunOptions,
             Snapshot,
         };
         use mermaid_ops::TraceSet;
-        use mermaid_probe::ProbeHandle;
         use pearl::Duration;
 
         let topo = match topo_kind {
@@ -415,10 +414,8 @@ proptest! {
             )
         });
 
-        let (straight, _) = run_checkpointed(
-            cfg, &ts, ProbeHandle::disabled(), 1, faults.clone(), None, None,
-        )
-        .unwrap();
+        let serial = RunOptions { faults: faults.clone(), ..RunOptions::default() };
+        let (straight, _) = run_comm(cfg, &ts, &serial).unwrap();
         prop_assert!(straight.all_done, "deadlocked: {:?}", straight.deadlocked);
 
         // Capture at a cadence that lands ~4 checkpoints inside the run.
@@ -432,18 +429,18 @@ proptest! {
             config_hash: "prop".into(),
             write: &keep,
         };
-        run_checkpointed(
-            cfg, &ts, ProbeHandle::disabled(), 1, faults.clone(), None, Some(&ck),
-        )
-        .unwrap();
+        run_comm(cfg, &ts, &RunOptions { checkpoint: Some(&ck), ..serial }).unwrap();
         let snaps = snaps.into_inner().unwrap();
         prop_assert!(!snaps.is_empty(), "cadence produced no checkpoint");
         let snap = &snaps[pick_raw % snaps.len()];
 
-        let (restored, _) = run_checkpointed(
-            cfg, &ts, ProbeHandle::disabled(), restore_shards, faults, Some(snap), None,
-        )
-        .unwrap();
+        let restore = RunOptions {
+            shards: restore_shards,
+            faults,
+            restore_from: Some(snap),
+            ..RunOptions::default()
+        };
+        let (restored, _) = run_comm(cfg, &ts, &restore).unwrap();
         prop_assert_eq!(restored.finish, straight.finish);
         prop_assert_eq!(restored.all_done, straight.all_done);
         prop_assert_eq!(restored.events, straight.events);
@@ -477,9 +474,8 @@ proptest! {
         pairs in prop::collection::vec((0u32..8, 0u32..8, 64u32..4_096), 1..12)
     ) {
         use std::sync::Mutex;
-        use mermaid_network::{run_checkpointed, CheckpointOpts, NetworkConfig, Snapshot};
+        use mermaid_network::{run_comm, CheckpointOpts, NetworkConfig, RunOptions, Snapshot};
         use mermaid_ops::TraceSet;
-        use mermaid_probe::ProbeHandle;
         use pearl::Duration;
 
         let topo = match topo_kind {
@@ -506,7 +502,7 @@ proptest! {
             config_hash: "prop".into(),
             write: &keep,
         };
-        run_checkpointed(cfg, &ts, ProbeHandle::disabled(), 1, None, None, Some(&ck)).unwrap();
+        run_comm(cfg, &ts, &RunOptions { checkpoint: Some(&ck), ..RunOptions::default() }).unwrap();
         let snaps = snaps.into_inner().unwrap();
         prop_assume!(!snaps.is_empty());
         let text = snaps[cut_raw % snaps.len()].to_file_string();
