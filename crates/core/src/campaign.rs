@@ -649,7 +649,8 @@ pub fn execute_run(cfg: &RunConfig) -> CampaignRecord {
 /// [`AttrHeadline`] is filled in. The predicted results are identical
 /// either way (the sink only observes).
 pub fn execute_run_opts(cfg: &RunConfig, attribution: bool) -> CampaignRecord {
-    execute_run_ckpt(cfg, attribution, None).expect("a checkpoint-free run performs no fallible IO")
+    execute_run_ckpt(cfg, attribution, None, 1)
+        .expect("a checkpoint-free run performs no fallible IO")
 }
 
 /// One run's rolling-checkpoint plan: the snapshot lives at `path`,
@@ -715,6 +716,7 @@ pub fn capture_run_checkpoint(
             every_ps,
             keep: true,
         }),
+        1,
     )?;
     if !path.is_file() {
         return Err(format!(
@@ -729,12 +731,15 @@ pub fn capture_run_checkpoint(
 /// runs resume from a usable snapshot at `plan.path` and refresh it at
 /// the plan's cadence. Detailed-mode runs ignore the plan (the
 /// computational model in front of the network is not snapshotted) and
-/// simply re-execute from scratch on resume. Only checkpoint IO and
-/// snapshot restoration can fail here.
+/// simply re-execute from scratch on resume; their computational phase
+/// gets `cores / busy` workers, `busy` being the threads the surroundings
+/// keep busy per run — the `jobs × shards` of a campaign, 1 for a run on
+/// its own. Only checkpoint IO and snapshot restoration can fail here.
 fn execute_run_ckpt(
     cfg: &RunConfig,
     attribution: bool,
     ckpt: Option<&CkptPlan<'_>>,
+    busy: usize,
 ) -> Result<CampaignRecord, String> {
     let topo = parse_topology(&cfg.topo).expect("validated at expansion");
     let machine = parse_machine(&cfg.machine, topo).expect("validated at expansion");
@@ -775,6 +780,7 @@ fn execute_run_ckpt(
                 .with_probe(probe.clone())
                 .with_shards(cfg.shards)
                 .with_faults(faults)
+                .with_workers(sweep::auto_workers_for(busy))
                 .run_streams(gen.streams());
             (r.predicted_time, r.comm, r.ops_simulated)
         }
@@ -1004,7 +1010,11 @@ pub fn run_campaign(
         let attribution = opts.attribution;
         let ckpt_every = opts.checkpoint_every_ps;
         let out_dir = opts.out_dir.clone();
+        // The jobs really running side by side, each with its shards, share
+        // the host's cores with a detailed run's computational phase.
+        let jobs = opts.jobs.clamp(1, total);
         let worker = move |cfg: &RunConfig| -> Result<CampaignRecord, String> {
+            let busy = jobs * cfg.shards;
             match ckpt_every {
                 Some(every_ps) => {
                     let path = checkpoint_path(&out_dir, cfg);
@@ -1016,9 +1026,10 @@ pub fn run_campaign(
                             every_ps,
                             keep: false,
                         }),
+                        busy,
                     )
                 }
-                None => Ok(execute_run_opts(cfg, attribution)),
+                None => execute_run_ckpt(cfg, attribution, None, busy),
             }
         };
         let new_records = sweep::parallel_sweep_streaming(todo, opts.jobs, worker, |_, rec| {

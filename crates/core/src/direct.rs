@@ -22,6 +22,7 @@ use mermaid_ops::{NodeId, Operation, Trace, TraceSet};
 use pearl::{Duration, Time};
 
 use crate::machines::MachineConfig;
+use crate::sweep;
 
 /// Static per-operation costs used by the direct-execution estimator.
 ///
@@ -81,6 +82,8 @@ pub struct DirectExecResult {
 pub struct DirectExecSim {
     machine: MachineConfig,
     costs: DirectExecStaticCosts,
+    /// `None`: one worker per host core.
+    workers: Option<usize>,
 }
 
 impl DirectExecSim {
@@ -88,12 +91,23 @@ impl DirectExecSim {
     pub fn new(machine: MachineConfig) -> Self {
         machine.validate();
         let costs = DirectExecStaticCosts::from_machine(&machine);
-        DirectExecSim { machine, costs }
+        DirectExecSim {
+            machine,
+            costs,
+            workers: None,
+        }
     }
 
     /// Override the static costs.
     pub fn with_costs(mut self, costs: DirectExecStaticCosts) -> Self {
         self.costs = costs;
+        self
+    }
+
+    /// Fold on at most `workers` threads (builder style) instead of one per
+    /// host core. Results do not depend on it.
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = Some(workers);
         self
     }
 
@@ -130,17 +144,22 @@ impl DirectExecSim {
     }
 
     /// Run the baseline over one stream of instruction-level operations
-    /// per node, in node order; each is folded as it is pulled.
+    /// per node, in node order; each is folded as it is pulled, on the work
+    /// queue the detailed mode's computational phase uses.
     pub fn run_streams<I>(&self, streams: impl IntoIterator<Item = I>) -> DirectExecResult
     where
-        I: Iterator<Item = Operation>,
+        I: Iterator<Item = Operation> + Send,
     {
-        let mut ops_processed = 0u64;
-        let folded = (0..)
-            .zip(streams)
-            .map(|(node, ops)| self.fold(node, ops.inspect(|_| ops_processed += 1)))
-            .collect();
-        let comm = CommSim::new(self.machine.network, &TraceSet::from_traces(folded)).run();
+        let streams = streams.into_iter().collect();
+        let workers = self.workers.unwrap_or_else(sweep::auto_workers);
+        let folded = sweep::run_ordered(streams, workers, |node, ops: I| {
+            let mut ops_processed = 0u64;
+            let trace = self.fold(node as NodeId, ops.inspect(|_| ops_processed += 1));
+            (trace, ops_processed)
+        });
+        let ops_processed = folded.iter().map(|(_, ops)| ops).sum();
+        let traces = folded.into_iter().map(|(trace, _)| trace).collect();
+        let comm = CommSim::new(self.machine.network, &TraceSet::from_traces(traces)).run();
         DirectExecResult {
             predicted_time: comm.finish,
             comm,

@@ -17,7 +17,6 @@
 //! still uses physical-time interleaving (see `mermaid-tracegen`) so that
 //! generating threads never run ahead of the simulator.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use mermaid_cpu::{CpuStats, SingleNodeSim};
@@ -29,6 +28,7 @@ use mermaid_tracegen::InterleavedTraceGen;
 use pearl::{Duration, Time};
 
 use crate::machines::MachineConfig;
+use crate::sweep;
 
 /// Computational-model statistics of one node.
 #[derive(Debug)]
@@ -68,6 +68,8 @@ pub struct HybridSim {
     probe: ProbeHandle,
     shards: usize,
     faults: Option<Arc<FaultSchedule>>,
+    /// `None`: one worker per host core.
+    workers: Option<usize>,
 }
 
 impl HybridSim {
@@ -79,6 +81,7 @@ impl HybridSim {
             probe: ProbeHandle::disabled(),
             shards: 1,
             faults: None,
+            workers: None,
         }
     }
 
@@ -107,6 +110,14 @@ impl HybridSim {
     /// sharded runs stay bit-identical under the same schedule.
     pub fn with_faults(mut self, faults: Option<Arc<FaultSchedule>>) -> Self {
         self.faults = faults;
+        self
+    }
+
+    /// Run the computational phase on at most `workers` threads (builder
+    /// style) instead of one per host core — for callers that already keep
+    /// other cores busy, as a campaign does. Results do not depend on it.
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = Some(workers);
         self
     }
 
@@ -139,35 +150,26 @@ impl HybridSim {
     /// resuming each node's thread only after its global event has been
     /// recorded. Equivalent to generating the full traces first (control
     /// flow is value-independent) but with flat memory consumption.
-    pub fn run_from_generator(&self, gen: InterleavedTraceGen) -> HybridResult {
-        let gen = RefCell::new(gen);
-        let nodes = 0..gen.borrow().node_count() as NodeId;
-        self.run_streams(nodes.map(|node| {
-            let mut suspended = false;
-            let gen = &gen;
-            std::iter::from_fn(move || {
-                let mut gen = gen.borrow_mut();
-                if suspended {
-                    gen.resume(node);
-                }
-                let op = gen.next_op(node)?;
-                suspended = op.is_global_event();
-                Some(op)
-            })
-        }))
+    pub fn run_from_generator(&self, mut gen: InterleavedTraceGen) -> HybridResult {
+        self.run_streams(gen.streams())
     }
 
     /// Run the detailed simulation over one stream of instruction-level
-    /// operations per node, in node order — the loop every entry point
-    /// shares. Each stream is pulled to its end through that node's
-    /// computational model before the next one is touched, so a source that
-    /// produces operations on demand is never materialised, and the probe
-    /// sees the nodes' cache and bus events in node-major order whatever
-    /// the source.
+    /// operations per node, in node order — the computational phase every
+    /// entry point shares. Nodes are independent until the communication
+    /// model runs, so they are claimed from a queue by up to
+    /// [`HybridSim::with_workers`] threads; each claimed stream is pulled to
+    /// its end through a computational model built for that node and dropped
+    /// after it, so a source that produces operations on demand is never
+    /// materialised. Results are read back in node order: nothing in the
+    /// outcome depends on the worker count. With a probe attached the nodes
+    /// run one after another on the calling thread — the handle is not
+    /// `Send`, and it sees the nodes' cache and bus events in node-major
+    /// order whatever the source.
     pub fn run_streams<S>(&self, streams: S) -> HybridResult
     where
         S: IntoIterator<IntoIter: ExactSizeIterator>,
-        S::Item: Iterator<Item = Operation>,
+        S::Item: Iterator<Item = Operation> + Send,
     {
         let streams = streams.into_iter();
         assert_eq!(
@@ -177,24 +179,41 @@ impl HybridSim {
             streams.len(),
             self.machine.nodes()
         );
+        let cpu = self.machine.cpu;
         let mut mem_cfg = self.machine.node_mem.clone();
         mem_cfg.cpus = 1;
-        let mut task_traces = Vec::with_capacity(streams.len());
-        let mut nodes = Vec::with_capacity(streams.len());
-        let mut ops_simulated = 0u64;
-        for (node, ops) in (0..).zip(streams) {
-            let mut sim = SingleNodeSim::new(self.machine.cpu, mem_cfg.clone());
-            sim.set_probe(node, self.probe.clone());
+        let extract = |node: usize, ops: S::Item, probe: ProbeHandle| {
+            let node = node as NodeId;
+            let mut sim = SingleNodeSim::new(cpu, mem_cfg.clone());
+            sim.set_probe(node, probe);
             let mut extractor = sim.task_extractor(node);
+            let mut ops_simulated = 0u64;
             extractor.feed(ops.inspect(|_| ops_simulated += 1));
-            let x = extractor.finish();
-            task_traces.push(x.task_trace);
+            (extractor.finish(), ops_simulated)
+        };
+        let extracted: Vec<_> = if self.probe.is_enabled() {
+            streams
+                .enumerate()
+                .map(|(node, ops)| extract(node, ops, self.probe.clone()))
+                .collect()
+        } else {
+            let workers = self.workers.unwrap_or_else(sweep::auto_workers);
+            sweep::run_ordered(streams.collect(), workers, |node, ops| {
+                extract(node, ops, ProbeHandle::disabled())
+            })
+        };
+        let mut task_traces = Vec::with_capacity(extracted.len());
+        let mut nodes = Vec::with_capacity(extracted.len());
+        let mut ops_simulated = 0u64;
+        for (x, ops) in extracted {
+            ops_simulated += ops;
             nodes.push(NodeComputeStats {
-                node,
+                node: x.task_trace.node,
                 cpu: x.cpu_stats,
                 mem: x.mem_stats,
                 compute_total: x.compute_total,
             });
+            task_traces.push(x.task_trace);
         }
         let task_traces = TraceSet::from_traces(task_traces);
         let (comm, shard_profile) = self.run_comm(&task_traces);

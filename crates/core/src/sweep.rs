@@ -5,9 +5,10 @@
 //! deterministic and independent, so the grid is embarrassingly parallel —
 //! this module fans a sweep out over the host's cores with a simple shared
 //! work queue (std scoped threads; results keep the input order, so a
-//! parallel sweep is bit-identical to a serial one).
+//! parallel sweep is bit-identical to a serial one). The same queue,
+//! [`run_ordered`], runs the per-node computational models of one detailed
+//! or direct-execution run.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One worker thread per available host core (at least one).
@@ -20,12 +21,68 @@ pub fn auto_workers() -> usize {
 /// Worker count for a sweep whose individual runs are themselves
 /// multi-threaded: caps `workers × max_shards` at the host core count so
 /// sharded runs don't oversubscribe the machine (at least one worker).
+/// The computational phase of a detailed run inside a campaign is sized
+/// the same way, with the campaign's `jobs × shards` as the divisor.
 pub fn auto_workers_for(max_shards: usize) -> usize {
     workers_for(auto_workers(), max_shards)
 }
 
 fn workers_for(cores: usize, max_shards: usize) -> usize {
     (cores / max_shards.max(1)).max(1)
+}
+
+/// The ordered work queue: run `f(index, item)` over every item on up to
+/// `workers` threads and return the results in input order.
+///
+/// Each worker claims the next unclaimed item, runs `f` and stores the
+/// result in that item's slot. The calling thread is one of the workers, so
+/// `workers - 1` threads (named `mermaid-worker-<i>`) are spawned and one
+/// worker spawns none. A thread the host refuses to start (`RLIMIT_NPROC`,
+/// an address-space limit) is done without: the workers that did start —
+/// at worst the calling thread alone — finish the queue. A panic in `f` is
+/// re-raised on the caller with its original payload once every worker has
+/// stopped.
+pub(crate) fn run_ordered<I, T, F>(items: Vec<I>, workers: usize, f: F) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(usize, I) -> T + Sync,
+{
+    let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let workers = workers.clamp(1, items.len().max(1));
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let work = || loop {
+        // The guard is dropped before `f` runs: a panicking `f` poisons
+        // nothing, the other workers drain the queue and the scope ends.
+        let claimed = queue.lock().expect("claiming runs no user code").next();
+        let Some((i, item)) = claimed else { return };
+        let out = f(i, item);
+        *slots[i].lock().expect("each slot is written once") = Some(out);
+    };
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers)
+            .map_while(|w| {
+                std::thread::Builder::new()
+                    .name(format!("mermaid-worker-{w}"))
+                    .spawn_scoped(scope, work)
+                    .ok()
+            })
+            .collect();
+        work();
+        for handle in spawned {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("each slot is written once")
+                .expect("every claimed item stores a result or panics")
+        })
+        .collect()
 }
 
 /// Run `f` over every configuration, in parallel, preserving input order.
@@ -60,47 +117,15 @@ where
     F: Fn(&C) -> T + Sync,
     S: Fn(usize, &T) + Sync,
 {
-    let n = configs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    if workers <= 1 {
-        return configs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let out = f(c);
-                on_done(i, &out);
-                out
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
     let done = Mutex::new(());
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // std::thread::scope joins every worker on exit and re-raises the first
-    // worker panic, so panics in `f` propagate to the caller.
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let out = f(&configs[i]);
-                {
-                    let _g = done.lock().unwrap();
-                    on_done(i, &out);
-                }
-                *slots[i].lock().unwrap() = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("sweep slot unfilled"))
-        .collect()
+    run_ordered(configs.iter().collect(), workers, |i, config| {
+        let out = f(config);
+        // A poisoned lock means an earlier `on_done` panicked; that panic
+        // is already on its way to the caller, so carry on.
+        let _serialised = done.lock().unwrap_or_else(|e| e.into_inner());
+        on_done(i, &out);
+        out
+    })
 }
 
 /// Convenience: sweep labelled configurations and return `(label, value)`
@@ -144,6 +169,58 @@ mod tests {
             }
         }
         assert!(auto_workers_for(1) >= 1);
+        // Around a detailed run inside a campaign the divisor is
+        // jobs × shards: the reference host's two cores give a serial
+        // campaign's run both and a `--jobs 2` campaign's runs one each.
+        for (cores, jobs, shards, workers) in [
+            (2, 1, 1, 2),
+            (2, 2, 1, 1),
+            (2, 1, 2, 1),
+            (8, 2, 1, 4),
+            (8, 2, 2, 2),
+            (8, 4, 3, 1),
+            (16, 3, 2, 2),
+        ] {
+            assert_eq!(
+                workers_for(cores, jobs * shards),
+                workers,
+                "{cores} cores, {jobs} jobs x {shards} shards"
+            );
+        }
+    }
+
+    #[test]
+    fn the_queue_hands_out_owned_items_and_keeps_their_order() {
+        // Boxes are neither `Copy` nor shared: each item is moved into
+        // exactly one call of `f`.
+        for workers in [1, 2, 5, 64] {
+            let items: Vec<Box<usize>> = (0..23).map(Box::new).collect();
+            let out = run_ordered(items, workers, |i, item| {
+                assert_eq!(i, *item);
+                *item * 10
+            });
+            assert_eq!(out, (0..23).map(|i| i * 10).collect::<Vec<_>>());
+        }
+        assert!(run_ordered(Vec::<u8>::new(), 4, |_, x| x).is_empty());
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_the_workers() {
+        let caller = std::thread::current().id();
+        // One worker: nothing is spawned, every item runs on the caller.
+        let ids = run_ordered(vec![(); 8], 1, |_, ()| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+        // Two workers, two items that wait for each other: the queue can
+        // only drain if the caller and one named thread hold one each.
+        let barrier = std::sync::Barrier::new(2);
+        let names = run_ordered(vec![(); 2], 2, |_, ()| {
+            barrier.wait();
+            let me = std::thread::current();
+            (me.id() == caller, me.name().map(str::to_string))
+        });
+        let spawned: Vec<_> = names.iter().filter(|(is_caller, _)| !is_caller).collect();
+        assert_eq!(spawned.len(), 1, "{names:?}");
+        assert_eq!(spawned[0].1.as_deref(), Some("mermaid-worker-1"));
     }
 
     #[test]
@@ -232,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
         parallel_sweep(vec![1u32, 2, 3, 4, 5, 6, 7, 8], |&x| {
             if x == 5 {

@@ -13,9 +13,9 @@
 //! [`Annotator`] API as the batch translator). Operations stream to the
 //! simulator through a bounded channel; when the program issues a *global
 //! event* (any communication operation), the thread parks until the
-//! simulator calls [`InterleavedTraceGen::resume`] — which the simulator
-//! does only once every other node has reached the same point in simulated
-//! time, exactly the feedback arrow of Fig. 1.
+//! simulator pulls the node's next operation from its [`NodeReader`] —
+//! which it does only once that global event has been recorded, the
+//! feedback arrow of Fig. 1.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
@@ -222,44 +222,57 @@ impl InterleavedTraceGen {
         InterleavedTraceGen { nodes: handles }
     }
 
-    /// Number of node threads.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Pull the next operation of `node`, blocking until the generator
-    /// produces one. Returns `None` when the node's program has finished.
-    ///
-    /// After receiving a *global event*, the caller must not pull from this
-    /// node again until it has called [`InterleavedTraceGen::resume`] — the
-    /// generator thread is suspended and no operation will arrive.
-    pub fn next_op(&mut self, node: NodeId) -> Option<Operation> {
-        self.nodes[node as usize].op_rx.recv().ok()
-    }
-
-    /// Resume `node` past its pending global event (the simulator has
-    /// determined that no other event can affect it any more).
-    pub fn resume(&mut self, node: NodeId) {
-        // A send can only fail when the thread already exited — harmless.
-        let _ = self.nodes[node as usize].resume_tx.send(());
+    /// One operation stream per node, in node order: each yields its
+    /// node's operations as the generator thread produces them and resumes
+    /// the thread past a global event only when asked for the operation
+    /// after it. The readers are independent and `Send`, so a simulator may
+    /// drain them on different threads.
+    pub fn streams(&mut self) -> Vec<NodeReader<'_>> {
+        self.nodes
+            .iter_mut()
+            .map(|handle| NodeReader {
+                handle,
+                suspended: false,
+            })
+            .collect()
     }
 
     /// Free-run all nodes to completion and collect the full traces
     /// (resuming every global event immediately). Useful when the traces
     /// are wanted as artefacts rather than interleaved with a simulator.
     pub fn collect_all(mut self) -> TraceSet {
-        let n = self.nodes.len();
-        let mut traces: Vec<Trace> = (0..n as u32).map(Trace::new).collect();
-        for node in 0..n as u32 {
-            while let Some(op) = self.next_op(node) {
-                let global = op.is_global_event();
-                traces[node as usize].push(op);
-                if global {
-                    self.resume(node);
-                }
-            }
-        }
+        let traces = (0..)
+            .zip(self.streams())
+            .map(|(node, ops)| {
+                let mut trace = Trace::new(node);
+                trace.ops.extend(ops);
+                trace
+            })
+            .collect();
         TraceSet::from_traces(traces)
+    }
+}
+
+/// The operations of one node of an [`InterleavedTraceGen`], pulled from
+/// its generator thread (see [`InterleavedTraceGen::streams`]).
+pub struct NodeReader<'a> {
+    handle: &'a mut NodeHandle,
+    /// The last operation handed out was a global event: the generator
+    /// thread is parked until resumed.
+    suspended: bool,
+}
+
+impl Iterator for NodeReader<'_> {
+    type Item = Operation;
+
+    fn next(&mut self) -> Option<Operation> {
+        if self.suspended {
+            // A send can only fail when the thread already exited — harmless.
+            let _ = self.handle.resume_tx.send(());
+        }
+        let op = self.handle.op_rx.recv().ok()?;
+        self.suspended = op.is_global_event();
+        Some(op)
     }
 }
 
@@ -335,32 +348,20 @@ mod tests {
     #[test]
     fn threads_suspend_at_global_events() {
         let mut gen = InterleavedTraceGen::spawn(2, TargetLayout::default(), ring_program(2));
+        let mut node0 = gen.streams().swap_remove(0);
         // Pull node 0's operations up to its global event.
-        let mut got_global = false;
-        let mut before = 0;
-        while let Some(op) = gen.next_op(0) {
-            if op.is_global_event() {
-                got_global = true;
-                break;
-            }
-            before += 1;
-        }
-        assert!(got_global);
+        let before = node0
+            .by_ref()
+            .take_while(|op| !op.is_global_event())
+            .count();
         assert!(before > 0);
+        assert!(node0.suspended);
         // The thread is now suspended: no more operations may arrive until
-        // resume. (Observable via try_recv staying empty.)
+        // the next pull resumes it. (Observable via try_recv staying empty.)
         std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(gen.nodes[0].op_rx.try_recv().is_err());
-        // Resume; the next global event (recv) eventually arrives.
-        gen.resume(0);
-        let mut saw_recv = false;
-        while let Some(op) = gen.next_op(0) {
-            if matches!(op, Operation::Recv { .. }) {
-                saw_recv = true;
-                gen.resume(0);
-            }
-        }
-        assert!(saw_recv);
+        assert!(node0.handle.op_rx.try_recv().is_err());
+        // Pulling on resumes it; the next global event (recv) arrives.
+        assert!(node0.any(|op| matches!(op, Operation::Recv { .. })));
     }
 
     #[test]
@@ -420,10 +421,7 @@ mod tests {
             "producer should be blocked on the bounded channel"
         );
         // Drain everything; the program finishes.
-        let mut count = 0;
-        while gen.next_op(0).is_some() {
-            count += 1;
-        }
+        let count = gen.streams().swap_remove(0).count();
         assert_eq!(count, OP_CHANNEL_CAP * 4);
     }
 

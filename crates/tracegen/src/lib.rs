@@ -32,7 +32,7 @@ pub mod programs;
 pub mod stochastic;
 
 pub use annotate::{Translator, VarId};
-pub use interleave::{InterleavedTraceGen, NodeCtx};
+pub use interleave::{InterleavedTraceGen, NodeCtx, NodeReader};
 pub use stochastic::{
     CommPattern, InstructionMix, NodeStream, SizeDist, StochasticApp, StochasticGenerator,
 };

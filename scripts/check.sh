@@ -74,26 +74,31 @@ done
 echo "==> cli: detailed/direct output matches the pre-streaming golden snapshots"
 # tests/golden/sim_{detailed,direct}.txt were written by the code that
 # materialised every trace before simulating it. Each section starts with
-# a `## <args>` line; replay those against the release binary (detailed
-# mode also on 3 shards) and diff the whole document.
+# a `## <args>` line; replay those against the release binary and diff the
+# whole document: pinned to one core (`available_parallelism` = 1, so the
+# computational phase gets one worker), unrestricted (one worker per
+# core), and detailed mode also on 3 shards.
 cargo build --release -p mermaid
 cli="${CARGO_TARGET_DIR:-target}/release/mermaid-cli"
-replay_golden() { # <golden file> [extra args...]
-    local golden="$1" args; shift
+replay_golden() { # <command prefix> <golden file> [extra args...]
+    local pin="$1" golden="$2" args; shift 2
     grep '^## ' "$golden" | while read -r _ args; do
         echo "## $args"
-        # shellcheck disable=SC2086  # $args is a flag list by construction
-        "$cli" $args "$@" | grep -v '^slowdown '
+        # shellcheck disable=SC2086  # $pin and $args are word lists by construction
+        $pin "$cli" $args "$@" | grep -v '^slowdown '
     done
 }
-replay_golden tests/golden/sim_direct.txt > "$serial_out"
-diff -u tests/golden/sim_direct.txt "$serial_out" \
-    || { echo "direct-mode output drifted from the golden snapshot" >&2; exit 1; }
-for shards in 1 3; do
-    replay_golden tests/golden/sim_detailed.txt --shards "$shards" > "$serial_out"
+for pin in "taskset -c 0" ""; do
+    replay_golden "$pin" tests/golden/sim_direct.txt > "$serial_out"
+    diff -u tests/golden/sim_direct.txt "$serial_out" \
+        || { echo "direct-mode output drifted from the golden snapshot (${pin:-all cores})" >&2; exit 1; }
+    replay_golden "$pin" tests/golden/sim_detailed.txt > "$serial_out"
     diff -u tests/golden/sim_detailed.txt "$serial_out" \
-        || { echo "detailed-mode output drifted from the golden snapshot (shards=$shards)" >&2; exit 1; }
+        || { echo "detailed-mode output drifted from the golden snapshot (${pin:-all cores})" >&2; exit 1; }
 done
+replay_golden "" tests/golden/sim_detailed.txt --shards 3 > "$serial_out"
+diff -u tests/golden/sim_detailed.txt "$serial_out" \
+    || { echo "detailed-mode output drifted from the golden snapshot (shards=3)" >&2; exit 1; }
 
 echo "==> cli: detailed mode fits in 128 MiB of address space"
 # Traces are generated as they are simulated: this call held 214 MB
@@ -102,6 +107,15 @@ echo "==> cli: detailed mode fits in 128 MiB of address space"
   "$cli" sim --machine ppc601 --topology mesh:4x4 --pattern ring --phases 4 \
       --ops 100000 --mode detailed --seed 7 > /dev/null ) \
     || { echo "detailed mode no longer runs under ulimit -v 131072" >&2; exit 1; }
+
+echo "==> cli: a host that refuses to start threads still finishes the run"
+# No mmap can satisfy this stack size, so every worker spawn fails and the
+# calling thread drains the queue alone (a panic here would exit 101).
+for mode in detailed direct; do
+    RUST_MIN_STACK=100000000000000 "$cli" sim --machine ppc601 --topology mesh:4x4 \
+        --ops 2000 --mode "$mode" > /dev/null \
+        || { echo "$mode mode needs its worker threads to start" >&2; exit 1; }
+done
 
 echo "==> bench: comm-heavy hot path (quick mode)"
 MERMAID_BENCH_QUICK=1 cargo bench -p mermaid-bench --bench arena_hot_path

@@ -96,6 +96,25 @@ fn serial_and_parallel_runs_are_byte_identical() {
 }
 
 #[test]
+fn detailed_runs_record_the_same_whatever_the_job_count() {
+    // `--jobs` decides how many workers each run's computational phase
+    // gets (cores / (jobs × shards)); the records must not notice.
+    let spec = CampaignSpec::parse(
+        "topo = ring:4, mesh:2x2; machine = t805, ppc601; mode = detailed; \
+         phases = 2; ops = 400; shards = 1, 2",
+    )
+    .unwrap();
+    let (serial, parallel) = (temp_dir("det-ser"), temp_dir("det-par"));
+    let ran = run_campaign(&spec, &opts(&serial, 1)).unwrap();
+    assert_eq!(ran.executed, 8);
+    run_campaign(&spec, &opts(&parallel, 2)).unwrap();
+    assert_eq!(sorted_jsonl(&serial), sorted_jsonl(&parallel));
+    assert_eq!(csv(&serial), csv(&parallel));
+    std::fs::remove_dir_all(&serial).ok();
+    std::fs::remove_dir_all(&parallel).ok();
+}
+
+#[test]
 fn kill_and_resume_matches_an_uninterrupted_run() {
     let spec = tiny_spec();
     let fresh = temp_dir("fresh");

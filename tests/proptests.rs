@@ -775,8 +775,10 @@ proptest! {
     /// Streaming is not a second model: for a random application and seed,
     /// the detailed and direct-execution runs that pull operations from
     /// `StochasticGenerator::streams()` equal the runs over the collected
-    /// `generate()` traces in every result field, and an extractor fed a
-    /// trace in chunks of any size equals one fed the whole trace.
+    /// `generate()` traces in every result field — the batch run on one
+    /// worker, the streamed one on a generated worker count — and an
+    /// extractor fed a trace in chunks of any size equals one fed the whole
+    /// trace.
     #[test]
     fn streamed_runs_match_batch_runs(
         nodes in 1u32..10,
@@ -792,6 +794,7 @@ proptest! {
         two_level_caches in any::<bool>(),
         seed in any::<u64>(),
         chunk in prop_oneof![Just(1usize), Just(7usize), Just(4096usize), Just(usize::MAX)],
+        workers in 1usize..20,
     ) {
         use mermaid::{DirectExecSim, HybridSim, MachineConfig};
         use mermaid_cpu::SingleNodeSim;
@@ -828,8 +831,10 @@ proptest! {
         // No topology has a single node; that case checks the extractor only.
         if nodes >= 2 {
             let m = machine(Topology::FullyConnected(nodes));
-            let batch = HybridSim::new(m.clone()).run(&traces);
-            let streamed = HybridSim::new(m.clone()).run_streams(gen.streams());
+            let batch = HybridSim::new(m.clone()).with_workers(1).run(&traces);
+            let streamed = HybridSim::new(m.clone())
+                .with_workers(workers)
+                .run_streams(gen.streams());
             prop_assert_eq!(streamed.predicted_time, batch.predicted_time);
             prop_assert_eq!(&streamed.task_traces, &batch.task_traces);
             prop_assert_eq!(streamed.ops_simulated, batch.ops_simulated);
@@ -837,8 +842,10 @@ proptest! {
             prop_assert_eq!(debug(&streamed.nodes), debug(&batch.nodes));
             prop_assert_eq!(debug(&streamed.comm), debug(&batch.comm));
 
-            let batch = DirectExecSim::new(m.clone()).run(&traces);
-            let streamed = DirectExecSim::new(m).run_streams(gen.streams());
+            let batch = DirectExecSim::new(m.clone()).with_workers(1).run(&traces);
+            let streamed = DirectExecSim::new(m)
+                .with_workers(workers)
+                .run_streams(gen.streams());
             prop_assert_eq!(streamed.predicted_time, batch.predicted_time);
             prop_assert_eq!(streamed.ops_processed, batch.ops_processed);
             prop_assert_eq!(debug(&streamed.comm), debug(&batch.comm));

@@ -90,21 +90,26 @@ fn heap_is_flat_in_ops_on_every_streamed_run_path() {
             format!("topo = mesh:4x4; machine = ppc601; mode = detailed; phases = 4; ops = {ops}");
         peak_heap(&["campaign", &spec, "--out", out])
     };
-    // (path, run, bound): each bound is about twice what the streamed path
-    // measures (271 kB, 106 kB, 274 kB); materialised traces took 134 MB at
-    // --ops 50000 and 537 MB at --ops 200000.
+    // (path, run, bound per node in flight): each bound is about twice what
+    // the streamed path measures on one worker (271 kB, 106 kB, 274 kB);
+    // materialised traces took 134 MB at --ops 50000 and 537 MB at --ops
+    // 200000. Every worker of the computational phase holds one node's
+    // model and task trace, and all three paths get one worker per host
+    // core (the campaign has a single run, so a single job).
+    let workers = mermaid::sweep::auto_workers().min(16);
     type Run<'a> = &'a dyn Fn(&str) -> usize;
     let paths: [(&str, Run, usize); 3] = [
         ("sim --mode detailed", &sim("detailed"), 512 * KIB),
         ("sim --mode direct", &sim("direct"), 256 * KIB),
         ("campaign mode = detailed", &campaign, 512 * KIB),
     ];
-    println!("path                      --ops   peak heap (bytes)");
+    println!("path                      --ops   workers   peak heap (bytes)");
     for (path, run, bound) in paths {
+        let bound = bound * workers;
         let small = run("50000");
         let large = run("200000");
-        println!("{path:<24} {:>6}   {small}", 50_000);
-        println!("{path:<24} {:>6}   {large}", 200_000);
+        println!("{path:<24} {:>6}   {workers:>7}   {small}", 50_000);
+        println!("{path:<24} {:>6}   {workers:>7}   {large}", 200_000);
         assert!(
             small < bound,
             "{path}: peak heap {small} B at --ops 50000 (bound {bound} B)"
