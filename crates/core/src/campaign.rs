@@ -43,9 +43,9 @@
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use mermaid_network::{run_comm, CheckpointOpts, FaultSchedule, RetryParams, RunOptions, Snapshot};
+use mermaid_network::{CheckpointOpts, RetryParams, RunOptions, Snapshot, Topology};
 use mermaid_stats::csv::csv_line;
 use mermaid_stats::DeliveryStats;
 use pearl::{Duration, Time};
@@ -53,9 +53,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::cli::{parse_machine, parse_ops, parse_pattern, parse_phases, parse_topology};
+use crate::cli::{parse_ops, parse_phases, unsigned};
 use crate::prelude::*;
-use crate::{report, sweep, HybridSim};
+pub use crate::run::RunConfig;
+use crate::run::{
+    parse_fault_token, parse_machine, parse_mix, parse_pattern, parse_topology, Mode,
+};
+use crate::{report, sweep};
 
 /// Hard ceiling on the expanded run-list size; bigger grids must use
 /// `sample = N @ SEED`.
@@ -65,98 +69,6 @@ pub const MAX_RUNS: usize = 1_000_000;
 pub const RUNS_FILE: &str = "runs.jsonl";
 /// The RFC-4180 CSV view regenerated after every campaign invocation.
 pub const CSV_FILE: &str = "summary.csv";
-
-/// One fully-materialised run configuration — every campaign dimension
-/// pinned to a concrete value. This is the unit the config hash covers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RunConfig {
-    /// Machine name (`test`, `t805`, `ppc601`, `paragon`).
-    pub machine: String,
-    /// Topology spec (`ring:8`, `mesh:4x4`, …).
-    pub topo: String,
-    /// Instruction mix (`scientific` or `integer`; detailed mode only).
-    pub app: String,
-    /// Communication pattern token, as written in the spec.
-    pub pattern: String,
-    /// Compute+communicate phases.
-    pub phases: u32,
-    /// Operations per phase.
-    pub ops: u64,
-    /// Trace-generator seed.
-    pub seed: u64,
-    /// Simulation mode (`task` or `detailed`).
-    pub mode: String,
-    /// Communication-model worker threads for this run.
-    pub shards: usize,
-    /// Fault spec with `+` joining clauses, or `none`.
-    pub faults: String,
-    /// Fault-schedule seed (per-packet loss/corruption draws).
-    pub fault_seed: u64,
-}
-
-impl RunConfig {
-    /// The canonical one-line rendering of this configuration. The config
-    /// hash is computed over exactly this string, so its format is a
-    /// stability contract: the `campaign-v1` prefix is bumped whenever a
-    /// field is added, removed, or re-ordered (DESIGN.md §13) — old
-    /// records then simply stop matching instead of silently colliding.
-    pub fn canonical(&self) -> String {
-        format!(
-            "campaign-v1 machine={} topo={} app={} pattern={} phases={} ops={} seed={} \
-             mode={} shards={} faults={} fault-seed={}",
-            self.machine,
-            self.topo,
-            self.app,
-            self.pattern,
-            self.phases,
-            self.ops,
-            self.seed,
-            self.mode,
-            self.shards,
-            self.faults,
-            self.fault_seed
-        )
-    }
-
-    /// Stable 64-bit config hash (FNV-1a over [`RunConfig::canonical`]),
-    /// rendered as 16 lowercase hex digits.
-    pub fn config_hash(&self) -> String {
-        format!("{:016x}", fnv1a64(self.canonical().as_bytes()))
-    }
-
-    /// The workload half of the configuration — what is being run, as
-    /// opposed to what it runs on. Records sharing a workload key are
-    /// ranked against each other in the comparison table.
-    pub fn workload_key(&self) -> String {
-        format!(
-            "{} {} phases={} ops={} seed={}",
-            self.app, self.pattern, self.phases, self.ops, self.seed
-        )
-    }
-
-    /// The architecture half: machine, topology, mode, shards, faults.
-    pub fn architecture_label(&self) -> String {
-        let mut s = format!("{} {}", self.machine, self.topo);
-        if self.mode != "task" {
-            s.push_str(&format!(" {}", self.mode));
-        }
-        if self.faults != "none" {
-            s.push_str(&format!(" faults={}", self.faults));
-        }
-        s
-    }
-}
-
-/// FNV-1a, 64-bit — tiny, dependency-free, and stable across platforms
-/// and releases (the hash lands in persisted campaign logs).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Per-run bottleneck-attribution headline, recorded when the campaign
 /// runs with attribution enabled: which latency component dominated the
@@ -318,26 +230,31 @@ pub struct CampaignSpec {
     pub sample: Option<(usize, u64)>,
 }
 
+/// The spec grammar's keys: the grid's axes in expansion order, then
+/// `sample`.
+const KEYS: [&str; 12] = [
+    "machine",
+    "topo",
+    "app",
+    "pattern",
+    "phases",
+    "ops",
+    "seed",
+    "mode",
+    "shards",
+    "faults",
+    "fault-seed",
+    "sample",
+];
+
 impl CampaignSpec {
     /// Parse a campaign spec (see the module docs for the grammar). Every
     /// value is validated here — unknown keys, duplicate keys, malformed
     /// values, and empty lists are all hard errors with the offending
-    /// clause named, mirroring the `--faults` parser's conventions.
+    /// clause named, mirroring the `--faults` parser's conventions — by
+    /// the piece [`RunConfig::resolve`] will read it with.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut topos = Vec::new();
-        let mut machines = Vec::new();
-        let mut apps = Vec::new();
-        let mut patterns = Vec::new();
-        let mut phases = Vec::new();
-        let mut ops = Vec::new();
-        let mut seeds = Vec::new();
-        let mut modes = Vec::new();
-        let mut shards = Vec::new();
-        let mut faults = Vec::new();
-        let mut fault_seeds = Vec::new();
-        let mut sample = None;
-        let mut seen = std::collections::BTreeSet::new();
-
+        let mut lists: BTreeMap<&str, Vec<String>> = BTreeMap::new();
         for raw in spec.split([';', '\n']) {
             let clause = raw.split('#').next().unwrap_or("").trim();
             if clause.is_empty() {
@@ -346,154 +263,100 @@ impl CampaignSpec {
             let (key, value) = clause
                 .split_once('=')
                 .ok_or_else(|| format!("campaign clause `{clause}` needs key = value"))?;
-            let key = key.trim();
-            let value = value.trim();
-            if !seen.insert(key.to_string()) {
+            let key = match key.trim() {
+                "topology" => "topo",
+                key => key,
+            };
+            let Some(key) = KEYS.iter().find(|k| **k == key) else {
+                return Err(format!(
+                    "unknown campaign key `{key}` (expected one of {})",
+                    KEYS.join(", ")
+                ));
+            };
+            let items: Vec<String> = value
+                .split(',')
+                .map(|v| v.trim().to_string())
+                .filter(|v| !v.is_empty())
+                .collect();
+            if items.is_empty() {
+                return Err(format!("campaign key `{key}` has an empty value list"));
+            }
+            if lists.insert(key, dedup_preserving_order(items)).is_some() {
                 return Err(format!(
                     "duplicate campaign key `{key}` (each key may be given once; \
                      use a comma-separated list for alternatives)"
                 ));
             }
-            let list = || -> Result<Vec<String>, String> {
-                let items: Vec<String> = value
-                    .split(',')
-                    .map(|v| v.trim().to_string())
-                    .filter(|v| !v.is_empty())
-                    .collect();
-                if items.is_empty() {
-                    return Err(format!("campaign key `{key}` has an empty value list"));
-                }
-                Ok(dedup_preserving_order(items))
-            };
-            match key {
-                "topo" | "topology" => {
-                    topos = list()?;
-                    for t in &topos {
-                        parse_topology(t).map_err(|e| format!("campaign topo `{t}`: {e}"))?;
-                    }
-                }
-                "machine" => {
-                    machines = list()?;
-                    for m in &machines {
-                        // Validate the name against a throwaway topology.
-                        parse_machine(m, mermaid_network::Topology::Ring(2))
-                            .map_err(|e| format!("campaign machine `{m}`: {e}"))?;
-                    }
-                }
-                "app" => {
-                    apps = list()?;
-                    for a in &apps {
-                        if a != "scientific" && a != "integer" {
-                            return Err(format!("campaign app `{a}` (want scientific or integer)"));
-                        }
-                    }
-                }
-                "pattern" => {
-                    patterns = list()?;
-                    for p in &patterns {
-                        parse_pattern(p).map_err(|e| format!("campaign pattern `{p}`: {e}"))?;
-                    }
-                }
-                "phases" => {
-                    phases = list()?
-                        .iter()
-                        .map(|v| parse_phases(v).map_err(|e| format!("campaign phases: {e}")))
-                        .collect::<Result<_, _>>()?;
-                }
-                "ops" => {
-                    ops = list()?
-                        .iter()
-                        .map(|v| parse_ops(v).map_err(|e| format!("campaign ops: {e}")))
-                        .collect::<Result<_, _>>()?;
-                }
-                "seed" => seeds = parse_u64_list(&list()?, "seed")?,
-                "mode" => {
-                    modes = list()?;
-                    for m in &modes {
-                        if m != "task" && m != "detailed" {
-                            return Err(format!(
-                                "campaign mode `{m}` (want task or detailed; direct \
-                                 execution records no communication statistics)"
-                            ));
-                        }
-                    }
-                }
-                "shards" => {
-                    shards = list()?
-                        .iter()
-                        .map(|v| match v.parse::<usize>() {
-                            Ok(n) if n >= 1 => Ok(n),
-                            _ => Err(format!(
-                                "campaign shards `{v}` (want a count >= 1; `auto` is \
-                                 host-dependent and would break config-hash stability)"
-                            )),
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                "faults" => {
-                    faults = list()?
-                        .into_iter()
-                        // Normalise away interior whitespace so the same
-                        // schedule always hashes identically.
-                        .map(|f| f.split_whitespace().collect::<String>())
-                        .collect();
-                    for f in &faults {
-                        if f != "none" {
-                            // Syntax check now; per-topology validation
-                            // happens at expansion, where the combination
-                            // is known.
-                            FaultSchedule::parse(&f.replace('+', ";"), 0, RetryParams::default())
-                                .map_err(|e| format!("campaign faults `{f}`: {e}"))?;
-                        }
-                    }
-                }
-                "fault-seed" => fault_seeds = parse_u64_list(&list()?, "fault-seed")?,
-                "sample" => {
-                    let (n, s) = value
-                        .split_once('@')
-                        .ok_or_else(|| format!("campaign sample `{value}` (want `N @ SEED`)"))?;
-                    let n: usize = n
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad sample size `{}`", n.trim()))?;
-                    if n == 0 {
-                        return Err("campaign sample size must be >= 1".to_string());
-                    }
-                    let s: u64 = s
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad sample seed `{}`", s.trim()))?;
-                    sample = Some((n, s));
-                }
-                other => {
-                    return Err(format!(
-                        "unknown campaign key `{other}` (expected topo, machine, app, \
-                         pattern, phases, ops, seed, mode, shards, faults, fault-seed, \
-                         or sample)"
-                    ));
-                }
-            }
         }
-        if topos.is_empty() {
+        if !lists.contains_key("topo") {
             return Err("campaign spec needs at least one `topo = …` value".to_string());
         }
-        let or = |v: Vec<String>, d: &str| if v.is_empty() { vec![d.to_string()] } else { v };
+        let sample = match lists.remove("sample").as_deref() {
+            None => None,
+            Some([one]) => Some(parse_sample(one)?),
+            Some(_) => return Err("campaign sample wants one `N @ SEED`".to_string()),
+        };
+
+        /// One axis of the grid: the key's values, each read by `parse`;
+        /// an absent key is the one-value axis of its default.
+        fn axis<T>(
+            lists: &mut BTreeMap<&str, Vec<String>>,
+            key: &str,
+            default: T,
+            parse: impl Fn(&str) -> Result<T, String>,
+        ) -> Result<Vec<T>, String> {
+            let Some(items) = lists.remove(key) else {
+                return Ok(vec![default]);
+            };
+            let parse = |v: &String| parse(v).map_err(|e| format!("campaign {key} `{v}`: {e}"));
+            items.iter().map(parse).collect()
+        }
+        /// A name-valued axis keeps the name that `check` accepted.
+        fn named<T>(
+            check: impl Fn(&str) -> Result<T, String>,
+        ) -> impl Fn(&str) -> Result<String, String> {
+            move |v| check(v).map(|_| v.to_string())
+        }
+        // Defaults: what a task-mode `sim` with no flags runs, on the
+        // `test` machine. A machine name is checked on a throwaway topology;
+        // a fault alternative for syntax only — which topologies it fits is
+        // known at expansion — and with its interior whitespace dropped, so
+        // the same schedule always hashes identically.
+        let d = RunConfig::default();
+        let l = &mut lists;
         Ok(CampaignSpec {
-            topos,
-            machines: or(machines, "test"),
-            apps: or(apps, "scientific"),
-            patterns: or(patterns, "ring"),
-            phases: if phases.is_empty() { vec![5] } else { phases },
-            ops: if ops.is_empty() { vec![5_000] } else { ops },
-            seeds: if seeds.is_empty() { vec![1] } else { seeds },
-            modes: or(modes, "task"),
-            shards: if shards.is_empty() { vec![1] } else { shards },
-            faults: or(faults, "none"),
-            fault_seeds: if fault_seeds.is_empty() {
-                vec![1]
-            } else {
-                fault_seeds
-            },
+            topos: axis(l, "topo", d.topo, named(parse_topology))?,
+            machines: axis(
+                l,
+                "machine",
+                "test".to_string(),
+                named(|m| parse_machine(m, Topology::Ring(2))),
+            )?,
+            apps: axis(l, "app", d.app, named(parse_mix))?,
+            patterns: axis(l, "pattern", d.pattern, named(parse_pattern))?,
+            // Lossless: bounded by `MAX_PHASES`.
+            phases: axis(l, "phases", d.phases, |v| {
+                parse_phases("phases", v).map(|n| n as u32)
+            })?,
+            ops: axis(l, "ops", d.ops, |v| parse_ops("ops", v))?,
+            seeds: axis(l, "seed", d.seed, |v| unsigned("seed", v))?,
+            modes: axis(
+                l,
+                "mode",
+                d.mode,
+                named(|m| Mode::parse(m).and_then(check_recordable)),
+            )?,
+            shards: axis(l, "shards", d.shards, |v| match v.parse() {
+                Ok(n) if n >= 1 => Ok(n),
+                _ => Err("want a count >= 1; `auto` is host-dependent and would \
+                          break config-hash stability"
+                    .to_string()),
+            })?,
+            faults: axis(l, "faults", d.faults, |f| {
+                let f: String = f.split_whitespace().collect();
+                parse_fault_token(&f, 0, RetryParams::default()).map(|_| f)
+            })?,
+            fault_seeds: axis(l, "fault-seed", d.fault_seed, |v| unsigned("fault-seed", v))?,
             sample,
         })
     }
@@ -524,14 +387,12 @@ impl CampaignSpec {
         }
         // Validate each (faults, topo) pairing once, not per grid cell.
         for f in &self.faults {
-            if f == "none" {
+            let Some(sched) = parse_fault_token(f, 0, RetryParams::default())? else {
                 continue;
-            }
+            };
             for t in &self.topos {
-                let topo = parse_topology(t)?;
-                let sched = FaultSchedule::parse(&f.replace('+', ";"), 0, RetryParams::default())?;
                 sched
-                    .try_validate(&topo)
+                    .try_validate(&parse_topology(t)?)
                     .map_err(|e| format!("campaign faults `{f}` is invalid for topo `{t}`: {e}"))?;
             }
         }
@@ -591,14 +452,23 @@ impl CampaignSpec {
     }
 }
 
-fn parse_u64_list(items: &[String], key: &str) -> Result<Vec<u64>, String> {
-    items
-        .iter()
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| format!("bad campaign {key} `{v}` (want an unsigned integer)"))
-        })
-        .collect()
+/// Read a `sample` value, `N @ SEED`: draw N runs with that shuffle seed.
+fn parse_sample(value: &str) -> Result<(usize, u64), String> {
+    let (n, s) = value
+        .split_once('@')
+        .ok_or_else(|| format!("campaign sample `{value}` (want `N @ SEED`)"))?;
+    let n: usize = n
+        .trim()
+        .parse()
+        .map_err(|_| format!("bad sample size `{}`", n.trim()))?;
+    if n == 0 {
+        return Err("campaign sample size must be >= 1".to_string());
+    }
+    let s: u64 = s
+        .trim()
+        .parse()
+        .map_err(|_| format!("bad sample seed `{}`", s.trim()))?;
+    Ok((n, s))
 }
 
 fn dedup_preserving_order(items: Vec<String>) -> Vec<String> {
@@ -637,20 +507,29 @@ fn sample_preserving_order<T>(items: Vec<T>, n: usize, seed: u64) -> Vec<T> {
         .collect()
 }
 
-/// Execute one run and fold its results into a [`CampaignRecord`]. The
-/// configuration was validated at expansion time, so failures here are
-/// simulator invariant violations, not user errors.
-pub fn execute_run(cfg: &RunConfig) -> CampaignRecord {
-    execute_run_opts(cfg, false)
+/// A campaign record is the communication model's statistics; direct
+/// execution keeps none worth recording, so only `sim` runs it.
+fn check_recordable(mode: Mode) -> Result<(), String> {
+    if mode == Mode::Direct {
+        return Err("want task or detailed; direct execution records no \
+                    communication statistics (only `sim` runs it)"
+            .to_string());
+    }
+    Ok(())
 }
 
-/// [`execute_run`] with the attribution pass switchable: when enabled,
-/// the run carries a bottleneck-attribution sink and the record's
-/// [`AttrHeadline`] is filled in. The predicted results are identical
-/// either way (the sink only observes).
-pub fn execute_run_opts(cfg: &RunConfig, attribution: bool) -> CampaignRecord {
-    execute_run_ckpt(cfg, attribution, None, 1)
-        .expect("a checkpoint-free run performs no fallible IO")
+/// Execute one run on its own — no attribution, no checkpoint, every host
+/// core for a detailed run's computational phase — and fold its results
+/// into a [`CampaignRecord`].
+///
+/// # Panics
+///
+/// With [`RunConfig::resolve`]'s message when the configuration does not
+/// resolve (a hand-built `app: "intger"`) or names direct execution.
+/// Configurations from [`CampaignSpec::expand`] always resolve;
+/// [`run_campaign`] returns the same message as that run's error instead.
+pub fn execute_run(cfg: &RunConfig) -> CampaignRecord {
+    execute(cfg, false, None, 1).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One run's rolling-checkpoint plan: the snapshot lives at `path`,
@@ -708,16 +587,12 @@ pub fn capture_run_checkpoint(
         std::fs::remove_file(path)
             .map_err(|e| format!("cannot remove stale checkpoint {}: {e}", path.display()))?;
     }
-    execute_run_ckpt(
-        cfg,
-        attribution,
-        Some(&CkptPlan {
-            path,
-            every_ps,
-            keep: true,
-        }),
-        1,
-    )?;
+    let plan = CkptPlan {
+        path,
+        every_ps,
+        keep: true,
+    };
+    execute(cfg, attribution, Some(&plan), 1)?;
     if !path.is_file() {
         return Err(format!(
             "the run finished before {every_ps} ps — no checkpoint was captured \
@@ -727,101 +602,65 @@ pub fn capture_run_checkpoint(
     Ok(())
 }
 
-/// [`execute_run_opts`] with an optional rolling checkpoint: task-mode
-/// runs resume from a usable snapshot at `plan.path` and refresh it at
-/// the plan's cadence. Detailed-mode runs ignore the plan (the
-/// computational model in front of the network is not snapshotted) and
-/// simply re-execute from scratch on resume; their computational phase
-/// gets `cores / busy` workers, `busy` being the threads the surroundings
-/// keep busy per run — the `jobs × shards` of a campaign, 1 for a run on
-/// its own. Only checkpoint IO and snapshot restoration can fail here.
-fn execute_run_ckpt(
+/// The campaign's executor: resolve `cfg`, run it, fold the outcome into
+/// a [`CampaignRecord`]. What a campaign adds to the run (DESIGN.md, "One
+/// run path"): with `attribution`, a bottleneck-attribution sink whose
+/// headline lands in the record — the predicted results are identical
+/// either way, the sink only observes; with a `ckpt` plan, task-mode runs
+/// resume from a usable snapshot at `plan.path` and refresh it at the
+/// plan's cadence — detailed-mode runs ignore the plan (the computational
+/// model in front of the network is not snapshotted) and re-execute from
+/// scratch on resume; and `busy`, the threads the surroundings keep busy
+/// per run — the `jobs × shards` of a campaign, 1 for a run on its own —
+/// which caps a detailed run's computational phase at `cores / busy`
+/// workers. Fails on a configuration that does not resolve, on direct
+/// execution, and on checkpoint IO or snapshot restoration.
+fn execute(
     cfg: &RunConfig,
     attribution: bool,
     ckpt: Option<&CkptPlan<'_>>,
     busy: usize,
 ) -> Result<CampaignRecord, String> {
-    let topo = parse_topology(&cfg.topo).expect("validated at expansion");
-    let machine = parse_machine(&cfg.machine, topo).expect("validated at expansion");
-    let pattern = parse_pattern(&cfg.pattern).expect("validated at expansion");
-    let nodes = topo.nodes();
-    let mix = match cfg.app.as_str() {
-        "integer" => InstructionMix::integer(),
-        _ => InstructionMix::scientific(),
-    };
-    let app = StochasticApp {
-        mix,
-        phases: cfg.phases,
-        ops_per_phase: SizeDist::Fixed(cfg.ops),
-        pattern,
-        ..StochasticApp::scientific(nodes)
-    };
-    let gen = StochasticGenerator::new(app, cfg.seed);
-    let faults = if cfg.faults == "none" {
-        None
-    } else {
-        let sched = FaultSchedule::parse(
-            &cfg.faults.replace('+', ";"),
-            cfg.fault_seed,
-            RetryParams::default_for(&machine.network),
-        )
-        .expect("validated at expansion");
-        Some(Arc::new(sched))
-    };
+    let hash = cfg.config_hash();
+    let in_run = |e: String| format!("campaign run {hash}: {e}");
+    let resolved = cfg.resolve().map_err(in_run)?;
+    check_recordable(resolved.mode).map_err(|e| in_run(format!("mode `{}`: {e}", cfg.mode)))?;
+    let ckpt = ckpt.filter(|_| resolved.mode == Mode::Task);
 
     let probe = if attribution {
         ProbeHandle::new(ProbeStack::new().with_attribution())
     } else {
         ProbeHandle::disabled()
     };
-    let (predicted, comm, ops_simulated) = match cfg.mode.as_str() {
-        "detailed" => {
-            let r = HybridSim::new(machine)
-                .with_probe(probe.clone())
-                .with_shards(cfg.shards)
-                .with_faults(faults)
-                .with_workers(sweep::auto_workers_for(busy))
-                .run_streams(gen.streams());
-            (r.predicted_time, r.comm, r.ops_simulated)
+    let restored = ckpt.and_then(|plan| load_usable_checkpoint(plan.path, &hash, attribution));
+    let write;
+    let checkpoint = match ckpt {
+        Some(plan) => {
+            write = |snap: &Snapshot| snap.write_file(plan.path);
+            Some(CheckpointOpts {
+                every: Duration::from_ps(plan.every_ps),
+                config_hash: hash.clone(),
+                write: &write,
+            })
         }
-        _ => {
-            let traces = gen.generate_task_level();
-            match ckpt {
-                Some(plan) => {
-                    let hash = cfg.config_hash();
-                    let restored = load_usable_checkpoint(plan.path, &hash, attribution);
-                    let write = |snap: &Snapshot| snap.write_file(plan.path);
-                    let ck = CheckpointOpts {
-                        every: Duration::from_ps(plan.every_ps),
-                        config_hash: hash.clone(),
-                        write: &write,
-                    };
-                    let opts = RunOptions {
-                        probe: probe.clone(),
-                        shards: cfg.shards,
-                        faults,
-                        restore_from: restored.as_ref(),
-                        checkpoint: Some(&ck),
-                    };
-                    let (comm, _) = run_comm(machine.network, &traces, &opts)
-                        .map_err(|e| format!("campaign run {hash}: {e}"))?;
-                    if !plan.keep {
-                        // The run completed; its rolling checkpoint is spent.
-                        std::fs::remove_file(plan.path).ok();
-                    }
-                    (comm.finish, comm, traces.total_ops() as u64)
-                }
-                None => {
-                    let r = TaskLevelSim::new(machine.network)
-                        .with_probe(probe.clone())
-                        .with_shards(cfg.shards)
-                        .with_faults(faults)
-                        .run(&traces);
-                    (r.predicted_time, r.comm, r.ops_simulated)
-                }
-            }
-        }
+        None => None,
     };
+    let opts = RunOptions {
+        probe: probe.clone(),
+        shards: cfg.shards,
+        faults: resolved.faults.clone(),
+        restore_from: restored.as_ref(),
+        checkpoint: checkpoint.as_ref(),
+    };
+    let outcome = resolved
+        .run(&opts, busy)
+        .map_err(|e| in_run(e.to_string()))?;
+    if let Some(plan) = ckpt.filter(|plan| !plan.keep) {
+        // The run completed; its rolling checkpoint is spent.
+        std::fs::remove_file(plan.path).ok();
+    }
+
+    let predicted = outcome.predicted_time();
     let attribution = probe.attribution_report(predicted.as_ps()).map(|r| {
         let (dominant, dominant_share_ppm, max_link_util_ppm) = r.headline();
         AttrHeadline {
@@ -830,15 +669,15 @@ fn execute_run_ckpt(
             max_link_util_ppm,
         }
     });
-
+    let comm = outcome.comm();
     let pct = |p: f64| comm.msg_latency.percentile(p).unwrap_or(0);
     Ok(CampaignRecord {
-        config_hash: cfg.config_hash(),
+        config_hash: hash,
         config: cfg.clone(),
         predicted_ps: predicted.as_ps(),
         all_done: comm.all_done,
         events: comm.events,
-        ops_simulated,
+        ops_simulated: outcome.ops_simulated(),
         msgs_delivered: comm.total_messages,
         bytes_sent: comm.total_bytes,
         latency_p50_ps: pct(50.0),
@@ -1014,23 +853,13 @@ pub fn run_campaign(
         // the host's cores with a detailed run's computational phase.
         let jobs = opts.jobs.clamp(1, total);
         let worker = move |cfg: &RunConfig| -> Result<CampaignRecord, String> {
-            let busy = jobs * cfg.shards;
-            match ckpt_every {
-                Some(every_ps) => {
-                    let path = checkpoint_path(&out_dir, cfg);
-                    execute_run_ckpt(
-                        cfg,
-                        attribution,
-                        Some(&CkptPlan {
-                            path: &path,
-                            every_ps,
-                            keep: false,
-                        }),
-                        busy,
-                    )
-                }
-                None => execute_run_ckpt(cfg, attribution, None, busy),
-            }
+            let path = checkpoint_path(&out_dir, cfg);
+            let plan = ckpt_every.map(|every_ps| CkptPlan {
+                path: &path,
+                every_ps,
+                keep: false,
+            });
+            execute(cfg, attribution, plan.as_ref(), jobs * cfg.shards)
         };
         let new_records = sweep::parallel_sweep_streaming(todo, opts.jobs, worker, |_, rec| {
             let mut guard = sink.lock().unwrap();
@@ -1129,6 +958,7 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::fnv1a64;
 
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec::parse(
@@ -1293,7 +1123,7 @@ mod tests {
         let cfg = &tiny_spec().expand().unwrap()[0];
         let plain = execute_run(cfg);
         assert_eq!(plain.attribution, None);
-        let attr = execute_run_opts(cfg, true);
+        let attr = execute(cfg, true, None, 1).unwrap();
         let h = attr.attribution.clone().expect("headline recorded");
         assert!(!h.dominant.is_empty());
         assert!(h.dominant_share_ppm <= 1_000_000);
@@ -1309,6 +1139,55 @@ mod tests {
         let line = serde_json::to_string(&attr).unwrap();
         let back: CampaignRecord = serde_json::from_str(&line).unwrap();
         assert_eq!(back, attr);
+    }
+
+    /// `tiny_spec`'s first run with one field changed.
+    fn first_run_with(edit: impl Fn(&mut RunConfig)) -> RunConfig {
+        let mut cfg = tiny_spec().expand().unwrap().remove(0);
+        edit(&mut cfg);
+        cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown app mix `intger`")]
+    fn a_hand_built_config_with_a_typoed_app_is_not_simulated_as_scientific() {
+        execute_run(&first_run_with(|c| c.app = "intger".into()));
+    }
+
+    #[test]
+    #[should_panic(expected = "direct execution records no communication statistics")]
+    fn a_hand_built_direct_mode_config_is_not_simulated_as_task() {
+        execute_run(&first_run_with(|c| c.mode = "direct".into()));
+    }
+
+    #[test]
+    fn run_campaign_returns_an_unresolvable_run_as_its_error() {
+        // `expand` trusts the spec's fields — `parse` checked them — so a
+        // hand-built spec reaches the executor, which must refuse it.
+        let dir = std::env::temp_dir().join(format!("mermaid-campaign-bad-{}", std::process::id()));
+        for (edit, want) in [
+            (
+                (|s| s.apps = vec!["intger".into()]) as fn(&mut CampaignSpec),
+                "unknown app mix `intger`",
+            ),
+            (|s| s.modes = vec!["direct".into()], "mode `direct`"),
+        ] {
+            let mut spec = tiny_spec();
+            edit(&mut spec);
+            let opts = CampaignOptions {
+                out_dir: dir.clone(),
+                jobs: 1,
+                limit: None,
+                progress: false,
+                attribution: false,
+                checkpoint_every_ps: None,
+            };
+            let err = run_campaign(&spec, &opts).unwrap_err();
+            assert!(err.starts_with("campaign run "), "{err}");
+            assert!(err.contains(want), "{err}");
+            assert_eq!(load_records(&dir.join(RUNS_FILE)).unwrap(), vec![]);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

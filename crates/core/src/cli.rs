@@ -9,26 +9,36 @@
 //! mermaid-cli table1
 //! mermaid-cli topo <ring:N | mesh:WxH | torus:WxH | hypercube:D | full:N | star:N>
 //! mermaid-cli machines
-//! mermaid-cli simulate --machine <t805|ppc601|paragon|test> --topology <spec>
-//!                      [--app <scientific|integer>] [--pattern <name>]
-//!                      [--phases N] [--ops N] [--seed N]
-//!                      [--mode <detailed|task|direct>] [--watch]
-//!                      [--shards <N|auto>] [--shard-profile]
-//!                      [--faults <spec|file>] [--fault-seed N]
-//!                      [--trace-out <file>] [--metrics] [--attribution <file>]
-//!                      [--checkpoint-every <ps> --checkpoint-dir <dir>] [--restore <file>]
-//! mermaid-cli analyze [same workload flags as simulate] [--json <file>]
-//! mermaid-cli probe --machine <t805|ppc601|paragon|test> [--topology <spec>]
+//! mermaid-cli sim     [--machine <t805|ppc601|paragon|test>] [--topology <spec>]
+//!                     [--app <scientific|integer>] [--pattern <name>]
+//!                     [--phases N] [--ops N] [--seed N]
+//!                     [--mode <detailed|task|direct>]
+//!                     [--shards <N|auto>] [--shard-profile]
+//!                     [--faults <spec|file>] [--fault-seed N]
+//!                     [--watch] [--trace-out <file>] [--metrics] [--attribution <file>]
+//!                     [--checkpoint-every <ps> --checkpoint-dir <dir>] [--restore <file>]
+//! mermaid-cli analyze [sim's flags from --machine to --fault-seed] [--json <file>]
+//! mermaid-cli probe   [--machine <name>] [--topology <spec>]
 //! mermaid-cli campaign <spec|file> --out <dir> [--jobs <N|auto>] [--limit N] [--dry-run]
-//!                      [--attribution] [--checkpoint <ps>]
+//!                     [--attribution] [--checkpoint <ps>]
 //! ```
 //!
-//! `sim` is an alias for `simulate`. `--trace-out` writes a Chrome-trace
+//! Every flag is one row of [`FLAGS`]: its name, its value, the
+//! subcommands that take it. The argument scanner, the "this flag belongs
+//! to that subcommand" errors and the synopsis of [`usage`] are read off
+//! the table; the combinations no run can honour are the rows of [`GATES`].
+//! `sim` and `analyze` then do the same three things (DESIGN.md, "One run
+//! path"): build a [`RunConfig`] from the flags, resolve it, run it — and
+//! differ in the sinks they attach and the report they render.
+//!
+//! `simulate` is an alias for `sim`. `--trace-out` writes a Chrome-trace
 //! JSON file of the run (open in `chrome://tracing` or Perfetto);
 //! `--metrics` appends the per-component metrics report and a host-side
 //! profile of the simulator itself. `--shards` runs the communication
 //! model on N worker threads (`auto` = one per host core); sharded runs
 //! are bit-identical to single-threaded ones — with or without faults.
+//! `--watch` (task mode) prints progress samples to stderr as the run
+//! advances.
 //!
 //! `analyze` answers "where did the time go": it runs the simulation with
 //! the bottleneck-attribution sink attached and renders the latency
@@ -73,74 +83,148 @@
 //! `<out>/checkpoints/`, so a killed campaign resumes long runs from
 //! their last snapshot instead of from scratch.
 
-use mermaid_network::{
-    run_comm, CheckpointOpts, CommResult, FaultSchedule, RetryParams, RunOptions, Snapshot,
-    SnapshotError, Topology,
-};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use mermaid_network::{CheckpointOpts, CommResult, RunOptions, Snapshot, SnapshotError};
 use mermaid_ops::table1;
-use std::sync::Arc;
 
 use crate::prelude::*;
-use crate::{observer, report, DirectExecSim, SlowdownMeter};
+use crate::run::{parse_machine, parse_topology, Mode, Outcome, Resolved, RunConfig, NO_FAULTS};
+use crate::{observer, report, sweep, SlowdownMeter};
 
-/// The CLI usage text.
-pub fn usage() -> &'static str {
-    "usage:\n  mermaid-cli table1\n  mermaid-cli topo <spec>\n  mermaid-cli machines\n  \
-     mermaid-cli simulate --machine <name> --topology <spec> [--app <mix>] [--pattern <p>] \
-     [--phases N] [--ops N] [--seed N] [--mode <detailed|task|direct>] [--watch] \
-     [--shards <N|auto>] [--shard-profile] \
-     [--faults <spec|file>] [--fault-seed N] \
-     [--trace-out <file>] [--metrics] [--attribution <file>] \
-     [--checkpoint-every <ps> --checkpoint-dir <dir>] [--restore <file>]\n  \
-     mermaid-cli analyze [same workload flags as simulate] [--json <file>]\n  \
-     mermaid-cli probe --machine <name> [--topology <spec>]\n  \
-     mermaid-cli campaign <spec|file> --out <dir> [--jobs <N|auto>] [--limit N] [--dry-run] \
-     [--attribution] [--checkpoint <ps>]\n\n\
-     `sim` is an alias for `simulate`. `analyze` renders the bottleneck-attribution \
-     report (latency decomposition, hottest links/routers, utilization heatmap).\n\
-     topology specs: ring:8  mesh:4x4  torus:4x4  hypercube:3  full:8  star:8\n\
-     fault specs:    link:0-1:1000:5000  router:3:2000  drop:1000  corrupt:500\n\
-                     retries:6  timeout:2000  cap:32000  recv-timeout:1000000\n\
-                     (times in simulated ns; `;` or newline separates clauses)\n\
-     campaign spec:  topo = ring:8, torus:4x4; pattern = ring, all2all; seed = 1, 2\n\
-                     (key = value list per clause; see DESIGN.md section 13)"
+/// A subcommand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cmd {
+    Table1,
+    Topo,
+    Machines,
+    Sim,
+    Analyze,
+    Probe,
+    Campaign,
 }
 
-/// Parsed command-line options (after the subcommand).
-#[derive(Debug, Default)]
-struct Opts {
-    machine: Option<String>,
-    topology: Option<String>,
-    app: Option<String>,
-    pattern: Option<String>,
-    phases: Option<u32>,
-    ops: Option<u64>,
-    seed: Option<u64>,
-    mode: Option<String>,
-    watch: bool,
-    shards: Option<usize>,
-    faults: Option<String>,
-    fault_seed: Option<u64>,
-    trace_out: Option<String>,
-    metrics: bool,
-    attribution: Option<String>,
-    json: Option<String>,
-    shard_profile: bool,
-    checkpoint_every: Option<u64>,
-    checkpoint_dir: Option<String>,
-    restore: Option<String>,
-}
+/// Every subcommand, in `Cmd` order: its name and the positional
+/// arguments it takes before its flags.
+const CMDS: [(Cmd, &str, &[&str]); 7] = [
+    (Cmd::Table1, "table1", &[]),
+    (Cmd::Topo, "topo", &["<spec>"]),
+    (Cmd::Machines, "machines", &[]),
+    (Cmd::Sim, "sim", &[]),
+    (Cmd::Analyze, "analyze", &[]),
+    (Cmd::Probe, "probe", &[]),
+    (Cmd::Campaign, "campaign", &["<spec|file>"]),
+];
 
-/// Parse a `--shards` value: a thread count ≥ 1, or `auto` for one shard
-/// per available host core.
-fn parse_shards(s: &str) -> Result<usize, String> {
-    if s == "auto" {
-        return Ok(mermaid_network::auto_shards());
+impl Cmd {
+    fn name(self) -> &'static str {
+        CMDS[self as usize].1
     }
+}
+
+/// Checks a flag's value and returns the number it stands for — 0 for a
+/// value that is only text.
+type ValueParser = fn(flag: &str, value: &str) -> Result<u64, String>;
+
+/// One row of the flag table.
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder in the synopsis; [`SWITCH`] for a flag
+    /// that takes none.
+    metavar: &'static str,
+    parse: ValueParser,
+    /// The subcommands that take the flag.
+    cmds: &'static [Cmd],
+    /// Added to the error another subcommand answers the flag with.
+    hint: &'static str,
+}
+
+const SWITCH: &str = "";
+
+const fn flag(
+    name: &'static str,
+    metavar: &'static str,
+    parse: ValueParser,
+    cmds: &'static [Cmd],
+) -> Flag {
+    Flag {
+        name,
+        metavar,
+        parse,
+        cmds,
+        hint: "",
+    }
+}
+
+/// The subcommands that describe a machine, and those that run a workload
+/// on one.
+const MACHINE: &[Cmd] = &[Cmd::Sim, Cmd::Analyze, Cmd::Probe];
+const RUN: &[Cmd] = &[Cmd::Sim, Cmd::Analyze];
+const SIM: &[Cmd] = &[Cmd::Sim];
+const CAMPAIGN: &[Cmd] = &[Cmd::Campaign];
+
+/// Every flag of every subcommand, in synopsis order. `--attribution` is
+/// two flags that share a name: `sim`'s names the JSON file to write,
+/// `campaign`'s is a switch.
+const FLAGS: &[Flag] = &[
+    flag("--machine", "<name>", text, MACHINE),
+    flag("--topology", "<spec>", text, MACHINE),
+    flag("--app", "<mix>", text, RUN),
+    flag("--pattern", "<p>", text, RUN),
+    flag("--phases", "N", parse_phases, RUN),
+    flag("--ops", "N", parse_ops, RUN),
+    flag("--seed", "N", unsigned, RUN),
+    flag("--mode", "<detailed|task|direct>", text, RUN),
+    flag("--shards", "<N|auto>", count_or_auto, RUN),
+    flag("--shard-profile", SWITCH, text, RUN),
+    flag("--faults", "<spec|file>", text, RUN),
+    flag("--fault-seed", "N", unsigned, RUN),
+    flag("--watch", SWITCH, text, SIM),
+    flag("--trace-out", "<file>", text, SIM),
+    flag("--metrics", SWITCH, text, SIM),
+    Flag {
+        hint: "analyze always attributes; write its JSON with --json <file>",
+        ..flag("--attribution", "<file>", text, SIM)
+    },
+    flag("--checkpoint-every", "<ps>", parse_checkpoint_cadence, SIM),
+    flag("--checkpoint-dir", "<dir>", text, SIM),
+    flag("--restore", "<file>", text, SIM),
+    Flag {
+        hint: "with sim use --attribution <file>",
+        ..flag("--json", "<file>", text, &[Cmd::Analyze])
+    },
+    flag("--out", "<dir>", text, CAMPAIGN),
+    flag("--jobs", "<N|auto>", count_or_auto, CAMPAIGN),
+    flag("--limit", "N", count, CAMPAIGN),
+    flag("--dry-run", SWITCH, text, CAMPAIGN),
+    flag("--attribution", SWITCH, text, CAMPAIGN),
+    flag("--checkpoint", "<ps>", parse_checkpoint_cadence, CAMPAIGN),
+];
+
+fn text(_flag: &str, _s: &str) -> Result<u64, String> {
+    Ok(0)
+}
+
+pub(crate) fn unsigned(flag: &str, s: &str) -> Result<u64, String> {
+    s.parse()
+        .map_err(|_| format!("bad {flag} `{s}` (want an unsigned integer)"))
+}
+
+fn count(flag: &str, s: &str) -> Result<u64, String> {
     match s.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("bad --shards `{s}` (want a count >= 1 or `auto`)")),
+        Ok(n) if n >= 1 => Ok(n as u64),
+        _ => Err(format!("bad {flag} `{s}` (want a count >= 1)")),
     }
+}
+
+/// A thread count ≥ 1, or `auto` — kept as 0 for the flag's reader to
+/// size against the host ([`Args::shards`], `campaign --jobs`).
+fn count_or_auto(flag: &str, s: &str) -> Result<u64, String> {
+    if s == "auto" {
+        return Ok(0);
+    }
+    count(flag, s).map_err(|_| format!("bad {flag} `{s}` (want a count >= 1 or `auto`)"))
 }
 
 /// Largest accepted `--phases` value. Workload sizes beyond this are
@@ -149,33 +233,27 @@ pub(crate) const MAX_PHASES: u32 = 1_000_000;
 /// Largest accepted `--ops` (operations per phase) value.
 pub(crate) const MAX_OPS_PER_PHASE: u64 = 1_000_000_000;
 
-/// Parse a `--phases` value: a compute+communicate phase count in
-/// `1..=MAX_PHASES`. Zero would generate an empty workload that predicts
-/// a meaningless zero-length run, so it is rejected with a diagnostic
-/// instead of silently succeeding.
-pub(crate) fn parse_phases(s: &str) -> Result<u32, String> {
-    match s.parse::<u32>() {
+/// Parse a workload size: a count in `1..=max`. Zero would generate an
+/// empty workload that predicts a meaningless zero-length run, so it is
+/// rejected with a diagnostic instead of silently succeeding.
+fn parse_size(flag: &str, s: &str, max: u64) -> Result<u64, String> {
+    match s.parse::<u64>() {
         Ok(0) => Err(format!(
-            "bad --phases `{s}` (0 phases is an empty workload — want 1..={MAX_PHASES})"
+            "bad {flag} `{s}` (0 is an empty workload — want 1..={max})"
         )),
-        Ok(n) if n <= MAX_PHASES => Ok(n),
-        _ => Err(format!(
-            "bad --phases `{s}` (want a count in 1..={MAX_PHASES})"
-        )),
+        Ok(n) if n <= max => Ok(n),
+        _ => Err(format!("bad {flag} `{s}` (want a count in 1..={max})")),
     }
 }
 
-/// Parse an `--ops` value: operations per phase in `1..=MAX_OPS_PER_PHASE`.
-pub(crate) fn parse_ops(s: &str) -> Result<u64, String> {
-    match s.parse::<u64>() {
-        Ok(0) => Err(format!(
-            "bad --ops `{s}` (0 ops per phase is an empty workload — want 1..={MAX_OPS_PER_PHASE})"
-        )),
-        Ok(n) if n <= MAX_OPS_PER_PHASE => Ok(n),
-        _ => Err(format!(
-            "bad --ops `{s}` (want operations per phase in 1..={MAX_OPS_PER_PHASE})"
-        )),
-    }
+/// Parse a `--phases` value: compute+communicate phases, `1..=MAX_PHASES`.
+pub(crate) fn parse_phases(flag: &str, s: &str) -> Result<u64, String> {
+    parse_size(flag, s, MAX_PHASES.into())
+}
+
+/// Parse an `--ops` value: operations per phase, `1..=MAX_OPS_PER_PHASE`.
+pub(crate) fn parse_ops(flag: &str, s: &str) -> Result<u64, String> {
+    parse_size(flag, s, MAX_OPS_PER_PHASE)
 }
 
 /// Parse a checkpoint cadence (`sim --checkpoint-every`, `campaign
@@ -194,15 +272,235 @@ pub(crate) fn parse_checkpoint_cadence(flag: &str, s: &str) -> Result<u64, Strin
     }
 }
 
-/// Canonicalise a `--faults` argument into the campaign grammar's fault
-/// token (`+`-joined clauses, whitespace and comments stripped, or
-/// `none`), so a `sim` run hashes its fault schedule exactly like the
-/// equivalent campaign run would.
-fn canonical_fault_spec(arg: Option<&str>) -> Result<String, String> {
-    let Some(arg) = arg else {
-        return Ok("none".to_string());
-    };
-    let text = if std::path::Path::new(arg).is_file() {
+/// The CLI usage text: one synopsis line per subcommand, read off [`CMDS`]
+/// and [`FLAGS`], then the spec grammars.
+pub fn usage() -> String {
+    let mut s = "usage:\n".to_string();
+    for (cmd, name, positional) in CMDS {
+        s.push_str(&format!("  mermaid-cli {name}"));
+        for p in positional {
+            s.push_str(&format!(" {p}"));
+        }
+        for f in FLAGS.iter().filter(|f| f.cmds.contains(&cmd)) {
+            match f.metavar {
+                SWITCH => s.push_str(&format!(" [{}]", f.name)),
+                metavar => s.push_str(&format!(" [{} {metavar}]", f.name)),
+            }
+        }
+        s.push('\n');
+    }
+    s.push_str(
+        "\n`simulate` is an alias for `sim`. `analyze` renders the bottleneck-attribution \
+         report (latency decomposition, hottest links/routers, utilization heatmap). \
+         --checkpoint-every and --checkpoint-dir go together; campaign needs --out or \
+         --dry-run.\n\
+         topology specs: ring:8  mesh:4x4  torus:4x4  hypercube:3  full:8  star:8\n\
+         fault specs:    link:0-1:1000:5000  router:3:2000  drop:1000  corrupt:500\n\
+         \x20               retries:6  timeout:2000  cap:32000  recv-timeout:1000000\n\
+         \x20               (times in simulated ns; `;` or newline separates clauses)\n\
+         campaign spec:  topo = ring:8, torus:4x4; pattern = ring, all2all; seed = 1, 2\n\
+         \x20               (key = value list per clause; see DESIGN.md section 13)",
+    );
+    s
+}
+
+/// One invocation's arguments after the subcommand, scanned against
+/// [`FLAGS`].
+struct Args {
+    cmd: Cmd,
+    positional: Vec<String>,
+    /// Each flag given: its name, its value as written (empty for a
+    /// switch) and the number its row's parser read from it.
+    flags: Vec<(&'static str, String, u64)>,
+}
+
+/// The row `cmd` reads `arg` by, or why it does not: a flag of another
+/// subcommand (named, with where it does belong) or of none.
+fn lookup(cmd: Cmd, arg: &str) -> Result<&'static Flag, String> {
+    let rows = || FLAGS.iter().filter(|f| f.name == arg);
+    if let Some(flag) = rows().find(|f| f.cmds.contains(&cmd)) {
+        return Ok(flag);
+    }
+    let owners: Vec<String> = CMDS
+        .iter()
+        .filter(|(c, ..)| rows().any(|f| f.cmds.contains(c)))
+        .map(|(_, name, _)| format!("`{name}`"))
+        .collect();
+    if owners.is_empty() {
+        return Err(if arg.starts_with("--") {
+            format!("unknown flag `{arg}`")
+        } else {
+            format!("unexpected argument `{arg}` for `{}`", cmd.name())
+        });
+    }
+    let mut err = format!(
+        "`{}` does not take {arg}; use {}",
+        cmd.name(),
+        owners.join(" or ")
+    );
+    if let Some(hint) = rows().map(|f| f.hint).find(|h| !h.is_empty()) {
+        err.push_str(&format!(" ({hint})"));
+    }
+    Err(err)
+}
+
+/// The one argument scanner: `cmd`'s positionals, then flags — each a row
+/// of [`FLAGS`] that `cmd` takes, given at most once, with its value if
+/// the row has one.
+fn scan(cmd: Cmd, args: &[String]) -> Result<Args, String> {
+    let wanted = CMDS[cmd as usize].2;
+    if let Some(missing) = wanted.get(args.len()) {
+        return Err(format!("{} needs {missing}", cmd.name()));
+    }
+    let (positional, rest) = args.split_at(wanted.len());
+    let mut flags: Vec<(&'static str, String, u64)> = Vec::new();
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        let flag = lookup(cmd, arg)?;
+        // Silent last-wins on repeated flags hides mistakes in scripted
+        // invocations (`--seed 1 --seed 2` ran with seed 2); every flag —
+        // switches included — may be given at most once.
+        if flags.iter().any(|(name, ..)| *name == flag.name) {
+            return Err(format!(
+                "duplicate flag `{arg}` (each flag may be given once)"
+            ));
+        }
+        let value = match flag.metavar {
+            SWITCH => String::new(),
+            _ => it
+                .next()
+                .ok_or_else(|| format!("missing value for {arg}"))?
+                .clone(),
+        };
+        let num = (flag.parse)(flag.name, &value)?;
+        flags.push((flag.name, value, num));
+    }
+    Ok(Args {
+        cmd,
+        positional: positional.to_vec(),
+        flags,
+    })
+}
+
+impl Args {
+    fn get(&self, name: &str) -> Option<(&str, u64)> {
+        debug_assert!(FLAGS.iter().any(|f| f.name == name), "{name} has no row");
+        let given = self.flags.iter().find(|(n, ..)| *n == name);
+        given.map(|(_, text, num)| (text.as_str(), *num))
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    fn text(&self, name: &str) -> Option<&str> {
+        self.get(name).map(|(text, _)| text)
+    }
+
+    fn num(&self, name: &str) -> Option<u64> {
+        self.get(name).map(|(_, num)| num)
+    }
+
+    /// `--shards`: a thread count, `auto` being one shard per host core.
+    fn shards(&self) -> usize {
+        match self.num("--shards") {
+            None => 1,
+            Some(0) => mermaid_network::auto_shards(),
+            Some(n) => n as usize,
+        }
+    }
+
+    fn tracing(&self) -> bool {
+        self.has("--trace-out") || self.has("--metrics") || self.has("--attribution")
+    }
+
+    fn checkpointing(&self) -> bool {
+        self.has("--checkpoint-every") || self.has("--checkpoint-dir") || self.has("--restore")
+    }
+
+    /// The [`RunConfig`] a `sim` or `analyze` invocation describes, flags
+    /// over defaults. A `--faults` file is read here, once, and travels on
+    /// as its canonical spec.
+    fn run_config(&self, default_mode: Mode) -> Result<RunConfig, String> {
+        let d = RunConfig::default();
+        let text = |flag: &str, default: String| self.text(flag).map_or(default, str::to_string);
+        Ok(RunConfig {
+            machine: text("--machine", d.machine),
+            topo: text("--topology", d.topo),
+            app: text("--app", d.app),
+            pattern: text("--pattern", d.pattern),
+            // Lossless: the row's parser bounded it by `MAX_PHASES`.
+            phases: self.num("--phases").map_or(d.phases, |n| n as u32),
+            ops: self.num("--ops").unwrap_or(d.ops),
+            seed: self.num("--seed").unwrap_or(d.seed),
+            mode: text("--mode", default_mode.name().to_string()),
+            shards: self.shards(),
+            faults: match self.text("--faults") {
+                Some(arg) => canonical_fault_spec(arg)?,
+                None => d.faults,
+            },
+            fault_seed: self.num("--fault-seed").unwrap_or(d.fault_seed),
+        })
+    }
+}
+
+/// Whether a flag combination, under the run's mode, is one no run can
+/// honour.
+type Gate = fn(&Args, Mode) -> bool;
+
+/// Flag combinations no run can honour, in the order they are checked: the
+/// first whose predicate holds is the error. `sim` and `analyze` share the
+/// list — a gate over flags `analyze` does not take cannot fire there.
+const GATES: &[(Gate, &str)] = &[
+    (
+        |a, mode| a.cmd == Cmd::Analyze && mode == Mode::Direct,
+        "analyze needs --mode detailed or task (a direct-execution estimate has no \
+         network events to attribute)",
+    ),
+    (
+        |a, mode| mode == Mode::Direct && (a.tracing() || a.shards() > 1 || a.has("--faults")),
+        "--trace-out/--metrics/--attribution, --shards and --faults need --mode detailed \
+         or task (direct execution has no communication model to record, shard or \
+         inject into)",
+    ),
+    (
+        |a, mode| mode != Mode::Task && (a.checkpointing() || a.has("--watch")),
+        "--watch and --checkpoint-every/--checkpoint-dir/--restore need --mode task \
+         (they sample and snapshot the communication model; see DESIGN.md section 16)",
+    ),
+    (
+        |a, _| a.has("--watch") && (a.shards() > 1 || a.checkpointing() || a.has("--faults")),
+        "--watch runs the single-threaded observer loop: it cannot be combined with \
+         --shards, --faults or the checkpoint flags",
+    ),
+    (
+        |a, _| a.has("--shard-profile") && a.shards() <= 1,
+        "--shard-profile needs --shards with at least 2 workers",
+    ),
+    (
+        |a, _| a.has("--checkpoint-every") != a.has("--checkpoint-dir"),
+        "--checkpoint-every and --checkpoint-dir go together \
+         (a cadence needs a destination, and vice versa)",
+    ),
+    (
+        |a, _| a.has("--restore") && (a.has("--trace-out") || a.has("--metrics")),
+        "--restore cannot rebuild --trace-out/--metrics streams (they would \
+         only cover events after the checkpoint instant); --attribution is \
+         supported because its state is carried in the snapshot",
+    ),
+    (
+        |a, _| a.has("--fault-seed") && !a.has("--faults"),
+        "--fault-seed needs --faults",
+    ),
+];
+
+/// Canonicalise a `--faults` argument — an inline spec, or the path of a
+/// file holding one (the file wins when it exists) — into the campaign
+/// grammar's fault token (`+`-joined clauses, whitespace and comments
+/// stripped, or `none`), so a `sim` run hashes its fault schedule exactly
+/// like the equivalent campaign run would.
+fn canonical_fault_spec(arg: &str) -> Result<String, String> {
+    let text = if Path::new(arg).is_file() {
         std::fs::read_to_string(arg).map_err(|e| format!("cannot read fault file {arg}: {e}"))?
     } else {
         arg.to_string()
@@ -219,168 +517,10 @@ fn canonical_fault_spec(arg: Option<&str>) -> Result<String, String> {
         .filter(|c| !c.is_empty())
         .collect();
     Ok(if clauses.is_empty() {
-        "none".to_string()
+        NO_FAULTS.to_string()
     } else {
         clauses.join("+")
     })
-}
-
-/// The campaign-grammar [`crate::campaign::RunConfig`] equivalent of a
-/// `sim --mode task` invocation — the identity a checkpoint binds to.
-/// `shards` is pinned to 1: sharding provably does not change results
-/// (the bit-identity contract of DESIGN.md §11), so a checkpoint captured
-/// serially restores under any `--shards` value, and serial and sharded
-/// captures of the same run produce byte-identical snapshot files.
-fn sim_run_config(o: &Opts) -> Result<crate::campaign::RunConfig, String> {
-    Ok(crate::campaign::RunConfig {
-        machine: o.machine.clone().unwrap_or_else(|| "t805".to_string()),
-        topo: o.topology.clone().unwrap_or_else(|| "ring:8".to_string()),
-        app: o.app.clone().unwrap_or_else(|| "scientific".to_string()),
-        pattern: o.pattern.clone().unwrap_or_else(|| "ring".to_string()),
-        phases: o.phases.unwrap_or(5),
-        ops: o.ops.unwrap_or(5_000),
-        seed: o.seed.unwrap_or(1),
-        mode: "task".to_string(),
-        shards: 1,
-        faults: canonical_fault_spec(o.faults.as_deref())?,
-        fault_seed: o.fault_seed.unwrap_or(1),
-    })
-}
-
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut o = Opts::default();
-    let mut seen = std::collections::BTreeSet::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        // Silent last-wins on repeated flags hides mistakes in scripted
-        // invocations (`--seed 1 --seed 2` ran with seed 2); every flag —
-        // including booleans — may be given at most once.
-        if flag.starts_with("--") && !seen.insert(flag.clone()) {
-            return Err(format!(
-                "duplicate flag `{flag}` (each flag may be given once)"
-            ));
-        }
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--machine" => o.machine = Some(value("--machine")?),
-            "--topology" => o.topology = Some(value("--topology")?),
-            "--app" => o.app = Some(value("--app")?),
-            "--pattern" => o.pattern = Some(value("--pattern")?),
-            "--phases" => o.phases = Some(parse_phases(&value("--phases")?)?),
-            "--ops" => o.ops = Some(parse_ops(&value("--ops")?)?),
-            "--seed" => o.seed = Some(value("--seed")?.parse().map_err(|_| "bad --seed")?),
-            "--mode" => o.mode = Some(value("--mode")?),
-            "--watch" => o.watch = true,
-            "--shards" => o.shards = Some(parse_shards(&value("--shards")?)?),
-            "--faults" => o.faults = Some(value("--faults")?),
-            "--fault-seed" => {
-                o.fault_seed = Some(
-                    value("--fault-seed")?
-                        .parse()
-                        .map_err(|_| "bad --fault-seed")?,
-                )
-            }
-            "--trace-out" => o.trace_out = Some(value("--trace-out")?),
-            "--metrics" => o.metrics = true,
-            "--attribution" => o.attribution = Some(value("--attribution")?),
-            "--json" => o.json = Some(value("--json")?),
-            "--shard-profile" => o.shard_profile = true,
-            "--checkpoint-every" => {
-                o.checkpoint_every = Some(parse_checkpoint_cadence(
-                    "--checkpoint-every",
-                    &value("--checkpoint-every")?,
-                )?)
-            }
-            "--checkpoint-dir" => o.checkpoint_dir = Some(value("--checkpoint-dir")?),
-            "--restore" => o.restore = Some(value("--restore")?),
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(o)
-}
-
-/// Parse a topology spec like `ring:8`, `mesh:4x4`, `hypercube:3`.
-pub(crate) fn parse_topology(spec: &str) -> Result<Topology, String> {
-    let (kind, params) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("topology spec `{spec}` needs kind:params"))?;
-    let num = |s: &str| -> Result<u32, String> {
-        s.parse()
-            .map_err(|_| format!("bad number `{s}` in `{spec}`"))
-    };
-    let topo = match kind {
-        "ring" => Topology::Ring(num(params)?),
-        "full" => Topology::FullyConnected(num(params)?),
-        "star" => Topology::Star(num(params)?),
-        "hypercube" => Topology::Hypercube { dim: num(params)? },
-        "mesh" | "torus" => {
-            let (w, h) = params
-                .split_once('x')
-                .ok_or_else(|| format!("`{spec}` needs WxH"))?;
-            let (w, h) = (num(w)?, num(h)?);
-            if kind == "mesh" {
-                Topology::Mesh2D { w, h }
-            } else {
-                Topology::Torus2D { w, h }
-            }
-        }
-        other => return Err(format!("unknown topology `{other}`")),
-    };
-    topo.try_validate()?;
-    Ok(topo)
-}
-
-pub(crate) fn parse_machine(name: &str, topo: Topology) -> Result<MachineConfig, String> {
-    Ok(match name {
-        "t805" => MachineConfig::t805_multicomputer(topo),
-        "ppc601" => MachineConfig::powerpc601_cluster(topo, 1),
-        "paragon" => {
-            let mut m = MachineConfig::paragon(2, 2);
-            m.network = mermaid_network::NetworkConfig::hw_routed(topo);
-            m.name = format!("Paragon XP/S-class, {}", topo.label());
-            m
-        }
-        "test" => MachineConfig::test_machine(topo),
-        other => {
-            return Err(format!(
-                "unknown machine `{other}` (t805|ppc601|paragon|test)"
-            ))
-        }
-    })
-}
-
-pub(crate) fn parse_pattern(name: &str) -> Result<CommPattern, String> {
-    Ok(match name {
-        "none" => CommPattern::None,
-        "ring" | "nn" => CommPattern::NearestNeighborRing,
-        "all2all" | "alltoall" => CommPattern::AllToAll,
-        "master" | "masterworker" => CommPattern::MasterWorker,
-        "random" => CommPattern::RandomPermutation,
-        "butterfly" => CommPattern::Butterfly,
-        other => return Err(format!("unknown pattern `{other}`")),
-    })
-}
-
-/// Resolve the `--faults` argument into a schedule: the value is a spec
-/// string, or the path of a file containing one (the file wins when it
-/// exists). Retry timing defaults are scaled to the target network.
-fn parse_faults(
-    arg: &str,
-    seed: u64,
-    network: &NetworkConfig,
-) -> Result<Arc<FaultSchedule>, String> {
-    let spec = if std::path::Path::new(arg).is_file() {
-        std::fs::read_to_string(arg).map_err(|e| format!("cannot read fault file {arg}: {e}"))?
-    } else {
-        arg.to_string()
-    };
-    let sched = FaultSchedule::parse(&spec, seed, RetryParams::default_for(network))?;
-    sched.try_validate(&network.topology)?;
-    Ok(Arc::new(sched))
 }
 
 /// Write a run artifact to `path` through `render`, diagnosing a missing
@@ -394,7 +534,7 @@ fn write_output_with(
     render: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
 ) -> Result<(), String> {
     use std::io::Write;
-    let p = std::path::Path::new(path);
+    let p = Path::new(path);
     if let Some(dir) = p.parent() {
         if !dir.as_os_str().is_empty() && !dir.is_dir() {
             return Err(format!(
@@ -429,26 +569,6 @@ fn shard_profile_section(p: Option<&mermaid_network::ShardProfile>) -> String {
     }
 }
 
-/// Build the stochastic workload generator shared by `simulate` and
-/// `analyze` from the parsed options.
-fn build_generator(o: &Opts, nodes: u32) -> Result<StochasticGenerator, String> {
-    let mix = match o.app.as_deref().unwrap_or("scientific") {
-        "scientific" => InstructionMix::scientific(),
-        "integer" => InstructionMix::integer(),
-        other => return Err(format!("unknown app mix `{other}`")),
-    };
-    let app = StochasticApp {
-        mix,
-        phases: o.phases.unwrap_or(5),
-        ops_per_phase: SizeDist::Fixed(o.ops.unwrap_or(5_000)),
-        pattern: parse_pattern(o.pattern.as_deref().unwrap_or("ring"))?,
-        ..StochasticApp::scientific(nodes)
-    };
-    app.try_validate()
-        .map_err(|e| format!("{e}; pick another --pattern or --topology"))?;
-    Ok(StochasticGenerator::new(app, o.seed.unwrap_or(1)))
-}
-
 /// Render the fault-injection epilogue of a run: headline counters plus
 /// the structured unreachable-pair table when anything actually failed.
 fn fault_summary(comm: &CommResult) -> String {
@@ -461,136 +581,296 @@ fn fault_summary(comm: &CommResult) -> String {
     s
 }
 
-/// Run a task-level simulation through the checkpoint/restore entry
-/// point: optionally seeded from a `--restore` snapshot, optionally
-/// capturing one every `--checkpoint-every` simulated picoseconds into
-/// `--checkpoint-dir` as `ckpt-<config-hash>-<time-ps>.snap` (the time
-/// is zero-padded so directory listings sort in capture order). Returns
-/// the result plus the number of checkpoints written.
+/// The front half of `sim` and `analyze`: the [`RunConfig`] the flags
+/// describe, resolved, with the flag combinations gated against its mode.
+fn describe(a: &Args, default_mode: Mode) -> Result<(RunConfig, Resolved), String> {
+    let cfg = a.run_config(default_mode)?;
+    let resolved = cfg.resolve()?;
+    match GATES.iter().find(|(holds, _)| holds(a, resolved.mode)) {
+        Some((_, err)) => Err(err.to_string()),
+        None => Ok((cfg, resolved)),
+    }
+}
+
+/// Run what [`describe`] returned, recording into `probe`, through
+/// `sim`'s checkpoint flags: optionally seeded from a `--restore`
+/// snapshot, optionally capturing one every `--checkpoint-every` simulated
+/// picoseconds into `--checkpoint-dir` as `ckpt-<config-hash>-<time-ps>.snap`
+/// (the time is zero-padded so directory listings sort in capture order).
+/// Returns the outcome plus the number of checkpoints written.
+///
+/// The hash is the run's campaign identity with `shards` pinned to 1:
+/// sharding provably does not change results (the bit-identity contract of
+/// DESIGN.md §11), so a checkpoint captured serially restores under any
+/// `--shards` value, serial and sharded captures of the same run produce
+/// byte-identical snapshot files, and a one-shard campaign run's rolling
+/// checkpoint restores under the equivalent `sim` flags.
 ///
 /// A restored run prints exactly what the uninterrupted run prints — no
 /// banner — so `diff` against a straight-through invocation is the
 /// simplest possible conformance check.
-fn run_task_checkpointed(
-    o: &Opts,
-    network: NetworkConfig,
-    traces: &TraceSet,
+fn launch(
+    a: &Args,
+    cfg: &RunConfig,
+    resolved: &Resolved,
     probe: &ProbeHandle,
-    shards: usize,
-    faults: Option<Arc<FaultSchedule>>,
-) -> Result<(crate::TaskLevelResult, usize), String> {
-    let hash = sim_run_config(o)?.config_hash();
-    let restored = match &o.restore {
+) -> Result<(Outcome, usize), String> {
+    let hash = RunConfig {
+        shards: 1,
+        ..cfg.clone()
+    }
+    .config_hash();
+    let restored = match a.text("--restore") {
         Some(path) => {
-            let snap =
-                Snapshot::read_file(std::path::Path::new(path)).map_err(|e| e.to_string())?;
+            let snap = Snapshot::read_file(Path::new(path)).map_err(|e| e.to_string())?;
             snap.verify_config(&hash).map_err(|e| e.to_string())?;
             Some(snap)
         }
         None => None,
     };
-    let written = std::sync::Mutex::new(0usize);
-    let write_snap = |snap: &Snapshot| -> Result<(), SnapshotError> {
-        let dir = o
-            .checkpoint_dir
-            .as_deref()
-            .expect("--checkpoint-every is gated on --checkpoint-dir");
-        let path =
-            std::path::Path::new(dir).join(format!("ckpt-{hash}-{:020}.snap", snap.time.as_ps()));
-        snap.write_file(&path)?;
-        *written.lock().unwrap() += 1;
-        Ok(())
+    let written = AtomicUsize::new(0);
+    let write;
+    // Gated: a cadence comes with its directory, and vice versa.
+    let checkpoint = match (a.num("--checkpoint-every"), a.text("--checkpoint-dir")) {
+        (Some(every), Some(dir)) => {
+            write = |snap: &Snapshot| -> Result<(), SnapshotError> {
+                let name = format!("ckpt-{hash}-{:020}.snap", snap.time.as_ps());
+                snap.write_file(&Path::new(dir).join(name))?;
+                written.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            };
+            Some(CheckpointOpts {
+                every: pearl::Duration::from_ps(every),
+                config_hash: hash.clone(),
+                write: &write,
+            })
+        }
+        _ => None,
     };
-    let ck = o.checkpoint_every.map(|every| CheckpointOpts {
-        every: pearl::Duration::from_ps(every),
-        config_hash: hash.clone(),
-        write: &write_snap,
-    });
     let opts = RunOptions {
         probe: probe.clone(),
-        shards,
-        faults,
+        shards: cfg.shards,
+        faults: resolved.faults.clone(),
         restore_from: restored.as_ref(),
-        checkpoint: ck.as_ref(),
+        checkpoint: checkpoint.as_ref(),
     };
-    let (comm, shard_profile) = run_comm(network, traces, &opts).map_err(|e| e.to_string())?;
-    let r = crate::TaskLevelResult {
-        predicted_time: comm.finish,
-        comm,
-        ops_simulated: traces.total_ops() as u64,
-        shard_profile,
-    };
-    let n = *written.lock().unwrap();
-    Ok((r, n))
+    let outcome = resolved.run(&opts, 1).map_err(|e| e.to_string())?;
+    Ok((outcome, written.load(Ordering::Relaxed)))
 }
 
-/// Run the `campaign` subcommand: resolve the spec (inline or file, the
-/// file winning when it exists — same convention as `--faults`), parse
-/// the campaign-specific flags, and drive [`crate::campaign::run_campaign`].
-fn run_campaign_cmd(args: &[String]) -> Result<String, String> {
-    let Some(spec_arg) = args.first() else {
-        return Err("campaign needs a spec (inline, or the path of a spec file)".into());
+fn run_sim(a: &Args) -> Result<String, String> {
+    let (cfg, resolved) = describe(a, Mode::Detailed)?;
+    let (trace_out, attribution) = (a.text("--trace-out"), a.text("--attribution"));
+    if let (Some(trace), Some(attribution)) = (trace_out, attribution) {
+        if Path::new(trace) == Path::new(attribution) {
+            return Err(format!(
+                "--trace-out and --attribution both name `{trace}`; \
+                 the second artifact would overwrite the first"
+            ));
+        }
+    }
+    // Instrumentation: one probe handle feeds every sink the user asked
+    // for. Disabled (a single branch per event site) when no flag is given.
+    let probe = if a.tracing() {
+        let mut stack = ProbeStack::new();
+        if trace_out.is_some() {
+            stack = stack.with_chrome();
+        }
+        if a.has("--metrics") {
+            stack = stack
+                .with_metrics()
+                .with_profiler(crate::host_frequency().as_hz() as f64);
+        }
+        if attribution.is_some() {
+            stack = stack.with_attribution();
+        }
+        ProbeHandle::new(stack)
+    } else {
+        ProbeHandle::disabled()
     };
-    let spec_text = if std::path::Path::new(spec_arg).is_file() {
+
+    let nodes = resolved.machine.nodes();
+    let mut out = format!("machine: {}\n", resolved.machine.name);
+    let finish = if a.has("--watch") {
+        let traces = resolved.generator.generate_task_level();
+        let (r, run) = observer::observe_task_level_probed(
+            resolved.machine.network,
+            &traces,
+            500,
+            probe.clone(),
+            |s| {
+                eprintln!(
+                    "t={:>14}ps  events={:>8}  msgs={:>6}  done={}/{}",
+                    s.virtual_ps, s.events, s.messages, s.nodes_done, nodes
+                );
+            },
+        );
+        out.push_str(&format!("predicted time: {}\n", r.finish));
+        out.push_str(&format!(
+            "messages over time: {}\n",
+            mermaid_stats::chart::sparkline(&run.messages, 40)
+        ));
+        r.finish
+    } else {
+        // A detailed run generates its operations as the simulator pulls
+        // them, so its `slowdown` line covers trace generation plus
+        // simulation — the paper's own set-up (Section 6). Bench figures
+        // that time simulation of a ready `TraceSet` alone are not
+        // comparable with it.
+        let meter = SlowdownMeter::start(nodes, resolved.machine.cpu.clock);
+        let (outcome, ckpts_written) = launch(a, &cfg, &resolved, &probe)?;
+        let finish = outcome.predicted_time();
+        let slow = meter.finish(finish);
+        match &outcome {
+            Outcome::Task(r) => {
+                out.push_str(&format!("predicted time: {finish}\n\n"));
+                out.push_str(&report::task_level_table(r).render());
+            }
+            Outcome::Detailed(r) => {
+                out.push_str(&format!("predicted time: {finish}\n\n"));
+                out.push_str(&report::hybrid_table(r).render());
+            }
+            Outcome::Direct(_) => out.push_str(&format!(
+                "predicted time: {finish} (direct-execution estimate; cache-blind)\n"
+            )),
+        }
+        if resolved.faults.is_some() {
+            out.push_str(&fault_summary(outcome.comm()));
+        }
+        if resolved.mode == Mode::Detailed {
+            out.push_str(&format!(
+                "\nslowdown {:.1}×/proc, {:.0} target cycles/s\n",
+                slow.slowdown_per_processor(),
+                slow.target_cycles_per_host_second()
+            ));
+        }
+        if a.has("--shard-profile") {
+            out.push_str(&shard_profile_section(outcome.shard_profile()));
+        }
+        if let Some(dir) = a.text("--checkpoint-dir") {
+            out.push_str(&format!(
+                "checkpoints written: {ckpts_written} (ckpt-*.snap in {dir})\n"
+            ));
+        }
+        finish
+    };
+
+    let finish_ps = finish.as_ps();
+    if let Some(path) = trace_out {
+        // The sink checked the trace as it recorded it and streams the
+        // document straight into the file: nothing is rendered in memory
+        // or parsed back.
+        probe
+            .with_stack(|s| {
+                let chrome = s.chrome.as_ref().ok_or("no trace was collected")?;
+                chrome
+                    .summary()
+                    .map_err(|e| format!("internal error: emitted trace is invalid: {e}"))?;
+                write_output_with(path, |w| chrome.write_json(w))
+            })
+            .ok_or("no trace was collected")??;
+        out.push_str(&format!("trace written: {path}\n"));
+    }
+    if let Some(path) = attribution {
+        let report = probe
+            .attribution_report(finish_ps)
+            .ok_or("no attribution was collected")?;
+        write_output_file(path, &report.to_json())?;
+        out.push_str(&format!("attribution written: {path}\n"));
+    }
+    if a.has("--metrics") {
+        let report = probe
+            .metrics_report(finish_ps)
+            .ok_or("no metrics were collected")?;
+        out.push('\n');
+        out.push_str(&report.render());
+        if let Some(profile) = probe.host_profile() {
+            out.push('\n');
+            out.push_str(&profile.render());
+        }
+    }
+    Ok(out)
+}
+
+fn run_analyze(a: &Args) -> Result<String, String> {
+    // Analyze targets the communication network, so the fast task-level
+    // mode is the default; `--mode detailed` attributes the same run with
+    // the computational model in front.
+    let (cfg, resolved) = describe(a, Mode::Task)?;
+    let probe = ProbeHandle::new(ProbeStack::new().with_attribution());
+    let (outcome, _) = launch(a, &cfg, &resolved, &probe)?;
+    let finish = outcome.predicted_time();
+    let report = probe
+        .attribution_report(finish.as_ps())
+        .ok_or("no attribution was collected")?;
+    let mut out = format!(
+        "machine: {}\npredicted time: {finish}\n\n{}",
+        resolved.machine.name,
+        report.render()
+    );
+    if let Some(path) = a.text("--json") {
+        write_output_file(path, &report.to_json())?;
+        out.push_str(&format!("attribution written: {path}\n"));
+    }
+    if a.has("--shard-profile") {
+        out.push_str(&shard_profile_section(outcome.shard_profile()));
+    }
+    Ok(out)
+}
+
+fn run_topo(spec: &str) -> Result<String, String> {
+    let t = parse_topology(spec)?;
+    let degree = (0..t.nodes()).map(|n| t.neighbors(n).len()).max();
+    Ok(format!(
+        "topology:  {}\nnodes:     {}\nlinks:     {}\ndiameter:  {}\ndegree:    {}\n",
+        t.label(),
+        t.nodes(),
+        t.link_count(),
+        t.diameter(),
+        degree.unwrap_or(0)
+    ))
+}
+
+fn run_probe(a: &Args) -> Result<String, String> {
+    let topo = parse_topology(a.text("--topology").unwrap_or("ring:4"))?;
+    let machine = parse_machine(a.text("--machine").unwrap_or("ppc601"), topo)?;
+    let mut out = format!(
+        "machine: {}\n\nmemory-latency curve (64 B stride):\n",
+        machine.name
+    );
+    let footprints: Vec<u64> = (0..10).map(|i| (4 << 10) << i).collect(); // 4 KiB … 2 MiB
+    for p in crate::memory_stride_probe(&machine, &footprints, 64) {
+        out.push_str(&format!(
+            "  {:>8} KiB  {:>8.1} ns/access\n",
+            p.array_bytes / 1024,
+            p.per_access.as_nanos_f64()
+        ));
+    }
+    out.push_str("\nping-pong (node 0 ↔ 1):\n");
+    for p in crate::ping_pong(&machine, &[64, 1024, 16 * 1024, 262_144], 3) {
+        out.push_str(&format!(
+            "  {:>7} B  one-way {:>12}  {:>10.2} MB/s\n",
+            p.bytes,
+            format!("{}", p.one_way),
+            p.bandwidth / 1e6
+        ));
+    }
+    Ok(out)
+}
+
+/// Run the `campaign` subcommand: read the spec (inline or file, the file
+/// winning when it exists — same convention as `--faults`) and drive
+/// [`crate::campaign::run_campaign`].
+fn run_campaign_cmd(a: &Args) -> Result<String, String> {
+    let spec_arg = &a.positional[0];
+    let spec_text = if Path::new(spec_arg).is_file() {
         std::fs::read_to_string(spec_arg)
             .map_err(|e| format!("cannot read campaign file {spec_arg}: {e}"))?
     } else {
         spec_arg.clone()
     };
     let spec = crate::campaign::CampaignSpec::parse(&spec_text)?;
-
-    let mut out_dir: Option<String> = None;
-    let mut jobs: Option<usize> = Some(1); // `None` = auto, resolved against the spec below
-    let mut limit: Option<usize> = None;
-    let mut dry_run = false;
-    let mut attribution = false;
-    let mut checkpoint_every_ps: Option<u64> = None;
-    let mut seen = std::collections::BTreeSet::new();
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        if flag.starts_with("--") && !seen.insert(flag.clone()) {
-            return Err(format!(
-                "duplicate flag `{flag}` (each flag may be given once)"
-            ));
-        }
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--out" => out_dir = Some(value("--out")?),
-            "--jobs" => {
-                let v = value("--jobs")?;
-                jobs = if v == "auto" {
-                    None
-                } else {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => Some(n),
-                        _ => return Err(format!("bad --jobs `{v}` (want a count >= 1 or `auto`)")),
-                    }
-                };
-            }
-            "--limit" => {
-                let v = value("--limit")?;
-                limit = Some(match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(format!("bad --limit `{v}` (want a count >= 1)")),
-                });
-            }
-            "--dry-run" => dry_run = true,
-            "--attribution" => attribution = true,
-            "--checkpoint" => {
-                checkpoint_every_ps = Some(parse_checkpoint_cadence(
-                    "--checkpoint",
-                    &value("--checkpoint")?,
-                )?)
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-
-    if dry_run {
+    if a.has("--dry-run") {
         let runs = spec.expand()?;
         let mut out = format!("campaign: {} run(s) expanded (dry run)\n", runs.len());
         for r in &runs {
@@ -598,22 +878,26 @@ fn run_campaign_cmd(args: &[String]) -> Result<String, String> {
         }
         return Ok(out);
     }
-    let out_dir = out_dir.ok_or("campaign needs --out <dir> (or --dry-run)")?;
-    // `--jobs auto` is resolved against the spec's shard axis: each run may
-    // itself spawn `shards` worker threads, so the job count is capped to
-    // keep jobs × shards within the host core count.
-    let jobs = jobs.unwrap_or_else(|| {
-        crate::sweep::auto_workers_for(spec.shards.iter().copied().max().unwrap_or(1))
-    });
+    let out_dir = a
+        .text("--out")
+        .ok_or("campaign needs --out <dir> (or --dry-run)")?;
+    let jobs = match a.num("--jobs") {
+        None => 1,
+        // `auto` is resolved against the spec's shard axis: each run may
+        // itself spawn `shards` worker threads, so the job count is capped
+        // to keep jobs × shards within the host core count.
+        Some(0) => sweep::auto_workers_for(spec.shards.iter().copied().max().unwrap_or(1)),
+        Some(n) => n as usize,
+    };
     let outcome = crate::campaign::run_campaign(
         &spec,
         &crate::campaign::CampaignOptions {
-            out_dir: std::path::PathBuf::from(out_dir),
+            out_dir: out_dir.into(),
             jobs,
-            limit,
+            limit: a.num("--limit").map(|n| n as usize),
             progress: true,
-            attribution,
-            checkpoint_every_ps,
+            attribution: a.has("--attribution"),
+            checkpoint_every_ps: a.num("--checkpoint"),
         },
     )?;
     Ok(outcome.report)
@@ -622,384 +906,32 @@ fn run_campaign_cmd(args: &[String]) -> Result<String, String> {
 /// Execute one CLI invocation (everything after the program name) and
 /// return the text it would print on stdout.
 pub fn run(args: &[String]) -> Result<String, String> {
-    let Some(cmd) = args.first() else {
-        return Err(
-            "no subcommand (expected one of: table1, topo, machines, simulate/sim, \
-                    analyze, probe, campaign)"
-                .into(),
-        );
+    let names: Vec<&str> = CMDS.iter().map(|(_, name, _)| *name).collect();
+    let Some(name) = args.first() else {
+        return Err(format!(
+            "no subcommand (expected one of: {}; simulate = sim)",
+            names.join(", ")
+        ));
     };
-    match cmd.as_str() {
-        "table1" => Ok(table1::render()),
-        "topo" => {
-            let spec = args.get(1).ok_or("topo needs a spec")?;
-            let t = parse_topology(spec)?;
-            let mut out = String::new();
-            out.push_str(&format!("topology:  {}\n", t.label()));
-            out.push_str(&format!("nodes:     {}\n", t.nodes()));
-            out.push_str(&format!("links:     {}\n", t.link_count()));
-            out.push_str(&format!("diameter:  {}\n", t.diameter()));
-            out.push_str(&format!(
-                "degree:    {}\n",
-                (0..t.nodes())
-                    .map(|n| t.neighbors(n).len())
-                    .max()
-                    .unwrap_or(0)
-            ));
-            Ok(out)
-        }
-        "machines" => Ok(
+    let name = if name == "simulate" { "sim" } else { name };
+    let Some(&(cmd, ..)) = CMDS.iter().find(|(_, n, _)| *n == name) else {
+        return Err(format!("unknown subcommand `{name}`"));
+    };
+    let a = scan(cmd, &args[1..])?;
+    match cmd {
+        Cmd::Table1 => Ok(table1::render()),
+        Cmd::Topo => run_topo(&a.positional[0]),
+        Cmd::Machines => Ok(
             "t805     Inmos T805 transputer multicomputer (30 MHz, SAF links)\n\
-                          ppc601   Motorola PowerPC 601 nodes, two cache levels, hw-routed net\n\
-                          paragon  Intel Paragon XP/S-class (i860 XP, wormhole mesh links)\n\
-                          test     fast round-number test machine\n"
+             ppc601   Motorola PowerPC 601 nodes, two cache levels, hw-routed net\n\
+             paragon  Intel Paragon XP/S-class (i860 XP, wormhole mesh links)\n\
+             test     fast round-number test machine\n"
                 .to_string(),
         ),
-        "simulate" | "sim" => {
-            let o = parse_opts(&args[1..])?;
-            if o.json.is_some() {
-                return Err(
-                    "--json belongs to `analyze`; with sim use --attribution <file>".into(),
-                );
-            }
-            let topo = parse_topology(o.topology.as_deref().unwrap_or("ring:8"))?;
-            let machine = parse_machine(o.machine.as_deref().unwrap_or("t805"), topo)?;
-            let nodes = topo.nodes();
-            let gen = build_generator(&o, nodes)?;
-
-            // Instrumentation: one probe handle feeds every sink the user
-            // asked for. Disabled (a single branch per event site) when
-            // no flag is given.
-            let mode = o.mode.as_deref().unwrap_or("detailed");
-            let tracing = o.trace_out.is_some() || o.metrics || o.attribution.is_some();
-            if let (Some(trace), Some(attribution)) = (&o.trace_out, &o.attribution) {
-                if std::path::Path::new(trace) == std::path::Path::new(attribution) {
-                    return Err(format!(
-                        "--trace-out and --attribution both name `{trace}`; \
-                         the second artifact would overwrite the first"
-                    ));
-                }
-            }
-            if tracing && mode == "direct" {
-                return Err(
-                    "--trace-out/--metrics/--attribution need --mode detailed or task".into(),
-                );
-            }
-            let shards = o.shards.unwrap_or(1);
-            if shards > 1 && mode == "direct" {
-                return Err("--shards needs --mode detailed or task".into());
-            }
-            if shards > 1 && o.watch {
-                return Err(
-                    "--shards cannot be combined with --watch (which runs single-threaded)".into(),
-                );
-            }
-            if o.shard_profile && shards <= 1 {
-                return Err("--shard-profile needs --shards with at least 2 workers".into());
-            }
-            let checkpointing =
-                o.checkpoint_every.is_some() || o.checkpoint_dir.is_some() || o.restore.is_some();
-            if checkpointing && mode != "task" {
-                return Err(
-                    "--checkpoint-every/--checkpoint-dir/--restore need --mode task \
-                     (snapshots cover the communication model; see DESIGN.md section 16)"
-                        .into(),
-                );
-            }
-            if checkpointing && o.watch {
-                return Err(
-                    "checkpoint flags cannot be combined with --watch (which runs the \
-                     single-threaded observer loop)"
-                        .into(),
-                );
-            }
-            if o.checkpoint_every.is_some() != o.checkpoint_dir.is_some() {
-                return Err("--checkpoint-every and --checkpoint-dir go together \
-                            (a cadence needs a destination, and vice versa)"
-                    .into());
-            }
-            if o.restore.is_some() && (o.trace_out.is_some() || o.metrics) {
-                return Err(
-                    "--restore cannot rebuild --trace-out/--metrics streams (they would \
-                     only cover events after the checkpoint instant); --attribution is \
-                     supported because its state is carried in the snapshot"
-                        .into(),
-                );
-            }
-            if o.fault_seed.is_some() && o.faults.is_none() {
-                return Err("--fault-seed needs --faults".into());
-            }
-            let faults = match &o.faults {
-                Some(arg) => {
-                    if mode == "direct" {
-                        return Err("--faults needs --mode detailed or task (direct execution \
-                                    has no communication model to inject into)"
-                            .into());
-                    }
-                    if o.watch {
-                        return Err("--faults cannot be combined with --watch".into());
-                    }
-                    Some(parse_faults(
-                        arg,
-                        o.fault_seed.unwrap_or(1),
-                        &machine.network,
-                    )?)
-                }
-                None => None,
-            };
-            let probe = if tracing {
-                let mut stack = ProbeStack::new();
-                if o.trace_out.is_some() {
-                    stack = stack.with_chrome();
-                }
-                if o.metrics {
-                    stack = stack
-                        .with_metrics()
-                        .with_profiler(crate::host_frequency().as_hz() as f64);
-                }
-                if o.attribution.is_some() {
-                    stack = stack.with_attribution();
-                }
-                ProbeHandle::new(stack)
-            } else {
-                ProbeHandle::disabled()
-            };
-
-            let mut out = format!("machine: {}\n", machine.name);
-            let mut finish_ps = 0u64;
-            match mode {
-                "detailed" => {
-                    // Operations are generated as the simulator pulls them, so
-                    // the `slowdown` line below covers trace generation plus
-                    // simulation — the paper's own set-up (Section 6). Bench
-                    // figures that time simulation of a ready `TraceSet` alone
-                    // are not comparable with it.
-                    let meter = SlowdownMeter::start(nodes, machine.cpu.clock);
-                    let r = HybridSim::new(machine)
-                        .with_probe(probe.clone())
-                        .with_shards(shards)
-                        .with_faults(faults.clone())
-                        .run_streams(gen.streams());
-                    let slow = meter.finish(r.predicted_time);
-                    finish_ps = r.predicted_time.as_ps();
-                    out.push_str(&format!("predicted time: {}\n\n", r.predicted_time));
-                    out.push_str(&report::hybrid_table(&r).render());
-                    if faults.is_some() {
-                        out.push_str(&fault_summary(&r.comm));
-                    }
-                    out.push_str(&format!(
-                        "\nslowdown {:.1}×/proc, {:.0} target cycles/s\n",
-                        slow.slowdown_per_processor(),
-                        slow.target_cycles_per_host_second()
-                    ));
-                    if o.shard_profile {
-                        out.push_str(&shard_profile_section(r.shard_profile.as_ref()));
-                    }
-                }
-                "task" => {
-                    let traces = gen.generate_task_level();
-                    if o.watch {
-                        let (r, run) = observer::observe_task_level_probed(
-                            machine.network,
-                            &traces,
-                            500,
-                            probe.clone(),
-                            |s| {
-                                eprintln!(
-                                    "t={:>14}ps  events={:>8}  msgs={:>6}  done={}/{}",
-                                    s.virtual_ps, s.events, s.messages, s.nodes_done, nodes
-                                );
-                            },
-                        );
-                        finish_ps = r.finish.as_ps();
-                        out.push_str(&format!("predicted time: {}\n", r.finish));
-                        out.push_str(&format!(
-                            "messages over time: {}\n",
-                            mermaid_stats::chart::sparkline(&run.messages, 40)
-                        ));
-                    } else {
-                        let (r, ckpts_written) =
-                            if o.restore.is_some() || o.checkpoint_every.is_some() {
-                                run_task_checkpointed(
-                                    &o,
-                                    machine.network,
-                                    &traces,
-                                    &probe,
-                                    shards,
-                                    faults.clone(),
-                                )?
-                            } else {
-                                let r = TaskLevelSim::new(machine.network)
-                                    .with_probe(probe.clone())
-                                    .with_shards(shards)
-                                    .with_faults(faults.clone())
-                                    .run(&traces);
-                                (r, 0)
-                            };
-                        finish_ps = r.predicted_time.as_ps();
-                        out.push_str(&format!("predicted time: {}\n\n", r.predicted_time));
-                        out.push_str(&report::task_level_table(&r).render());
-                        if faults.is_some() {
-                            out.push_str(&fault_summary(&r.comm));
-                        }
-                        if o.shard_profile {
-                            out.push_str(&shard_profile_section(r.shard_profile.as_ref()));
-                        }
-                        if let Some(dir) = o.checkpoint_dir.as_deref() {
-                            out.push_str(&format!(
-                                "checkpoints written: {ckpts_written} (ckpt-*.snap in {dir})\n"
-                            ));
-                        }
-                    }
-                }
-                "direct" => {
-                    let r = DirectExecSim::new(machine).run_streams(gen.streams());
-                    out.push_str(&format!(
-                        "predicted time: {} (direct-execution estimate; cache-blind)\n",
-                        r.predicted_time
-                    ));
-                }
-                other => return Err(format!("unknown mode `{other}`")),
-            }
-
-            if let Some(path) = &o.trace_out {
-                // The sink checked the trace as it recorded it and streams
-                // the document straight into the file: nothing is rendered
-                // in memory or parsed back.
-                probe
-                    .with_stack(|s| {
-                        let chrome = s.chrome.as_ref().ok_or("no trace was collected")?;
-                        chrome.summary().map_err(|e| {
-                            format!("internal error: emitted trace is invalid: {e}")
-                        })?;
-                        write_output_with(path, |w| chrome.write_json(w))
-                    })
-                    .ok_or("no trace was collected")??;
-                out.push_str(&format!("trace written: {path}\n"));
-            }
-            if let Some(path) = &o.attribution {
-                let report = probe
-                    .attribution_report(finish_ps)
-                    .ok_or("no attribution was collected")?;
-                write_output_file(path, &report.to_json())?;
-                out.push_str(&format!("attribution written: {path}\n"));
-            }
-            if o.metrics {
-                let report = probe
-                    .metrics_report(finish_ps)
-                    .ok_or("no metrics were collected")?;
-                out.push('\n');
-                out.push_str(&report.render());
-                if let Some(profile) = probe.host_profile() {
-                    out.push('\n');
-                    out.push_str(&profile.render());
-                }
-            }
-            Ok(out)
-        }
-        "analyze" => {
-            let o = parse_opts(&args[1..])?;
-            if o.watch || o.trace_out.is_some() || o.metrics {
-                return Err("analyze renders the attribution report; use `sim` for \
-                            --watch/--trace-out/--metrics"
-                    .into());
-            }
-            if o.attribution.is_some() {
-                return Err("analyze always attributes; write the JSON with --json <file>".into());
-            }
-            let topo = parse_topology(o.topology.as_deref().unwrap_or("ring:8"))?;
-            let machine = parse_machine(o.machine.as_deref().unwrap_or("t805"), topo)?;
-            let gen = build_generator(&o, topo.nodes())?;
-            // Analyze targets the communication network, so the fast
-            // task-level mode is the default; `--mode detailed` attributes
-            // the same run with the computational model in front.
-            let mode = o.mode.as_deref().unwrap_or("task");
-            let shards = o.shards.unwrap_or(1);
-            if o.shard_profile && shards <= 1 {
-                return Err("--shard-profile needs --shards with at least 2 workers".into());
-            }
-            if o.fault_seed.is_some() && o.faults.is_none() {
-                return Err("--fault-seed needs --faults".into());
-            }
-            let faults = match &o.faults {
-                Some(arg) => Some(parse_faults(
-                    arg,
-                    o.fault_seed.unwrap_or(1),
-                    &machine.network,
-                )?),
-                None => None,
-            };
-            let probe = ProbeHandle::new(ProbeStack::new().with_attribution());
-            let mut out = format!("machine: {}\n", machine.name);
-            let (finish_ps, shard_profile) = match mode {
-                "task" => {
-                    let traces = gen.generate_task_level();
-                    let r = TaskLevelSim::new(machine.network)
-                        .with_probe(probe.clone())
-                        .with_shards(shards)
-                        .with_faults(faults.clone())
-                        .run(&traces);
-                    out.push_str(&format!("predicted time: {}\n", r.predicted_time));
-                    (r.predicted_time.as_ps(), r.shard_profile)
-                }
-                "detailed" => {
-                    let r = HybridSim::new(machine)
-                        .with_probe(probe.clone())
-                        .with_shards(shards)
-                        .with_faults(faults.clone())
-                        .run_streams(gen.streams());
-                    out.push_str(&format!("predicted time: {}\n", r.predicted_time));
-                    (r.predicted_time.as_ps(), r.shard_profile)
-                }
-                other => {
-                    return Err(format!(
-                        "analyze needs --mode detailed or task (got `{other}`)"
-                    ))
-                }
-            };
-            let report = probe
-                .attribution_report(finish_ps)
-                .ok_or("no attribution was collected")?;
-            out.push('\n');
-            out.push_str(&report.render());
-            if let Some(path) = &o.json {
-                write_output_file(path, &report.to_json())?;
-                out.push_str(&format!("attribution written: {path}\n"));
-            }
-            if o.shard_profile {
-                out.push_str(&shard_profile_section(shard_profile.as_ref()));
-            }
-            Ok(out)
-        }
-        "probe" => {
-            let o = parse_opts(&args[1..])?;
-            let topo = parse_topology(o.topology.as_deref().unwrap_or("ring:4"))?;
-            let machine = parse_machine(o.machine.as_deref().unwrap_or("ppc601"), topo)?;
-            let mut out = format!(
-                "machine: {}\n\nmemory-latency curve (64 B stride):\n",
-                machine.name
-            );
-            let footprints: Vec<u64> = (0..10).map(|i| (4 << 10) << i).collect(); // 4 KiB … 2 MiB
-            for p in crate::memory_stride_probe(&machine, &footprints, 64) {
-                out.push_str(&format!(
-                    "  {:>8} KiB  {:>8.1} ns/access\n",
-                    p.array_bytes / 1024,
-                    p.per_access.as_nanos_f64()
-                ));
-            }
-            out.push_str("\nping-pong (node 0 ↔ 1):\n");
-            for p in crate::ping_pong(&machine, &[64, 1024, 16 * 1024, 262_144], 3) {
-                out.push_str(&format!(
-                    "  {:>7} B  one-way {:>12}  {:>10.2} MB/s\n",
-                    p.bytes,
-                    format!("{}", p.one_way),
-                    p.bandwidth / 1e6
-                ));
-            }
-            Ok(out)
-        }
-        "campaign" => run_campaign_cmd(&args[1..]),
-        other => Err(format!("unknown subcommand `{other}`")),
+        Cmd::Sim => run_sim(&a),
+        Cmd::Analyze => run_analyze(&a),
+        Cmd::Probe => run_probe(&a),
+        Cmd::Campaign => run_campaign_cmd(&a),
     }
 }
 
@@ -1009,48 +941,6 @@ mod tests {
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
-    }
-
-    #[test]
-    fn topology_specs_parse() {
-        assert_eq!(parse_topology("ring:8").unwrap(), Topology::Ring(8));
-        assert_eq!(
-            parse_topology("mesh:4x2").unwrap(),
-            Topology::Mesh2D { w: 4, h: 2 }
-        );
-        assert_eq!(
-            parse_topology("hypercube:3").unwrap(),
-            Topology::Hypercube { dim: 3 }
-        );
-        assert!(parse_topology("ring").is_err());
-        assert!(parse_topology("blob:3").is_err());
-        assert!(parse_topology("mesh:4").is_err());
-    }
-
-    #[test]
-    fn invalid_topology_specs_are_errors_not_panics() {
-        // Each of these used to reach `Topology::validate()`'s assertions
-        // (or overflow `w*h`) and abort the process; they must now come
-        // back as plain `Err`s.
-        for spec in [
-            "ring:1",
-            "ring:0",
-            "mesh:0x4",
-            "mesh:4x0",
-            "torus:0x4",
-            "mesh:1x1",
-            "hypercube:0",
-            "hypercube:21",
-            "full:1",
-            "star:1",
-            "mesh:100000x100000",
-        ] {
-            let err = parse_topology(spec).expect_err(&format!("`{spec}` should be rejected"));
-            assert!(!err.is_empty());
-        }
-        // ... while the boundary cases stay valid.
-        assert!(parse_topology("ring:2").is_ok());
-        assert!(parse_topology("hypercube:20").is_ok());
     }
 
     #[test]
@@ -1097,15 +987,122 @@ mod tests {
 
     #[test]
     fn shards_flag_parses_counts_and_auto() {
-        assert_eq!(parse_shards("1").unwrap(), 1);
-        assert_eq!(parse_shards("4").unwrap(), 4);
-        assert!(parse_shards("auto").unwrap() >= 1);
-        assert!(parse_shards("0").is_err());
-        assert!(parse_shards("-2").is_err());
-        assert!(parse_shards("many").is_err());
-        let o = parse_opts(&s(&["--shards", "3"])).unwrap();
-        assert_eq!(o.shards, Some(3));
-        assert!(parse_opts(&s(&["--shards"])).is_err());
+        let shards = |v: &str| scan(Cmd::Sim, &s(&["--shards", v])).map(|a| a.shards());
+        assert_eq!(shards("1").unwrap(), 1);
+        assert_eq!(shards("4").unwrap(), 4);
+        assert!(shards("auto").unwrap() >= 1);
+        for bad in ["0", "-2", "many"] {
+            let err = shards(bad).expect_err("rejected");
+            assert_eq!(
+                err,
+                format!("bad --shards `{bad}` (want a count >= 1 or `auto`)")
+            );
+        }
+        assert!(scan(Cmd::Sim, &s(&["--shards"])).is_err());
+    }
+
+    /// `run` must fail, and the error must name every fragment.
+    fn rejected(args: &[&str], fragments: &[&str]) {
+        let err = run(&s(args)).expect_err(&format!("`{}` must be rejected", args.join(" ")));
+        for want in fragments {
+            assert!(err.contains(want), "`{err}` should mention `{want}`");
+        }
+    }
+
+    #[test]
+    fn analyze_rejects_the_checkpoint_flags_it_used_to_ignore() {
+        for (flag, value) in [
+            ("--restore", "x.snap"),
+            ("--checkpoint-every", "100"),
+            ("--checkpoint-dir", "d"),
+        ] {
+            rejected(&["analyze", flag, value], &[flag, "`analyze`", "use `sim`"]);
+        }
+    }
+
+    #[test]
+    fn watch_is_rejected_outside_task_mode_not_ignored() {
+        for mode in ["detailed", "direct"] {
+            rejected(
+                &["sim", "--mode", mode, "--watch"],
+                &["--watch", "--mode task"],
+            );
+        }
+    }
+
+    #[test]
+    fn probe_rejects_every_flag_but_machine_and_topology() {
+        rejected(
+            &["probe", "--faults", "frob:1", "--restore", "nope"],
+            &["--faults", "`probe`", "use `sim` or `analyze`"],
+        );
+        rejected(&["probe", "--seed", "3"], &["--seed", "`probe`"]);
+    }
+
+    #[test]
+    fn arguments_a_subcommand_has_no_place_for_are_rejected() {
+        rejected(&["topo", "ring:4", "mesh:2x2"], &["`mesh:2x2`", "`topo`"]);
+        rejected(&["table1", "now"], &["`now`", "`table1`"]);
+        rejected(&["topo"], &["topo needs <spec>"]);
+    }
+
+    #[test]
+    fn seed_errors_name_the_flag_the_value_and_the_form() {
+        rejected(
+            &["sim", "--seed", "x"],
+            &["bad --seed `x` (want an unsigned integer)"],
+        );
+        rejected(
+            &["sim", "--faults", "drop:1", "--fault-seed", "-3"],
+            &["bad --fault-seed `-3` (want an unsigned integer)"],
+        );
+    }
+
+    #[test]
+    fn every_flag_is_taken_exactly_where_its_rows_say() {
+        assert!(CMDS.iter().enumerate().all(|(i, (c, ..))| *c as usize == i));
+        let names: std::collections::BTreeSet<&str> = FLAGS.iter().map(|f| f.name).collect();
+        for (cmd, cmd_name, positional) in CMDS {
+            for name in &names {
+                let row = FLAGS
+                    .iter()
+                    .find(|f| f.name == *name && f.cmds.contains(&cmd));
+                // A value no number parser accepts: a declared flag gets
+                // as far as its value, an undeclared one is refused by name.
+                let mut args = s(positional);
+                args.push(name.to_string());
+                if row.is_none_or(|f| f.metavar != SWITCH) {
+                    args.push("\u{0}".to_string());
+                }
+                match (row, scan(cmd, &args)) {
+                    (Some(_), Ok(a)) => assert!(a.has(name)),
+                    (Some(_), Err(e)) => {
+                        assert!(e.starts_with(&format!("bad {name} ")), "{cmd_name}: {e}")
+                    }
+                    (None, Ok(_)) => panic!("{cmd_name} took {name}"),
+                    (None, Err(e)) => {
+                        let refusal = format!("`{cmd_name}` does not take {name}; use `");
+                        assert!(e.starts_with(&refusal), "{cmd_name}: {e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_flag_is_documented_wherever_flags_are_listed() {
+        let source = include_str!("cli.rs");
+        let module_doc: String = source
+            .lines()
+            .take_while(|l| l.starts_with("//!"))
+            .collect();
+        let readme = include_str!("../../../README.md");
+        let usage = usage();
+        for f in FLAGS {
+            assert!(usage.contains(f.name), "usage() omits {}", f.name);
+            assert!(module_doc.contains(f.name), "module doc omits {}", f.name);
+            assert!(readme.contains(f.name), "README.md omits {}", f.name);
+        }
     }
 
     #[test]
@@ -1421,24 +1418,29 @@ mod tests {
 
     #[test]
     fn opts_parse_flags() {
-        let o = parse_opts(&s(&["--machine", "t805", "--seed", "7", "--watch"])).unwrap();
-        assert_eq!(o.machine.as_deref(), Some("t805"));
-        assert_eq!(o.seed, Some(7));
-        assert!(o.watch);
-        assert!(parse_opts(&s(&["--bogus"])).is_err());
-        assert!(parse_opts(&s(&["--seed"])).is_err());
+        let a = scan(
+            Cmd::Sim,
+            &s(&["--machine", "t805", "--seed", "7", "--watch"]),
+        )
+        .unwrap();
+        assert_eq!(a.text("--machine"), Some("t805"));
+        assert_eq!(a.num("--seed"), Some(7));
+        assert!(a.has("--watch") && !a.has("--metrics"));
+        assert!(scan(Cmd::Sim, &s(&["--bogus"])).is_err());
+        assert!(scan(Cmd::Sim, &s(&["--seed"])).is_err());
     }
 
     #[test]
     fn duplicate_flags_are_rejected_not_last_wins() {
         // `--seed 1 --seed 2` used to silently run with seed 2.
-        let err = parse_opts(&s(&["--seed", "1", "--seed", "2"])).unwrap_err();
+        let scanned = |args: &[&str]| scan(Cmd::Sim, &s(args)).map(|_| ());
+        let err = scanned(&["--seed", "1", "--seed", "2"]).unwrap_err();
         assert!(err.contains("duplicate flag `--seed`"), "{err}");
         // Booleans too: `--watch --watch` is a scripting mistake.
-        let err = parse_opts(&s(&["--watch", "--watch"])).unwrap_err();
+        let err = scanned(&["--watch", "--watch"]).unwrap_err();
         assert!(err.contains("duplicate flag `--watch`"), "{err}");
         // Different flags still coexist.
-        assert!(parse_opts(&s(&["--seed", "1", "--phases", "2"])).is_ok());
+        assert!(scanned(&["--seed", "1", "--phases", "2"]).is_ok());
         // End to end: the CLI surfaces the diagnostic.
         let err = run(&s(&["sim", "--machine", "test", "--machine", "test"])).unwrap_err();
         assert!(err.contains("duplicate flag"), "{err}");
@@ -1448,21 +1450,22 @@ mod tests {
     fn degenerate_phases_and_ops_are_rejected() {
         // `--phases 0` / `--ops 0` used to produce empty workloads with a
         // meaningless zero-time prediction and no diagnostic.
-        let err = parse_phases("0").unwrap_err();
+        let err = parse_phases("--phases", "0").unwrap_err();
         assert!(err.contains("empty workload"), "{err}");
-        let err = parse_ops("0").unwrap_err();
+        let err = parse_ops("--ops", "0").unwrap_err();
         assert!(err.contains("empty workload"), "{err}");
         // Absurd values and garbage are bounded with actionable messages.
-        assert!(parse_phases("9999999999").is_err());
-        assert!(parse_phases("many").is_err());
-        assert!(parse_ops("99999999999999999999").is_err());
-        assert!(parse_ops("-5").is_err());
+        assert!(parse_phases("--phases", "9999999999").is_err());
+        assert!(parse_phases("--phases", "many").is_err());
+        assert!(parse_ops("--ops", "99999999999999999999").is_err());
+        assert!(parse_ops("--ops", "-5").is_err());
         // Boundaries stay valid.
-        assert_eq!(parse_phases("1").unwrap(), 1);
-        assert_eq!(parse_phases(&MAX_PHASES.to_string()).unwrap(), MAX_PHASES);
-        assert_eq!(parse_ops("1").unwrap(), 1);
+        assert_eq!(parse_phases("--phases", "1").unwrap(), 1);
+        let max = MAX_PHASES.to_string();
+        assert_eq!(parse_phases("--phases", &max).unwrap(), MAX_PHASES.into());
+        assert_eq!(parse_ops("--ops", "1").unwrap(), 1);
         assert_eq!(
-            parse_ops(&MAX_OPS_PER_PHASE.to_string()).unwrap(),
+            parse_ops("--ops", &MAX_OPS_PER_PHASE.to_string()).unwrap(),
             MAX_OPS_PER_PHASE
         );
         // End to end through the CLI.
@@ -1840,5 +1843,8 @@ mod tests {
         .unwrap();
         std::fs::remove_file(&path).ok();
         assert!(out.contains("fault injection:"), "{out}");
+        // The file travels as its canonical spec: same run as the inline one.
+        let inline = task_args(&["--faults", "link:0-1:1000:500000"]);
+        assert_eq!(out, run(&inline).unwrap());
     }
 }

@@ -21,7 +21,9 @@ use std::sync::Arc;
 
 use mermaid_cpu::{CpuStats, SingleNodeSim};
 use mermaid_memory::MemStats;
-use mermaid_network::{run_comm, CommResult, FaultSchedule, RunOptions, ShardProfile};
+use mermaid_network::{
+    run_comm, CommResult, FaultSchedule, RunOptions, ShardProfile, SnapshotError,
+};
 use mermaid_ops::{NodeId, Operation, TraceSet};
 use mermaid_probe::ProbeHandle;
 use mermaid_tracegen::InterleavedTraceGen;
@@ -63,26 +65,33 @@ pub struct HybridResult {
 }
 
 /// The hybrid simulator: detailed mode of the workbench.
-pub struct HybridSim {
+pub struct HybridSim<'a> {
     machine: MachineConfig,
-    probe: ProbeHandle,
-    shards: usize,
-    faults: Option<Arc<FaultSchedule>>,
+    /// How the communication phase runs; the computational phase reads
+    /// only the probe.
+    opts: RunOptions<'a>,
     /// `None`: one worker per host core.
     workers: Option<usize>,
 }
 
-impl HybridSim {
-    /// Create a hybrid simulator for the given machine.
+impl<'a> HybridSim<'a> {
+    /// Create a hybrid simulator for the given machine: serial, healthy,
+    /// unprobed communication phase, one computational worker per core.
     pub fn new(machine: MachineConfig) -> Self {
         machine.validate();
         HybridSim {
             machine,
-            probe: ProbeHandle::disabled(),
-            shards: 1,
-            faults: None,
+            opts: RunOptions::default(),
             workers: None,
         }
+    }
+
+    /// Replace every communication-phase option at once (builder style) —
+    /// the whole of [`RunOptions`]. Run with
+    /// [`HybridSim::try_run_streams`] when a snapshot option is set.
+    pub fn with_options(mut self, opts: RunOptions<'a>) -> Self {
+        self.opts = opts;
+        self
     }
 
     /// Attach an instrumentation handle: both halves of the hybrid run —
@@ -90,7 +99,7 @@ impl HybridSim {
     /// communication model (activations, messages, links, the engine) —
     /// record into it. Observation only; predicted times are unchanged.
     pub fn with_probe(mut self, probe: ProbeHandle) -> Self {
-        self.probe = probe;
+        self.opts.probe = probe;
         self
     }
 
@@ -99,7 +108,7 @@ impl HybridSim {
     /// communication produces bit-identical results to the serial path.
     /// `1` (the default) keeps the single-threaded path.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+        self.opts.shards = shards;
         self
     }
 
@@ -109,7 +118,7 @@ impl HybridSim {
     /// protocol armed. The computational phase is unaffected; serial and
     /// sharded runs stay bit-identical under the same schedule.
     pub fn with_faults(mut self, faults: Option<Arc<FaultSchedule>>) -> Self {
-        self.faults = faults;
+        self.opts.faults = faults;
         self
     }
 
@@ -119,19 +128,6 @@ impl HybridSim {
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
         self
-    }
-
-    /// Run the communication model over already-extracted task-level
-    /// traces, honouring the configured shard count and fault schedule.
-    fn run_comm(&self, task_traces: &TraceSet) -> (CommResult, Option<ShardProfile>) {
-        let opts = RunOptions {
-            probe: self.probe.clone(),
-            shards: self.shards,
-            faults: self.faults.clone(),
-            ..RunOptions::default()
-        };
-        run_comm(self.machine.network, task_traces, &opts)
-            .expect("a run without snapshot options cannot fail")
     }
 
     /// The machine being simulated.
@@ -166,7 +162,23 @@ impl HybridSim {
     /// run one after another on the calling thread — the handle is not
     /// `Send`, and it sees the nodes' cache and bus events in node-major
     /// order whatever the source.
+    ///
+    /// # Panics
+    ///
+    /// When a snapshot option set through [`HybridSim::with_options`]
+    /// fails, and on a stream count other than the machine's node count.
     pub fn run_streams<S>(&self, streams: S) -> HybridResult
+    where
+        S: IntoIterator<IntoIter: ExactSizeIterator>,
+        S::Item: Iterator<Item = Operation> + Send,
+    {
+        self.try_run_streams(streams)
+            .expect("a run without snapshot options cannot fail")
+    }
+
+    /// [`HybridSim::run_streams`], returning what restoring from or writing
+    /// a snapshot of the communication phase can fail with.
+    pub fn try_run_streams<S>(&self, streams: S) -> Result<HybridResult, SnapshotError>
     where
         S: IntoIterator<IntoIter: ExactSizeIterator>,
         S::Item: Iterator<Item = Operation> + Send,
@@ -191,10 +203,10 @@ impl HybridSim {
             extractor.feed(ops.inspect(|_| ops_simulated += 1));
             (extractor.finish(), ops_simulated)
         };
-        let extracted: Vec<_> = if self.probe.is_enabled() {
+        let extracted: Vec<_> = if self.opts.probe.is_enabled() {
             streams
                 .enumerate()
-                .map(|(node, ops)| extract(node, ops, self.probe.clone()))
+                .map(|(node, ops)| extract(node, ops, self.opts.probe.clone()))
                 .collect()
         } else {
             let workers = self.workers.unwrap_or_else(sweep::auto_workers);
@@ -216,15 +228,15 @@ impl HybridSim {
             task_traces.push(x.task_trace);
         }
         let task_traces = TraceSet::from_traces(task_traces);
-        let (comm, shard_profile) = self.run_comm(&task_traces);
-        HybridResult {
+        let (comm, shard_profile) = run_comm(self.machine.network, &task_traces, &self.opts)?;
+        Ok(HybridResult {
             predicted_time: comm.finish,
             nodes,
             task_traces,
             comm,
             ops_simulated,
             shard_profile,
-        }
+        })
     }
 }
 

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use mermaid_network::{
-    run_comm, CommResult, FaultSchedule, NetworkConfig, RunOptions, ShardProfile,
+    run_comm, CommResult, FaultSchedule, NetworkConfig, RunOptions, ShardProfile, SnapshotError,
 };
 use mermaid_ops::TraceSet;
 use mermaid_probe::ProbeHandle;
@@ -32,30 +32,35 @@ pub struct TaskLevelResult {
 }
 
 /// The fast-prototyping simulator: the communication model alone.
-pub struct TaskLevelSim {
+pub struct TaskLevelSim<'a> {
     network: NetworkConfig,
-    probe: ProbeHandle,
-    shards: usize,
-    faults: Option<Arc<FaultSchedule>>,
+    opts: RunOptions<'a>,
 }
 
-impl TaskLevelSim {
-    /// Create a task-level simulator for the given interconnect.
+impl<'a> TaskLevelSim<'a> {
+    /// Create a task-level simulator for the given interconnect: serial,
+    /// healthy, unprobed, no snapshot in or out.
     pub fn new(network: NetworkConfig) -> Self {
         network.validate();
         TaskLevelSim {
             network,
-            probe: ProbeHandle::disabled(),
-            shards: 1,
-            faults: None,
+            opts: RunOptions::default(),
         }
+    }
+
+    /// Replace every run option at once (builder style) — the whole of
+    /// [`RunOptions`], snapshot restore and checkpointing included. Run
+    /// with [`TaskLevelSim::try_run`] when either of those is set.
+    pub fn with_options(mut self, opts: RunOptions<'a>) -> Self {
+        self.opts = opts;
+        self
     }
 
     /// Attach an instrumentation handle: runs record engine, router and
     /// processor events into it (observation only — predicted times are
     /// unchanged).
     pub fn with_probe(mut self, probe: ProbeHandle) -> Self {
-        self.probe = probe;
+        self.opts.probe = probe;
         self
     }
 
@@ -63,7 +68,7 @@ impl TaskLevelSim {
     /// style). Sharded runs produce bit-identical results to the default
     /// single-threaded run; `1` (the default) keeps the serial path.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+        self.opts.shards = shards;
         self
     }
 
@@ -72,7 +77,7 @@ impl TaskLevelSim {
     /// with the ack/retry/backoff reliability protocol armed. Serial and
     /// sharded runs stay bit-identical under the same schedule.
     pub fn with_faults(mut self, faults: Option<Arc<FaultSchedule>>) -> Self {
-        self.faults = faults;
+        self.opts.faults = faults;
         self
     }
 
@@ -82,22 +87,26 @@ impl TaskLevelSim {
     }
 
     /// Run over task-level traces (one per node).
+    ///
+    /// # Panics
+    ///
+    /// When a snapshot option set through [`TaskLevelSim::with_options`]
+    /// fails; nothing else can.
     pub fn run(&self, traces: &TraceSet) -> TaskLevelResult {
-        let ops_simulated = traces.total_ops() as u64;
-        let opts = RunOptions {
-            probe: self.probe.clone(),
-            shards: self.shards,
-            faults: self.faults.clone(),
-            ..RunOptions::default()
-        };
-        let (comm, shard_profile) = run_comm(self.network, traces, &opts)
-            .expect("a run without snapshot options cannot fail");
-        TaskLevelResult {
+        self.try_run(traces)
+            .expect("a run without snapshot options cannot fail")
+    }
+
+    /// [`TaskLevelSim::run`], returning what restoring from or writing a
+    /// snapshot can fail with.
+    pub fn try_run(&self, traces: &TraceSet) -> Result<TaskLevelResult, SnapshotError> {
+        let (comm, shard_profile) = run_comm(self.network, traces, &self.opts)?;
+        Ok(TaskLevelResult {
             predicted_time: comm.finish,
             comm,
-            ops_simulated,
+            ops_simulated: traces.total_ops() as u64,
             shard_profile,
-        }
+        })
     }
 }
 

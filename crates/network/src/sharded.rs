@@ -335,7 +335,7 @@ impl CheckpointOpts<'_> {
 /// How to run the communication model: everything [`run_comm`] takes
 /// beyond the configuration and the traces. The default is a serial,
 /// healthy, unprobed run with no snapshot in or out.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct RunOptions<'a> {
     /// Instrumentation handle the run records into (observation only).
     pub probe: ProbeHandle,

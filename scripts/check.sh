@@ -165,6 +165,18 @@ done
 [ "$rc" -eq 1 ] \
     || { echo "campaign butterfly on ring:6 should be a clean error, got exit $rc" >&2; exit 1; }
 
+echo "==> cli: a flag its subcommand does not take is an error, not ignored"
+# Each of these exited 0 with the flag silently dropped. Exit status 1 is
+# the CLI's own error path; 0 means ignored again, 101 a panic.
+for args in "analyze --restore x.snap" "analyze --checkpoint-every 100" \
+    "analyze --checkpoint-dir d" "sim --mode detailed --watch" "sim --mode direct --watch" \
+    "probe --faults frob:1 --restore nope" "topo ring:4 mesh:2x2"; do
+    # shellcheck disable=SC2086  # $args is a word list by construction
+    "$cli" $args > /dev/null 2>&1 && rc=0 || rc=$?
+    [ "$rc" -eq 1 ] \
+        || { echo "\`mermaid-cli $args\` should be a clean error, got exit $rc" >&2; exit 1; }
+done
+
 echo "==> cli: invalid topology specs fail cleanly (no panic)"
 for spec in ring:1 mesh:0x4 hypercube:21 mesh:100000x100000; do
     if cargo run --release -p mermaid --bin mermaid-cli -- topo "$spec" > /dev/null 2>&1; then
@@ -298,5 +310,8 @@ for shards in 1 2 3; do
     grep -q "corrupt snapshot (router 0 record)" "$sharded_out" \
         || { echo "bad.snap on $shards shard(s) did not name the bad record" >&2; cat "$sharded_out" >&2; exit 1; }
 done
+
+echo "==> info: non-test library lines per crate (scripts/loc.sh; not a gate)"
+scripts/loc.sh
 
 echo "All checks passed."

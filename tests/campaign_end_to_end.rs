@@ -300,6 +300,79 @@ fn attribution_headlines_are_recorded_and_shard_invariant() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The `predicted time:` line of a `sim` or `analyze` report.
+fn predicted_line(stdout: &str) -> &str {
+    stdout
+        .lines()
+        .find(|l| l.starts_with("predicted time: "))
+        .expect("report has no predicted-time line")
+}
+
+#[test]
+fn sim_analyze_and_campaign_agree_on_every_run() {
+    // One run path behind three front doors: the same configuration must
+    // predict the same picosecond whether `sim` prints it, `analyze`
+    // prints it or a campaign records it — in both modes, healthy and
+    // faulty, serial and sharded.
+    let spec = CampaignSpec::parse(
+        "topo = torus:2x2; machine = test; pattern = all2all; phases = 2; ops = 300; \
+         mode = task, detailed; faults = none, drop:20000; shards = 1, 3",
+    )
+    .unwrap();
+    let dir = temp_dir("front-doors");
+    run_campaign(&spec, &opts(&dir, 2)).unwrap();
+    let records = load_records(&dir.join(RUNS_FILE)).unwrap();
+    assert_eq!(records.len(), 8);
+    let cli = |args: &[String]| mermaid::cli::run(args).unwrap();
+    for rec in &records {
+        let c = &rec.config;
+        let mut flags: Vec<String> = [
+            ("--machine", &c.machine),
+            ("--topology", &c.topo),
+            ("--app", &c.app),
+            ("--pattern", &c.pattern),
+            ("--phases", &c.phases.to_string()),
+            ("--ops", &c.ops.to_string()),
+            ("--seed", &c.seed.to_string()),
+            ("--mode", &c.mode),
+            ("--shards", &c.shards.to_string()),
+        ]
+        .iter()
+        .flat_map(|(flag, value)| [flag.to_string(), value.to_string()])
+        .collect();
+        if c.faults != "none" {
+            flags.extend(["--faults".to_string(), c.faults.replace('+', ";")]);
+            flags.extend(["--fault-seed".to_string(), c.fault_seed.to_string()]);
+        }
+        let with = |cmd: &str| [vec![cmd.to_string()], flags.clone()].concat();
+        let want = format!("predicted time: {}", pearl::Time::from_ps(rec.predicted_ps));
+        let sim = cli(&with("sim"));
+        assert_eq!(predicted_line(&sim), want, "sim vs record of {c:?}");
+        assert_eq!(
+            predicted_line(&cli(&with("analyze"))),
+            want,
+            "analyze vs record of {c:?}"
+        );
+
+        // The identity a checkpoint binds to is the campaign's config hash
+        // of the equivalent one-shard task run: the rolling checkpoint a
+        // killed `campaign --checkpoint` leaves behind restores under
+        // `sim --restore` with the same flags, on any shard count.
+        if c.mode == "task" && c.shards == 1 {
+            let snap = dir.join("killed.snap");
+            capture_run_checkpoint(c, false, 40_000, &snap).unwrap();
+            for shards in ["1", "3"] {
+                let mut args = with("sim");
+                let at = args.iter().position(|a| a == "--shards").unwrap() + 1;
+                args[at] = shards.to_string();
+                args.extend(["--restore".to_string(), snap.display().to_string()]);
+                assert_eq!(cli(&args), sim, "restored on {shards} shard(s): {c:?}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn golden_campaign_summary_csv() {
     // Snapshot of the CSV view for the check.sh smoke campaign. The same
