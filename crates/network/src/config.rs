@@ -32,10 +32,15 @@ pub struct LinkParams {
 impl LinkParams {
     /// Serialisation time of `bytes` on this link.
     pub fn transfer_time(&self, bytes: u32) -> Duration {
-        // ps = bytes * 1e12 / B/s, rounded up.
-        let ps =
-            (bytes as u128 * 1_000_000_000_000u128).div_ceil(self.bandwidth_bytes_per_sec as u128);
-        Duration::from_ps(ps as u64)
+        // ps = bytes * 1e12 / B/s, rounded up. The product fits u64 up to
+        // ~18.4 MB, which covers every packet; only larger sizes pay for
+        // the u128 division.
+        let bw = self.bandwidth_bytes_per_sec;
+        let ps = match (bytes as u64).checked_mul(1_000_000_000_000) {
+            Some(scaled) => scaled.div_ceil(bw),
+            None => (bytes as u128 * 1_000_000_000_000u128).div_ceil(bw as u128) as u64,
+        };
+        Duration::from_ps(ps)
     }
 }
 
@@ -198,6 +203,7 @@ impl NetworkConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn transfer_time_rounds_up() {
@@ -213,6 +219,29 @@ mod tests {
         };
         // 1 byte at 3 B/s = 333333333333.33 ps → rounded up.
         assert_eq!(slow.transfer_time(1), Duration::from_ps(333_333_333_334));
+    }
+
+    proptest! {
+        /// The u64 fast path and the u128 fallback agree with the plain
+        /// u128 formula over the whole `u32` byte range (packet sizes, the
+        /// ~18.4 MB switch-over and beyond), at bandwidths from 1 B/s up.
+        #[test]
+        fn transfer_time_equals_the_u128_formula(
+            bytes in prop_oneof![
+                0u32..70_000,
+                18_446_700u32..18_446_800,
+                any::<u32>(),
+            ],
+            bw in prop_oneof![
+                1u64..10_000,
+                1_000_000u64..1_000_000_000_000,
+                1u64..=u64::MAX,
+            ],
+        ) {
+            let l = LinkParams { bandwidth_bytes_per_sec: bw, wire_latency: Duration::ZERO };
+            let want = (bytes as u128 * 1_000_000_000_000u128).div_ceil(bw as u128) as u64;
+            prop_assert_eq!(l.transfer_time(bytes), Duration::from_ps(want));
+        }
     }
 
     #[test]

@@ -43,6 +43,16 @@
 //! bypasses heap sifting entirely. When the pending set is small the
 //! queue degrades gracefully to plain-heap operation (see `FAR_DRAIN`)
 //! instead of paying epoch bookkeeping per event.
+//!
+//! # Records and the payload slab
+//!
+//! No tier holds a payload. Items live in one slab (`Vec<Option<T>>` plus
+//! a free list of slot indices); every tier holds a 32-byte `Copy` record
+//! of `(time, key, slot)`. A heap sift or a bucket scatter therefore moves
+//! 32 bytes whatever `T` is, and the payload is written once on push and
+//! read once on pop. Ordering never looks at the slot, so the comparisons
+//! — and with them the pop sequence — are the ones the inline-payload
+//! queue made.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -92,48 +102,74 @@ pub struct EventKey {
     pub seq: u64,
 }
 
-/// An entry in the queue: an opaque payload tagged with its delivery time
-/// and a deterministic tie-break key.
-struct Entry<T> {
+/// The ordering record every tier holds: delivery time, the [`EventKey`]
+/// fields flattened, and the slab slot of the payload. It is `Copy` and
+/// 32 bytes whatever `T` is, so heap sifts and bucket moves never move a
+/// payload. The slot takes no part in ordering or equality.
+#[derive(Clone, Copy)]
+struct Entry {
     time: Time,
-    key: EventKey,
-    item: T,
+    push_ps: u64,
+    seq: u64,
+    src: u32,
+    slot: u32,
 }
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.key == other.key
+impl Entry {
+    /// The `(time, key)` ordering key, lexicographic as in [`EventKey`].
+    #[inline(always)]
+    fn order(&self) -> (Time, u64, u32, u64) {
+        (self.time, self.push_ps, self.src, self.seq)
+    }
+
+    fn key(&self) -> EventKey {
+        EventKey {
+            push_ps: self.push_ps,
+            src: self.src,
+            seq: self.seq,
+        }
     }
 }
-impl<T> Eq for Entry<T> {}
 
-impl<T> PartialOrd for Entry<T> {
+impl PartialEq for Entry {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.order() == other.order()
+    }
+}
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<T> Ord for Entry<T> {
+impl Ord for Entry {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, key) pops
         // first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.key.cmp(&self.key))
+        other.order().cmp(&self.order())
     }
 }
 
 /// A stable min-priority queue of timestamped items.
 pub struct EventQueue<T> {
+    /// Payload storage: every pending item sits in one slot, addressed by
+    /// its record's `slot`. The tiers below hold records only.
+    slots: Vec<Option<T>>,
+    /// Vacant slot indices, reused LIFO before the slab grows.
+    free: Vec<u32>,
     /// Tier 1: events below `cur_end`, in a min-heap. The global minimum
     /// is always here once [`EventQueue::settle`] has run.
-    current: BinaryHeap<Entry<T>>,
+    current: BinaryHeap<Entry>,
     /// Exclusive upper bound of the current window (`epoch_base +
     /// cursor × width`, saturating).
     cur_end: u64,
     /// Tier 2: bucket `i` covers `[epoch_base + i·width, +width)`.
-    buckets: Vec<Vec<Entry<T>>>,
+    buckets: Vec<Vec<Entry>>,
     /// Start of bucket 0's window for this epoch.
     epoch_base: u64,
     /// Bucket width in ps (≥ 1), resized at every rebase.
@@ -143,7 +179,7 @@ pub struct EventQueue<T> {
     /// Total events currently held in `buckets`.
     in_buckets: usize,
     /// Tier 3: events at or beyond the epoch horizon.
-    far: BinaryHeap<Entry<T>>,
+    far: BinaryHeap<Entry>,
     next_seq: u64,
     /// Monotone tier-transition counters (cold paths only; see
     /// [`EventQueue::ladder_stats`]).
@@ -160,6 +196,8 @@ impl<T> EventQueue<T> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
+            slots: Vec::new(),
+            free: Vec::new(),
             current: BinaryHeap::new(),
             cur_end: 0,
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
@@ -176,6 +214,7 @@ impl<T> EventQueue<T> {
     /// Create an empty queue with room for `cap` pending events.
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = EventQueue::new();
+        q.slots = Vec::with_capacity(cap);
         q.current = BinaryHeap::with_capacity(cap.min(1024));
         q.far = BinaryHeap::with_capacity(cap);
         q
@@ -186,16 +225,12 @@ impl<T> EventQueue<T> {
     #[inline]
     pub fn push(&mut self, time: Time, item: T) {
         let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_entry(Entry {
-            time,
-            key: EventKey {
-                push_ps: 0,
-                src: 0,
-                seq,
-            },
-            item,
-        });
+        let key = EventKey {
+            push_ps: 0,
+            src: 0,
+            seq,
+        };
+        self.push_keyed(time, key, item);
     }
 
     /// Insert `item` for delivery at `time` with a caller-supplied
@@ -203,11 +238,39 @@ impl<T> EventQueue<T> {
     #[inline]
     pub fn push_keyed(&mut self, time: Time, key: EventKey, item: T) {
         self.next_seq += 1; // keeps `total_pushed` meaningful
-        self.push_entry(Entry { time, key, item });
+        let slot = self.store(item);
+        self.push_entry(Entry {
+            time,
+            push_ps: key.push_ps,
+            seq: key.seq,
+            src: key.src,
+            slot,
+        });
+    }
+
+    /// Put `item` in a vacant slab slot (the most recently freed one, so
+    /// a pop-then-push reuses warm memory) and return its index.
+    #[inline]
+    fn store(&mut self, item: T) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = Some(item);
+            return slot;
+        }
+        let slot = u32::try_from(self.slots.len()).expect("more than u32::MAX pending events");
+        self.slots.push(Some(item));
+        slot
+    }
+
+    /// The payload `e` points at.
+    #[inline]
+    fn item(&self, e: &Entry) -> &T {
+        self.slots[e.slot as usize]
+            .as_ref()
+            .expect("queue record points at a vacant slot")
     }
 
     #[inline]
-    fn push_entry(&mut self, entry: Entry<T>) {
+    fn push_entry(&mut self, entry: Entry) {
         let t = entry.time.as_ps();
         if t < self.cur_end {
             self.current.push(entry);
@@ -237,9 +300,11 @@ impl<T> EventQueue<T> {
                         .epoch_base
                         .saturating_add(self.width.saturating_mul(self.cursor as u64));
                     if !self.buckets[c].is_empty() {
-                        let batch = std::mem::take(&mut self.buckets[c]);
+                        // Drain rather than take: the bucket keeps its
+                        // allocation for the next epoch.
+                        let batch = &mut self.buckets[c];
                         self.in_buckets -= batch.len();
-                        self.current.extend(batch);
+                        self.current.extend(batch.drain(..));
                         self.ladder.promotions += 1;
                         break;
                     }
@@ -318,7 +383,12 @@ impl<T> EventQueue<T> {
         if self.current.is_empty() {
             self.settle();
         }
-        self.current.pop().map(|e| (e.time, e.item))
+        let e = self.current.pop()?;
+        let item = self.slots[e.slot as usize]
+            .take()
+            .expect("queue record points at a vacant slot");
+        self.free.push(e.slot);
+        Some((e.time, item))
     }
 
     /// Delivery time of the earliest pending item, if any.
@@ -336,7 +406,8 @@ impl<T> EventQueue<T> {
         if self.current.is_empty() {
             self.settle();
         }
-        self.current.peek().map(|e| (e.time, &e.item))
+        let e = self.current.peek()?;
+        Some((e.time, self.item(e)))
     }
 
     /// Number of pending items.
@@ -353,6 +424,8 @@ impl<T> EventQueue<T> {
 
     /// Drop all pending items.
     pub fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
         self.current.clear();
         for b in &mut self.buckets {
             b.clear();
@@ -380,14 +453,24 @@ impl<T> EventQueue<T> {
     where
         T: Clone,
     {
+        let records = self
+            .current
+            .iter()
+            .chain(self.buckets.iter().flatten())
+            .chain(self.far.iter());
+        // Sized up front: the chain's size hint misses the buckets.
         let mut out: Vec<(Time, EventKey, T)> = Vec::with_capacity(self.len());
-        out.extend(self.current.iter().map(|e| (e.time, e.key, e.item.clone())));
-        for b in &self.buckets {
-            out.extend(b.iter().map(|e| (e.time, e.key, e.item.clone())));
-        }
-        out.extend(self.far.iter().map(|e| (e.time, e.key, e.item.clone())));
+        out.extend(records.map(|e| (e.time, e.key(), self.item(e).clone())));
         out.sort_by_key(|a| (a.0, a.1));
         out
+    }
+
+    /// Slab slots allocated, vacant ones included. Slots are reused before
+    /// the slab grows, so this never exceeds the most items ever pending
+    /// at once since the last [`clear`](EventQueue::clear).
+    #[inline]
+    pub fn slab_len(&self) -> usize {
+        self.slots.len()
     }
 
     /// Monotone ladder-tier transition counters (like [`total_pushed`],
@@ -404,6 +487,13 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Tiers move records, not payloads: one record is 32 bytes whatever
+    /// the payload type.
+    #[test]
+    fn records_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
+    }
 
     #[test]
     fn pops_in_time_order() {

@@ -16,6 +16,12 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> member crates: pearl and mermaid-network tests"
+# `cargo test` above tests only the root package; the event queue's own
+# determinism oracle (pearl/tests/queue_order.rs) and the network unit
+# tests live in these member crates.
+cargo test -q -p pearl -p mermaid-network
+
 echo "==> example: quickstart (full pipeline)"
 cargo run --release --example quickstart > /dev/null
 
