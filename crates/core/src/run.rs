@@ -10,6 +10,10 @@
 
 use std::sync::Arc;
 
+/// FNV-1a, 64-bit: the one hash behind config identity and snapshot
+/// bodies, stable across platforms and releases (it lands in persisted
+/// campaign logs).
+pub(crate) use mermaid_network::snapshot::fnv1a64;
 use mermaid_network::{
     CommResult, FaultSchedule, NetworkConfig, RetryParams, RunOptions, ShardProfile, SnapshotError,
     Topology,
@@ -153,17 +157,6 @@ impl RunConfig {
             mode: Mode::parse(&self.mode)?,
         })
     }
-}
-
-/// FNV-1a, 64-bit — tiny, dependency-free, and stable across platforms
-/// and releases (the hash lands in persisted campaign logs).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The abstraction level a run simulates at (paper, Fig. 4).

@@ -5,7 +5,7 @@ use pearl::Time;
 
 /// Identifies a message uniquely within a simulation: source node plus a
 /// source-local sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgId {
     /// Sending node.
     pub src: NodeId,
@@ -14,7 +14,7 @@ pub struct MsgId {
 }
 
 /// What a packet carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PacketKind {
     /// Part of a data message.
     Data {
@@ -23,6 +23,7 @@ pub enum PacketKind {
         sync: bool,
     },
     /// A rendezvous acknowledgement for a blocking send.
+    #[default]
     Ack,
     /// A one-sided `put`: consumed automatically at the target, no receive
     /// operation involved.
@@ -78,7 +79,7 @@ impl PathDecomp {
 }
 
 /// One packet in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Packet {
     /// The message this packet belongs to.
     pub msg: MsgId,
@@ -121,7 +122,7 @@ pub struct Packet {
 /// Only `first` is stored: packet `first.index + i` of the same message is
 /// reconstructed with [`Train::packet`], so a train event costs no more
 /// than a single-packet event.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Train {
     /// The leading packet of the run.
     pub first: Packet,

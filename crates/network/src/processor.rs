@@ -43,6 +43,7 @@ use std::sync::Arc;
 
 use mermaid_ops::{NodeId, Operation};
 use mermaid_probe::{ActKind, ProbeHandle, SimEvent};
+use mermaid_stats::state::StateWalk;
 use mermaid_stats::Histogram;
 use pearl::sync::MatchBox;
 use pearl::{CompId, Component, Ctx, Duration, Event, FastHashMap, FastHashSet, Time};
@@ -50,10 +51,11 @@ use pearl::{CompId, Component, Ctx, Duration, Event, FastHashMap, FastHashSet, T
 use crate::config::NetworkConfig;
 use crate::fault::FaultSchedule;
 use crate::packet::{MsgId, NetMsg, Packet, PacketKind, PathDecomp, Train};
+use crate::snapshot::WalkPs;
 
 /// One sender-side record of a message that exhausted its retries: the
 /// structured degraded-mode evidence that a destination was unreachable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UnreachableReport {
     /// The node that gave up sending.
     pub src: NodeId,
@@ -145,7 +147,7 @@ impl Default for ProcStats {
 }
 
 /// A message fully arrived at this node, waiting to be consumed.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 struct CompletedMsg {
     id: MsgId,
     arrived: Time,
@@ -161,7 +163,7 @@ struct CompletedMsg {
 
 /// A posted asynchronous receive (blocking receives are represented by the
 /// processor state instead, so the matcher only ever queues `Async`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Waiter {
     /// An `arecv`: consume silently on arrival.
     Async,
@@ -184,14 +186,14 @@ enum ProcState {
 }
 
 /// In-progress reassembly of a multi-packet message.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 struct Assembly {
     got: u32,
     total: u32,
 }
 
 /// Sender-side record of an unacknowledged tracked message (fault mode).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 struct Outstanding {
     dst: NodeId,
     bytes: u32,
@@ -930,289 +932,149 @@ impl AbstractProcessor {
 }
 
 impl AbstractProcessor {
-    /// Append the processor's mutable simulation state to a checkpoint
-    /// integer stream (crate::snapshot). Trace, config, probe and fault
-    /// wiring are rebuilt from the run config on restore.
-    pub(crate) fn snapshot_ints(&self, out: &mut Vec<u64>) {
-        out.push(self.cursor as u64);
-        out.push(self.send_seq);
-        out.push(self.wait_epoch);
-        match self.state {
-            ProcState::Running => out.extend([0, 0, 0, 0]),
-            ProcState::Computing => out.extend([1, 0, 0, 0]),
-            ProcState::AwaitAck { since, msg } => {
-                out.extend([2, since.as_ps(), msg.src as u64, msg.seq])
+    /// Walk the processor's mutable simulation state for a checkpoint
+    /// (crate::snapshot). Trace, config, probe and fault wiring are
+    /// rebuilt from the run config on restore, which walks into a freshly
+    /// built processor whose `init` has *not* run.
+    pub(crate) fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+        w.field("proc cursor", &mut self.cursor)?;
+        w.field("proc send_seq", &mut self.send_seq)?;
+        w.field("proc wait_epoch", &mut self.wait_epoch)?;
+        self.state.walk(w)?;
+        w.sorted(
+            "proc assembling count",
+            &mut self.assembling,
+            |w, (id, a)| {
+                id.walk(w)?;
+                w.field("proc assembly got", &mut a.got)?;
+                w.field("proc assembly total", &mut a.total)
+            },
+        )?;
+        // Matcher channels, sorted by source node, each queue front to
+        // back. A channel only ever holds one side (arrive/wait match
+        // eagerly); waiters are all `Async`, so their queues are counted.
+        let (arrivals, waiters) = self.matcher.queues_mut();
+        w.sorted("proc arrival channel count", arrivals, |w, (src, q)| {
+            w.field("proc arrival channel", src)?;
+            let mut msgs = Vec::from(std::mem::take(q));
+            w.list("proc arrival queue length", &mut msgs, |w, m| m.walk(w))?;
+            *q = msgs.into();
+            Ok(())
+        })?;
+        let posts = self.trace.len(); // each `arecv` posts one waiter
+        w.sorted("proc waiter channel count", waiters, |w, (src, q)| {
+            w.field("proc waiter channel", src)?;
+            let mut n = q.len();
+            w.field("proc waiter queue length", &mut n)?;
+            if n > posts {
+                return Err(format!(
+                    "{n} waiters, but the trace has {posts} operation(s)"
+                ));
             }
-            ProcState::AwaitRecv { src, since } => out.extend([3, since.as_ps(), src as u64, 0]),
-            ProcState::AwaitGet { since, msg } => {
-                out.extend([4, since.as_ps(), msg.src as u64, msg.seq])
+            q.resize(n, Waiter::Async);
+            Ok(())
+        })?;
+        w.sorted(
+            "proc outstanding count",
+            &mut self.outstanding,
+            |w, (id, o)| {
+                id.walk(w)?;
+                w.field("proc outstanding dst", &mut o.dst)?;
+                w.field("proc outstanding bytes", &mut o.bytes)?;
+                o.kind.walk(w)?;
+                w.field("proc outstanding attempt", &mut o.attempt)?;
+                w.time("proc outstanding sent_at", &mut o.sent_at)
+            },
+        )?;
+        w.sorted("proc completed count", &mut self.completed, |w, id| {
+            id.walk(w)
+        })?;
+        self.stats.walk(w)
+    }
+}
+
+impl ProcState {
+    /// Walk the state as four integers for every variant: tag, `since`,
+    /// then the awaited source and sequence number.
+    fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+        use ProcState::*;
+        let blanks = [
+            Running,
+            Computing,
+            AwaitAck {
+                since: Time::ZERO,
+                msg: MsgId { src: 0, seq: 0 },
+            },
+            AwaitRecv {
+                src: 0,
+                since: Time::ZERO,
+            },
+            AwaitGet {
+                since: Time::ZERO,
+                msg: MsgId { src: 0, seq: 0 },
+            },
+            Done,
+        ];
+        w.variant("processor state tag", self, &blanks)?;
+        match self {
+            Running | Computing | Done => w.pad("proc state field", 3),
+            AwaitAck { since, msg } | AwaitGet { since, msg } => {
+                w.time("proc state since", since)?;
+                msg.walk(w)
             }
-            ProcState::Done => out.extend([5, 0, 0, 0]),
-        }
-        let mut assembling: Vec<(MsgId, Assembly)> =
-            self.assembling.iter().map(|(&k, &v)| (k, v)).collect();
-        assembling.sort_by_key(|&(id, _)| (id.src, id.seq));
-        out.push(assembling.len() as u64);
-        for (id, a) in assembling {
-            out.extend([id.src as u64, id.seq, a.got as u64, a.total as u64]);
-        }
-        // Matcher channels, sorted by source node. A channel only ever
-        // holds one side (arrive/wait match eagerly), so each side is a
-        // flat channel list.
-        let mut arrivals: Vec<(NodeId, Vec<CompletedMsg>)> = self
-            .matcher
-            .arrivals()
-            .map(|(&k, q)| (k, q.copied().collect()))
-            .collect();
-        arrivals.sort_by_key(|&(k, _)| k);
-        out.push(arrivals.len() as u64);
-        for (src, msgs) in arrivals {
-            out.push(src as u64);
-            out.push(msgs.len() as u64);
-            for m in msgs {
-                out.extend([
-                    m.id.src as u64,
-                    m.id.seq,
-                    m.arrived.as_ps(),
-                    m.sent_at.as_ps(),
-                    m.bytes as u64,
-                    m.sync as u64,
-                    m.path.pre_ps,
-                    m.path.queue_ps,
-                    m.path.route_ps,
-                    m.path.ser_ps,
-                    m.path.wire_ps,
-                    m.attempt as u64,
-                ]);
+            AwaitRecv { src, since } => {
+                w.time("proc state since", since)?;
+                w.field("proc state source", src)?;
+                w.pad("proc state field", 1)
             }
-        }
-        let mut waiters: Vec<(NodeId, u64)> = self
-            .matcher
-            .waiters()
-            .map(|(&k, q)| (k, q.count() as u64))
-            .collect();
-        waiters.sort_by_key(|&(k, _)| k);
-        out.push(waiters.len() as u64);
-        for (src, n) in waiters {
-            out.push(src as u64);
-            out.push(n);
-        }
-        let mut outstanding: Vec<(MsgId, Outstanding)> =
-            self.outstanding.iter().map(|(&k, &v)| (k, v)).collect();
-        outstanding.sort_by_key(|&(id, _)| (id.src, id.seq));
-        out.push(outstanding.len() as u64);
-        for (id, o) in outstanding {
-            let (kt, ka) = crate::snapshot::packet_kind_to_ints(o.kind);
-            out.extend([
-                id.src as u64,
-                id.seq,
-                o.dst as u64,
-                o.bytes as u64,
-                kt,
-                ka,
-                o.attempt as u64,
-                o.sent_at.as_ps(),
-            ]);
-        }
-        let mut completed: Vec<MsgId> = self.completed.iter().copied().collect();
-        completed.sort_by_key(|id| (id.src, id.seq));
-        out.push(completed.len() as u64);
-        for id in completed {
-            out.extend([id.src as u64, id.seq]);
-        }
-        let s = &self.stats;
-        out.extend([
-            s.compute.as_ps(),
-            s.send_block.as_ps(),
-            s.recv_block.as_ps(),
-            s.msgs_sent,
-            s.bytes_sent,
-            s.msgs_received,
-            s.get_block.as_ps(),
-            s.gets_issued,
-            s.gets_served,
-            s.puts_received,
-            s.msgs_tracked,
-            s.msgs_acked,
-            s.msgs_failed,
-            s.retries,
-            s.recv_timeouts,
-        ]);
-        for h in [&s.msg_latency, &s.get_latency, &s.retry_counts] {
-            let ints = h.snapshot_ints();
-            out.push(ints.len() as u64);
-            out.extend(ints);
-        }
-        out.push(s.unreachable.len() as u64);
-        for u in &s.unreachable {
-            out.extend([
-                u.src as u64,
-                u.dst as u64,
-                u.seq,
-                u.retries as u64,
-                u.gave_up.as_ps(),
-            ]);
-        }
-        match s.finished_at {
-            Some(t) => out.extend([1, t.as_ps()]),
-            None => out.extend([0, 0]),
         }
     }
+}
 
-    /// Overlay state captured by [`AbstractProcessor::snapshot_ints`] onto
-    /// a freshly built processor whose `init` has *not* run.
-    pub(crate) fn restore_ints(
-        &mut self,
-        r: &mut crate::snapshot::IntReader<'_>,
-    ) -> Result<(), String> {
-        self.cursor = r.take("proc cursor")? as usize;
-        self.send_seq = r.take("proc send_seq")?;
-        self.wait_epoch = r.take("proc wait_epoch")?;
-        let (tag, a, b, c) = (
-            r.take("proc state tag")?,
-            r.take("proc state field")?,
-            r.take("proc state field")?,
-            r.take("proc state field")?,
-        );
-        self.state = match tag {
-            0 => ProcState::Running,
-            1 => ProcState::Computing,
-            2 => ProcState::AwaitAck {
-                since: Time::from_ps(a),
-                msg: MsgId {
-                    src: b as NodeId,
-                    seq: c,
-                },
-            },
-            3 => ProcState::AwaitRecv {
-                src: b as NodeId,
-                since: Time::from_ps(a),
-            },
-            4 => ProcState::AwaitGet {
-                since: Time::from_ps(a),
-                msg: MsgId {
-                    src: b as NodeId,
-                    seq: c,
-                },
-            },
-            5 => ProcState::Done,
-            t => return Err(format!("unknown processor state tag {t}")),
-        };
-        self.assembling.clear();
-        for _ in 0..r.take("proc assembling count")? {
-            let id = MsgId {
-                src: r.take("proc assembly src")? as NodeId,
-                seq: r.take("proc assembly seq")?,
-            };
-            let got = r.take("proc assembly got")? as u32;
-            let total = r.take("proc assembly total")? as u32;
-            self.assembling.insert(id, Assembly { got, total });
-        }
-        self.matcher = MatchBox::new();
-        for _ in 0..r.take("proc arrival channel count")? {
-            let chan = r.take("proc arrival channel")? as NodeId;
-            for _ in 0..r.take("proc arrival queue length")? {
-                let msg = CompletedMsg {
-                    id: MsgId {
-                        src: r.take("proc arrival msg src")? as NodeId,
-                        seq: r.take("proc arrival msg seq")?,
-                    },
-                    arrived: Time::from_ps(r.take("proc arrival arrived")?),
-                    sent_at: Time::from_ps(r.take("proc arrival sent_at")?),
-                    bytes: r.take("proc arrival bytes")? as u32,
-                    sync: r.take("proc arrival sync")? != 0,
-                    path: PathDecomp {
-                        pre_ps: r.take("proc arrival path pre")?,
-                        queue_ps: r.take("proc arrival path queue")?,
-                        route_ps: r.take("proc arrival path route")?,
-                        ser_ps: r.take("proc arrival path ser")?,
-                        wire_ps: r.take("proc arrival path wire")?,
-                    },
-                    attempt: r.take("proc arrival attempt")? as u32,
-                };
-                let matched = self.matcher.arrive(chan, msg);
-                debug_assert!(matched.is_none());
-            }
-        }
-        for _ in 0..r.take("proc waiter channel count")? {
-            let chan = r.take("proc waiter channel")? as NodeId;
-            for _ in 0..r.take("proc waiter queue length")? {
-                let matched = self.matcher.wait(chan, Waiter::Async);
-                debug_assert!(matched.is_none());
-            }
-        }
-        self.outstanding.clear();
-        for _ in 0..r.take("proc outstanding count")? {
-            let id = MsgId {
-                src: r.take("proc outstanding src")? as NodeId,
-                seq: r.take("proc outstanding seq")?,
-            };
-            let dst = r.take("proc outstanding dst")? as NodeId;
-            let bytes = r.take("proc outstanding bytes")? as u32;
-            let kind = crate::snapshot::packet_kind_from_ints(
-                r.take("proc outstanding kind tag")?,
-                r.take("proc outstanding kind arg")?,
-            )?;
-            let attempt = r.take("proc outstanding attempt")? as u32;
-            let sent_at = Time::from_ps(r.take("proc outstanding sent_at")?);
-            self.outstanding.insert(
-                id,
-                Outstanding {
-                    dst,
-                    bytes,
-                    kind,
-                    attempt,
-                    sent_at,
-                },
-            );
-        }
-        self.completed.clear();
-        for _ in 0..r.take("proc completed count")? {
-            self.completed.insert(MsgId {
-                src: r.take("proc completed src")? as NodeId,
-                seq: r.take("proc completed seq")?,
-            });
-        }
-        let s = &mut self.stats;
-        s.compute = Duration::from_ps(r.take("proc compute")?);
-        s.send_block = Duration::from_ps(r.take("proc send_block")?);
-        s.recv_block = Duration::from_ps(r.take("proc recv_block")?);
-        s.msgs_sent = r.take("proc msgs_sent")?;
-        s.bytes_sent = r.take("proc bytes_sent")?;
-        s.msgs_received = r.take("proc msgs_received")?;
-        s.get_block = Duration::from_ps(r.take("proc get_block")?);
-        s.gets_issued = r.take("proc gets_issued")?;
-        s.gets_served = r.take("proc gets_served")?;
-        s.puts_received = r.take("proc puts_received")?;
-        s.msgs_tracked = r.take("proc msgs_tracked")?;
-        s.msgs_acked = r.take("proc msgs_acked")?;
-        s.msgs_failed = r.take("proc msgs_failed")?;
-        s.retries = r.take("proc retries")?;
-        s.recv_timeouts = r.take("proc recv_timeouts")?;
-        for (name, h) in [
-            ("msg_latency", &mut s.msg_latency),
-            ("get_latency", &mut s.get_latency),
-            ("retry_counts", &mut s.retry_counts),
-        ] {
-            let len = r.take("proc histogram length")? as usize;
-            let ints = r.take_slice(len, "proc histogram")?;
-            if !h.restore_ints(ints) {
-                return Err(format!("histogram `{name}` shape mismatch"));
-            }
-        }
-        s.unreachable.clear();
-        for _ in 0..r.take("proc unreachable count")? {
-            s.unreachable.push(UnreachableReport {
-                src: r.take("proc unreachable src")? as NodeId,
-                dst: r.take("proc unreachable dst")? as NodeId,
-                seq: r.take("proc unreachable seq")?,
-                retries: r.take("proc unreachable retries")? as u32,
-                gave_up: Time::from_ps(r.take("proc unreachable gave_up")?),
-            });
-        }
-        let has_finish = r.take("proc finished flag")? != 0;
-        let finish_ps = r.take("proc finished time")?;
-        s.finished_at = has_finish.then(|| Time::from_ps(finish_ps));
+impl CompletedMsg {
+    fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+        self.id.walk(w)?;
+        w.time("proc arrival arrived", &mut self.arrived)?;
+        w.time("proc arrival sent_at", &mut self.sent_at)?;
+        w.field("proc arrival bytes", &mut self.bytes)?;
+        w.field("proc arrival sync", &mut self.sync)?;
+        self.path.walk(w)?;
+        w.field("proc arrival attempt", &mut self.attempt)
+    }
+}
+
+impl ProcStats {
+    fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+        w.span("proc compute", &mut self.compute)?;
+        w.span("proc send_block", &mut self.send_block)?;
+        w.span("proc recv_block", &mut self.recv_block)?;
+        w.field("proc msgs_sent", &mut self.msgs_sent)?;
+        w.field("proc bytes_sent", &mut self.bytes_sent)?;
+        w.field("proc msgs_received", &mut self.msgs_received)?;
+        w.span("proc get_block", &mut self.get_block)?;
+        w.field("proc gets_issued", &mut self.gets_issued)?;
+        w.field("proc gets_served", &mut self.gets_served)?;
+        w.field("proc puts_received", &mut self.puts_received)?;
+        w.field("proc msgs_tracked", &mut self.msgs_tracked)?;
+        w.field("proc msgs_acked", &mut self.msgs_acked)?;
+        w.field("proc msgs_failed", &mut self.msgs_failed)?;
+        w.field("proc retries", &mut self.retries)?;
+        w.field("proc recv_timeouts", &mut self.recv_timeouts)?;
+        self.msg_latency.walk(w)?;
+        self.get_latency.walk(w)?;
+        self.retry_counts.walk(w)?;
+        w.list("proc unreachable count", &mut self.unreachable, |w, u| {
+            w.field("proc unreachable src", &mut u.src)?;
+            w.field("proc unreachable dst", &mut u.dst)?;
+            w.field("proc unreachable seq", &mut u.seq)?;
+            w.field("proc unreachable retries", &mut u.retries)?;
+            w.time("proc unreachable gave_up", &mut u.gave_up)
+        })?;
+        let mut finished = self.finished_at.is_some();
+        let mut at = self.finished_at.unwrap_or(Time::ZERO);
+        w.field("proc finished flag", &mut finished)?;
+        w.time("proc finished time", &mut at)?;
+        self.finished_at = finished.then_some(at);
         Ok(())
     }
 }

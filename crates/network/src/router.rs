@@ -9,11 +9,13 @@ use std::sync::Arc;
 
 use mermaid_ops::NodeId;
 use mermaid_probe::{DropReason, ProbeHandle, SimEvent};
+use mermaid_stats::state::StateWalk;
 use pearl::{CompId, Component, Ctx, Duration, Event, EventKey, Time};
 
 use crate::config::{LinkParams, RouterParams, Routing, Switching};
 use crate::fault::{FaultKind, FaultSchedule};
 use crate::packet::{NetMsg, Packet, Train};
+use crate::snapshot::WalkPs;
 use crate::topology::Topology;
 
 /// A router→router message captured for cross-shard transport instead of
@@ -666,84 +668,45 @@ impl Router {
 }
 
 impl Router {
-    /// Append the router's mutable simulation state to a checkpoint
-    /// integer stream (crate::snapshot). The configuration half (topology,
-    /// link/router params, probe, faults wiring) is rebuilt from the run
-    /// config on restore and deliberately not captured.
-    pub(crate) fn snapshot_ints(&self, out: &mut Vec<u64>) {
-        out.push(self.out_nbrs.len() as u64);
-        for i in 0..self.out_nbrs.len() {
-            out.push(self.out_nbrs[i] as u64);
-            out.push(self.out_busy[i].as_ps());
-            out.push(self.out_busy_total[i].as_ps());
+    /// Walk the router's mutable simulation state for a checkpoint
+    /// (crate::snapshot). The configuration half (topology, link/router
+    /// params, probe, faults wiring) is rebuilt from the run config on
+    /// restore and deliberately not captured.
+    pub(crate) fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+        // Output links in discovery order; a restore rediscovers them
+        // through `link_slot`, as the run did.
+        let mut links = self.out_nbrs.len();
+        w.field("router link count", &mut links)?;
+        for i in 0..links {
+            let mut nbr = self.out_nbrs.get(i).copied().unwrap_or_default();
+            w.field("router link neighbour", &mut nbr)?;
+            let slot = self.link_slot(nbr);
+            w.time("router link busy", &mut self.out_busy[slot])?;
+            w.span("router link busy total", &mut self.out_busy_total[slot])?;
         }
-        out.push(self.down as u64);
-        let mut links: Vec<NodeId> = self.down_links.iter().copied().collect();
-        links.sort_unstable();
-        out.push(links.len() as u64);
-        out.extend(links.iter().map(|&n| n as u64));
-        let s = &self.stats;
-        out.push(s.forwarded);
-        out.push(s.delivered);
-        out.push(s.link_wait.as_ps());
-        out.push(s.link_busy.as_ps());
-        out.push(s.per_link_busy.len() as u64);
-        for (&n, &d) in &s.per_link_busy {
-            out.push(n as u64);
-            out.push(d.as_ps());
-        }
-        out.push(s.dropped_link_down);
-        out.push(s.dropped_router_down);
-        out.push(s.dropped_corrupt);
-        out.push(s.dropped_transient);
-        out.push(s.corrupted);
-        out.push(s.rerouted);
-    }
-
-    /// Overlay state captured by [`Router::snapshot_ints`] onto a freshly
-    /// built (never-run) router.
-    pub(crate) fn restore_ints(
-        &mut self,
-        r: &mut crate::snapshot::IntReader<'_>,
-    ) -> Result<(), String> {
-        let n_links = r.take("router link count")? as usize;
-        self.out_nbrs.clear();
-        self.out_busy.clear();
-        self.out_busy_total.clear();
-        for _ in 0..n_links {
-            self.out_nbrs
-                .push(r.take("router link neighbour")? as NodeId);
-            self.out_busy
-                .push(Time::from_ps(r.take("router link busy")?));
-            self.out_busy_total
-                .push(Duration::from_ps(r.take("router link busy total")?));
-        }
-        self.down = r.take("router down flag")? != 0;
-        self.down_links.clear();
-        let n_down = r.take("router down-link count")?;
-        for _ in 0..n_down {
-            self.down_links
-                .insert(r.take("router down link")? as NodeId);
-        }
+        w.field("router down flag", &mut self.down)?;
+        w.sorted("router down-link count", &mut self.down_links, |w, n| {
+            w.field("router down link", n)
+        })?;
         let s = &mut self.stats;
-        s.forwarded = r.take("router forwarded")?;
-        s.delivered = r.take("router delivered")?;
-        s.link_wait = Duration::from_ps(r.take("router link_wait")?);
-        s.link_busy = Duration::from_ps(r.take("router link_busy")?);
-        s.per_link_busy.clear();
-        let n_busy = r.take("router per-link busy count")?;
-        for _ in 0..n_busy {
-            let n = r.take("router per-link busy node")? as NodeId;
-            let d = Duration::from_ps(r.take("router per-link busy time")?);
-            s.per_link_busy.insert(n, d);
-        }
-        s.dropped_link_down = r.take("router dropped_link_down")?;
-        s.dropped_router_down = r.take("router dropped_router_down")?;
-        s.dropped_corrupt = r.take("router dropped_corrupt")?;
-        s.dropped_transient = r.take("router dropped_transient")?;
-        s.corrupted = r.take("router corrupted")?;
-        s.rerouted = r.take("router rerouted")?;
-        Ok(())
+        w.field("router forwarded", &mut s.forwarded)?;
+        w.field("router delivered", &mut s.delivered)?;
+        w.span("router link_wait", &mut s.link_wait)?;
+        w.span("router link_busy", &mut s.link_busy)?;
+        w.sorted(
+            "router per-link busy count",
+            &mut s.per_link_busy,
+            |w, (n, d)| {
+                w.field("router per-link busy node", n)?;
+                w.span("router per-link busy time", d)
+            },
+        )?;
+        w.field("router dropped_link_down", &mut s.dropped_link_down)?;
+        w.field("router dropped_router_down", &mut s.dropped_router_down)?;
+        w.field("router dropped_corrupt", &mut s.dropped_corrupt)?;
+        w.field("router dropped_transient", &mut s.dropped_transient)?;
+        w.field("router corrupted", &mut s.corrupted)?;
+        w.field("router rerouted", &mut s.rerouted)
     }
 }
 

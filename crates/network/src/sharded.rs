@@ -28,6 +28,7 @@ use std::time::Instant;
 
 use mermaid_ops::TraceSet;
 use mermaid_probe::{canonical_sort, AttributionSink, ProbeHandle, ProbeStack, SimEvent};
+use mermaid_stats::state;
 use pearl::engine::RunResult;
 use pearl::{Duration, Engine, Time, WindowBarrier, IDLE_PS};
 
@@ -37,7 +38,7 @@ use crate::packet::NetMsg;
 use crate::partition::{lookahead, window_end_ps, Partition};
 use crate::router::{CrossShard, OutMsg};
 use crate::sim::{assert_trace_count, post_scripted_faults, CommResult, CommSim, NodeCommStats};
-use crate::snapshot::{capture_piece, restore_engine, ShardPiece, Snapshot, SnapshotError};
+use crate::snapshot::{capture, restore_engine, Snapshot, SnapshotError};
 use crate::world::NetWorld;
 
 /// One cross-shard transfer: every message a shard produced for one
@@ -351,10 +352,10 @@ pub struct RunOptions<'a> {
 
 /// One shard's deposited capture: its partition slice plus the probe
 /// events it has buffered so far.
-type CaptureSlot = Option<(ShardPiece, Vec<SimEvent>)>;
+type CaptureSlot = Option<(Snapshot, Vec<SimEvent>)>;
 
 /// Shared state of the sharded capture protocol: every shard deposits
-/// its [`ShardPiece`] (plus its buffered probe events, when attribution
+/// its snapshot piece (plus its buffered probe events, when attribution
 /// is attached), all shards rendezvous on the barrier, then shard 0
 /// composes and writes while the rest wait for it to finish.
 struct CkptSync<'a> {
@@ -376,22 +377,16 @@ impl CkptSync<'_> {
     /// Shard 0, after the capture barrier: compose the deposited pieces
     /// into the canonical whole-machine snapshot and hand it to the sink.
     fn compose_and_write(&self) {
-        let taken: Vec<(ShardPiece, Vec<SimEvent>)> = self
+        let (pieces, events): (Vec<Snapshot>, Vec<Vec<SimEvent>>) = self
             .slots
             .lock()
             .unwrap()
             .iter_mut()
             .map(|s| s.take().expect("every shard deposited a piece"))
-            .collect();
+            .unzip();
         let mut error = self.error.lock().unwrap();
         if error.is_some() {
             return;
-        }
-        let mut pieces = Vec::with_capacity(taken.len());
-        let mut events: Vec<SimEvent> = Vec::new();
-        for (p, evs) in taken {
-            pieces.push(p);
-            events.extend(evs);
         }
         let mut snap = Snapshot::compose(pieces);
         if self.want_attr {
@@ -399,25 +394,26 @@ impl CkptSync<'_> {
             // merge of every shard's buffered model events — the same
             // multiset the serial sink folded live, so the record is
             // byte-identical to a serial capture at this instant.
+            let mut events = events.concat();
             canonical_sort(&mut events);
             let mut sink = AttributionSink::new();
             if let Some(base) = &self.base_attr {
-                sink.restore_ints(base)
+                state::load(base, "the attribution record", |w| sink.walk(w))
                     .expect("the restore entry validated this record");
             }
             for ev in &events {
                 mermaid_probe::Probe::record(&mut sink, ev);
             }
-            snap.attribution = Some(sink.snapshot_ints());
+            snap.attribution = Some(state::save(|w| sink.walk(w)));
         }
         *error = (self.opts.write)(&snap).err();
     }
 }
 
 /// The attribution sink's current state, when one is attached.
-fn capture_attribution(probe: &ProbeHandle) -> Option<Vec<u64>> {
+pub(crate) fn capture_attribution(probe: &ProbeHandle) -> Option<Vec<u64>> {
     probe
-        .with_stack(|s| s.attribution.as_ref().map(|a| a.snapshot_ints()))
+        .with_stack(|s| s.attribution.as_mut().map(|a| state::save(|w| a.walk(w))))
         .flatten()
 }
 
@@ -428,7 +424,7 @@ fn seed_attribution(probe: &ProbeHandle, snap: &Snapshot) -> Result<(), Snapshot
     probe
         .with_stack(|s| match (s.attribution.as_mut(), &snap.attribution) {
             (None, _) => Ok(()),
-            (Some(sink), Some(ints)) => sink.restore_ints(ints),
+            (Some(sink), Some(rec)) => state::load(rec, "the attribution record", |w| sink.walk(w)),
             (Some(_), None) => Err(
                 "the snapshot has no `attr` record but this run attaches an attribution \
                  sink — re-create the checkpoint with attribution enabled, or drop it"
@@ -823,7 +819,7 @@ impl<'a> Shard<'a> {
             self.outbox.borrow().is_empty(),
             "nothing runs between the round-top flush and a capture"
         );
-        let piece = capture_piece(&self.engine, &ck.opts.config_hash, at);
+        let piece = capture(&mut self.engine, &ck.opts.config_hash, at);
         let buffered = if ck.want_attr {
             self.probe
                 .with_stack(|st| st.buffer.as_ref().map(|b| b.events().to_vec()))

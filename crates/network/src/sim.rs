@@ -350,14 +350,11 @@ impl CommSim {
     /// `config_hash` is the campaign-layer identity of the run; restore
     /// refuses a snapshot whose hash differs. The attribution section is
     /// the caller's to fill in (the probe layer owns that state).
-    pub fn checkpoint(&self, config_hash: &str, at: Time) -> Snapshot {
+    pub fn checkpoint(&mut self, config_hash: &str, at: Time) -> Snapshot {
         // A serial capture is the one-piece case of the sharded compose,
         // so both modes produce byte-identical files by construction.
-        Snapshot::compose(vec![crate::snapshot::capture_piece(
-            &self.engine,
-            config_hash,
-            at,
-        )])
+        let whole = crate::snapshot::capture(&mut self.engine, config_hash, at);
+        Snapshot::compose(vec![whole])
     }
 
     /// Rebuild a simulation from a [`Snapshot`], bit-identically: the

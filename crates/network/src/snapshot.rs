@@ -55,9 +55,11 @@
 //! header fixtures under `tests/golden/` pin the v1 surface.
 
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 
-use pearl::{CompId, EventKey, PendingEvent, Time};
+use mermaid_stats::state::{self, StateWalk};
+use pearl::{Duration, EventKey, PendingEvent, Time};
 
 use crate::fault::FaultKind;
 use crate::packet::{MsgId, NetMsg, Packet, PacketKind, PathDecomp, Train};
@@ -68,9 +70,11 @@ pub const SNAPSHOT_MAGIC: &str = "mermaid-snapshot-v1";
 /// Schema version this build writes and reads.
 pub const SNAPSHOT_SCHEMA: u64 = 1;
 
-/// FNV-1a-64 over `bytes` — the same hash (same constants) the campaign
-/// layer uses for config identity, duplicated here because the network
-/// crate sits below the campaign layer.
+/// The header's `key=value` fields, in the order they are checked.
+const HEADER: [&str; 5] = ["schema", "config", "nodes", "time", "body"];
+
+/// FNV-1a-64 over `bytes`: the snapshot body hash, and the campaign
+/// layer's config hash too (the network crate is the lower of the two).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -175,221 +179,169 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Sequential reader over a record's integers, erroring (with the name
-/// of the missing field) instead of panicking on truncated input.
-pub(crate) struct IntReader<'a> {
-    data: &'a [u64],
-    pos: usize,
-}
-
-impl<'a> IntReader<'a> {
-    pub fn new(data: &'a [u64]) -> Self {
-        IntReader { data, pos: 0 }
+/// The picosecond fields of this crate's walks.
+pub(crate) trait WalkPs: StateWalk {
+    /// Visit an instant as its picosecond count.
+    fn time(&mut self, label: &str, t: &mut Time) -> Result<(), String> {
+        let mut ps = t.as_ps();
+        self.int(label, &mut ps)?;
+        *t = Time::from_ps(ps);
+        Ok(())
     }
 
-    /// Next integer, or an error naming `what` was expected.
-    pub fn take(&mut self, what: &str) -> Result<u64, String> {
-        match self.data.get(self.pos) {
-            Some(&v) => {
-                self.pos += 1;
-                Ok(v)
+    /// Visit a span as its picosecond count.
+    fn span(&mut self, label: &str, d: &mut Duration) -> Result<(), String> {
+        let mut ps = d.as_ps();
+        self.int(label, &mut ps)?;
+        *d = Duration::from_ps(ps);
+        Ok(())
+    }
+}
+
+impl<W: StateWalk> WalkPs for W {}
+
+impl MsgId {
+    /// Walk the message id: source, then sequence number.
+    pub(crate) fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+        w.field("a message source", &mut self.src)?;
+        w.field("a message sequence number", &mut self.seq)
+    }
+}
+
+impl PathDecomp {
+    /// Walk the five latency components in declaration order.
+    pub(crate) fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+        w.field("the path's pre-network time", &mut self.pre_ps)?;
+        w.field("the path's queueing time", &mut self.queue_ps)?;
+        w.field("the path's routing time", &mut self.route_ps)?;
+        w.field("the path's serialisation time", &mut self.ser_ps)?;
+        w.field("the path's wire time", &mut self.wire_ps)
+    }
+}
+
+impl PacketKind {
+    /// Walk the kind as `(tag, argument)`: two integers for every variant.
+    pub(crate) fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+        use PacketKind::*;
+        let blanks = [
+            Data { sync: false },
+            Ack,
+            OneWay,
+            GetRequest { bytes: 0 },
+            GetReply,
+        ];
+        w.variant("packet kind tag", self, &blanks)?;
+        match self {
+            Data { sync } => w.field("the data packet's sync flag", sync),
+            GetRequest { bytes } => w.field("the get request's size", bytes),
+            Ack | OneWay | GetReply => w.pad("the packet kind argument", 1),
+        }
+    }
+}
+
+impl Packet {
+    /// Walk one packet: 17 integers, field for field.
+    pub(crate) fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+        self.msg.walk(w)?;
+        w.field("the packet destination", &mut self.dst)?;
+        w.field("the packet index", &mut self.index)?;
+        w.field("the packet count", &mut self.count)?;
+        w.field("the packet payload", &mut self.payload)?;
+        w.field("the message size", &mut self.msg_bytes)?;
+        self.kind.walk(w)?;
+        w.time("the packet's send time", &mut self.sent_at)?;
+        w.field("the packet attempt", &mut self.attempt)?;
+        w.field("the packet's corrupted flag", &mut self.corrupted)?;
+        self.path.walk(w)
+    }
+}
+
+impl FaultKind {
+    /// Walk the fault as a tag and two node ids: three integers for every
+    /// variant.
+    pub(crate) fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+        use FaultKind::*;
+        let blanks = [
+            LinkDown { from: 0, to: 0 },
+            LinkUp { from: 0, to: 0 },
+            RouterDown { node: 0 },
+            RouterUp { node: 0 },
+        ];
+        w.variant("fault kind tag", self, &blanks)?;
+        match self {
+            LinkDown { from, to } | LinkUp { from, to } => {
+                w.field("the faulty link's source", from)?;
+                w.field("the faulty link's destination", to)
             }
-            None => Err(format!("record ends where {what} was expected")),
-        }
-    }
-
-    /// Next `len` integers as a slice.
-    pub fn take_slice(&mut self, len: usize, what: &str) -> Result<&'a [u64], String> {
-        if self.pos + len > self.data.len() {
-            return Err(format!(
-                "record ends inside {what} ({} of {len} integer(s) present)",
-                self.data.len() - self.pos
-            ));
-        }
-        let s = &self.data[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(s)
-    }
-
-    /// Assert the record was consumed exactly.
-    pub fn finish(&self, what: &str) -> Result<(), String> {
-        if self.pos == self.data.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing integer(s) after {what}",
-                self.data.len() - self.pos
-            ))
+            RouterDown { node } | RouterUp { node } => {
+                w.field("the faulty router", node)?;
+                w.pad("the fault's unused slot", 1)
+            }
         }
     }
 }
 
-/// `PacketKind` → `(tag, argument)`.
-pub(crate) fn packet_kind_to_ints(kind: PacketKind) -> (u64, u64) {
-    match kind {
-        PacketKind::Data { sync } => (0, sync as u64),
-        PacketKind::Ack => (1, 0),
-        PacketKind::OneWay => (2, 0),
-        PacketKind::GetRequest { bytes } => (3, bytes as u64),
-        PacketKind::GetReply => (4, 0),
+impl NetMsg {
+    /// Walk one event payload: its variant tag, then the variant's fields.
+    pub(crate) fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+        use NetMsg::*;
+        let (p, t) = (Packet::default(), Train::default());
+        let blanks = [
+            Resume,
+            Inject(p),
+            InjectTrain(t),
+            Forward(p),
+            ForwardTrain(t),
+            Deliver(p),
+            DeliverTrain(t),
+            Fault(FaultKind::RouterUp { node: 0 }),
+            RetryCheck(MsgId::default()),
+            RecvDeadline { epoch: 0 },
+        ];
+        w.variant("event payload tag", self, &blanks)?;
+        match self {
+            Resume => Ok(()),
+            Inject(p) | Forward(p) | Deliver(p) => p.walk(w),
+            InjectTrain(t) | ForwardTrain(t) | DeliverTrain(t) => {
+                t.first.walk(w)?;
+                w.field("the train length", &mut t.len)
+            }
+            Fault(k) => k.walk(w),
+            RetryCheck(id) => id.walk(w),
+            RecvDeadline { epoch } => w.field("the receive-deadline epoch", epoch),
+        }
     }
 }
 
-/// `(tag, argument)` → `PacketKind`.
-pub(crate) fn packet_kind_from_ints(tag: u64, arg: u64) -> Result<PacketKind, String> {
-    Ok(match tag {
-        0 => PacketKind::Data { sync: arg != 0 },
-        1 => PacketKind::Ack,
-        2 => PacketKind::OneWay,
-        3 => PacketKind::GetRequest { bytes: arg as u32 },
-        4 => PacketKind::GetReply,
-        t => return Err(format!("unknown packet kind tag {t}")),
-    })
+/// Walk one pending event: `time push_ps key_src key_seq src dst`, then
+/// its payload.
+fn walk_event<W: StateWalk>(ev: &mut PendingEvent<NetMsg>, w: &mut W) -> Result<(), String> {
+    let (time, key, src, dst, payload) = ev;
+    w.time("the event time", time)?;
+    w.field("the event key's push time", &mut key.push_ps)?;
+    w.field("the event key's source", &mut key.src)?;
+    w.field("the event key's sequence number", &mut key.seq)?;
+    w.field("the event source", src)?;
+    w.field("the event destination", dst)?;
+    payload.walk(w)
 }
 
-/// Flatten one packet: 17 integers, field for field.
-fn packet_to_ints(p: &Packet, out: &mut Vec<u64>) {
-    let (ktag, karg) = packet_kind_to_ints(p.kind);
-    out.extend([
-        p.msg.src as u64,
-        p.msg.seq,
-        p.dst as u64,
-        p.index as u64,
-        p.count as u64,
-        p.payload as u64,
-        p.msg_bytes as u64,
-        ktag,
-        karg,
-        p.sent_at.as_ps(),
-        p.attempt as u64,
-        p.corrupted as u64,
-        p.path.pre_ps,
-        p.path.queue_ps,
-        p.path.route_ps,
-        p.path.ser_ps,
-        p.path.wire_ps,
-    ]);
-}
-
-fn packet_from_ints(r: &mut IntReader<'_>) -> Result<Packet, String> {
-    let v = r.take_slice(17, "a packet (17 integers)")?;
-    Ok(Packet {
-        msg: MsgId {
-            src: v[0] as u32,
-            seq: v[1],
-        },
-        dst: v[2] as u32,
-        index: v[3] as u32,
-        count: v[4] as u32,
-        payload: v[5] as u32,
-        msg_bytes: v[6] as u32,
-        kind: packet_kind_from_ints(v[7], v[8])?,
-        sent_at: Time::from_ps(v[9]),
-        attempt: v[10] as u32,
-        corrupted: v[11] != 0,
-        path: PathDecomp {
-            pre_ps: v[12],
-            queue_ps: v[13],
-            route_ps: v[14],
-            ser_ps: v[15],
-            wire_ps: v[16],
-        },
-    })
-}
-
-fn fault_to_ints(k: FaultKind, out: &mut Vec<u64>) {
-    match k {
-        FaultKind::LinkDown { from, to } => out.extend([0, from as u64, to as u64]),
-        FaultKind::LinkUp { from, to } => out.extend([1, from as u64, to as u64]),
-        FaultKind::RouterDown { node } => out.extend([2, node as u64, 0]),
-        FaultKind::RouterUp { node } => out.extend([3, node as u64, 0]),
+/// Append `v` in decimal to `buf`.
+fn push_int(buf: &mut Vec<u8>, v: u64) {
+    if v >= 10 {
+        push_int(buf, v / 10);
     }
+    buf.push(b'0' + (v % 10) as u8);
 }
 
-fn fault_from_ints(r: &mut IntReader<'_>) -> Result<FaultKind, String> {
-    let v = r.take_slice(3, "a fault event (3 integers)")?;
-    Ok(match v[0] {
-        0 => FaultKind::LinkDown {
-            from: v[1] as u32,
-            to: v[2] as u32,
-        },
-        1 => FaultKind::LinkUp {
-            from: v[1] as u32,
-            to: v[2] as u32,
-        },
-        2 => FaultKind::RouterDown { node: v[1] as u32 },
-        3 => FaultKind::RouterUp { node: v[1] as u32 },
-        t => return Err(format!("unknown fault kind tag {t}")),
-    })
-}
-
-/// Flatten one event payload (variant tag, then its fields).
-pub(crate) fn msg_to_ints(m: &NetMsg, out: &mut Vec<u64>) {
-    match *m {
-        NetMsg::Resume => out.push(0),
-        NetMsg::Inject(ref p) => {
-            out.push(1);
-            packet_to_ints(p, out);
-        }
-        NetMsg::InjectTrain(ref t) => {
-            out.push(2);
-            packet_to_ints(&t.first, out);
-            out.push(t.len as u64);
-        }
-        NetMsg::Forward(ref p) => {
-            out.push(3);
-            packet_to_ints(p, out);
-        }
-        NetMsg::ForwardTrain(ref t) => {
-            out.push(4);
-            packet_to_ints(&t.first, out);
-            out.push(t.len as u64);
-        }
-        NetMsg::Deliver(ref p) => {
-            out.push(5);
-            packet_to_ints(p, out);
-        }
-        NetMsg::DeliverTrain(ref t) => {
-            out.push(6);
-            packet_to_ints(&t.first, out);
-            out.push(t.len as u64);
-        }
-        NetMsg::Fault(k) => {
-            out.push(7);
-            fault_to_ints(k, out);
-        }
-        NetMsg::RetryCheck(id) => out.extend([8, id.src as u64, id.seq]),
-        NetMsg::RecvDeadline { epoch } => out.extend([9, epoch]),
+/// Append one record line: `tag`, then ` <int>` per integer, then `\n`.
+fn push_record(buf: &mut Vec<u8>, tag: &str, ints: &[u64]) {
+    buf.extend_from_slice(tag.as_bytes());
+    for &i in ints {
+        buf.push(b' ');
+        push_int(buf, i);
     }
-}
-
-pub(crate) fn msg_from_ints(r: &mut IntReader<'_>) -> Result<NetMsg, String> {
-    let train = |r: &mut IntReader<'_>| -> Result<Train, String> {
-        let first = packet_from_ints(r)?;
-        let len = r.take("train length")?;
-        Ok(Train {
-            first,
-            len: len as u32,
-        })
-    };
-    Ok(match r.take("event payload tag")? {
-        0 => NetMsg::Resume,
-        1 => NetMsg::Inject(packet_from_ints(r)?),
-        2 => NetMsg::InjectTrain(train(r)?),
-        3 => NetMsg::Forward(packet_from_ints(r)?),
-        4 => NetMsg::ForwardTrain(train(r)?),
-        5 => NetMsg::Deliver(packet_from_ints(r)?),
-        6 => NetMsg::DeliverTrain(train(r)?),
-        7 => NetMsg::Fault(fault_from_ints(r)?),
-        8 => NetMsg::RetryCheck(MsgId {
-            src: r.take("retry-check source")? as u32,
-            seq: r.take("retry-check sequence")?,
-        }),
-        9 => NetMsg::RecvDeadline {
-            epoch: r.take("receive-deadline epoch")?,
-        },
-        t => return Err(format!("unknown event payload tag {t}")),
-    })
+    buf.push(b'\n');
 }
 
 /// The complete captured state of one simulation at instant `time`.
@@ -424,127 +376,93 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Render the snapshot file (header, body, `end` marker).
-    pub fn to_file_string(&self) -> String {
-        let mut body = String::new();
-        body.push_str(&format!("engine {}\n", self.events_processed));
-        body.push_str("keys");
-        for c in &self.key_counters {
-            body.push_str(&format!(" {c}"));
-        }
-        body.push('\n');
-        for (t, key, src, dst, payload) in &self.events {
-            let mut ints = Vec::new();
-            msg_to_ints(payload, &mut ints);
-            body.push_str(&format!(
-                "event {} {} {} {} {} {}",
-                t.as_ps(),
-                key.push_ps,
-                key.src,
-                key.seq,
-                src,
-                dst
-            ));
-            for i in ints {
-                body.push_str(&format!(" {i}"));
-            }
-            body.push('\n');
+    /// Render the file as its header line and its body: the body into one
+    /// byte buffer first, since the header carries the body's hash.
+    fn render(&self) -> (String, Vec<u8>) {
+        let mut body = Vec::new();
+        push_record(&mut body, "engine", &[self.events_processed]);
+        push_record(&mut body, "keys", &self.key_counters);
+        let mut ints = Vec::new();
+        for &(mut ev) in &self.events {
+            ints.clear();
+            state::save_into(&mut ints, |w| walk_event(&mut ev, w));
+            push_record(&mut body, "event", &ints);
         }
         for (label, slab) in [("router", &self.routers), ("proc", &self.procs)] {
-            for (node, ints) in slab.iter().enumerate() {
-                body.push_str(&format!("{label} {node}"));
-                for i in ints {
-                    body.push_str(&format!(" {i}"));
-                }
-                body.push('\n');
+            for (node, record) in slab.iter().enumerate() {
+                push_record(&mut body, &format!("{label} {node}"), record);
             }
         }
         if let Some(attr) = &self.attribution {
-            body.push_str("attr");
-            for i in attr {
-                body.push_str(&format!(" {i}"));
-            }
-            body.push('\n');
+            push_record(&mut body, "attr", attr);
         }
-        body.push_str("end\n");
-        format!(
-            "{SNAPSHOT_MAGIC} schema={SNAPSHOT_SCHEMA} config={} nodes={} time={} body={:016x}\n{body}",
+        body.extend_from_slice(b"end\n");
+        let header = format!(
+            "{SNAPSHOT_MAGIC} schema={SNAPSHOT_SCHEMA} config={} nodes={} time={} body={:016x}\n",
             self.config_hash,
             self.nodes,
             self.time.as_ps(),
-            fnv1a64(body.as_bytes()),
-        )
+            fnv1a64(&body),
+        );
+        (header, body)
+    }
+
+    /// Render the snapshot file (header, body, `end` marker).
+    pub fn to_file_string(&self) -> String {
+        let (mut text, body) = self.render();
+        text.push_str(std::str::from_utf8(&body).expect("snapshot bodies are ASCII"));
+        text
     }
 
     /// Parse a snapshot file, verifying magic, schema and body hash.
     /// Config and node-count checks happen at restore time, when the
     /// expected values are known.
     pub fn parse(text: &str) -> Result<Snapshot, SnapshotError> {
-        let (header, body) = match text.split_once('\n') {
-            Some(p) => p,
-            None => {
-                return Err(SnapshotError::BadMagic {
-                    found: preview(text),
-                })
-            }
-        };
+        let (header, body) = text
+            .split_once('\n')
+            .ok_or_else(|| SnapshotError::BadMagic {
+                found: preview(text),
+            })?;
         let mut fields = header.split_ascii_whitespace();
         if fields.next() != Some(SNAPSHOT_MAGIC) {
             return Err(SnapshotError::BadMagic {
                 found: preview(header),
             });
         }
-        let mut schema = None;
-        let mut config = None;
-        let mut nodes = None;
-        let mut time = None;
-        let mut body_hash = None;
-        for f in fields {
-            let (k, v) = f.split_once('=').ok_or_else(|| SnapshotError::Parse {
-                context: "header".into(),
-                detail: format!("field `{f}` is not key=value"),
-            })?;
-            let bad = |detail: String| SnapshotError::Parse {
-                context: "header".into(),
-                detail,
-            };
-            match k {
-                "schema" => {
-                    schema = Some(v.parse::<u64>().map_err(|_| {
-                        bad(format!("field `schema` value `{v}` is not an integer"))
-                    })?)
-                }
-                "config" => config = Some(v.to_string()),
-                "nodes" => {
-                    nodes =
-                        Some(v.parse::<u32>().map_err(|_| {
-                            bad(format!("field `nodes` value `{v}` is not an integer"))
-                        })?)
-                }
-                "time" => {
-                    time =
-                        Some(v.parse::<u64>().map_err(|_| {
-                            bad(format!("field `time` value `{v}` is not an integer"))
-                        })?)
-                }
-                "body" => body_hash = Some(v.to_string()),
-                _ => {
-                    return Err(bad(format!("unknown header field `{k}`")));
-                }
-            }
-        }
-        let missing = |name: &str| SnapshotError::Parse {
+        let bad = |detail: String| SnapshotError::Parse {
             context: "header".into(),
-            detail: format!("field `{name}` is missing"),
+            detail,
         };
-        let schema = schema.ok_or_else(|| missing("schema"))?;
+        let mut values = [None; HEADER.len()];
+        for f in fields {
+            let (k, v) = f
+                .split_once('=')
+                .ok_or_else(|| bad(format!("field `{f}` is not key=value")))?;
+            let i = HEADER
+                .iter()
+                .position(|&h| h == k)
+                .ok_or_else(|| bad(format!("unknown header field `{k}`")))?;
+            values[i] = Some(v);
+        }
+        let field = |name: &str| {
+            let i = HEADER.iter().position(|&h| h == name).expect("in HEADER");
+            values[i].ok_or_else(|| bad(format!("field `{name}` is missing")))
+        };
+        let int = |name: &str, max: u64| {
+            let v = field(name)?;
+            v.parse::<u64>()
+                .ok()
+                .filter(|&n| n <= max)
+                .ok_or_else(|| bad(format!("field `{name}` value `{v}` is not an integer")))
+        };
+        let schema = int("schema", u64::MAX)?;
         if schema != SNAPSHOT_SCHEMA {
             return Err(SnapshotError::SchemaMismatch { found: schema });
         }
-        let config_hash = config.ok_or_else(|| missing("config"))?;
-        let nodes = nodes.ok_or_else(|| missing("nodes"))?;
-        let time = Time::from_ps(time.ok_or_else(|| missing("time"))?);
-        let expected_body = body_hash.ok_or_else(|| missing("body"))?;
+        let config_hash = field("config")?.to_string();
+        let nodes = int("nodes", u32::MAX.into())? as u32;
+        let time = Time::from_ps(int("time", u64::MAX)?);
+        let expected_body = field("body")?.to_string();
         let actual_body = format!("{:016x}", fnv1a64(body.as_bytes()));
         if actual_body != expected_body {
             return Err(SnapshotError::Torn {
@@ -567,32 +485,25 @@ impl Snapshot {
         let mut seen_engine = false;
         let mut seen_end = false;
         for (i, line) in body.lines().enumerate() {
-            let ctx = || format!("line {}", i + 2);
             let perr = |detail: String| SnapshotError::Parse {
-                context: ctx(),
+                context: format!("line {}", i + 2),
                 detail,
             };
             if seen_end {
                 return Err(perr("record after the `end` marker".into()));
             }
             let mut toks = line.split_ascii_whitespace();
-            let tag = match toks.next() {
-                Some(t) => t,
-                None => return Err(perr("empty record".into())),
-            };
+            let tag = toks.next().ok_or_else(|| perr("empty record".into()))?;
             if tag == "end" {
                 seen_end = true;
                 continue;
             }
-            let ints: Vec<u64> = {
-                let mut v = Vec::new();
-                for t in toks {
-                    v.push(t.parse::<u64>().map_err(|_| {
-                        perr(format!("`{t}` in a `{tag}` record is not an integer"))
-                    })?);
-                }
-                v
-            };
+            let ints = toks
+                .map(|t| {
+                    t.parse::<u64>()
+                        .map_err(|_| perr(format!("`{t}` in a `{tag}` record is not an integer")))
+                })
+                .collect::<Result<Vec<u64>, _>>()?;
             match tag {
                 "engine" => {
                     if ints.len() != 1 {
@@ -612,25 +523,29 @@ impl Snapshot {
                     snap.key_counters = ints;
                 }
                 "event" => {
-                    let mut r = IntReader::new(&ints);
-                    let head = r
-                        .take_slice(6, "event header (6 integers)")
+                    let mut ev = (Time::ZERO, EventKey::default(), 0, 0, NetMsg::Resume);
+                    state::load(&ints, "the event payload", |w| walk_event(&mut ev, w))
                         .map_err(&perr)?;
-                    let (t, push_ps, key_src, key_seq, src, dst) =
-                        (head[0], head[1], head[2], head[3], head[4], head[5]);
-                    let payload = msg_from_ints(&mut r).map_err(&perr)?;
-                    r.finish("the event payload").map_err(&perr)?;
-                    snap.events.push((
-                        Time::from_ps(t),
-                        EventKey {
-                            push_ps,
-                            src: key_src as u32,
-                            seq: key_seq,
-                        },
-                        src as CompId,
-                        dst as CompId,
-                        payload,
-                    ));
+                    // Refused here, before any engine or shard sees them:
+                    // a restore would panic on the first and silently drop
+                    // the second.
+                    if ev.0 < time {
+                        return Err(perr(format!(
+                            "an event at {} ps precedes the snapshot instant {} ps",
+                            ev.0.as_ps(),
+                            time.as_ps()
+                        )));
+                    }
+                    let components = 2 * nodes as usize;
+                    for (end, comp) in [("source", ev.2), ("destination", ev.3)] {
+                        if comp >= components {
+                            return Err(perr(format!(
+                                "event {end} component {comp} is outside the 2×nodes = \
+                                 {components} component(s)"
+                            )));
+                        }
+                    }
+                    snap.events.push(ev);
                 }
                 "router" | "proc" => {
                     let node = *ints
@@ -672,30 +587,21 @@ impl Snapshot {
                 detail: "missing `end` marker — the file is truncated".into(),
             });
         }
+        let missing = |detail: String| SnapshotError::Parse {
+            context: "body".into(),
+            detail,
+        };
         if !seen_engine {
-            return Err(SnapshotError::Parse {
-                context: "body".into(),
-                detail: "missing `engine` record".into(),
-            });
+            return Err(missing("missing `engine` record".into()));
         }
         if snap.key_counters.len() != 2 * nodes as usize {
-            return Err(SnapshotError::Parse {
-                context: "body".into(),
-                detail: "missing `keys` record".into(),
-            });
+            return Err(missing("missing `keys` record".into()));
         }
         for node in 0..nodes as usize {
-            if snap.routers[node].is_empty() {
-                return Err(SnapshotError::Parse {
-                    context: "body".into(),
-                    detail: format!("missing `router` record for node {node}"),
-                });
-            }
-            if snap.procs[node].is_empty() {
-                return Err(SnapshotError::Parse {
-                    context: "body".into(),
-                    detail: format!("missing `proc` record for node {node}"),
-                });
+            for (tag, slab) in [("router", &snap.routers), ("proc", &snap.procs)] {
+                if slab[node].is_empty() {
+                    return Err(missing(format!("missing `{tag}` record for node {node}")));
+                }
             }
         }
         Ok(snap)
@@ -720,7 +626,13 @@ impl Snapshot {
             }
         }
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_file_string()).map_err(|e| io(e.to_string()))?;
+        let (header, body) = self.render();
+        std::fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(header.as_bytes())?;
+                f.write_all(&body)
+            })
+            .map_err(|e| io(e.to_string()))?;
         std::fs::rename(&tmp, path).map_err(|e| io(e.to_string()))
     }
 
@@ -748,36 +660,24 @@ impl Snapshot {
 
     /// Compose per-shard captures (contiguous node slices, DESIGN.md §15)
     /// into the full snapshot a serial capture at the same instant would
-    /// produce. Each piece carries its owned nodes' component records and
-    /// key counters plus its engine's pending events and delivery count;
-    /// the union is sorted into canonical `(time, key)` order and the
-    /// delivery counts summed.
-    pub fn compose(pieces: Vec<ShardPiece>) -> Snapshot {
-        assert!(!pieces.is_empty(), "composing zero shard pieces");
-        let config_hash = pieces[0].config_hash.clone();
-        let nodes = pieces[0].nodes;
-        let time = pieces[0].time;
-        let n = nodes as usize;
-        let mut snap = Snapshot {
-            config_hash,
-            nodes,
-            time,
-            events_processed: 0,
-            key_counters: vec![0; 2 * n],
-            events: Vec::new(),
-            routers: vec![Vec::new(); n],
-            procs: vec![Vec::new(); n],
-            attribution: None,
-        };
+    /// produce. Each piece holds records only for the nodes its shard
+    /// owns, and its key counters are authoritative for exactly those
+    /// nodes (only the owning shard ever allocates keys for them); pending
+    /// events are merged into canonical `(time, key)` order and delivery
+    /// counts summed.
+    pub fn compose(pieces: Vec<Snapshot>) -> Snapshot {
+        let mut pieces = pieces.into_iter();
+        let mut snap = pieces.next().expect("composing zero shard pieces");
+        let n = snap.nodes as usize;
         for p in pieces {
-            assert_eq!(p.nodes, nodes, "shard pieces disagree on node count");
-            assert_eq!(p.time, time, "shard pieces disagree on the instant");
+            assert_eq!(p.nodes, snap.nodes, "shard pieces disagree on node count");
+            assert_eq!(p.time, snap.time, "shard pieces disagree on the instant");
             snap.events_processed += p.events_processed;
             snap.events.extend(p.events);
-            for (i, (router, proc)) in p.routers.into_iter().zip(p.procs).enumerate() {
-                let node = p.base as usize + i;
-                // The owner's counters are authoritative for its nodes:
-                // only the owning shard ever allocates keys for them.
+            for (node, (router, proc)) in p.routers.into_iter().zip(p.procs).enumerate() {
+                if router.is_empty() {
+                    continue; // another shard's node
+                }
                 snap.key_counters[node] = p.key_counters[node];
                 snap.key_counters[n + node] = p.key_counters[n + node];
                 snap.routers[node] = router;
@@ -794,41 +694,17 @@ fn preview(s: &str) -> String {
     head.split_whitespace().next().unwrap_or("").to_string()
 }
 
-/// One shard's contribution to a composed snapshot (see
-/// [`Snapshot::compose`]).
-pub struct ShardPiece {
-    /// Campaign-layer config hash (identical across pieces).
-    pub config_hash: String,
-    /// Total node count (identical across pieces).
-    pub nodes: u32,
-    /// First node this shard owns.
-    pub base: u32,
-    /// The capture instant (identical across pieces).
-    pub time: Time,
-    /// Deliveries this shard's engine performed.
-    pub events_processed: u64,
-    /// The shard engine's full-length key-counter vector (only owned
-    /// nodes' entries are meaningful).
-    pub key_counters: Vec<u64>,
-    /// Pending events of this shard's queue (all addressed to owned
-    /// components).
-    pub events: Vec<PendingEvent<NetMsg>>,
-    /// Router records for owned nodes, in node order.
-    pub routers: Vec<Vec<u64>>,
-    /// Processor records for owned nodes, in node order.
-    pub procs: Vec<Vec<u64>>,
-}
-
-/// Capture one engine's contribution to a snapshot at instant `at`: the
-/// whole machine in a serial run, the owned node range in a shard. Every
-/// event strictly before `at` must have been processed and every pending
-/// event must be at or after it — asserted, because a capture violating
-/// that could never restore bit-identically.
-pub(crate) fn capture_piece(
-    engine: &pearl::Engine<NetMsg, crate::world::NetWorld>,
+/// Capture one engine's piece of a snapshot at instant `at`: the whole
+/// machine in a serial run; in a shard, the owned node range, with empty
+/// records for the nodes other shards own (see [`Snapshot::compose`]).
+/// Every event strictly before `at` must have been processed and every
+/// pending event must be at or after it — asserted, because a capture
+/// violating that could never restore bit-identically.
+pub(crate) fn capture(
+    engine: &mut pearl::Engine<NetMsg, crate::world::NetWorld>,
     config_hash: &str,
     at: Time,
-) -> ShardPiece {
+) -> Snapshot {
     assert!(
         engine.now() <= at,
         "capture instant {at} lies before the engine clock {}",
@@ -841,31 +717,25 @@ pub(crate) fn capture_piece(
             "pending event at {t} predates the capture instant {at}"
         );
     }
-    let world = engine.world();
-    let (base, owned) = (world.base(), world.owned());
-    let mut routers = Vec::with_capacity(owned as usize);
-    let mut procs = Vec::with_capacity(owned as usize);
-    for i in 0..owned {
-        let node = base + i;
-        let mut r = Vec::new();
-        world.router(node).snapshot_ints(&mut r);
-        routers.push(r);
-        let mut p = Vec::new();
-        world.proc(node).snapshot_ints(&mut p);
-        procs.push(p);
-    }
-    ShardPiece {
+    // The component id space is always `2 * nodes`, whole or shard.
+    let n = engine.component_count() / 2;
+    let mut snap = Snapshot {
         config_hash: config_hash.to_string(),
-        // The component id space is always `2 * nodes`, whole or shard.
-        nodes: (engine.component_count() / 2) as u32,
-        base,
+        nodes: n as u32,
         time: at,
         events_processed: engine.events_processed(),
         key_counters: engine.key_counters().to_vec(),
         events,
-        routers,
-        procs,
+        routers: vec![Vec::new(); n],
+        procs: vec![Vec::new(); n],
+        attribution: None,
+    };
+    let world = engine.world_mut();
+    for node in world.nodes() {
+        snap.routers[node as usize] = state::save(|w| world.router_mut(node).walk(w));
+        snap.procs[node as usize] = state::save(|w| world.proc_mut(node).walk(w));
     }
+    snap
 }
 
 /// Overlay a snapshot onto a freshly built engine: replace the queue,
@@ -879,45 +749,29 @@ pub(crate) fn restore_engine(
     snap: &Snapshot,
     events_base: u64,
 ) -> Result<(), SnapshotError> {
-    let n = snap.nodes;
-    let (base, owned) = {
-        let w = engine.world();
-        (w.base(), w.owned())
-    };
-    let owns = |comp: CompId| {
-        let node = if (comp as u32) < n {
-            comp as u32
-        } else {
-            comp as u32 - n
-        };
-        node >= base && node < base + owned
-    };
+    let nodes = engine.world().nodes();
+    // Router `i` is component `i`, its processor `nodes + i`; parsing
+    // refused every destination outside those `2 * nodes` components.
     let events: Vec<_> = snap
         .events
         .iter()
-        .filter(|&&(_, _, _, dst, _)| owns(dst))
+        .filter(|ev| nodes.contains(&(ev.3 as u32 % snap.nodes)))
         .cloned()
         .collect();
     engine.restore(snap.time, events_base, snap.key_counters.clone(), events);
     let world = engine.world_mut();
-    for i in 0..owned {
-        let node = base + i;
-        let record = |what: &str, detail: String| SnapshotError::Parse {
+    for node in nodes {
+        let fail = |what: &str, detail| SnapshotError::Parse {
             context: format!("{what} {node} record"),
             detail,
         };
-        let mut r = IntReader::new(&snap.routers[node as usize]);
-        world
-            .router_mut(node)
-            .restore_ints(&mut r)
-            .and_then(|()| r.finish("the router state"))
-            .map_err(|d| record("router", d))?;
-        let mut r = IntReader::new(&snap.procs[node as usize]);
-        world
-            .proc_mut(node)
-            .restore_ints(&mut r)
-            .and_then(|()| r.finish("the processor state"))
-            .map_err(|d| record("proc", d))?;
+        let i = node as usize;
+        let router = world.router_mut(node);
+        state::load(&snap.routers[i], "the router state", |w| router.walk(w))
+            .map_err(|d| fail("router", d))?;
+        let proc = world.proc_mut(node);
+        state::load(&snap.procs[i], "the processor state", |w| proc.walk(w))
+            .map_err(|d| fail("proc", d))?;
     }
     Ok(())
 }
@@ -1003,40 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn every_payload_variant_round_trips() {
-        let pkt = tiny_snapshot().events[0].4;
-        let pkt = match pkt {
-            NetMsg::Forward(p) => p,
-            _ => unreachable!(),
-        };
-        let msgs = [
-            NetMsg::Resume,
-            NetMsg::Inject(pkt),
-            NetMsg::InjectTrain(Train { first: pkt, len: 3 }),
-            NetMsg::Forward(pkt),
-            NetMsg::ForwardTrain(Train { first: pkt, len: 2 }),
-            NetMsg::Deliver(pkt),
-            NetMsg::DeliverTrain(Train { first: pkt, len: 5 }),
-            NetMsg::Fault(FaultKind::LinkDown { from: 1, to: 2 }),
-            NetMsg::Fault(FaultKind::LinkUp { from: 2, to: 1 }),
-            NetMsg::Fault(FaultKind::RouterDown { node: 3 }),
-            NetMsg::Fault(FaultKind::RouterUp { node: 3 }),
-            NetMsg::RetryCheck(MsgId { src: 4, seq: 99 }),
-            NetMsg::RecvDeadline { epoch: 12 },
-        ];
-        for m in &msgs {
-            let mut ints = Vec::new();
-            msg_to_ints(m, &mut ints);
-            let mut r = IntReader::new(&ints);
-            let back = msg_from_ints(&mut r).expect("decodes");
-            r.finish("payload").expect("consumed exactly");
-            let mut ints2 = Vec::new();
-            msg_to_ints(&back, &mut ints2);
-            assert_eq!(ints, ints2, "{m:?}");
-        }
-    }
-
-    #[test]
     fn torn_file_is_detected() {
         let text = tiny_snapshot().to_file_string();
         // Truncate mid-body: body hash no longer matches.
@@ -1111,30 +931,22 @@ mod tests {
         let whole = tiny_snapshot();
         let ev0 = whole.events[0];
         let ev1 = whole.events[1];
+        // Each piece holds one node's records; its counters for the other
+        // node are not authoritative, so they are set to junk here.
+        let piece = |owned: usize, processed, counters, ev| {
+            let mut p = whole.clone();
+            p.events_processed = processed;
+            p.key_counters = counters;
+            p.events = vec![ev];
+            p.routers[1 - owned].clear();
+            p.procs[1 - owned].clear();
+            p.attribution = None;
+            p
+        };
+        // Out-of-order events on purpose: compose canonicalises.
         let pieces = vec![
-            ShardPiece {
-                config_hash: whole.config_hash.clone(),
-                nodes: 2,
-                base: 0,
-                time: whole.time,
-                events_processed: 30,
-                key_counters: vec![1, 0, 3, 0],
-                // Out-of-order on purpose: compose canonicalises.
-                events: vec![ev1],
-                routers: vec![whole.routers[0].clone()],
-                procs: vec![whole.procs[0].clone()],
-            },
-            ShardPiece {
-                config_hash: whole.config_hash.clone(),
-                nodes: 2,
-                base: 1,
-                time: whole.time,
-                events_processed: 12,
-                key_counters: vec![0, 2, 0, 4],
-                events: vec![ev0],
-                routers: vec![whole.routers[1].clone()],
-                procs: vec![whole.procs[1].clone()],
-            },
+            piece(0, 30, vec![1, 9, 3, 9], ev1),
+            piece(1, 12, vec![9, 2, 9, 4], ev0),
         ];
         let mut composed = Snapshot::compose(pieces);
         composed.attribution = whole.attribution.clone();
@@ -1142,15 +954,201 @@ mod tests {
     }
 
     #[test]
-    fn int_reader_names_missing_fields() {
-        let data = [1u64, 2];
-        let mut r = IntReader::new(&data);
-        assert_eq!(r.take("first").unwrap(), 1);
-        let err = r.take_slice(3, "a packet").unwrap_err();
-        assert!(err.contains("a packet"), "{err}");
-        assert_eq!(r.take("second").unwrap(), 2);
-        let err = r.take("third field").unwrap_err();
-        assert!(err.contains("third field"), "{err}");
-        r.finish("record").unwrap();
+    fn events_a_restore_cannot_place_are_refused_at_parse() {
+        type Tamper = fn(&mut Snapshot);
+        let tampers: [(Tamper, &str); 3] = [
+            (
+                |s| s.events[0].0 = Time::from_ps(999),
+                "precedes the snapshot instant",
+            ),
+            (|s| s.events[0].3 = 4, "destination component 4"),
+            (|s| s.events[1].2 = 99, "source component 99"),
+        ];
+        for (tamper, want) in tampers {
+            let mut snap = tiny_snapshot();
+            tamper(&mut snap);
+            match Snapshot::parse(&snap.to_file_string()) {
+                Err(SnapshotError::Parse { context, detail }) => {
+                    assert!(context.starts_with("line "), "{context}");
+                    assert!(detail.contains(want), "{detail}");
+                }
+                other => panic!("expected Parse naming `{want}`, got {other:?}"),
+            }
+        }
+    }
+
+    /// A 4x4 torus under a link outage, a router crash and transient loss
+    /// and corruption (or healthy, whose trains fault mode never builds),
+    /// captured mid-run with an attribution sink attached: the state every
+    /// walk round trip below starts from.
+    fn mid_run(faulty: bool, us: u64) -> (Snapshot, pearl::Engine<NetMsg, crate::world::NetWorld>) {
+        use crate::{CommSim, FaultSchedule, NetworkConfig, RetryParams, Topology};
+        use mermaid_ops::{Operation, TraceSet};
+        use mermaid_probe::{ProbeHandle, ProbeStack};
+        use std::sync::Arc;
+
+        let cfg = NetworkConfig::hw_routed(Topology::Torus2D { w: 4, h: 4 });
+        let n = 16;
+        let mut traces = TraceSet::new(n as usize);
+        for node in 0..n {
+            let hop = |k: u32| (node + k) % n;
+            let mut phase = [
+                Operation::ASend {
+                    bytes: 9_000,
+                    dst: hop(2),
+                },
+                Operation::Put {
+                    bytes: 3_000,
+                    to: hop(4),
+                },
+                Operation::Send {
+                    bytes: 500,
+                    dst: node ^ 1,
+                },
+                Operation::Recv { src: node ^ 1 },
+                Operation::ARecv { src: hop(n - 2) },
+                Operation::Get {
+                    bytes: 2_000,
+                    from: hop(5),
+                },
+                Operation::Compute { ps: 20_000_000 },
+            ];
+            // Odd nodes receive from their even partner before sending
+            // back, so the rendezvous pairs up instead of deadlocking.
+            if node % 2 == 1 {
+                phase.swap(2, 3);
+            }
+            traces.trace_mut(node).ops = [phase, phase, phase, phase].concat();
+        }
+        let faults = faulty.then(|| {
+            let mut f = FaultSchedule::new(7)
+                .with_drop_ppm(30_000)
+                .with_corrupt_ppm(10_000)
+                .with_retry(RetryParams::default_for(&cfg));
+            f.cut_link(0, 1, Time::from_us(2), Some(Time::from_us(400)));
+            f.crash_router(5, Time::from_us(100), Some(Time::from_us(300)));
+            Arc::new(f)
+        });
+        let probe = ProbeHandle::new(ProbeStack::new().with_attribution());
+        let mut sim = CommSim::build(cfg, &traces, probe.clone(), faults.clone());
+        let at = Time::from_us(us);
+        sim.run_until(Time::from_ps(at.as_ps() - 1));
+        let mut snap = sim.checkpoint("0123456789abcdef", at);
+        snap.attribution = crate::sharded::capture_attribution(&probe);
+        let fresh = crate::sim::build_engine(cfg, &traces, 0..n, &probe, &faults, None);
+        (snap, fresh)
+    }
+
+    #[test]
+    fn router_walk_round_trips() {
+        let (snap, mut fresh) = mid_run(true, 150);
+        for (node, rec) in snap.routers.iter().enumerate() {
+            let router = fresh.world_mut().router_mut(node as u32);
+            state::load(rec, "the router state", |w| router.walk(w)).unwrap();
+            assert_eq!(&state::save(|w| router.walk(w)), rec, "router {node}");
+        }
+    }
+
+    #[test]
+    fn processor_walk_round_trips() {
+        let (snap, mut fresh) = mid_run(true, 150);
+        let idle = state::save(|w| fresh.world_mut().proc_mut(0).walk(w)).len();
+        assert!(
+            snap.procs.iter().any(|rec| rec.len() > idle),
+            "the capture holds protocol state beyond an idle processor's"
+        );
+        for (node, rec) in snap.procs.iter().enumerate() {
+            let proc = fresh.world_mut().proc_mut(node as u32);
+            state::load(rec, "the processor state", |w| proc.walk(w)).unwrap();
+            assert_eq!(&state::save(|w| proc.walk(w)), rec, "proc {node}");
+        }
+    }
+
+    #[test]
+    fn histogram_walk_round_trips() {
+        let (snap, mut fresh) = mid_run(true, 150);
+        for (node, rec) in snap.procs.iter().enumerate() {
+            let proc = fresh.world_mut().proc_mut(node as u32);
+            state::load(rec, "the processor state", |w| proc.walk(w)).unwrap();
+            let s = &mut proc.stats;
+            for h in [&mut s.msg_latency, &mut s.get_latency, &mut s.retry_counts] {
+                let rec = state::save(|w| h.walk(w));
+                let mut back = mermaid_stats::Histogram::log2();
+                state::load(&rec, "the histogram", |w| back.walk(w)).unwrap();
+                assert_eq!(back, *h, "proc {node}");
+                assert_eq!(state::save(|w| back.walk(w)), rec, "proc {node}");
+            }
+        }
+    }
+
+    #[test]
+    fn attribution_walk_round_trips() {
+        use mermaid_probe::AttributionSink;
+        let (snap, _) = mid_run(true, 150);
+        let rec = snap
+            .attribution
+            .expect("the run carries an attribution sink");
+        let mut back = AttributionSink::new();
+        state::load(&rec, "the attribution record", |w| back.walk(w)).unwrap();
+        assert!(back.messages() > 0, "the capture holds delivered messages");
+        assert_eq!(state::save(|w| back.walk(w)), rec);
+    }
+
+    /// Every pending payload of two faulty and two healthy captures,
+    /// which between them hold every variant.
+    fn mid_run_payloads() -> Vec<NetMsg> {
+        [(true, 3), (true, 150), (false, 1), (false, 150)]
+            .into_iter()
+            .flat_map(|(faulty, us)| mid_run(faulty, us).0.events)
+            .map(|ev| ev.4)
+            .collect()
+    }
+
+    #[test]
+    fn net_msg_walk_round_trips() {
+        let mut tags = std::collections::BTreeSet::new();
+        for mut m in mid_run_payloads() {
+            let rec = state::save(|w| m.walk(w));
+            tags.insert(rec[0]);
+            let mut back = NetMsg::Resume;
+            state::load(&rec, "the payload", |w| back.walk(w)).unwrap();
+            assert_eq!(state::save(|w| back.walk(w)), rec, "{m:?}");
+        }
+        assert_eq!(tags.len(), 10, "every payload variant is pending: {tags:?}");
+    }
+
+    #[test]
+    fn packet_walk_round_trips() {
+        use NetMsg::*;
+        let mut packets = 0;
+        for m in mid_run_payloads() {
+            let mut p = match m {
+                Inject(p) | Forward(p) | Deliver(p) => p,
+                InjectTrain(t) | ForwardTrain(t) | DeliverTrain(t) => t.first,
+                _ => continue,
+            };
+            let rec = state::save(|w| p.walk(w));
+            assert_eq!(rec.len(), 17);
+            let mut back = Packet::default();
+            state::load(&rec, "the packet", |w| back.walk(w)).unwrap();
+            assert_eq!(back, p);
+            packets += 1;
+        }
+        assert!(packets > 0);
+    }
+
+    #[test]
+    fn fault_walk_round_trips() {
+        let mut kinds = std::collections::BTreeSet::new();
+        for m in mid_run_payloads() {
+            let NetMsg::Fault(mut k) = m else { continue };
+            let rec = state::save(|w| k.walk(w));
+            assert_eq!(rec.len(), 3);
+            kinds.insert(rec[0]);
+            let mut back = FaultKind::RouterUp { node: 0 };
+            state::load(&rec, "the fault", |w| back.walk(w)).unwrap();
+            assert_eq!(back, k);
+        }
+        assert!(!kinds.is_empty(), "the capture holds pending fault events");
     }
 }

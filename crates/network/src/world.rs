@@ -66,8 +66,8 @@ impl NetWorld {
         &self.procs[(node - self.base) as usize]
     }
 
-    /// Mutably borrow the router of `node` (checkpoint restore overlays
-    /// captured state onto freshly built components).
+    /// Mutably borrow the router of `node` (a checkpoint walks component
+    /// state in both directions through one `&mut` walk).
     pub fn router_mut(&mut self, node: NodeId) -> &mut Router {
         &mut self.routers[(node - self.base) as usize]
     }
@@ -78,14 +78,9 @@ impl NetWorld {
         &mut self.procs[(node - self.base) as usize]
     }
 
-    /// First node owned by this world's slabs.
-    pub fn base(&self) -> NodeId {
-        self.base
-    }
-
-    /// Number of nodes owned by this world's slabs.
-    pub fn owned(&self) -> u32 {
-        self.routers.len() as u32
+    /// The nodes whose components this world's slabs hold.
+    pub fn nodes(&self) -> std::ops::Range<NodeId> {
+        self.base..self.base + self.routers.len() as u32
     }
 }
 

@@ -42,9 +42,12 @@ impl TokenGen {
 /// message-passing: `(source, tag)` or just `source`).
 #[derive(Debug)]
 pub struct MatchBox<K, A, W> {
-    arrivals: FastHashMap<K, VecDeque<A>>,
-    waiters: FastHashMap<K, VecDeque<W>>,
+    arrivals: Queues<K, A>,
+    waiters: Queues<K, W>,
 }
+
+/// One side of a [`MatchBox`]: a FIFO queue per channel.
+pub type Queues<K, T> = FastHashMap<K, VecDeque<T>>;
 
 impl<K: Eq + Hash + Clone, A, W> Default for MatchBox<K, A, W> {
     fn default() -> Self {
@@ -123,18 +126,11 @@ impl<K: Eq + Hash + Clone, A, W> MatchBox<K, A, W> {
         self.arrivals.is_empty() && self.waiters.is_empty()
     }
 
-    /// Iterate over every channel with queued (unmatched) arrivals, each
-    /// with its FIFO queue front-to-back. Iteration order is the hash
-    /// map's — callers needing determinism (checkpointing) must sort.
-    pub fn arrivals(&self) -> impl Iterator<Item = (&K, impl Iterator<Item = &A>)> {
-        self.arrivals.iter().map(|(k, q)| (k, q.iter()))
-    }
-
-    /// Iterate over every channel with queued (unmatched) waiters, each
-    /// with its FIFO queue front-to-back (same ordering caveat as
-    /// [`MatchBox::arrivals`]).
-    pub fn waiters(&self) -> impl Iterator<Item = (&K, impl Iterator<Item = &W>)> {
-        self.waiters.iter().map(|(k, q)| (k, q.iter()))
+    /// Both sides' FIFO queues by channel, arrivals first (for
+    /// checkpointing). Iteration order is the hash maps' — callers needing
+    /// determinism must sort.
+    pub fn queues_mut(&mut self) -> (&mut Queues<K, A>, &mut Queues<K, W>) {
+        (&mut self.arrivals, &mut self.waiters)
     }
 }
 

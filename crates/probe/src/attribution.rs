@@ -20,6 +20,7 @@
 
 use crate::value_json::{kv, u, Raw};
 use crate::{Probe, SimEvent};
+use mermaid_stats::state::StateWalk;
 use mermaid_stats::table::Align;
 use mermaid_stats::{chart, rank, timeline, Histogram, Table, Utilization};
 use serde::Value;
@@ -186,211 +187,54 @@ impl AttributionSink {
         }
     }
 
-    /// Flatten the sink's full state into the integer vector of a
-    /// checkpoint snapshot's `attr` record. Interval bags are emitted
-    /// *sorted* — they are declared order-free until report time (module
-    /// docs), so sorting here makes the capture canonical: a serial run's
-    /// live sink and a sharded run's buffer-replayed sink produce the
-    /// same integers at the same instant.
-    pub fn snapshot_ints(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        out.push(self.msgs);
-        let push_hist = |out: &mut Vec<u64>, h: &Histogram| {
-            let ints = h.snapshot_ints();
-            out.push(ints.len() as u64);
-            out.extend(ints);
-        };
-        push_hist(&mut out, &self.latency);
-        for h in &self.comp_hist {
-            push_hist(&mut out, h);
+    /// Walk the sink's full state for a checkpoint snapshot's `attr`
+    /// record. Interval bags are walked *sorted* — they are declared
+    /// order-free until report time (module docs), so the capture is
+    /// canonical: a serial run's live sink and a sharded run's
+    /// buffer-replayed sink produce the same integers at the same instant.
+    /// Restore overwrites every field, so it may walk into any sink.
+    pub fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+        w.field("the message count", &mut self.msgs)?;
+        self.latency.walk(w)?;
+        for h in &mut self.comp_hist {
+            h.walk(w)?;
         }
-        out.extend(self.comp_total);
-        out.push(self.link_busy.len() as u64);
-        for (&(node, to), bag) in &self.link_busy {
-            out.extend([node as u64, to as u64, bag.len() as u64]);
-            let mut iv = bag.clone();
-            iv.sort_unstable();
-            for (s, e) in iv {
-                out.extend([s, e]);
-            }
+        for t in &mut self.comp_total {
+            w.field("a component total", t)?;
         }
-        out.push(self.fwd.len() as u64);
-        for (&node, &count) in &self.fwd {
-            out.extend([node as u64, count]);
+        w.sorted(
+            "the link-interval bag count",
+            &mut self.link_busy,
+            |w, ((node, to), bag)| {
+                w.field("a link's source node", node)?;
+                w.field("a link's destination node", to)?;
+                w.sorted("a link's interval count", bag, |w, (s, e)| {
+                    w.field("a busy-interval start", s)?;
+                    w.field("a busy-interval end", e)
+                })
+            },
+        )?;
+        for (what, map) in [
+            ("the forwarded-count map size", &mut self.fwd),
+            ("the delivered-count map size", &mut self.delivered),
+        ] {
+            w.sorted(what, map, |w, (node, count)| {
+                w.field("a router id", node)?;
+                w.field("a packet count", count)
+            })?;
         }
-        out.push(self.delivered.len() as u64);
-        for (&node, &count) in &self.delivered {
-            out.extend([node as u64, count]);
-        }
-        out.extend([
-            self.dropped,
-            self.corrupted,
-            self.retries,
-            self.gave_up,
-            self.reroutes,
-            self.finish_ps,
-        ]);
-        out
-    }
-
-    /// Overlay state captured by [`AttributionSink::snapshot_ints`] onto
-    /// this sink (call on a fresh sink — existing state is replaced).
-    /// Errors name the field where a truncated or mismatched record gives
-    /// out instead of panicking.
-    pub fn restore_ints(&mut self, ints: &[u64]) -> Result<(), String> {
-        let mut r = Cursor { data: ints, pos: 0 };
-        let restored = AttributionSink::new();
-        *self = restored;
-        self.msgs = r.take("the message count")?;
-        fn pull_hist(r: &mut Cursor<'_>, h: &mut Histogram, what: &str) -> Result<(), String> {
-            let len = r.take(what)? as usize;
-            let ints = r.slice(len, what)?;
-            if !h.restore_ints(ints) {
-                return Err(format!("{what} does not fit the histogram shape"));
-            }
-            Ok(())
-        }
-        pull_hist(&mut r, &mut self.latency, "the latency histogram")?;
-        for (i, name) in COMPONENTS.iter().enumerate() {
-            let what = format!("the `{name}` component histogram");
-            pull_hist(&mut r, &mut self.comp_hist[i], &what)?;
-        }
-        for (i, name) in COMPONENTS.iter().enumerate() {
-            self.comp_total[i] = r.take(&format!("the `{name}` component total"))?;
-        }
-        let links = r.take("the link-interval bag count")?;
-        for _ in 0..links {
-            let node = r.take("a link's source node")? as u32;
-            let to = r.take("a link's destination node")? as u32;
-            let n = r.take("a link's interval count")? as usize;
-            let mut bag = Vec::with_capacity(n);
-            for _ in 0..n {
-                let s = r.take("a busy-interval start")?;
-                let e = r.take("a busy-interval end")?;
-                bag.push((s, e));
-            }
-            self.link_busy.insert((node, to), bag);
-        }
-        let fwd = r.take("the forwarded-count map size")?;
-        for _ in 0..fwd {
-            let node = r.take("a forwarding router id")? as u32;
-            let count = r.take("a forwarded-packet count")?;
-            self.fwd.insert(node, count);
-        }
-        let delivered = r.take("the delivered-count map size")?;
-        for _ in 0..delivered {
-            let node = r.take("a delivering router id")? as u32;
-            let count = r.take("a delivered-packet count")?;
-            self.delivered.insert(node, count);
-        }
-        self.dropped = r.take("the dropped count")?;
-        self.corrupted = r.take("the corrupted count")?;
-        self.retries = r.take("the retry count")?;
-        self.gave_up = r.take("the gave-up count")?;
-        self.reroutes = r.take("the reroute count")?;
-        self.finish_ps = r.take("the fallback horizon")?;
-        r.finish("the attribution record")
-    }
-}
-
-/// Minimal bounds-checked integer reader for [`AttributionSink::restore_ints`].
-struct Cursor<'a> {
-    data: &'a [u64],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, what: &str) -> Result<u64, String> {
-        match self.data.get(self.pos) {
-            Some(&v) => {
-                self.pos += 1;
-                Ok(v)
-            }
-            None => Err(format!("record ends where {what} was expected")),
-        }
-    }
-
-    fn slice(&mut self, len: usize, what: &str) -> Result<&'a [u64], String> {
-        if self.pos + len > self.data.len() {
-            return Err(format!(
-                "record ends inside {what} ({} of {len} integer(s) present)",
-                self.data.len() - self.pos
-            ));
-        }
-        let s = &self.data[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(s)
-    }
-
-    fn finish(&self, what: &str) -> Result<(), String> {
-        if self.pos == self.data.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing integer(s) after {what}",
-                self.data.len() - self.pos
-            ))
-        }
+        w.field("the dropped count", &mut self.dropped)?;
+        w.field("the corrupted count", &mut self.corrupted)?;
+        w.field("the retry count", &mut self.retries)?;
+        w.field("the gave-up count", &mut self.gave_up)?;
+        w.field("the reroute count", &mut self.reroutes)?;
+        w.field("the fallback horizon", &mut self.finish_ps)
     }
 }
 
 #[cfg(test)]
 mod snapshot_tests {
     use super::*;
-
-    #[test]
-    fn snapshot_round_trips_and_reports_identically() {
-        let mut sink = AttributionSink::new();
-        sink.record(&SimEvent::MsgPath {
-            ts_ps: 1_000,
-            src: 0,
-            dst: 1,
-            bytes: 64,
-            latency_ps: 1_000,
-            overhead_ps: 500,
-            retry_ps: 0,
-            queue_ps: 300,
-            routing_ps: 0,
-            ser_ps: 0,
-            wire_ps: 200,
-        });
-        sink.record(&SimEvent::LinkBusy {
-            node: 0,
-            to: 1,
-            start_ps: 500,
-            end_ps: 600, // deliberately out of order vs the next interval
-        });
-        sink.record(&SimEvent::LinkBusy {
-            node: 0,
-            to: 1,
-            start_ps: 100,
-            end_ps: 300,
-        });
-        sink.record(&SimEvent::MsgRetry {
-            ts_ps: 5,
-            src: 0,
-            dst: 1,
-            attempt: 1,
-        });
-        let ints = sink.snapshot_ints();
-        let mut back = AttributionSink::new();
-        back.restore_ints(&ints).expect("round trip");
-        assert_eq!(back.report(2_000).to_json(), sink.report(2_000).to_json());
-        // The re-capture is canonical: restoring sorted bags re-emits them.
-        assert_eq!(back.snapshot_ints(), ints);
-    }
-
-    #[test]
-    fn truncated_records_name_the_missing_field() {
-        let sink = AttributionSink::new();
-        let ints = sink.snapshot_ints();
-        let err = AttributionSink::new()
-            .restore_ints(&ints[..ints.len() - 1])
-            .unwrap_err();
-        assert!(err.contains("fallback horizon"), "{err}");
-        let err = AttributionSink::new().restore_ints(&[]).unwrap_err();
-        assert!(err.contains("message count"), "{err}");
-    }
 
     #[test]
     fn engine_internal_events_do_not_move_the_horizon() {

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::state::StateWalk;
+
 /// Bucketing strategy for a [`Histogram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Buckets {
@@ -170,38 +172,29 @@ impl Histogram {
             .map(|(i, &c)| (self.bucket_lo(i), c))
     }
 
-    /// Flatten the full sample state into integers for the checkpoint
-    /// format: `[count, sum, min, max, n_buckets, counts…]`. The bucketing
-    /// strategy itself is not encoded — a restore site reconstructs the
-    /// histogram with the same constructor and overlays these counters.
-    pub fn snapshot_ints(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(5 + self.counts.len());
-        out.extend([
-            self.count,
-            self.sum,
-            self.min,
-            self.max,
-            self.counts.len() as u64,
-        ]);
-        out.extend_from_slice(&self.counts);
-        out
-    }
-
-    /// Overlay counters captured by [`Histogram::snapshot_ints`] onto a
-    /// histogram built with the same bucketing. Returns `false` (leaving
-    /// `self` untouched) when the integer run does not fit this
-    /// histogram's shape — a corrupt or mismatched checkpoint.
-    #[must_use]
-    pub fn restore_ints(&mut self, ints: &[u64]) -> bool {
-        if ints.len() != 5 + self.counts.len() || ints[4] as usize != self.counts.len() {
-            return false;
+    /// Walk the sample state for a checkpoint:
+    /// `[5 + n_buckets, count, sum, min, max, n_buckets, counts…]`. The
+    /// bucketing strategy itself is not encoded — a restore walks into a
+    /// histogram built with the same constructor, and a record of another
+    /// shape is refused.
+    pub fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+        let buckets = self.counts.len() as u64;
+        let (mut len, mut n) = (5 + buckets, buckets);
+        w.field("the histogram length", &mut len)?;
+        w.field("the histogram count", &mut self.count)?;
+        w.field("the histogram sum", &mut self.sum)?;
+        w.field("the histogram minimum", &mut self.min)?;
+        w.field("the histogram maximum", &mut self.max)?;
+        w.field("the histogram bucket count", &mut n)?;
+        if (len, n) != (5 + buckets, buckets) {
+            return Err(format!(
+                "a {n}-bucket histogram record does not fit this {buckets}-bucket histogram"
+            ));
         }
-        self.count = ints[0];
-        self.sum = ints[1];
-        self.min = ints[2];
-        self.max = ints[3];
-        self.counts.copy_from_slice(&ints[5..]);
-        true
+        for c in &mut self.counts {
+            w.field("a histogram bucket", c)?;
+        }
+        Ok(())
     }
 
     /// Merge another histogram with identical bucketing. Panics on mismatch.

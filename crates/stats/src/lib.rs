@@ -9,7 +9,9 @@
 //! * [`TimeSeries`] sampling for run-time observation,
 //! * [`Utilization`] tracking for busy/idle components (links, buses, CPUs),
 //! * ASCII rendering ([`table::Table`], [`chart`]) and CSV export for
-//!   post-mortem analysis.
+//!   post-mortem analysis,
+//! * the [`state`] walker every checkpointed type saves and restores
+//!   through.
 //!
 //! Everything is plain data — the simulators fill these in; examples and the
 //! bench harness render them.
@@ -21,6 +23,7 @@ pub mod delivery;
 pub mod gnuplot;
 pub mod histogram;
 pub mod rank;
+pub mod state;
 pub mod summary;
 pub mod table;
 pub mod timeline;

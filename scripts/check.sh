@@ -290,31 +290,55 @@ if cargo run --release -p mermaid --bin mermaid-cli -- "${ckpt_args[@]}" --seed 
 fi
 
 echo "==> cli: a malformed snapshot record fails cleanly at every shard count (no panic, no hang)"
-# Drop the last integer of the first router record and recompute the
-# header's FNV-1a-64 body hash, so only the per-record checks can refuse
-# the file. Exit 1 is the CLI's error path; 101 is a panic; 124 is the
-# watchdog (the sharded restore used to panic in one shard and leave the
-# others waiting for it).
-python3 - "$mid" "$ckpt_serial_dir/bad.snap" <<'PY'
+# Damage one record of the middle checkpoint and recompute the header's
+# FNV-1a-64 body hash, so only the per-record checks can refuse the file:
+# `router` drops the last integer of the first router record; `early`
+# moves the first event before the snapshot instant; `dst` and `src`
+# address it to component 99, outside the machine. Exit 1 is the CLI's
+# error path; 101 is a panic; 124 is the watchdog (the sharded restore
+# used to panic in one shard and leave the others waiting for it, and an
+# early event hung it the same way).
+tamper() { # <mode> <output file>
+python3 - "$mid" "$2" "$1" <<'PY'
 import sys
-head, body = open(sys.argv[1]).read().split("\n", 1)
+src, out, mode = sys.argv[1:]
+head, body = open(src).read().split("\n", 1)
 lines = body.split("\n")
-i = next(i for i, line in enumerate(lines) if line.startswith("router "))
-lines[i] = lines[i].rsplit(" ", 1)[0]
+tag = "router " if mode == "router" else "event "
+i = next(i for i, line in enumerate(lines) if line.startswith(tag))
+f = lines[i].split(" ")
+if mode == "router":
+    f.pop()
+elif mode == "early":
+    f[1] = str(int(next(h for h in head.split(" ") if h.startswith("time="))[5:]) - 1)
+else:
+    f[{"src": 5, "dst": 6}[mode]] = "99"
+lines[i] = " ".join(f)
 body = "\n".join(lines)
 h = 0xCBF29CE484222325
 for byte in body.encode():
     h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
 head = " ".join(f"body={h:016x}" if f.startswith("body=") else f for f in head.split(" "))
-open(sys.argv[2], "w").write(head + "\n" + body)
+open(out, "w").write(head + "\n" + body)
 PY
-for shards in 1 2 3; do
-    timeout 20 "$cli" "${ckpt_args[@]}" --restore "$ckpt_serial_dir/bad.snap" \
-        --shards "$shards" > /dev/null 2> "$sharded_out" && rc=0 || rc=$?
+}
+restore_bad() { # <snapshot> <shards> <expected error>
+    timeout 20 "$cli" "${ckpt_args[@]}" --restore "$1" --shards "$2" \
+        > /dev/null 2> "$sharded_out" && rc=0 || rc=$?
     [ "$rc" -eq 1 ] \
-        || { echo "bad.snap on $shards shard(s) should be a clean error, got exit $rc" >&2; exit 1; }
-    grep -q "corrupt snapshot (router 0 record)" "$sharded_out" \
-        || { echo "bad.snap on $shards shard(s) did not name the bad record" >&2; cat "$sharded_out" >&2; exit 1; }
+        || { echo "$1 on $2 shard(s) should be a clean error, got exit $rc" >&2; exit 1; }
+    grep -q "$3" "$sharded_out" \
+        || { echo "$1 on $2 shard(s) did not name the bad record" >&2; cat "$sharded_out" >&2; exit 1; }
+}
+tamper router "$ckpt_serial_dir/bad.snap"
+for shards in 1 2 3; do
+    restore_bad "$ckpt_serial_dir/bad.snap" "$shards" "corrupt snapshot (router 0 record)"
+done
+for mode in early dst src; do
+    tamper "$mode" "$ckpt_serial_dir/bad-$mode.snap"
+    for shards in 1 2; do
+        restore_bad "$ckpt_serial_dir/bad-$mode.snap" "$shards" "corrupt snapshot (line "
+    done
 done
 
 echo "==> info: non-test library lines per crate (scripts/loc.sh; not a gate)"

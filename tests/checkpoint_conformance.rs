@@ -310,12 +310,12 @@ fn torn_snapshots_are_detected_never_restored() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A snapshot whose body hash checks out but whose component records do
-/// not fit — one integer short in a router record, one too many in a
-/// processor record — is refused with the same error at every shard
-/// count. The watchdog is the point: the sharded restore used to panic in
-/// the shard that owned the bad record and leave its peers waiting at the
-/// round gate for ever.
+/// A snapshot whose body hash checks out but whose records do not fit —
+/// one integer short in a router record, one too many in a processor
+/// record, an event before the instant or addressed outside the machine —
+/// is refused with the same error at every shard count. The watchdog is
+/// the point: the sharded restore used to panic in the shard that owned
+/// the bad record and leave its peers waiting at the round gate for ever.
 #[test]
 fn malformed_snapshot_records_fail_sharded_restores_like_serial_ones() {
     use mermaid_network::Snapshot;
@@ -331,6 +331,18 @@ fn malformed_snapshot_records_fail_sharded_restores_like_serial_ones() {
     fn long_proc(snap: &mut Snapshot) {
         snap.procs[7].push(0);
     }
+    // Event records a restore cannot place: the serial restore used to
+    // panic on the first, the sharded one hang, and both silently drop
+    // the second. Line 4 is the first `event` record.
+    fn early_event(snap: &mut Snapshot) {
+        snap.events[0].0 = pearl::Time::from_ps(snap.time.as_ps() - 1);
+    }
+    fn far_dst(snap: &mut Snapshot) {
+        snap.events[0].3 = 99;
+    }
+    fn far_src(snap: &mut Snapshot) {
+        snap.events[0].2 = 99;
+    }
     let tampers = [
         (
             "router",
@@ -338,6 +350,17 @@ fn malformed_snapshot_records_fail_sharded_restores_like_serial_ones() {
             "corrupt snapshot (router 0 record)",
         ),
         ("proc", long_proc, "corrupt snapshot (proc 7 record)"),
+        (
+            "early",
+            early_event,
+            "corrupt snapshot (line 4): an event at",
+        ),
+        (
+            "dst",
+            far_dst,
+            "corrupt snapshot (line 4): event destination",
+        ),
+        ("src", far_src, "corrupt snapshot (line 4): event source"),
     ];
     for (tag, tamper, want) in tampers {
         let mut snap = Snapshot::read_file(&good).unwrap();
