@@ -123,8 +123,20 @@ for mode in detailed direct; do
         || { echo "$mode mode needs its worker threads to start" >&2; exit 1; }
 done
 
-echo "==> bench: comm-heavy hot path (quick mode)"
-MERMAID_BENCH_QUICK=1 cargo bench -p mermaid-bench --bench arena_hot_path
+echo "==> bench harness: every workload reproduces its pinned seed-7 outputs"
+# One short pass per workload. The harness exits non-zero unless each
+# reproduces expected.json's fingerprint and operation count, and the
+# sharded and restored runs print what the serial and straight-through
+# runs print. Timings are not compared here.
+bench_out="$(mktemp -t mermaid-check-bench.XXXXXX.json)"
+trap 'rm -f "$trace_file" "$serial_out" "$sharded_out" "$bench_out"' EXIT
+cargo run --release --offline --quiet \
+    --manifest-path crates/bench/src/bin/mermaid-bench/Cargo.toml -- \
+    --trace 0 --seconds 0.1 --out "$bench_out"
+rm -f "$bench_out"
+
+echo "==> example: paper_tables (every table of EXPERIMENTS.md, shapes asserted)"
+cargo run --release --example paper_tables > /dev/null
 
 echo "==> tier-1: fault-injection conformance suite"
 cargo test -q --test fault_injection
