@@ -41,7 +41,7 @@ pub(crate) mod world;
 
 pub use config::{LinkParams, NetworkConfig, RouterParams, Routing, Switching};
 pub use fault::{FaultEvent, FaultKind, FaultSchedule, RetryParams};
-pub use partition::{lookahead, Partition};
+pub use partition::{lookahead, Lookahead, LookaheadBasis, Partition};
 pub use processor::{ProcStats, UnreachableReport};
 pub use sharded::{
     auto_shards, run_comm, CheckpointOpts, RunOptions, ShardProfile, ShardProfileEntry,

@@ -6,12 +6,16 @@
 //! and on meshes/tori (`id = y*w + x`) a contiguous block is a band of
 //! rows, so most links stay shard-internal. Correctness never depends on
 //! the cut — only window width (the *lookahead*) does, and that is a
-//! property of the link parameters, not the partition.
+//! function of the link parameters and the smallest packet the run can
+//! put on a wire, not of the partition (see [`lookahead`]).
 
-use mermaid_ops::NodeId;
+use std::fmt;
+
+use mermaid_ops::{NodeId, Operation, TraceSet};
 use pearl::Duration;
 
-use crate::config::NetworkConfig;
+use crate::config::{NetworkConfig, Switching};
+use crate::fault::FaultSchedule;
 use crate::topology::Topology;
 
 /// A partition of a topology's nodes into contiguous shards.
@@ -82,23 +86,114 @@ impl Partition {
     }
 }
 
-/// The conservative lookahead of a configuration: a lower bound on the
-/// virtual-time distance between a router processing an event and the
-/// earliest cross-shard effect it can cause.
+/// The conservative per-hop lookahead of a run and what sized it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lookahead {
+    /// Lower bound on the virtual time between a router processing an
+    /// event and the arrival it schedules at a neighbouring router.
+    pub hop: Duration,
+    /// Which packet's head advance the bound is built from.
+    pub basis: LookaheadBasis,
+}
+
+/// Which head advance bounds a [`Lookahead`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LookaheadBasis {
+    /// Store-and-forward, and every packet the run can send carries
+    /// payload: the smallest one is this many bytes on the wire, header
+    /// included.
+    SmallestPacket(u32),
+    /// Store-and-forward, but the run can send a header-only packet.
+    HeaderOnlyPacket,
+    /// Cut-through or wormhole: a head advances by its header whatever
+    /// the packet's size.
+    HeaderAdvance,
+}
+
+impl fmt::Display for Lookahead {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} ps per hop, ", self.hop.as_ps())?;
+        match self.basis {
+            LookaheadBasis::SmallestPacket(bytes) => write!(f, "smallest packet {bytes} B"),
+            LookaheadBasis::HeaderOnlyPacket => {
+                f.write_str("header-only (acks / get requests / zero-byte messages / faults)")
+            }
+            LookaheadBasis::HeaderAdvance => f.write_str("header advance (cut-through / wormhole)"),
+        }
+    }
+}
+
+/// The conservative lookahead of a run: a lower bound on the virtual-time
+/// distance between a router processing an event and the earliest
+/// cross-shard effect it can cause.
 ///
 /// Every router→router hand-off in the model goes through
 /// `Router::reserve`, which schedules the head's arrival at the next
-/// router no earlier than
-/// `now + routing_delay + serialisation(≥ header) + wire_latency`
-/// (store-and-forward serialises the whole packet; cut-through at least
-/// the header, and every packet is at least `header_bytes` on the wire).
+/// router no earlier than `now + routing_delay + head advance +
+/// wire_latency`. Under cut-through and wormhole switching the head
+/// advances by the header's serialisation. Under store-and-forward it
+/// advances by the whole packet's, so the bound uses the smallest packet
+/// the run can put on a wire: `header_bytes` plus the smallest payload of
+/// any `asend`/`put` packet in `traces`. A message of `b` bytes splits
+/// into full packets and a tail of `b % max_packet_payload` bytes (a full
+/// packet when that is 0). The payload term is 0 — a header-only packet
+/// — whenever the run can send one: rendezvous acks (any `send`), get
+/// requests (any `get`), zero-byte messages, and the arrival acks of the
+/// fault layer (any `faults`).
+///
 /// Processor↔router traffic never crosses a shard boundary — each node's
 /// processor and router live in the same shard — so this bound covers all
 /// cross-shard events.
-pub fn lookahead(cfg: &NetworkConfig) -> Duration {
-    cfg.router.routing_delay
-        + cfg.link.wire_latency
-        + cfg.link.transfer_time(cfg.router.header_bytes)
+pub fn lookahead(
+    cfg: &NetworkConfig,
+    traces: &TraceSet,
+    faults: Option<&FaultSchedule>,
+) -> Lookahead {
+    let header = cfg.router.header_bytes;
+    let (payload, basis) = match cfg.router.switching {
+        Switching::VirtualCutThrough | Switching::Wormhole => (0, LookaheadBasis::HeaderAdvance),
+        Switching::StoreAndForward => match smallest_payload(cfg, traces, faults) {
+            Some(p) => (p, LookaheadBasis::SmallestPacket(header + p)),
+            None => (0, LookaheadBasis::HeaderOnlyPacket),
+        },
+    };
+    Lookahead {
+        hop: cfg.router.routing_delay
+            + cfg.link.wire_latency
+            + cfg.link.transfer_time(header + payload),
+        basis,
+    }
+}
+
+/// The smallest payload any packet of the run carries, or `None` when the
+/// run can send a header-only packet (see [`lookahead`]).
+fn smallest_payload(
+    cfg: &NetworkConfig,
+    traces: &TraceSet,
+    faults: Option<&FaultSchedule>,
+) -> Option<u32> {
+    if faults.is_some() {
+        return None;
+    }
+    let max = cfg.router.max_packet_payload;
+    let mut smallest = max;
+    for op in traces.iter().flat_map(|t| t.iter()) {
+        match *op {
+            Operation::Send { .. }
+            | Operation::Get { .. }
+            | Operation::ASend { bytes: 0, .. }
+            | Operation::Put { bytes: 0, .. } => return None,
+            Operation::ASend { bytes, .. } | Operation::Put { bytes, .. } => {
+                let tail = match bytes % max {
+                    0 => max,
+                    r => r,
+                };
+                smallest = smallest.min(tail);
+            }
+            _ => {}
+        }
+    }
+    Some(smallest)
 }
 
 /// Shard `me`'s conservative window end, in integer picoseconds, given
@@ -182,9 +277,19 @@ mod tests {
         }
     }
 
+    /// The per-hop lookahead of the cut-through test machine.
+    fn test_hop() -> Duration {
+        lookahead(
+            &NetworkConfig::test(Topology::Ring(12)),
+            &TraceSet::new(12),
+            None,
+        )
+        .hop
+    }
+
     #[test]
     fn window_end_combines_promises_with_the_lookahead() {
-        let la = lookahead(&NetworkConfig::test(Topology::Ring(12)));
+        let la = test_hop();
         let hop = la.as_ps();
         // Peers promise 100 (shard 1), 50 (shard 2), idle (shard 3);
         // shard 0 itself is idle, so no self round-trip term applies.
@@ -206,7 +311,7 @@ mod tests {
         // Shard 0's own queue head (10) is far below its peers' (1000):
         // replies to what shard 0 is about to send bound its window at
         // head + the round trip, not at the peers' promises.
-        let la = lookahead(&NetworkConfig::test(Topology::Ring(12)));
+        let la = test_hop();
         let far = 1_000_000_000;
         assert_eq!(
             window_end_ps(0, &[10, far, far, far], la),
@@ -214,14 +319,125 @@ mod tests {
         );
     }
 
+    /// One row of the lookahead table: a label, node 0's operations,
+    /// whether a fault schedule is attached, and the smallest wire packet
+    /// on the T805 (512 B payload, 8 B header; `None` = header-only).
+    type LookaheadRow = (&'static str, Vec<Operation>, bool, Option<u32>);
+
     #[test]
-    fn lookahead_is_positive_for_presets() {
-        for cfg in [
-            NetworkConfig::test(Topology::Ring(4)),
-            NetworkConfig::t805(Topology::Ring(4)),
-            NetworkConfig::hw_routed(Topology::Ring(4)),
-        ] {
-            assert!(lookahead(&cfg) > Duration::ZERO);
+    fn lookahead_is_sized_by_the_smallest_packet_the_run_can_send() {
+        let asend = |bytes| Operation::ASend { bytes, dst: 1 };
+        let rows: Vec<LookaheadRow> = vec![
+            (
+                "all 4096 B asends",
+                vec![asend(4096), asend(4096)],
+                false,
+                Some(520),
+            ),
+            ("a 4100 B asend", vec![asend(4100)], false, Some(12)),
+            (
+                "a 700 B put",
+                vec![Operation::Put { bytes: 700, to: 1 }],
+                false,
+                Some(196),
+            ),
+            (
+                "513 B beside 4096 B",
+                vec![asend(4096), asend(513)],
+                false,
+                Some(9),
+            ),
+            (
+                "no messages",
+                vec![Operation::Compute { ps: 1 }],
+                false,
+                Some(520),
+            ),
+            ("a 0 B asend", vec![asend(4096), asend(0)], false, None),
+            (
+                "a 0 B put",
+                vec![Operation::Put { bytes: 0, to: 1 }],
+                false,
+                None,
+            ),
+            (
+                "a send",
+                vec![
+                    asend(4096),
+                    Operation::Send {
+                        bytes: 4096,
+                        dst: 1,
+                    },
+                ],
+                false,
+                None,
+            ),
+            (
+                "a get",
+                vec![
+                    asend(4096),
+                    Operation::Get {
+                        bytes: 4096,
+                        from: 1,
+                    },
+                ],
+                false,
+                None,
+            ),
+            ("faults", vec![asend(4096)], true, None),
+        ];
+        let topo = Topology::Ring(2);
+        let mut cut_through = NetworkConfig::t805(topo);
+        cut_through.router.switching = Switching::VirtualCutThrough;
+        let mut wormhole = NetworkConfig::t805(topo);
+        wormhole.router.switching = Switching::Wormhole;
+        let header_hop = |cfg: &NetworkConfig| {
+            cfg.router.routing_delay
+                + cfg.link.wire_latency
+                + cfg.link.transfer_time(cfg.router.header_bytes)
+        };
+        for (label, ops, with_faults, t805_packet) in rows {
+            let mut ts = TraceSet::new(2);
+            ts.trace_mut(0).ops = ops;
+            let faults = FaultSchedule::new(1);
+            let faults = with_faults.then_some(&faults);
+
+            let t805 = NetworkConfig::t805(topo);
+            let la = lookahead(&t805, &ts, faults);
+            let (basis, wire) = match t805_packet {
+                Some(b) => (LookaheadBasis::SmallestPacket(b), b),
+                None => (LookaheadBasis::HeaderOnlyPacket, t805.router.header_bytes),
+            };
+            assert_eq!(la.basis, basis, "t805: {label}");
+            assert_eq!(
+                la.hop,
+                t805.router.routing_delay + t805.link.wire_latency + t805.link.transfer_time(wire),
+                "t805: {label}"
+            );
+
+            // Cut-through and wormhole heads advance by the header alone,
+            // whatever the traces send.
+            for cfg in [
+                NetworkConfig::test(topo),
+                NetworkConfig::hw_routed(topo),
+                cut_through,
+                wormhole,
+            ] {
+                let la = lookahead(&cfg, &ts, faults);
+                assert_eq!(la.basis, LookaheadBasis::HeaderAdvance, "{label}");
+                assert_eq!(la.hop, header_hop(&cfg), "{label}");
+                assert!(la.hop > Duration::ZERO, "{label}");
+            }
         }
+    }
+
+    #[test]
+    fn lookahead_names_its_basis() {
+        let ts = TraceSet::new(2);
+        let la = lookahead(&NetworkConfig::t805(Topology::Ring(2)), &ts, None);
+        assert_eq!(
+            la.to_string(),
+            format!("{} ps per hop, smallest packet 520 B", la.hop.as_ps())
+        );
     }
 }

@@ -45,6 +45,11 @@ pub struct CrossShard {
     pub local: Arc<[bool]>,
     /// Captured outgoing messages, flushed each window by the shard loop.
     pub outbox: Rc<RefCell<Vec<OutMsg>>>,
+    /// The run's per-hop lookahead: every captured message must arrive at
+    /// least this long after the event that sent it. Debug builds only, as
+    /// the assertion reading it: the field would grow every router.
+    #[cfg(debug_assertions)]
+    pub lookahead: Duration,
 }
 
 /// Statistics of one router.
@@ -231,6 +236,16 @@ impl Router {
         let dst = next as CompId;
         if let Some(cs) = &self.cross {
             if !cs.local[next as usize] {
+                #[cfg(debug_assertions)]
+                assert!(
+                    at >= ctx.now() + cs.lookahead,
+                    "router {}: cross-shard message to router {next} arrives at {} ps, \
+                     before now {} ps + lookahead {} ps",
+                    self.node,
+                    at.as_ps(),
+                    ctx.now().as_ps(),
+                    cs.lookahead.as_ps(),
+                );
                 let key = ctx.alloc_key();
                 cs.outbox.borrow_mut().push(OutMsg {
                     time: at,

@@ -8,7 +8,12 @@
 //! pending event times and each executes all its events strictly before
 //! [`window_end_ps`] — the earliest instant a message it has not yet
 //! received could arrive, given that every router→router hand-off pays at
-//! least the configuration's [`lookahead`] of modelled latency. No shard
+//! least the run's [`lookahead`] of modelled latency. That bound is a
+//! function of the link parameters and the smallest packet the run can
+//! send: under store-and-forward a head advances by its whole packet, so
+//! a run of large messages gets wide windows, while one that can send a
+//! header-only packet (acks, get requests, zero-byte messages, faults)
+//! or uses cut-through switching gets the header-only bound. No shard
 //! can therefore miss an event — and because cross-shard messages carry
 //! the exact [`pearl::EventKey`] the serial schedule would have used, each
 //! shard's queue pops in exactly the serial delivery order. A sharded run
@@ -20,9 +25,9 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::Instant;
 
@@ -30,12 +35,12 @@ use mermaid_ops::TraceSet;
 use mermaid_probe::{canonical_sort, AttributionSink, ProbeHandle, ProbeStack, SimEvent};
 use mermaid_stats::state;
 use pearl::engine::RunResult;
-use pearl::{Duration, Engine, Time, WindowBarrier, IDLE_PS};
+use pearl::{Duration, Engine, Rendezvous, Time, WindowBarrier, IDLE_PS};
 
 use crate::config::NetworkConfig;
 use crate::fault::FaultSchedule;
 use crate::packet::NetMsg;
-use crate::partition::{lookahead, window_end_ps, Partition};
+use crate::partition::{lookahead, window_end_ps, Lookahead, Partition};
 use crate::router::{CrossShard, OutMsg};
 use crate::sim::{assert_trace_count, post_scripted_faults, CommResult, CommSim, NodeCommStats};
 use crate::snapshot::{capture, restore_engine, Snapshot, SnapshotError};
@@ -76,61 +81,9 @@ fn ship(tx: &SyncSender<Batch>, batch: Batch, from: usize, to: usize) {
     }
 }
 
-/// Iterations a waiting shard spends yielding (the fast path: peers
-/// usually arrive within a scheduling quantum) before it parks on a
-/// condvar. Yield — not `spin_loop` — so single-core hosts still make
-/// progress during the spin phase.
-const SPIN_LIMIT: u32 = 64;
-
-/// Longest a parked shard sleeps before re-checking the gate. Host-time
-/// only; simulated time is unaffected.
-const PARK_WAIT: std::time::Duration = std::time::Duration::from_millis(1);
-
 /// A shard's preferred worker count for `--shards auto`.
 pub fn auto_shards() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The round-arrival gate: each shard bumps the counter once per round
-/// and then waits until all `k` shards of that round have arrived (by
-/// which point every cross-shard message of the previous window is in
-/// its destination channel).
-///
-/// Waiting yields for a bounded number of iterations and then parks on a
-/// condvar instead of spinning — an idle shard must not burn a core while
-/// a busy peer finishes its window (ISSUE 8 satellite 1).
-#[derive(Default)]
-struct RoundGate {
-    arrivals: AtomicU64,
-    lock: Mutex<()>,
-    cond: Condvar,
-}
-
-impl RoundGate {
-    /// Register this shard's arrival for the current round and wake any
-    /// parked waiters.
-    fn arrive(&self) {
-        self.arrivals.fetch_add(1, Ordering::AcqRel);
-        // Lock-then-notify pairs with the waiter's locked re-check: an
-        // arrival is either visible to that re-check or notifies after
-        // the waiter started waiting. No wake-up can be lost.
-        let _guard = self.lock.lock().unwrap();
-        self.cond.notify_all();
-    }
-
-    /// Wait until at least `target` shards have arrived.
-    fn wait(&self, target: u64) {
-        for _ in 0..SPIN_LIMIT {
-            if self.arrivals.load(Ordering::Acquire) >= target {
-                return;
-            }
-            thread::yield_now();
-        }
-        let mut guard = self.lock.lock().unwrap();
-        while self.arrivals.load(Ordering::Acquire) < target {
-            guard = self.cond.wait_timeout(guard, PARK_WAIT).unwrap().0;
-        }
-    }
 }
 
 /// What one shard worker hands back after the run.
@@ -198,10 +151,13 @@ impl ShardProfileEntry {
     }
 }
 
-/// Self-profile of a whole sharded run: one entry per shard, in shard
-/// order. See [`ShardProfileEntry`] for the determinism caveat.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Self-profile of a whole sharded run: the lookahead its windows were
+/// sized by, then one entry per shard, in shard order. See
+/// [`ShardProfileEntry`] for the determinism caveat.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardProfile {
+    /// The per-hop lookahead of the run.
+    pub lookahead: Lookahead,
     /// Per-shard entries, indexed by shard id.
     pub shards: Vec<ShardProfileEntry>,
 }
@@ -263,9 +219,11 @@ impl ShardProfile {
     /// Render a plain-text per-shard table. Wall-clock columns are host
     /// time and will differ between runs.
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "shard  windows  events  ev/window  cross-sent  cross-recv  batches  \
+        let mut out = format!(
+            "lookahead: {}\n\
+             shard  windows  events  ev/window  cross-sent  cross-recv  batches  \
              barrier-us  work-us\n",
+            self.lookahead
         );
         for s in &self.shards {
             out.push_str(&format!(
@@ -447,7 +405,7 @@ fn seed_attribution(probe: &ProbeHandle, snap: &Snapshot) -> Result<(), Snapshot
 /// model-level probe stream, attribution, snapshot files — with or
 /// without faults); the second element is then the run's [`ShardProfile`].
 /// It is `None` when the run took the serial path: one shard, a topology
-/// too small to split, or a configuration with zero lookahead. With an
+/// too small to split, or a run with zero lookahead. With an
 /// enabled probe a sharded run replays the merged per-shard event stream
 /// into it in canonical order; engine-internal events (queue depths,
 /// ladder-tier moves) are per-shard artifacts and are not reproduced.
@@ -464,11 +422,13 @@ pub fn run_comm(
 ) -> Result<(CommResult, Option<ShardProfile>), SnapshotError> {
     cfg.validate();
     let part = Partition::contiguous(cfg.topology, opts.shards);
-    let la = lookahead(&cfg);
-    if part.shards() <= 1 || la == Duration::ZERO {
-        return Ok((run_serial(cfg, traces, opts)?, None));
+    if part.shards() > 1 {
+        let la = lookahead(&cfg, traces, opts.faults.as_deref());
+        if la.hop > Duration::ZERO {
+            return run_on_shards(cfg, traces, opts, part, la);
+        }
     }
-    run_on_shards(cfg, traces, opts, part, la)
+    Ok((run_serial(cfg, traces, opts)?, None))
 }
 
 /// The serial path of [`run_comm`]: restore (if asked), then run in
@@ -508,17 +468,16 @@ struct Shared<'a> {
     traces: &'a TraceSet,
     part: Partition,
     /// The per-hop lookahead every window bound is built from.
-    la: Duration,
+    la: Lookahead,
     faults: Option<Arc<FaultSchedule>>,
     restore_from: Option<&'a Snapshot>,
     /// Whether the caller's probe is enabled (shards then buffer events).
     want_probe: bool,
     built: BuildGate,
-    /// Round-arrival gate: shards increment once per round; a shard may
-    /// compute its round-`r` local minimum only after all `k` increments
-    /// of round `r` — by then every cross-shard batch of the previous
-    /// window has been pushed into its destination channel.
-    gate: RoundGate,
+    /// Round gate: a shard computes its local minimum only after every
+    /// shard has passed it — by then every cross-shard batch of the
+    /// previous window has been pushed into its destination channel.
+    gate: Rendezvous,
     barrier: WindowBarrier,
     /// Inbox senders, indexed by destination shard.
     txs: Vec<SyncSender<Batch>>,
@@ -552,7 +511,7 @@ fn run_on_shards(
     traces: &TraceSet,
     opts: &RunOptions<'_>,
     part: Partition,
-    la: Duration,
+    la: Lookahead,
 ) -> Result<(CommResult, Option<ShardProfile>), SnapshotError> {
     let n = cfg.topology.nodes();
     if let Some(snap) = opts.restore_from {
@@ -582,7 +541,7 @@ fn run_on_shards(
             barrier: Barrier::new(k),
             failed: AtomicBool::new(false),
         },
-        gate: RoundGate::default(),
+        gate: Rendezvous::new(k),
         barrier: WindowBarrier::new(k),
         txs,
         ckpt: opts.checkpoint.map(|ck| CkptSync {
@@ -622,7 +581,7 @@ fn run_on_shards(
     let outs = outs
         .into_iter()
         .map(|out| out.expect("every shard built, so every shard ran"));
-    let (result, profile) = merge(outs, &opts.probe);
+    let (result, profile) = merge(outs, &opts.probe, la);
     Ok((result, Some(profile)))
 }
 
@@ -674,6 +633,8 @@ impl<'a> Shard<'a> {
         let cross = CrossShard {
             local: shared.part.local_mask(s).into(),
             outbox: Rc::clone(&outbox),
+            #[cfg(debug_assertions)]
+            lookahead: shared.la.hop,
         };
         let mut engine = crate::sim::build_engine(
             shared.cfg,
@@ -735,14 +696,12 @@ impl<'a> Shard<'a> {
             None => u64::MAX,
         };
         let mut mins: Vec<u64> = Vec::new();
-        let mut round: u64 = 0;
         loop {
             // 1. Ship the cross-shard messages of the window just executed.
             self.flush();
             // 2. Round gate: wait until every shard has flushed.
             // 3. Inject the arrivals at their exact serial queue keys.
-            round += 1;
-            self.receive(round);
+            self.receive();
             // 4. Publish this shard's earliest pending event and read every
             //    peer's; all idle means nothing is pending or in flight.
             let head = self.engine.next_event_time().map_or(IDLE_PS, |t| t.as_ps());
@@ -766,7 +725,7 @@ impl<'a> Shard<'a> {
             //    the next round (times are integer picoseconds, so
             //    `end - 1` is exact).
             self.profile.windows += 1;
-            let end = window_end_ps(self.s, &mins, shared.la).min(next_cp);
+            let end = window_end_ps(self.s, &mins, shared.la.hop).min(next_cp);
             if head < end {
                 let work = Instant::now();
                 self.engine.run_until(Time::from_ps(end - 1));
@@ -798,13 +757,11 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Arrive at round `round`'s gate, wait until all shards have, then
+    /// Arrive at the round gate, wait until all shards have, then
     /// post everything they sent this shard into the engine.
-    fn receive(&mut self, round: u64) {
-        let gate = &self.shared.gate;
-        gate.arrive();
+    fn receive(&mut self) {
         let waited = Instant::now();
-        gate.wait(round * self.shared.part.shards() as u64);
+        self.shared.gate.wait();
         self.profile.barrier_wait_ns += waited.elapsed().as_nanos() as u64;
         for m in self.rx.try_iter().flatten() {
             self.profile.cross_recv += 1;
@@ -867,11 +824,18 @@ impl<'a> Shard<'a> {
 /// `CommSim::collect` field for field (shards are in node order, so the
 /// merge order — and hence every merged histogram — matches the serial
 /// collection exactly).
-fn merge(outs: impl Iterator<Item = ShardOut>, probe: &ProbeHandle) -> (CommResult, ShardProfile) {
+fn merge(
+    outs: impl Iterator<Item = ShardOut>,
+    probe: &ProbeHandle,
+    lookahead: Lookahead,
+) -> (CommResult, ShardProfile) {
     let mut nodes = Vec::new();
     let mut events = 0;
     let mut probe_events = Vec::new();
-    let mut profile = ShardProfile::default();
+    let mut profile = ShardProfile {
+        lookahead,
+        shards: Vec::new(),
+    };
     for out in outs {
         events += out.profile.events;
         probe_events.extend(out.probe_events);
@@ -1413,6 +1377,54 @@ mod tests {
             .flatten()
             .unwrap();
         assert_eq!(json, serial_json);
+    }
+
+    /// Store-and-forward traffic whose smallest packet is 1 B of payload:
+    /// every node sends 1 B, 513 B (a 1 B tail) and 4096 B messages.
+    fn mixed_size_traces(n: u32) -> TraceSet {
+        trace_set(n, |node| {
+            let mut ops = Vec::new();
+            for (i, bytes) in [1, 513, 4096].into_iter().enumerate() {
+                let d = i as u32 + 1;
+                ops.push(Operation::Compute {
+                    ps: 1_000_000 + 70_000 * node as u64,
+                });
+                ops.push(Operation::ASend {
+                    bytes,
+                    dst: (node + d) % n,
+                });
+                ops.push(Operation::Recv {
+                    src: (node + n - d) % n,
+                });
+            }
+            ops
+        })
+    }
+
+    #[test]
+    fn store_and_forward_windows_from_the_smallest_packet_stay_exact() {
+        let cfg = NetworkConfig::t805(Topology::Torus2D { w: 4, h: 2 });
+        let ts = mixed_size_traces(8);
+        let plain = CommSim::new(cfg, &ts).run();
+        for shards in [2, 3] {
+            let (sh, profile) = profiled(cfg, &ts, ProbeHandle::disabled(), shards);
+            assert_identical(&plain, &sh);
+            let la = profile.expect("a real sharded run self-profiles").lookahead;
+            assert_eq!(la.basis, crate::LookaheadBasis::SmallestPacket(9));
+        }
+        // A mid-run snapshot restored on three shards finishes exactly as
+        // the straight-through run.
+        let every = plain.finish.as_ps() / 3;
+        let (_, files) = run_collecting(cfg, &ts, 3, every, None);
+        assert!(files.len() >= 2, "need a mid-run capture instant");
+        let snap = Snapshot::parse(&files[files.len() / 2]).expect("own capture parses");
+        let run = RunOptions {
+            shards: 3,
+            restore_from: Some(&snap),
+            ..RunOptions::default()
+        };
+        let (restored, _) = run_comm(cfg, &ts, &run).expect("restore succeeds");
+        assert_identical(&plain, &restored);
     }
 
     #[test]

@@ -58,5 +58,5 @@ pub use engine::{BoxWorld, CompId, Component, Ctx, Engine, Event, PendingEvent, 
 pub use hash::{FastHashMap, FastHashSet};
 pub use probe::{EngineProbe, LadderStats};
 pub use queue::{EventKey, EventQueue};
-pub use shard::{WindowBarrier, IDLE as IDLE_PS};
+pub use shard::{Rendezvous, WindowBarrier, IDLE as IDLE_PS};
 pub use time::{Duration, Frequency, Time};

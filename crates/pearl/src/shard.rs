@@ -13,10 +13,12 @@
 //! deterministic [`EventKey`](crate::EventKey) tie-breaking).
 //!
 //! [`WindowBarrier`] is the agreement primitive: a pair of phase barriers plus
-//! a lock-free min-reduction slot per shard.
+//! a lock-free min-reduction slot per shard. Every barrier is a
+//! [`Rendezvous`], which spins before it parks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Condvar, Mutex};
+use std::thread;
 
 use crate::time::Time;
 
@@ -24,6 +26,92 @@ use crate::time::Time;
 /// future cross-shard obligations). Public so callers of
 /// [`WindowBarrier::publish_mins_timed`] can interpret raw slot values.
 pub const IDLE: u64 = u64::MAX;
+
+/// Checks a waiting party makes before it parks: about 0.2 ms of
+/// `spin_loop` with a `yield_now` every [`YIELD_EVERY`] checks. Peers of a
+/// window usually arrive within microseconds. Parking at once (as
+/// `std::sync::Barrier` does) makes every round pay a futex wake-up whose
+/// latency on a virtual machine varies with the host's load far more than
+/// the window's own work does; yielding at every check spends the wait in
+/// system calls, which slow a peer sharing the physical core. The periodic
+/// yield lets two parties sharing one CPU hand it to each other.
+const SPIN_LIMIT: u32 = 4096;
+
+/// Spinning checks between two yields.
+const YIELD_EVERY: u32 = 64;
+
+/// Longest a parked party sleeps before re-checking. Host time only.
+const PARK_WAIT: std::time::Duration = std::time::Duration::from_millis(1);
+
+/// A reusable all-party barrier: [`wait`](Rendezvous::wait) returns once
+/// every one of `parties` threads has called it for the current round.
+///
+/// A waiter spins for a bounded number of checks and then parks on a
+/// condvar, so an idle shard does not burn a core while a busy peer
+/// finishes a long window. The last arrival takes the lock and wakes the
+/// condvar only when some party is parked, so a round in which every
+/// waiter caught it spinning makes no system call.
+///
+/// Arrivals bump one monotone counter: round `r`'s arrivals are numbers
+/// `r·parties + 1 ..= (r+1)·parties`, so each party knows the count that
+/// closes its round without a separate generation word. The bump and the
+/// check make every write a party made before arriving visible to every
+/// party leaving the round.
+pub struct Rendezvous {
+    parties: u64,
+    arrivals: AtomicU64,
+    /// Parties parked (or about to park) on `cond`.
+    parked: AtomicU64,
+    lock: Mutex<()>,
+    cond: Condvar,
+}
+
+impl Rendezvous {
+    /// A barrier for `parties` threads (at least one).
+    pub fn new(parties: usize) -> Self {
+        assert!(parties >= 1, "a rendezvous needs at least one party");
+        Self {
+            parties: parties as u64,
+            arrivals: AtomicU64::new(0),
+            parked: AtomicU64::new(0),
+            lock: Mutex::new(()),
+            cond: Condvar::new(),
+        }
+    }
+
+    /// Arrive and block until every party of this round has.
+    pub fn wait(&self) {
+        // `SeqCst` on `arrivals` and `parked` on both sides: either the
+        // parking party's re-check sees the last arrival, or the last
+        // arrival sees the parked count and notifies under the lock, after
+        // the parking party started waiting. No wake-up is lost.
+        let me = self.arrivals.fetch_add(1, Ordering::SeqCst) + 1;
+        let target = me.div_ceil(self.parties) * self.parties;
+        if me == target {
+            if self.parked.load(Ordering::SeqCst) > 0 {
+                let _guard = self.lock.lock().unwrap();
+                self.cond.notify_all();
+            }
+            return;
+        }
+        for i in 0..SPIN_LIMIT {
+            if self.arrivals.load(Ordering::Acquire) >= target {
+                return;
+            }
+            if i % YIELD_EVERY == YIELD_EVERY - 1 {
+                thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+        let mut guard = self.lock.lock().unwrap();
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        while self.arrivals.load(Ordering::SeqCst) < target {
+            guard = self.cond.wait_timeout(guard, PARK_WAIT).unwrap().0;
+        }
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+    }
+}
 
 /// Barrier used by sharded runs to agree on the next window start.
 ///
@@ -40,10 +128,10 @@ pub const IDLE: u64 = u64::MAX;
 ///
 /// Memory ordering: the per-shard slots are written and read with `Relaxed`
 /// ordering. This is sound because each min-exchange round is bracketed by
-/// `Barrier::wait` calls, which establish happens-before edges between every
-/// writer and every reader: a shard reads slot values only after the interior
-/// barrier, which all writers have passed; and a shard overwrites its slot in
-/// round *k+1* only after the round-closing rendezvous inside
+/// [`Rendezvous::wait`] calls, which establish happens-before edges between
+/// every writer and every reader: a shard reads slot values only after the
+/// interior rendezvous, which all writers have passed; and a shard overwrites
+/// its slot in round *k+1* only after the round-closing rendezvous inside
 /// [`publish_mins_timed`](WindowBarrier::publish_mins_timed), which the
 /// round-*k* readers must also have passed.
 ///
@@ -51,8 +139,8 @@ pub const IDLE: u64 = u64::MAX;
 pub struct WindowBarrier {
     shards: usize,
     mins: Vec<AtomicU64>,
-    publish: Barrier,
-    resolve: Barrier,
+    publish: Rendezvous,
+    resolve: Rendezvous,
 }
 
 impl WindowBarrier {
@@ -62,8 +150,8 @@ impl WindowBarrier {
         Self {
             shards,
             mins: (0..shards).map(|_| AtomicU64::new(IDLE)).collect(),
-            publish: Barrier::new(shards),
-            resolve: Barrier::new(shards),
+            publish: Rendezvous::new(shards),
+            resolve: Rendezvous::new(shards),
         }
     }
 
@@ -250,6 +338,38 @@ mod tests {
                 .collect();
             for h in handles {
                 h.join().unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn back_to_back_rounds_never_see_a_peers_next_round() {
+        // No `exchange` between rounds: only the round-closing rendezvous
+        // keeps a fast shard's round-k+1 value out of a slow peer's round-k
+        // read.
+        const ROUNDS: u64 = 20_000;
+        let b = WindowBarrier::new(3);
+        thread::scope(|s| {
+            let handles: Vec<_> = (0..3u64)
+                .map(|shard| {
+                    let b = &b;
+                    // Keep taking part after a bad read, so the peers
+                    // never wait on a panicked thread.
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        let mut first_bad = None;
+                        for round in 0..ROUNDS {
+                            b.publish_mins_timed(shard as usize, round * 3 + shard, &mut out);
+                            if first_bad.is_none() && out != [0, 1, 2].map(|p| round * 3 + p) {
+                                first_bad = Some((round, out.clone()));
+                            }
+                        }
+                        first_bad
+                    })
+                })
+                .collect();
+            for (shard, h) in handles.into_iter().enumerate() {
+                assert_eq!(h.join().unwrap(), None, "shard {shard} read a wrong round");
             }
         });
     }

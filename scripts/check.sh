@@ -64,6 +64,23 @@ for mode in detailed task; do
             || { echo "sharded output diverged ($mode $spec)" >&2; exit 1; }
     done
 done
+# The test machine is cut-through; the T805 is store-and-forward, whose
+# windows are sized by the smallest packet the run sends (520 B here).
+for spec in torus:4x4 ring:8; do
+    cargo run --release -p mermaid --bin mermaid-cli -- sim --machine t805 \
+        --topology "$spec" --mode task --pattern all2all --phases 3 \
+        --shards 1 > "$serial_out"
+    cargo run --release -p mermaid --bin mermaid-cli -- sim --machine t805 \
+        --topology "$spec" --mode task --pattern all2all --phases 3 \
+        --shards 3 > "$sharded_out"
+    diff -u "$serial_out" "$sharded_out" \
+        || { echo "sharded output diverged (t805 $spec)" >&2; exit 1; }
+done
+cargo run --release -p mermaid --bin mermaid-cli -- sim --machine t805 \
+    --topology torus:4x4 --mode task --pattern all2all --phases 3 \
+    --shards 3 --shard-profile > "$sharded_out"
+grep "^lookahead: .*smallest packet 520 B" "$sharded_out" > /dev/null \
+    || { echo "t805 lookahead is not sized by the 520 B packet" >&2; exit 1; }
 
 echo "==> cli: sim output matches the pre-migration golden snapshot"
 # The checked-in snapshot predates the arena-world migration, so this diff
@@ -163,6 +180,16 @@ done
 # The permanent corner partition must surface the degraded-mode report.
 grep -q "Degraded mode:" "$serial_out" \
     || { echo "degraded-mode report missing for permanent partition" >&2; exit 1; }
+# Faults make every run able to send a header-only arrival ack, so a
+# store-and-forward machine falls back to the header-only lookahead.
+cargo run --release -p mermaid --bin mermaid-cli -- sim --machine t805 \
+    --topology mesh:4x4 --mode task --pattern all2all --phases 2 \
+    --faults "link:0-1:2000:60000; drop:20000" --fault-seed 9 --shards 1 > "$serial_out"
+cargo run --release -p mermaid --bin mermaid-cli -- sim --machine t805 \
+    --topology mesh:4x4 --mode task --pattern all2all --phases 2 \
+    --faults "link:0-1:2000:60000; drop:20000" --fault-seed 9 --shards 3 > "$sharded_out"
+diff -u "$serial_out" "$sharded_out" \
+    || { echo "faulty sharded output diverged (t805)" >&2; exit 1; }
 
 echo "==> cli: bad fault specs fail cleanly (no panic)"
 for spec in "frob:1" "link:0-99:1000" "drop:2000000"; do
