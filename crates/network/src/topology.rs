@@ -168,19 +168,13 @@ impl Topology {
         assert_ne!(from, to, "routing a packet to its own node");
         let n = self.nodes();
         assert!(from < n && to < n, "node out of range");
+        // This runs once per packet hop, so coordinates come from one
+        // division each and wraps are compares, not `%`.
         match *self {
-            Topology::Ring(n) => {
-                let fwd = (to + n - from) % n; // hops going +1
-                let bwd = (from + n - to) % n; // hops going -1
-                if fwd <= bwd {
-                    (from + 1) % n
-                } else {
-                    (from + n - 1) % n
-                }
-            }
+            Topology::Ring(n) => ring_step(from, to, n),
             Topology::Mesh2D { w, .. } => {
-                let (fx, fy) = (from % w, from / w);
-                let (tx, ty) = (to % w, to / w);
+                let (fx, fy) = split(from, w);
+                let (tx, ty) = split(to, w);
                 // Dimension order: X first, then Y.
                 if fx < tx {
                     from + 1
@@ -193,26 +187,12 @@ impl Topology {
                 }
             }
             Topology::Torus2D { w, h } => {
-                let (fx, fy) = (from % w, from / w);
-                let (tx, ty) = (to % w, to / w);
+                let (fx, fy) = split(from, w);
+                let (tx, ty) = split(to, w);
                 if fx != tx {
-                    let fwd = (tx + w - fx) % w;
-                    let bwd = (fx + w - tx) % w;
-                    let nx = if fwd <= bwd {
-                        (fx + 1) % w
-                    } else {
-                        (fx + w - 1) % w
-                    };
-                    fy * w + nx
+                    fy * w + ring_step(fx, tx, w)
                 } else {
-                    let fwd = (ty + h - fy) % h;
-                    let bwd = (fy + h - ty) % h;
-                    let ny = if fwd <= bwd {
-                        (fy + 1) % h
-                    } else {
-                        (fy + h - 1) % h
-                    };
-                    ny * w + fx
+                    ring_step(fy, ty, h) * w + fx
                 }
             }
             Topology::Hypercube { .. } => {
@@ -309,6 +289,32 @@ impl Topology {
     }
 }
 
+/// `(x, y)` of `node` in a row-major grid `w` nodes wide: one division and
+/// a multiply-subtract.
+#[inline]
+fn split(node: NodeId, w: u32) -> (u32, u32) {
+    let y = node / w;
+    (node - y * w, y)
+}
+
+/// The neighbour of `from` one step towards `to` (`from != to`) on a ring
+/// of `n`: the shorter way round, forward on a tie.
+#[inline]
+fn ring_step(from: u32, to: u32, n: u32) -> u32 {
+    let fwd = if to > from { to - from } else { to + n - from }; // hops going +1
+    if fwd <= n - fwd {
+        if from + 1 == n {
+            0
+        } else {
+            from + 1
+        }
+    } else if from == 0 {
+        n - 1
+    } else {
+        from - 1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,6 +396,87 @@ mod tests {
                 for b in 0..n {
                     assert_eq!(topo.distance(a, b), topo.distance(b, a));
                     assert!(topo.distance(a, b) <= topo.diameter());
+                }
+            }
+        }
+    }
+
+    /// `route_next`'s ring, mesh and torus arms as they were written with
+    /// `%` and `/` everywhere, kept as the oracle for the division-light
+    /// arms.
+    fn route_next_by_modulo(topo: Topology, from: NodeId, to: NodeId) -> NodeId {
+        match topo {
+            Topology::Ring(n) => {
+                let fwd = (to + n - from) % n;
+                let bwd = (from + n - to) % n;
+                if fwd <= bwd {
+                    (from + 1) % n
+                } else {
+                    (from + n - 1) % n
+                }
+            }
+            Topology::Mesh2D { w, .. } => {
+                let (fx, fy) = (from % w, from / w);
+                let (tx, ty) = (to % w, to / w);
+                if fx < tx {
+                    from + 1
+                } else if fx > tx {
+                    from - 1
+                } else if fy < ty {
+                    from + w
+                } else {
+                    from - w
+                }
+            }
+            Topology::Torus2D { w, h } => {
+                let (fx, fy) = (from % w, from / w);
+                let (tx, ty) = (to % w, to / w);
+                if fx != tx {
+                    let fwd = (tx + w - fx) % w;
+                    let bwd = (fx + w - tx) % w;
+                    fy * w
+                        + if fwd <= bwd {
+                            (fx + 1) % w
+                        } else {
+                            (fx + w - 1) % w
+                        }
+                } else {
+                    let fwd = (ty + h - fy) % h;
+                    let bwd = (fy + h - ty) % h;
+                    let ny = if fwd <= bwd {
+                        (fy + 1) % h
+                    } else {
+                        (fy + h - 1) % h
+                    };
+                    ny * w + fx
+                }
+            }
+            _ => unreachable!("only the ring, mesh and torus arms were rewritten"),
+        }
+    }
+
+    /// Every `(from, to)` pair of every ring of 2..=17 nodes and every
+    /// mesh and torus up to 9x9, 1-wide and 2-wide shapes included, takes
+    /// the hop the modulo formulas took.
+    #[test]
+    fn division_light_routing_matches_the_modulo_formulas() {
+        let mut shapes: Vec<Topology> = (2..=17).map(Topology::Ring).collect();
+        for w in 1..=9 {
+            for h in (1..=9).filter(|h| w * h >= 2) {
+                shapes.push(Topology::Mesh2D { w, h });
+                shapes.push(Topology::Torus2D { w, h });
+            }
+        }
+        for topo in shapes {
+            let n = topo.nodes();
+            for from in 0..n {
+                for to in (0..n).filter(|&to| to != from) {
+                    assert_eq!(
+                        topo.route_next(from, to),
+                        route_next_by_modulo(topo, from, to),
+                        "{}: {from} -> {to}",
+                        topo.label()
+                    );
                 }
             }
         }

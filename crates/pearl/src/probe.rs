@@ -18,7 +18,7 @@ use crate::time::Time;
 pub struct LadderStats {
     /// Buckets promoted wholesale into the current-window heap.
     pub promotions: u64,
-    /// Epoch rebases sourced from the far heap.
+    /// Epoch rebases sourced from the far tier.
     pub rebases: u64,
     /// Plain-heap fallback drains of a small far set.
     pub far_drains: u64,

@@ -17,11 +17,11 @@
 //! A queue should use one regime or the other; mixing them keeps time
 //! order but leaves same-instant ties between the two regimes unspecified.
 //!
-//! # Two-tier scheduler
+//! # Ladder scheduler
 //!
-//! The queue is a ladder/calendar hybrid rather than a single binary heap.
-//! Pending events live in one of three tiers by how far ahead of the
-//! consumption frontier they are:
+//! The queue is a ladder queue (Tang, Goh and Thng, ACM TOMACS 2005)
+//! rather than a single binary heap. Pending events live in one of three
+//! tiers by how far ahead of the consumption frontier they are:
 //!
 //! 1. **current** — a small binary min-heap holding every event earlier
 //!    than `cur_end`. All pops come from here.
@@ -29,20 +29,22 @@
 //!    window `[epoch_base, epoch_base + NUM_BUCKETS × width)`. A push into
 //!    this window is an O(1) `Vec::push`; the bucket is heapified in one
 //!    batch when the frontier reaches it.
-//! 3. **far** — a binary heap for everything at or beyond the epoch
-//!    horizon.
+//! 3. **far** — an unsorted vector of everything at or beyond the epoch
+//!    horizon. A push here is an O(1) `Vec::push` too.
 //!
-//! When `current` and all buckets drain, the queue *rebases*: it pulls a
-//! batch of the earliest far events, sizes `width` from their span (so
-//! bucket occupancy adapts to the simulation's event density), and
-//! scatters them into a fresh epoch. Every tier orders entries by the
-//! same `(time, seq)` key, so the pop sequence is exactly the sequence a
-//! plain stable binary heap would produce — determinism is structural,
-//! not incidental. The win is that the common case (events scheduled a
-//! short, similar distance ahead — link hops, pipeline stages, timers)
-//! bypasses heap sifting entirely. When the pending set is small the
-//! queue degrades gracefully to plain-heap operation (see `FAR_DRAIN`)
-//! instead of paying epoch bookkeeping per event.
+//! When `current` and all buckets drain, the queue *rebases*: it selects
+//! the k-th earliest far time, `k = max(REBASE_BATCH, far.len() / 4)`,
+//! sizes `width` so the span from the earliest far time to it fits the 64
+//! buckets, and moves every far record below the new horizon into its
+//! bucket in one linear pass. At least `k` records leave per rebase, a
+//! quarter of the tier or more, so each record is scanned a constant
+//! number of times: push, rebase and pop are amortised O(1) apart from
+//! the sift in `current`. Every tier orders entries by the same
+//! `(time, key)`, so the pop sequence is exactly the sequence a plain
+//! stable binary heap would produce — determinism is structural, not
+//! incidental. When the pending set is small the queue degrades to
+//! plain-heap operation (see `FAR_DRAIN`) instead of paying epoch
+//! bookkeeping per event.
 //!
 //! # Records and the payload slab
 //!
@@ -65,9 +67,9 @@ use crate::time::Time;
 /// buckets.
 const NUM_BUCKETS: usize = 64;
 
-/// How many far events are pulled to size a new epoch. The span of this
-/// batch sets the bucket width, so the figure trades adaptivity (small
-/// batch) against rebase frequency (large batch).
+/// The fewest far events a rebase moves into the new epoch. Their span
+/// sets the bucket width, so the figure trades adaptivity (small batch)
+/// against rebase frequency (large batch).
 const REBASE_BATCH: usize = NUM_BUCKETS * 4;
 
 /// Below this many pending far events a drained queue skips epoch
@@ -178,8 +180,8 @@ pub struct EventQueue<T> {
     cursor: usize,
     /// Total events currently held in `buckets`.
     in_buckets: usize,
-    /// Tier 3: events at or beyond the epoch horizon.
-    far: BinaryHeap<Entry>,
+    /// Tier 3: events at or beyond the epoch horizon, unsorted.
+    far: Vec<Entry>,
     next_seq: u64,
     /// Monotone tier-transition counters (cold paths only; see
     /// [`EventQueue::ladder_stats`]).
@@ -205,7 +207,7 @@ impl<T> EventQueue<T> {
             width: 1,
             cursor: 0,
             in_buckets: 0,
-            far: BinaryHeap::new(),
+            far: Vec::new(),
             next_seq: 0,
             ladder: LadderStats::default(),
         }
@@ -216,7 +218,7 @@ impl<T> EventQueue<T> {
         let mut q = EventQueue::new();
         q.slots = Vec::with_capacity(cap);
         q.current = BinaryHeap::with_capacity(cap.min(1024));
-        q.far = BinaryHeap::with_capacity(cap);
+        q.far = Vec::with_capacity(cap);
         q
     }
 
@@ -287,7 +289,9 @@ impl<T> EventQueue<T> {
     }
 
     /// Ensure the global minimum (if any) sits in `current`, promoting
-    /// buckets and rebasing from the far heap as needed.
+    /// buckets and rebasing from the far tier as needed. Kept out of line
+    /// so that [`EventQueue::pop`] stays small enough to inline.
+    #[inline(never)]
     fn settle(&mut self) {
         while self.current.is_empty() {
             if self.in_buckets > 0 {
@@ -319,66 +323,59 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Start a new epoch: size the bucket width from the earliest far
-    /// events and scatter everything below the new horizon into buckets.
+    /// Start a new epoch: select the k-th earliest far time `t_k`, size
+    /// the bucket width so `[t_min, t_k]` spans the buckets, and move every
+    /// far record below the new horizon into its bucket in one pass.
     fn rebase(&mut self) {
         debug_assert!(self.current.is_empty() && self.in_buckets == 0);
         self.ladder.rebases += 1;
-        let take = self.far.len().min(REBASE_BATCH);
-        let mut batch = Vec::with_capacity(take);
-        for _ in 0..take {
-            batch.push(self.far.pop().expect("far heap emptied during rebase"));
-        }
-        // Heap pops arrive in ascending (time, seq) order.
-        let t_min = batch
-            .first()
-            .expect("rebase on empty far heap")
-            .time
-            .as_ps();
-        let t_max = batch.last().expect("rebase batch empty").time.as_ps();
-        self.width = (t_max - t_min) / NUM_BUCKETS as u64 + 1;
+        let k = REBASE_BATCH.max(self.far.len() / 4).min(self.far.len());
+        let (below, kth, _) = self.far.select_nth_unstable_by_key(k - 1, |e| e.time);
+        let t_k = kth.time.as_ps();
+        let t_min = below.iter().fold(t_k, |m, e| m.min(e.time.as_ps()));
+        let width = (t_k - t_min) / NUM_BUCKETS as u64 + 1;
+        self.width = width;
         self.epoch_base = t_min;
         self.cursor = 0;
         self.cur_end = t_min;
-        let horizon = t_min.saturating_add(self.width.saturating_mul(NUM_BUCKETS as u64));
-        for e in batch {
-            let idx = ((e.time.as_ps() - t_min) / self.width) as usize;
-            debug_assert!(idx < NUM_BUCKETS);
-            self.buckets[idx].push(e);
-            self.in_buckets += 1;
-        }
-        // Stragglers below the horizon (ties at t_max, or events the
-        // sizing batch did not reach) must move too, or a later push into
-        // a bucket could overtake them.
-        while self.far.peek().is_some_and(|e| e.time.as_ps() < horizon) {
-            let e = self.far.pop().expect("peeked entry vanished");
-            let idx = ((e.time.as_ps() - t_min) / self.width) as usize;
-            self.buckets[idx].push(e);
-            self.in_buckets += 1;
-        }
+        // The horizon test is `push_entry`'s, so no record left in `far`
+        // can be overtaken by a later push into a bucket. It moves every
+        // record up to `t_k` (ties included): `t_k - t_min < 64 × width`.
+        let buckets = &mut self.buckets;
+        let before = self.far.len();
+        self.far.retain(|e| {
+            let idx = (e.time.as_ps() - t_min) / width;
+            let near = idx < NUM_BUCKETS as u64;
+            if near {
+                buckets[idx as usize].push(*e);
+            }
+            !near
+        });
+        self.in_buckets += before - self.far.len();
+        debug_assert!(self.in_buckets >= k, "a rebase must move its k records");
     }
 
-    /// Plain-heap fallback for a small pending set: move *all* far events
-    /// into `current` (an O(1) storage swap — `current` is empty) and
-    /// extend the window past them, so pushes near the frontier keep
-    /// landing straight in the heap until traffic grows again.
+    /// Plain-heap fallback for a small pending set: heapify *all* far
+    /// events into `current` in O(n) (`current` is empty and hands its
+    /// allocation to `far`) and extend the window past them, so pushes
+    /// near the frontier keep landing straight in the heap until traffic
+    /// grows again.
     fn drain_far(&mut self) {
         debug_assert!(self.current.is_empty() && self.in_buckets == 0);
         self.ladder.far_drains += 1;
-        self.current.append(&mut self.far);
-        let last = self
-            .current
-            .iter()
-            .map(|e| e.time.as_ps())
-            .max()
-            .unwrap_or(0);
+        let spare = std::mem::take(&mut self.current).into_vec();
+        let far = std::mem::replace(&mut self.far, spare);
+        let last = far.iter().map(|e| e.time.as_ps()).max().unwrap_or(0);
+        self.current = BinaryHeap::from(far);
         self.cur_end = last.saturating_add(1);
         self.epoch_base = self.cur_end;
         self.cursor = 0;
     }
 
     /// Remove and return the earliest item together with its delivery time.
-    #[inline]
+    /// Always inlined: out of line, the payload is copied through an
+    /// out-pointer on every pop of the engine's hot loop.
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<(Time, T)> {
         if self.current.is_empty() {
             self.settle();
@@ -575,7 +572,7 @@ mod tests {
     }
 
     /// Times far enough apart to force every tier: current-window pushes,
-    /// bucketed pushes, far-heap pushes, and multiple rebases.
+    /// bucketed pushes, far-tier pushes, and multiple rebases.
     #[test]
     fn tiers_and_rebases_keep_global_order() {
         let mut q = EventQueue::new();
@@ -589,6 +586,36 @@ mod tests {
             times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         expect.sort(); // (time, insertion index) == (time, seq) order
         for (t, i) in expect {
+            assert_eq!(q.pop(), Some((Time::from_ps(t), i)));
+        }
+        assert_eq!(q.pop(), None);
+    }
+
+    /// 4,097 records on one instant make the rebase select a quarter of
+    /// the far tier (1,274 > `REBASE_BATCH`) whose k-th time ties with the
+    /// thousands behind it: every tie and every later record below the new
+    /// horizon must move, or a push into the new epoch overtakes them.
+    #[test]
+    fn a_quarter_rebase_moves_every_tie_and_straggler() {
+        let mut q = EventQueue::new();
+        let t0 = 1_000_000u64;
+        let mut expect: Vec<(u64, u64)> = (0..4_097).map(|i| (t0, i)).collect();
+        expect.extend((0..1_000).map(|i| (t0 + 1 + i * 50, 4_097 + i)));
+        for &(t, i) in &expect {
+            q.push(Time::from_ps(t), i);
+        }
+        assert_eq!(q.pop(), Some((Time::from_ps(t0), 0)));
+        assert_eq!(q.ladder_stats().rebases, 1);
+        // Width 1: the horizon is t0 + 64, so (t0 + 1, 4097) and
+        // (t0 + 51, 4098) moved with the ties. These pushes land in the
+        // same buckets and must pop after them.
+        for (k, t) in [t0 + 1, t0 + 51, t0 + 60].into_iter().enumerate() {
+            let i = 10_000 + k as u64;
+            q.push(Time::from_ps(t), i);
+            expect.push((t, i));
+        }
+        expect.sort();
+        for (t, i) in expect.into_iter().skip(1) {
             assert_eq!(q.pop(), Some((Time::from_ps(t), i)));
         }
         assert_eq!(q.pop(), None);

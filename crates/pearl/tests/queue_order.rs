@@ -17,7 +17,7 @@ use proptest::prelude::*;
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Push at an absolute time (picked from several magnitude bands so
-    /// the current window, the buckets, and the far heap all see traffic).
+    /// the current window, the buckets, and the far tier all see traffic).
     Push(u64),
     Pop,
 }
@@ -47,18 +47,19 @@ enum KeyedOp {
 }
 
 /// A keyed push: a time from the three tier bands (a third of them among
-/// only 8 instants) and a key from a small space, so equal times meet equal
-/// push instants and sources and only the later key fields break the tie.
-fn keyed_push() -> impl Strategy<Value = (u64, EventKey)> {
-    let time = prop_oneof![0u64..8, 0u64..1_000_000, 0u64..1u64 << 50];
+/// only the 8 instants from `first`) and a key from a small space, so
+/// equal times meet equal push instants and sources and only the later key
+/// fields break the tie.
+fn keyed_push(first: u64) -> impl Strategy<Value = (u64, EventKey)> {
+    let time = prop_oneof![first..first + 8, 0u64..1_000_000, 0u64..1u64 << 50];
     let key =
         (0u64..4, 0u32..4, 0u64..8).prop_map(|(push_ps, src, seq)| EventKey { push_ps, src, seq });
     (time, key)
 }
 
-fn keyed_op_strategy() -> impl Strategy<Value = KeyedOp> {
+fn keyed_op_strategy(first: u64) -> impl Strategy<Value = KeyedOp> {
     // A weighted pick; `Clear` is rare (0.2%) so a case keeps its tiers.
-    (0u32..1000, keyed_push()).prop_map(|(pick, (t, k))| match pick {
+    (0u32..1000, keyed_push(first)).prop_map(|(pick, (t, k))| match pick {
         0..=599 => KeyedOp::Push(t, k),
         600..=849 => KeyedOp::Pop,
         850..=909 => KeyedOp::Peek,
@@ -162,54 +163,80 @@ proptest! {
     /// The keyed regime, with many equal times, against an ordered map of
     /// `(time, key)`: every pop, peek and snapshot agrees at every step,
     /// across clears. A prefill burst fills the far tier past `FAR_DRAIN`
-    /// so the interleaved steps run through rebases. A key already pending
-    /// is not pushed again (keys are unique in the keyed regime).
+    /// so the interleaved steps run through rebases.
     #[test]
     fn keyed_pops_match_ordered_map(
-        prefill in prop::collection::vec(keyed_push(), 0..600),
-        ops in prop::collection::vec(keyed_op_strategy(), 0..800),
+        prefill in prop::collection::vec(keyed_push(0), 0..600),
+        ops in prop::collection::vec(keyed_op_strategy(0), 0..800),
     ) {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        let mut oracle: BTreeMap<(Time, EventKey), u64> = BTreeMap::new();
-        let prefill = prefill.into_iter().map(|(t, k)| KeyedOp::Push(t, k));
-        for (n, op) in prefill.chain(ops).enumerate() {
-            let n = n as u64;
-            match op {
-                KeyedOp::Push(t, key) => {
-                    let t = Time::from_ps(t);
-                    if let Entry::Vacant(slot) = oracle.entry((t, key)) {
-                        slot.insert(n);
-                        q.push_keyed(t, key, n);
-                    }
-                }
-                KeyedOp::Pop => {
-                    let want = oracle.pop_first().map(|((t, _), v)| (t, v));
-                    prop_assert_eq!(q.pop(), want);
-                }
-                KeyedOp::Peek => {
-                    let want = oracle.first_key_value().map(|(&(t, _), &v)| (t, v));
-                    prop_assert_eq!(q.peek().map(|(t, &v)| (t, v)), want);
-                }
-                KeyedOp::PeekTime => {
-                    let want = oracle.first_key_value().map(|(&(t, _), _)| t);
-                    prop_assert_eq!(q.peek_time(), want);
-                }
-                KeyedOp::Clear => {
-                    q.clear();
-                    oracle.clear();
-                }
-                KeyedOp::Snapshot => {
-                    let want: Vec<_> = oracle.iter().map(|(&(t, k), &v)| (t, k, v)).collect();
-                    prop_assert_eq!(q.snapshot_events(), want);
+        keyed_workout(prefill, ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same oracle over a prefill large enough that the first rebase
+    /// selects a quarter of the far tier (over 256 records) rather than
+    /// `REBASE_BATCH`. A third of the records sit on 8 instants just
+    /// past a fresh queue's first epoch (64..72 ps), the earliest band, so
+    /// the selected k-th time ties with records on both sides of the
+    /// selection boundary, and later pushes land on those instants too.
+    #[test]
+    fn keyed_pops_match_ordered_map_over_quarter_rebases(
+        prefill in prop::collection::vec(keyed_push(64), 1_100..5_000),
+        ops in prop::collection::vec(keyed_op_strategy(64), 0..800),
+    ) {
+        keyed_workout(prefill, ops)?;
+    }
+}
+
+/// Run `prefill` then `ops` against the queue and a `BTreeMap` of
+/// `(time, key)`, comparing at every step and over the drained tail. A
+/// key already pending is not pushed again (keys are unique in the keyed
+/// regime).
+fn keyed_workout(prefill: Vec<(u64, EventKey)>, ops: Vec<KeyedOp>) -> Result<(), TestCaseError> {
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut oracle: BTreeMap<(Time, EventKey), u64> = BTreeMap::new();
+    let prefill = prefill.into_iter().map(|(t, k)| KeyedOp::Push(t, k));
+    for (n, op) in prefill.chain(ops).enumerate() {
+        let n = n as u64;
+        match op {
+            KeyedOp::Push(t, key) => {
+                let t = Time::from_ps(t);
+                if let Entry::Vacant(slot) = oracle.entry((t, key)) {
+                    slot.insert(n);
+                    q.push_keyed(t, key, n);
                 }
             }
-            prop_assert_eq!(q.len(), oracle.len());
+            KeyedOp::Pop => {
+                let want = oracle.pop_first().map(|((t, _), v)| (t, v));
+                prop_assert_eq!(q.pop(), want);
+            }
+            KeyedOp::Peek => {
+                let want = oracle.first_key_value().map(|(&(t, _), &v)| (t, v));
+                prop_assert_eq!(q.peek().map(|(t, &v)| (t, v)), want);
+            }
+            KeyedOp::PeekTime => {
+                let want = oracle.first_key_value().map(|(&(t, _), _)| t);
+                prop_assert_eq!(q.peek_time(), want);
+            }
+            KeyedOp::Clear => {
+                q.clear();
+                oracle.clear();
+            }
+            KeyedOp::Snapshot => {
+                let want: Vec<_> = oracle.iter().map(|(&(t, k), &v)| (t, k, v)).collect();
+                prop_assert_eq!(q.snapshot_events(), want);
+            }
         }
-        while let Some(((t, _), v)) = oracle.pop_first() {
-            prop_assert_eq!(q.pop(), Some((t, v)));
-        }
-        prop_assert_eq!(q.pop(), None);
+        prop_assert_eq!(q.len(), oracle.len());
     }
+    while let Some(((t, _), v)) = oracle.pop_first() {
+        prop_assert_eq!(q.pop(), Some((t, v)));
+    }
+    prop_assert_eq!(q.pop(), None);
+    Ok(())
 }
 
 /// A payload that counts its own drops.

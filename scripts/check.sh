@@ -380,6 +380,16 @@ for mode in early dst src; do
     done
 done
 
+echo "==> tooling: hostprof.sh resolves a short sim's samples to functions"
+if command -v gcc > /dev/null; then
+    scripts/hostprof.sh -n 3 sim --machine t805 --topology torus:8x8 --mode task \
+        --pattern all2all --phases 2 > "$serial_out"
+    grep -qE "(pearl|mermaid_network)::" "$serial_out" \
+        || { echo "hostprof.sh resolved no pearl or network function" >&2; cat "$serial_out" >&2; exit 1; }
+else
+    echo "gcc not found: skipping the hostprof.sh smoke run"
+fi
+
 echo "==> info: non-test library lines per crate (scripts/loc.sh; not a gate)"
 scripts/loc.sh
 
