@@ -529,7 +529,7 @@ fn check_recordable(mode: Mode) -> Result<(), String> {
 /// Configurations from [`CampaignSpec::expand`] always resolve;
 /// [`run_campaign`] returns the same message as that run's error instead.
 pub fn execute_run(cfg: &RunConfig) -> CampaignRecord {
-    execute(cfg, false, None, 1).unwrap_or_else(|e| panic!("{e}"))
+    execute(cfg, &cfg.config_hash(), false, None, 1).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One run's rolling-checkpoint plan: the snapshot lives at `path`,
@@ -592,7 +592,7 @@ pub fn capture_run_checkpoint(
         every_ps,
         keep: true,
     };
-    execute(cfg, attribution, Some(&plan), 1)?;
+    execute(cfg, &cfg.config_hash(), attribution, Some(&plan), 1)?;
     if !path.is_file() {
         return Err(format!(
             "the run finished before {every_ps} ps — no checkpoint was captured \
@@ -602,11 +602,11 @@ pub fn capture_run_checkpoint(
     Ok(())
 }
 
-/// The campaign's executor: resolve `cfg`, run it, fold the outcome into
-/// a [`CampaignRecord`]. What a campaign adds to the run (DESIGN.md, "One
-/// run path"): with `attribution`, a bottleneck-attribution sink whose
-/// headline lands in the record — the predicted results are identical
-/// either way, the sink only observes; with a `ckpt` plan, task-mode runs
+/// The campaign's executor: resolve `cfg`, whose config hash is `hash`,
+/// run it, fold the outcome into a [`CampaignRecord`]. What a campaign
+/// adds to the run (DESIGN.md, "One run path"): with `attribution`, a
+/// bottleneck-attribution sink whose headline lands in the record — the
+/// predicted results are identical either way, the sink only observes; with a `ckpt` plan, task-mode runs
 /// resume from a usable snapshot at `plan.path` and refresh it at the
 /// plan's cadence — detailed-mode runs ignore the plan (the computational
 /// model in front of the network is not snapshotted) and re-execute from
@@ -617,11 +617,11 @@ pub fn capture_run_checkpoint(
 /// execution, and on checkpoint IO or snapshot restoration.
 fn execute(
     cfg: &RunConfig,
+    hash: &str,
     attribution: bool,
     ckpt: Option<&CkptPlan<'_>>,
     busy: usize,
 ) -> Result<CampaignRecord, String> {
-    let hash = cfg.config_hash();
     let in_run = |e: String| format!("campaign run {hash}: {e}");
     let resolved = cfg.resolve().map_err(in_run)?;
     check_recordable(resolved.mode).map_err(|e| in_run(format!("mode `{}`: {e}", cfg.mode)))?;
@@ -632,14 +632,14 @@ fn execute(
     } else {
         ProbeHandle::disabled()
     };
-    let restored = ckpt.and_then(|plan| load_usable_checkpoint(plan.path, &hash, attribution));
+    let restored = ckpt.and_then(|plan| load_usable_checkpoint(plan.path, hash, attribution));
     let write;
     let checkpoint = match ckpt {
         Some(plan) => {
             write = |snap: &Snapshot| snap.write_file(plan.path);
             Some(CheckpointOpts {
                 every: Duration::from_ps(plan.every_ps),
-                config_hash: hash.clone(),
+                config_hash: hash.to_string(),
                 write: &write,
             })
         }
@@ -672,7 +672,7 @@ fn execute(
     let comm = outcome.comm();
     let pct = |p: f64| comm.msg_latency.percentile(p).unwrap_or(0);
     Ok(CampaignRecord {
-        config_hash: hash,
+        config_hash: hash.to_string(),
         config: cfg.clone(),
         predicted_ps: predicted.as_ps(),
         all_done: comm.all_done,
@@ -761,7 +761,12 @@ pub fn checkpoints_dir(out_dir: &Path) -> PathBuf {
 /// The rolling-checkpoint file of one campaign run, keyed — like its
 /// JSONL record — by the stable config hash.
 pub fn checkpoint_path(out_dir: &Path, cfg: &RunConfig) -> PathBuf {
-    checkpoints_dir(out_dir).join(format!("{}.snap", cfg.config_hash()))
+    snapshot_path(out_dir, &cfg.config_hash())
+}
+
+/// [`checkpoint_path`] of the run whose config hash is `hash`.
+fn snapshot_path(out_dir: &Path, hash: &str) -> PathBuf {
+    checkpoints_dir(out_dir).join(format!("{hash}.snap"))
 }
 
 /// Summary of a completed (or budget-limited) campaign invocation.
@@ -821,22 +826,29 @@ pub fn run_campaign(
             })?;
         }
     }
-    let wanted: std::collections::BTreeSet<String> = all.iter().map(|c| c.config_hash()).collect();
-    let stale = by_hash.len() - by_hash.keys().filter(|h| wanted.contains(*h)).count();
-    let recorded_before = by_hash.keys().filter(|h| wanted.contains(*h)).count();
+    // Each run's config hash, computed once and used for every lookup.
+    let hashes: Vec<String> = all.iter().map(RunConfig::config_hash).collect();
+    let wanted: std::collections::BTreeSet<&str> = hashes.iter().map(String::as_str).collect();
+    let recorded_before = by_hash
+        .keys()
+        .filter(|h| wanted.contains(h.as_str()))
+        .count();
+    let stale = by_hash.len() - recorded_before;
 
-    let mut todo: Vec<RunConfig> = all
+    let mut todo: Vec<(&RunConfig, &str)> = all
         .iter()
-        .filter(|c| !by_hash.contains_key(&c.config_hash()))
-        .cloned()
+        .zip(&hashes)
+        .filter(|(_, h)| !by_hash.contains_key(*h))
+        .map(|(c, h)| (c, h.as_str()))
         .collect();
     if let Some(limit) = opts.limit {
         todo.truncate(limit);
     }
     let executed = todo.len();
 
-    // Stream: append one JSON line per completed run, fsync-free but
-    // flushed, under a lock shared with the progress output.
+    // Stream: append each completed run's JSON line and its newline in one
+    // write(2), under a lock shared with the progress output. There is no
+    // fsync; a kill leaves at most one torn tail, which the next load drops.
     if !todo.is_empty() {
         let file = std::fs::OpenOptions::new()
             .create(true)
@@ -852,14 +864,20 @@ pub fn run_campaign(
         // The jobs really running side by side, each with its shards, share
         // the host's cores with a detailed run's computational phase.
         let jobs = opts.jobs.clamp(1, total);
-        let worker = move |cfg: &RunConfig| -> Result<CampaignRecord, String> {
-            let path = checkpoint_path(&out_dir, cfg);
-            let plan = ckpt_every.map(|every_ps| CkptPlan {
-                path: &path,
-                every_ps,
-                keep: false,
-            });
-            execute(cfg, attribution, plan.as_ref(), jobs * cfg.shards)
+        let worker = move |&(cfg, hash): &(&RunConfig, &str)| -> Result<CampaignRecord, String> {
+            let path;
+            let plan = match ckpt_every {
+                Some(every_ps) => {
+                    path = snapshot_path(&out_dir, hash);
+                    Some(CkptPlan {
+                        path: &path,
+                        every_ps,
+                        keep: false,
+                    })
+                }
+                None => None,
+            };
+            execute(cfg, hash, attribution, plan.as_ref(), jobs * cfg.shards)
         };
         let new_records = sweep::parallel_sweep_streaming(todo, opts.jobs, worker, |_, rec| {
             let mut guard = sink.lock().unwrap();
@@ -874,18 +892,15 @@ pub fn run_campaign(
                     return;
                 }
             };
-            let line = match serde_json::to_string(rec) {
+            let mut line = match serde_json::to_string(rec) {
                 Ok(l) => l,
                 Err(e) => {
                     *err = Some(format!("cannot serialise campaign record: {e:?}"));
                     return;
                 }
             };
-            if let Err(e) = file
-                .write_all(line.as_bytes())
-                .and_then(|_| file.write_all(b"\n"))
-                .and_then(|_| file.flush())
-            {
+            line.push('\n');
+            if let Err(e) = file.write_all(line.as_bytes()) {
                 *err = Some(format!("cannot append to {}: {e}", runs_path.display()));
                 return;
             }
@@ -910,10 +925,7 @@ pub fn run_campaign(
 
     // The CSV view and the report cover the *current expansion* in
     // expansion order — stale records stay in the JSONL but are ignored.
-    let ordered: Vec<&CampaignRecord> = all
-        .iter()
-        .filter_map(|c| by_hash.get(&c.config_hash()))
-        .collect();
+    let ordered: Vec<&CampaignRecord> = hashes.iter().filter_map(|h| by_hash.get(h)).collect();
     let mut csv = CampaignRecord::csv_header();
     for r in &ordered {
         csv.push_str(&r.csv_row());
@@ -1123,7 +1135,7 @@ mod tests {
         let cfg = &tiny_spec().expand().unwrap()[0];
         let plain = execute_run(cfg);
         assert_eq!(plain.attribution, None);
-        let attr = execute(cfg, true, None, 1).unwrap();
+        let attr = execute(cfg, &cfg.config_hash(), true, None, 1).unwrap();
         let h = attr.attribution.clone().expect("headline recorded");
         assert!(!h.dominant.is_empty());
         assert!(h.dominant_share_ppm <= 1_000_000);

@@ -4,7 +4,7 @@
 use mermaid_network::CommResult;
 use mermaid_stats::table::Align;
 use mermaid_stats::Table;
-use pearl::Time;
+use pearl::{FastHashMap, Time};
 
 use crate::campaign::CampaignRecord;
 use crate::hybrid::HybridResult;
@@ -89,6 +89,39 @@ pub fn degraded_table(comm: &CommResult) -> Option<Table> {
 /// slowdown relative to the group's winner; latency tails come from the
 /// runs' log₂ histograms.
 pub fn campaign_table(records: &[&CampaignRecord]) -> Table {
+    ranked_table(rank_by_workload(records))
+}
+
+/// One pass over `records`: each record's workload key is formatted once
+/// and looked up in an index of groups, which are pushed in
+/// first-appearance order. Each group is then ranked by predicted time,
+/// ties broken on the config hash. The index's hasher is unseeded, so
+/// every process does the same work for the same records.
+fn rank_by_workload<'a>(records: &[&'a CampaignRecord]) -> Vec<(String, Vec<&'a CampaignRecord>)> {
+    let mut index: FastHashMap<String, usize> = FastHashMap::default();
+    let mut groups: Vec<(String, Vec<&CampaignRecord>)> = Vec::new();
+    for &r in records {
+        let key = r.config.workload_key();
+        let g = match index.get(&key) {
+            Some(&g) => g,
+            None => {
+                index.insert(key.clone(), groups.len());
+                groups.push((key, Vec::new()));
+                groups.len() - 1
+            }
+        };
+        groups[g].1.push(r);
+    }
+    for (_, group) in &mut groups {
+        group.sort_by(|a, b| {
+            (a.predicted_ps, &a.config_hash).cmp(&(b.predicted_ps, &b.config_hash))
+        });
+    }
+    groups
+}
+
+/// The comparison table of workload groups already in rank order.
+fn ranked_table(groups: Vec<(String, Vec<&CampaignRecord>)>) -> Table {
     let mut t = Table::new([
         "workload",
         "rank",
@@ -112,19 +145,7 @@ pub fn campaign_table(records: &[&CampaignRecord]) -> Table {
         Align::Right,
         Align::Right,
     ]);
-    let mut workloads: Vec<String> = Vec::new();
-    for r in records {
-        let key = r.config.workload_key();
-        if !workloads.contains(&key) {
-            workloads.push(key);
-        }
-    }
-    for key in &workloads {
-        let mut group: Vec<&&CampaignRecord> = records
-            .iter()
-            .filter(|r| r.config.workload_key() == *key)
-            .collect();
-        group.sort_by_key(|r| (r.predicted_ps, r.config_hash.clone()));
+    for (key, group) in groups {
         let best = group[0].predicted_ps.max(1);
         for (rank, r) in group.iter().enumerate() {
             t.row([
@@ -226,6 +247,85 @@ mod tests {
         assert!(s.contains("1.00x"), "{s}");
         assert!(s.contains("ring:4"), "{s}");
         assert!(s.contains("full:4"), "{s}");
+    }
+
+    /// The grouping `campaign_table` used before it went one-pass, kept as
+    /// the oracle: one filter over every record per workload.
+    fn quadratic_ranking<'a>(
+        records: &[&'a CampaignRecord],
+    ) -> Vec<(String, Vec<&'a CampaignRecord>)> {
+        let mut workloads: Vec<String> = Vec::new();
+        for r in records {
+            let key = r.config.workload_key();
+            if !workloads.contains(&key) {
+                workloads.push(key);
+            }
+        }
+        workloads
+            .into_iter()
+            .map(|key| {
+                let mut group: Vec<&CampaignRecord> = records
+                    .iter()
+                    .copied()
+                    .filter(|r| r.config.workload_key() == key)
+                    .collect();
+                group.sort_by_key(|r| (r.predicted_ps, r.config_hash.clone()));
+                (key, group)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_ranking_matches_the_quadratic_grouping() {
+        use crate::campaign::RunConfig;
+        use mermaid_stats::DeliveryStats;
+        // 6 workloads x 4 architectures; predicted times repeat inside
+        // each group, so the hash tie-break decides ranks.
+        let mut records = Vec::new();
+        for (p, pattern) in ["ring", "all2all", "random"].into_iter().enumerate() {
+            for seed in [1, 2] {
+                for (a, topo) in ["ring:4", "mesh:2x2", "torus:2x2", "full:4"]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let config = RunConfig {
+                        topo: topo.into(),
+                        pattern: pattern.into(),
+                        seed,
+                        ..RunConfig::default()
+                    };
+                    let tier = ((a + p + seed as usize) % 3) as u64;
+                    records.push(CampaignRecord {
+                        config_hash: config.config_hash(),
+                        config,
+                        predicted_ps: 5_000 + 1_000 * tier,
+                        all_done: true,
+                        events: 0,
+                        ops_simulated: 0,
+                        msgs_delivered: 0,
+                        bytes_sent: 0,
+                        latency_p50_ps: tier,
+                        latency_p90_ps: 0,
+                        latency_p99_ps: 0,
+                        latency_max_ps: a as u64,
+                        delivery: DeliveryStats::default(),
+                        attribution: None,
+                    });
+                }
+            }
+        }
+        // Shuffled: descending hash order interleaves the workloads and
+        // puts each tie in the opposite of its ranked order.
+        records.sort_by(|a, b| b.config_hash.cmp(&a.config_hash));
+        let refs: Vec<&CampaignRecord> = records.iter().collect();
+        let want = quadratic_ranking(&refs);
+        assert!(
+            want.iter()
+                .any(|(_, g)| g.windows(2).any(|w| w[0].predicted_ps == w[1].predicted_ps)),
+            "the input must hold a tie"
+        );
+        assert_eq!(rank_by_workload(&refs), want);
+        assert_eq!(campaign_table(&refs).render(), ranked_table(want).render());
     }
 
     #[test]

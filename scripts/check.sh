@@ -16,11 +16,13 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> member crates: pearl and mermaid-network tests"
+echo "==> member crates: pearl, mermaid-network and mermaid tests"
 # `cargo test` above tests only the root package; the event queue's own
-# determinism oracle (pearl/tests/queue_order.rs) and the network unit
-# tests live in these member crates.
-cargo test -q -p pearl -p mermaid-network
+# determinism oracle (pearl/tests/queue_order.rs), the network unit tests
+# and the core library's unit tests (the campaign table's one-pass
+# grouping against its quadratic oracle among them) live in these member
+# crates.
+cargo test -q -p pearl -p mermaid-network -p mermaid
 
 echo "==> example: quickstart (full pipeline)"
 cargo run --release --example quickstart > /dev/null
@@ -269,11 +271,12 @@ if cargo run --release -p mermaid --bin mermaid-cli -- sim --machine test \
     echo "missing output directory should have been rejected" >&2; exit 1
 fi
 
-echo "==> cli: campaign smoke (run, resume, golden CSV)"
+echo "==> cli: campaign smoke (run, resume, golden CSV and report)"
 # A tiny 3-topology x 2-pattern grid: 6 runs. The first invocation records
 # all of them; the second must find everything recorded and do zero new
-# work (the resume contract); the CSV view is pinned to a golden snapshot
-# (BLESS=1 cargo test --test campaign_end_to_end regenerates it).
+# work (the resume contract); the CSV view and the resumed report (less
+# its two path lines) are pinned to golden snapshots
+# (BLESS=1 cargo test --test campaign_end_to_end regenerates them).
 campaign_dir="$(mktemp -d -t mermaid-check-campaign.XXXXXX)"
 campaign_out="$(mktemp -t mermaid-check-campaign-out.XXXXXX.txt)"
 trap 'rm -f "$trace_file" "$serial_out" "$sharded_out" "$attr_serial" "$attr_sharded" "$campaign_out"; rm -rf "$campaign_dir"' EXIT
@@ -290,6 +293,8 @@ grep -q "6 run(s) expanded, 6 already recorded, 0 executed" "$campaign_out" \
     || { echo "campaign resume re-ran recorded work" >&2; cat "$campaign_out" >&2; exit 1; }
 diff -u tests/golden/campaign_summary.csv "$campaign_dir/summary.csv" \
     || { echo "campaign CSV diverged from the golden snapshot" >&2; exit 1; }
+grep -v -e '^records: ' -e '^csv: ' "$campaign_out" | diff -u tests/golden/campaign_report.txt - \
+    || { echo "campaign report diverged from the golden snapshot" >&2; exit 1; }
 
 echo "==> cli: checkpoint/restore reproduces the uninterrupted run"
 # Capture a run at a 200 ns cadence, then restore its middle checkpoint

@@ -8,18 +8,28 @@
 # the top outermost ones (the symbol that leaf was inlined into). Samples
 # outside the binary count as their library ([libc.so.6], ...).
 #
-#   scripts/hostprof.sh [-n RUNS] sim --machine t805 --topology torus:8x8 \
+#   scripts/hostprof.sh [-n RUNS] [-c DIR] sim --machine t805 --topology torus:8x8 \
 #       --pattern all2all --phases 16 --mode task --seed 7
 #
 # `-n RUNS` (default 1) repeats the call and sums the samples of every
-# run. The other arguments are mermaid-cli's; its stdout is discarded.
+# run. `-c DIR` removes DIR before each run. A call that leaves state
+# behind needs it: with `-n 3` and `campaign --out D`, runs 2 and 3 would
+# otherwise be no-op resumes of run 1's campaign, and their samples would
+# be summed into the profile of a fresh one. The other arguments are
+# mermaid-cli's; its stdout is discarded.
 # Needs gcc and addr2line. The release profile keeps debug info, so the
 # CLI is profiled as built by `cargo build --release -p mermaid`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-runs=1
-if [ "${1:-}" = "-n" ]; then runs="$2"; shift 2; fi
+runs=1 clean=
+while true; do
+    case "${1:-}" in
+        -n) runs="$2"; shift 2 ;;
+        -c) clean="$2"; shift 2 ;;
+        *) break ;;
+    esac
+done
 
 command -v gcc > /dev/null || { echo "hostprof: gcc not found" >&2; exit 1; }
 command -v addr2line > /dev/null || { echo "hostprof: addr2line not found" >&2; exit 1; }
@@ -75,6 +85,7 @@ gcc -O2 -shared -fPIC -o "$work/sampler.so" "$work/sampler.c"
 : > "$work/exe_samples" > "$work/lib_samples"
 total=0
 for run in $(seq "$runs"); do
+    [ -z "$clean" ] || rm -rf "$clean"
     HOSTPROF_OUT="$work/raw" LD_PRELOAD="$work/sampler.so" "$exe" "$@" > /dev/null
     [ -s "$work/raw" ] || { echo "hostprof: the sampler wrote nothing (run $run)" >&2; exit 1; }
     total=$((total + $(grep -c '^ip ' "$work/raw" || true)))

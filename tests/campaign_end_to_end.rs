@@ -6,8 +6,9 @@
 //! These tests drive `mermaid::campaign` through real simulations and
 //! compare the persisted artifacts byte-for-byte.
 //!
-//! The golden CSV snapshot follows the `tests/golden_cli.rs` convention:
-//! `BLESS=1 cargo test --test campaign_end_to_end` regenerates it.
+//! The golden CSV and report snapshots follow the `tests/golden_cli.rs`
+//! convention: `BLESS=1 cargo test --test campaign_end_to_end` regenerates
+//! them.
 
 use std::path::{Path, PathBuf};
 
@@ -373,26 +374,26 @@ fn sim_analyze_and_campaign_agree_on_every_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn golden_campaign_summary_csv() {
-    // Snapshot of the CSV view for the check.sh smoke campaign. The same
-    // spec runs there against the installed binary; here it pins the
-    // exact bytes. BLESS=1 regenerates after intentional changes.
-    let spec = CampaignSpec::parse(
+/// The check.sh smoke campaign: two workloads (`ring`, `all2all`)
+/// interleaved in expansion order, and in each of them `mesh:2x2` and
+/// `torus:2x2` tie on predicted time, so the hash tie-break decides ranks.
+fn smoke_spec() -> CampaignSpec {
+    CampaignSpec::parse(
         "topo = ring:4, mesh:2x2, torus:2x2; pattern = ring, all2all; \
          machine = test; phases = 2; ops = 500; seed = 5",
     )
-    .unwrap();
-    let dir = temp_dir("golden");
-    run_campaign(&spec, &opts(&dir, 2)).unwrap();
-    let got = csv(&dir);
-    std::fs::remove_dir_all(&dir).ok();
+    .unwrap()
+}
 
-    let golden =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/campaign_summary.csv");
+/// Compare `got` with `tests/golden/<name>` (or, with `BLESS=1`, rewrite
+/// the golden file).
+fn assert_golden(name: &str, got: &str) {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
     if std::env::var_os("BLESS").is_some() {
         std::fs::create_dir_all(golden.parent().unwrap()).unwrap();
-        std::fs::write(&golden, &got).unwrap();
+        std::fs::write(&golden, got).unwrap();
         return;
     }
     let want = std::fs::read_to_string(&golden).unwrap_or_else(|_| {
@@ -403,7 +404,37 @@ fn golden_campaign_summary_csv() {
     });
     assert_eq!(
         got, want,
-        "campaign CSV drifted — if intentional, regenerate with \
+        "{name} drifted — if intentional, regenerate with \
          `BLESS=1 cargo test --test campaign_end_to_end` and review the diff"
     );
+}
+
+#[test]
+fn golden_campaign_summary_csv() {
+    // Snapshot of the CSV view for the check.sh smoke campaign. The same
+    // spec runs there against the installed binary; here it pins the
+    // exact bytes. BLESS=1 regenerates after intentional changes.
+    let dir = temp_dir("golden");
+    run_campaign(&smoke_spec(), &opts(&dir, 2)).unwrap();
+    let got = csv(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_golden("campaign_summary.csv", &got);
+}
+
+#[test]
+fn golden_campaign_report() {
+    // Snapshot of the resumed smoke campaign's stdout without its two
+    // path lines (`records:`, `csv:`), which name the output directory.
+    // check.sh diffs the installed binary's resumed report against it.
+    let dir = temp_dir("golden-report");
+    run_campaign(&smoke_spec(), &opts(&dir, 2)).unwrap();
+    let resumed = run_campaign(&smoke_spec(), &opts(&dir, 2)).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let got: String = resumed
+        .report
+        .lines()
+        .filter(|l| !l.starts_with("records: ") && !l.starts_with("csv: "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_golden("campaign_report.txt", &got);
 }
