@@ -432,3 +432,92 @@ fn golden_trace_hashes() {
     }
     check_text("trace_hashes.txt", &table, "StochasticGenerator::generate");
 }
+
+/// The environment variable through which [`cli_stderr`] hands its
+/// arguments (newline-separated) to [`stderr_child`].
+const CHILD_ARGS: &str = "MERMAID_CLI_ARGS";
+
+/// The CLI's stderr for `args`. `--watch` prints its progress lines there,
+/// which a test cannot capture in-process, so this re-runs the test binary
+/// on [`stderr_child`] alone with the output capture off.
+fn cli_stderr(args: &[&str]) -> String {
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["stderr_child", "--exact", "--nocapture", "--test-threads", "1"])
+        .env(CHILD_ARGS, args.join("\n"))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        out.status.success(),
+        "`{}` failed: {stderr}",
+        args.join(" ")
+    );
+    stderr
+}
+
+/// The child half of [`cli_stderr`]; does nothing in an ordinary run.
+#[test]
+fn stderr_child() {
+    if let Ok(args) = std::env::var(CHILD_ARGS) {
+        cli(&args.split('\n').collect::<Vec<_>>());
+    }
+}
+
+/// Two `--watch` runs: the README example (two samples) and a longer one
+/// (twenty-one samples, the last taken when the event set drains).
+const WATCH_RUNS: [(&str, &[&str]); 2] = [
+    (
+        "watch_t805_mesh",
+        &[
+            "sim",
+            "--machine",
+            "t805",
+            "--topology",
+            "mesh:4x4",
+            "--mode",
+            "task",
+            "--watch",
+        ],
+    ),
+    (
+        "watch_test_torus_all2all",
+        &[
+            "sim",
+            "--machine",
+            "test",
+            "--topology",
+            "torus:4x4",
+            "--mode",
+            "task",
+            "--pattern",
+            "all2all",
+            "--phases",
+            "4",
+            "--watch",
+        ],
+    ),
+];
+
+/// The stdout line `--watch` adds.
+fn sparkline_line(out: &str) -> String {
+    out.lines()
+        .filter(|l| l.starts_with("messages over time: "))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+#[test]
+fn golden_watch_progress() {
+    // Blessed by the observer loop `--watch` ran on before it became a
+    // progress hook on the one run path: the stderr progress lines and the
+    // sparkline must not move.
+    for (name, args) in WATCH_RUNS {
+        let what = args.join(" ");
+        check_text(&format!("{name}.stderr"), &cli_stderr(args), &what);
+        check_text(
+            &format!("{name}.sparkline"),
+            &sparkline_line(&cli(args)),
+            &what,
+        );
+    }
+}
