@@ -651,6 +651,7 @@ fn execute(
         faults: resolved.faults.clone(),
         restore_from: restored.as_ref(),
         checkpoint: checkpoint.as_ref(),
+        progress: None,
     };
     let outcome = resolved
         .run(&opts, busy)

@@ -37,8 +37,9 @@
 //! profile of the simulator itself. `--shards` runs the communication
 //! model on N worker threads (`auto` = one per host core); sharded runs
 //! are bit-identical to single-threaded ones — with or without faults.
-//! `--watch` (task mode) prints progress samples to stderr as the run
-//! advances.
+//! `--watch` prints a progress sample to stderr every 500 events as the
+//! run advances, and a sparkline of messages delivered over time after
+//! the report.
 //!
 //! `analyze` answers "where did the time go": it runs the simulation with
 //! the bottleneck-attribution sink attached and renders the latency
@@ -83,15 +84,18 @@
 //! `<out>/checkpoints/`, so a killed campaign resumes long runs from
 //! their last snapshot instead of from scratch.
 
+use std::cell::RefCell;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mermaid_network::{CheckpointOpts, CommResult, RunOptions, Snapshot, SnapshotError};
+use mermaid_network::{CheckpointOpts, CommResult, Progress, RunOptions, Snapshot, SnapshotError};
 use mermaid_ops::table1;
+use mermaid_stats::TimeSeries;
+use pearl::Time;
 
 use crate::prelude::*;
 use crate::run::{parse_machine, parse_topology, Mode, Outcome, Resolved, RunConfig, NO_FAULTS};
-use crate::{observer, report, sweep, SlowdownMeter};
+use crate::{report, sweep, SlowdownMeter};
 
 /// A subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -458,20 +462,23 @@ const GATES: &[(Gate, &str)] = &[
          network events to attribute)",
     ),
     (
-        |a, mode| mode == Mode::Direct && (a.tracing() || a.shards() > 1 || a.has("--faults")),
-        "--trace-out/--metrics/--attribution, --shards and --faults need --mode detailed \
-         or task (direct execution has no communication model to record, shard or \
-         inject into)",
+        |a, mode| {
+            mode == Mode::Direct
+                && (a.tracing() || a.shards() > 1 || a.has("--faults") || a.has("--watch"))
+        },
+        "--trace-out/--metrics/--attribution, --shards, --faults and --watch need --mode \
+         detailed or task (direct execution has no communication model to record, shard, \
+         inject into or watch)",
     ),
     (
-        |a, mode| mode != Mode::Task && (a.checkpointing() || a.has("--watch")),
-        "--watch and --checkpoint-every/--checkpoint-dir/--restore need --mode task \
-         (they sample and snapshot the communication model; see DESIGN.md section 16)",
+        |a, mode| mode != Mode::Task && a.checkpointing(),
+        "--checkpoint-every/--checkpoint-dir/--restore need --mode task \
+         (they snapshot the communication model; see DESIGN.md section 16)",
     ),
     (
-        |a, _| a.has("--watch") && (a.shards() > 1 || a.checkpointing() || a.has("--faults")),
-        "--watch runs the single-threaded observer loop: it cannot be combined with \
-         --shards, --faults or the checkpoint flags",
+        |a, _| a.has("--watch") && a.shards() > 1,
+        "--watch cannot be combined with --shards: shards merge their results only \
+         at the end of the run, so there is no progress to sample",
     ),
     (
         |a, _| a.has("--shard-profile") && a.shards() <= 1,
@@ -592,11 +599,12 @@ fn describe(a: &Args, default_mode: Mode) -> Result<(RunConfig, Resolved), Strin
     }
 }
 
-/// Run what [`describe`] returned, recording into `probe`, through
-/// `sim`'s checkpoint flags: optionally seeded from a `--restore`
-/// snapshot, optionally capturing one every `--checkpoint-every` simulated
-/// picoseconds into `--checkpoint-dir` as `ckpt-<config-hash>-<time-ps>.snap`
-/// (the time is zero-padded so directory listings sort in capture order).
+/// Run what [`describe`] returned, recording into `probe` and sampling
+/// into `progress` (`sim --watch`), through `sim`'s checkpoint flags:
+/// optionally seeded from a `--restore` snapshot, optionally capturing one
+/// every `--checkpoint-every` simulated picoseconds into `--checkpoint-dir`
+/// as `ckpt-<config-hash>-<time-ps>.snap` (the time is zero-padded so
+/// directory listings sort in capture order).
 /// Returns the outcome plus the number of checkpoints written.
 ///
 /// The hash is the run's campaign identity with `shards` pinned to 1:
@@ -608,12 +616,15 @@ fn describe(a: &Args, default_mode: Mode) -> Result<(RunConfig, Resolved), Strin
 ///
 /// A restored run prints exactly what the uninterrupted run prints — no
 /// banner — so `diff` against a straight-through invocation is the
-/// simplest possible conformance check.
+/// simplest possible conformance check. Under `--watch` its progress lines
+/// are the uninterrupted run's after the snapshot, and its sparkline
+/// covers only those.
 fn launch(
     a: &Args,
     cfg: &RunConfig,
     resolved: &Resolved,
     probe: &ProbeHandle,
+    progress: Option<Progress<'_>>,
 ) -> Result<(Outcome, usize), String> {
     let hash = RunConfig {
         shards: 1,
@@ -653,6 +664,7 @@ fn launch(
         faults: resolved.faults.clone(),
         restore_from: restored.as_ref(),
         checkpoint: checkpoint.as_ref(),
+        progress,
     };
     let outcome = resolved.run(&opts, 1).map_err(|e| e.to_string())?;
     Ok((outcome, written.load(Ordering::Relaxed)))
@@ -689,71 +701,73 @@ fn run_sim(a: &Args) -> Result<String, String> {
         ProbeHandle::disabled()
     };
 
+    // `--watch`: the run-time half of the paper's tools. Each progress
+    // sample goes to stderr as it is taken and into the series behind
+    // the stdout sparkline.
     let nodes = resolved.machine.nodes();
-    let mut out = format!("machine: {}\n", resolved.machine.name);
-    let finish = if a.has("--watch") {
-        let traces = resolved.generator.generate_task_level();
-        let (r, run) = observer::observe_task_level_probed(
-            resolved.machine.network,
-            &traces,
-            500,
-            probe.clone(),
-            |s| {
-                eprintln!(
-                    "t={:>14}ps  events={:>8}  msgs={:>6}  done={}/{}",
-                    s.virtual_ps, s.events, s.messages, s.nodes_done, nodes
-                );
-            },
+    let messages = RefCell::new(TimeSeries::new("messages"));
+    let watch = |t: Time, r: &CommResult| {
+        eprintln!(
+            "t={:>14}ps  events={:>8}  msgs={:>6}  done={}/{}",
+            t.as_ps(),
+            r.events,
+            r.total_messages,
+            r.nodes_done(),
+            nodes
         );
-        out.push_str(&format!("predicted time: {}\n", r.finish));
+        messages
+            .borrow_mut()
+            .push(t.as_ps(), r.total_messages as f64);
+    };
+    let progress = a.has("--watch").then_some(&watch as Progress<'_>);
+
+    // A detailed run generates its operations as the simulator pulls
+    // them, so its `slowdown` line covers trace generation plus
+    // simulation — the paper's own set-up (Section 6). Bench figures that
+    // time simulation of a ready `TraceSet` alone are not comparable with
+    // it.
+    let meter = SlowdownMeter::start(nodes, resolved.machine.cpu.clock);
+    let (outcome, ckpts_written) = launch(a, &cfg, &resolved, &probe, progress)?;
+    let finish = outcome.predicted_time();
+    let slow = meter.finish(finish);
+    let mut out = format!("machine: {}\n", resolved.machine.name);
+    match &outcome {
+        Outcome::Task(r) => {
+            out.push_str(&format!("predicted time: {finish}\n\n"));
+            out.push_str(&report::task_level_table(r).render());
+        }
+        Outcome::Detailed(r) => {
+            out.push_str(&format!("predicted time: {finish}\n\n"));
+            out.push_str(&report::hybrid_table(r).render());
+        }
+        Outcome::Direct(_) => out.push_str(&format!(
+            "predicted time: {finish} (direct-execution estimate; cache-blind)\n"
+        )),
+    }
+    if progress.is_some() {
         out.push_str(&format!(
             "messages over time: {}\n",
-            mermaid_stats::chart::sparkline(&run.messages, 40)
+            mermaid_stats::chart::sparkline(&messages.borrow(), 40)
         ));
-        r.finish
-    } else {
-        // A detailed run generates its operations as the simulator pulls
-        // them, so its `slowdown` line covers trace generation plus
-        // simulation — the paper's own set-up (Section 6). Bench figures
-        // that time simulation of a ready `TraceSet` alone are not
-        // comparable with it.
-        let meter = SlowdownMeter::start(nodes, resolved.machine.cpu.clock);
-        let (outcome, ckpts_written) = launch(a, &cfg, &resolved, &probe)?;
-        let finish = outcome.predicted_time();
-        let slow = meter.finish(finish);
-        match &outcome {
-            Outcome::Task(r) => {
-                out.push_str(&format!("predicted time: {finish}\n\n"));
-                out.push_str(&report::task_level_table(r).render());
-            }
-            Outcome::Detailed(r) => {
-                out.push_str(&format!("predicted time: {finish}\n\n"));
-                out.push_str(&report::hybrid_table(r).render());
-            }
-            Outcome::Direct(_) => out.push_str(&format!(
-                "predicted time: {finish} (direct-execution estimate; cache-blind)\n"
-            )),
-        }
-        if resolved.faults.is_some() {
-            out.push_str(&fault_summary(outcome.comm()));
-        }
-        if resolved.mode == Mode::Detailed {
-            out.push_str(&format!(
-                "\nslowdown {:.1}×/proc, {:.0} target cycles/s\n",
-                slow.slowdown_per_processor(),
-                slow.target_cycles_per_host_second()
-            ));
-        }
-        if a.has("--shard-profile") {
-            out.push_str(&shard_profile_section(outcome.shard_profile()));
-        }
-        if let Some(dir) = a.text("--checkpoint-dir") {
-            out.push_str(&format!(
-                "checkpoints written: {ckpts_written} (ckpt-*.snap in {dir})\n"
-            ));
-        }
-        finish
-    };
+    }
+    if resolved.faults.is_some() {
+        out.push_str(&fault_summary(outcome.comm()));
+    }
+    if resolved.mode == Mode::Detailed {
+        out.push_str(&format!(
+            "\nslowdown {:.1}×/proc, {:.0} target cycles/s\n",
+            slow.slowdown_per_processor(),
+            slow.target_cycles_per_host_second()
+        ));
+    }
+    if a.has("--shard-profile") {
+        out.push_str(&shard_profile_section(outcome.shard_profile()));
+    }
+    if let Some(dir) = a.text("--checkpoint-dir") {
+        out.push_str(&format!(
+            "checkpoints written: {ckpts_written} (ckpt-*.snap in {dir})\n"
+        ));
+    }
 
     let finish_ps = finish.as_ps();
     if let Some(path) = trace_out {
@@ -798,7 +812,7 @@ fn run_analyze(a: &Args) -> Result<String, String> {
     // the computational model in front.
     let (cfg, resolved) = describe(a, Mode::Task)?;
     let probe = ProbeHandle::new(ProbeStack::new().with_attribution());
-    let (outcome, _) = launch(a, &cfg, &resolved, &probe)?;
+    let (outcome, _) = launch(a, &cfg, &resolved, &probe, None)?;
     let finish = outcome.predicted_time();
     let report = probe
         .attribution_report(finish.as_ps())
@@ -1021,13 +1035,26 @@ mod tests {
     }
 
     #[test]
-    fn watch_is_rejected_outside_task_mode_not_ignored() {
-        for mode in ["detailed", "direct"] {
-            rejected(
-                &["sim", "--mode", mode, "--watch"],
-                &["--watch", "--mode task"],
-            );
-        }
+    fn watch_is_rejected_in_direct_mode_not_ignored() {
+        rejected(
+            &["sim", "--mode", "direct", "--watch"],
+            &["--watch", "--mode detailed or task"],
+        );
+        // Detailed mode's communication phase is the same one run path.
+        let out = run(&s(&[
+            "sim",
+            "--mode",
+            "detailed",
+            "--machine",
+            "test",
+            "--topology",
+            "ring:4",
+            "--ops",
+            "300",
+            "--watch",
+        ]))
+        .unwrap();
+        assert!(out.contains("\nmessages over time: "), "{out}");
     }
 
     #[test]
@@ -1391,7 +1418,10 @@ mod tests {
         let err = run(&s(&["sim", "--mode", "direct", "--shards", "2"])).unwrap_err();
         assert!(err.contains("--shards"), "{err}");
         let err = run(&s(&["sim", "--mode", "task", "--shards", "2", "--watch"])).unwrap_err();
-        assert!(err.contains("--watch"), "{err}");
+        assert!(
+            err.contains("--watch") && err.contains("only at the end"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1534,8 +1564,9 @@ mod tests {
         assert!(err.contains("go together"), "{err}");
         let err = run(&task_args(&["--checkpoint-dir", "d"])).unwrap_err();
         assert!(err.contains("go together"), "{err}");
+        // `--watch` composes with a restore: the error is the missing file.
         let err = run(&task_args(&["--watch", "--restore", "x.snap"])).unwrap_err();
-        assert!(err.contains("--watch"), "{err}");
+        assert!(err.contains("x.snap") && !err.contains("--watch"), "{err}");
     }
 
     #[test]
@@ -1735,14 +1766,15 @@ mod tests {
     }
 
     #[test]
-    fn faults_flag_is_rejected_in_direct_and_watch_modes() {
+    fn faults_flag_is_rejected_in_direct_mode_and_composes_with_watch() {
         let err = run(&s(&["sim", "--mode", "direct", "--faults", "drop:100"])).unwrap_err();
         assert!(err.contains("--faults"), "{err}");
-        let err = run(&s(&[
+        let out = run(&s(&[
             "sim", "--mode", "task", "--watch", "--faults", "drop:100",
         ]))
-        .unwrap_err();
-        assert!(err.contains("--watch"), "{err}");
+        .unwrap();
+        assert!(out.contains("\nmessages over time: "), "{out}");
+        assert!(out.contains("\nfault injection: "), "{out}");
         let err = run(&s(&["sim", "--mode", "task", "--fault-seed", "7"])).unwrap_err();
         assert!(err.contains("--fault-seed needs --faults"), "{err}");
     }

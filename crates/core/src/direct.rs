@@ -98,12 +98,6 @@ impl DirectExecSim {
         }
     }
 
-    /// Override the static costs.
-    pub fn with_costs(mut self, costs: DirectExecStaticCosts) -> Self {
-        self.costs = costs;
-        self
-    }
-
     /// Fold on at most `workers` threads (builder style) instead of one per
     /// host core. Results do not depend on it.
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -112,10 +106,6 @@ impl DirectExecSim {
     }
 
     /// Statically fold one node's local operations into compute tasks.
-    pub fn fold_trace(&self, trace: &Trace) -> Trace {
-        self.fold(trace.node, trace.iter().copied())
-    }
-
     fn fold(&self, node: NodeId, ops: impl Iterator<Item = Operation>) -> Trace {
         let mut out = Trace::new(node);
         let mut acc = Duration::ZERO;
@@ -194,7 +184,7 @@ mod tests {
     fn folding_preserves_global_events() {
         let ts = traces(2);
         let sim = DirectExecSim::new(machine(2));
-        let folded = sim.fold_trace(ts.trace(0));
+        let folded = sim.fold(0, ts.trace(0).iter().copied());
         let orig_comm = ts.trace(0).stats().comm_ops();
         assert_eq!(folded.stats().comm_ops(), orig_comm);
         assert!(folded.iter().all(|o| !o.is_computational()));

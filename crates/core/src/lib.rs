@@ -49,7 +49,6 @@ pub mod hybrid;
 pub mod machines;
 pub mod memuse;
 pub mod microbench;
-pub mod observer;
 pub mod report;
 pub mod run;
 pub mod slowdown;
@@ -63,7 +62,6 @@ pub use hybrid::{HybridResult, HybridSim, NodeComputeStats};
 pub use machines::MachineConfig;
 pub use memuse::ModelFootprint;
 pub use microbench::{detect_capacity_edges, memory_stride_probe, ping_pong};
-pub use observer::{observe_task_level, observe_task_level_probed, ProgressSample, RunTrace};
 pub use run::{Mode, Outcome, Resolved, RunConfig};
 pub use slowdown::{host_frequency, SlowdownMeter, SlowdownReport};
 pub use smp::{SmpHybridResult, SmpHybridSim, SmpWorkload};

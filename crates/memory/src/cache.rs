@@ -277,11 +277,6 @@ impl Cache {
         }
     }
 
-    /// Number of valid lines (for memory-footprint accounting and tests).
-    pub fn valid_lines(&self) -> usize {
-        self.sets.iter().filter(|l| l.state.is_valid()).count()
-    }
-
     /// Approximate simulator-side footprint of this cache model in bytes.
     pub fn footprint_bytes(&self) -> usize {
         self.sets.len() * std::mem::size_of::<Line>() + std::mem::size_of::<Self>()
@@ -477,7 +472,7 @@ mod tests {
         let big = Cache::new(params(1 << 20, 64, 8, Replacement::Lru));
         // Tags-only: far below the simulated capacity.
         assert!(big.footprint_bytes() < (1 << 20) / 2);
-        assert_eq!(big.valid_lines(), 0);
+        assert_eq!(big.iter_valid().count(), 0);
     }
 
     #[test]

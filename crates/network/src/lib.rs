@@ -24,7 +24,7 @@
 //!
 //! The entry point is [`run_comm`]: hand it a [`NetworkConfig`], a
 //! task-level [`mermaid_ops::TraceSet`] and [`RunOptions`] (probe, shards,
-//! faults, snapshot in/out) and read a [`CommResult`]. [`CommSim`] is the
+//! faults, snapshot in/out, progress samples) and read a [`CommResult`]. [`CommSim`] is the
 //! single-threaded simulation underneath, for callers that step it.
 
 pub mod config;
@@ -44,7 +44,8 @@ pub use fault::{FaultEvent, FaultKind, FaultSchedule, RetryParams};
 pub use partition::{lookahead, Lookahead, LookaheadBasis, Partition};
 pub use processor::{ProcStats, UnreachableReport};
 pub use sharded::{
-    auto_shards, run_comm, CheckpointOpts, RunOptions, ShardProfile, ShardProfileEntry,
+    auto_shards, run_comm, CheckpointOpts, Progress, RunOptions, ShardProfile, ShardProfileEntry,
+    PROGRESS_EVERY,
 };
 pub use sim::{CommResult, CommSim, NodeCommStats};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_SCHEMA};

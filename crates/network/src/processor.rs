@@ -278,11 +278,6 @@ impl AbstractProcessor {
         self
     }
 
-    /// True when the processor has completed its trace.
-    pub fn is_done(&self) -> bool {
-        self.state == ProcState::Done
-    }
-
     /// The node this processor models.
     pub fn node(&self) -> NodeId {
         self.node

@@ -306,7 +306,22 @@ pub struct RunOptions<'a> {
     pub restore_from: Option<&'a Snapshot>,
     /// Write periodic snapshots during the run.
     pub checkpoint: Option<&'a CheckpointOpts<'a>>,
+    /// Run-time observation: called with the virtual time reached and the
+    /// results so far whenever the event count reaches a multiple of
+    /// [`PROGRESS_EVERY`] — absolute multiples, so a restored run samples
+    /// where the uninterrupted one did — and once more when the event set
+    /// drains, unless the last sample fell there. Observation only. The
+    /// sharded path never calls it: its shards merge their results only
+    /// at the end.
+    pub progress: Option<Progress<'a>>,
 }
+
+/// A [`RunOptions::progress`] hook: the virtual time reached and the
+/// results so far.
+pub type Progress<'a> = &'a dyn Fn(Time, &CommResult);
+
+/// Events between two [`RunOptions::progress`] samples.
+pub const PROGRESS_EVERY: u64 = 500;
 
 /// One shard's deposited capture: its partition slice plus the probe
 /// events it has buffered so far.
@@ -432,8 +447,8 @@ pub fn run_comm(
 }
 
 /// The serial path of [`run_comm`]: restore (if asked), then run in
-/// stretches bounded by the next checkpoint instant, capturing at each
-/// multiple of the cadence until the event set drains.
+/// stretches that end at the next checkpoint instant or the next progress
+/// sample, whichever comes first, until the event set drains.
 fn run_serial(
     cfg: NetworkConfig,
     traces: &TraceSet,
@@ -448,18 +463,43 @@ fn run_serial(
         }
         None => CommSim::build(cfg, traces, probe.clone(), opts.faults.clone()),
     };
-    if let Some(ck) = opts.checkpoint {
-        let mut next_cp = ck.first_capture_ps(opts.restore_from);
-        // Deliver everything strictly before the capture instant; anything
-        // but a time-limit stop means the event set drained first.
-        while sim.run_until(Time::from_ps(next_cp - 1)) == RunResult::TimeLimit {
-            let mut snap = sim.checkpoint(&ck.config_hash, Time::from_ps(next_cp));
-            snap.attribution = capture_attribution(probe);
-            (ck.write)(&snap)?;
-            next_cp += ck.every.as_ps();
+    if opts.checkpoint.is_none() && opts.progress.is_none() {
+        return Ok(sim.run());
+    }
+    let mut next_cp = opts
+        .checkpoint
+        .map(|ck| ck.first_capture_ps(opts.restore_from));
+    let every = opts.progress.map_or(u64::MAX, |_| PROGRESS_EVERY);
+    let mut sampled_at = None;
+    loop {
+        // Deliver everything strictly before the capture instant, up to
+        // the next absolute multiple of the sampling interval.
+        let deadline = next_cp.map_or(Time::MAX, |cp| Time::from_ps(cp - 1));
+        match sim.run_core(deadline, every - sim.events() % every) {
+            RunResult::TimeLimit => {
+                let (ck, cp) = opts
+                    .checkpoint
+                    .zip(next_cp)
+                    .expect("only a capture sets a deadline");
+                let mut snap = sim.checkpoint(&ck.config_hash, Time::from_ps(cp));
+                snap.attribution = capture_attribution(probe);
+                (ck.write)(&snap)?;
+                next_cp = Some(cp + ck.every.as_ps());
+            }
+            RunResult::EventLimit => {
+                if let Some(progress) = opts.progress {
+                    progress(sim.now(), &sim.result());
+                    sampled_at = Some(sim.events());
+                }
+            }
+            RunResult::Drained | RunResult::Stopped => break,
         }
     }
-    Ok(sim.run())
+    let result = sim.result();
+    if let Some(progress) = opts.progress.filter(|_| sampled_at != Some(result.events)) {
+        progress(sim.now(), &result);
+    }
+    Ok(result)
 }
 
 /// Everything the shard workers of one run share.
@@ -933,6 +973,25 @@ mod tests {
             ..RunOptions::default()
         };
         run_comm(cfg, ts, &opts).expect("a run without snapshot options cannot fail")
+    }
+
+    #[test]
+    fn only_the_serial_path_samples_progress() {
+        let cfg = NetworkConfig::test(Topology::Ring(8));
+        let ts = exchange_traces(8);
+        let calls = std::cell::Cell::new(0);
+        let hook = |_: Time, _: &CommResult| calls.set(calls.get() + 1);
+        for (shards, sampled) in [(1, true), (2, false)] {
+            calls.set(0);
+            let opts = RunOptions {
+                shards,
+                progress: Some(&hook),
+                ..RunOptions::default()
+            };
+            let (_, profile) = run_comm(cfg, &ts, &opts).unwrap();
+            assert_eq!(profile.is_none(), sampled);
+            assert_eq!(calls.get() > 0, sampled);
+        }
     }
 
     #[test]

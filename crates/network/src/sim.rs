@@ -35,7 +35,7 @@ pub struct CommResult {
     pub all_done: bool,
     /// Nodes whose processors can never finish (deadlock or mismatched
     /// communication). Only a *drained* event set proves that, so this is
-    /// empty in mid-run snapshots (see [`CommSim::run_events`]) even while
+    /// empty in mid-run snapshots (see [`CommSim::result`]) even while
     /// some nodes are still working — use [`CommResult::nodes_done`] for
     /// progress.
     pub deadlocked: Vec<NodeId>,
@@ -396,25 +396,28 @@ impl CommSim {
         self.engine.now()
     }
 
-    /// True when no events remain (the run has finished or deadlocked).
-    pub fn is_idle(&self) -> bool {
-        self.engine.pending_events() == 0
-    }
-
     /// Run to completion (event set drained) and collect results.
     pub fn run(&mut self) -> CommResult {
         self.engine.run();
-        self.collect()
+        self.result()
     }
 
-    /// Run at most `max_events` events (for incremental/run-time
-    /// observation), then collect a snapshot.
-    pub fn run_events(&mut self, max_events: u64) -> CommResult {
-        self.engine.run_events(max_events);
-        self.collect()
+    /// Run until virtual `deadline` (inclusive, as [`CommSim::run_until`])
+    /// or until `max_events` more events have been delivered, whichever
+    /// comes first — the stepping loop of a run that samples progress or
+    /// writes checkpoints. Read the results so far with
+    /// [`CommSim::result`].
+    pub fn run_core(&mut self, deadline: Time, max_events: u64) -> pearl::engine::RunResult {
+        self.engine.run_core(deadline, max_events)
     }
 
-    fn collect(&self) -> CommResult {
+    /// Events delivered so far (including those before a restore point).
+    pub(crate) fn events(&self) -> u64 {
+        self.engine.events_processed()
+    }
+
+    /// The results so far; the final results once the event set drained.
+    pub fn result(&self) -> CommResult {
         let n = self.nodes;
         let world = self.engine.world();
         let mut nodes = Vec::with_capacity(n as usize);
@@ -579,7 +582,8 @@ mod tests {
             ]
         });
         let mut sim = CommSim::new(cfg(Topology::Ring(2)), &ts);
-        let snap = sim.run_events(1);
+        sim.run_core(Time::MAX, 1);
+        let snap = sim.result();
         assert!(!snap.all_done);
         assert!(
             snap.deadlocked.is_empty(),
@@ -765,7 +769,8 @@ mod tests {
     fn snapshot_collection_mid_run() {
         let ts = trace_set(2, |_| vec![Operation::Compute { ps: 1000 }; 10]);
         let mut sim = CommSim::new(cfg(Topology::Ring(2)), &ts);
-        let snap = sim.run_events(3);
+        sim.run_core(Time::MAX, 3);
+        let snap = sim.result();
         assert!(!snap.all_done);
         let fin = sim.run();
         assert!(fin.all_done);

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 
 use mermaid_network::{CommResult, CommSim, NetworkConfig, Routing, Switching, Topology};
 use mermaid_ops::{Operation, TraceSet};
+use pearl::{RunResult, Time};
 
 /// Compare every observable of two results.
 fn assert_identical(a: &CommResult, b: &CommResult) -> Result<(), TestCaseError> {
@@ -95,10 +96,7 @@ proptest! {
         }
         let one_shot = CommSim::new(cfg, &ts).run();
         let mut stepped_sim = CommSim::new(cfg, &ts);
-        let mut stepped = stepped_sim.run_events(batch);
-        while !stepped_sim.is_idle() {
-            stepped = stepped_sim.run_events(batch);
-        }
-        assert_identical(&one_shot, &stepped)?;
+        while stepped_sim.run_core(Time::MAX, batch) == RunResult::EventLimit {}
+        assert_identical(&one_shot, &stepped_sim.result())?;
     }
 }

@@ -194,7 +194,7 @@ pub enum RunResult {
     Stopped,
     /// The time bound of [`Engine::run_until`] was reached.
     TimeLimit,
-    /// The event bound of [`Engine::run_events`] was reached.
+    /// The event bound of [`Engine::run_core`] was reached.
     EventLimit,
 }
 
@@ -367,11 +367,6 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
         self.probe = Some(probe);
     }
 
-    /// Detach the current probe, if any, returning it to the caller.
-    pub fn take_probe(&mut self) -> Option<Box<dyn EngineProbe>> {
-        self.probe.take()
-    }
-
     /// Ladder-tier transition counters of the underlying event queue.
     pub fn ladder_stats(&self) -> LadderStats {
         self.queue.ladder_stats()
@@ -523,20 +518,18 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
         self.run_core(deadline, u64::MAX)
     }
 
-    /// Run at most `max_events` events. Stop handling matches
-    /// [`Engine::run_until`].
-    pub fn run_events(&mut self, max_events: u64) -> RunResult {
-        self.run_core(Time::MAX, max_events)
-    }
-
-    /// The batched main loop behind `run_until`/`run_events`.
+    /// Run until `deadline` (as [`Engine::run_until`]) or until
+    /// `max_events` events have been delivered, whichever comes first.
+    /// Stop handling matches [`Engine::run_until`]. `max_events == 0`
+    /// delivers nothing and reports [`RunResult::EventLimit`].
     ///
-    /// Events are delivered strictly in `(time, seq)` order — identical to
+    /// This is the batched main loop behind `run`/`run_until`. Events are
+    /// delivered strictly in `(time, seq)` order — identical to
     /// repeated [`Engine::step`] — but consecutive events at the same
     /// instant are dispatched in one inner loop, and a run of same-instant
     /// events addressed to the same component reuses a single component
     /// borrow, so the per-event cost is one queue pop plus the handler.
-    fn run_core(&mut self, deadline: Time, max_events: u64) -> RunResult {
+    pub fn run_core(&mut self, deadline: Time, max_events: u64) -> RunResult {
         self.ensure_init();
         if self.stop_requested {
             // Raised during init (first run) or unobserved by a caller:
@@ -799,7 +792,7 @@ mod tests {
     }
 
     #[test]
-    fn run_events_bounds_work() {
+    fn run_core_bounds_work() {
         let mut e = Engine::new();
         e.add_component(
             "ticker",
@@ -809,9 +802,9 @@ mod tests {
                 fired_at: Vec::new(),
             },
         );
-        assert_eq!(e.run_events(20), RunResult::EventLimit);
+        assert_eq!(e.run_core(Time::MAX, 20), RunResult::EventLimit);
         assert_eq!(e.events_processed(), 20);
-        assert_eq!(e.run_events(1_000), RunResult::Drained);
+        assert_eq!(e.run_core(Time::MAX, 1_000), RunResult::Drained);
         assert_eq!(e.events_processed(), 50);
     }
 
@@ -866,7 +859,7 @@ mod tests {
     }
 
     /// A stop raised during component `init` used to be silently cleared
-    /// by the reset-on-entry in `run_until`/`run_events`; it must instead
+    /// by the reset-on-entry in `run_until`/`run_core`; it must instead
     /// stop the first run before any event is delivered.
     #[test]
     fn stop_during_init_halts_before_any_event() {
@@ -901,14 +894,14 @@ mod tests {
         }
         let mut e = Engine::new();
         e.add_component("s", InitStopper);
-        assert_eq!(e.run_events(10), RunResult::Stopped);
+        assert_eq!(e.run_core(Time::MAX, 10), RunResult::Stopped);
         assert_eq!(e.events_processed(), 0);
-        assert_eq!(e.run_events(10), RunResult::Drained);
+        assert_eq!(e.run_core(Time::MAX, 10), RunResult::Drained);
         assert_eq!(e.events_processed(), 1);
     }
 
     #[test]
-    fn run_events_zero_is_a_noop_event_limit() {
+    fn run_core_zero_is_a_noop_event_limit() {
         let mut e = Engine::new();
         e.add_component(
             "ticker",
@@ -918,7 +911,7 @@ mod tests {
                 fired_at: Vec::new(),
             },
         );
-        assert_eq!(e.run_events(0), RunResult::EventLimit);
+        assert_eq!(e.run_core(Time::MAX, 0), RunResult::EventLimit);
         assert_eq!(e.events_processed(), 0);
     }
 
@@ -985,9 +978,6 @@ mod tests {
         assert_eq!(rec.deliveries.len() as u64, probed.events_processed());
         // Deliveries arrive in nondecreasing time order.
         assert!(rec.deliveries.windows(2).all(|w| w[0].0 <= w[1].0));
-        // Detaching returns the probe and restores the unprobed path.
-        assert!(probed.take_probe().is_some());
-        assert!(probed.take_probe().is_none());
     }
 
     #[test]

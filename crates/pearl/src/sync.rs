@@ -111,16 +111,6 @@ impl<K: Eq + Hash + Clone, A, W> MatchBox<K, A, W> {
         self.waiters.get(k).is_some_and(|q| !q.is_empty())
     }
 
-    /// Number of queued (unmatched) arrivals across all channels.
-    pub fn pending_arrivals(&self) -> usize {
-        self.arrivals.values().map(VecDeque::len).sum()
-    }
-
-    /// Number of queued (unmatched) waiters across all channels.
-    pub fn pending_waiters(&self) -> usize {
-        self.waiters.values().map(VecDeque::len).sum()
-    }
-
     /// True when nothing is queued on either side.
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty() && self.waiters.is_empty()
@@ -198,6 +188,11 @@ impl<V> Pending<V> {
 mod tests {
     use super::*;
 
+    /// Queued (unmatched) entries on one side, across all channels.
+    fn queued<K, T>(side: &Queues<K, T>) -> usize {
+        side.values().map(VecDeque::len).sum()
+    }
+
     #[test]
     fn tokens_are_unique_and_increasing() {
         let mut g = TokenGen::new();
@@ -210,7 +205,7 @@ mod tests {
     fn arrival_first_then_waiter() {
         let mut m: MatchBox<u32, &str, &str> = MatchBox::new();
         assert_eq!(m.arrive(7, "msg"), None);
-        assert_eq!(m.pending_arrivals(), 1);
+        assert_eq!(queued(&m.arrivals), 1);
         assert_eq!(m.wait(7, "recv"), Some("msg"));
         assert!(m.is_empty());
     }
@@ -219,7 +214,7 @@ mod tests {
     fn waiter_first_then_arrival() {
         let mut m: MatchBox<u32, &str, &str> = MatchBox::new();
         assert_eq!(m.wait(3, "recv"), None);
-        assert_eq!(m.pending_waiters(), 1);
+        assert_eq!(queued(&m.waiters), 1);
         assert_eq!(m.arrive(3, "msg"), Some("recv"));
         assert!(m.is_empty());
     }
@@ -234,7 +229,7 @@ mod tests {
         assert_eq!(m.wait(1, 0), Some(11));
         assert_eq!(m.wait(2, 0), Some(20));
         assert_eq!(m.wait(1, 99), None);
-        assert_eq!(m.pending_waiters(), 1);
+        assert_eq!(queued(&m.waiters), 1);
     }
 
     #[test]
@@ -242,8 +237,8 @@ mod tests {
         let mut m: MatchBox<(u32, u32), &str, &str> = MatchBox::new();
         m.arrive((0, 1), "a");
         assert_eq!(m.wait((1, 0), "w"), None);
-        assert_eq!(m.pending_arrivals(), 1);
-        assert_eq!(m.pending_waiters(), 1);
+        assert_eq!(queued(&m.arrivals), 1);
+        assert_eq!(queued(&m.waiters), 1);
     }
 
     #[test]

@@ -77,12 +77,6 @@ impl Time {
         )
     }
 
-    /// Saturating version of [`Time::since`]: zero if `earlier` is later.
-    #[inline]
-    pub fn saturating_since(self, earlier: Time) -> Duration {
-        Duration(self.0.saturating_sub(earlier.0))
-    }
-
     /// The later of two instants.
     #[inline]
     pub fn max(self, other: Time) -> Time {
@@ -228,18 +222,6 @@ impl Frequency {
     #[inline]
     pub const fn cycles(self, n: u64) -> Duration {
         Duration(n * self.cycle().as_ps())
-    }
-
-    /// How many *whole* cycles of this clock fit in `d`.
-    #[inline]
-    pub const fn cycles_in(self, d: Duration) -> u64 {
-        d.as_ps() / self.cycle().as_ps()
-    }
-
-    /// How many cycles (fractional) of this clock span `d`; reporting only.
-    #[inline]
-    pub fn cycles_in_f64(self, d: Duration) -> f64 {
-        d.as_ps() as f64 / self.cycle().as_ps() as f64
     }
 }
 
@@ -438,15 +420,6 @@ mod tests {
     fn cycles_are_associative_within_a_clock() {
         let f = Frequency::from_mhz(143);
         assert_eq!(f.cycles(3) + f.cycles(7), f.cycles(10));
-        assert_eq!(f.cycles_in(f.cycles(1234)), 1234);
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        let a = Time::from_ps(5);
-        let b = Time::from_ps(10);
-        assert_eq!(a.saturating_since(b), Duration::ZERO);
-        assert_eq!(b.saturating_since(a), Duration::from_ps(5));
     }
 
     #[test]

@@ -2,17 +2,13 @@
 //!
 //! The aggregator folds the probe event stream into the existing
 //! `mermaid-stats` primitives — [`Counters`] for event counts,
-//! [`Utilization`] for link/bus occupancy, a [`Histogram`] for message
-//! latency, and a [`TimeSeries`] sampling engine queue depth — and
-//! renders them as a [`MetricsReport`] (ASCII tables plus CSV through
-//! `stats::csv`).
+//! [`Utilization`] for link/bus occupancy and a [`Histogram`] for message
+//! latency — and renders them as a [`MetricsReport`] (ASCII tables plus
+//! CSV).
 
 use crate::{AccessKind, ActKind, DropReason, HitWhere, Probe, SimEvent, TierMove};
-use mermaid_stats::{chart, csv, Counters, Histogram, Table, TimeSeries, Utilization};
+use mermaid_stats::{chart, Counters, Histogram, Table, Utilization};
 use std::collections::BTreeMap;
-
-/// Queue depth is sampled once per this many engine deliveries.
-const DEPTH_SAMPLE_EVERY: u64 = 256;
 
 /// What a counter counts. Recording touches counters by this `Copy` key,
 /// per node or run-wide; [`Key::name`] spells the registry name when a
@@ -96,7 +92,6 @@ pub struct MetricsAggregator {
     msg_latency_ps: Histogram,
     link_util: BTreeMap<(u32, u32), Utilization>,
     bus_util: BTreeMap<u32, Utilization>,
-    queue_depth: TimeSeries,
     deliveries: u64,
     last_tier: [u64; 3],
     finish_ps: u64,
@@ -117,7 +112,6 @@ impl MetricsAggregator {
             msg_latency_ps: Histogram::log2(),
             link_util: BTreeMap::new(),
             bus_util: BTreeMap::new(),
-            queue_depth: TimeSeries::new("queue_depth"),
             deliveries: 0,
             last_tier: [0; 3],
             finish_ps: 0,
@@ -163,11 +157,6 @@ impl MetricsAggregator {
     /// Latest virtual time seen in any event.
     pub fn finish_ps(&self) -> u64 {
         self.finish_ps
-    }
-
-    /// The decimated engine queue-depth series.
-    pub fn queue_depth(&self) -> &TimeSeries {
-        &self.queue_depth
     }
 
     fn tier_index(kind: TierMove) -> usize {
@@ -233,7 +222,6 @@ impl MetricsAggregator {
             } else {
                 None
             },
-            queue_depth: self.queue_depth.clone(),
         }
     }
 }
@@ -242,12 +230,7 @@ impl Probe for MetricsAggregator {
     fn record(&mut self, ev: &SimEvent) {
         self.finish_ps = self.finish_ps.max(ev.ts_ps());
         match *ev {
-            SimEvent::EngineDelivery { ts_ps, pending, .. } => {
-                self.deliveries += 1;
-                if self.deliveries % DEPTH_SAMPLE_EVERY == 1 {
-                    self.queue_depth.push(ts_ps, pending as f64);
-                }
-            }
+            SimEvent::EngineDelivery { .. } => self.deliveries += 1,
             SimEvent::QueueTier { kind, total, .. } => {
                 let i = Self::tier_index(kind);
                 let delta = total.saturating_sub(self.last_tier[i]);
@@ -377,8 +360,6 @@ pub struct MetricsReport {
     pub occupancy: Table,
     /// ASCII latency histogram, when any message was delivered.
     pub latency_chart: Option<String>,
-    /// Decimated engine queue-depth samples.
-    pub queue_depth: TimeSeries,
 }
 
 impl MetricsReport {
@@ -403,11 +384,6 @@ impl MetricsReport {
     /// The counter table as CSV (`counter,value` rows).
     pub fn to_csv(&self) -> String {
         self.counters.to_csv()
-    }
-
-    /// The queue-depth series as CSV (`time_ps,queue_depth`).
-    pub fn queue_depth_csv(&self) -> String {
-        csv::series_to_csv(&[&self.queue_depth])
     }
 }
 
@@ -498,21 +474,5 @@ mod tests {
             total: 5,
         });
         assert_eq!(m.counters().get("queue/promotion"), 5);
-    }
-
-    #[test]
-    fn queue_depth_is_sampled_and_exports_csv() {
-        let mut m = MetricsAggregator::new();
-        for i in 0..(2 * DEPTH_SAMPLE_EVERY) {
-            m.record(&SimEvent::EngineDelivery {
-                ts_ps: i * 10,
-                src: 0,
-                dst: 0,
-                pending: i as usize,
-            });
-        }
-        assert_eq!(m.queue_depth().len(), 2);
-        let csv = m.report(0).queue_depth_csv();
-        assert!(csv.starts_with("time_ps,queue_depth"));
     }
 }

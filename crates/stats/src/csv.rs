@@ -1,6 +1,4 @@
-//! Minimal CSV export (RFC-4180 quoting) for series and tables.
-
-use crate::timeseries::TimeSeries;
+//! Minimal CSV export (RFC-4180 quoting) for tables.
 
 /// Quote a CSV field if it contains a comma, quote, or line break.
 ///
@@ -82,33 +80,6 @@ pub fn csv_line<S: AsRef<str>>(fields: &[S]) -> String {
     out
 }
 
-/// Export several time series sharing a time axis to CSV.
-///
-/// The time axis is the union of all sample times; series values are
-/// step-interpolated. Columns: `time_ps, <series names…>`. Missing values
-/// (before a series' first sample) are empty fields.
-pub fn series_to_csv(series: &[&TimeSeries]) -> String {
-    let mut times: Vec<u64> = series
-        .iter()
-        .flat_map(|s| s.samples().iter().map(|&(t, _)| t))
-        .collect();
-    times.sort_unstable();
-    times.dedup();
-
-    let mut header: Vec<String> = vec!["time_ps".to_string()];
-    header.extend(series.iter().map(|s| s.name.clone()));
-    let mut out = csv_line(&header);
-
-    for t in times {
-        let mut row: Vec<String> = vec![t.to_string()];
-        for s in series {
-            row.push(s.value_at(t).map(|v| format!("{v}")).unwrap_or_default());
-        }
-        out.push_str(&csv_line(&row));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,20 +129,5 @@ mod tests {
     #[test]
     fn line_joins_with_commas() {
         assert_eq!(csv_line(&["a", "b,c", "d"]), "a,\"b,c\",d\n");
-    }
-
-    #[test]
-    fn multi_series_export_aligns_time_axis() {
-        let mut a = TimeSeries::new("a");
-        a.push(0, 1.0);
-        a.push(20, 2.0);
-        let mut b = TimeSeries::new("b");
-        b.push(10, 5.0);
-        let csv = series_to_csv(&[&a, &b]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "time_ps,a,b");
-        assert_eq!(lines[1], "0,1,"); // b has no value yet
-        assert_eq!(lines[2], "10,1,5"); // a holds its last value
-        assert_eq!(lines[3], "20,2,5");
     }
 }

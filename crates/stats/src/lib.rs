@@ -20,11 +20,9 @@ pub mod chart;
 pub mod counter;
 pub mod csv;
 pub mod delivery;
-pub mod gnuplot;
 pub mod histogram;
 pub mod rank;
 pub mod state;
-pub mod summary;
 pub mod table;
 pub mod timeline;
 pub mod timeseries;
@@ -33,7 +31,6 @@ pub mod utilization;
 pub use counter::{Counter, Counters};
 pub use delivery::DeliveryStats;
 pub use histogram::Histogram;
-pub use summary::Summary;
 pub use table::Table;
 pub use timeseries::TimeSeries;
 pub use utilization::Utilization;

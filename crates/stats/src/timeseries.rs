@@ -63,35 +63,6 @@ impl TimeSeries {
         Some((lo, hi))
     }
 
-    /// Average rate of change between the first and last sample, per second
-    /// of virtual time. `None` for fewer than two samples or zero elapsed
-    /// time.
-    pub fn mean_rate_per_sec(&self) -> Option<f64> {
-        let (&(t0, v0), &(t1, v1)) = (self.samples.first()?, self.samples.last()?);
-        if t1 == t0 {
-            return None;
-        }
-        let dt_secs = (t1 - t0) as f64 / 1e12;
-        Some((v1 - v0) / dt_secs)
-    }
-
-    /// Value at `time_ps` by step interpolation (the most recent sample at
-    /// or before the query). `None` before the first sample.
-    pub fn value_at(&self, time_ps: u64) -> Option<f64> {
-        match self.samples.binary_search_by_key(&time_ps, |&(t, _)| t) {
-            Ok(i) => {
-                // Several samples may share a timestamp; take the last one.
-                let mut i = i;
-                while i + 1 < self.samples.len() && self.samples[i + 1].0 == time_ps {
-                    i += 1;
-                }
-                Some(self.samples[i].1)
-            }
-            Err(0) => None,
-            Err(i) => Some(self.samples[i - 1].1),
-        }
-    }
-
     /// Downsample to at most `max_points` by keeping every k-th sample
     /// (always keeps the last). Used before rendering large runs.
     pub fn downsample(&self, max_points: usize) -> TimeSeries {
@@ -142,35 +113,12 @@ mod tests {
     }
 
     #[test]
-    fn mean_rate_uses_virtual_seconds() {
-        // 3 units over 2e12 ps = 2 virtual seconds -> 1.5 per second.
-        let s = series(&[(0, 0.0), (2_000_000_000_000, 3.0)]);
-        assert!((s.mean_rate_per_sec().unwrap() - 1.5).abs() < 1e-12);
-        assert_eq!(series(&[(5, 1.0)]).mean_rate_per_sec(), None);
-        assert_eq!(series(&[(5, 1.0), (5, 2.0)]).mean_rate_per_sec(), None);
-    }
-
-    #[test]
-    fn step_interpolation() {
-        let s = series(&[(10, 1.0), (20, 2.0), (20, 3.0), (30, 4.0)]);
-        assert_eq!(s.value_at(5), None);
-        assert_eq!(s.value_at(10), Some(1.0));
-        assert_eq!(s.value_at(15), Some(1.0));
-        assert_eq!(s.value_at(20), Some(3.0)); // last sample at t=20
-        assert_eq!(s.value_at(29), Some(3.0));
-        assert_eq!(s.value_at(100), Some(4.0));
-    }
-
-    #[test]
     fn empty_series_answers_none_everywhere() {
         let s = TimeSeries::new("empty");
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert_eq!(s.last(), None);
         assert_eq!(s.value_range(), None);
-        assert_eq!(s.value_at(0), None);
-        assert_eq!(s.value_at(u64::MAX), None);
-        assert_eq!(s.mean_rate_per_sec(), None);
         assert_eq!(s.downsample(2), s);
     }
 
@@ -178,10 +126,6 @@ mod tests {
     fn single_sample_series() {
         let s = series(&[(100, 7.0)]);
         assert_eq!(s.value_range(), Some((7.0, 7.0)));
-        assert_eq!(s.value_at(99), None);
-        assert_eq!(s.value_at(100), Some(7.0));
-        assert_eq!(s.value_at(101), Some(7.0));
-        assert_eq!(s.mean_rate_per_sec(), None);
         assert_eq!(s.downsample(2), s);
     }
 
@@ -192,8 +136,7 @@ mod tests {
         s.push(10, 2.0);
         s.push(10, 3.0);
         assert_eq!(s.len(), 3);
-        // Step interpolation resolves to the last sample at that instant.
-        assert_eq!(s.value_at(10), Some(3.0));
+        assert_eq!(s.last(), Some((10, 3.0)));
     }
 
     #[test]

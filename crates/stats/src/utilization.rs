@@ -60,17 +60,6 @@ impl Utilization {
             self.busy_ps as f64 / horizon_ps as f64
         }
     }
-
-    /// Serve a request of length `dur_ps` arriving at `arrive_ps` under FCFS
-    /// arbitration: the request starts when both it has arrived and the
-    /// resource is free. Records the busy interval and returns
-    /// `(start_ps, end_ps)`.
-    pub fn serve_fcfs(&mut self, arrive_ps: u64, dur_ps: u64) -> (u64, u64) {
-        let start = arrive_ps.max(self.last_end);
-        let end = start + dur_ps;
-        self.record(start, end);
-        (start, end)
-    }
 }
 
 #[cfg(test)]
@@ -106,18 +95,6 @@ mod tests {
     #[test]
     fn zero_horizon_fraction_is_zero() {
         assert_eq!(Utilization::new().fraction(0), 0.0);
-    }
-
-    #[test]
-    fn fcfs_queues_behind_current_work() {
-        let mut u = Utilization::new();
-        // First request at t=10 for 5: served [10,15).
-        assert_eq!(u.serve_fcfs(10, 5), (10, 15));
-        // Second arrives at t=12 while busy: waits until 15.
-        assert_eq!(u.serve_fcfs(12, 3), (15, 18));
-        // Third arrives after the resource went idle.
-        assert_eq!(u.serve_fcfs(100, 1), (100, 101));
-        assert_eq!(u.busy_ps(), 9);
     }
 
     #[test]
@@ -157,13 +134,5 @@ mod tests {
         let mut u = Utilization::new();
         u.record(0, 100);
         assert!((u.fraction(50) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_duration_fcfs_requests_do_not_advance_the_clock() {
-        let mut u = Utilization::new();
-        assert_eq!(u.serve_fcfs(10, 0), (10, 10));
-        assert_eq!(u.serve_fcfs(10, 4), (10, 14));
-        assert_eq!(u.busy_ps(), 4);
     }
 }

@@ -216,13 +216,22 @@ echo "==> cli: a flag its subcommand does not take is an error, not ignored"
 # Each of these exited 0 with the flag silently dropped. Exit status 1 is
 # the CLI's own error path; 0 means ignored again, 101 a panic.
 for args in "analyze --restore x.snap" "analyze --checkpoint-every 100" \
-    "analyze --checkpoint-dir d" "sim --mode detailed --watch" "sim --mode direct --watch" \
+    "analyze --checkpoint-dir d" "sim --mode direct --watch" "sim --watch --shards 2" \
     "probe --faults frob:1 --restore nope" "topo ring:4 mesh:2x2"; do
     # shellcheck disable=SC2086  # $args is a word list by construction
     "$cli" $args > /dev/null 2>&1 && rc=0 || rc=$?
     [ "$rc" -eq 1 ] \
         || { echo "\`mermaid-cli $args\` should be a clean error, got exit $rc" >&2; exit 1; }
 done
+
+echo "==> cli: --watch samples detailed-mode runs too"
+# The progress hook rides on the one run path, which detailed mode's
+# communication phase shares; this combination used to be refused.
+"$cli" sim --mode detailed --machine test --topology ring:4 --ops 300 --watch \
+    > /dev/null 2> "$sharded_out" \
+    || { echo "sim --mode detailed --watch failed" >&2; exit 1; }
+grep -q "done=" "$sharded_out" \
+    || { echo "sim --mode detailed --watch printed no progress line" >&2; exit 1; }
 
 echo "==> cli: invalid topology specs fail cleanly (no panic)"
 for spec in ring:1 mesh:0x4 hypercube:21 mesh:100000x100000; do
@@ -322,6 +331,17 @@ for shards in 1 3; do
         || { echo "restored run diverged from straight-through (shards=$shards)" >&2; exit 1; }
 done
 
+echo "==> cli: a restored --watch run prints the tail of the uninterrupted run's progress"
+# Samples fall at absolute multiples of the event count, so the restored
+# run's stderr is the uninterrupted run's last lines, nothing else.
+"$cli" "${ckpt_args[@]}" --watch 2> "$serial_out" > /dev/null
+"$cli" "${ckpt_args[@]}" --watch --restore "$mid" 2> "$sharded_out" > /dev/null
+restored_lines=$(wc -l < "$sharded_out")
+[ "$restored_lines" -gt 0 ] && [ "$restored_lines" -lt "$(wc -l < "$serial_out")" ] \
+    || { echo "restored --watch printed $restored_lines progress line(s)" >&2; exit 1; }
+tail -n "$restored_lines" "$serial_out" | diff -u - "$sharded_out" \
+    || { echo "restored --watch stderr is not the tail of the uninterrupted run's" >&2; exit 1; }
+
 echo "==> cli: damaged or mismatched snapshots fail cleanly (no panic)"
 head -c 40 "$mid" > "$ckpt_serial_dir/torn.snap"
 if cargo run --release -p mermaid --bin mermaid-cli -- "${ckpt_args[@]}" \
@@ -397,5 +417,8 @@ fi
 
 echo "==> info: non-test library lines per crate (scripts/loc.sh; not a gate)"
 scripts/loc.sh
+
+echo "==> info: pub fns with no use outside their own file's tests (scripts/unused_pub.sh; not a gate)"
+scripts/unused_pub.sh
 
 echo "All checks passed."

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Where does one mermaid-cli call spend its host CPU time? A sampling
 # profile for hosts without perf or valgrind: an LD_PRELOAD sampler takes
-# the interrupted instruction pointer on every SIGPROF (1 ms of process CPU
-# time) and saves it with /proc/self/maps at exit; addr2line then resolves
-# each sample against the binary's PIE load base, inline frames included.
+# the interrupted instruction pointer on every SIGPROF and saves it with
+# /proc/self/maps and the process CPU time (CLOCK_PROCESS_CPUTIME_ID) at
+# exit; addr2line then resolves each sample against the binary's PIE load
+# base, inline frames included. The timer asks for a sample per 1 ms of
+# process CPU time, but the kernel delivers them at its tick (about 4 ms
+# on a 250 Hz kernel), so the header prints the period measured from the
+# CPU time and the sample count.
 # Prints the top innermost functions (the inlined leaf the CPU was in) and
 # the top outermost ones (the symbol that leaf was inlined into). Samples
 # outside the binary count as their library ([libc.so.6], ...).
@@ -44,11 +48,19 @@ cat > "$work/sampler.c" <<'C'
 #include <stdio.h>
 #include <stdlib.h>
 #include <sys/time.h>
+#include <time.h>
 #include <ucontext.h>
 
 #define MAX_SAMPLES (1 << 20)
 static unsigned long ips[MAX_SAMPLES];
 static unsigned long taken;
+static struct timespec cpu_start;
+
+static long long cpu_ns(void) {
+    struct timespec now;
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+    return (now.tv_sec - cpu_start.tv_sec) * 1000000000LL + (now.tv_nsec - cpu_start.tv_nsec);
+}
 
 static void on_prof(int sig, siginfo_t *info, void *ctx) {
     (void)sig; (void)info;
@@ -61,6 +73,7 @@ __attribute__((constructor)) static void start(void) {
     sa.sa_sigaction = on_prof;
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigaction(SIGPROF, &sa, NULL);
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu_start);
     struct itimerval every_ms = {{0, 1000}, {0, 1000}};
     setitimer(ITIMER_PROF, &every_ms, NULL);
 }
@@ -68,6 +81,7 @@ __attribute__((constructor)) static void start(void) {
 __attribute__((destructor)) static void stop(void) {
     struct itimerval off = {{0, 0}, {0, 0}};
     setitimer(ITIMER_PROF, &off, NULL);
+    long long cpu = cpu_ns();
     const char *path = getenv("HOSTPROF_OUT");
     FILE *out = path ? fopen(path, "w") : NULL;
     FILE *maps = fopen("/proc/self/maps", "r");
@@ -75,6 +89,7 @@ __attribute__((destructor)) static void stop(void) {
     char line[4096];
     while (fgets(line, sizeof line, maps)) fprintf(out, "map %s", line);
     fclose(maps);
+    fprintf(out, "cpu_ns %lld\n", cpu);
     unsigned long n = taken < MAX_SAMPLES ? taken : MAX_SAMPLES;
     for (unsigned long i = 0; i < n; i++) fprintf(out, "ip %lx\n", ips[i]);
     fclose(out);
@@ -83,12 +98,13 @@ C
 gcc -O2 -shared -fPIC -o "$work/sampler.so" "$work/sampler.c"
 
 : > "$work/exe_samples" > "$work/lib_samples"
-total=0
+total=0 cpu_ns=0
 for run in $(seq "$runs"); do
     [ -z "$clean" ] || rm -rf "$clean"
     HOSTPROF_OUT="$work/raw" LD_PRELOAD="$work/sampler.so" "$exe" "$@" > /dev/null
     [ -s "$work/raw" ] || { echo "hostprof: the sampler wrote nothing (run $run)" >&2; exit 1; }
     total=$((total + $(grep -c '^ip ' "$work/raw" || true)))
+    cpu_ns=$((cpu_ns + $(grep '^cpu_ns ' "$work/raw" | cut -d' ' -f2)))
 
     # Executable mappings as decimal [lo, hi) ranges. The binary's load
     # base is the start of its first mapping (file offset 0).
@@ -132,7 +148,10 @@ awk -v inner="$work/inner" -v outer="$work/outer" '
     END { if (k) print count[k], last > outer }
 ' "$work/in_exe" "$work/lib_samples" "$work/frames"
 
-echo "$total samples (1 ms of CPU each) over $runs run(s) of: mermaid-cli $*"
+awk -v n="$total" -v ns="$cpu_ns" -v runs="$runs" -v cmd="$*" 'BEGIN {
+    printf "%d samples over %.2f s of CPU (~%.1f ms each) in %d run(s) of: mermaid-cli %s\n",
+        n, ns / 1e9, n ? ns / 1e6 / n : 0, runs, cmd
+}'
 for table in inner outer; do
     [ "$table" = inner ] && echo "-- innermost function (inlined leaf)" \
         || echo "-- outermost function (symbol)"

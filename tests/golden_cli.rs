@@ -442,7 +442,13 @@ const CHILD_ARGS: &str = "MERMAID_CLI_ARGS";
 /// on [`stderr_child`] alone with the output capture off.
 fn cli_stderr(args: &[&str]) -> String {
     let out = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["stderr_child", "--exact", "--nocapture", "--test-threads", "1"])
+        .args([
+            "stderr_child",
+            "--exact",
+            "--nocapture",
+            "--test-threads",
+            "1",
+        ])
         .env(CHILD_ARGS, args.join("\n"))
         .output()
         .unwrap();
@@ -520,4 +526,159 @@ fn golden_watch_progress() {
             &what,
         );
     }
+}
+
+/// `WATCH_RUNS`' many-sample run, without `--watch`, plus `extra`.
+fn torus_run<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+    let args = WATCH_RUNS[1].1;
+    [&args[..args.len() - 1], extra].concat()
+}
+
+/// `out` without its `messages over time:` line.
+fn without_sparkline(out: &str) -> String {
+    out.lines()
+        .filter(|l| !l.starts_with("messages over time: "))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+#[test]
+fn watch_adds_one_sparkline_line_after_the_report_table() {
+    // `--watch` runs through the same run path as every other `sim`: its
+    // stdout is the unwatched stdout plus the sparkline, placed right
+    // after the mode's report table — in detailed mode and under faults
+    // too (detailed mode's host-time `slowdown` line aside).
+    let faults = [
+        "--faults",
+        "link:0-1:2000:60000; drop:20000",
+        "--fault-seed",
+        "9",
+    ];
+    let detailed = [
+        "sim",
+        "--machine",
+        "test",
+        "--topology",
+        "ring:4",
+        "--mode",
+        "detailed",
+        "--phases",
+        "2",
+        "--ops",
+        "300",
+    ];
+    let drop_slowdown = |out: &str| -> String {
+        out.lines()
+            .filter(|l| !l.starts_with("slowdown "))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    };
+    for (args, next) in [
+        (torus_run(&[]), None),
+        (torus_run(&faults), Some("\nfault injection: ")),
+        (detailed.to_vec(), Some("\nslowdown ")),
+    ] {
+        let watch = [&args[..], &["--watch"]].concat();
+        let (plain, watched) = (cli(&args), cli(&watch));
+        assert_eq!(
+            drop_slowdown(&without_sparkline(&watched)),
+            drop_slowdown(&plain)
+        );
+        let spark = sparkline_line(&watched);
+        assert_eq!(spark.lines().count(), 1, "{watched}");
+        let at = watched.find(&spark).unwrap() + spark.len();
+        match next {
+            Some(next) => assert!(watched[at..].starts_with(next), "{watched}"),
+            None => assert_eq!(at, watched.len(), "{watched}"),
+        }
+        // Progress lines only; the last one reports every node done.
+        let stderr = cli_stderr(&watch);
+        assert!(stderr.lines().all(|l| l.starts_with("t=")), "{stderr}");
+        let done = stderr
+            .lines()
+            .last()
+            .unwrap()
+            .split("done=")
+            .nth(1)
+            .unwrap();
+        let (finished, nodes) = done.split_once('/').unwrap();
+        assert_eq!(finished, nodes, "{stderr}");
+    }
+}
+
+/// A fresh scratch directory for one test.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mermaid-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The files in `dir`, sorted by name, with their bytes.
+fn dir_files(dir: &PathBuf) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn watch_composes_with_checkpoints_and_restore() {
+    let (watched_dir, plain_dir) = (scratch_dir("watch-ckpt"), scratch_dir("plain-ckpt"));
+    let ckpt = |dir: &PathBuf| {
+        let dir = dir.to_str().unwrap().to_string();
+        [
+            "--checkpoint-every".to_string(),
+            "20000000".into(),
+            "--checkpoint-dir".into(),
+            dir,
+        ]
+    };
+    let (watched_ckpt, plain_ckpt) = (ckpt(&watched_dir), ckpt(&plain_dir));
+    let watched_ckpt: Vec<&str> = watched_ckpt.iter().map(String::as_str).collect();
+    let plain_ckpt: Vec<&str> = plain_ckpt.iter().map(String::as_str).collect();
+
+    // Checkpointing while watching writes the snapshots an unwatched
+    // checkpointed run writes, and prints the progress lines a watched
+    // run without checkpoints prints.
+    let uninterrupted = cli_stderr(&torus_run(&["--watch"]));
+    let watched = cli_stderr(&torus_run(&[&["--watch"][..], &watched_ckpt].concat()));
+    assert_eq!(watched, uninterrupted);
+    cli(&torus_run(&plain_ckpt));
+    let snaps = dir_files(&watched_dir);
+    assert!(snaps.len() > 4, "{} snapshot(s)", snaps.len());
+    assert_eq!(snaps, dir_files(&plain_dir));
+
+    // A restored watched run prints the uninterrupted run's progress lines
+    // after the snapshot's event count — samples fall at absolute
+    // multiples of the event count, not at multiples from the restore.
+    let snap_path = watched_dir.join(&snaps[snaps.len() / 2].0);
+    let snap = mermaid_network::Snapshot::read_file(&snap_path).unwrap();
+    assert_ne!(snap.events_processed % mermaid_network::PROGRESS_EVERY, 0);
+    let restore = torus_run(&["--watch", "--restore", snap_path.to_str().unwrap()]);
+    let events = |line: &str| -> u64 {
+        let field = line.split("events=").nth(1).unwrap();
+        field.split_whitespace().next().unwrap().parse().unwrap()
+    };
+    let tail: String = uninterrupted
+        .lines()
+        .filter(|l| events(l) > snap.events_processed)
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(tail.lines().count() > 2 && tail.len() < uninterrupted.len());
+    assert_eq!(cli_stderr(&restore), tail);
+    // Its stdout is the uninterrupted run's but for the sparkline, which
+    // covers only the samples after the restore.
+    let (restored, straight) = (cli(&restore), cli(&torus_run(&["--watch"])));
+    assert_eq!(without_sparkline(&restored), without_sparkline(&straight));
+    assert_ne!(sparkline_line(&restored), sparkline_line(&straight));
+
+    std::fs::remove_dir_all(&watched_dir).ok();
+    std::fs::remove_dir_all(&plain_dir).ok();
 }

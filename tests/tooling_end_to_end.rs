@@ -1,11 +1,15 @@
 //! End-to-end tests of the workbench tooling: trace files feeding
-//! simulations, observer output feeding the post-mortem renderers, and
-//! report artefacts.
+//! simulations, run-time progress samples, and report artefacts.
+
+use std::cell::RefCell;
 
 use mermaid::prelude::*;
-use mermaid::{observer, report};
+use mermaid::report;
+use mermaid_network::{
+    run_comm, CommResult, FaultSchedule, RetryParams, RunOptions, PROGRESS_EVERY,
+};
 use mermaid_ops::file as trace_file;
-use mermaid_stats::gnuplot::{series_script, PlotSpec};
+use pearl::Time;
 
 fn workload(nodes: u32) -> TraceSet {
     let app = StochasticApp {
@@ -33,33 +37,183 @@ fn traces_saved_to_disk_simulate_identically() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
+/// What a progress hook saw: (virtual ps, events, messages, nodes done).
+type Sample = (u64, u64, u64, u32);
+
+/// Run `traces` through `run_comm` with `opts` plus a progress hook;
+/// return the result and every sample the hook received.
+fn watched(
+    net: NetworkConfig,
+    traces: &TraceSet,
+    opts: RunOptions<'_>,
+) -> (CommResult, Vec<Sample>) {
+    let samples = RefCell::new(Vec::new());
+    let hook = |t: Time, r: &CommResult| {
+        samples
+            .borrow_mut()
+            .push((t.as_ps(), r.events, r.total_messages, r.nodes_done()));
+    };
+    let opts = RunOptions {
+        progress: Some(&hook),
+        ..opts
+    };
+    let (result, _) = run_comm(net, traces, &opts).unwrap();
+    (result, samples.into_inner())
+}
+
+fn unwatched(net: NetworkConfig, traces: &TraceSet, opts: &RunOptions<'_>) -> CommResult {
+    run_comm(net, traces, opts).unwrap().0
+}
+
+/// An all-to-all workload long enough for a dozen progress samples.
+fn watch_workload() -> (NetworkConfig, TraceSet) {
+    let machine = MachineConfig::test_machine(Topology::Torus2D { w: 4, h: 4 });
+    let app = StochasticApp {
+        phases: 3,
+        pattern: CommPattern::AllToAll,
+        ..StochasticApp::scientific(16)
+    };
+    let traces = StochasticGenerator::new(app, 1).generate_task_level();
+    (machine.network, traces)
+}
+
 #[test]
-fn observer_output_renders_to_every_postmortem_format() {
-    let machine = MachineConfig::test_machine(Topology::Ring(4));
-    let traces = StochasticGenerator::new(
-        StochasticApp {
-            phases: 6,
-            ..StochasticApp::scientific(4)
-        },
-        1,
-    )
-    .generate_task_level();
-    let (result, run) = observer::observe_task_level(machine.network, &traces, 32, |_| {});
+fn watching_a_run_does_not_perturb_it() {
+    // Fig. 1's run-time visualisation is a pure observer: the watched run
+    // returns exactly the unwatched result, sampled at every multiple of
+    // PROGRESS_EVERY events and once more when the event set drains.
+    let (net, traces) = watch_workload();
+    let plain = unwatched(net, &traces, &RunOptions::default());
+    let (result, samples) = watched(net, &traces, RunOptions::default());
+    assert_eq!(format!("{result:?}"), format!("{plain:?}"));
+    assert!(samples.len() > 10, "{samples:?}");
+    let (last, mid) = samples.split_last().unwrap();
+    for (i, s) in mid.iter().enumerate() {
+        assert_eq!(s.1, (i as u64 + 1) * PROGRESS_EVERY);
+    }
+    assert_eq!(
+        *last,
+        (plain.finish.as_ps(), plain.events, plain.total_messages, 16)
+    );
+    // Virtual time and the message count never go backwards.
+    assert!(samples
+        .windows(2)
+        .all(|w| w[0].0 <= w[1].0 && w[0].2 <= w[1].2));
+}
+
+#[test]
+fn progress_samples_see_intermediate_progress() {
+    let (net, traces) = watch_workload();
+    let (result, samples) = watched(net, &traces, RunOptions::default());
+    assert!(samples
+        .iter()
+        .any(|s| s.2 > 0 && s.2 < result.total_messages));
+}
+
+/// Regression: intermediate samples must track per-node completion —
+/// `nodes_done` climbs monotonically through strictly intermediate counts
+/// as staggered nodes finish, and no mid-run result reports a deadlock.
+#[test]
+fn nodes_done_climbs_through_intermediate_counts() {
+    let n = 4u32;
+    let mut traces = TraceSet::new(n as usize);
+    for node in 0..n {
+        // Compute-only traces of very different lengths: the nodes finish
+        // one by one, thousands of events apart.
+        for _ in 0..1_000 * (node + 1) {
+            traces
+                .trace_mut(node)
+                .push(Operation::Compute { ps: 10_000 });
+        }
+    }
+    let net = MachineConfig::test_machine(Topology::Ring(4)).network;
+    let samples = RefCell::new(Vec::new());
+    let hook = |_: Time, r: &CommResult| {
+        assert!(
+            r.deadlocked.is_empty(),
+            "work in progress reported as deadlock"
+        );
+        samples.borrow_mut().push(r.nodes_done());
+    };
+    let opts = RunOptions {
+        progress: Some(&hook),
+        ..RunOptions::default()
+    };
+    let (result, _) = run_comm(net, &traces, &opts).unwrap();
     assert!(result.all_done);
+    let done = samples.into_inner();
+    assert!(
+        done.windows(2).all(|w| w[0] <= w[1]),
+        "not monotone: {done:?}"
+    );
+    assert_eq!(*done.last().unwrap(), n);
+    assert!(
+        done.iter().any(|&d| d > 0 && d < n),
+        "no strictly intermediate completion count: {done:?}"
+    );
+}
 
-    // Sparkline.
-    let sl = mermaid_stats::chart::sparkline(&run.messages, 24);
-    assert!(!sl.is_empty());
+#[test]
+fn a_probed_watched_run_records_what_an_unwatched_one_does() {
+    // The run-time half (progress samples) and the post-mortem half (probe
+    // sinks) observe the same run: watching leaves the Chrome trace and the
+    // metrics report byte-identical.
+    let (net, traces) = watch_workload();
+    let probed = || ProbeHandle::new(ProbeStack::new().with_metrics().with_chrome());
+    let (a, b) = (probed(), probed());
+    let plain = unwatched(
+        net,
+        &traces,
+        &RunOptions {
+            probe: a.clone(),
+            ..RunOptions::default()
+        },
+    );
+    let (result, samples) = watched(
+        net,
+        &traces,
+        RunOptions {
+            probe: b.clone(),
+            ..RunOptions::default()
+        },
+    );
+    assert_eq!(format!("{result:?}"), format!("{plain:?}"));
+    assert!(samples.len() > 1);
+    let finish = plain.finish.as_ps();
+    assert_eq!(b.chrome_trace_json(), a.chrome_trace_json());
+    let report = |p: &ProbeHandle| p.metrics_report(finish).unwrap().render();
+    assert_eq!(report(&b), report(&a));
+    assert!(report(&a).contains("engine/deliveries"));
+}
 
-    // CSV with a shared time axis.
-    let csv = mermaid_stats::csv::series_to_csv(&[&run.messages, &run.nodes_done]);
-    assert!(csv.starts_with("time_ps,messages,nodes_done"));
-    assert!(csv.lines().count() > 2);
+#[test]
+fn a_watched_faulty_run_returns_the_unwatched_result() {
+    let (net, traces) = watch_workload();
+    let faults = FaultSchedule::parse("link:0-1:2000:60000; drop:20000", 9, RetryParams::default())
+        .map(std::sync::Arc::new)
+        .unwrap();
+    let opts = RunOptions {
+        faults: Some(faults),
+        ..RunOptions::default()
+    };
+    let plain = unwatched(net, &traces, &opts);
+    assert!(plain.total_retries > 0, "the schedule should cost retries");
+    let (result, samples) = watched(net, &traces, opts);
+    assert_eq!(format!("{result:?}"), format!("{plain:?}"));
+    assert_eq!(samples.last().unwrap().1, plain.events);
+}
 
-    // Gnuplot script.
-    let script = series_script(&PlotSpec::default(), &[&run.messages, &run.nodes_done]);
-    assert!(script.contains("$messages << EOD"));
-    assert!(script.contains("plot $messages"));
+#[test]
+fn the_sparkline_renders_from_progress_samples() {
+    let (net, traces) = watch_workload();
+    let (_, samples) = watched(net, &traces, RunOptions::default());
+    let mut messages = mermaid_stats::TimeSeries::new("messages");
+    for (t, _, m, _) in samples {
+        messages.push(t, m as f64);
+    }
+    let line = mermaid_stats::chart::sparkline(&messages, 24);
+    assert_eq!(line.chars().count(), messages.len().min(24));
+    assert!(line.starts_with('▁') && line.ends_with('█'), "{line}");
 }
 
 #[test]
@@ -191,26 +345,6 @@ fn faulty_traced_run_validates_with_fault_events_counted() {
         summary.fault_events
     );
     assert_eq!(summary.delivered_messages, Some(faulty.comm.total_messages));
-}
-
-#[test]
-fn run_time_watching_does_not_perturb_results() {
-    // Fig. 1's run-time visualisation must be a pure observer: watching at
-    // different sampling granularities yields identical simulations.
-    let machine = MachineConfig::test_machine(Topology::Ring(4));
-    let traces = StochasticGenerator::new(
-        StochasticApp {
-            phases: 5,
-            ..StochasticApp::scientific(4)
-        },
-        2,
-    )
-    .generate_task_level();
-    let (fine, _) = observer::observe_task_level(machine.network, &traces, 8, |_| {});
-    let (coarse, _) = observer::observe_task_level(machine.network, &traces, 10_000, |_| {});
-    assert_eq!(fine.finish, coarse.finish);
-    assert_eq!(fine.total_messages, coarse.total_messages);
-    assert_eq!(fine.events, coarse.events);
 }
 
 /// The fault spec of the faulty golden run: a healing link outage, a
