@@ -340,12 +340,7 @@ impl CampaignSpec {
             })?,
             ops: axis(l, "ops", d.ops, |v| parse_ops("ops", v))?,
             seeds: axis(l, "seed", d.seed, |v| unsigned("seed", v))?,
-            modes: axis(
-                l,
-                "mode",
-                d.mode,
-                named(|m| Mode::parse(m).and_then(check_recordable)),
-            )?,
+            modes: axis(l, "mode", d.mode, named(Mode::parse))?,
             shards: axis(l, "shards", d.shards, |v| match v.parse() {
                 Ok(n) if n >= 1 => Ok(n),
                 _ => Err("want a count >= 1; `auto` is host-dependent and would \
@@ -507,17 +502,6 @@ fn sample_preserving_order<T>(items: Vec<T>, n: usize, seed: u64) -> Vec<T> {
         .collect()
 }
 
-/// A campaign record is the communication model's statistics; direct
-/// execution keeps none worth recording, so only `sim` runs it.
-fn check_recordable(mode: Mode) -> Result<(), String> {
-    if mode == Mode::Direct {
-        return Err("want task or detailed; direct execution records no \
-                    communication statistics (only `sim` runs it)"
-            .to_string());
-    }
-    Ok(())
-}
-
 /// Execute one run on its own — no attribution, no checkpoint, every host
 /// core for a detailed run's computational phase — and fold its results
 /// into a [`CampaignRecord`].
@@ -525,7 +509,7 @@ fn check_recordable(mode: Mode) -> Result<(), String> {
 /// # Panics
 ///
 /// With [`RunConfig::resolve`]'s message when the configuration does not
-/// resolve (a hand-built `app: "intger"`) or names direct execution.
+/// resolve (a hand-built `app: "intger"`).
 /// Configurations from [`CampaignSpec::expand`] always resolve;
 /// [`run_campaign`] returns the same message as that run's error instead.
 pub fn execute_run(cfg: &RunConfig) -> CampaignRecord {
@@ -608,13 +592,13 @@ pub fn capture_run_checkpoint(
 /// bottleneck-attribution sink whose headline lands in the record — the
 /// predicted results are identical either way, the sink only observes; with a `ckpt` plan, task-mode runs
 /// resume from a usable snapshot at `plan.path` and refresh it at the
-/// plan's cadence — detailed-mode runs ignore the plan (the computational
+/// plan's cadence — detailed and direct runs ignore the plan (the node
 /// model in front of the network is not snapshotted) and re-execute from
 /// scratch on resume; and `busy`, the threads the surroundings keep busy
 /// per run — the `jobs × shards` of a campaign, 1 for a run on its own —
-/// which caps a detailed run's computational phase at `cores / busy`
-/// workers. Fails on a configuration that does not resolve, on direct
-/// execution, and on checkpoint IO or snapshot restoration.
+/// which caps a detailed or direct run's computational phase at `cores / busy`
+/// workers. Fails on a configuration that does not resolve, and on
+/// checkpoint IO or snapshot restoration.
 fn execute(
     cfg: &RunConfig,
     hash: &str,
@@ -624,7 +608,6 @@ fn execute(
 ) -> Result<CampaignRecord, String> {
     let in_run = |e: String| format!("campaign run {hash}: {e}");
     let resolved = cfg.resolve().map_err(in_run)?;
-    check_recordable(resolved.mode).map_err(|e| in_run(format!("mode `{}`: {e}", cfg.mode)))?;
     let ckpt = ckpt.filter(|_| resolved.mode == Mode::Task);
 
     let probe = if attribution {
@@ -1000,7 +983,7 @@ mod tests {
             "topo = ring:4; machine = vax",   // unknown machine
             "topo = ring:4; phases = 0",      // degenerate workload
             "topo = ring:4; ops = 0",         // degenerate workload
-            "topo = ring:4; mode = direct",   // no comm stats to record
+            "topo = ring:4; mode = fast",     // unknown mode
             "topo = ring:4; shards = auto",   // host-dependent hash
             "topo = ring:4; shards = 0",      // nonsense
             "topo = ring:4; faults = frob:1", // bad fault clause
@@ -1167,10 +1150,47 @@ mod tests {
         execute_run(&first_run_with(|c| c.app = "intger".into()));
     }
 
+    /// The `predicted time:` line `sim` prints for `cfg`'s flags.
+    fn sim_predicts(cfg: &RunConfig) -> String {
+        let args = [
+            "sim",
+            "--machine",
+            &cfg.machine,
+            "--topology",
+            &cfg.topo,
+            "--pattern",
+            &cfg.pattern,
+            "--phases",
+            &cfg.phases.to_string(),
+            "--ops",
+            &cfg.ops.to_string(),
+            "--seed",
+            &cfg.seed.to_string(),
+            "--mode",
+            &cfg.mode,
+        ]
+        .map(str::to_string);
+        let out = crate::cli::run(&args).unwrap();
+        out.lines()
+            .find(|l| l.starts_with("predicted time:"))
+            .unwrap()
+            .to_string()
+    }
+
+    /// How `sim --mode direct` prints a direct run's prediction.
+    fn direct_line(predicted_ps: u64) -> String {
+        format!(
+            "predicted time: {} (direct-execution estimate; cache-blind)",
+            pearl::Time::from_ps(predicted_ps)
+        )
+    }
+
     #[test]
-    #[should_panic(expected = "direct execution records no communication statistics")]
-    fn a_hand_built_direct_mode_config_is_not_simulated_as_task() {
-        execute_run(&first_run_with(|c| c.mode = "direct".into()));
+    fn a_direct_mode_record_predicts_what_sim_prints() {
+        let cfg = first_run_with(|c| c.mode = "direct".into());
+        let rec = execute_run(&cfg);
+        assert!(rec.all_done);
+        assert_eq!(direct_line(rec.predicted_ps), sim_predicts(&cfg));
     }
 
     #[test]
@@ -1178,29 +1198,48 @@ mod tests {
         // `expand` trusts the spec's fields — `parse` checked them — so a
         // hand-built spec reaches the executor, which must refuse it.
         let dir = std::env::temp_dir().join(format!("mermaid-campaign-bad-{}", std::process::id()));
-        for (edit, want) in [
-            (
-                (|s| s.apps = vec!["intger".into()]) as fn(&mut CampaignSpec),
-                "unknown app mix `intger`",
-            ),
-            (|s| s.modes = vec!["direct".into()], "mode `direct`"),
-        ] {
-            let mut spec = tiny_spec();
-            edit(&mut spec);
-            let opts = CampaignOptions {
-                out_dir: dir.clone(),
-                jobs: 1,
-                limit: None,
-                progress: false,
-                attribution: false,
-                checkpoint_every_ps: None,
-            };
-            let err = run_campaign(&spec, &opts).unwrap_err();
-            assert!(err.starts_with("campaign run "), "{err}");
-            assert!(err.contains(want), "{err}");
-            assert_eq!(load_records(&dir.join(RUNS_FILE)).unwrap(), vec![]);
-            std::fs::remove_dir_all(&dir).ok();
+        let mut spec = tiny_spec();
+        spec.apps = vec!["intger".into()];
+        let opts = CampaignOptions {
+            out_dir: dir.clone(),
+            jobs: 1,
+            limit: None,
+            progress: false,
+            attribution: false,
+            checkpoint_every_ps: None,
+        };
+        let err = run_campaign(&spec, &opts).unwrap_err();
+        assert!(err.starts_with("campaign run "), "{err}");
+        assert!(err.contains("unknown app mix `intger`"), "{err}");
+        assert_eq!(load_records(&dir.join(RUNS_FILE)).unwrap(), vec![]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_direct_mode_campaign_records_what_sim_prints() {
+        let dir =
+            std::env::temp_dir().join(format!("mermaid-campaign-direct-{}", std::process::id()));
+        let opts = CampaignOptions {
+            out_dir: dir.clone(),
+            jobs: 2,
+            limit: None,
+            progress: false,
+            attribution: true,
+            checkpoint_every_ps: None,
+        };
+        let spec = CampaignSpec::parse(
+            "topo = ring:4, mesh:2x2; pattern = ring, all2all; \
+             phases = 1; ops = 300; machine = test; mode = direct",
+        )
+        .unwrap();
+        run_campaign(&spec, &opts).unwrap();
+        let records = load_records(&dir.join(RUNS_FILE)).unwrap();
+        assert_eq!(records.len(), 4);
+        for rec in records {
+            assert!(rec.attribution.is_some());
+            assert_eq!(direct_line(rec.predicted_ps), sim_predicts(&rec.config));
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -31,6 +31,13 @@
 //! path"): build a [`RunConfig`] from the flags, resolve it, run it — and
 //! differ in the sinks they attach and the report they render.
 //!
+//! `--mode` picks the abstraction level: `task` runs the communication
+//! model alone over task-level traces; `detailed` puts each node's cache
+//! model in front of it; `direct` puts the static-cost model of the
+//! direct-execution baseline there instead. Detailed and direct runs are
+//! the same run otherwise, so every option below applies to both —
+//! checkpoints aside, which need `task`.
+//!
 //! `simulate` is an alias for `sim`. `--trace-out` writes a Chrome-trace
 //! JSON file of the run (open in `chrome://tracing` or Perfetto);
 //! `--metrics` appends the per-component metrics report and a host-side
@@ -311,7 +318,6 @@ pub fn usage() -> String {
 /// One invocation's arguments after the subcommand, scanned against
 /// [`FLAGS`].
 struct Args {
-    cmd: Cmd,
     positional: Vec<String>,
     /// Each flag given: its name, its value as written (empty for a
     /// switch) and the number its row's parser read from it.
@@ -380,7 +386,6 @@ fn scan(cmd: Cmd, args: &[String]) -> Result<Args, String> {
         flags.push((flag.name, value, num));
     }
     Ok(Args {
-        cmd,
         positional: positional.to_vec(),
         flags,
     })
@@ -456,20 +461,6 @@ type Gate = fn(&Args, Mode) -> bool;
 /// first whose predicate holds is the error. `sim` and `analyze` share the
 /// list — a gate over flags `analyze` does not take cannot fire there.
 const GATES: &[(Gate, &str)] = &[
-    (
-        |a, mode| a.cmd == Cmd::Analyze && mode == Mode::Direct,
-        "analyze needs --mode detailed or task (a direct-execution estimate has no \
-         network events to attribute)",
-    ),
-    (
-        |a, mode| {
-            mode == Mode::Direct
-                && (a.tracing() || a.shards() > 1 || a.has("--faults") || a.has("--watch"))
-        },
-        "--trace-out/--metrics/--attribution, --shards, --faults and --watch need --mode \
-         detailed or task (direct execution has no communication model to record, shard, \
-         inject into or watch)",
-    ),
     (
         |a, mode| mode != Mode::Task && a.checkpointing(),
         "--checkpoint-every/--checkpoint-dir/--restore need --mode task \
@@ -736,13 +727,13 @@ fn run_sim(a: &Args) -> Result<String, String> {
             out.push_str(&format!("predicted time: {finish}\n\n"));
             out.push_str(&report::task_level_table(r).render());
         }
-        Outcome::Detailed(r) => {
+        Outcome::Hybrid(_) if resolved.mode == Mode::Direct => out.push_str(&format!(
+            "predicted time: {finish} (direct-execution estimate; cache-blind)\n"
+        )),
+        Outcome::Hybrid(r) => {
             out.push_str(&format!("predicted time: {finish}\n\n"));
             out.push_str(&report::hybrid_table(r).render());
         }
-        Outcome::Direct(_) => out.push_str(&format!(
-            "predicted time: {finish} (direct-execution estimate; cache-blind)\n"
-        )),
     }
     if progress.is_some() {
         out.push_str(&format!(
@@ -957,6 +948,32 @@ mod tests {
         v.iter().map(|x| x.to_string()).collect()
     }
 
+    /// A short direct-execution `cmd` run with `extra` flags appended.
+    fn direct(cmd: &str, extra: &[&str]) -> String {
+        let args = [
+            cmd,
+            "--machine",
+            "test",
+            "--topology",
+            "mesh:2x2",
+            "--mode",
+            "direct",
+            "--pattern",
+            "all2all",
+            "--phases",
+            "2",
+            "--ops",
+            "300",
+        ];
+        run(&s(&[&args[..], extra].concat())).unwrap()
+    }
+
+    /// The time on `out`'s `predicted time:` line.
+    fn predicted(out: &str) -> &str {
+        let line = out.lines().find(|l| l.starts_with("predicted time: "));
+        line.unwrap().split(' ').nth(2).unwrap()
+    }
+
     #[test]
     fn butterfly_on_a_non_power_of_two_machine_is_an_error_not_a_panic() {
         // Used to die in `StochasticApp::validate()` with the whole binary.
@@ -1035,12 +1052,14 @@ mod tests {
     }
 
     #[test]
-    fn watch_is_rejected_in_direct_mode_not_ignored() {
-        rejected(
-            &["sim", "--mode", "direct", "--watch"],
-            &["--watch", "--mode detailed or task"],
-        );
-        // Detailed mode's communication phase is the same one run path.
+    fn watch_samples_direct_and_detailed_mode_runs() {
+        // Both node models feed the one run path: the sparkline is the
+        // only line --watch adds to stdout.
+        let plain = direct("sim", &[]);
+        let watched = direct("sim", &["--watch"]);
+        let (report, sparkline) = watched.split_once("messages over time: ").unwrap();
+        assert_eq!(report, plain);
+        assert_eq!(sparkline.lines().count(), 1, "{watched}");
         let out = run(&s(&[
             "sim",
             "--mode",
@@ -1197,9 +1216,11 @@ mod tests {
     }
 
     #[test]
-    fn analyze_rejects_direct_mode_and_sim_only_flags() {
-        let err = run(&s(&["analyze", "--mode", "direct"])).unwrap_err();
-        assert!(err.contains("detailed or task"), "{err}");
+    fn analyze_attributes_direct_mode_and_rejects_sim_only_flags() {
+        let out = direct("analyze", &[]);
+        assert!(out.contains("Latency decomposition"), "{out}");
+        assert!(out.contains("Hottest links"), "{out}");
+        assert_eq!(predicted(&out), predicted(&direct("sim", &[])));
         let err = run(&s(&["analyze", "--metrics"])).unwrap_err();
         assert!(err.contains("use `sim`"), "{err}");
         let err = run(&s(&["analyze", "--watch"])).unwrap_err();
@@ -1414,9 +1435,8 @@ mod tests {
     }
 
     #[test]
-    fn shards_rejects_direct_mode_and_watch() {
-        let err = run(&s(&["sim", "--mode", "direct", "--shards", "2"])).unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
+    fn shards_run_direct_mode_and_reject_watch() {
+        assert_eq!(direct("sim", &["--shards", "3"]), direct("sim", &[]));
         let err = run(&s(&["sim", "--mode", "task", "--shards", "2", "--watch"])).unwrap_err();
         assert!(
             err.contains("--watch") && err.contains("only at the end"),
@@ -1754,9 +1774,23 @@ mod tests {
     }
 
     #[test]
-    fn tracing_direct_mode_is_an_error() {
-        let err = run(&s(&["sim", "--mode", "direct", "--metrics"])).unwrap_err();
-        assert!(err.contains("detailed or task"), "{err}");
+    fn tracing_direct_mode_records_its_communication_model() {
+        let dir = std::env::temp_dir().join(format!("mermaid-direct-sinks-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace, attr) = (dir.join("t.json"), dir.join("a.json"));
+        let (trace, attr) = (trace.to_str().unwrap(), attr.to_str().unwrap());
+        let out = direct(
+            "sim",
+            &["--trace-out", trace, "--metrics", "--attribution", attr],
+        );
+        assert_eq!(predicted(&out), predicted(&direct("sim", &[])));
+        assert!(out.contains("engine/deliveries"), "{out}");
+        let json = std::fs::read_to_string(trace).unwrap();
+        let summary = crate::probe::validate_chrome_trace(&json).unwrap();
+        assert!(summary.delivered_messages.unwrap() > 0);
+        let attribution = std::fs::read_to_string(attr).unwrap();
+        assert!(attribution.starts_with("{\"schema\":\"mermaid-attribution-v1\""));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1766,9 +1800,19 @@ mod tests {
     }
 
     #[test]
-    fn faults_flag_is_rejected_in_direct_mode_and_composes_with_watch() {
-        let err = run(&s(&["sim", "--mode", "direct", "--faults", "drop:100"])).unwrap_err();
-        assert!(err.contains("--faults"), "{err}");
+    fn faults_flag_runs_in_direct_mode_and_composes_with_watch() {
+        let faults = [
+            "--faults",
+            "link:0-1:2000:60000; drop:20000",
+            "--fault-seed",
+            "9",
+        ];
+        let serial = direct("sim", &faults);
+        assert!(serial.contains("\nfault injection: "), "{serial}");
+        assert_eq!(
+            direct("sim", &[&faults[..], &["--shards", "3"]].concat()),
+            serial
+        );
         let out = run(&s(&[
             "sim", "--mode", "task", "--watch", "--faults", "drop:100",
         ]))

@@ -9,20 +9,23 @@
 //! particular — "the performance evaluation of instruction or private data
 //! caches can only be marginally performed by means of direct execution".
 //!
-//! This module implements that baseline over the same traces so the
-//! trade-off is measurable: local operations are folded into `compute`
-//! tasks using fixed per-class cycle costs (no cache, bus, or DRAM model),
-//! then only the communication is simulated. It is much faster than the
-//! hybrid mode — and blind to the memory hierarchy, which the bench
-//! harness demonstrates.
+//! This module holds that baseline's node model: local operations cost
+//! fixed per-class cycle counts (no cache, bus, or DRAM model) and are cut
+//! into `compute` tasks at the global events by the same
+//! [`mermaid_cpu::TaskCutter`] the detailed mode uses. [`HybridSim::direct`]
+//! puts it in front of the communication model in place of the cache
+//! model, so a direct run takes every option a detailed run takes. It is
+//! much faster than the detailed mode — and blind to the memory hierarchy,
+//! which the bench harness demonstrates.
+//!
+//! [`HybridSim::direct`]: crate::HybridSim::direct
 
-use mermaid_cpu::CpuParams;
-use mermaid_network::{CommResult, CommSim};
-use mermaid_ops::{NodeId, Operation, Trace, TraceSet};
+use mermaid_cpu::{CpuParams, CpuStats, TaskCutter, TaskExtraction};
+use mermaid_memory::MemStats;
+use mermaid_ops::{NodeId, Operation};
 use pearl::{Duration, Time};
 
 use crate::machines::MachineConfig;
-use crate::sweep;
 
 /// Static per-operation costs used by the direct-execution estimator.
 ///
@@ -50,7 +53,9 @@ impl DirectExecStaticCosts {
         }
     }
 
-    /// The statically-estimated cost of one computational operation.
+    /// The statically-estimated cost of one operation that is not a global
+    /// event. A pre-collapsed `compute` costs its own length, as on the
+    /// cache model.
     pub fn cost(&self, op: Operation) -> Duration {
         let cycles = |n: u64| self.cpu.clock.cycles(n);
         match op {
@@ -62,98 +67,34 @@ impl DirectExecStaticCosts {
             Operation::Branch { .. } => cycles(self.cpu.branch_cycles),
             Operation::Call { .. } => cycles(self.cpu.call_cycles),
             Operation::Ret { .. } => cycles(self.cpu.ret_cycles),
+            Operation::Compute { ps } => Duration::from_ps(ps),
             _ => Duration::ZERO,
         }
     }
-}
 
-/// Result of a direct-execution-style simulation.
-#[derive(Debug)]
-pub struct DirectExecResult {
-    /// Predicted execution time.
-    pub predicted_time: Time,
-    /// Communication-model results.
-    pub comm: CommResult,
-    /// Operations processed (all of them — but local ones only summed).
-    pub ops_processed: u64,
-}
-
-/// The direct-execution baseline simulator.
-pub struct DirectExecSim {
-    machine: MachineConfig,
-    costs: DirectExecStaticCosts,
-    /// `None`: one worker per host core.
-    workers: Option<usize>,
-}
-
-impl DirectExecSim {
-    /// Build the baseline for `machine` with costs derived from it.
-    pub fn new(machine: MachineConfig) -> Self {
-        machine.validate();
-        let costs = DirectExecStaticCosts::from_machine(&machine);
-        DirectExecSim {
-            machine,
-            costs,
-            workers: None,
-        }
-    }
-
-    /// Fold on at most `workers` threads (builder style) instead of one per
-    /// host core. Results do not depend on it.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
-    /// Statically fold one node's local operations into compute tasks.
-    fn fold(&self, node: NodeId, ops: impl Iterator<Item = Operation>) -> Trace {
-        let mut out = Trace::new(node);
-        let mut acc = Duration::ZERO;
+    /// The static-cost node model: charge `node`'s operations their static
+    /// costs and cut its timeline into tasks at its global events. It keeps
+    /// no CPU or memory statistics.
+    pub(crate) fn extract_tasks(
+        &self,
+        node: NodeId,
+        ops: impl Iterator<Item = Operation>,
+    ) -> TaskExtraction {
+        let mut now = Time::ZERO;
+        let mut cutter = TaskCutter::new(node, now);
         ops.for_each(|op| {
             if op.is_global_event() {
-                if !acc.is_zero() {
-                    out.push(Operation::Compute { ps: acc.as_ps() });
-                    acc = Duration::ZERO;
-                }
-                out.push(op);
-            } else if let Operation::Compute { ps } = op {
-                acc += Duration::from_ps(ps);
+                cutter.cut(now, op);
             } else {
-                acc += self.costs.cost(op);
+                now += self.cost(op);
             }
         });
-        if !acc.is_zero() {
-            out.push(Operation::Compute { ps: acc.as_ps() });
-        }
-        out
-    }
-
-    /// Run the baseline over instruction-level traces.
-    pub fn run(&self, traces: &TraceSet) -> DirectExecResult {
-        self.run_streams(traces.iter().map(|t| t.iter().copied()))
-    }
-
-    /// Run the baseline over one stream of instruction-level operations
-    /// per node, in node order; each is folded as it is pulled, on the work
-    /// queue the detailed mode's computational phase uses.
-    pub fn run_streams<I>(&self, streams: impl IntoIterator<Item = I>) -> DirectExecResult
-    where
-        I: Iterator<Item = Operation> + Send,
-    {
-        let streams = streams.into_iter().collect();
-        let workers = self.workers.unwrap_or_else(sweep::auto_workers);
-        let folded = sweep::run_ordered(streams, workers, |node, ops: I| {
-            let mut ops_processed = 0u64;
-            let trace = self.fold(node as NodeId, ops.inspect(|_| ops_processed += 1));
-            (trace, ops_processed)
-        });
-        let ops_processed = folded.iter().map(|(_, ops)| ops).sum();
-        let traces = folded.into_iter().map(|(trace, _)| trace).collect();
-        let comm = CommSim::new(self.machine.network, &TraceSet::from_traces(traces)).run();
-        DirectExecResult {
-            predicted_time: comm.finish,
-            comm,
-            ops_processed,
+        let (task_trace, compute_total) = cutter.finish(now);
+        TaskExtraction {
+            task_trace,
+            cpu_stats: CpuStats::default(),
+            mem_stats: MemStats::default(),
+            compute_total,
         }
     }
 }
@@ -163,7 +104,7 @@ mod tests {
     use super::*;
     use crate::hybrid::HybridSim;
     use mermaid_network::Topology;
-    use mermaid_ops::{ArithOp, DataType};
+    use mermaid_ops::{ArithOp, DataType, TraceSet};
     use mermaid_tracegen::{CommPattern, SizeDist, StochasticApp, StochasticGenerator};
 
     fn machine(n: u32) -> MachineConfig {
@@ -183,8 +124,10 @@ mod tests {
     #[test]
     fn folding_preserves_global_events() {
         let ts = traces(2);
-        let sim = DirectExecSim::new(machine(2));
-        let folded = sim.fold(0, ts.trace(0).iter().copied());
+        let costs = DirectExecStaticCosts::from_machine(&machine(2));
+        let folded = costs
+            .extract_tasks(0, ts.trace(0).iter().copied())
+            .task_trace;
         let orig_comm = ts.trace(0).stats().comm_ops();
         assert_eq!(folded.stats().comm_ops(), orig_comm);
         assert!(folded.iter().all(|o| !o.is_computational()));
@@ -193,7 +136,7 @@ mod tests {
     #[test]
     fn baseline_runs_and_completes() {
         let ts = traces(4);
-        let r = DirectExecSim::new(machine(4)).run(&ts);
+        let r = HybridSim::direct(machine(4)).run(&ts);
         assert!(r.comm.all_done);
         assert!(r.predicted_time > Time::ZERO);
     }
@@ -221,7 +164,7 @@ mod tests {
         }
         let m = machine(2);
         let hybrid = HybridSim::new(m.clone()).run(&ts);
-        let direct = DirectExecSim::new(m).run(&ts);
+        let direct = HybridSim::direct(m).run(&ts);
         assert!(
             direct.predicted_time < hybrid.predicted_time,
             "direct {} should be optimistic vs hybrid {}",
@@ -255,7 +198,7 @@ mod tests {
         }
         let m = machine(2);
         let hybrid = HybridSim::new(m.clone()).run(&ts);
-        let direct = DirectExecSim::new(m).run(&ts);
+        let direct = HybridSim::direct(m).run(&ts);
         assert_eq!(hybrid.predicted_time, direct.predicted_time);
     }
 
@@ -279,6 +222,6 @@ mod tests {
             }),
             Duration::from_ns(20)
         );
-        assert_eq!(c.cost(Operation::Compute { ps: 5 }), Duration::ZERO);
+        assert_eq!(c.cost(Operation::Compute { ps: 5 }), Duration::from_ps(5));
     }
 }

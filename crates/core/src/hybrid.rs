@@ -7,6 +7,14 @@
 //! task-level traces then drive the multi-node *communication model*,
 //! which resolves message timing, contention, and blocking.
 //!
+//! [`HybridSim::try_run_streams`] is the one bridge from per-node
+//! operation streams to task traces. Its node model is the cache model
+//! ([`HybridSim::new`], detailed mode) or the static-cost model of the
+//! direct-execution baseline ([`HybridSim::direct`], Section 2 and
+//! experiment E4); both cut their timelines with
+//! [`mermaid_cpu::TaskCutter`], and both hand the result to the same
+//! communication phase with the same [`RunOptions`].
+//!
 //! Because Mermaid operations carry no data values, an application's
 //! control flow never depends on message contents — it is fixed by the
 //! trace generator (which resolves all loops and branches). The
@@ -26,9 +34,9 @@ use mermaid_network::{
 };
 use mermaid_ops::{NodeId, Operation, TraceSet};
 use mermaid_probe::ProbeHandle;
-use mermaid_tracegen::InterleavedTraceGen;
 use pearl::{Duration, Time};
 
+use crate::direct::DirectExecStaticCosts;
 use crate::machines::MachineConfig;
 use crate::sweep;
 
@@ -64,9 +72,13 @@ pub struct HybridResult {
     pub shard_profile: Option<ShardProfile>,
 }
 
-/// The hybrid simulator: detailed mode of the workbench.
+/// The hybrid simulator: detailed and direct-execution modes of the
+/// workbench.
 pub struct HybridSim<'a> {
     machine: MachineConfig,
+    /// The node model: `None` is the cache model, `Some` the static-cost
+    /// model of direct execution.
+    static_costs: Option<DirectExecStaticCosts>,
     /// How the communication phase runs; the computational phase reads
     /// only the probe.
     opts: RunOptions<'a>,
@@ -75,14 +87,40 @@ pub struct HybridSim<'a> {
 }
 
 impl<'a> HybridSim<'a> {
-    /// Create a hybrid simulator for the given machine: serial, healthy,
-    /// unprobed communication phase, one computational worker per core.
+    /// Create a hybrid simulator for the given machine, with the cache
+    /// model on every node: serial, healthy, unprobed communication phase,
+    /// one computational worker per core.
+    ///
+    /// # Panics
+    ///
+    /// On a machine [`MachineConfig::validate`] refuses, and on one whose
+    /// nodes have more than one CPU: this simulator runs each node's
+    /// stream on one processor, so multiprocessor nodes belong to
+    /// [`crate::SmpHybridSim`].
     pub fn new(machine: MachineConfig) -> Self {
         machine.validate();
+        assert_eq!(
+            machine.node_mem.cpus, 1,
+            "HybridSim runs one CPU per node but `{}` has {} per node; \
+             simulate multiprocessor nodes with SmpHybridSim",
+            machine.name, machine.node_mem.cpus
+        );
         HybridSim {
             machine,
+            static_costs: None,
             opts: RunOptions::default(),
             workers: None,
+        }
+    }
+
+    /// The direct-execution baseline (Section 2, experiment E4): the same
+    /// simulator with the static-cost node model of
+    /// [`DirectExecStaticCosts::from_machine`] in place of the cache model.
+    pub fn direct(machine: MachineConfig) -> Self {
+        let costs = DirectExecStaticCosts::from_machine(&machine);
+        HybridSim {
+            static_costs: Some(costs),
+            ..HybridSim::new(machine)
         }
     }
 
@@ -141,19 +179,14 @@ impl<'a> HybridSim<'a> {
         self.run_streams(traces.iter().map(|t| t.iter().copied()))
     }
 
-    /// Run the detailed simulation *execution-driven*: pull operations from
-    /// a physical-time-interleaved trace generator (one thread per node),
-    /// resuming each node's thread only after its global event has been
-    /// recorded. Equivalent to generating the full traces first (control
-    /// flow is value-independent) but with flat memory consumption.
-    pub fn run_from_generator(&self, mut gen: InterleavedTraceGen) -> HybridResult {
-        self.run_streams(gen.streams())
-    }
-
-    /// Run the detailed simulation over one stream of instruction-level
-    /// operations per node, in node order — the computational phase every
-    /// entry point shares. Nodes are independent until the communication
-    /// model runs, so they are claimed from a queue by up to
+    /// Run the simulation over one stream of instruction-level operations
+    /// per node, in node order — the computational phase every entry point
+    /// shares. A physical-time-interleaved generator's
+    /// [`mermaid_tracegen::InterleavedTraceGen::streams`] makes the run
+    /// *execution-driven*: each node's thread resumes only after its global
+    /// event has been recorded, with flat memory consumption. Nodes are
+    /// independent until the communication model runs, so they are
+    /// claimed from a queue by up to
     /// [`HybridSim::with_workers`] threads; each claimed stream is pulled to
     /// its end through a computational model built for that node and dropped
     /// after it, so a source that produces operations on demand is never
@@ -191,17 +224,23 @@ impl<'a> HybridSim<'a> {
             streams.len(),
             self.machine.nodes()
         );
-        let cpu = self.machine.cpu;
-        let mut mem_cfg = self.machine.node_mem.clone();
-        mem_cfg.cpus = 1;
+        let (cpu, mem_cfg, static_costs) =
+            (self.machine.cpu, &self.machine.node_mem, self.static_costs);
         let extract = |node: usize, ops: S::Item, probe: ProbeHandle| {
             let node = node as NodeId;
-            let mut sim = SingleNodeSim::new(cpu, mem_cfg.clone());
-            sim.set_probe(node, probe);
-            let mut extractor = sim.task_extractor(node);
             let mut ops_simulated = 0u64;
-            extractor.feed(ops.inspect(|_| ops_simulated += 1));
-            (extractor.finish(), ops_simulated)
+            let ops = ops.inspect(|_| ops_simulated += 1);
+            let x = match static_costs {
+                Some(costs) => costs.extract_tasks(node, ops),
+                None => {
+                    let mut sim = SingleNodeSim::new(cpu, mem_cfg.clone());
+                    sim.set_probe(node, probe);
+                    let mut extractor = sim.task_extractor(node);
+                    extractor.feed(ops);
+                    extractor.finish()
+                }
+            };
+            (x, ops_simulated)
         };
         let extracted: Vec<_> = if self.opts.probe.is_enabled() {
             streams
@@ -246,7 +285,9 @@ mod tests {
     use mermaid_network::Topology;
     use mermaid_ops::{ArithOp, DataType};
     use mermaid_tracegen::annotate::TargetLayout;
-    use mermaid_tracegen::{CommPattern, SizeDist, StochasticApp, StochasticGenerator};
+    use mermaid_tracegen::{
+        CommPattern, InterleavedTraceGen, SizeDist, StochasticApp, StochasticGenerator,
+    };
 
     fn machine(n: u32) -> MachineConfig {
         MachineConfig::test_machine(Topology::Ring(n))
@@ -314,8 +355,7 @@ mod tests {
         // The same instrumented program via batch traces and via the
         // threaded generator must predict the same time.
         let n = 4u32;
-        let program = move |ctx: &mut mermaid_tracegen::NodeCtx| {
-            use mermaid_tracegen::annotate::Annotator;
+        let program = move |ctx: &mut mermaid_tracegen::Translator| {
             let me = ctx.node();
             let x = ctx.local("x", DataType::F64, 1);
             for _ in 0..50 {
@@ -330,8 +370,8 @@ mod tests {
             InterleavedTraceGen::spawn(n, TargetLayout::default(), program).collect_all();
         let batch = HybridSim::new(machine(n)).run(&batch_traces);
 
-        let gen = InterleavedTraceGen::spawn(n, TargetLayout::default(), program);
-        let streamed = HybridSim::new(machine(n)).run_from_generator(gen);
+        let mut gen = InterleavedTraceGen::spawn(n, TargetLayout::default(), program);
+        let streamed = HybridSim::new(machine(n)).run_streams(gen.streams());
 
         assert_eq!(batch.predicted_time, streamed.predicted_time);
         assert_eq!(batch.task_traces, streamed.task_traces);
@@ -363,6 +403,12 @@ mod tests {
     fn node_count_mismatch_is_rejected() {
         let traces = stochastic_traces(3, 5);
         HybridSim::new(machine(4)).run(&traces);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulate multiprocessor nodes with SmpHybridSim")]
+    fn multiprocessor_nodes_are_refused() {
+        HybridSim::new(MachineConfig::powerpc601_cluster(Topology::Ring(4), 2));
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //!   by a trace generator. "An entire multicomputer can be simulated with
 //!   only a minor slowdown" (Section 6).
 //!
+//! The direct-execution baseline the paper argues against (Section 2,
+//! experiment E4) is not a third simulator: [`HybridSim::direct`] swaps the
+//! cache model for static per-operation costs and keeps everything else,
+//! so it composes with every communication option a detailed run takes.
+//!
 //! Shared-memory multiprocessors are simulated by configuring the
 //! computational model with several processors
 //! ([`mermaid_cpu::SingleNodeSim`]); hybrid machines by putting
@@ -57,7 +62,7 @@ pub mod sweep;
 pub mod tasklevel;
 
 pub use campaign::{CampaignRecord, CampaignSpec};
-pub use direct::{DirectExecSim, DirectExecStaticCosts};
+pub use direct::DirectExecStaticCosts;
 pub use hybrid::{HybridResult, HybridSim, NodeComputeStats};
 pub use machines::MachineConfig;
 pub use memuse::ModelFootprint;
@@ -75,7 +80,6 @@ pub use mermaid_probe as probe;
 
 /// Convenient re-exports of the workbench's moving parts.
 pub mod prelude {
-    pub use crate::direct::DirectExecSim;
     pub use crate::hybrid::{HybridResult, HybridSim};
     pub use crate::machines::MachineConfig;
     pub use crate::slowdown::SlowdownMeter;

@@ -22,7 +22,6 @@ use mermaid_tracegen::{CommPattern, InstructionMix, SizeDist, StochasticApp, Sto
 use pearl::Time;
 use serde::{Deserialize, Serialize};
 
-use crate::direct::{DirectExecResult, DirectExecSim};
 use crate::hybrid::{HybridResult, HybridSim};
 use crate::machines::MachineConfig;
 use crate::sweep;
@@ -36,7 +35,8 @@ pub struct RunConfig {
     pub machine: String,
     /// Topology spec (`ring:8`, `mesh:4x4`, …).
     pub topo: String,
-    /// Instruction mix (`scientific` or `integer`; detailed mode only).
+    /// Instruction mix (`scientific` or `integer`; detailed and direct
+    /// modes only).
     pub app: String,
     /// Communication pattern token, as written in the spec.
     pub pattern: String,
@@ -46,7 +46,7 @@ pub struct RunConfig {
     pub ops: u64,
     /// Trace-generator seed.
     pub seed: u64,
-    /// Simulation mode (`task` or `detailed`).
+    /// Simulation mode (`task`, `detailed` or `direct`).
     pub mode: String,
     /// Communication-model worker threads for this run.
     pub shards: usize,
@@ -306,28 +306,25 @@ impl Resolved {
     /// or direct run gets `cores / busy` workers, sized only when there is
     /// such a phase — asking the host costs a task-mode run of a few
     /// hundred microseconds more than it is worth. Only the snapshot
-    /// options can fail. Direct execution runs the plain communication
-    /// model: it has nothing to record into, shard, inject into or
-    /// snapshot, so callers that accept such options reject the mode.
+    /// options can fail. Detailed and direct runs are the same simulator
+    /// with a different node model in front of the communication model.
     pub fn run(&self, opts: &RunOptions<'_>, busy: usize) -> Result<Outcome, SnapshotError> {
-        Ok(match self.mode {
-            Mode::Task => Outcome::Task(
-                TaskLevelSim::new(self.machine.network)
-                    .with_options(opts.clone())
-                    .try_run(&self.generator.generate_task_level())?,
-            ),
-            Mode::Detailed => Outcome::Detailed(
-                HybridSim::new(self.machine.clone())
-                    .with_options(opts.clone())
-                    .with_workers(sweep::auto_workers_for(busy))
-                    .try_run_streams(self.generator.streams())?,
-            ),
-            Mode::Direct => Outcome::Direct(
-                DirectExecSim::new(self.machine.clone())
-                    .with_workers(sweep::auto_workers_for(busy))
-                    .run_streams(self.generator.streams()),
-            ),
-        })
+        let sim = match self.mode {
+            Mode::Task => {
+                return Ok(Outcome::Task(
+                    TaskLevelSim::new(self.machine.network)
+                        .with_options(opts.clone())
+                        .try_run(&self.generator.generate_task_level())?,
+                ))
+            }
+            Mode::Detailed => HybridSim::new(self.machine.clone()),
+            Mode::Direct => HybridSim::direct(self.machine.clone()),
+        };
+        Ok(Outcome::Hybrid(
+            sim.with_options(opts.clone())
+                .with_workers(sweep::auto_workers_for(busy))
+                .try_run_streams(self.generator.streams())?,
+        ))
     }
 }
 
@@ -336,10 +333,9 @@ impl Resolved {
 pub enum Outcome {
     /// A task-level run.
     Task(TaskLevelResult),
-    /// A detailed (hybrid) run.
-    Detailed(HybridResult),
-    /// A direct-execution estimate.
-    Direct(DirectExecResult),
+    /// A detailed or direct-execution run: [`HybridSim`] with the cache
+    /// or the static-cost node model.
+    Hybrid(HybridResult),
 }
 
 impl Outcome {
@@ -352,8 +348,7 @@ impl Outcome {
     pub fn comm(&self) -> &CommResult {
         match self {
             Outcome::Task(r) => &r.comm,
-            Outcome::Detailed(r) => &r.comm,
-            Outcome::Direct(r) => &r.comm,
+            Outcome::Hybrid(r) => &r.comm,
         }
     }
 
@@ -361,8 +356,7 @@ impl Outcome {
     pub fn ops_simulated(&self) -> u64 {
         match self {
             Outcome::Task(r) => r.ops_simulated,
-            Outcome::Detailed(r) => r.ops_simulated,
-            Outcome::Direct(r) => r.ops_processed,
+            Outcome::Hybrid(r) => r.ops_simulated,
         }
     }
 
@@ -370,8 +364,7 @@ impl Outcome {
     pub fn shard_profile(&self) -> Option<&ShardProfile> {
         match self {
             Outcome::Task(r) => r.shard_profile.as_ref(),
-            Outcome::Detailed(r) => r.shard_profile.as_ref(),
-            Outcome::Direct(_) => None,
+            Outcome::Hybrid(r) => r.shard_profile.as_ref(),
         }
     }
 }

@@ -19,10 +19,10 @@
 //! contention is modelled as if all processors free-run; the communication
 //! delays are then resolved by the network model.
 
-use mermaid_cpu::{Cpu, CpuStats};
+use mermaid_cpu::{Cpu, CpuStats, TaskCutter};
 use mermaid_memory::{MemStats, MemorySystem};
 use mermaid_network::{CommResult, CommSim};
-use mermaid_ops::{NodeId, Operation, Trace, TraceSet};
+use mermaid_ops::{NodeId, Trace, TraceSet};
 use pearl::{Duration, Time};
 
 use crate::machines::MachineConfig;
@@ -144,9 +144,7 @@ impl SmpHybridSim {
         let mut mem = MemorySystem::new(self.machine.node_mem.clone());
         let mut cpu: Vec<Cpu> = (0..cpus).map(|i| Cpu::new(self.machine.cpu, i)).collect();
         let mut cursor = vec![0usize; cpus];
-        let mut task = Trace::new(node);
-        let mut run_start = Time::ZERO;
-        let mut compute_total = Duration::ZERO;
+        let mut cutter = TaskCutter::new(node, Time::ZERO);
         loop {
             let next = (0..cpus)
                 .filter(|&i| cursor[i] < traces[i].len())
@@ -156,29 +154,12 @@ impl SmpHybridSim {
             cursor[i] += 1;
             if op.is_global_event() {
                 debug_assert_eq!(i, 0, "validate() enforced comm on CPU 0 only");
-                let elapsed = cpu[0].now().since(run_start);
-                if !elapsed.is_zero() {
-                    task.push(Operation::Compute {
-                        ps: elapsed.as_ps(),
-                    });
-                    compute_total += elapsed;
-                }
-                task.push(op);
-                run_start = cpu[0].now();
-            } else if let Operation::Compute { ps } = op {
-                // Pre-collapsed computation is allowed on any processor.
-                let d = Duration::from_ps(ps);
-                let t = cpu[i].now() + d;
-                cpu[i].advance_to(t);
+                cutter.cut(cpu[0].now(), op);
             } else {
                 cpu[i].execute(op, &mut mem);
             }
         }
-        let tail = cpu[0].now().since(run_start);
-        if !tail.is_zero() {
-            task.push(Operation::Compute { ps: tail.as_ps() });
-            compute_total += tail;
-        }
+        let (task, compute_total) = cutter.finish(cpu[0].now());
         let compute_finish = cpu.iter().map(Cpu::now).fold(Time::ZERO, Time::max);
         let stats = SmpNodeStats {
             node,
@@ -217,7 +198,7 @@ pub fn build_workload(
 mod tests {
     use super::*;
     use mermaid_network::Topology;
-    use mermaid_ops::{ArithOp, DataType};
+    use mermaid_ops::{ArithOp, DataType, Operation};
 
     fn compute_ops(n: usize, seed: u64) -> Vec<Operation> {
         (0..n)
@@ -329,6 +310,46 @@ mod tests {
         let hybrid = crate::hybrid::HybridSim::new(m).run(&flat);
         assert_eq!(smp.predicted_time, hybrid.predicted_time);
         assert_eq!(smp.task_traces, hybrid.task_traces);
+    }
+
+    #[test]
+    fn every_node_model_merges_a_pre_collapsed_compute_into_its_run() {
+        // add ×10, compute 500 ps, add ×5, send: one 150.5 ns task before
+        // the send on the cache model, the static model and a 1-CPU SMP
+        // node alike.
+        let add = Operation::Arith {
+            op: ArithOp::Add,
+            ty: DataType::I32,
+        };
+        let w = build_workload(2, 1, |node, _| {
+            let mut ops = vec![add; 10];
+            ops.push(Operation::Compute { ps: 500 });
+            ops.extend([add; 5]);
+            ops.push(if node == 0 {
+                Operation::Send { bytes: 8, dst: 1 }
+            } else {
+                Operation::Recv { src: 0 }
+            });
+            Trace::from_ops(node, ops)
+        });
+        let flat = TraceSet::from_traces(w.per_node.iter().map(|n| n[0].clone()).collect());
+        let m = machine(2, 1);
+        let smp = SmpHybridSim::new(m.clone()).run(&w);
+        let cache = crate::hybrid::HybridSim::new(m.clone()).run(&flat);
+        let direct = crate::hybrid::HybridSim::direct(m).run(&flat);
+        let run = Duration::from_ns(150) + Duration::from_ps(500);
+        assert_eq!(
+            smp.task_traces.trace(0).ops,
+            [
+                Operation::Compute { ps: run.as_ps() },
+                Operation::Send { bytes: 8, dst: 1 }
+            ]
+        );
+        assert_eq!(cache.task_traces, smp.task_traces);
+        assert_eq!(direct.task_traces, smp.task_traces);
+        assert_eq!(smp.nodes[0].compute_total, run);
+        assert_eq!(cache.nodes[0].compute_total, run);
+        assert_eq!(direct.nodes[0].compute_total, run);
     }
 
     #[test]

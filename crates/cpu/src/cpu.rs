@@ -54,27 +54,22 @@ impl Cpu {
         self.now
     }
 
-    /// Force the local clock (used when a node resumes after a blocking
-    /// communication completed at a later global time).
-    pub fn advance_to(&mut self, t: Time) {
-        assert!(t >= self.now, "CPU clock cannot move backwards");
-        self.now = t;
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> &CpuStats {
         &self.stats
     }
 
-    /// Execute one *computational* operation, advancing the local clock.
-    /// Returns the operation's latency.
+    /// Execute one operation that is not a global event, advancing the
+    /// local clock. Returns the operation's latency. A pre-collapsed
+    /// `compute` costs its own length: it is computation whose timing was
+    /// fixed before the trace reached this model.
     ///
     /// Panics on communication operations — those belong to the
     /// communication model; the caller (node simulator / hybrid bridge)
     /// must intercept them.
     pub fn execute(&mut self, op: Operation, mem: &mut MemorySystem) -> Duration {
         debug_assert!(
-            op.is_computational(),
+            !op.is_global_event(),
             "communication operation {op} reached the CPU model"
         );
         self.stats.ops.record(op);
@@ -118,10 +113,12 @@ impl Cpu {
                 self.stats.compute_time += d;
                 d
             }
-            other => {
-                debug_assert!(!other.is_computational());
-                panic!("communication operation {op} reached the CPU model")
+            Operation::Compute { ps } => {
+                let d = Duration::from_ps(ps);
+                self.stats.compute_time += d;
+                d
             }
+            _ => panic!("communication operation {op} reached the CPU model"),
         };
         self.now += latency;
         latency
@@ -204,24 +201,12 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_moves_the_clock_forward() {
-        let (mut cpu, _) = setup();
-        cpu.advance_to(Time::from_us(5));
-        assert_eq!(cpu.now(), Time::from_us(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot move backwards")]
-    fn advance_to_rejects_past_times() {
+    fn a_pre_collapsed_compute_costs_its_own_length() {
         let (mut cpu, mut mem) = setup();
-        cpu.execute(
-            Operation::Arith {
-                op: ArithOp::Add,
-                ty: DataType::I32,
-            },
-            &mut mem,
-        );
-        cpu.advance_to(Time::ZERO);
+        let d = cpu.execute(Operation::Compute { ps: 5_000_000 }, &mut mem);
+        assert_eq!(d, Duration::from_us(5));
+        assert_eq!(cpu.now(), Time::from_us(5));
+        assert_eq!(cpu.stats().compute_time, Duration::from_us(5));
     }
 
     #[test]

@@ -20,12 +20,14 @@
 //! interleaves them in virtual-time order (a shared-memory multiprocessor,
 //! Section 4.3). It also performs the hybrid-model bridge: measuring the
 //! simulated time between communication operations to produce task-level
-//! traces for the communication model (Fig. 2).
+//! traces for the communication model (Fig. 2). [`TaskCutter`] is that
+//! bridge's one cut; every node model — this cache model, the static-cost
+//! direct-execution model and the SMP node — closes its runs through it.
 
 pub mod cpu;
 pub mod node;
 pub mod params;
 
 pub use cpu::{Cpu, CpuStats};
-pub use node::{NodeResult, SingleNodeSim, TaskExtraction, TaskExtractor};
+pub use node::{NodeResult, SingleNodeSim, TaskCutter, TaskExtraction, TaskExtractor};
 pub use params::CpuParams;

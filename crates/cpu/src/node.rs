@@ -12,6 +12,7 @@
 //!   run one node's instruction-level trace and measure the simulated time
 //!   between communication operations, producing the task-level trace
 //!   (`compute`/`send`/`recv`) that drives the multi-node communication
+//!   model. The cut itself is [`TaskCutter`], shared with every other node
 //!   model.
 
 use mermaid_memory::{MemStats, MemSystemConfig, MemorySystem};
@@ -107,7 +108,7 @@ impl SingleNodeSim {
             let Some(i) = next else { break };
             let op = traces[i].ops[cursors[i]];
             assert!(
-                op.is_computational(),
+                !op.is_global_event(),
                 "node {} trace contains communication operation {op}; use the hybrid model",
                 i
             );
@@ -124,13 +125,10 @@ impl SingleNodeSim {
     }
 
     /// Hybrid-model bridge: simulate `trace` on CPU 0 and split it into
-    /// computational tasks at its global events (Fig. 2). Communication
-    /// operations pass through unchanged; runs of computational operations
-    /// become `compute(duration)` with the *simulated* duration measured by
-    /// this computational model.
-    ///
-    /// Zero-length runs (consecutive communication operations) produce no
-    /// `compute` operation.
+    /// computational tasks at its global events with a [`TaskCutter`]
+    /// (Fig. 2). Communication operations pass through unchanged; runs of
+    /// computational operations become `compute(duration)` with the
+    /// *simulated* duration measured by this computational model.
     pub fn extract_tasks(&mut self, trace: &Trace) -> TaskExtraction {
         let mut extractor = self.task_extractor(trace.node);
         extractor.feed(trace.iter().copied());
@@ -143,60 +141,94 @@ impl SingleNodeSim {
         assert_eq!(self.cpus.len(), 1, "task extraction uses a single-CPU node");
         let cpu = &mut self.cpus[0];
         TaskExtractor {
-            run_start: cpu.now(),
+            cutter: TaskCutter::new(node, cpu.now()),
             cpu,
             mem: &mut self.mem,
-            task_trace: Trace::new(node),
-            compute_total: Duration::ZERO,
         }
     }
 }
 
-/// Incremental task extraction over one node's computational model. The
-/// start of the current compute run is kept across [`TaskExtractor::feed`]
-/// calls, so where the operation stream is cut never splits a task.
-pub struct TaskExtractor<'a> {
-    cpu: &'a mut Cpu,
-    mem: &'a mut MemorySystem,
-    task_trace: Trace,
+/// Cuts one node's timeline into tasks at its global events (Fig. 2): the
+/// bridge every node model shares, and the only place a `compute` task is
+/// built from a node's clock. The node model advances its own clock over
+/// the operations between global events — a pre-collapsed `compute` by its
+/// own length, so it merges into the run around it — and hands each global
+/// event to [`TaskCutter::cut`] with the time it reached. The run since the
+/// previous cut becomes one `compute` task; a zero-length run becomes none.
+#[derive(Debug)]
+pub struct TaskCutter {
+    trace: Trace,
     run_start: Time,
     compute_total: Duration,
 }
 
-impl TaskExtractor<'_> {
-    /// Close the compute run in progress, if it has any length.
-    fn end_run(&mut self) {
-        let elapsed = self.cpu.now().since(self.run_start);
+impl TaskCutter {
+    /// A cutter for `node` whose first run starts at `start`.
+    pub fn new(node: NodeId, start: Time) -> Self {
+        TaskCutter {
+            trace: Trace::new(node),
+            run_start: start,
+            compute_total: Duration::ZERO,
+        }
+    }
+
+    /// Close the run that ends at `now`, then pass the global event `op`
+    /// through.
+    pub fn cut(&mut self, now: Time, op: Operation) {
+        self.close(now);
+        self.trace.push(op);
+    }
+
+    fn close(&mut self, now: Time) {
+        let elapsed = now.since(self.run_start);
         if !elapsed.is_zero() {
-            self.task_trace.push(Operation::Compute {
+            self.trace.push(Operation::Compute {
                 ps: elapsed.as_ps(),
             });
             self.compute_total += elapsed;
         }
-        self.run_start = self.cpu.now();
+        self.run_start = now;
     }
 
+    /// End of stream at `now`: close the trailing run and hand over the
+    /// task-level trace with its total compute time.
+    pub fn finish(mut self, now: Time) -> (Trace, Duration) {
+        self.close(now);
+        (self.trace, self.compute_total)
+    }
+}
+
+/// Incremental task extraction over one node's computational model. The
+/// cutter keeps the start of the current compute run across
+/// [`TaskExtractor::feed`] calls, so where the operation stream is cut
+/// never splits a task.
+pub struct TaskExtractor<'a> {
+    cpu: &'a mut Cpu,
+    mem: &'a mut MemorySystem,
+    cutter: TaskCutter,
+}
+
+impl TaskExtractor<'_> {
     /// Simulate the next operations of the node's trace.
     pub fn feed(&mut self, ops: impl IntoIterator<Item = Operation>) {
         ops.into_iter().for_each(|op| {
-            if op.is_computational() {
-                self.cpu.execute(op, self.mem);
+            if op.is_global_event() {
+                self.cutter.cut(self.cpu.now(), op);
             } else {
-                self.end_run();
-                self.task_trace.push(op);
+                self.cpu.execute(op, self.mem);
             }
         });
     }
 
     /// End of trace: close the trailing compute run and hand over the
     /// task-level trace with the model's statistics.
-    pub fn finish(mut self) -> TaskExtraction {
-        self.end_run();
+    pub fn finish(self) -> TaskExtraction {
+        let (task_trace, compute_total) = self.cutter.finish(self.cpu.now());
         TaskExtraction {
-            task_trace: self.task_trace,
+            task_trace,
             cpu_stats: self.cpu.stats().clone(),
             mem_stats: self.mem.stats(),
-            compute_total: self.compute_total,
+            compute_total,
         }
     }
 }
@@ -356,6 +388,25 @@ mod tests {
         assert_eq!(x.task_trace.ops.len(), 2);
         assert!(x.task_trace.ops.iter().all(|o| o.is_global_event()));
         assert_eq!(x.compute_total, Duration::ZERO);
+    }
+
+    #[test]
+    fn the_cutter_elides_zero_length_runs() {
+        let mut cutter = TaskCutter::new(0, Time::from_ns(5));
+        cutter.cut(Time::from_ns(5), Operation::Recv { src: 1 });
+        cutter.cut(Time::from_ns(25), Operation::Send { bytes: 8, dst: 1 });
+        let (trace, total) = cutter.finish(Time::from_ns(25));
+        assert_eq!(
+            trace.ops,
+            vec![
+                Operation::Recv { src: 1 },
+                Operation::Compute {
+                    ps: Duration::from_ns(20).as_ps()
+                },
+                Operation::Send { bytes: 8, dst: 1 },
+            ]
+        );
+        assert_eq!(total, Duration::from_ns(20));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //!
 //! ```
 //! use mermaid_dsm::{Dsm, DsmConfig};
-//! use mermaid_tracegen::annotate::{Annotator, Translator};
+//! use mermaid_tracegen::annotate::Translator;
 //! use mermaid_ops::DataType;
 //!
 //! let mut t = Translator::with_defaults(0);

@@ -5,7 +5,7 @@
 //! programming model the paper's Section 5.1 promises.
 
 use mermaid_ops::{ArithOp, DataType};
-use mermaid_tracegen::annotate::Annotator;
+use mermaid_tracegen::annotate::Translator;
 
 use crate::runtime::{Dsm, DsmConfig};
 
@@ -13,7 +13,7 @@ use crate::runtime::{Dsm, DsmConfig};
 /// across the nodes; node `me` computes its block of rows. `B` is read by
 /// everyone (page faults pull it in once per node), `C` rows are written
 /// mostly to locally-homed pages.
-pub fn dsm_matmul(ann: &mut impl Annotator, cfg: DsmConfig, n: u64) {
+pub fn dsm_matmul(ann: &mut Translator, cfg: DsmConfig, n: u64) {
     let me = ann.node();
     let nodes = cfg.nodes;
     let mut dsm = Dsm::new(ann, cfg);
@@ -49,7 +49,7 @@ pub fn dsm_matmul(ann: &mut impl Annotator, cfg: DsmConfig, n: u64) {
 /// DSM Jacobi relaxation on a shared 1-D grid: every node sweeps its own
 /// slice; halo values are simply shared reads — the runtime fetches the
 /// neighbour's boundary page on demand after each barrier.
-pub fn dsm_jacobi1d(ann: &mut impl Annotator, cfg: DsmConfig, cells_per_node: u64, iters: u32) {
+pub fn dsm_jacobi1d(ann: &mut Translator, cfg: DsmConfig, cells_per_node: u64, iters: u32) {
     let me = ann.node() as u64;
     let nodes = cfg.nodes as u64;
     let total = cells_per_node * nodes;
@@ -84,7 +84,6 @@ pub fn dsm_jacobi1d(ann: &mut impl Annotator, cfg: DsmConfig, cells_per_node: u6
 mod tests {
     use super::*;
     use mermaid_ops::{Trace, TraceSet};
-    use mermaid_tracegen::annotate::Translator;
 
     fn run_all(cfg: DsmConfig, f: impl Fn(&mut Translator, DsmConfig)) -> TraceSet {
         let traces: Vec<Trace> = (0..cfg.nodes)

@@ -3,8 +3,7 @@
 use std::collections::HashSet;
 
 use mermaid_ops::{DataType, NodeId};
-use mermaid_tracegen::annotate::Annotator;
-use mermaid_tracegen::VarId;
+use mermaid_tracegen::{Translator, VarId};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the shared address space.
@@ -61,13 +60,14 @@ pub struct DsmStats {
     pub acquires: u64,
 }
 
-/// The per-node DSM runtime, layered over any [`Annotator`].
+/// The per-node DSM runtime, layered over a node's [`Translator`] — batch
+/// or streaming.
 ///
 /// All nodes of an SPMD program must create their shared arrays in the same
 /// order with the same shapes (exactly like globals in an SPMD C program) —
 /// the address space layout is derived from the allocation sequence.
-pub struct Dsm<'a, A: Annotator> {
-    ann: &'a mut A,
+pub struct Dsm<'a> {
+    ann: &'a mut Translator,
     cfg: DsmConfig,
     me: NodeId,
     /// Next free global page.
@@ -77,9 +77,9 @@ pub struct Dsm<'a, A: Annotator> {
     stats: DsmStats,
 }
 
-impl<'a, A: Annotator> Dsm<'a, A> {
-    /// Wrap an annotator in a DSM runtime.
-    pub fn new(ann: &'a mut A, cfg: DsmConfig) -> Self {
+impl<'a> Dsm<'a> {
+    /// Wrap a translator in a DSM runtime.
+    pub fn new(ann: &'a mut Translator, cfg: DsmConfig) -> Self {
         cfg.validate();
         let me = ann.node();
         assert!(
@@ -107,9 +107,9 @@ impl<'a, A: Annotator> Dsm<'a, A> {
         &self.stats
     }
 
-    /// Direct access to the wrapped annotator (for the private parts of the
-    /// program).
-    pub fn annotator(&mut self) -> &mut A {
+    /// Direct access to the wrapped translator (for the private parts of
+    /// the program).
+    pub fn annotator(&mut self) -> &mut Translator {
         self.ann
     }
 
@@ -212,7 +212,6 @@ impl<'a, A: Annotator> Dsm<'a, A> {
 mod tests {
     use super::*;
     use mermaid_ops::Operation;
-    use mermaid_tracegen::annotate::Translator;
 
     fn dsm_node(node: NodeId) -> (Translator, DsmConfig) {
         (

@@ -16,7 +16,12 @@
 //!
 //! In the original system a tool instruments C sources automatically; here
 //! the "instrumented program" is Rust code making the same library calls
-//! (see [`crate::programs`] for complete kernels).
+//! (see [`crate::programs`] for complete kernels). One [`Translator`] serves
+//! both trace generators: on its own it accumulates a trace; spawned by
+//! [`crate::InterleavedTraceGen`] it streams each operation to the
+//! simulator and suspends at every global event.
+
+use std::sync::mpsc::{Receiver, SyncSender};
 
 use mermaid_ops::{Address, ArithOp, DataType, NodeId, Operation, Trace};
 use serde::{Deserialize, Serialize};
@@ -99,60 +104,31 @@ struct Frame {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoopLabel(Address);
 
-/// The annotation API, implemented by the plain [`Translator`] (batch
-/// trace building) and by [`crate::interleave::NodeCtx`] (threaded,
-/// physical-time-interleaved generation).
-pub trait Annotator {
-    /// The node this annotator generates for.
-    fn node(&self) -> NodeId;
-
-    /// Declare a global variable; returns its descriptor id.
-    fn global(&mut self, name: &str, ty: DataType, elems: u64) -> VarId;
-    /// Declare a function-scope local.
-    fn local(&mut self, name: &str, ty: DataType, elems: u64) -> VarId;
-    /// Declare a function argument.
-    fn arg(&mut self, name: &str, ty: DataType) -> VarId;
-
-    /// Annotate a scalar load of `v`.
-    fn load(&mut self, v: VarId);
-    /// Annotate a load of element `idx` of array `v`.
-    fn load_idx(&mut self, v: VarId, idx: u64);
-    /// Annotate a scalar store to `v`.
-    fn store(&mut self, v: VarId);
-    /// Annotate a store to element `idx` of array `v`.
-    fn store_idx(&mut self, v: VarId, idx: u64);
-    /// Annotate loading an immediate constant.
-    fn loadc(&mut self, ty: DataType);
-    /// Annotate an arithmetic operation.
-    fn arith(&mut self, op: ArithOp, ty: DataType);
-
-    /// Mark the head of a loop; pass the label to [`Annotator::loop_back`].
-    fn loop_head(&mut self) -> LoopLabel;
-    /// Annotate the backward branch of a loop iteration.
-    fn loop_back(&mut self, label: LoopLabel);
-    /// Annotate a forward conditional branch (taken).
-    fn branch_fwd(&mut self);
-
-    /// Annotate entering a function.
-    fn call(&mut self);
-    /// Annotate returning from the current function.
-    fn ret(&mut self);
-
-    /// Annotate a blocking send.
-    fn send(&mut self, bytes: u32, dst: NodeId);
-    /// Annotate a blocking receive.
-    fn recv(&mut self, src: NodeId);
-    /// Annotate an asynchronous send.
-    fn asend(&mut self, bytes: u32, dst: NodeId);
-    /// Annotate an asynchronous receive.
-    fn arecv(&mut self, src: NodeId);
-    /// Annotate a one-sided blocking remote read of `bytes` from `from`.
-    fn get(&mut self, bytes: u32, from: NodeId);
-    /// Annotate a one-sided remote write of `bytes` to `to`.
-    fn put(&mut self, bytes: u32, to: NodeId);
+/// Where a streaming translator's operations go: its node's end of an
+/// [`crate::InterleavedTraceGen`].
+#[derive(Debug)]
+struct Stream {
+    op_tx: SyncSender<Operation>,
+    resume_rx: Receiver<()>,
+    /// Set when the simulator went away; generation continues silently so
+    /// the program thread can finish.
+    detached: bool,
 }
 
-/// The annotation translator for one node: accumulates the generated trace.
+impl Stream {
+    /// Hand `op` to the simulator; after a global event, park until the
+    /// simulator resumes this node (physical-time interleaving).
+    fn send(&mut self, op: Operation) {
+        self.detached = self.detached
+            || self.op_tx.send(op).is_err()
+            || (op.is_global_event() && self.resume_rx.recv().is_err());
+    }
+}
+
+/// The annotation translator for one node: the annotation API. Each
+/// annotation becomes operations that are either accumulated into the
+/// node's trace ([`Translator::finish`]) or, in a translator spawned by
+/// [`crate::InterleavedTraceGen`], streamed to the simulator.
 #[derive(Debug)]
 pub struct Translator {
     node: NodeId,
@@ -165,6 +141,8 @@ pub struct Translator {
     pc: Address,
     call_sites: Vec<Address>,
     trace: Trace,
+    /// `Some`: operations stream out instead of accumulating in `trace`.
+    stream: Option<Stream>,
 }
 
 impl Translator {
@@ -181,6 +159,26 @@ impl Translator {
             pc: layout.code_base,
             call_sites: Vec::new(),
             trace: Trace::new(node),
+            stream: None,
+        }
+    }
+
+    /// A translator that sends each operation down `op_tx` and, after a
+    /// global event, waits on `resume_rx` before going on.
+    pub(crate) fn streaming(
+        node: NodeId,
+        layout: TargetLayout,
+        op_tx: SyncSender<Operation>,
+        resume_rx: Receiver<()>,
+    ) -> Self {
+        let stream = Stream {
+            op_tx,
+            resume_rx,
+            detached: false,
+        };
+        Translator {
+            stream: Some(stream),
+            ..Translator::new(node, layout)
         }
     }
 
@@ -194,7 +192,8 @@ impl Translator {
         &self.vars
     }
 
-    /// Finish translation and take the trace.
+    /// Finish translation and take the trace (empty for a streaming
+    /// translator, whose operations have already gone).
     pub fn finish(self) -> Trace {
         assert!(
             self.frames.is_empty(),
@@ -204,21 +203,17 @@ impl Translator {
         self.trace
     }
 
-    /// Drain the operations generated so far (used by the threaded
-    /// generator to stream operations out).
-    pub fn drain_ops(&mut self) -> Vec<Operation> {
-        std::mem::take(&mut self.trace.ops)
-    }
-
-    /// Number of operations generated so far.
-    pub fn ops_generated(&self) -> usize {
-        self.trace.len()
+    fn emit(&mut self, op: Operation) {
+        match &mut self.stream {
+            Some(stream) => stream.send(op),
+            None => self.trace.push(op),
+        }
     }
 
     /// Emit the instruction fetch for the next "instruction" and advance
     /// the program counter.
     fn fetch(&mut self) {
-        self.trace.push(Operation::IFetch { addr: self.pc });
+        self.emit(Operation::IFetch { addr: self.pc });
         self.pc += 4;
     }
 
@@ -276,14 +271,14 @@ impl Translator {
                 if idx > 0 && self.layout.charge_addressing {
                     // Address computation: index scaling + add.
                     self.fetch();
-                    self.trace.push(Operation::Arith {
+                    self.emit(Operation::Arith {
                         op: ArithOp::Add,
                         ty: DataType::I32,
                     });
                 }
                 let addr = base + idx * ty.bytes();
                 self.fetch();
-                self.trace.push(if is_store {
+                self.emit(if is_store {
                     Operation::Store { ty, addr }
                 } else {
                     Operation::Load { ty, addr }
@@ -293,74 +288,89 @@ impl Translator {
     }
 }
 
-impl Annotator for Translator {
-    fn node(&self) -> NodeId {
+/// The annotation API.
+impl Translator {
+    /// The node this translator generates for.
+    pub fn node(&self) -> NodeId {
         self.node
     }
 
-    fn global(&mut self, name: &str, ty: DataType, elems: u64) -> VarId {
+    /// Declare a global variable; returns its descriptor id.
+    pub fn global(&mut self, name: &str, ty: DataType, elems: u64) -> VarId {
         self.declare(name, ty, elems, VarKind::Global)
     }
 
-    fn local(&mut self, name: &str, ty: DataType, elems: u64) -> VarId {
+    /// Declare a function-scope local.
+    pub fn local(&mut self, name: &str, ty: DataType, elems: u64) -> VarId {
         self.declare(name, ty, elems, VarKind::Local)
     }
 
-    fn arg(&mut self, name: &str, ty: DataType) -> VarId {
+    /// Declare a function argument.
+    pub fn arg(&mut self, name: &str, ty: DataType) -> VarId {
         self.declare(name, ty, 1, VarKind::Arg)
     }
 
-    fn load(&mut self, v: VarId) {
+    /// Annotate a scalar load of `v`.
+    pub fn load(&mut self, v: VarId) {
         self.mem_access(v, 0, false);
     }
 
-    fn load_idx(&mut self, v: VarId, idx: u64) {
+    /// Annotate a load of element `idx` of array `v`.
+    pub fn load_idx(&mut self, v: VarId, idx: u64) {
         self.mem_access(v, idx, false);
     }
 
-    fn store(&mut self, v: VarId) {
+    /// Annotate a scalar store to `v`.
+    pub fn store(&mut self, v: VarId) {
         self.mem_access(v, 0, true);
     }
 
-    fn store_idx(&mut self, v: VarId, idx: u64) {
+    /// Annotate a store to element `idx` of array `v`.
+    pub fn store_idx(&mut self, v: VarId, idx: u64) {
         self.mem_access(v, idx, true);
     }
 
-    fn loadc(&mut self, ty: DataType) {
+    /// Annotate loading an immediate constant.
+    pub fn loadc(&mut self, ty: DataType) {
         self.fetch();
-        self.trace.push(Operation::LoadConst { ty });
+        self.emit(Operation::LoadConst { ty });
     }
 
-    fn arith(&mut self, op: ArithOp, ty: DataType) {
+    /// Annotate an arithmetic operation.
+    pub fn arith(&mut self, op: ArithOp, ty: DataType) {
         self.fetch();
-        self.trace.push(Operation::Arith { op, ty });
+        self.emit(Operation::Arith { op, ty });
     }
 
-    fn loop_head(&mut self) -> LoopLabel {
+    /// Mark the head of a loop; pass the label to [`Translator::loop_back`].
+    pub fn loop_head(&mut self) -> LoopLabel {
         LoopLabel(self.pc)
     }
 
-    fn loop_back(&mut self, label: LoopLabel) {
+    /// Annotate the backward branch of a loop iteration.
+    pub fn loop_back(&mut self, label: LoopLabel) {
         self.fetch();
-        self.trace.push(Operation::Branch { addr: label.0 });
+        self.emit(Operation::Branch { addr: label.0 });
         // Control really transfers: the next iteration re-fetches the same
         // body addresses (recurring ifetch addresses, Section 3.3).
         self.pc = label.0;
     }
 
-    fn branch_fwd(&mut self) {
+    /// Annotate a forward conditional branch (taken).
+    pub fn branch_fwd(&mut self) {
         self.fetch();
         let target = self.pc + 16;
-        self.trace.push(Operation::Branch { addr: target });
+        self.emit(Operation::Branch { addr: target });
         self.pc = target;
     }
 
-    fn call(&mut self) {
+    /// Annotate entering a function.
+    pub fn call(&mut self) {
         self.fetch();
         self.call_sites.push(self.pc);
         // Callee entry: a fresh code region beyond any code seen so far.
         let entry = (self.pc + 0x100).next_multiple_of(0x100);
-        self.trace.push(Operation::Call { addr: entry });
+        self.emit(Operation::Call { addr: entry });
         self.frames.push(Frame {
             saved_sp: self.sp,
             saved_regs_used: self.regs_used,
@@ -369,39 +379,46 @@ impl Annotator for Translator {
         self.pc = entry;
     }
 
-    fn ret(&mut self) {
+    /// Annotate returning from the current function.
+    pub fn ret(&mut self) {
         let frame = self.frames.pop().expect("ret() without call()");
         let ret_to = self.call_sites.pop().expect("ret() without call site");
         self.fetch();
-        self.trace.push(Operation::Ret { addr: ret_to });
+        self.emit(Operation::Ret { addr: ret_to });
         self.pc = ret_to;
         self.sp = frame.saved_sp;
         self.regs_used = frame.saved_regs_used;
         self.vars.truncate(frame.first_var);
     }
 
-    fn send(&mut self, bytes: u32, dst: NodeId) {
-        self.trace.push(Operation::Send { bytes, dst });
+    /// Annotate a blocking send.
+    pub fn send(&mut self, bytes: u32, dst: NodeId) {
+        self.emit(Operation::Send { bytes, dst });
     }
 
-    fn recv(&mut self, src: NodeId) {
-        self.trace.push(Operation::Recv { src });
+    /// Annotate a blocking receive.
+    pub fn recv(&mut self, src: NodeId) {
+        self.emit(Operation::Recv { src });
     }
 
-    fn asend(&mut self, bytes: u32, dst: NodeId) {
-        self.trace.push(Operation::ASend { bytes, dst });
+    /// Annotate an asynchronous send.
+    pub fn asend(&mut self, bytes: u32, dst: NodeId) {
+        self.emit(Operation::ASend { bytes, dst });
     }
 
-    fn arecv(&mut self, src: NodeId) {
-        self.trace.push(Operation::ARecv { src });
+    /// Annotate an asynchronous receive.
+    pub fn arecv(&mut self, src: NodeId) {
+        self.emit(Operation::ARecv { src });
     }
 
-    fn get(&mut self, bytes: u32, from: NodeId) {
-        self.trace.push(Operation::Get { bytes, from });
+    /// Annotate a one-sided blocking remote read of `bytes` from `from`.
+    pub fn get(&mut self, bytes: u32, from: NodeId) {
+        self.emit(Operation::Get { bytes, from });
     }
 
-    fn put(&mut self, bytes: u32, to: NodeId) {
-        self.trace.push(Operation::Put { bytes, to });
+    /// Annotate a one-sided remote write of `bytes` to `to`.
+    pub fn put(&mut self, bytes: u32, to: NodeId) {
+        self.emit(Operation::Put { bytes, to });
     }
 }
 
@@ -520,7 +537,7 @@ mod tests {
             t.arith(ArithOp::Add, DataType::I32);
             t.arith(ArithOp::Mul, DataType::F64);
             t.loop_back(label);
-            let ops = t.drain_ops();
+            let ops = std::mem::take(&mut t.trace.ops);
             if iter == 0 {
                 first_iter = ops;
             } else {

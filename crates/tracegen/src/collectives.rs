@@ -3,18 +3,18 @@
 //! The SPMD kernels of [`crate::programs`] hand-roll their communication;
 //! real message-passing applications compose a small set of collectives.
 //! These are the classic algorithms (as a mid-90s message-passing library
-//! would implement them), written once against the [`Annotator`] API so
+//! would implement them), written once against the [`Translator`] API so
 //! any program can reuse them. Every collective is *balanced by
 //! construction*: called by all `nodes` ranks, it produces matching
 //! sends/receives.
 
 use mermaid_ops::NodeId;
 
-use crate::annotate::Annotator;
+use crate::annotate::Translator;
 
 /// Broadcast `bytes` from `root` to every rank along a binomial tree
 /// (log₂ n rounds).
-pub fn broadcast(a: &mut impl Annotator, nodes: u32, root: NodeId, bytes: u32) {
+pub fn broadcast(a: &mut Translator, nodes: u32, root: NodeId, bytes: u32) {
     assert!(root < nodes, "root {root} out of range");
     // Work in the rotated space where the root is rank 0.
     let me = (a.node() + nodes - root) % nodes;
@@ -37,7 +37,7 @@ pub fn broadcast(a: &mut impl Annotator, nodes: u32, root: NodeId, bytes: u32) {
 
 /// Reduce `bytes`-sized contributions to `root` along the mirrored
 /// binomial tree (the inverse flow of [`broadcast`]).
-pub fn reduce(a: &mut impl Annotator, nodes: u32, root: NodeId, bytes: u32) {
+pub fn reduce(a: &mut Translator, nodes: u32, root: NodeId, bytes: u32) {
     assert!(root < nodes, "root {root} out of range");
     let me = (a.node() + nodes - root) % nodes;
     let unrot = |r: u32| (r + root) % nodes;
@@ -65,14 +65,14 @@ pub fn reduce(a: &mut impl Annotator, nodes: u32, root: NodeId, bytes: u32) {
 }
 
 /// Allreduce = reduce to rank 0 + broadcast back.
-pub fn allreduce(a: &mut impl Annotator, nodes: u32, bytes: u32) {
+pub fn allreduce(a: &mut Translator, nodes: u32, bytes: u32) {
     reduce(a, nodes, 0, bytes);
     broadcast(a, nodes, 0, bytes);
 }
 
 /// Scatter distinct `bytes`-sized blocks from `root` to every other rank
 /// (linear, as early MPI implementations did).
-pub fn scatter(a: &mut impl Annotator, nodes: u32, root: NodeId, bytes: u32) {
+pub fn scatter(a: &mut Translator, nodes: u32, root: NodeId, bytes: u32) {
     let me = a.node();
     if me == root {
         for r in 0..nodes {
@@ -86,7 +86,7 @@ pub fn scatter(a: &mut impl Annotator, nodes: u32, root: NodeId, bytes: u32) {
 }
 
 /// Gather `bytes`-sized blocks from every rank onto `root` (linear).
-pub fn gather(a: &mut impl Annotator, nodes: u32, root: NodeId, bytes: u32) {
+pub fn gather(a: &mut Translator, nodes: u32, root: NodeId, bytes: u32) {
     let me = a.node();
     if me == root {
         for r in 0..nodes {
@@ -101,7 +101,7 @@ pub fn gather(a: &mut impl Annotator, nodes: u32, root: NodeId, bytes: u32) {
 
 /// All-gather via the ring algorithm: `n-1` rounds, each rank forwards the
 /// block it received in the previous round (bandwidth-optimal).
-pub fn allgather_ring(a: &mut impl Annotator, nodes: u32, bytes: u32) {
+pub fn allgather_ring(a: &mut Translator, nodes: u32, bytes: u32) {
     if nodes < 2 {
         return;
     }
@@ -115,14 +115,13 @@ pub fn allgather_ring(a: &mut impl Annotator, nodes: u32, bytes: u32) {
 }
 
 /// Barrier: a zero-byte [`allreduce`].
-pub fn barrier(a: &mut impl Annotator, nodes: u32) {
+pub fn barrier(a: &mut Translator, nodes: u32) {
     allreduce(a, nodes, 0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotate::Translator;
     use mermaid_ops::{Trace, TraceSet};
 
     fn run_all(nodes: u32, f: impl Fn(&mut Translator)) -> TraceSet {

@@ -9,8 +9,8 @@
 //! the validity of the multiprocessor traces at all times."
 //!
 //! [`InterleavedTraceGen`] spawns one OS thread per simulated node. Each
-//! thread runs the instrumented program against a [`NodeCtx`] (the same
-//! [`Annotator`] API as the batch translator). Operations stream to the
+//! thread runs the instrumented program against a streaming [`Translator`]
+//! (the same annotation API as batch translation). Operations stream to the
 //! simulator through a bounded channel; when the program issues a *global
 //! event* (any communication operation), the thread parks until the
 //! simulator pulls the node's next operation from its [`NodeReader`] —
@@ -20,158 +20,15 @@
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-use mermaid_ops::{ArithOp, DataType, NodeId, Operation, Trace, TraceSet};
+use mermaid_ops::{Operation, Trace, TraceSet};
 
-use crate::annotate::{Annotator, LoopLabel, TargetLayout, Translator, VarId};
+use crate::annotate::{TargetLayout, Translator};
 
 /// Capacity of the per-node operation channel. Bounded so that a
 /// free-running computation phase cannot buffer unbounded trace data —
 /// simulator back-pressure suspends the generating thread instead, keeping
 /// memory consumption flat (the paper's Section 6 argument).
 const OP_CHANNEL_CAP: usize = 4096;
-
-/// The per-thread annotation context: an [`Annotator`] whose operations
-/// stream to the simulator, suspending at global events.
-pub struct NodeCtx {
-    inner: Translator,
-    op_tx: SyncSender<Operation>,
-    resume_rx: Receiver<()>,
-    /// Set when the consumer went away; generation continues silently so
-    /// the program thread can finish.
-    detached: bool,
-}
-
-impl NodeCtx {
-    fn flush(&mut self) {
-        if self.detached {
-            self.inner.drain_ops();
-            return;
-        }
-        for op in self.inner.drain_ops() {
-            if self.op_tx.send(op).is_err() {
-                self.detached = true;
-                return;
-            }
-        }
-    }
-
-    /// Park until the simulator resumes this node (or the simulator is
-    /// gone, in which case generation free-runs to completion).
-    fn suspend(&mut self) {
-        if self.detached {
-            return;
-        }
-        if self.resume_rx.recv().is_err() {
-            self.detached = true;
-        }
-    }
-
-    fn emit_global(&mut self, op: Operation) {
-        debug_assert!(op.is_global_event());
-        self.flush();
-        if !self.detached && self.op_tx.send(op).is_err() {
-            self.detached = true;
-        }
-        // Physical-time interleaving: wait for the simulator's feedback.
-        self.suspend();
-    }
-}
-
-impl Annotator for NodeCtx {
-    fn node(&self) -> NodeId {
-        self.inner.node()
-    }
-
-    fn global(&mut self, name: &str, ty: DataType, elems: u64) -> VarId {
-        self.inner.global(name, ty, elems)
-    }
-
-    fn local(&mut self, name: &str, ty: DataType, elems: u64) -> VarId {
-        self.inner.local(name, ty, elems)
-    }
-
-    fn arg(&mut self, name: &str, ty: DataType) -> VarId {
-        self.inner.arg(name, ty)
-    }
-
-    fn load(&mut self, v: VarId) {
-        self.inner.load(v);
-        self.flush();
-    }
-
-    fn load_idx(&mut self, v: VarId, idx: u64) {
-        self.inner.load_idx(v, idx);
-        self.flush();
-    }
-
-    fn store(&mut self, v: VarId) {
-        self.inner.store(v);
-        self.flush();
-    }
-
-    fn store_idx(&mut self, v: VarId, idx: u64) {
-        self.inner.store_idx(v, idx);
-        self.flush();
-    }
-
-    fn loadc(&mut self, ty: DataType) {
-        self.inner.loadc(ty);
-        self.flush();
-    }
-
-    fn arith(&mut self, op: ArithOp, ty: DataType) {
-        self.inner.arith(op, ty);
-        self.flush();
-    }
-
-    fn loop_head(&mut self) -> LoopLabel {
-        self.inner.loop_head()
-    }
-
-    fn loop_back(&mut self, label: LoopLabel) {
-        self.inner.loop_back(label);
-        self.flush();
-    }
-
-    fn branch_fwd(&mut self) {
-        self.inner.branch_fwd();
-        self.flush();
-    }
-
-    fn call(&mut self) {
-        self.inner.call();
-        self.flush();
-    }
-
-    fn ret(&mut self) {
-        self.inner.ret();
-        self.flush();
-    }
-
-    fn send(&mut self, bytes: u32, dst: NodeId) {
-        self.emit_global(Operation::Send { bytes, dst });
-    }
-
-    fn recv(&mut self, src: NodeId) {
-        self.emit_global(Operation::Recv { src });
-    }
-
-    fn asend(&mut self, bytes: u32, dst: NodeId) {
-        self.emit_global(Operation::ASend { bytes, dst });
-    }
-
-    fn arecv(&mut self, src: NodeId) {
-        self.emit_global(Operation::ARecv { src });
-    }
-
-    fn get(&mut self, bytes: u32, from: NodeId) {
-        self.emit_global(Operation::Get { bytes, from });
-    }
-
-    fn put(&mut self, bytes: u32, to: NodeId) {
-        self.emit_global(Operation::Put { bytes, to });
-    }
-}
 
 /// Handle to one node's generator thread.
 struct NodeHandle {
@@ -187,11 +44,12 @@ pub struct InterleavedTraceGen {
 }
 
 impl InterleavedTraceGen {
-    /// Spawn `nodes` generator threads, each running `program(node_ctx)`.
-    /// The program receives its node id through [`Annotator::node`].
+    /// Spawn `nodes` generator threads, each running `program` against a
+    /// streaming [`Translator`]. The program receives its node id through
+    /// [`Translator::node`].
     pub fn spawn<F>(nodes: u32, layout: TargetLayout, program: F) -> Self
     where
-        F: Fn(&mut NodeCtx) + Send + Clone + 'static,
+        F: Fn(&mut Translator) + Send + Clone + 'static,
     {
         let handles = (0..nodes)
             .map(|node| {
@@ -201,14 +59,7 @@ impl InterleavedTraceGen {
                 let join = std::thread::Builder::new()
                     .name(format!("mermaid-node-{node}"))
                     .spawn(move || {
-                        let mut ctx = NodeCtx {
-                            inner: Translator::new(node, layout),
-                            op_tx,
-                            resume_rx,
-                            detached: false,
-                        };
-                        program(&mut ctx);
-                        ctx.flush();
+                        program(&mut Translator::streaming(node, layout, op_tx, resume_rx));
                         // Channel closes on drop → consumer sees end of trace.
                     })
                     .expect("failed to spawn trace-generator thread");
@@ -305,21 +156,15 @@ impl Drop for InterleavedTraceGen {
     }
 }
 
-/// A ready-made address/register layout matching the stochastic
-/// generator's segments (handy for mixing generated and instrumented
-/// workloads on one machine model).
-pub fn default_layout() -> TargetLayout {
-    TargetLayout::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mermaid_ops::{ArithOp, DataType};
 
     /// A two-phase program: compute, exchange with the ring neighbour,
     /// compute again.
-    fn ring_program(nodes: u32) -> impl Fn(&mut NodeCtx) + Send + Clone + 'static {
-        move |ctx: &mut NodeCtx| {
+    fn ring_program(nodes: u32) -> impl Fn(&mut Translator) + Send + Clone + 'static {
+        move |ctx: &mut Translator| {
             let me = ctx.node();
             let x = ctx.local("x", DataType::F64, 1);
             for _ in 0..3 {

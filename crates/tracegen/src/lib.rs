@@ -15,7 +15,8 @@
 //!   table*, according to the addressing/register model of the target — "a
 //!   kind of generic compiler". (The paper instruments C sources
 //!   automatically; here the instrumented program is a Rust closure making
-//!   the same library calls.)
+//!   the same library calls on a [`Translator`], whichever generator runs
+//!   it.)
 //! * [`interleave`] — **physical-time interleaving** (Dubois et al.): the
 //!   threaded trace generation scheme of Section 3.1. One thread per
 //!   simulated node; a thread that hits a *global event* suspends until the
@@ -32,7 +33,7 @@ pub mod programs;
 pub mod stochastic;
 
 pub use annotate::{Translator, VarId};
-pub use interleave::{InterleavedTraceGen, NodeCtx, NodeReader};
+pub use interleave::{InterleavedTraceGen, NodeReader};
 pub use stochastic::{
     CommPattern, InstructionMix, NodeStream, SizeDist, StochasticApp, StochasticGenerator,
 };

@@ -2,8 +2,8 @@
 //! full-blown parallel programs to small benchmarks used to tune and
 //! validate the machine parameters" (paper, Section 3).
 //!
-//! Each kernel is written once against the [`Annotator`] API and therefore
-//! runs unchanged through the batch translator, the threaded
+//! Each kernel is written once against the [`Translator`] API and therefore
+//! runs unchanged through batch translation, the threaded
 //! physical-time-interleaved generator, and (via the traces it produces)
 //! every architecture model — the architecture-independence the paper
 //! requires of application descriptions.
@@ -13,7 +13,7 @@
 
 use mermaid_ops::{ArithOp, DataType, NodeId};
 
-use crate::annotate::Annotator;
+use crate::annotate::Translator;
 
 /// Row-block matrix multiply `C = A × B` on an `n×n` matrix distributed
 /// over `nodes` processors by row blocks; the result blocks are gathered on
@@ -21,7 +21,7 @@ use crate::annotate::Annotator;
 ///
 /// Per node: `rows × n × n` multiply-accumulate iterations, then one gather
 /// message (workers send, node 0 receives).
-pub fn block_matmul(a: &mut impl Annotator, nodes: u32, n: u64) {
+pub fn block_matmul(a: &mut Translator, nodes: u32, n: u64) {
     let me = a.node();
     let rows = rows_of(me, nodes, n);
     // Local blocks: A rows, full B, C rows.
@@ -77,7 +77,7 @@ fn rows_of(node: NodeId, nodes: u32, n: u64) -> u64 {
 /// points per node, `iters` sweeps. Neighbours exchange one `f64` halo cell
 /// per side per sweep (asynchronous sends, blocking receives — the
 /// standard deadlock-free schedule).
-pub fn jacobi1d(a: &mut impl Annotator, nodes: u32, cells: u64, iters: u32) {
+pub fn jacobi1d(a: &mut Translator, nodes: u32, cells: u64, iters: u32) {
     let me = a.node();
     let left = me.checked_sub(1);
     let right = if me + 1 < nodes { Some(me + 1) } else { None };
@@ -121,7 +121,7 @@ pub fn jacobi1d(a: &mut impl Annotator, nodes: u32, cells: u64, iters: u32) {
 /// Every node first reduces its local array, then the partial sums flow up
 /// a binary tree: in round `r`, nodes with bit `r` set send to
 /// `node - 2^r` and stop; the receivers accumulate.
-pub fn tree_reduce(a: &mut impl Annotator, nodes: u32, elems: u64) {
+pub fn tree_reduce(a: &mut Translator, nodes: u32, elems: u64) {
     let me = a.node();
     let data = a.global("data", DataType::F64, elems.max(1));
     let sum = a.local("sum", DataType::F64, 1);
@@ -158,7 +158,7 @@ pub fn tree_reduce(a: &mut impl Annotator, nodes: u32, elems: u64) {
 
 /// All-to-all personalized exchange (matrix transpose pattern): every node
 /// sends a `block_bytes` block to every other node, then receives from all.
-pub fn transpose_all_to_all(a: &mut impl Annotator, nodes: u32, block_bytes: u32) {
+pub fn transpose_all_to_all(a: &mut Translator, nodes: u32, block_bytes: u32) {
     let me = a.node();
     // Marshal each outgoing block (touch it once).
     let buf = a.global("sendbuf", DataType::F64, (block_bytes as u64 / 8).max(1));
@@ -181,7 +181,7 @@ pub fn transpose_all_to_all(a: &mut impl Annotator, nodes: u32, block_bytes: u32
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotate::{TargetLayout, Translator};
+    use crate::annotate::TargetLayout;
     use mermaid_ops::{Trace, TraceSet};
 
     fn run_all<F: Fn(&mut Translator)>(nodes: u32, f: F) -> TraceSet {

@@ -11,7 +11,6 @@
 //! Run with: `cargo run --release --example hybrid_modes`
 
 use mermaid::prelude::*;
-use mermaid::DirectExecSim;
 use mermaid_stats::table::Align;
 use mermaid_stats::Table;
 use std::time::Instant;
@@ -77,13 +76,13 @@ fn main() {
 
     // Direct-execution baseline.
     let t0 = Instant::now();
-    let direct = DirectExecSim::new(machine).run(&instr_traces);
+    let direct = HybridSim::direct(machine).run(&instr_traces);
     let direct_ms = t0.elapsed().as_secs_f64() * 1e3;
     table.row([
         "direct execution (baseline)".to_string(),
         format!("{}", direct.predicted_time),
         format!("{direct_ms:.2}"),
-        direct.ops_processed.to_string(),
+        direct.ops_simulated.to_string(),
     ]);
 
     println!("{}", table.render());

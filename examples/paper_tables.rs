@@ -269,7 +269,7 @@ fn e4() {
         };
         let traces = StochasticGenerator::new(app, 13).generate();
         let (hybrid, hybrid_ms) = timed(|| HybridSim::new(t805_16()).run(&traces));
-        let (direct, direct_ms) = timed(|| DirectExecSim::new(t805_16()).run(&traces));
+        let (direct, direct_ms) = timed(|| HybridSim::direct(t805_16()).run(&traces));
         assert!(
             hybrid.comm.all_done && direct.comm.all_done,
             "E4: the {ws} B working set did not finish"

@@ -52,7 +52,7 @@ echo "==> bench harness: its own unit tests build against the public API"
 cargo test -q --offline --manifest-path crates/bench/src/bin/mermaid-bench/Cargo.toml
 
 echo "==> cli: sharded run is bit-identical to the serial run"
-for mode in detailed task; do
+for mode in detailed direct task; do
     for spec in torus:4x4 ring:8; do
         # The detailed-mode slowdown figure is host wall-clock based and
         # legitimately varies run to run — compare everything else.
@@ -102,7 +102,7 @@ echo "==> cli: detailed/direct output matches the pre-streaming golden snapshots
 # a `## <args>` line; replay those against the release binary and diff the
 # whole document: pinned to one core (`available_parallelism` = 1, so the
 # computational phase gets one worker), unrestricted (one worker per
-# core), and detailed mode also on 3 shards.
+# core), and on 3 shards.
 cargo build --release -p mermaid
 cli="${CARGO_TARGET_DIR:-target}/release/mermaid-cli"
 replay_golden() { # <command prefix> <golden file> [extra args...]
@@ -121,9 +121,11 @@ for pin in "taskset -c 0" ""; do
     diff -u tests/golden/sim_detailed.txt "$serial_out" \
         || { echo "detailed-mode output drifted from the golden snapshot (${pin:-all cores})" >&2; exit 1; }
 done
-replay_golden "" tests/golden/sim_detailed.txt --shards 3 > "$serial_out"
-diff -u tests/golden/sim_detailed.txt "$serial_out" \
-    || { echo "detailed-mode output drifted from the golden snapshot (shards=3)" >&2; exit 1; }
+for mode in direct detailed; do
+    replay_golden "" "tests/golden/sim_$mode.txt" --shards 3 > "$serial_out"
+    diff -u "tests/golden/sim_$mode.txt" "$serial_out" \
+        || { echo "$mode-mode output drifted from the golden snapshot (shards=3)" >&2; exit 1; }
+done
 
 echo "==> cli: detailed mode fits in 128 MiB of address space"
 # Traces are generated as they are simulated: this call held 214 MB
@@ -216,7 +218,7 @@ echo "==> cli: a flag its subcommand does not take is an error, not ignored"
 # Each of these exited 0 with the flag silently dropped. Exit status 1 is
 # the CLI's own error path; 0 means ignored again, 101 a panic.
 for args in "analyze --restore x.snap" "analyze --checkpoint-every 100" \
-    "analyze --checkpoint-dir d" "sim --mode direct --watch" "sim --watch --shards 2" \
+    "analyze --checkpoint-dir d" "sim --watch --shards 2" \
     "probe --faults frob:1 --restore nope" "topo ring:4 mesh:2x2"; do
     # shellcheck disable=SC2086  # $args is a word list by construction
     "$cli" $args > /dev/null 2>&1 && rc=0 || rc=$?
@@ -232,6 +234,40 @@ echo "==> cli: --watch samples detailed-mode runs too"
     || { echo "sim --mode detailed --watch failed" >&2; exit 1; }
 grep -q "done=" "$sharded_out" \
     || { echo "sim --mode detailed --watch printed no progress line" >&2; exit 1; }
+
+echo "==> cli: direct execution takes every option of the one run path"
+# Direct execution is the static-cost node model in front of the same
+# communication phase; each of these combinations used to be refused.
+# Sharded stdout must equal serial stdout.
+direct=(--machine test --topology mesh:4x4 --mode direct --pattern all2all --phases 2)
+faults=(--faults "link:0-1:2000:60000; drop:20000" --fault-seed 9)
+for cmd in analyze sim; do
+    for extra in plain faulty; do
+        args=("$cmd" "${direct[@]}")
+        [ "$extra" = faulty ] && args+=("${faults[@]}")
+        "$cli" "${args[@]}" --shards 1 > "$serial_out"
+        "$cli" "${args[@]}" --shards 3 > "$sharded_out"
+        diff -u "$serial_out" "$sharded_out" \
+            || { echo "direct $cmd ($extra) diverged serial vs sharded" >&2; exit 1; }
+    done
+done
+grep -q "fault injection:" "$serial_out" \
+    || { echo "direct-mode fault summary missing" >&2; exit 1; }
+"$cli" sim "${direct[@]}" --watch > "$serial_out" 2> "$sharded_out"
+grep -q "^messages over time: " "$serial_out" \
+    || { echo "sim --mode direct --watch printed no sparkline" >&2; exit 1; }
+grep -q "done=" "$sharded_out" \
+    || { echo "sim --mode direct --watch printed no progress line" >&2; exit 1; }
+"$cli" sim "${direct[@]}" --trace-out "$trace_file" --metrics \
+    --attribution "$serial_out.attr" > /dev/null
+rm -f "$serial_out.attr"
+cargo run --release --example traced_run -- "$trace_file" > /dev/null
+direct_campaign="$(mktemp -d -t mermaid-check-direct.XXXXXX)"
+"$cli" campaign "topo = mesh:2x2; machine = test; phases = 2; ops = 300; mode = direct" \
+    --out "$direct_campaign" 2> /dev/null > "$serial_out"
+rm -rf "$direct_campaign"
+grep -q "1 run(s) expanded, 0 already recorded, 1 executed" "$serial_out" \
+    || { echo "campaign with mode = direct did not run" >&2; exit 1; }
 
 echo "==> cli: invalid topology specs fail cleanly (no panic)"
 for spec in ring:1 mesh:0x4 hypercube:21 mesh:100000x100000; do

@@ -11,7 +11,7 @@ use mermaid_tracegen::InterleavedTraceGen;
 fn dsm_traces(
     nodes: u32,
     page_bytes: u32,
-    f: impl Fn(&mut mermaid_tracegen::NodeCtx, DsmConfig) + Send + Clone + 'static,
+    f: impl Fn(&mut mermaid_tracegen::Translator, DsmConfig) + Send + Clone + 'static,
 ) -> TraceSet {
     InterleavedTraceGen::spawn(nodes, TargetLayout::default(), move |ctx| {
         f(ctx, DsmConfig { nodes, page_bytes })

@@ -343,11 +343,20 @@ fn golden_detailed_sims() {
 
 #[test]
 fn golden_direct_sims() {
+    // Direct execution is a node model in front of the same communication
+    // phase, so it is held to the same serial/sharded bit-identity.
     check_text(
         "sim_direct.txt",
         &sim_matrix("direct", &[]),
         "sim --mode direct",
     );
+    if std::env::var_os("BLESS").is_none() {
+        check_text(
+            "sim_direct.txt",
+            &sim_matrix("direct", &["--shards", "3"]),
+            "sim --mode direct --shards 3",
+        );
+    }
 }
 
 #[test]

@@ -71,7 +71,7 @@ fn machine_sweep_orders_by_generation() {
 fn all_presets_survive_every_mode() {
     // Every machine preset through detailed + task-level + direct — no
     // panics, no deadlocks.
-    use mermaid::{DirectExecSim, TaskLevelSim};
+    use mermaid::TaskLevelSim;
     let nodes = 4u32;
     let traces = workload(nodes);
     let gen = StochasticGenerator::new(
@@ -92,7 +92,7 @@ fn all_presets_survive_every_mode() {
         assert!(h.comm.all_done, "{} hybrid deadlocked", machine.name);
         let t = TaskLevelSim::new(machine.network).run(&task_traces);
         assert!(t.comm.all_done, "{} task-level deadlocked", machine.name);
-        let d = DirectExecSim::new(machine.clone()).run(&traces);
+        let d = HybridSim::direct(machine.clone()).run(&traces);
         assert!(d.comm.all_done, "{} direct deadlocked", machine.name);
         // Direct execution is optimistic or equal, never pessimistic, with
         // write-allocate caches under this model.

@@ -3,7 +3,7 @@
 //! the suite stays robust on loaded machines.
 
 use mermaid::prelude::*;
-use mermaid::{DirectExecSim, ModelFootprint};
+use mermaid::ModelFootprint;
 use std::time::Instant;
 
 fn app(nodes: u32, ops: u64) -> StochasticApp {
@@ -63,8 +63,8 @@ fn direct_execution_is_blind_to_cache_size() {
         "the detailed model must reward a bigger cache"
     );
 
-    let d_small = DirectExecSim::new(small).run(&traces).predicted_time;
-    let d_big = DirectExecSim::new(big).run(&traces).predicted_time;
+    let d_small = HybridSim::direct(small).run(&traces).predicted_time;
+    let d_big = HybridSim::direct(big).run(&traces).predicted_time;
     assert_eq!(d_small, d_big, "the static estimator cannot see cache size");
 }
 

@@ -11,7 +11,7 @@ use mermaid_tracegen::InterleavedTraceGen;
 
 fn generate(
     nodes: u32,
-    program: impl Fn(&mut mermaid_tracegen::NodeCtx) + Send + Clone + 'static,
+    program: impl Fn(&mut mermaid_tracegen::Translator) + Send + Clone + 'static,
 ) -> TraceSet {
     InterleavedTraceGen::spawn(nodes, TargetLayout::default(), program).collect_all()
 }
@@ -103,10 +103,10 @@ fn execution_driven_pipeline_is_equivalent_to_batch() {
     let batch = generate(nodes, move |ctx| block_matmul(ctx, nodes, 10));
     let batch_result = HybridSim::new(machine.clone()).run(&batch);
 
-    let gen = InterleavedTraceGen::spawn(nodes, TargetLayout::default(), move |ctx| {
+    let mut gen = InterleavedTraceGen::spawn(nodes, TargetLayout::default(), move |ctx| {
         block_matmul(ctx, nodes, 10)
     });
-    let streamed_result = HybridSim::new(machine).run_from_generator(gen);
+    let streamed_result = HybridSim::new(machine).run_streams(gen.streams());
 
     assert_eq!(batch_result.predicted_time, streamed_result.predicted_time);
     assert_eq!(batch_result.task_traces, streamed_result.task_traces);

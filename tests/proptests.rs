@@ -796,7 +796,7 @@ proptest! {
         chunk in prop_oneof![Just(1usize), Just(7usize), Just(4096usize), Just(usize::MAX)],
         workers in 1usize..20,
     ) {
-        use mermaid::{DirectExecSim, HybridSim, MachineConfig};
+        use mermaid::{HybridSim, MachineConfig};
         use mermaid_cpu::SingleNodeSim;
         use mermaid_tracegen::{CommPattern, InstructionMix, StochasticApp, StochasticGenerator};
 
@@ -842,12 +842,12 @@ proptest! {
             prop_assert_eq!(debug(&streamed.nodes), debug(&batch.nodes));
             prop_assert_eq!(debug(&streamed.comm), debug(&batch.comm));
 
-            let batch = DirectExecSim::new(m.clone()).with_workers(1).run(&traces);
-            let streamed = DirectExecSim::new(m)
+            let batch = HybridSim::direct(m.clone()).with_workers(1).run(&traces);
+            let streamed = HybridSim::direct(m)
                 .with_workers(workers)
                 .run_streams(gen.streams());
             prop_assert_eq!(streamed.predicted_time, batch.predicted_time);
-            prop_assert_eq!(streamed.ops_processed, batch.ops_processed);
+            prop_assert_eq!(streamed.ops_simulated, batch.ops_simulated);
             prop_assert_eq!(debug(&streamed.comm), debug(&batch.comm));
         }
 

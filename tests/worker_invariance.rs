@@ -43,7 +43,7 @@ fn results_do_not_depend_on_the_worker_count() {
                 .run_streams(gen.streams())
         };
         let direct = |workers| {
-            DirectExecSim::new(machine.clone())
+            HybridSim::direct(machine.clone())
                 .with_workers(workers)
                 .run_streams(gen.streams())
         };
@@ -61,7 +61,7 @@ fn results_do_not_depend_on_the_worker_count() {
 
             let d = direct(workers);
             assert_eq!(d.predicted_time, d1.predicted_time, "{what}");
-            assert_eq!(d.ops_processed, d1.ops_processed, "{what}");
+            assert_eq!(d.ops_simulated, d1.ops_simulated, "{what}");
             assert_eq!(debug(&d.comm), debug(&d1.comm), "{what}");
         }
     }
