@@ -25,13 +25,9 @@
 //! still uses physical-time interleaving (see `mermaid-tracegen`) so that
 //! generating threads never run ahead of the simulator.
 
-use std::sync::Arc;
-
 use mermaid_cpu::{CpuStats, SingleNodeSim};
 use mermaid_memory::MemStats;
-use mermaid_network::{
-    run_comm, CommResult, FaultSchedule, RunOptions, ShardProfile, SnapshotError,
-};
+use mermaid_network::{run_comm, CommResult, RunOptions, ShardProfile, SnapshotError};
 use mermaid_ops::{NodeId, Operation, TraceSet};
 use mermaid_probe::ProbeHandle;
 use pearl::{Duration, Time};
@@ -129,34 +125,6 @@ impl<'a> HybridSim<'a> {
     /// [`HybridSim::try_run_streams`] when a snapshot option is set.
     pub fn with_options(mut self, opts: RunOptions<'a>) -> Self {
         self.opts = opts;
-        self
-    }
-
-    /// Attach an instrumentation handle: both halves of the hybrid run —
-    /// the per-node computational models (cache/bus events) and the
-    /// communication model (activations, messages, links, the engine) —
-    /// record into it. Observation only; predicted times are unchanged.
-    pub fn with_probe(mut self, probe: ProbeHandle) -> Self {
-        self.opts.probe = probe;
-        self
-    }
-
-    /// Run the communication phase on `shards` worker threads (builder
-    /// style). The computational phase is per-node and unaffected; sharded
-    /// communication produces bit-identical results to the serial path.
-    /// `1` (the default) keeps the single-threaded path.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.opts.shards = shards;
-        self
-    }
-
-    /// Enable deterministic fault injection for the communication phase
-    /// (builder style): scripted link/router faults plus seeded transient
-    /// packet loss/corruption, with the ack/retry/backoff reliability
-    /// protocol armed. The computational phase is unaffected; serial and
-    /// sharded runs stay bit-identical under the same schedule.
-    pub fn with_faults(mut self, faults: Option<Arc<FaultSchedule>>) -> Self {
-        self.opts.faults = faults;
         self
     }
 
@@ -385,7 +353,10 @@ mod tests {
         let plain = HybridSim::new(machine(4)).run(&traces);
         let probe = ProbeHandle::new(ProbeStack::new().with_metrics().with_chrome());
         let probed = HybridSim::new(machine(4))
-            .with_probe(probe.clone())
+            .with_options(RunOptions {
+                probe: probe.clone(),
+                ..RunOptions::default()
+            })
             .run(&traces);
         assert_eq!(plain.predicted_time, probed.predicted_time);
         assert_eq!(plain.task_traces, probed.task_traces);

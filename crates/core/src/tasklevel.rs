@@ -7,13 +7,10 @@
 //! The task-level traces come straight from a trace generator (Fig. 4's
 //! task-level quadrants) instead of from the computational model.
 
-use std::sync::Arc;
-
 use mermaid_network::{
-    run_comm, CommResult, FaultSchedule, NetworkConfig, RunOptions, ShardProfile, SnapshotError,
+    run_comm, CommResult, NetworkConfig, RunOptions, ShardProfile, SnapshotError,
 };
 use mermaid_ops::TraceSet;
-use mermaid_probe::ProbeHandle;
 use pearl::Time;
 
 /// Result of a task-level simulation.
@@ -56,28 +53,11 @@ impl<'a> TaskLevelSim<'a> {
         self
     }
 
-    /// Attach an instrumentation handle: runs record engine, router and
-    /// processor events into it (observation only — predicted times are
-    /// unchanged).
-    pub fn with_probe(mut self, probe: ProbeHandle) -> Self {
-        self.opts.probe = probe;
-        self
-    }
-
     /// Run the communication model on `shards` worker threads (builder
     /// style). Sharded runs produce bit-identical results to the default
     /// single-threaded run; `1` (the default) keeps the serial path.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.opts.shards = shards;
-        self
-    }
-
-    /// Enable deterministic fault injection (builder style): scripted
-    /// link/router faults plus seeded transient packet loss/corruption,
-    /// with the ack/retry/backoff reliability protocol armed. Serial and
-    /// sharded runs stay bit-identical under the same schedule.
-    pub fn with_faults(mut self, faults: Option<Arc<FaultSchedule>>) -> Self {
-        self.opts.faults = faults;
         self
     }
 

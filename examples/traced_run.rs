@@ -17,7 +17,7 @@
 
 use mermaid::prelude::*;
 use mermaid::probe::validate_chrome_trace;
-use mermaid_network::CommSim;
+use mermaid_network::{CommSim, RunOptions};
 
 /// Validate the Chrome trace at `path`; with `faulty`, also require that
 /// fault injection left its mark.
@@ -64,7 +64,10 @@ fn main() {
             .with_profiler(mermaid::host_frequency().as_hz() as f64),
     );
     let traced = TaskLevelSim::new(machine.network)
-        .with_probe(probe.clone())
+        .with_options(RunOptions {
+            probe: probe.clone(),
+            ..RunOptions::default()
+        })
         .run(&traces);
 
     // Observation must not perturb the simulation.

@@ -159,12 +159,6 @@ rm -f "$bench_out"
 echo "==> example: paper_tables (every table of EXPERIMENTS.md, shapes asserted)"
 cargo run --release --example paper_tables > /dev/null
 
-echo "==> tier-1: fault-injection conformance suite"
-cargo test -q --test fault_injection
-
-echo "==> tier-1: checkpoint/restore conformance suite"
-cargo test -q --test checkpoint_conformance
-
 echo "==> cli: faulty runs are bit-identical serial vs sharded"
 # A scripted outage (link 0-1 down at 2 us, healed at 60 us) plus 2%
 # transient loss: retries recover everything, and the sharded run must

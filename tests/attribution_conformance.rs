@@ -7,108 +7,47 @@
 //! decomposition is conservative: the six components partition the
 //! end-to-end latency exactly, with no residual.
 
-use std::sync::Arc;
-
 use mermaid::prelude::*;
-use mermaid_network::{FaultSchedule, RetryParams};
+use mermaid::TaskLevelResult;
+use mermaid_network::RunOptions;
 use mermaid_probe::SimEvent;
-use pearl::Time;
 
-const TOPOS: [Topology; 4] = [
-    Topology::Ring(8),
-    Topology::Mesh2D { w: 4, h: 2 },
-    Topology::Torus2D { w: 4, h: 2 },
-    Topology::Hypercube { dim: 3 },
-];
+mod common;
+use common::matrix::{EVENTFUL, TOPOS};
+use common::{check, scenario, Block, Scenario};
 
-const PATTERNS: [CommPattern; 3] = [
-    CommPattern::NearestNeighborRing,
-    CommPattern::AllToAll,
-    CommPattern::MasterWorker,
-];
-
-fn traces(n: u32, pattern: CommPattern, seed: u64) -> TraceSet {
-    StochasticGenerator::new(
-        StochasticApp {
-            phases: 2,
-            ops_per_phase: SizeDist::Fixed(500),
-            pattern,
-            ..StochasticApp::scientific(n)
-        },
-        seed,
-    )
-    .generate_task_level()
-}
-
-/// A schedule exercising every fault class; link 0–1 and router 2 exist
-/// in all topologies under test.
-fn eventful_schedule(cfg: &NetworkConfig) -> Arc<FaultSchedule> {
-    let mut f = FaultSchedule::new(7)
-        .with_retry(RetryParams::default_for(cfg))
-        .with_drop_ppm(20_000)
-        .with_corrupt_ppm(10_000);
-    f.cut_link(0, 1, Time::from_us(2), Some(Time::from_us(60)));
-    f.crash_router(2, Time::from_us(10), Some(Time::from_us(80)));
-    Arc::new(f)
-}
-
-fn attribution_json(
-    topo: Topology,
-    ts: &TraceSet,
-    shards: usize,
-    faults: Option<Arc<FaultSchedule>>,
-) -> String {
-    let probe = ProbeHandle::new(ProbeStack::new().with_attribution());
-    let r = TaskLevelSim::new(NetworkConfig::test(topo))
-        .with_probe(probe.clone())
-        .with_shards(shards)
-        .with_faults(faults)
-        .run(ts);
-    assert!(r.comm.all_done, "{topo:?} deadlocked");
-    probe
-        .attribution_report(r.predicted_time.as_ps())
-        .expect("attribution sink was attached")
-        .to_json()
+/// A run of `sc` recording into `probe`.
+fn probed(sc: &Scenario, probe: &ProbeHandle) -> TaskLevelResult {
+    let r = sc.cfg.resolve().unwrap();
+    TaskLevelSim::new(r.machine.network)
+        .with_options(RunOptions {
+            probe: probe.clone(),
+            faults: r.faults,
+            ..RunOptions::default()
+        })
+        .run(&sc.task_traces())
 }
 
 #[test]
 fn attribution_json_is_byte_identical_serial_vs_sharded() {
-    for topo in TOPOS {
-        for pattern in PATTERNS {
-            let ts = traces(topo.nodes(), pattern, 21);
-            let serial = attribution_json(topo, &ts, 1, None);
-            let sharded = attribution_json(topo, &ts, 3, None);
-            assert_eq!(serial, sharded, "{topo:?} × {pattern:?} diverged");
-            assert!(serial.contains("\"schema\":\"mermaid-attribution-v1\""));
-        }
-    }
+    check(Block::Attribution);
 }
 
 #[test]
 fn faulty_attribution_is_byte_identical_serial_vs_sharded() {
-    for topo in TOPOS {
-        let cfg = NetworkConfig::test(topo);
-        let ts = traces(topo.nodes(), CommPattern::AllToAll, 17);
-        let serial = attribution_json(topo, &ts, 1, Some(eventful_schedule(&cfg)));
-        let sharded = attribution_json(topo, &ts, 3, Some(eventful_schedule(&cfg)));
-        assert_eq!(serial, sharded, "{topo:?} faulty run diverged");
-    }
+    check(Block::FaultyAttribution);
 }
 
 #[test]
 fn attribution_is_purely_observational() {
     // Attaching the sink must not move a single simulated observable.
-    for topo in [Topology::Ring(8), Topology::Torus2D { w: 4, h: 2 }] {
-        let ts = traces(topo.nodes(), CommPattern::AllToAll, 5);
-        let plain = TaskLevelSim::new(NetworkConfig::test(topo)).run(&ts);
+    for topo in ["ring:8", "torus:4x2"] {
+        let sc = scenario(&format!("topo={topo} pattern=all2all seed=5"));
         let probe = ProbeHandle::new(ProbeStack::new().with_attribution());
-        let observed = TaskLevelSim::new(NetworkConfig::test(topo))
-            .with_probe(probe.clone())
-            .run(&ts);
         assert_eq!(
-            format!("{:?}", plain.comm),
-            format!("{:?}", observed.comm),
-            "{topo:?}: attribution perturbed the run"
+            format!("{:?}", sc.comm()),
+            format!("{:?}", probed(&sc, &probe).comm),
+            "{sc}: attribution perturbed the run"
         );
     }
 }
@@ -145,17 +84,13 @@ fn assert_conservation(events: &[SimEvent], ctx: &str) -> u64 {
 #[test]
 fn latency_components_conserve_end_to_end_latency() {
     for topo in TOPOS {
-        let cfg = NetworkConfig::test(topo);
-        for faults in [None, Some(eventful_schedule(&cfg))] {
-            let ts = traces(topo.nodes(), CommPattern::AllToAll, 13);
+        for faults in ["none", EVENTFUL] {
+            let flags = format!("topo={topo} pattern=all2all seed=13 faults={faults} fault_seed=7");
+            let sc = scenario(&flags);
             let probe = ProbeHandle::new(ProbeStack::new().with_buffer());
-            let r = TaskLevelSim::new(cfg)
-                .with_probe(probe.clone())
-                .with_faults(faults.clone())
-                .run(&ts);
-            let events = probe.take_buffer().unwrap();
-            let ctx = format!("{topo:?} faults={}", faults.is_some());
-            let paths = assert_conservation(&events, &ctx);
+            let r = probed(&sc, &probe);
+            let ctx = sc.to_string();
+            let paths = assert_conservation(&probe.take_buffer().unwrap(), &ctx);
             assert_eq!(
                 paths, r.comm.total_messages,
                 "{ctx}: one msg_path per delivered message"

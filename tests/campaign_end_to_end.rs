@@ -58,6 +58,13 @@ fn report_table(report: &str) -> &str {
     &report[i..]
 }
 
+/// Half the shortest predicted time among the runs recorded in `dir`: a
+/// checkpoint cadence that captures each run a few times, not hundreds.
+fn cadence(dir: &Path) -> u64 {
+    let records = load_records(&dir.join(RUNS_FILE)).unwrap();
+    records.iter().map(|r| r.predicted_ps).min().unwrap() / 2
+}
+
 fn tiny_spec() -> CampaignSpec {
     CampaignSpec::parse(
         "topo = ring:4, mesh:2x2; pattern = ring, all2all; phases = 1; ops = 300; seed = 1, 2",
@@ -166,11 +173,11 @@ fn checkpointed_campaign_resumes_mid_run_byte_identically() {
     std::fs::create_dir_all(&ckdir).unwrap();
     let victim = spec.expand().unwrap().remove(0);
     let snap = checkpoint_path(&resumed, &victim);
-    capture_run_checkpoint(&victim, false, 50_000, &snap).unwrap();
+    capture_run_checkpoint(&victim, false, cadence(&fresh), &snap).unwrap();
     assert!(snap.is_file(), "fabricated kill state missing");
 
     let mut o = opts(&resumed, 2);
-    o.checkpoint_every_ps = Some(50_000);
+    o.checkpoint_every_ps = Some(cadence(&fresh));
     let outcome = run_campaign(&spec, &o).unwrap();
     assert_eq!((outcome.executed, outcome.pending), (8, 0));
     assert_eq!(sorted_jsonl(&fresh), sorted_jsonl(&resumed));
@@ -201,7 +208,7 @@ fn a_torn_campaign_checkpoint_is_discarded_and_rerun() {
     std::fs::write(checkpoint_path(&dir, &victim), "mermaid-snapshot-v1 sch").unwrap();
 
     let mut o = opts(&dir, 2);
-    o.checkpoint_every_ps = Some(50_000);
+    o.checkpoint_every_ps = Some(cadence(&fresh));
     run_campaign(&spec, &o).unwrap();
     assert_eq!(sorted_jsonl(&fresh), sorted_jsonl(&dir));
     assert_eq!(csv(&fresh), csv(&dir));
@@ -359,9 +366,12 @@ fn sim_analyze_and_campaign_agree_on_every_run() {
         // of the equivalent one-shard task run: the rolling checkpoint a
         // killed `campaign --checkpoint` leaves behind restores under
         // `sim --restore` with the same flags, on any shard count.
+        // At half the run's predicted time, the cadence rewrites the
+        // snapshot twice in the healthy run and 73 times in the faulty one,
+        // whose stale retry and watchdog timers run on long past its finish.
         if c.mode == "task" && c.shards == 1 {
             let snap = dir.join("killed.snap");
-            capture_run_checkpoint(c, false, 40_000, &snap).unwrap();
+            capture_run_checkpoint(c, false, rec.predicted_ps / 2, &snap).unwrap();
             for shards in ["1", "3"] {
                 let mut args = with("sim");
                 let at = args.iter().position(|a| a == "--shards").unwrap() + 1;

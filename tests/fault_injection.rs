@@ -4,7 +4,8 @@
 //!
 //! 1. **Determinism** — under any scripted fault schedule, a sharded run
 //!    must be bit-identical to the serial run: same results, same per-node
-//!    stats and histograms, same probe event stream.
+//!    stats and histograms, same probe event stream (rows of the
+//!    conformance matrix, `tests/common/`).
 //! 2. **Recovery** — when faults heal before the retry budget runs out,
 //!    every message is still delivered and nothing is reported failed.
 //! 3. **Degradation, not deadlock** — when a partition is permanent, the
@@ -14,120 +15,33 @@
 use std::sync::Arc;
 
 use mermaid_network::{
-    run_comm, CommResult, CommSim, FaultSchedule, NetworkConfig, RetryParams, RunOptions, Topology,
+    run_comm, CommSim, FaultSchedule, NetworkConfig, RetryParams, RunOptions, Topology,
 };
-use mermaid_ops::TraceSet;
-use mermaid_probe::{canonical_sort, ProbeHandle, ProbeStack, SimEvent};
-use mermaid_tracegen::{CommPattern, StochasticApp, StochasticGenerator};
+use mermaid_ops::{Operation, TraceSet};
+use mermaid_probe::{ProbeHandle, ProbeStack};
 use pearl::Time;
 
-fn traces(n: u32, pattern: CommPattern, seed: u64) -> TraceSet {
-    let app = StochasticApp {
-        phases: 3,
-        pattern,
-        ..StochasticApp::scientific(n)
-    };
-    StochasticGenerator::new(app, seed).generate_task_level()
-}
+mod common;
+use common::matrix::PARTITION;
+use common::{agree, check, observe_traces, scenario, Block, Exec};
 
-/// Run serially with faults, capturing the model-level probe stream in
-/// canonical order (the order a sharded replay uses; engine-internal
-/// events are scheduler bookkeeping and excluded from the contract).
-fn run_serial(
-    cfg: NetworkConfig,
-    ts: &TraceSet,
-    faults: &Arc<FaultSchedule>,
-) -> (CommResult, Vec<SimEvent>) {
-    let probe = ProbeHandle::new(ProbeStack::new().with_buffer());
-    let r = CommSim::new_with_faults(cfg, ts, probe.clone(), Arc::clone(faults)).run();
-    let mut events: Vec<SimEvent> = probe
-        .take_buffer()
-        .unwrap()
-        .into_iter()
-        .filter(|e| !e.is_engine_internal())
-        .collect();
-    canonical_sort(&mut events);
-    (r, events)
-}
-
-/// Run on `shards` worker threads with faults, capturing the probe stream
-/// (a sharded replay is already canonical).
-fn run_shards(
-    cfg: NetworkConfig,
-    ts: &TraceSet,
-    faults: &Arc<FaultSchedule>,
-    shards: usize,
-) -> (CommResult, Vec<SimEvent>) {
-    let probe = ProbeHandle::new(ProbeStack::new().with_buffer());
-    let opts = RunOptions {
-        probe: probe.clone(),
-        shards,
-        faults: Some(Arc::clone(faults)),
-        ..RunOptions::default()
-    };
-    let (r, _) = run_comm(cfg, ts, &opts).expect("a run without snapshot options cannot fail");
-    (r, probe.take_buffer().unwrap())
-}
-
-/// A schedule that exercises every fault class: a transient link cut, a
-/// router crash with recovery, and background packet loss + corruption.
-/// Link 0–1 and router 2 exist in all the topologies under test.
-fn eventful_schedule(seed: u64) -> Arc<FaultSchedule> {
-    let mut f = FaultSchedule::new(seed)
-        .with_drop_ppm(20_000)
-        .with_corrupt_ppm(10_000);
-    f.cut_link(0, 1, Time::from_us(2), Some(Time::from_us(60)));
-    f.crash_router(2, Time::from_us(10), Some(Time::from_us(80)));
-    Arc::new(f)
-}
-
+/// Every topology shape × two patterns under a schedule with every fault
+/// class, plus a permanent partition: a sharded run reproduces the
+/// serial results and probe stream.
 #[test]
 fn sharded_faulty_runs_are_bit_identical_across_topologies() {
-    let topos = [
-        Topology::Ring(8),
-        Topology::Mesh2D { w: 4, h: 2 },
-        Topology::Torus2D { w: 4, h: 2 },
-        Topology::Hypercube { dim: 3 },
-    ];
-    for topo in topos {
-        for pattern in [CommPattern::NearestNeighborRing, CommPattern::AllToAll] {
-            let ts = traces(topo.nodes(), pattern, 17);
-            let faults = eventful_schedule(7);
-            let (serial, serial_stream) = run_serial(NetworkConfig::test(topo), &ts, &faults);
-            let (sharded, sharded_stream) = run_shards(NetworkConfig::test(topo), &ts, &faults, 3);
-            // The Debug rendering covers every field: times, event counts,
-            // per-node processor/router stats, histograms, reports.
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{sharded:?}"),
-                "{topo:?} × {pattern:?} results diverged under faults"
-            );
-            assert_eq!(
-                serial_stream, sharded_stream,
-                "{topo:?} × {pattern:?} probe streams diverged under faults"
-            );
-            // The schedule is eventful by construction: the run must have
-            // actually seen drops/retries, or this test tests nothing.
-            assert!(
-                serial.total_dropped > 0 || serial.total_retries > 0,
-                "{topo:?} × {pattern:?}: schedule injected nothing"
-            );
-        }
-    }
+    check(Block::FaultySharded);
 }
 
 #[test]
 fn faults_that_heal_before_the_retry_budget_lose_nothing() {
     // Outage windows sit well inside the give-up horizon (the budget sums
     // to ~63× the base timeout), so every message must eventually land.
-    for topo in [Topology::Ring(6), Topology::Mesh2D { w: 3, h: 3 }] {
-        let cfg = NetworkConfig::test(topo);
-        let ts = traces(topo.nodes(), CommPattern::AllToAll, 5);
-        let mut f = FaultSchedule::new(3).with_retry(RetryParams::default_for(&cfg));
-        f.cut_link(0, 1, Time::from_us(1), Some(Time::from_us(40)));
-        f.crash_router(topo.nodes() - 1, Time::from_us(5), Some(Time::from_us(30)));
-        let faults = Arc::new(f);
-        let (r, _) = run_serial(cfg, &ts, &faults);
+    // Link 0-1 down 1-40 µs, the last router down 5-30 µs.
+    for (topo, last) in [("ring:6", 5), ("mesh:3x3", 8)] {
+        let flags = format!("topo={topo} pattern=all2all phases=3 seed=5");
+        let faults = format!("faults=link:0-1:1000:40000+router:{last}:5000:30000 fault_seed=3");
+        let r = scenario(&format!("{flags} {faults}")).comm();
 
         assert!(r.all_done, "deadlocked: {:?}", r.deadlocked);
         assert_eq!(
@@ -147,7 +61,7 @@ fn faults_that_heal_before_the_retry_budget_lose_nothing() {
         assert_eq!(d.delivered_fraction(), Some(1.0));
 
         // Deliveries match the fault-free run of the same traces.
-        let healthy = CommSim::new(cfg, &ts).run();
+        let healthy = scenario(&flags).comm();
         assert_eq!(r.total_messages, healthy.total_messages, "{topo:?}");
     }
 }
@@ -159,23 +73,12 @@ fn permanent_partition_degrades_with_reports_and_never_deadlocks() {
     // sender that targets node 15 must exhaust its retries and file a
     // structured unreachable report; node 15's own traffic fails too; the
     // run completes (degraded) on every node, identically serial vs
-    // sharded.
-    let topo = Topology::Mesh2D { w: 4, h: 4 };
-    let cfg = NetworkConfig::test(topo);
-    let ts = traces(16, CommPattern::AllToAll, 23);
+    // sharded (a row of the matrix).
+    let serial = scenario(PARTITION).comm();
     // Network-scaled retry defaults: generous enough that congested-but-
     // healthy pairs never spuriously give up, so every report points at
     // the real partition.
-    let retry = RetryParams::default_for(&cfg);
-    let mut f = FaultSchedule::new(1).with_retry(retry);
-    f.cut_link(15, 11, Time::ZERO, None);
-    f.cut_link(15, 14, Time::ZERO, None);
-    let faults = Arc::new(f);
-
-    let (serial, serial_stream) = run_serial(cfg, &ts, &faults);
-    let (sharded, sharded_stream) = run_shards(cfg, &ts, &faults, 3);
-    assert_eq!(format!("{serial:?}"), format!("{sharded:?}"));
-    assert_eq!(serial_stream, sharded_stream);
+    let retry = RetryParams::default_for(&NetworkConfig::test(Topology::Mesh2D { w: 4, h: 4 }));
 
     // Completion, not deadlock: every processor ran its trace to the end.
     assert!(serial.all_done, "deadlocked nodes: {:?}", serial.deadlocked);
@@ -223,7 +126,7 @@ fn disabled_fault_layer_is_bit_identical_to_the_plain_path() {
     // Zero cost when disabled: threading `None` through the fault plumbing
     // must reproduce the plain run exactly, probe stream included.
     let topo = Topology::Torus2D { w: 4, h: 2 };
-    let ts = traces(8, CommPattern::Butterfly, 29);
+    let ts = scenario("topo=torus:4x2 pattern=butterfly phases=3 seed=29").task_traces();
 
     let plain_probe = ProbeHandle::new(ProbeStack::new().with_jsonl());
     let plain = CommSim::new_with_probe(NetworkConfig::test(topo), &ts, plain_probe.clone()).run();
@@ -258,21 +161,18 @@ fn late_re_acks_are_ignored_not_fatal() {
     let n = topo.nodes();
     let mut ts = TraceSet::new(n as usize);
     for node in 0..n {
+        let (next, prev, far) = ((node + 1) % n, (node + n - 1) % n, (node + 2) % n);
         ts.trace_mut(node).ops = vec![
-            mermaid_ops::Operation::Send {
+            Operation::Send {
                 bytes: 64,
-                dst: (node + 1) % n,
+                dst: next,
             },
-            mermaid_ops::Operation::Recv {
-                src: (node + n - 1) % n,
-            },
-            mermaid_ops::Operation::ASend {
+            Operation::Recv { src: prev },
+            Operation::ASend {
                 bytes: 200,
-                dst: (node + 2) % n,
+                dst: far,
             },
-            mermaid_ops::Operation::Recv {
-                src: (node + 2) % n,
-            },
+            Operation::Recv { src: far },
         ];
     }
     // No scripted faults and no background loss: every retransmission is
@@ -289,10 +189,10 @@ fn late_re_acks_are_ignored_not_fatal() {
     };
     let faults = Arc::new(FaultSchedule::new(11).with_retry(retry));
 
-    let (serial, serial_stream) = run_serial(cfg, &ts, &faults);
-    let (sharded, sharded_stream) = run_shards(cfg, &ts, &faults, 3);
-    assert_eq!(format!("{serial:?}"), format!("{sharded:?}"));
-    assert_eq!(serial_stream, sharded_stream);
+    let serial = observe_traces(cfg, &ts, &faults, Exec::Serial);
+    let sharded = observe_traces(cfg, &ts, &faults, Exec::Sharded(3));
+    agree(&"late re-acks on ring:4", &serial, &sharded);
+    let serial = serial.comm.unwrap();
 
     // The race actually happened: retransmissions fired with nothing lost.
     assert!(
@@ -313,9 +213,8 @@ fn late_re_acks_are_ignored_not_fatal() {
 fn parsed_cli_specs_behave_like_built_schedules() {
     // The CLI spec grammar and the builder API must describe the same
     // schedule: parse a spec, build its twin by hand, compare runs.
-    let topo = Topology::Ring(6);
-    let cfg = NetworkConfig::test(topo);
-    let ts = traces(6, CommPattern::AllToAll, 41);
+    let cfg = NetworkConfig::test(Topology::Ring(6));
+    let ts = scenario("topo=ring:6 pattern=all2all phases=3 seed=41").task_traces();
 
     let spec = "link:0-1:2000:60000\nrouter:3:10000:80000\ndrop:20000";
     let parsed = Arc::new(
@@ -328,8 +227,9 @@ fn parsed_cli_specs_behave_like_built_schedules() {
     built.crash_router(3, Time::from_us(10), Some(Time::from_us(80)));
     let built = Arc::new(built);
 
-    let (from_spec, spec_stream) = run_serial(cfg, &ts, &parsed);
-    let (from_builder, builder_stream) = run_serial(cfg, &ts, &built);
-    assert_eq!(format!("{from_spec:?}"), format!("{from_builder:?}"));
-    assert_eq!(spec_stream, builder_stream);
+    agree(
+        &spec,
+        &observe_traces(cfg, &ts, &parsed, Exec::Serial),
+        &observe_traces(cfg, &ts, &built, Exec::Serial),
+    );
 }

@@ -16,14 +16,21 @@
 
 use std::path::PathBuf;
 
+mod common;
+use common::Block;
+
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Run a CLI invocation and compare (or, with `BLESS=1`, rewrite) its
-/// golden snapshot.
-fn check(name: &str, args: &[&str]) {
-    check_text(name, &cli(args), &args.join(" "));
+/// Run a CLI invocation (its words separated by spaces) and compare (or,
+/// with `BLESS=1`, rewrite) its golden snapshot.
+fn check(name: &str, cmd: &str) {
+    check_text(name, &cli(&words(cmd)), cmd);
+}
+
+fn words(cmd: &str) -> Vec<&str> {
+    cmd.split(' ').collect()
 }
 
 fn cli(args: &[&str]) -> String {
@@ -56,33 +63,19 @@ fn check_text(name: &str, out: &str, what: &str) {
 
 #[test]
 fn golden_table1() {
-    check("table1.txt", &["table1"]);
+    check("table1.txt", "table1");
 }
 
 #[test]
 fn golden_topo_report() {
-    check("topo_mesh4x4.txt", &["topo", "mesh:4x4"]);
+    check("topo_mesh4x4.txt", "topo mesh:4x4");
 }
 
 #[test]
 fn golden_task_sim_healthy() {
     check(
         "sim_task_healthy.txt",
-        &[
-            "sim",
-            "--machine",
-            "test",
-            "--topology",
-            "mesh:4x4",
-            "--mode",
-            "task",
-            "--phases",
-            "2",
-            "--pattern",
-            "all2all",
-            "--seed",
-            "5",
-        ],
+        "sim --machine test --topology mesh:4x4 --mode task --phases 2 --pattern all2all --seed 5",
     );
 }
 
@@ -93,25 +86,8 @@ fn golden_task_sim_faulty_partition() {
     // (unreachable pairs, retry counts) exactly.
     check(
         "sim_task_faulty_partition.txt",
-        &[
-            "sim",
-            "--machine",
-            "test",
-            "--topology",
-            "mesh:4x4",
-            "--mode",
-            "task",
-            "--phases",
-            "2",
-            "--pattern",
-            "all2all",
-            "--seed",
-            "5",
-            "--faults",
-            "link:15-11:0; link:15-14:0",
-            "--fault-seed",
-            "3",
-        ],
+        "sim --machine test --topology mesh:4x4 --mode task --phases 2 --pattern all2all --seed 5 \
+         --faults link:15-11:0;link:15-14:0 --fault-seed 3",
     );
 }
 
@@ -121,25 +97,8 @@ fn golden_task_sim_faulty_transient() {
     // the fault headline records the drops and retransmissions.
     check(
         "sim_task_faulty_transient.txt",
-        &[
-            "sim",
-            "--machine",
-            "test",
-            "--topology",
-            "ring:8",
-            "--mode",
-            "task",
-            "--phases",
-            "2",
-            "--pattern",
-            "all2all",
-            "--seed",
-            "5",
-            "--faults",
-            "link:0-1:2000:60000; drop:20000",
-            "--fault-seed",
-            "9",
-        ],
+        "sim --machine test --topology ring:8 --mode task --phases 2 --pattern all2all --seed 5 \
+         --faults link:0-1:2000:60000;drop:20000 --fault-seed 9",
     );
 }
 
@@ -149,19 +108,7 @@ fn golden_analyze_task_torus() {
     // hotspot rankings, and the utilization heatmap, pinned byte-for-byte.
     check(
         "analyze_task_torus.txt",
-        &[
-            "analyze",
-            "--machine",
-            "test",
-            "--topology",
-            "torus:4x4",
-            "--phases",
-            "2",
-            "--pattern",
-            "all2all",
-            "--seed",
-            "5",
-        ],
+        "analyze --machine test --topology torus:4x4 --phases 2 --pattern all2all --seed 5",
     );
 }
 
@@ -171,107 +118,23 @@ fn golden_analyze_faulty_ring() {
     // activity line join the report.
     check(
         "analyze_faulty_ring.txt",
-        &[
-            "analyze",
-            "--machine",
-            "test",
-            "--topology",
-            "ring:8",
-            "--phases",
-            "2",
-            "--pattern",
-            "all2all",
-            "--seed",
-            "5",
-            "--faults",
-            "link:0-1:2000:60000; drop:20000",
-            "--fault-seed",
-            "9",
-        ],
+        "analyze --machine test --topology ring:8 --phases 2 --pattern all2all --seed 5 \
+         --faults link:0-1:2000:60000;drop:20000 --fault-seed 9",
     );
 }
 
 #[test]
 fn golden_analyze_is_shard_invariant() {
-    // The analyze snapshot re-run on 3 shards must land on the same
-    // golden bytes as the serial snapshot above.
-    if std::env::var_os("BLESS").is_some() {
-        return; // blessing is done by the serial test
-    }
-    let args: Vec<String> = [
-        "analyze",
-        "--machine",
-        "test",
-        "--topology",
-        "torus:4x4",
-        "--phases",
-        "2",
-        "--pattern",
-        "all2all",
-        "--seed",
-        "5",
-        "--shards",
-        "3",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let out = mermaid::cli::run(&args).unwrap();
-    let want =
-        std::fs::read_to_string(golden_dir().join("analyze_task_torus.txt")).unwrap_or_else(|_| {
-            panic!("missing golden file — run `BLESS=1 cargo test --test golden_cli`")
-        });
-    assert_eq!(
-        out, want,
-        "sharded analyze diverged from the serial snapshot"
-    );
+    // The analyze snapshot above, re-run on 3 shards, prints the serial
+    // bytes.
+    common::check(Block::AnalyzeSharded);
 }
 
 #[test]
 fn golden_faulty_runs_are_shard_invariant() {
-    // The faulty snapshots above are single-threaded; this pins the same
-    // invocation with `--shards 3` to the same golden file, so the
-    // snapshot itself witnesses serial/sharded bit-identity.
-    for (name, faults) in [
-        (
-            "sim_task_faulty_partition.txt",
-            "link:15-11:0; link:15-14:0",
-        ),
-        ("sim_task_healthy.txt", ""),
-    ] {
-        if std::env::var_os("BLESS").is_some() {
-            continue; // blessing is done by the serial tests
-        }
-        let mut args = vec![
-            "sim",
-            "--machine",
-            "test",
-            "--topology",
-            "mesh:4x4",
-            "--mode",
-            "task",
-            "--phases",
-            "2",
-            "--pattern",
-            "all2all",
-            "--seed",
-            "5",
-            "--shards",
-            "3",
-        ];
-        if !faults.is_empty() {
-            args.extend(["--faults", faults, "--fault-seed", "3"]);
-        }
-        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        let out = mermaid::cli::run(&args).unwrap();
-        let want = std::fs::read_to_string(golden_dir().join(name)).unwrap_or_else(|_| {
-            panic!("missing golden file {name} — run `BLESS=1 cargo test --test golden_cli`")
-        });
-        assert_eq!(
-            out, want,
-            "sharded run diverged from the serial snapshot {name}"
-        );
-    }
+    // The partition and healthy snapshots above, re-run on 3 shards, print
+    // the serial bytes.
+    common::check(Block::SimSharded);
 }
 
 use mermaid_tracegen::CommPattern;
@@ -286,37 +149,23 @@ const PATTERNS: [(&str, CommPattern); 6] = [
     ("butterfly", CommPattern::Butterfly),
 ];
 
-/// One document holding `sim --mode <mode>` stdout over 2 machines × 2
-/// topologies × 6 patterns. Every section starts with a `## <args>` line,
-/// so `scripts/check.sh` can replay the file against the release binary.
-/// Detailed mode's host-time `slowdown` line is dropped.
-fn sim_matrix(mode: &str, extra: &[&str]) -> String {
+/// One document holding `sim` stdout for the scenarios of `block`: 2
+/// machines × 2 topologies × 6 patterns. Every section starts with a
+/// `## <args>` line, so `scripts/check.sh` can replay the file against the
+/// release binary. Detailed mode's host-time `slowdown` line is dropped.
+fn sim_matrix(block: Block) -> String {
     let mut doc = String::new();
-    for machine in ["test", "ppc601"] {
-        for topo in ["mesh:2x2", "ring:8"] {
-            for (pattern, _) in PATTERNS {
-                let args = [
-                    "sim",
-                    "--machine",
-                    machine,
-                    "--topology",
-                    topo,
-                    "--pattern",
-                    pattern,
-                    "--phases",
-                    "3",
-                    "--ops",
-                    "300",
-                    "--mode",
-                    mode,
-                ];
-                doc.push_str(&format!("## {}\n", args.join(" ")));
-                let out = cli(&[&args[..], extra].concat());
-                for line in out.lines().filter(|l| !l.starts_with("slowdown ")) {
-                    doc.push_str(line);
-                    doc.push('\n');
-                }
-            }
+    for row in common::rows(block) {
+        let c = &row.scenario.cfg;
+        let args = format!(
+            "sim --machine {} --topology {} --pattern {} --phases {} --ops {} --mode {}",
+            c.machine, c.topo, c.pattern, c.phases, c.ops, c.mode
+        );
+        doc.push_str(&format!("## {args}\n"));
+        let out = cli(&words(&args));
+        for line in out.lines().filter(|l| !l.starts_with("slowdown ")) {
+            doc.push_str(line);
+            doc.push('\n');
         }
     }
     doc
@@ -327,57 +176,30 @@ fn golden_detailed_sims() {
     // Generated by the code that materialised every trace before the first
     // operation was simulated; the streamed run path must land on the same
     // bytes, serial and sharded.
+    let block = Block::DetailedSharded;
     check_text(
         "sim_detailed.txt",
-        &sim_matrix("detailed", &[]),
+        &sim_matrix(block),
         "sim --mode detailed",
     );
-    if std::env::var_os("BLESS").is_none() {
-        check_text(
-            "sim_detailed.txt",
-            &sim_matrix("detailed", &["--shards", "3"]),
-            "sim --mode detailed --shards 3",
-        );
-    }
+    common::check(block);
 }
 
 #[test]
 fn golden_direct_sims() {
     // Direct execution is a node model in front of the same communication
     // phase, so it is held to the same serial/sharded bit-identity.
-    check_text(
-        "sim_direct.txt",
-        &sim_matrix("direct", &[]),
-        "sim --mode direct",
-    );
-    if std::env::var_os("BLESS").is_none() {
-        check_text(
-            "sim_direct.txt",
-            &sim_matrix("direct", &["--shards", "3"]),
-            "sim --mode direct --shards 3",
-        );
-    }
+    let block = Block::DirectSharded;
+    check_text("sim_direct.txt", &sim_matrix(block), "sim --mode direct");
+    common::check(block);
 }
 
 #[test]
 fn golden_analyze_detailed() {
     check(
         "analyze_detailed_mesh.txt",
-        &[
-            "analyze",
-            "--machine",
-            "ppc601",
-            "--topology",
-            "mesh:2x2",
-            "--pattern",
-            "all2all",
-            "--phases",
-            "3",
-            "--ops",
-            "300",
-            "--mode",
-            "detailed",
-        ],
+        "analyze --machine ppc601 --topology mesh:2x2 --pattern all2all --phases 3 --ops 300 \
+         --mode detailed",
     );
 }
 
@@ -480,36 +302,14 @@ fn stderr_child() {
 
 /// Two `--watch` runs: the README example (two samples) and a longer one
 /// (twenty-one samples, the last taken when the event set drains).
-const WATCH_RUNS: [(&str, &[&str]); 2] = [
+const WATCH_RUNS: [(&str, &str); 2] = [
     (
         "watch_t805_mesh",
-        &[
-            "sim",
-            "--machine",
-            "t805",
-            "--topology",
-            "mesh:4x4",
-            "--mode",
-            "task",
-            "--watch",
-        ],
+        "sim --machine t805 --topology mesh:4x4 --mode task --watch",
     ),
     (
         "watch_test_torus_all2all",
-        &[
-            "sim",
-            "--machine",
-            "test",
-            "--topology",
-            "torus:4x4",
-            "--mode",
-            "task",
-            "--pattern",
-            "all2all",
-            "--phases",
-            "4",
-            "--watch",
-        ],
+        "sim --machine test --topology torus:4x4 --mode task --pattern all2all --phases 4 --watch",
     ),
 ];
 
@@ -526,20 +326,17 @@ fn golden_watch_progress() {
     // Blessed by the observer loop `--watch` ran on before it became a
     // progress hook on the one run path: the stderr progress lines and the
     // sparkline must not move.
-    for (name, args) in WATCH_RUNS {
-        let what = args.join(" ");
-        check_text(&format!("{name}.stderr"), &cli_stderr(args), &what);
-        check_text(
-            &format!("{name}.sparkline"),
-            &sparkline_line(&cli(args)),
-            &what,
-        );
+    for (name, cmd) in WATCH_RUNS {
+        let args = words(cmd);
+        check_text(&format!("{name}.stderr"), &cli_stderr(&args), cmd);
+        let sparkline = sparkline_line(&cli(&args));
+        check_text(&format!("{name}.sparkline"), &sparkline, cmd);
     }
 }
 
 /// `WATCH_RUNS`' many-sample run, without `--watch`, plus `extra`.
 fn torus_run<'a>(extra: &[&'a str]) -> Vec<&'a str> {
-    let args = WATCH_RUNS[1].1;
+    let args = words(WATCH_RUNS[1].1);
     [&args[..args.len() - 1], extra].concat()
 }
 
@@ -557,25 +354,9 @@ fn watch_adds_one_sparkline_line_after_the_report_table() {
     // stdout is the unwatched stdout plus the sparkline, placed right
     // after the mode's report table — in detailed mode and under faults
     // too (detailed mode's host-time `slowdown` line aside).
-    let faults = [
-        "--faults",
-        "link:0-1:2000:60000; drop:20000",
-        "--fault-seed",
-        "9",
-    ];
-    let detailed = [
-        "sim",
-        "--machine",
-        "test",
-        "--topology",
-        "ring:4",
-        "--mode",
-        "detailed",
-        "--phases",
-        "2",
-        "--ops",
-        "300",
-    ];
+    let faults = words("--faults link:0-1:2000:60000;drop:20000 --fault-seed 9");
+    let detailed =
+        words("sim --machine test --topology ring:4 --mode detailed --phases 2 --ops 300");
     let drop_slowdown = |out: &str| -> String {
         out.lines()
             .filter(|l| !l.starts_with("slowdown "))
@@ -585,7 +366,7 @@ fn watch_adds_one_sparkline_line_after_the_report_table() {
     for (args, next) in [
         (torus_run(&[]), None),
         (torus_run(&faults), Some("\nfault injection: ")),
-        (detailed.to_vec(), Some("\nslowdown ")),
+        (detailed, Some("\nslowdown ")),
     ] {
         let watch = [&args[..], &["--watch"]].concat();
         let (plain, watched) = (cli(&args), cli(&watch));

@@ -16,9 +16,31 @@ use proptest::prelude::*;
 
 use mermaid_memory::{Access, MemSystemConfig, MemorySystem};
 use mermaid_network::Topology;
-use mermaid_ops::{codec, text, ArithOp, DataType, Operation, Trace};
+use mermaid_ops::{codec, text, ArithOp, DataType, Operation, Trace, TraceSet};
 use mermaid_tracegen::SizeDist;
 use pearl::{EventQueue, Time};
+
+mod common;
+
+/// One topology of each shape on 8 nodes, picked by `kind` (0–3), and
+/// balanced async traffic: every `(src, dst, bytes)` send first, then the
+/// matching receives.
+fn balanced_traffic(kind: u8, pairs: &[(u32, u32, u32)]) -> (Topology, TraceSet) {
+    let topo = [
+        Topology::Ring(8),
+        Topology::Mesh2D { w: 4, h: 2 },
+        Topology::Torus2D { w: 4, h: 2 },
+        Topology::Hypercube { dim: 3 },
+    ][kind as usize];
+    let mut ts = TraceSet::new(8);
+    for &(src, dst, bytes) in pairs {
+        ts.trace_mut(src).push(Operation::ASend { bytes, dst });
+    }
+    for &(src, dst, _) in pairs {
+        ts.trace_mut(dst).push(Operation::Recv { src });
+    }
+    (topo, ts)
+}
 
 /// Strategy for one arbitrary operation.
 fn op_strategy() -> impl Strategy<Value = Operation> {
@@ -225,25 +247,10 @@ proptest! {
     ) {
         use std::sync::Arc;
         use mermaid_network::{CommSim, FaultSchedule, NetworkConfig, RetryParams};
-        use mermaid_ops::TraceSet;
         use pearl::Time;
 
-        let topo = match topo_kind {
-            0 => Topology::Ring(8),
-            1 => Topology::Mesh2D { w: 4, h: 2 },
-            2 => Topology::Torus2D { w: 4, h: 2 },
-            _ => Topology::Hypercube { dim: 3 },
-        };
+        let (topo, ts) = balanced_traffic(topo_kind, &pairs);
         let cfg = NetworkConfig::test(topo);
-
-        // Balanced async traffic: sends first, then the matching receives.
-        let mut ts = TraceSet::new(8);
-        for &(src, dst, bytes) in &pairs {
-            ts.trace_mut(src).push(Operation::ASend { bytes, dst });
-        }
-        for &(src, dst, _) in &pairs {
-            ts.trace_mut(dst).push(Operation::Recv { src });
-        }
 
         // A random-but-seeded schedule: scripted link outages drawn from
         // the topology plus background loss and corruption.
@@ -292,23 +299,10 @@ proptest! {
     ) {
         use std::sync::Arc;
         use mermaid_network::{CommSim, FaultSchedule, NetworkConfig, RetryParams};
-        use mermaid_ops::TraceSet;
         use mermaid_probe::{ProbeHandle, ProbeStack, SimEvent};
 
-        let topo = match topo_kind {
-            0 => Topology::Ring(8),
-            1 => Topology::Mesh2D { w: 4, h: 2 },
-            2 => Topology::Torus2D { w: 4, h: 2 },
-            _ => Topology::Hypercube { dim: 3 },
-        };
+        let (topo, ts) = balanced_traffic(topo_kind, &pairs);
         let cfg = NetworkConfig::test(topo);
-        let mut ts = TraceSet::new(8);
-        for &(src, dst, bytes) in &pairs {
-            ts.trace_mut(src).push(Operation::ASend { bytes, dst });
-        }
-        for &(src, dst, _) in &pairs {
-            ts.trace_mut(dst).push(Operation::Recv { src });
-        }
         let faults = Arc::new(
             FaultSchedule::new(drop_ppm as u64)
                 .with_retry(RetryParams::default_for(&cfg))
@@ -342,26 +336,10 @@ proptest! {
         pairs in prop::collection::vec((0u32..6, 0u32..6, 1u32..10_000), 1..40)
     ) {
         use mermaid_network::{CommSim, NetworkConfig};
-        use mermaid_ops::TraceSet;
-        let n = 6u32;
-        let mut ts = TraceSet::new(n as usize);
-        // Sends first (async), then receives in the same global order —
-        // always satisfiable.
-        for &(src, dst, bytes) in &pairs {
-            ts.trace_mut(src).push(Operation::ASend { bytes, dst });
-        }
-        for &(src, dst, _) in &pairs {
-            ts.trace_mut(dst).push(Operation::Recv { src });
-        }
-        let r = CommSim::new(NetworkConfig::test(Topology::Hypercube { dim: 3 }), &{
-            // Hypercube(3) has 8 nodes; extend the trace set.
-            let mut big = TraceSet::new(8);
-            for node in 0..n {
-                *big.trace_mut(node) = ts.trace(node).clone();
-            }
-            big
-        })
-        .run();
+        // Six of the hypercube's eight nodes talk; sends first (async),
+        // then receives in the same global order — always satisfiable.
+        let (topo, ts) = balanced_traffic(3, &pairs);
+        let r = CommSim::new(NetworkConfig::test(topo), &ts).run();
         prop_assert!(r.all_done, "deadlocked: {:?}", r.deadlocked);
         prop_assert_eq!(r.total_messages, pairs.len() as u64);
     }
@@ -369,98 +347,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Checkpoint/restore invariance (DESIGN.md §16): for a random
-    /// (topology, traffic, fault schedule, checkpoint instant, restore
-    /// shard count), the restored run conserves messages and reproduces
-    /// the uninterrupted run's results — finish time, event count,
-    /// delivery accounting, and per-node counters — exactly.
-    #[test]
-    fn restored_runs_match_uninterrupted_runs(
-        topo_kind in 0u8..4,
-        fault_seed in 0u64..1_000,
-        drop_ppm in prop_oneof![Just(0u32), 1u32..50_000],
-        pick_raw in 0usize..64,
-        restore_shards in prop_oneof![Just(1usize), Just(3usize)],
-        pairs in prop::collection::vec((0u32..8, 0u32..8, 64u32..8_192), 1..20)
-    ) {
-        use std::sync::{Arc, Mutex};
-        use mermaid_network::{
-            run_comm, CheckpointOpts, FaultSchedule, NetworkConfig, RetryParams, RunOptions,
-            Snapshot,
-        };
-        use mermaid_ops::TraceSet;
-        use pearl::Duration;
-
-        let topo = match topo_kind {
-            0 => Topology::Ring(8),
-            1 => Topology::Mesh2D { w: 4, h: 2 },
-            2 => Topology::Torus2D { w: 4, h: 2 },
-            _ => Topology::Hypercube { dim: 3 },
-        };
-        let cfg = NetworkConfig::test(topo);
-        let mut ts = TraceSet::new(8);
-        for &(src, dst, bytes) in &pairs {
-            ts.trace_mut(src).push(Operation::ASend { bytes, dst });
-        }
-        for &(src, dst, _) in &pairs {
-            ts.trace_mut(dst).push(Operation::Recv { src });
-        }
-        let faults = (drop_ppm > 0).then(|| {
-            Arc::new(
-                FaultSchedule::new(fault_seed)
-                    .with_retry(RetryParams::default_for(&cfg))
-                    .with_drop_ppm(drop_ppm),
-            )
-        });
-
-        let serial = RunOptions { faults: faults.clone(), ..RunOptions::default() };
-        let (straight, _) = run_comm(cfg, &ts, &serial).unwrap();
-        prop_assert!(straight.all_done, "deadlocked: {:?}", straight.deadlocked);
-
-        // Capture at a cadence that lands ~4 checkpoints inside the run.
-        let snaps: Mutex<Vec<Snapshot>> = Mutex::new(Vec::new());
-        let keep = |s: &Snapshot| {
-            snaps.lock().unwrap().push(s.clone());
-            Ok(())
-        };
-        let ck = CheckpointOpts {
-            every: Duration::from_ps((straight.finish.as_ps() / 4).max(1)),
-            config_hash: "prop".into(),
-            write: &keep,
-        };
-        run_comm(cfg, &ts, &RunOptions { checkpoint: Some(&ck), ..serial }).unwrap();
-        let snaps = snaps.into_inner().unwrap();
-        prop_assert!(!snaps.is_empty(), "cadence produced no checkpoint");
-        let snap = &snaps[pick_raw % snaps.len()];
-
-        let restore = RunOptions {
-            shards: restore_shards,
-            faults,
-            restore_from: Some(snap),
-            ..RunOptions::default()
-        };
-        let (restored, _) = run_comm(cfg, &ts, &restore).unwrap();
-        prop_assert_eq!(restored.finish, straight.finish);
-        prop_assert_eq!(restored.all_done, straight.all_done);
-        prop_assert_eq!(restored.events, straight.events);
-        prop_assert_eq!(restored.total_messages, straight.total_messages);
-        prop_assert_eq!(restored.total_bytes, straight.total_bytes);
-        prop_assert_eq!(restored.unreachable.len(), straight.unreachable.len());
-
-        // Message conservation holds through the splice, globally and per
-        // node.
-        let (ds, dr) = (straight.delivery(), restored.delivery());
-        prop_assert!(dr.conserved(), "tracked={} acked={} failed={}", dr.tracked, dr.acked, dr.failed);
-        prop_assert_eq!(dr.tracked, ds.tracked);
-        prop_assert_eq!(dr.acked, ds.acked);
-        prop_assert_eq!(dr.failed, ds.failed);
-        for (a, b) in straight.nodes.iter().zip(&restored.nodes) {
-            prop_assert_eq!(a.proc.msgs_tracked, b.proc.msgs_tracked, "node {}", a.node);
-            prop_assert_eq!(a.proc.msgs_acked, b.proc.msgs_acked, "node {}", a.node);
-            prop_assert_eq!(a.proc.msgs_failed, b.proc.msgs_failed, "node {}", a.node);
-        }
-    }
 
     /// Torn, truncated, or bit-flipped snapshot files are always detected:
     /// any strict prefix of a snapshot fails to parse, as does any
@@ -475,23 +361,10 @@ proptest! {
     ) {
         use std::sync::Mutex;
         use mermaid_network::{run_comm, CheckpointOpts, NetworkConfig, RunOptions, Snapshot};
-        use mermaid_ops::TraceSet;
         use pearl::Duration;
 
-        let topo = match topo_kind {
-            0 => Topology::Ring(8),
-            1 => Topology::Mesh2D { w: 4, h: 2 },
-            2 => Topology::Torus2D { w: 4, h: 2 },
-            _ => Topology::Hypercube { dim: 3 },
-        };
+        let (topo, ts) = balanced_traffic(topo_kind, &pairs);
         let cfg = NetworkConfig::test(topo);
-        let mut ts = TraceSet::new(8);
-        for &(src, dst, bytes) in &pairs {
-            ts.trace_mut(src).push(Operation::ASend { bytes, dst });
-        }
-        for &(src, dst, _) in &pairs {
-            ts.trace_mut(dst).push(Operation::Recv { src });
-        }
         let snaps: Mutex<Vec<Snapshot>> = Mutex::new(Vec::new());
         let keep = |s: &Snapshot| {
             snaps.lock().unwrap().push(s.clone());
@@ -863,4 +736,13 @@ proptest! {
         }
         prop_assert_eq!(debug(&extractor.finish()), debug(&whole));
     }
+}
+
+/// Checkpoint/restore invariance (DESIGN.md §16): every topology shape,
+/// healthy and lossy, restored a quarter, half and three quarters of the
+/// way through on one or three shards, reproduces the uninterrupted run's
+/// results exactly.
+#[test]
+fn restored_runs_match_uninterrupted_runs() {
+    common::check(common::Block::RestoreSweep);
 }

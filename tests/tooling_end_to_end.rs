@@ -2,6 +2,7 @@
 //! simulations, run-time progress samples, and report artefacts.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use mermaid::prelude::*;
 use mermaid::report;
@@ -10,6 +11,15 @@ use mermaid_network::{
 };
 use mermaid_ops::file as trace_file;
 use pearl::Time;
+
+/// Run options that record into `probe` and inject `faults`.
+fn recording(probe: &ProbeHandle, faults: Option<Arc<FaultSchedule>>) -> RunOptions<'static> {
+    RunOptions {
+        probe: probe.clone(),
+        faults,
+        ..RunOptions::default()
+    }
+}
 
 fn workload(nodes: u32) -> TraceSet {
     let app = StochasticApp {
@@ -262,7 +272,7 @@ fn traced_run_is_deterministic_under_observation() {
             .with_profiler(mermaid::host_frequency().as_hz() as f64),
     );
     let traced = TaskLevelSim::new(machine.network)
-        .with_probe(probe.clone())
+        .with_options(recording(&probe, None))
         .run(&traces);
 
     // Simulated observables are bit-identical to the untraced run.
@@ -305,10 +315,7 @@ fn faulty_traced_run_validates_with_fault_events_counted() {
     // valid Chrome trace (per-track span starts stay monotonic even with
     // retries and reroutes in play), and the validator's fault-event tally
     // must see the injected activity that a healthy run never emits.
-    use mermaid_network::{FaultSchedule, RetryParams};
     use mermaid_probe::validate_chrome_trace;
-    use pearl::Time;
-    use std::sync::Arc;
 
     let machine = MachineConfig::test_machine(Topology::Ring(4));
     let traces = StochasticGenerator::new(
@@ -326,15 +333,14 @@ fn faulty_traced_run_validates_with_fault_events_counted() {
 
     let healthy_probe = ProbeHandle::new(ProbeStack::new().with_chrome());
     TaskLevelSim::new(machine.network)
-        .with_probe(healthy_probe.clone())
+        .with_options(recording(&healthy_probe, None))
         .run(&traces);
     let healthy = validate_chrome_trace(&healthy_probe.chrome_trace_json().unwrap()).unwrap();
     assert_eq!(healthy.fault_events, 0, "healthy runs emit no fault events");
 
     let probe = ProbeHandle::new(ProbeStack::new().with_chrome());
     let faulty = TaskLevelSim::new(machine.network)
-        .with_probe(probe.clone())
-        .with_faults(faults)
+        .with_options(recording(&probe, faults))
         .run(&traces);
     assert!(faulty.comm.all_done);
     let summary = validate_chrome_trace(&probe.chrome_trace_json().unwrap())
@@ -397,9 +403,6 @@ fn check_golden(name: &str, got: &str) {
 /// must reproduce these files exactly.
 #[test]
 fn probe_artefacts_match_their_byte_goldens() {
-    use mermaid_network::{FaultSchedule, RetryParams};
-    use std::sync::Arc;
-
     let dir = std::env::temp_dir().join(format!("mermaid-probe-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -475,12 +478,11 @@ fn probe_artefacts_match_their_byte_goldens() {
         let probe = ProbeHandle::new(ProbeStack::new().with_chrome().with_jsonl());
         if mode == "task" {
             TaskLevelSim::new(machine.network)
-                .with_probe(probe.clone())
-                .with_faults(faults)
+                .with_options(recording(&probe, faults))
                 .run(&gen.generate_task_level());
         } else {
             HybridSim::new(machine)
-                .with_probe(probe.clone())
+                .with_options(recording(&probe, None))
                 .run(&gen.generate());
         }
         assert_eq!(
