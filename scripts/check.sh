@@ -27,6 +27,9 @@ cargo test -q -p pearl -p mermaid-network -p mermaid
 echo "==> example: quickstart (full pipeline)"
 cargo run --release --example quickstart > /dev/null
 
+echo "==> example: hybrid_cluster (SMP-node clusters) prints its golden table"
+cargo run --release --example hybrid_cluster | diff -u tests/golden/hybrid_cluster.txt -
+
 echo "==> example: traced_run (validates the emitted Chrome trace round-trips)"
 cargo run --release --example traced_run > /dev/null
 
