@@ -92,9 +92,10 @@ impl DirectExecStaticCosts {
         let (task_trace, compute_total) = cutter.finish(now);
         TaskExtraction {
             task_trace,
-            cpu_stats: CpuStats::default(),
+            cpu_stats: vec![CpuStats::default()],
             mem_stats: MemStats::default(),
             compute_total,
+            compute_finish: now,
         }
     }
 }

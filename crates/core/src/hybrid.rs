@@ -7,13 +7,17 @@
 //! task-level traces then drive the multi-node *communication model*,
 //! which resolves message timing, contention, and blocking.
 //!
-//! [`HybridSim::try_run_streams`] is the one bridge from per-node
+//! [`HybridSim::try_run_streams`] is the one bridge from per-processor
 //! operation streams to task traces. Its node model is the cache model
 //! ([`HybridSim::new`], detailed mode) or the static-cost model of the
 //! direct-execution baseline ([`HybridSim::direct`], Section 2 and
 //! experiment E4); both cut their timelines with
 //! [`mermaid_cpu::TaskCutter`], and both hand the result to the same
 //! communication phase with the same [`RunOptions`].
+//!
+//! A cache-model node may hold several processors sharing its caches, bus
+//! and DRAM (the hybrid machines of Section 4.3): processor 0 communicates,
+//! the others compute and stretch its tasks through the bus.
 //!
 //! Because Mermaid operations carry no data values, an application's
 //! control flow never depends on message contents — it is fixed by the
@@ -24,6 +28,8 @@
 //! resolved afterwards by the communication model. Trace *generation*
 //! still uses physical-time interleaving (see `mermaid-tracegen`) so that
 //! generating threads never run ahead of the simulator.
+
+use std::cell::Cell;
 
 use mermaid_cpu::{CpuStats, SingleNodeSim};
 use mermaid_memory::MemStats;
@@ -41,18 +47,21 @@ use crate::sweep;
 pub struct NodeComputeStats {
     /// The node.
     pub node: NodeId,
-    /// CPU statistics (operation mix, compute/memory split).
-    pub cpu: CpuStats,
+    /// Per-processor CPU statistics (operation mix, compute/memory split).
+    pub cpu: Vec<CpuStats>,
     /// Memory-system statistics (cache hits, bus, DRAM).
     pub mem: MemStats,
     /// Total task time extracted for this node.
     pub compute_total: Duration,
+    /// When the node's last processor finished its stream.
+    pub compute_finish: Time,
 }
 
 /// Result of a detailed (hybrid) simulation.
 #[derive(Debug)]
 pub struct HybridResult {
-    /// Predicted execution time of the application on the target machine.
+    /// Predicted execution time of the application on the target machine:
+    /// the later of the communication model's finish and the last CPU's.
     pub predicted_time: Time,
     /// Per-node computational-model statistics.
     pub nodes: Vec<NodeComputeStats>,
@@ -89,18 +98,9 @@ impl<'a> HybridSim<'a> {
     ///
     /// # Panics
     ///
-    /// On a machine [`MachineConfig::validate`] refuses, and on one whose
-    /// nodes have more than one CPU: this simulator runs each node's
-    /// stream on one processor, so multiprocessor nodes belong to
-    /// [`crate::SmpHybridSim`].
+    /// On a machine [`MachineConfig::validate`] refuses.
     pub fn new(machine: MachineConfig) -> Self {
         machine.validate();
-        assert_eq!(
-            machine.node_mem.cpus, 1,
-            "HybridSim runs one CPU per node but `{}` has {} per node; \
-             simulate multiprocessor nodes with SmpHybridSim",
-            machine.name, machine.node_mem.cpus
-        );
         HybridSim {
             machine,
             static_costs: None,
@@ -112,7 +112,18 @@ impl<'a> HybridSim<'a> {
     /// The direct-execution baseline (Section 2, experiment E4): the same
     /// simulator with the static-cost node model of
     /// [`DirectExecStaticCosts::from_machine`] in place of the cache model.
+    ///
+    /// # Panics
+    ///
+    /// On a machine whose nodes have more than one CPU: static costs model
+    /// no shared bus.
     pub fn direct(machine: MachineConfig) -> Self {
+        assert_eq!(
+            machine.node_mem.cpus, 1,
+            "direct execution runs one CPU per node but `{}` has {}: \
+             static costs model no shared bus",
+            machine.name, machine.node_mem.cpus
+        );
         let costs = DirectExecStaticCosts::from_machine(&machine);
         HybridSim {
             static_costs: Some(costs),
@@ -142,24 +153,25 @@ impl<'a> HybridSim<'a> {
     }
 
     /// Run the detailed simulation over instruction-level traces (one per
-    /// node).
+    /// node) on a machine with one CPU per node.
     pub fn run(&self, traces: &TraceSet) -> HybridResult {
         self.run_streams(traces.iter().map(|t| t.iter().copied()))
     }
 
     /// Run the simulation over one stream of instruction-level operations
-    /// per node, in node order — the computational phase every entry point
-    /// shares. A physical-time-interleaved generator's
+    /// per processor, node-major (node 0's CPUs 0, 1, …, then node 1's) —
+    /// the computational phase every entry point shares. A
+    /// physical-time-interleaved generator's
     /// [`mermaid_tracegen::InterleavedTraceGen::streams`] makes the run
     /// *execution-driven*: each node's thread resumes only after its global
     /// event has been recorded, with flat memory consumption. Nodes are
     /// independent until the communication model runs, so they are
-    /// claimed from a queue by up to
-    /// [`HybridSim::with_workers`] threads; each claimed stream is pulled to
-    /// its end through a computational model built for that node and dropped
-    /// after it, so a source that produces operations on demand is never
-    /// materialised. Results are read back in node order: nothing in the
-    /// outcome depends on the worker count. With a probe attached the nodes
+    /// claimed from a queue by up to [`HybridSim::with_workers`] threads;
+    /// each claimed node's streams are pulled to their end through a
+    /// computational model built for that node and dropped after it, so a
+    /// source that produces operations on demand is never materialised.
+    /// Results are read back in node order: nothing in the outcome depends
+    /// on the worker count. With a probe attached the nodes
     /// run one after another on the calling thread — the handle is not
     /// `Send`, and it sees the nodes' cache and bus events in node-major
     /// order whatever the source.
@@ -167,7 +179,8 @@ impl<'a> HybridSim<'a> {
     /// # Panics
     ///
     /// When a snapshot option set through [`HybridSim::with_options`]
-    /// fails, and on a stream count other than the machine's node count.
+    /// fails, on a stream count other than the machine's processor count,
+    /// and on a global event in a stream other than a node's processor 0.
     pub fn run_streams<S>(&self, streams: S) -> HybridResult
     where
         S: IntoIterator<IntoIter: ExactSizeIterator>,
@@ -184,61 +197,71 @@ impl<'a> HybridSim<'a> {
         S: IntoIterator<IntoIter: ExactSizeIterator>,
         S::Item: Iterator<Item = Operation> + Send,
     {
-        let streams = streams.into_iter();
+        let (nodes, cpus) = (self.machine.nodes(), self.machine.node_mem.cpus);
+        let mut streams = streams.into_iter();
         assert_eq!(
             streams.len(),
-            self.machine.nodes() as usize,
-            "got {} per-node operation streams, machine has {} nodes",
-            streams.len(),
-            self.machine.nodes()
+            nodes as usize * cpus,
+            "got {} operation streams, machine has {nodes} nodes of {cpus} CPU(s)",
+            streams.len()
         );
+        // One work item per node: its processors' streams.
+        let groups: Vec<Vec<S::Item>> = (0..nodes)
+            .map(|_| streams.by_ref().take(cpus).collect())
+            .collect();
         let (cpu, mem_cfg, static_costs) =
             (self.machine.cpu, &self.machine.node_mem, self.static_costs);
-        let extract = |node: usize, ops: S::Item, probe: ProbeHandle| {
+        let extract = |node: usize, group: Vec<S::Item>, probe: ProbeHandle| {
             let node = node as NodeId;
-            let mut ops_simulated = 0u64;
-            let ops = ops.inspect(|_| ops_simulated += 1);
+            let ops_simulated = Cell::new(0u64);
+            let group = group
+                .into_iter()
+                .map(|ops| ops.inspect(|_| ops_simulated.set(ops_simulated.get() + 1)));
             let x = match static_costs {
-                Some(costs) => costs.extract_tasks(node, ops),
+                // `direct` refused multiprocessor nodes: one stream.
+                Some(costs) => costs.extract_tasks(node, group.flatten()),
                 None => {
                     let mut sim = SingleNodeSim::new(cpu, mem_cfg.clone());
                     sim.set_probe(node, probe);
-                    let mut extractor = sim.task_extractor(node);
-                    extractor.feed(ops);
-                    extractor.finish()
+                    sim.extract_streams(node, group)
                 }
             };
-            (x, ops_simulated)
+            (x, ops_simulated.get())
         };
         let extracted: Vec<_> = if self.opts.probe.is_enabled() {
-            streams
+            groups
+                .into_iter()
                 .enumerate()
-                .map(|(node, ops)| extract(node, ops, self.opts.probe.clone()))
+                .map(|(node, group)| extract(node, group, self.opts.probe.clone()))
                 .collect()
         } else {
             let workers = self.workers.unwrap_or_else(sweep::auto_workers);
-            sweep::run_ordered(streams.collect(), workers, |node, ops| {
-                extract(node, ops, ProbeHandle::disabled())
+            sweep::run_ordered(groups, workers, |node, group| {
+                extract(node, group, ProbeHandle::disabled())
             })
         };
         let mut task_traces = Vec::with_capacity(extracted.len());
-        let mut nodes = Vec::with_capacity(extracted.len());
+        let mut node_stats = Vec::with_capacity(extracted.len());
         let mut ops_simulated = 0u64;
         for (x, ops) in extracted {
             ops_simulated += ops;
-            nodes.push(NodeComputeStats {
+            node_stats.push(NodeComputeStats {
                 node: x.task_trace.node,
                 cpu: x.cpu_stats,
                 mem: x.mem_stats,
                 compute_total: x.compute_total,
+                compute_finish: x.compute_finish,
             });
             task_traces.push(x.task_trace);
         }
         let task_traces = TraceSet::from_traces(task_traces);
         let (comm, shard_profile) = run_comm(self.machine.network, &task_traces, &self.opts)?;
+        // Processor 0's tasks run in the communication model, which takes
+        // at least their sum; a sibling processor may outlast the network.
+        let last_cpu = node_stats.iter().map(|n| n.compute_finish).max();
         Ok(HybridResult {
-            predicted_time: comm.finish,
-            nodes,
+            predicted_time: comm.finish.max(last_cpu.unwrap_or(Time::ZERO)),
+            nodes: node_stats,
             task_traces,
             comm,
             ops_simulated,
@@ -251,7 +274,7 @@ impl<'a> HybridSim<'a> {
 mod tests {
     use super::*;
     use mermaid_network::Topology;
-    use mermaid_ops::{ArithOp, DataType};
+    use mermaid_ops::{ArithOp, DataType, Trace};
     use mermaid_tracegen::annotate::TargetLayout;
     use mermaid_tracegen::{
         CommPattern, InterleavedTraceGen, SizeDist, StochasticApp, StochasticGenerator,
@@ -377,9 +400,180 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "simulate multiprocessor nodes with SmpHybridSim")]
-    fn multiprocessor_nodes_are_refused() {
-        HybridSim::new(MachineConfig::powerpc601_cluster(Topology::Ring(4), 2));
+    #[should_panic(expected = "static costs model no shared bus")]
+    fn direct_execution_refuses_multiprocessor_nodes() {
+        HybridSim::direct(MachineConfig::powerpc601_cluster(Topology::Ring(4), 2));
+    }
+
+    fn smp_machine(nodes: u32, cpus: usize) -> MachineConfig {
+        let mut m = machine(nodes);
+        m.node_mem.cpus = cpus;
+        m
+    }
+
+    fn compute_ops(n: usize, seed: u64) -> Vec<Operation> {
+        (0..n)
+            .map(|i| {
+                let x = (i as u64).wrapping_mul(seed.wrapping_add(7919));
+                if x.is_multiple_of(3) {
+                    Operation::Load {
+                        ty: DataType::F64,
+                        addr: 0x1000 + (x % 4096),
+                    }
+                } else {
+                    Operation::Arith {
+                        op: ArithOp::Add,
+                        ty: DataType::F64,
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Run `f(node, cpu)`'s operations on `nodes` nodes of `cpus` CPUs.
+    fn run_smp(
+        nodes: u32,
+        cpus: usize,
+        f: impl Fn(NodeId, usize) -> Vec<Operation>,
+    ) -> HybridResult {
+        let streams: Vec<_> = (0..nodes)
+            .flat_map(|n| (0..cpus).map(move |c| (n, c)))
+            .map(|(n, c)| f(n, c).into_iter())
+            .collect();
+        HybridSim::new(smp_machine(nodes, cpus)).run_streams(streams)
+    }
+
+    /// Node `node` of a ring: compute, then on CPU 0 a ring exchange.
+    fn ring_ops(nodes: u32, node: NodeId, cpu: usize, ops: usize) -> Vec<Operation> {
+        let mut v = compute_ops(ops, (node as u64) << 8 | cpu as u64);
+        if cpu == 0 {
+            v.push(Operation::ASend {
+                bytes: 1024,
+                dst: (node + 1) % nodes,
+            });
+            v.push(Operation::Recv {
+                src: (node + nodes - 1) % nodes,
+            });
+        }
+        v
+    }
+
+    #[test]
+    fn smp_cluster_runs_end_to_end() {
+        let r = run_smp(4, 2, |node, cpu| ring_ops(4, node, cpu, 500));
+        assert!(r.comm.all_done);
+        assert!(r.predicted_time > Time::ZERO);
+        assert_eq!(r.nodes.len(), 4);
+        assert_eq!(r.nodes[0].cpu.len(), 2);
+        // Both CPUs did work, and every operation was simulated.
+        assert!(r.nodes[0].cpu[1].ops.total > 0);
+        assert_eq!(r.ops_simulated, 4 * (2 * 500 + 2));
+    }
+
+    #[test]
+    fn an_idle_sibling_changes_nothing() {
+        // Siblings with empty streams: the one-CPU prediction and tasks.
+        let one = run_smp(3, 1, |node, cpu| ring_ops(3, node, cpu, 800));
+        let two = run_smp(3, 2, |node, cpu| match cpu {
+            0 => ring_ops(3, node, cpu, 800),
+            _ => Vec::new(),
+        });
+        assert_eq!(one.predicted_time, two.predicted_time);
+        assert_eq!(one.task_traces, two.task_traces);
+    }
+
+    #[test]
+    fn second_processor_contends_on_the_node_bus() {
+        // Same CPU 0 workload; a memory-hammering second CPU must stretch
+        // the communication processor's tasks (bus contention).
+        let cpu0 = |node: NodeId| {
+            let mut v = compute_ops(2_000, node as u64);
+            v.push(if node == 0 {
+                Operation::ASend { bytes: 64, dst: 1 }
+            } else {
+                Operation::Recv { src: 0 }
+            });
+            v
+        };
+        let solo = run_smp(2, 1, |node, _| cpu0(node));
+        let shared = run_smp(2, 2, |node, cpu| match cpu {
+            0 => cpu0(node),
+            _ => (0..4_000u64)
+                .map(|i| Operation::Load {
+                    ty: DataType::F64,
+                    addr: (1 << 20) | ((i * 64) % (1 << 18)),
+                })
+                .collect(),
+        });
+        assert!(
+            shared.nodes[0].compute_total > solo.nodes[0].compute_total,
+            "contention must stretch CPU 0's tasks: {} vs {}",
+            shared.nodes[0].compute_total,
+            solo.nodes[0].compute_total
+        );
+    }
+
+    #[test]
+    fn compute_floor_covers_long_running_siblings() {
+        // CPU 1 computes far past CPU 0's last communication; the predicted
+        // time must cover it.
+        let r = run_smp(2, 2, |node, cpu| match (node, cpu) {
+            (0, 0) => vec![Operation::ASend { bytes: 8, dst: 1 }],
+            (_, 0) => vec![Operation::Recv { src: 0 }],
+            _ => compute_ops(50_000, 3),
+        });
+        assert!(r.nodes[0].compute_finish > r.comm.finish);
+        assert_eq!(r.predicted_time, r.nodes[0].compute_finish);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 1 CPU 1: only processor 0 may communicate")]
+    fn non_zero_cpus_may_not_communicate() {
+        run_smp(2, 2, |node, cpu| match (node, cpu) {
+            (1, 1) => vec![Operation::Recv { src: 0 }],
+            _ => Vec::new(),
+        });
+    }
+
+    #[test]
+    fn every_node_model_merges_a_pre_collapsed_compute_into_its_run() {
+        // add ×10, compute 500 ps, add ×5, send: one 150.5 ns task before
+        // the send on the cache model with one and with two CPUs per node,
+        // and on the static-cost model alike.
+        let add = Operation::Arith {
+            op: ArithOp::Add,
+            ty: DataType::I32,
+        };
+        let ops = |node: NodeId, cpu: usize| {
+            if cpu > 0 {
+                return Vec::new();
+            }
+            let mut ops = vec![add; 10];
+            ops.push(Operation::Compute { ps: 500 });
+            ops.extend([add; 5]);
+            ops.push(if node == 0 {
+                Operation::Send { bytes: 8, dst: 1 }
+            } else {
+                Operation::Recv { src: 0 }
+            });
+            ops
+        };
+        let flat = TraceSet::from_traces((0..2).map(|n| Trace::from_ops(n, ops(n, 0))).collect());
+        let cache = HybridSim::new(machine(2)).run(&flat);
+        let smp = run_smp(2, 2, ops);
+        let direct = HybridSim::direct(machine(2)).run(&flat);
+        let run = Duration::from_ns(150) + Duration::from_ps(500);
+        assert_eq!(
+            cache.task_traces.trace(0).ops,
+            [
+                Operation::Compute { ps: run.as_ps() },
+                Operation::Send { bytes: 8, dst: 1 }
+            ]
+        );
+        for r in [&cache, &smp, &direct] {
+            assert_eq!(r.task_traces, cache.task_traces);
+            assert_eq!(r.nodes[0].compute_total, run);
+        }
     }
 
     #[test]

@@ -27,8 +27,10 @@
 //!
 //! Shared-memory multiprocessors are simulated by configuring the
 //! computational model with several processors
-//! ([`mermaid_cpu::SingleNodeSim`]); hybrid machines by putting
-//! multiprocessor nodes behind the message-passing network (Section 4.3).
+//! ([`mermaid_cpu::SingleNodeSim`]). Hybrid machines, multiprocessor nodes
+//! behind the message-passing network (Section 4.3), are no second
+//! simulator either: [`HybridSim`] takes one stream per processor, and on
+//! each node processor 0 communicates while the others share its bus.
 //!
 //! ## Quick start
 //!
@@ -57,7 +59,6 @@ pub mod microbench;
 pub mod report;
 pub mod run;
 pub mod slowdown;
-pub mod smp;
 pub mod sweep;
 pub mod tasklevel;
 
@@ -69,7 +70,6 @@ pub use memuse::ModelFootprint;
 pub use microbench::{detect_capacity_edges, memory_stride_probe, ping_pong};
 pub use run::{Mode, Outcome, Resolved, RunConfig};
 pub use slowdown::{host_frequency, SlowdownMeter, SlowdownReport};
-pub use smp::{SmpHybridResult, SmpHybridSim, SmpWorkload};
 pub use sweep::{labelled_sweep, parallel_sweep, parallel_sweep_streaming};
 pub use tasklevel::{TaskLevelResult, TaskLevelSim};
 

@@ -24,9 +24,10 @@ pub fn hybrid_table(r: &HybridResult) -> Table {
             .first()
             .map(|s| 100.0 * s.hit_rate())
             .unwrap_or(0.0);
+        let ops: u64 = compute.cpu.iter().map(|c| c.ops.total).sum();
         t.row([
             compute.node.to_string(),
-            compute.cpu.ops.total.to_string(),
+            ops.to_string(),
             format!("{}", comm.proc.compute),
             format!("{}", comm.proc.send_block),
             format!("{}", comm.proc.recv_block),

@@ -18,16 +18,17 @@
 //!
 //! [`SingleNodeSim`] replicates the CPU over the processors of one node and
 //! interleaves them in virtual-time order (a shared-memory multiprocessor,
-//! Section 4.3). It also performs the hybrid-model bridge: measuring the
-//! simulated time between communication operations to produce task-level
-//! traces for the communication model (Fig. 2). [`TaskCutter`] is that
-//! bridge's one cut; every node model — this cache model, the static-cost
-//! direct-execution model and the SMP node — closes its runs through it.
+//! Section 4.3). The same loop performs the hybrid-model bridge: measuring
+//! the simulated time between processor 0's communication operations to
+//! produce task-level traces for the communication model (Fig. 2), on a
+//! one-CPU node or a multiprocessor one alike. [`TaskCutter`] is that
+//! bridge's one cut; both node models — this cache model and the
+//! static-cost direct-execution model — close their runs through it.
 
 pub mod cpu;
 pub mod node;
 pub mod params;
 
 pub use cpu::{Cpu, CpuStats};
-pub use node::{NodeResult, SingleNodeSim, TaskCutter, TaskExtraction, TaskExtractor};
+pub use node::{NodeResult, SingleNodeSim, TaskCutter, TaskExtraction};
 pub use params::CpuParams;

@@ -1,19 +1,26 @@
 //! The single-node computational model (paper, Fig. 3a): one or more CPUs
 //! sharing a cache hierarchy, bus, and memory.
 //!
-//! Two uses:
+//! One loop pulls one operation stream per CPU and interleaves the CPUs in
+//! virtual-time order, so that bus arbitration and coherence traffic are
+//! resolved in the order they would occur on the target (Section 4.3). Two
+//! uses:
 //!
-//! * [`SingleNodeSim::run`] — simulate a (possibly multiprocessor,
-//!   shared-memory) node over instruction-level traces. CPUs are
-//!   interleaved in virtual-time order so that bus arbitration and
-//!   coherence traffic are resolved in the order they would occur on the
-//!   target (Section 4.3).
-//! * [`SingleNodeSim::extract_tasks`] — the hybrid-model bridge (Fig. 2):
-//!   run one node's instruction-level trace and measure the simulated time
-//!   between communication operations, producing the task-level trace
+//! * [`SingleNodeSim::run`] — simulate a shared-memory multiprocessor node
+//!   over computational traces.
+//! * [`SingleNodeSim::extract_streams`] — the hybrid-model bridge (Fig. 2):
+//!   run one node's streams and measure the simulated time between
+//!   processor 0's communication operations, producing the task-level trace
 //!   (`compute`/`send`/`recv`) that drives the multi-node communication
 //!   model. The cut itself is [`TaskCutter`], shared with every other node
-//!   model.
+//!   model. The node's other processors only compute; through the shared
+//!   bus they stretch processor 0's tasks.
+//!
+//! Model approximation (documented): extraction is open loop per node, so
+//! the stall a *blocking* communication imposes on processor 0 is not
+//! propagated into the other processors' bus schedules. Intra-node
+//! contention is modelled as if all processors free-run; the communication
+//! delays are then resolved by the network model.
 
 use mermaid_memory::{MemStats, MemSystemConfig, MemorySystem};
 use mermaid_ops::{NodeId, Operation, Trace};
@@ -41,12 +48,14 @@ pub struct TaskExtraction {
     /// The task-level trace: `compute(duration)` runs separated by the
     /// original communication operations.
     pub task_trace: Trace,
-    /// Statistics of the computational simulation that produced it.
-    pub cpu_stats: CpuStats,
+    /// Per-CPU statistics of the computational simulation that produced it.
+    pub cpu_stats: Vec<CpuStats>,
     /// Memory-system statistics of that simulation.
     pub mem_stats: MemStats,
     /// Total simulated computation time.
     pub compute_total: Duration,
+    /// Virtual time at which the node's last CPU finished.
+    pub compute_finish: Time,
 }
 
 /// A single node of the multicomputer: CPUs + memory system.
@@ -91,60 +100,127 @@ impl SingleNodeSim {
     /// operations (this is the pure shared-memory configuration of
     /// Section 4.3; message passing belongs to the communication model).
     pub fn run(&mut self, traces: &[&Trace]) -> NodeResult {
-        assert_eq!(
-            traces.len(),
-            self.cpus.len(),
-            "need one trace per CPU ({} traces, {} CPUs)",
-            traces.len(),
-            self.cpus.len()
-        );
-        let mut cursors = vec![0usize; traces.len()];
-        loop {
-            // Pick the unfinished CPU with the smallest local clock; ties
-            // break towards the lower CPU index (deterministic).
-            let next = (0..self.cpus.len())
-                .filter(|&i| cursors[i] < traces[i].len())
-                .min_by_key(|&i| (self.cpus[i].now(), i));
-            let Some(i) = next else { break };
-            let op = traces[i].ops[cursors[i]];
-            assert!(
-                !op.is_global_event(),
-                "node {} trace contains communication operation {op}; use the hybrid model",
-                i
-            );
-            self.cpus[i].execute(op, &mut self.mem);
-            cursors[i] += 1;
-        }
-        let cpu_finish: Vec<Time> = self.cpus.iter().map(Cpu::now).collect();
+        self.interleave(traces.iter().map(|t| t.iter().copied()), |cpu, _, op| {
+            panic!("node {cpu} trace contains communication operation {op}; use the hybrid model")
+        });
         NodeResult {
-            finish: cpu_finish.iter().copied().fold(Time::ZERO, Time::max),
-            cpu_finish,
-            cpu_stats: self.cpus.iter().map(|c| c.stats().clone()).collect(),
+            finish: self.finish(),
+            cpu_finish: self.cpus.iter().map(Cpu::now).collect(),
+            cpu_stats: self.cpu_stats(),
             mem_stats: self.mem.stats(),
         }
     }
 
-    /// Hybrid-model bridge: simulate `trace` on CPU 0 and split it into
-    /// computational tasks at its global events with a [`TaskCutter`]
-    /// (Fig. 2). Communication operations pass through unchanged; runs of
-    /// computational operations become `compute(duration)` with the
-    /// *simulated* duration measured by this computational model.
-    pub fn extract_tasks(&mut self, trace: &Trace) -> TaskExtraction {
-        let mut extractor = self.task_extractor(trace.node);
-        extractor.feed(trace.iter().copied());
-        extractor.finish()
+    /// Hybrid-model bridge: run one operation stream per CPU of `node` and
+    /// split processor 0's timeline into computational tasks at its global
+    /// events with a [`TaskCutter`] (Fig. 2). Communication operations pass
+    /// through unchanged; runs of computational operations become
+    /// `compute(duration)` with the *simulated* duration measured by this
+    /// computational model. Each stream is pulled to its end.
+    ///
+    /// # Panics
+    ///
+    /// On a stream count other than the CPU count, and on a global event in
+    /// any stream but processor 0's.
+    pub fn extract_streams<S>(
+        &mut self,
+        node: NodeId,
+        streams: impl IntoIterator<Item = S>,
+    ) -> TaskExtraction
+    where
+        S: Iterator<Item = Operation>,
+    {
+        let mut cutter = TaskCutter::new(node, self.cpus[0].now());
+        self.interleave(streams, |cpu, now, op| {
+            assert!(
+                cpu == 0,
+                "node {node} CPU {cpu}: only processor 0 may communicate"
+            );
+            cutter.cut(now, op);
+        });
+        let (task_trace, compute_total) = cutter.finish(self.cpus[0].now());
+        TaskExtraction {
+            task_trace,
+            cpu_stats: self.cpu_stats(),
+            mem_stats: self.mem.stats(),
+            compute_total,
+            compute_finish: self.finish(),
+        }
     }
 
-    /// [`SingleNodeSim::extract_tasks`] for a trace that arrives in pieces:
-    /// feed `node`'s operations in program order, in chunks of any size.
-    pub fn task_extractor(&mut self, node: NodeId) -> TaskExtractor<'_> {
-        assert_eq!(self.cpus.len(), 1, "task extraction uses a single-CPU node");
-        let cpu = &mut self.cpus[0];
-        TaskExtractor {
-            cutter: TaskCutter::new(node, cpu.now()),
-            cpu,
-            mem: &mut self.mem,
+    /// [`SingleNodeSim::extract_streams`] over one trace on a one-CPU node.
+    pub fn extract_tasks(&mut self, trace: &Trace) -> TaskExtraction {
+        self.extract_streams(trace.node, [trace.iter().copied()])
+    }
+
+    /// The one interleaving loop: pull the next operation from the
+    /// unfinished CPU with the smallest local clock (ties break towards
+    /// the lower CPU index, deterministically), execute it, or hand a
+    /// global event to `global(cpu, clock, op)`. Once one stream is left it
+    /// is walked by internal iteration (`for_each`), which a stream that
+    /// overrides `fold` serves as fast as a slice.
+    fn interleave<S>(
+        &mut self,
+        streams: impl IntoIterator<Item = S>,
+        mut global: impl FnMut(usize, Time, Operation),
+    ) where
+        S: Iterator<Item = Operation>,
+    {
+        let mut streams: Vec<Option<S>> = streams.into_iter().map(Some).collect();
+        assert_eq!(
+            streams.len(),
+            self.cpus.len(),
+            "need one trace per CPU ({} traces, {} CPUs)",
+            streams.len(),
+            self.cpus.len()
+        );
+        let mut live = streams.len();
+        while live > 1 {
+            let i = (0..streams.len())
+                .filter(|&i| streams[i].is_some())
+                .min_by_key(|&i| (self.cpus[i].now(), i))
+                .expect("two streams are live");
+            match streams[i].as_mut().and_then(Iterator::next) {
+                Some(op) => step(&mut self.cpus[i], &mut self.mem, i, op, &mut global),
+                None => {
+                    streams[i] = None;
+                    live -= 1;
+                }
+            }
         }
+        if let Some((i, last)) = streams
+            .into_iter()
+            .enumerate()
+            .find_map(|(i, s)| Some((i, s?)))
+        {
+            let (cpu, mem) = (&mut self.cpus[i], &mut self.mem);
+            last.for_each(|op| step(cpu, mem, i, op, &mut global));
+        }
+    }
+
+    fn finish(&self) -> Time {
+        self.cpus.iter().map(Cpu::now).fold(Time::ZERO, Time::max)
+    }
+
+    fn cpu_stats(&self) -> Vec<CpuStats> {
+        self.cpus.iter().map(|c| c.stats().clone()).collect()
+    }
+}
+
+/// One operation of CPU `i`: a global event goes to `global` with the
+/// CPU's clock, anything else runs on the CPU.
+#[inline]
+fn step(
+    cpu: &mut Cpu,
+    mem: &mut MemorySystem,
+    i: usize,
+    op: Operation,
+    global: &mut impl FnMut(usize, Time, Operation),
+) {
+    if op.is_global_event() {
+        global(i, cpu.now(), op);
+    } else {
+        cpu.execute(op, mem);
     }
 }
 
@@ -195,41 +271,6 @@ impl TaskCutter {
     pub fn finish(mut self, now: Time) -> (Trace, Duration) {
         self.close(now);
         (self.trace, self.compute_total)
-    }
-}
-
-/// Incremental task extraction over one node's computational model. The
-/// cutter keeps the start of the current compute run across
-/// [`TaskExtractor::feed`] calls, so where the operation stream is cut
-/// never splits a task.
-pub struct TaskExtractor<'a> {
-    cpu: &'a mut Cpu,
-    mem: &'a mut MemorySystem,
-    cutter: TaskCutter,
-}
-
-impl TaskExtractor<'_> {
-    /// Simulate the next operations of the node's trace.
-    pub fn feed(&mut self, ops: impl IntoIterator<Item = Operation>) {
-        ops.into_iter().for_each(|op| {
-            if op.is_global_event() {
-                self.cutter.cut(self.cpu.now(), op);
-            } else {
-                self.cpu.execute(op, self.mem);
-            }
-        });
-    }
-
-    /// End of trace: close the trailing compute run and hand over the
-    /// task-level trace with the model's statistics.
-    pub fn finish(self) -> TaskExtraction {
-        let (task_trace, compute_total) = self.cutter.finish(self.cpu.now());
-        TaskExtraction {
-            task_trace,
-            cpu_stats: self.cpu.stats().clone(),
-            mem_stats: self.mem.stats(),
-            compute_total,
-        }
     }
 }
 
@@ -410,10 +451,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "single-CPU node")]
-    fn task_extraction_requires_one_cpu() {
+    fn multi_cpu_extraction_cuts_processor_0_and_runs_the_others() {
+        // CPU 0: 10 adds, send, 5 adds; CPU 1: 30 adds and nothing else.
+        // With no memory operations the CPUs do not interact: the tasks are
+        // CPU 0's runs, and the node finishes with CPU 1 at 300 ns.
         let mut sim = node(2);
-        sim.extract_tasks(&Trace::new(0));
+        let mut cpu0 = adds(10);
+        cpu0.push(Operation::Send { bytes: 64, dst: 1 });
+        cpu0.extend(adds(5));
+        let x = sim.extract_streams(0, [cpu0.into_iter(), adds(30).into_iter()]);
+        assert_eq!(
+            x.task_trace.ops,
+            vec![
+                Operation::Compute {
+                    ps: Duration::from_ns(100).as_ps()
+                },
+                Operation::Send { bytes: 64, dst: 1 },
+                Operation::Compute {
+                    ps: Duration::from_ns(50).as_ps()
+                },
+            ]
+        );
+        assert_eq!(x.compute_total, Duration::from_ns(150));
+        assert_eq!(x.compute_finish, Time::from_ns(300));
+        let ops: Vec<u64> = x.cpu_stats.iter().map(|s| s.ops.total).collect();
+        assert_eq!(ops, [15, 30]);
     }
 
     #[test]

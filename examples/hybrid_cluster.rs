@@ -9,7 +9,6 @@
 //! Run with: `cargo run --release --example hybrid_cluster`
 
 use mermaid::prelude::*;
-use mermaid::smp::{build_workload, SmpHybridSim};
 use mermaid_stats::table::Align;
 use mermaid_stats::Table;
 
@@ -63,23 +62,25 @@ fn main() {
         let topo = Topology::Ring(nodes);
         let machine = MachineConfig::powerpc601_cluster(topo, cpus_per_node);
         let ops_per_cpu = total_ops / total_cpus as usize;
-        // Each node: CPU 0 computes + exchanges with ring neighbours;
-        // CPUs 1.. compute only.
-        let workload = build_workload(nodes, cpus_per_node, |node, cpu| {
-            let mut t =
-                Trace::from_ops(node, cpu_ops((node as u64) << 8 | cpu as u64, ops_per_cpu));
-            if cpu == 0 {
-                t.push(Operation::ASend {
-                    bytes: 16 * 1024,
-                    dst: (node + 1) % nodes,
-                });
-                t.push(Operation::Recv {
-                    src: (node + nodes - 1) % nodes,
-                });
-            }
-            t
-        });
-        let r = SmpHybridSim::new(machine).run(&workload);
+        // One stream per processor, node-major. Each node: CPU 0 computes
+        // + exchanges with ring neighbours; CPUs 1.. compute only.
+        let streams: Vec<_> = (0..nodes)
+            .flat_map(|node| (0..cpus_per_node).map(move |cpu| (node, cpu)))
+            .map(|(node, cpu)| {
+                let mut ops = cpu_ops((node as u64) << 8 | cpu as u64, ops_per_cpu);
+                if cpu == 0 {
+                    ops.push(Operation::ASend {
+                        bytes: 16 * 1024,
+                        dst: (node + 1) % nodes,
+                    });
+                    ops.push(Operation::Recv {
+                        src: (node + nodes - 1) % nodes,
+                    });
+                }
+                ops.into_iter()
+            })
+            .collect();
+        let r = HybridSim::new(machine).run_streams(streams);
         assert!(r.comm.all_done);
         let n0 = &r.nodes[0];
         let bus_util =

@@ -15,7 +15,7 @@ use mermaid_stats::Table;
 
 /// Build one CPU's computational trace: a private working set plus a
 /// shared, contended region (the coherence stressor).
-fn cpu_trace(cpu: u32, cpus: u32, ops: usize, seed: u64) -> Trace {
+fn cpu_trace(cpu: u32, ops: usize, seed: u64) -> Trace {
     use mermaid_tracegen::{InstructionMix, SizeDist, StochasticApp, StochasticGenerator};
     let app = StochasticApp {
         nodes: 1,
@@ -34,9 +34,10 @@ fn cpu_trace(cpu: u32, cpus: u32, ops: usize, seed: u64) -> Trace {
         .generate()
         .trace(0)
         .clone();
-    t.node = 0; // all CPUs live on node 0 in the shared-memory model
-                // Interleave stores to a shared counter array every ~50 ops to create
-                // coherence traffic between the CPUs.
+    // All CPUs live on node 0 in the shared-memory model.
+    t.node = 0;
+    // Interleave stores to a shared counter array every ~50 ops to create
+    // coherence traffic between the CPUs.
     let shared_base = 0x4000_0000u64;
     let mut with_sharing = Trace::new(0);
     for (i, &op) in t.iter().enumerate() {
@@ -48,7 +49,6 @@ fn cpu_trace(cpu: u32, cpus: u32, ops: usize, seed: u64) -> Trace {
             });
         }
     }
-    let _ = cpus;
     with_sharing
 }
 
@@ -78,7 +78,7 @@ fn main() {
         let machine = MachineConfig::powerpc601_node(cpus);
         let mut sim = SingleNodeSim::new(machine.cpu, machine.node_mem.clone());
         let traces: Vec<Trace> = (0..cpus as u32)
-            .map(|c| cpu_trace(c, cpus as u32, ops_per_cpu, 77))
+            .map(|c| cpu_trace(c, ops_per_cpu, 77))
             .collect();
         let refs: Vec<&Trace> = traces.iter().collect();
         let r = sim.run(&refs);

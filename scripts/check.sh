@@ -16,13 +16,15 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> member crates: pearl, mermaid-network and mermaid tests"
+echo "==> member crates: unit and integration tests of every library crate"
 # `cargo test` above tests only the root package; the event queue's own
-# determinism oracle (pearl/tests/queue_order.rs), the network unit tests
-# and the core library's unit tests (the campaign table's one-pass
-# grouping against its quadratic oracle among them) live in these member
-# crates.
-cargo test -q -p pearl -p mermaid-network -p mermaid
+# determinism oracle (pearl/tests/queue_order.rs), the network unit tests,
+# the core library's unit tests (the campaign table's one-pass grouping
+# against its quadratic oracle among them) and the CPU, memory, operation,
+# generator, probe, statistics and DSM crates' own tests live in these
+# member crates.
+cargo test -q -p pearl -p mermaid-network -p mermaid -p mermaid-cpu -p mermaid-memory \
+    -p mermaid-ops -p mermaid-tracegen -p mermaid-probe -p mermaid-stats -p mermaid-dsm
 
 echo "==> example: quickstart (full pipeline)"
 cargo run --release --example quickstart > /dev/null

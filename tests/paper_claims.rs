@@ -129,7 +129,7 @@ fn loop_fetch_reuse_drives_icache_hits() {
 /// and adding processors must increase throughput (up to bus saturation).
 #[test]
 fn shared_memory_mode_scales_until_the_bus_saturates() {
-    let mk_trace = |node: u32, seed: u64| {
+    let mk_trace = |seed: u64| {
         let a = StochasticApp {
             nodes: 1,
             phases: 1,
@@ -141,16 +141,13 @@ fn shared_memory_mode_scales_until_the_bus_saturates() {
             .generate()
             .trace(0)
             .clone();
-        t.node = node;
         t.node = 0;
         t
     };
     let throughput = |cpus: usize| {
         let machine = MachineConfig::powerpc601_node(cpus);
         let mut sim = mermaid_cpu::SingleNodeSim::new(machine.cpu, machine.node_mem.clone());
-        let traces: Vec<Trace> = (0..cpus as u32)
-            .map(|c| mk_trace(c, c as u64 + 1))
-            .collect();
+        let traces: Vec<Trace> = (0..cpus as u32).map(|c| mk_trace(c as u64 + 1)).collect();
         let refs: Vec<&Trace> = traces.iter().collect();
         let r = sim.run(&refs);
         let total: u64 = r.cpu_stats.iter().map(|s| s.ops.total).sum();

@@ -649,12 +649,10 @@ proptest! {
     /// the detailed and direct-execution runs that pull operations from
     /// `StochasticGenerator::streams()` equal the runs over the collected
     /// `generate()` traces in every result field — the batch run on one
-    /// worker, the streamed one on a generated worker count — and an
-    /// extractor fed a trace in chunks of any size equals one fed the whole
-    /// trace.
+    /// worker, the streamed one on a generated worker count.
     #[test]
     fn streamed_runs_match_batch_runs(
-        nodes in 1u32..10,
+        nodes in 2u32..10,
         pattern_kind in 0u8..6,
         ops_per_phase in prop_oneof![
             (0u64..500).prop_map(SizeDist::Fixed),
@@ -666,11 +664,9 @@ proptest! {
         phases in 0u32..4,
         two_level_caches in any::<bool>(),
         seed in any::<u64>(),
-        chunk in prop_oneof![Just(1usize), Just(7usize), Just(4096usize), Just(usize::MAX)],
         workers in 1usize..20,
     ) {
         use mermaid::{HybridSim, MachineConfig};
-        use mermaid_cpu::SingleNodeSim;
         use mermaid_tracegen::{CommPattern, InstructionMix, StochasticApp, StochasticGenerator};
 
         let pattern = [
@@ -681,8 +677,8 @@ proptest! {
             CommPattern::RandomPermutation,
             CommPattern::Butterfly,
         ][pattern_kind as usize];
-        // Butterfly runs on 1, 2, 4 or 8 nodes only.
-        let nodes = if pattern == CommPattern::Butterfly { 1 << (nodes % 4) } else { nodes };
+        // Butterfly runs on 2, 4 or 8 nodes only (no topology has one).
+        let nodes = if pattern == CommPattern::Butterfly { 2 << (nodes % 3) } else { nodes };
         let app = StochasticApp {
             phases,
             ops_per_phase,
@@ -701,40 +697,25 @@ proptest! {
         } else {
             MachineConfig::test_machine(topo)
         };
-        // No topology has a single node; that case checks the extractor only.
-        if nodes >= 2 {
-            let m = machine(Topology::FullyConnected(nodes));
-            let batch = HybridSim::new(m.clone()).with_workers(1).run(&traces);
-            let streamed = HybridSim::new(m.clone())
-                .with_workers(workers)
-                .run_streams(gen.streams());
-            prop_assert_eq!(streamed.predicted_time, batch.predicted_time);
-            prop_assert_eq!(&streamed.task_traces, &batch.task_traces);
-            prop_assert_eq!(streamed.ops_simulated, batch.ops_simulated);
-            prop_assert_eq!(streamed.ops_simulated, traces.total_ops() as u64);
-            prop_assert_eq!(debug(&streamed.nodes), debug(&batch.nodes));
-            prop_assert_eq!(debug(&streamed.comm), debug(&batch.comm));
+        let m = machine(Topology::FullyConnected(nodes));
+        let batch = HybridSim::new(m.clone()).with_workers(1).run(&traces);
+        let streamed = HybridSim::new(m.clone())
+            .with_workers(workers)
+            .run_streams(gen.streams());
+        prop_assert_eq!(streamed.predicted_time, batch.predicted_time);
+        prop_assert_eq!(&streamed.task_traces, &batch.task_traces);
+        prop_assert_eq!(streamed.ops_simulated, batch.ops_simulated);
+        prop_assert_eq!(streamed.ops_simulated, traces.total_ops() as u64);
+        prop_assert_eq!(debug(&streamed.nodes), debug(&batch.nodes));
+        prop_assert_eq!(debug(&streamed.comm), debug(&batch.comm));
 
-            let batch = HybridSim::direct(m.clone()).with_workers(1).run(&traces);
-            let streamed = HybridSim::direct(m)
-                .with_workers(workers)
-                .run_streams(gen.streams());
-            prop_assert_eq!(streamed.predicted_time, batch.predicted_time);
-            prop_assert_eq!(streamed.ops_simulated, batch.ops_simulated);
-            prop_assert_eq!(debug(&streamed.comm), debug(&batch.comm));
-        }
-
-        let m = machine(Topology::Ring(2));
-        let mut mem = m.node_mem.clone();
-        mem.cpus = 1;
-        let trace = traces.trace(nodes - 1);
-        let whole = SingleNodeSim::new(m.cpu, mem.clone()).extract_tasks(trace);
-        let mut sim = SingleNodeSim::new(m.cpu, mem);
-        let mut extractor = sim.task_extractor(trace.node);
-        for piece in trace.ops.chunks(chunk.min(trace.len().max(1))) {
-            extractor.feed(piece.iter().copied());
-        }
-        prop_assert_eq!(debug(&extractor.finish()), debug(&whole));
+        let batch = HybridSim::direct(m.clone()).with_workers(1).run(&traces);
+        let streamed = HybridSim::direct(m)
+            .with_workers(workers)
+            .run_streams(gen.streams());
+        prop_assert_eq!(streamed.predicted_time, batch.predicted_time);
+        prop_assert_eq!(streamed.ops_simulated, batch.ops_simulated);
+        prop_assert_eq!(debug(&streamed.comm), debug(&batch.comm));
     }
 }
 

@@ -11,64 +11,89 @@
 //! time, the compute total and the computational finish.
 //! `BLESS=1 cargo test --test smp_cluster` rewrites it — only after an
 //! intended model change.
+//!
+//! The multiprocessor node is the cache node model of the one bridge, so
+//! it composes with every option a detailed run takes: the same clusters
+//! agree serial, sharded, on any worker count and probed, and a faulty run
+//! completes.
 
 use std::fmt::Write;
+use std::sync::Arc;
 
 use mermaid::prelude::*;
-use mermaid::smp::{build_workload, SmpHybridSim};
+use mermaid_network::{FaultSchedule, RetryParams, RunOptions};
 use mermaid_ops::{ArithOp, DataType};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/smp_cluster.txt");
 
-/// Processor `cpu`'s operations on `node` of a `nodes`-node ring: a
-/// cache-hostile computation, and on processor 0 a ring exchange after it.
-fn cpu_trace(nodes: u32, node: u32, cpu: usize) -> Trace {
+/// Nodes in the ring.
+const NODES: u32 = 4;
+
+/// Processor `cpu`'s operations on `node`: a cache-hostile computation,
+/// and on processor 0 a ring exchange after it.
+fn cpu_ops(node: u32, cpu: usize) -> Vec<Operation> {
     let seed = (node as u64) << 8 | cpu as u64;
     let ops = if cpu == 0 {
         1_500 + 200 * node as u64
     } else {
         1_000 + 600 * cpu as u64
     };
-    let mut t = Trace::from_ops(
-        node,
-        (0..ops)
-            .map(|i| {
-                let x = i.wrapping_mul(seed | 1).wrapping_add(i);
-                let addr = 0x100000 + (x * 64) % (64 << 10);
-                match x % 4 {
-                    0 => Operation::Load {
-                        ty: DataType::F64,
-                        addr,
-                    },
-                    1 => Operation::Store {
-                        ty: DataType::F64,
-                        addr,
-                    },
-                    _ => Operation::Arith {
-                        op: ArithOp::Add,
-                        ty: DataType::F64,
-                    },
-                }
-            })
-            .collect(),
-    );
+    let mut v: Vec<Operation> = (0..ops)
+        .map(|i| {
+            let x = i.wrapping_mul(seed | 1).wrapping_add(i);
+            let addr = 0x100000 + (x * 64) % (64 << 10);
+            match x % 4 {
+                0 => Operation::Load {
+                    ty: DataType::F64,
+                    addr,
+                },
+                1 => Operation::Store {
+                    ty: DataType::F64,
+                    addr,
+                },
+                _ => Operation::Arith {
+                    op: ArithOp::Add,
+                    ty: DataType::F64,
+                },
+            }
+        })
+        .collect();
     if cpu == 0 {
-        t.push(Operation::ASend {
+        v.push(Operation::ASend {
             bytes: 1024 << node,
-            dst: (node + 1) % nodes,
+            dst: (node + 1) % NODES,
         });
-        t.push(Operation::Recv {
-            src: (node + nodes - 1) % nodes,
+        v.push(Operation::Recv {
+            src: (node + NODES - 1) % NODES,
         });
     }
-    t
+    v
 }
 
-fn render(nodes: u32, cpus: usize) -> String {
-    let machine = MachineConfig::powerpc601_cluster(Topology::Ring(nodes), cpus);
-    let workload = build_workload(nodes, cpus, |node, cpu| cpu_trace(nodes, node, cpu));
-    let r = SmpHybridSim::new(machine).run(&workload);
-    let mut out = format!("## ring:{nodes}, {cpus} CPUs per node\n");
+fn machine(cpus: usize) -> MachineConfig {
+    MachineConfig::powerpc601_cluster(Topology::Ring(NODES), cpus)
+}
+
+/// Run the ring with `cpus` processors per node through `sim`: one stream
+/// per processor, node-major.
+fn run(sim: HybridSim, cpus: usize) -> HybridResult {
+    let streams: Vec<_> = (0..NODES)
+        .flat_map(|node| (0..cpus).map(move |cpu| cpu_ops(node, cpu).into_iter()))
+        .collect();
+    sim.run_streams(streams)
+}
+
+/// Every model result of a run; the shard profile is host wall clock.
+fn observe(r: &HybridResult) -> String {
+    format!(
+        "{:?}\n{:?}\n{:?}\n{:?}\n{}",
+        r.predicted_time, r.nodes, r.task_traces, r.comm, r.ops_simulated
+    )
+}
+
+fn render(cpus: usize) -> String {
+    let r = run(HybridSim::new(machine(cpus)), cpus);
+    let mut out = format!("## ring:{NODES}, {cpus} CPUs per node\n");
     writeln!(out, "predicted: {}ps", r.predicted_time.as_ps()).unwrap();
     writeln!(out, "comm finish: {}ps", r.comm.finish.as_ps()).unwrap();
     writeln!(out, "messages: {}", r.comm.total_messages).unwrap();
@@ -92,7 +117,7 @@ fn render(nodes: u32, cpus: usize) -> String {
 
 #[test]
 fn smp_clusters_match_the_golden() {
-    let got = render(4, 2) + &render(4, 4);
+    let got = render(2) + &render(4);
     if std::env::var_os("BLESS").is_some() {
         std::fs::write(GOLDEN, &got).unwrap();
         return;
@@ -104,5 +129,61 @@ fn smp_clusters_match_the_golden() {
         got == want,
         "SMP cluster results changed; if intended, run `BLESS=1 cargo test --test smp_cluster` \
          and review the diff\n--- want\n{want}--- got\n{got}"
+    );
+}
+
+#[test]
+fn smp_clusters_agree_serial_sharded_on_any_worker_count_and_probed() {
+    for cpus in [2, 4] {
+        let serial = observe(&run(HybridSim::new(machine(cpus)).with_workers(1), cpus));
+        let workers = run(HybridSim::new(machine(cpus)).with_workers(4), cpus);
+        assert_eq!(observe(&workers), serial, "{cpus} CPUs: 4 workers vs 1");
+        let sharded = HybridSim::new(machine(cpus)).with_options(RunOptions {
+            shards: 3,
+            ..RunOptions::default()
+        });
+        assert_eq!(
+            observe(&run(sharded, cpus)),
+            serial,
+            "{cpus} CPUs: 3 shards"
+        );
+
+        let probe = ProbeHandle::new(ProbeStack::new().with_metrics());
+        let probed = HybridSim::new(machine(cpus)).with_options(RunOptions {
+            probe: probe.clone(),
+            ..RunOptions::default()
+        });
+        let probed = run(probed, cpus);
+        assert_eq!(observe(&probed), serial, "{cpus} CPUs: probed");
+        let text = probe
+            .metrics_report(probed.predicted_time.as_ps())
+            .unwrap()
+            .render();
+        for counter in ["mem0/bus_wait_ps", "mem0/hit_l2", "mem3/misses", "bus 3 "] {
+            assert!(text.contains(counter), "{cpus} CPUs: no {counter}:\n{text}");
+        }
+    }
+}
+
+#[test]
+fn a_faulty_smp_cluster_completes() {
+    let m = machine(2);
+    let faults = FaultSchedule::parse(
+        "link:0-1:0:200000000; drop:50000",
+        3,
+        RetryParams::default_for(&m.network),
+    )
+    .expect("spec parses");
+    let sim = HybridSim::new(m).with_options(RunOptions {
+        faults: Some(Arc::new(faults)),
+        ..RunOptions::default()
+    });
+    let r = run(sim, 2);
+    assert!(r.comm.all_done, "deadlocked: {:?}", r.comm.deadlocked);
+    let healthy = run(HybridSim::new(machine(2)), 2);
+    assert_eq!(r.task_traces, healthy.task_traces);
+    assert!(
+        r.comm.finish > healthy.comm.finish,
+        "the outage must cost time"
     );
 }
