@@ -45,7 +45,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use mermaid_network::{CheckpointOpts, RetryParams, RunOptions, Snapshot, Topology};
+use mermaid_network::{Capture, CheckpointOpts, RetryParams, RunOptions, Snapshot, Topology};
 use mermaid_stats::csv::csv_line;
 use mermaid_stats::DeliveryStats;
 use pearl::{Duration, Time};
@@ -619,7 +619,7 @@ fn execute(
     let write;
     let checkpoint = match ckpt {
         Some(plan) => {
-            write = |snap: &Snapshot| snap.write_file(plan.path);
+            write = |snap: &Capture<'_>| snap.write_file(plan.path);
             Some(CheckpointOpts {
                 every: Duration::from_ps(plan.every_ps),
                 config_hash: hash.to_string(),

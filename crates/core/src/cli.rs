@@ -95,7 +95,9 @@ use std::cell::RefCell;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mermaid_network::{CheckpointOpts, CommResult, Progress, RunOptions, Snapshot, SnapshotError};
+use mermaid_network::{
+    Capture, CheckpointOpts, CommResult, Progress, RunOptions, Snapshot, SnapshotError,
+};
 use mermaid_ops::table1;
 use mermaid_stats::TimeSeries;
 use pearl::Time;
@@ -635,8 +637,8 @@ fn launch(
     // Gated: a cadence comes with its directory, and vice versa.
     let checkpoint = match (a.num("--checkpoint-every"), a.text("--checkpoint-dir")) {
         (Some(every), Some(dir)) => {
-            write = |snap: &Snapshot| -> Result<(), SnapshotError> {
-                let name = format!("ckpt-{hash}-{:020}.snap", snap.time.as_ps());
+            write = |snap: &Capture<'_>| -> Result<(), SnapshotError> {
+                let name = format!("ckpt-{hash}-{:020}.snap", snap.time().as_ps());
                 snap.write_file(&Path::new(dir).join(name))?;
                 written.fetch_add(1, Ordering::Relaxed);
                 Ok(())

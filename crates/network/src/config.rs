@@ -119,15 +119,6 @@ impl NetworkConfig {
         }
     }
 
-    /// Number of packets a `bytes`-byte message splits into.
-    pub fn packets_for(&self, bytes: u32) -> u32 {
-        if bytes == 0 {
-            1 // a zero-byte message still needs one (header-only) packet
-        } else {
-            bytes.div_ceil(self.router.max_packet_payload)
-        }
-    }
-
     /// A T805-transputer-class network: 20 Mbit/s links (≈1.74 MB/s usable
     /// after protocol bits), software store-and-forward routing with
     /// substantial per-hop and per-message software cost.
@@ -247,11 +238,18 @@ mod tests {
     #[test]
     fn packet_splitting() {
         let c = NetworkConfig::test(Topology::Ring(4));
-        assert_eq!(c.packets_for(0), 1);
-        assert_eq!(c.packets_for(1), 1);
-        assert_eq!(c.packets_for(1024), 1);
-        assert_eq!(c.packets_for(1025), 2);
-        assert_eq!(c.packets_for(10 * 1024), 10);
+        let count = |msg_bytes| {
+            let p = crate::packet::Packet {
+                msg_bytes,
+                ..Default::default()
+            };
+            p.count(c.router.max_packet_payload)
+        };
+        assert_eq!(count(0), 1);
+        assert_eq!(count(1), 1);
+        assert_eq!(count(1024), 1);
+        assert_eq!(count(1025), 2);
+        assert_eq!(count(10 * 1024), 10);
     }
 
     #[test]

@@ -496,8 +496,6 @@ mod tests {
             msg: MsgId { src: 0, seq },
             dst: 1,
             index,
-            count: index + 1,
-            payload: 8,
             msg_bytes: 8,
             kind: PacketKind::Data { sync: false },
             sent_at: Time::ZERO,

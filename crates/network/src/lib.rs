@@ -48,5 +48,5 @@ pub use sharded::{
     PROGRESS_EVERY,
 };
 pub use sim::{CommResult, CommSim, NodeCommStats};
-pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_SCHEMA};
+pub use snapshot::{Capture, Snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_SCHEMA};
 pub use topology::{Topology, MAX_NODES};

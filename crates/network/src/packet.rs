@@ -1,11 +1,16 @@
 //! Packets and the network-message event type.
 
 use mermaid_ops::NodeId;
-use pearl::Time;
+use pearl::{Duration, Time};
 
 /// Identifies a message uniquely within a simulation: source node plus a
 /// source-local sequence number.
+///
+/// Aligned to 4 bytes, so the id takes 12 bytes of every packet instead
+/// of 16 (DESIGN.md §9). Read its fields by value; a reference to `seq`
+/// is refused by the compiler.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(C, packed(4))]
 pub struct MsgId {
     /// Sending node.
     pub src: NodeId,
@@ -40,45 +45,88 @@ pub enum PacketKind {
 
 /// Where a packet's end-to-end time went, accumulated hop by hop.
 ///
-/// Every field is a sum of exact `pearl::Duration` picosecond spans, so
-/// for a delivered packet the components reconstruct the measured latency
-/// *exactly*:
+/// The decomposition of a packet observed at instant `at` is
 ///
 /// ```text
-/// latency = pre + queue + route + ser + wire
+/// at - sent_at = pre + queue + route + ser + wire
 /// ```
 ///
-/// `pre` is accounted by the sending processor (send overhead on the
-/// original attempt; elapsed recovery time on a retransmission), the rest
-/// by every router the packet crosses. The accumulation is a handful of
-/// integer adds per hop — cheap enough to do unconditionally — and is
-/// observable only through the probe layer, so untraced runs stay
+/// and only what cannot be derived is stored: `pre`, `queue` and two
+/// counts. Every router a packet crosses charges one routing decision and
+/// one wire latency (a *hop*); a follower of a back-to-back run is also
+/// charged one routing decision per packet ahead of it in the run (a
+/// *restart*). So `route = (hops + restarts) × routing_delay` and
+/// `wire = hops × wire_latency`, and `ser` — moving the packet's bytes
+/// onto each link plus the tail residue at ejection — is what is left of
+/// `at - sent_at` (see [`PathDecomp::ser_ps`]). The split is observable
+/// only through the probe layer and snapshots, so untraced runs stay
 /// bit-identical.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PathDecomp {
-    /// Time before the packet entered the network: the sender's injection
-    /// overhead, plus (for retransmissions) the whole retry-recovery span
-    /// between the original send and this attempt's injection.
+    /// Time from the send issue to the packet entering the network: the
+    /// sender's injection overhead, plus (for retransmissions) the whole
+    /// retry-recovery span between the original send and this attempt's
+    /// injection. An acknowledgement holds its injection delay here, but
+    /// reports — and a snapshot writes — a `pre` of 0, as an ack always
+    /// has (see `Packet::walk`).
     pub pre_ps: u64,
     /// Time spent waiting for busy output links (contention).
     pub queue_ps: u64,
-    /// Routing decision time (`routing_delay` per hop).
-    pub route_ps: u64,
-    /// Serialisation time: moving the packet's bytes onto each link, plus
-    /// the tail residue at ejection.
-    pub ser_ps: u64,
-    /// Wire (propagation) latency across each link.
-    pub wire_ps: u64,
+    /// Links crossed.
+    pub hops: u32,
+    /// Routing restarts behind the packets ahead in a back-to-back run.
+    pub restarts: u32,
 }
 
 impl PathDecomp {
-    /// Sum of all components.
-    pub fn total_ps(&self) -> u64 {
-        self.pre_ps + self.queue_ps + self.route_ps + self.ser_ps + self.wire_ps
+    /// Routing decision time: `routing_delay` per hop and per restart.
+    pub fn route_ps(&self, net: &PacketParams) -> u64 {
+        (self.hops as u64 + self.restarts as u64) * net.routing_delay.as_ps()
+    }
+
+    /// Wire (propagation) latency: `wire_latency` per hop.
+    pub fn wire_ps(&self, net: &PacketParams) -> u64 {
+        self.hops as u64 * net.wire_latency.as_ps()
+    }
+
+    /// Serialisation time of a packet sent at `sent_at` and observed at
+    /// `at`: the rest of its progress once the other components are
+    /// taken out.
+    pub fn ser_ps(&self, net: &PacketParams, sent_at: Time, at: Time) -> u64 {
+        at.since(sent_at)
+            .as_ps()
+            .checked_sub(self.pre_ps + self.queue_ps + self.route_ps(net) + self.wire_ps(net))
+            .expect("a packet's path components exceed its elapsed time")
+    }
+}
+
+/// The network parameters a packet's derived fields follow from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketParams {
+    /// The largest payload one packet carries.
+    pub payload_max: u32,
+    /// Routing decision time per hop (and per restart).
+    pub routing_delay: Duration,
+    /// Propagation latency of a link.
+    pub wire_latency: Duration,
+}
+
+impl PacketParams {
+    /// The parameters of `cfg`'s network.
+    pub fn of(cfg: &crate::NetworkConfig) -> Self {
+        PacketParams {
+            payload_max: cfg.router.max_packet_payload,
+            routing_delay: cfg.router.routing_delay,
+            wire_latency: cfg.link.wire_latency,
+        }
     }
 }
 
 /// One packet in flight.
+///
+/// Its payload and its message's packet count are not stored: both
+/// follow from the message size, the index and the payload limit
+/// ([`Packet::payload`], [`Packet::count`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Packet {
     /// The message this packet belongs to.
@@ -87,10 +135,6 @@ pub struct Packet {
     pub dst: NodeId,
     /// Packet index within the message (0-based).
     pub index: u32,
-    /// Total packets in the message.
-    pub count: u32,
-    /// Payload bytes in this packet (headers are accounted separately).
-    pub payload: u32,
     /// Total payload bytes of the whole message.
     pub msg_bytes: u32,
     /// Data or acknowledgement.
@@ -107,6 +151,22 @@ pub struct Packet {
     pub corrupted: bool,
     /// Running latency decomposition (see [`PathDecomp`]).
     pub path: PathDecomp,
+}
+
+impl Packet {
+    /// Packets in this packet's message: a message is split into full
+    /// packets and one possibly-short tail, and even a zero-byte message
+    /// needs one (header-only) packet.
+    pub fn count(&self, payload_max: u32) -> u32 {
+        self.msg_bytes.div_ceil(payload_max).max(1)
+    }
+
+    /// Payload bytes of this packet (headers are accounted separately):
+    /// the payload limit, or what is left of the message for the tail.
+    pub fn payload(&self, payload_max: u32) -> u32 {
+        debug_assert!(self.index < self.count(payload_max));
+        (self.msg_bytes - self.index * payload_max).min(payload_max)
+    }
 }
 
 /// A contiguous run of packets of one message travelling back-to-back.
@@ -132,19 +192,12 @@ pub struct Train {
 }
 
 impl Train {
-    /// Reconstruct the `i`-th packet of the run (`0 ≤ i < len`).
-    ///
-    /// `payload_max` is the network's maximum packet payload; a message is
-    /// split into full packets with one possibly-short tail, so the payload
-    /// of any packet follows from its index alone.
-    pub fn packet(&self, i: u32, payload_max: u32) -> Packet {
+    /// Reconstruct the `i`-th packet of the run (`0 ≤ i < len`): the
+    /// head with the follower's index, from which its payload follows.
+    pub fn packet(&self, i: u32) -> Packet {
         debug_assert!(i < self.len);
-        let index = self.first.index + i;
-        debug_assert!(index < self.first.count);
-        let payload = (self.first.msg_bytes - index * payload_max).min(payload_max);
         Packet {
-            index,
-            payload,
+            index: self.first.index + i,
             ..self.first
         }
     }
@@ -219,8 +272,6 @@ mod tests {
             msg: MsgId { src: 0, seq: 0 },
             dst: 1,
             index: 0,
-            count: 3,
-            payload: 1024,
             msg_bytes: 2500,
             kind: PacketKind::Data { sync: false },
             sent_at: Time::ZERO,
@@ -229,16 +280,32 @@ mod tests {
             path: PathDecomp::default(),
         };
         let t = Train { first, len: 3 };
-        assert_eq!(t.packet(0, 1024).payload, 1024);
-        assert_eq!(t.packet(1, 1024).payload, 1024);
-        assert_eq!(t.packet(1, 1024).index, 1);
+        assert_eq!(first.count(1024), 3);
+        assert_eq!(t.packet(0).payload(1024), 1024);
+        assert_eq!(t.packet(1).payload(1024), 1024);
+        assert_eq!(t.packet(1).index, 1);
         // Tail packet carries the remainder.
-        assert_eq!(t.packet(2, 1024).payload, 2500 - 2 * 1024);
+        assert_eq!(t.packet(2).payload(1024), 2500 - 2 * 1024);
         // A sub-run starting mid-message reconstructs the same packets.
         let sub = Train {
-            first: t.packet(1, 1024),
+            first: t.packet(1),
             len: 2,
         };
-        assert_eq!(sub.packet(1, 1024), t.packet(2, 1024));
+        assert_eq!(sub.packet(1), t.packet(2));
+        // A zero-byte message is one header-only packet.
+        let empty = Packet {
+            msg_bytes: 0,
+            ..first
+        };
+        assert_eq!((empty.count(1024), empty.payload(1024)), (1, 0));
+    }
+
+    /// What a pending event costs in the queue's slab (DESIGN.md §9).
+    #[test]
+    fn a_pending_network_event_fits_96_bytes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<MsgId>(), 12);
+        assert_eq!(size_of::<Packet>(), 72);
+        assert!(size_of::<Option<pearl::QueuedEvent<NetMsg>>>() <= 96);
     }
 }

@@ -41,7 +41,7 @@
 
 use std::sync::Arc;
 
-use mermaid_ops::{NodeId, Operation};
+use mermaid_ops::{NodeId, Operation, Trace};
 use mermaid_probe::{ActKind, ProbeHandle, SimEvent};
 use mermaid_stats::state::StateWalk;
 use mermaid_stats::Histogram;
@@ -50,8 +50,8 @@ use pearl::{CompId, Component, Ctx, Duration, Event, FastHashMap, FastHashSet, T
 
 use crate::config::NetworkConfig;
 use crate::fault::FaultSchedule;
-use crate::packet::{MsgId, NetMsg, Packet, PacketKind, PathDecomp, Train};
-use crate::snapshot::WalkPs;
+use crate::packet::{MsgId, NetMsg, Packet, PacketKind, PacketParams, PathDecomp, Train};
+use crate::snapshot::{Seen, WalkPs};
 
 /// One sender-side record of a message that exhausted its retries: the
 /// structured degraded-mode evidence that a destination was unreachable.
@@ -208,9 +208,9 @@ struct Outstanding {
 /// The abstract processor of one node.
 pub struct AbstractProcessor {
     node: NodeId,
-    /// The node's task-level trace, shared with its owner (the processor
-    /// only reads it — no per-simulation copy).
-    trace: Arc<[Operation]>,
+    /// The node's task-level trace, shared with the trace set it came
+    /// from (the processor only reads it — no per-simulation copy).
+    trace: Arc<Trace>,
     cursor: usize,
     router_comp: CompId,
     cfg: NetworkConfig,
@@ -240,12 +240,7 @@ pub struct AbstractProcessor {
 
 impl AbstractProcessor {
     /// Build the processor of `node` with its task-level trace.
-    pub fn new(
-        node: NodeId,
-        trace: Arc<[Operation]>,
-        router_comp: CompId,
-        cfg: NetworkConfig,
-    ) -> Self {
+    pub fn new(node: NodeId, trace: Arc<Trace>, router_comp: CompId, cfg: NetworkConfig) -> Self {
         AbstractProcessor {
             node,
             trace,
@@ -365,14 +360,10 @@ impl AbstractProcessor {
         delay: Duration,
         ctx: &mut Ctx<'_, NetMsg>,
     ) {
-        let count = self.cfg.packets_for(bytes);
-        let payload_max = self.cfg.router.max_packet_payload;
         let first = Packet {
             msg: id,
             dst,
             index: 0,
-            count,
-            payload: bytes.min(payload_max),
             msg_bytes: bytes,
             kind,
             sent_at,
@@ -388,6 +379,7 @@ impl AbstractProcessor {
                 ..PathDecomp::default()
             },
         };
+        let count = first.count(self.cfg.router.max_packet_payload);
         if count == 1 {
             ctx.send_after(delay, self.router_comp, NetMsg::Inject(first));
         } else if self.faults.is_some() {
@@ -396,11 +388,7 @@ impl AbstractProcessor {
             // injected packet by packet.
             let train = Train { first, len: count };
             for i in 0..count {
-                ctx.send_after(
-                    delay,
-                    self.router_comp,
-                    NetMsg::Inject(train.packet(i, payload_max)),
-                );
+                ctx.send_after(delay, self.router_comp, NetMsg::Inject(train.packet(i)));
             }
         } else {
             // All packets are ready at the same instant — hand the router
@@ -433,14 +421,17 @@ impl AbstractProcessor {
             msg: id,
             dst: id.src,
             index: 0,
-            count: 1,
-            payload: 0,
             msg_bytes: 0,
             kind: PacketKind::Ack,
             sent_at: ctx.now(),
             attempt,
             corrupted: false,
-            path: PathDecomp::default(),
+            // The injection delay is no latency component of an ack (see
+            // `PathDecomp::pre_ps`); it is held so that `ser` derives.
+            path: PathDecomp {
+                pre_ps: delay.as_ps(),
+                ..PathDecomp::default()
+            },
         };
         ctx.send_after(delay, self.router_comp, NetMsg::Inject(pkt));
     }
@@ -452,14 +443,6 @@ impl AbstractProcessor {
         self.stats.msgs_received += 1;
         let latency_ps = msg.arrived.since(msg.sent_at).as_ps();
         self.stats.msg_latency.record(latency_ps);
-        debug_assert_eq!(
-            msg.path.total_ps(),
-            latency_ps,
-            "node {}: path decomposition of message {:?} does not sum to its \
-             end-to-end latency",
-            self.node,
-            msg.id,
-        );
         self.probe.emit(|| SimEvent::MsgDeliver {
             ts_ps: msg.arrived.as_ps(),
             src: msg.id.src,
@@ -467,6 +450,7 @@ impl AbstractProcessor {
             bytes: msg.bytes,
             latency_ps,
         });
+        let net = PacketParams::of(&self.cfg);
         self.probe.emit(|| SimEvent::MsgPath {
             ts_ps: msg.arrived.as_ps(),
             src: msg.id.src,
@@ -479,9 +463,9 @@ impl AbstractProcessor {
             overhead_ps: if msg.attempt == 0 { msg.path.pre_ps } else { 0 },
             retry_ps: if msg.attempt == 0 { 0 } else { msg.path.pre_ps },
             queue_ps: msg.path.queue_ps,
-            routing_ps: msg.path.route_ps,
-            ser_ps: msg.path.ser_ps,
-            wire_ps: msg.path.wire_ps,
+            routing_ps: msg.path.route_ps(&net),
+            ser_ps: msg.path.ser_ps(&net, msg.sent_at, msg.arrived),
+            wire_ps: msg.path.wire_ps(&net),
         });
         if msg.sync && self.faults.is_none() {
             self.inject_ack(msg.id, 0, ack_delay, ctx);
@@ -494,7 +478,7 @@ impl AbstractProcessor {
         // Any watchdog armed for an earlier blocking wait is now stale.
         self.wait_epoch = self.wait_epoch.wrapping_add(1);
         while self.cursor < self.trace.len() {
-            let op = self.trace[self.cursor];
+            let op = self.trace.ops[self.cursor];
             self.cursor += 1;
             match op {
                 Operation::Compute { ps } => {
@@ -624,7 +608,7 @@ impl AbstractProcessor {
         };
         let asm = self.assembling.entry(pkt.msg).or_insert(Assembly {
             got: 0,
-            total: pkt.count,
+            total: pkt.count(self.cfg.router.max_packet_payload),
         });
         asm.got += 1;
         if asm.got < asm.total {
@@ -834,7 +818,7 @@ impl AbstractProcessor {
                 if self.faults.is_some() && self.completed.contains(&pkt.msg) {
                     // Duplicate put: the earlier arrival ack may have been
                     // lost — re-acknowledge on the tail packet.
-                    if pkt.index + 1 == pkt.count {
+                    if pkt.index + 1 == pkt.count(self.cfg.router.max_packet_payload) {
                         self.inject_ack(pkt.msg, pkt.attempt, Duration::ZERO, ctx);
                     }
                     return;
@@ -873,7 +857,7 @@ impl AbstractProcessor {
                     // already assembled — the arrival ack may have been
                     // lost; re-acknowledge on the tail packet so the sender
                     // can complete.
-                    if pkt.index + 1 == pkt.count {
+                    if pkt.index + 1 == pkt.count(self.cfg.router.max_packet_payload) {
                         self.inject_ack(pkt.msg, pkt.attempt, Duration::ZERO, ctx);
                     }
                     return;
@@ -948,11 +932,14 @@ impl AbstractProcessor {
         // Matcher channels, sorted by source node, each queue front to
         // back. A channel only ever holds one side (arrive/wait match
         // eagerly); waiters are all `Async`, so their queues are counted.
+        let net = PacketParams::of(&self.cfg);
         let (arrivals, waiters) = self.matcher.queues_mut();
         w.sorted("proc arrival channel count", arrivals, |w, (src, q)| {
             w.field("proc arrival channel", src)?;
             let mut msgs = Vec::from(std::mem::take(q));
-            w.list("proc arrival queue length", &mut msgs, |w, m| m.walk(w))?;
+            w.list("proc arrival queue length", &mut msgs, |w, m| {
+                m.walk(w, net)
+            })?;
             *q = msgs.into();
             Ok(())
         })?;
@@ -1027,13 +1014,19 @@ impl ProcState {
 }
 
 impl CompletedMsg {
-    fn walk<W: StateWalk>(&mut self, w: &mut W) -> Result<(), String> {
+    fn walk<W: StateWalk>(&mut self, w: &mut W, net: PacketParams) -> Result<(), String> {
         self.id.walk(w)?;
         w.time("proc arrival arrived", &mut self.arrived)?;
         w.time("proc arrival sent_at", &mut self.sent_at)?;
         w.field("proc arrival bytes", &mut self.bytes)?;
         w.field("proc arrival sync", &mut self.sync)?;
-        self.path.walk(w)?;
+        // The path of the packet that completed the message, seen on
+        // arrival; a message is never an acknowledgement.
+        let seen = Seen {
+            net,
+            at: self.arrived,
+        };
+        self.path.walk(w, false, self.sent_at, Some(seen))?;
         w.field("proc arrival attempt", &mut self.attempt)
     }
 }
@@ -1088,9 +1081,8 @@ impl Component<NetMsg> for AbstractProcessor {
                 // packets only advance reassembly counters, so consuming
                 // the whole run now is observably identical to the
                 // per-packet deliveries it replaces.
-                let payload_max = self.cfg.router.max_packet_payload;
                 for i in 0..train.len {
-                    self.on_deliver(train.packet(i, payload_max), ctx);
+                    self.on_deliver(train.packet(i), ctx);
                 }
             }
             NetMsg::RetryCheck(id) => self.on_retry_check(id, ctx),

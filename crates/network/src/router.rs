@@ -28,10 +28,9 @@ use crate::topology::Topology;
 pub struct OutMsg {
     /// Absolute delivery time at the destination router.
     pub time: Time,
-    /// The deterministic queue key of the equivalent serial send.
+    /// The deterministic queue key of the equivalent serial send; its
+    /// `src` is the sending router.
     pub key: EventKey,
-    /// Sending component (the local router).
-    pub src: CompId,
     /// Destination component (a remote router).
     pub dst: CompId,
     /// The message itself.
@@ -250,7 +249,6 @@ impl Router {
                 cs.outbox.borrow_mut().push(OutMsg {
                     time: at,
                     key,
-                    src: ctx.self_id(),
                     dst,
                     msg,
                 });
@@ -262,7 +260,7 @@ impl Router {
 
     /// Wire size of a packet: payload plus header.
     fn packet_bytes(&self, pkt: &Packet) -> u32 {
-        pkt.payload + self.params.header_bytes
+        pkt.payload(self.params.max_packet_payload) + self.params.header_bytes
     }
 
     /// Serialisation time of the whole packet on a link.
@@ -305,9 +303,9 @@ impl Router {
     /// and return the head's arrival time at the next router.
     ///
     /// Also charges this hop to the packet's latency decomposition: the
-    /// wait for the busy link to `queue`, the routing decision to `route`,
-    /// the head's serialisation advance to `ser` and the propagation to
-    /// `wire` — together exactly the head's progress `arrive - at`.
+    /// wait for the busy link to `queue`, and one hop — a routing decision
+    /// and a wire latency. The head's serialisation advance is the rest of
+    /// its progress `arrive - at`, which `ser` derives.
     fn reserve(&mut self, next: NodeId, pkt: &mut Packet, at: Time) -> Time {
         let t_pkt = self.packet_time(pkt);
         let slot = self.link_slot(next);
@@ -320,8 +318,7 @@ impl Router {
         self.stats.link_wait += wait;
         self.stats.link_busy += t_pkt;
         pkt.path.queue_ps += wait.as_ps();
-        pkt.path.route_ps += self.params.routing_delay.as_ps();
-        pkt.path.wire_ps += self.link.wire_latency.as_ps();
+        pkt.path.hops += 1;
         self.probe.emit(|| SimEvent::LinkBusy {
             node: self.node,
             to: next,
@@ -339,7 +336,6 @@ impl Router {
             Switching::StoreAndForward => t_pkt,
             Switching::VirtualCutThrough | Switching::Wormhole => self.header_time(),
         };
-        pkt.path.ser_ps += head_adv.as_ps();
         start + self.link.wire_latency + head_adv
     }
 
@@ -442,7 +438,6 @@ impl Router {
         if pkt.dst == self.node {
             // Eject to the local processor once the tail has arrived.
             let residue = self.tail_residue(&pkt, streamed);
-            pkt.path.ser_ps += residue.as_ps();
             self.stats.delivered += 1;
             self.probe.emit(|| SimEvent::PacketDeliver {
                 ts_ps: (now + residue).as_ps(),
@@ -537,11 +532,10 @@ impl Router {
             // emit a train, so a multi-packet run can only be a fresh
             // injection — expand it in place.
             debug_assert!(injected, "fault-mode routers never emit trains");
-            let payload_max = self.params.max_packet_payload;
             let me = self.node as CompId;
-            self.handle_packet(train.packet(0, payload_max), false, ctx);
+            self.handle_packet(train.packet(0), false, ctx);
             for i in 1..train.len {
-                ctx.send_now(me, NetMsg::Inject(train.packet(i, payload_max)));
+                ctx.send_now(me, NetMsg::Inject(train.packet(i)));
             }
             return;
         }
@@ -551,14 +545,12 @@ impl Router {
             self.handle_packet(train.first, streamed, ctx);
             return;
         }
-        let payload_max = self.params.max_packet_payload;
         let len = train.len as usize;
         // Per-packet nominal head-arrival times at this router. Followers
         // are reconstructed from the run head and inherit its latency
-        // decomposition, so each is advanced by its arrival offset from
-        // the head: the size-derived spacing is pipelined serialisation
-        // (`ser`), the per-packet restart is `route` — together exactly
-        // `arrivals[i] - now`, keeping the decomposition conservative.
+        // decomposition, so each is charged the per-packet routing
+        // restarts that space it from the head; the rest of the spacing
+        // is pipelined serialisation, which `ser` derives.
         //
         // The buffers are taken from (and returned to) the router's
         // scratch, so steady-state train handling allocates nothing.
@@ -567,17 +559,13 @@ impl Router {
         pkts.clear();
         arrivals.clear();
         let mut at = now;
-        let (mut ser_off, mut route_off) = (0u64, 0u64);
         for i in 0..train.len {
-            let mut p = train.packet(i, payload_max);
+            let mut p = train.packet(i);
             if i > 0 && !injected {
-                let gap = self.train_gap(&pkts[i as usize - 1], &p);
-                at += gap;
-                ser_off += gap.saturating_sub(self.params.routing_delay).as_ps();
-                route_off += self.params.routing_delay.as_ps();
+                at += self.train_gap(&pkts[i as usize - 1], &p);
+                p.path.restarts = (p.path.restarts.checked_add(i))
+                    .expect("a packet's routing restarts exceed u32::MAX");
             }
-            p.path.ser_ps += ser_off;
-            p.path.route_ps += route_off;
             pkts.push(p);
             arrivals.push(at);
         }
@@ -597,11 +585,9 @@ impl Router {
             });
             // Only the run's *completing* (last) packet's decomposition is
             // ever read downstream (it closes the message's assembly), so
-            // the delivered train carries that packet's path — advanced by
-            // the tail residue — on its head.
+            // the delivered train carries that packet's path on its head.
             let mut delivered = train;
             delivered.first.path = pkts[last].path;
-            delivered.first.path.ser_ps += residue.as_ps();
             ctx.send_after(
                 done.since(now),
                 self.proc_comp,
@@ -757,9 +743,8 @@ mod tests {
             match ev.payload {
                 NetMsg::Deliver(pkt) => self.deliveries.push((ctx.now(), pkt)),
                 NetMsg::DeliverTrain(train) => {
-                    // Expand with the test config's packet payload (1024).
                     for i in 0..train.len {
-                        self.deliveries.push((ctx.now(), train.packet(i, 1024)));
+                        self.deliveries.push((ctx.now(), train.packet(i)));
                     }
                 }
                 _ => {}
@@ -772,8 +757,6 @@ mod tests {
             msg: MsgId { src, seq: 0 },
             dst,
             index: 0,
-            count: 1,
-            payload,
             msg_bytes: payload,
             kind: PacketKind::Data { sync: false },
             sent_at: Time::ZERO,
@@ -880,12 +863,10 @@ mod tests {
             // 3 packets: two at the test config's full payload (1024 B),
             // one short tail.
             let msg_bytes = 2 * 1024 + 500;
-            let mk = |index: u32, payload: u32| Packet {
+            let mk = |index: u32| Packet {
                 msg: MsgId { src: 0, seq: 7 },
                 dst: 3,
                 index,
-                count: 3,
-                payload,
                 msg_bytes,
                 kind: PacketKind::Data { sync: false },
                 sent_at: Time::ZERO,
@@ -895,8 +876,8 @@ mod tests {
             };
 
             let (mut e_pkt, sinks_pkt) = line(4, switching);
-            for (i, payload) in [(0, 1024), (1, 1024), (2, 500)] {
-                e_pkt.post(Time::ZERO, 0, 0, NetMsg::Inject(mk(i, payload)));
+            for i in 0..3 {
+                e_pkt.post(Time::ZERO, 0, 0, NetMsg::Inject(mk(i)));
             }
             e_pkt.run();
             let per_packet: Vec<Time> = e_pkt
@@ -914,7 +895,7 @@ mod tests {
                 0,
                 0,
                 NetMsg::InjectTrain(Train {
-                    first: mk(0, 1024),
+                    first: mk(0),
                     len: 3,
                 }),
             );

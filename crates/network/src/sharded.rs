@@ -40,10 +40,11 @@ use pearl::{Duration, Engine, Rendezvous, Time, WindowBarrier, IDLE_PS};
 use crate::config::NetworkConfig;
 use crate::fault::FaultSchedule;
 use crate::packet::NetMsg;
+use crate::packet::PacketParams;
 use crate::partition::{lookahead, window_end_ps, Lookahead, Partition};
 use crate::router::{CrossShard, OutMsg};
 use crate::sim::{assert_trace_count, post_scripted_faults, CommResult, CommSim, NodeCommStats};
-use crate::snapshot::{capture, restore_engine, Snapshot, SnapshotError};
+use crate::snapshot::{capture, restore_engine, Capture, Snapshot, SnapshotError};
 use crate::world::NetWorld;
 
 /// One cross-shard transfer: every message a shard produced for one
@@ -271,10 +272,10 @@ pub struct CheckpointOpts<'a> {
     pub every: Duration,
     /// Campaign-layer config hash stamped into each snapshot.
     pub config_hash: String,
-    /// Receives each finished snapshot (typically
-    /// [`Snapshot::write_file`]). An error aborts checkpointing and fails
-    /// the run once it completes.
-    pub write: &'a (dyn Fn(&Snapshot) -> Result<(), SnapshotError> + Sync),
+    /// Receives each finished snapshot (typically [`Capture::write_file`],
+    /// which writes a serial run's events straight from its queue). An
+    /// error aborts checkpointing and fails the run once it completes.
+    pub write: &'a (dyn Fn(&Capture<'_>) -> Result<(), SnapshotError> + Sync),
 }
 
 impl CheckpointOpts<'_> {
@@ -379,7 +380,7 @@ impl CkptSync<'_> {
             }
             snap.attribution = Some(state::save(|w| sink.walk(w)));
         }
-        *error = (self.opts.write)(&snap).err();
+        *error = (self.opts.write)(&Capture::of(&snap)).err();
     }
 }
 
@@ -481,9 +482,9 @@ fn run_serial(
                     .checkpoint
                     .zip(next_cp)
                     .expect("only a capture sets a deadline");
-                let mut snap = sim.checkpoint(&ck.config_hash, Time::from_ps(cp));
-                snap.attribution = capture_attribution(probe);
-                (ck.write)(&snap)?;
+                let at = Time::from_ps(cp);
+                let attribution = capture_attribution(probe);
+                sim.capture(&ck.config_hash, at, attribution, ck.write)?;
                 next_cp = Some(cp + ck.every.as_ps());
             }
             RunResult::EventLimit => {
@@ -695,7 +696,7 @@ impl<'a> Shard<'a> {
                 // delivery count; the merge sums per-shard counts, so the
                 // total matches an uninterrupted run.
                 let base = if s == 0 { snap.events_processed } else { 0 };
-                restore_engine(&mut engine, snap, base)?;
+                restore_engine(&mut engine, PacketParams::of(&shared.cfg), snap, base)?;
             }
             None => {
                 // Post this shard's scripted fault events *before*
@@ -805,7 +806,7 @@ impl<'a> Shard<'a> {
         self.profile.barrier_wait_ns += waited.elapsed().as_nanos() as u64;
         for m in self.rx.try_iter().flatten() {
             self.profile.cross_recv += 1;
-            self.engine.post_keyed(m.time, m.key, m.src, m.dst, m.msg);
+            self.engine.post_keyed(m.time, m.key, m.dst, m.msg);
         }
     }
 
@@ -816,7 +817,10 @@ impl<'a> Shard<'a> {
             self.outbox.borrow().is_empty(),
             "nothing runs between the round-top flush and a capture"
         );
-        let piece = capture(&mut self.engine, &ck.opts.config_hash, at);
+        // Each shard renders its own events; the compose merges them.
+        let net = PacketParams::of(&self.shared.cfg);
+        let hash = &ck.opts.config_hash;
+        let piece = capture(&mut self.engine, net, hash, at, None, |c| c.to_snapshot());
         let buffered = if ck.want_attr {
             self.probe
                 .with_stack(|st| st.buffer.as_ref().map(|b| b.events().to_vec()))
@@ -1277,7 +1281,7 @@ mod tests {
         restore_from: Option<&Snapshot>,
     ) -> (CommResult, Vec<String>) {
         let files = Mutex::new(Vec::new());
-        let write = |snap: &Snapshot| {
+        let write = |snap: &Capture<'_>| {
             files.lock().unwrap().push(snap.to_file_string());
             Ok(())
         };
@@ -1355,7 +1359,7 @@ mod tests {
     fn failed_checkpoint_write_fails_the_run() {
         let cfg = NetworkConfig::test(Topology::Ring(8));
         let ts = exchange_traces(8);
-        let write = |_: &Snapshot| {
+        let write = |_: &Capture<'_>| {
             Err(SnapshotError::Io {
                 verb: "write",
                 path: "/nowhere/ckpt.snap".into(),
@@ -1384,7 +1388,7 @@ mod tests {
         let ts = exchange_traces(8);
         let capture_with = |shards: usize| {
             let files = Mutex::new(Vec::new());
-            let write = |snap: &Snapshot| {
+            let write = |snap: &Capture<'_>| {
                 files.lock().unwrap().push(snap.to_file_string());
                 Ok(())
             };

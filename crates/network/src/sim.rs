@@ -10,9 +10,10 @@ use pearl::{CompId, Duration, Engine, Time};
 use crate::config::NetworkConfig;
 use crate::fault::FaultSchedule;
 use crate::packet::NetMsg;
+use crate::packet::PacketParams;
 use crate::processor::{AbstractProcessor, ProcStats, UnreachableReport};
 use crate::router::{CrossShard, Router, RouterStats};
-use crate::snapshot::{Snapshot, SnapshotError};
+use crate::snapshot::{Capture, Snapshot, SnapshotError};
 use crate::world::NetWorld;
 
 /// Per-node results of a communication simulation.
@@ -221,7 +222,7 @@ pub(crate) fn build_engine(
     }
     for node in nodes.clone() {
         procs.push(
-            AbstractProcessor::new(node, traces.trace(node).shared_ops(), node as CompId, cfg)
+            AbstractProcessor::new(node, traces.shared(node), node as CompId, cfg)
                 .with_probe(probe.clone())
                 .with_faults(faults.clone()),
         );
@@ -351,10 +352,22 @@ impl CommSim {
     /// refuses a snapshot whose hash differs. The attribution section is
     /// the caller's to fill in (the probe layer owns that state).
     pub fn checkpoint(&mut self, config_hash: &str, at: Time) -> Snapshot {
-        // A serial capture is the one-piece case of the sharded compose,
-        // so both modes produce byte-identical files by construction.
-        let whole = crate::snapshot::capture(&mut self.engine, config_hash, at);
-        Snapshot::compose(vec![whole])
+        self.capture(config_hash, at, None, |c| c.to_snapshot())
+    }
+
+    /// Capture the state at instant `at` as [`CommSim::checkpoint`] does,
+    /// with the attribution record `attribution`, and hand it to `sink`
+    /// with its pending events still in the queue: a sink that writes a
+    /// file writes them straight from there.
+    pub(crate) fn capture<R>(
+        &mut self,
+        config_hash: &str,
+        at: Time,
+        attribution: Option<Vec<u64>>,
+        sink: impl FnOnce(&Capture<'_>) -> R,
+    ) -> R {
+        let net = PacketParams::of(&self.cfg);
+        crate::snapshot::capture(&mut self.engine, net, config_hash, at, attribution, sink)
     }
 
     /// Rebuild a simulation from a [`Snapshot`], bit-identically: the
@@ -387,7 +400,8 @@ impl CommSim {
             });
         }
         let mut sim = CommSim::build(cfg, traces, probe, faults);
-        crate::snapshot::restore_engine(&mut sim.engine, snap, snap.events_processed)?;
+        let net = PacketParams::of(&cfg);
+        crate::snapshot::restore_engine(&mut sim.engine, net, snap, snap.events_processed)?;
         Ok(sim)
     }
 
@@ -453,6 +467,26 @@ mod tests {
             ts.trace_mut(node).ops = f(node);
         }
         ts
+    }
+
+    /// Processors share the trace set's operation storage: building a
+    /// simulation (or a sharded engine, through the same `build_engine`)
+    /// allocates no operation array.
+    #[test]
+    fn building_a_simulation_copies_no_trace() {
+        let ts = trace_set(4, |node| vec![Operation::Compute { ps: node as u64 }]);
+        // Holders of each trace, the one `shared` hands out aside.
+        let holders = |ts: &TraceSet| -> Vec<usize> {
+            (0..4)
+                .map(|n| Arc::strong_count(&ts.shared(n)) - 1)
+                .collect()
+        };
+        assert_eq!(holders(&ts), [1; 4], "the set alone");
+        let mut sim = CommSim::new(cfg(Topology::Ring(4)), &ts);
+        assert_eq!(holders(&ts), [2; 4], "the set and one processor each");
+        sim.run();
+        drop(sim);
+        assert_eq!(holders(&ts), [1; 4]);
     }
 
     #[test]

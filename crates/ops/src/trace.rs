@@ -1,5 +1,7 @@
 //! Trace containers: a per-node operation stream and a multiprocessor set.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::operation::{NodeId, Operation};
@@ -49,13 +51,6 @@ impl Trace {
     /// Iterate over the operations in program order.
     pub fn iter(&self) -> std::slice::Iter<'_, Operation> {
         self.ops.iter()
-    }
-
-    /// The operations as a shared immutable slice: one allocation that any
-    /// number of consumers (e.g. the abstract processors of a simulation)
-    /// can hold without further copies or borrowing the trace.
-    pub fn shared_ops(&self) -> std::sync::Arc<[Operation]> {
-        std::sync::Arc::from(self.ops.as_slice())
     }
 
     /// Compute the statistics (operation mix) of this trace.
@@ -109,16 +104,23 @@ pub struct TraceSegment<'a> {
 }
 
 /// The traces of all nodes of a multicomputer, indexed by node id.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Each trace is held behind an [`Arc`], so a consumer that outlives a
+/// borrow of the set — an abstract processor of a simulation — shares
+/// the trace ([`TraceSet::shared`]) instead of copying its operations.
+/// Mutating a trace another holder shares copies it first.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSet {
-    traces: Vec<Trace>,
+    traces: Vec<Arc<Trace>>,
 }
 
 impl TraceSet {
     /// An empty set of `nodes` traces (node ids `0..nodes`).
     pub fn new(nodes: usize) -> Self {
         TraceSet {
-            traces: (0..nodes).map(|n| Trace::new(n as NodeId)).collect(),
+            traces: (0..nodes)
+                .map(|n| Arc::new(Trace::new(n as NodeId)))
+                .collect(),
         }
     }
 
@@ -131,7 +133,9 @@ impl TraceSet {
                 t.node
             );
         }
-        TraceSet { traces }
+        TraceSet {
+            traces: traces.into_iter().map(Arc::new).collect(),
+        }
     }
 
     /// Number of nodes.
@@ -144,24 +148,29 @@ impl TraceSet {
         &self.traces[node as usize]
     }
 
+    /// The trace of `node`, shared: the set's own operation storage.
+    pub fn shared(&self, node: NodeId) -> Arc<Trace> {
+        Arc::clone(&self.traces[node as usize])
+    }
+
     /// Mutable access to the trace of `node`.
     pub fn trace_mut(&mut self, node: NodeId) -> &mut Trace {
-        &mut self.traces[node as usize]
+        Arc::make_mut(&mut self.traces[node as usize])
     }
 
     /// Iterate over all traces in node order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Trace> {
-        self.traces.iter()
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &Trace> + Clone {
+        self.traces.iter().map(|t| &**t)
     }
 
     /// Total operations across all nodes.
     pub fn total_ops(&self) -> usize {
-        self.traces.iter().map(Trace::len).sum()
+        self.iter().map(Trace::len).sum()
     }
 
     /// Aggregate statistics over all nodes.
     pub fn stats(&self) -> TraceStats {
-        TraceStats::from_ops(self.traces.iter().flat_map(|t| t.ops.iter().copied()))
+        TraceStats::from_ops(self.iter().flat_map(|t| t.ops.iter().copied()))
     }
 
     /// Check cross-node communication consistency: every synchronous or
@@ -172,7 +181,7 @@ impl TraceSet {
         use std::collections::HashMap;
         // (src, dst) -> (sends, recvs)
         let mut chans: HashMap<(NodeId, NodeId), (usize, usize)> = HashMap::new();
-        for t in &self.traces {
+        for t in self.iter() {
             for op in &t.ops {
                 match *op {
                     Operation::Send { dst, .. } | Operation::ASend { dst, .. } => {

@@ -1,7 +1,7 @@
 //! The discrete-event engine: components, events, and the main loop.
 
 use crate::probe::{EngineProbe, LadderStats};
-use crate::queue::{EventKey, EventQueue};
+use crate::queue::{EventKey, EventQueue, InOrder};
 use crate::time::{Duration, Time};
 
 /// Identifies a component registered with an [`Engine`].
@@ -48,17 +48,37 @@ pub struct Ctx<'e, M> {
     key_counters: &'e mut [u64],
 }
 
-#[derive(Clone)]
-struct QueuedEvent<M> {
-    src: CompId,
-    dst: CompId,
+/// One pending event as the queue's slab holds it. The scheduling
+/// component is not stored: it is the `src` of the event's [`EventKey`]
+/// on every scheduling path ([`Ctx::alloc_key`], [`Engine::post`], and
+/// [`Engine::post_keyed`], whose key another shard's `alloc_key` made).
+pub struct QueuedEvent<M> {
+    dst: u32,
     payload: M,
 }
 
-/// One pending event as exposed by [`Engine::snapshot_pending`] and
-/// accepted by [`Engine::restore`]: delivery time, deterministic tie-break
-/// key, scheduling component, destination component, payload.
-pub type PendingEvent<M> = (Time, EventKey, CompId, CompId, M);
+/// Every pending event of an engine in delivery order, as
+/// [`Engine::with_pending`] hands them out.
+pub struct Pending<'q, M>(InOrder<'q, QueuedEvent<M>>);
+
+impl<M> Clone for Pending<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for Pending<'_, M> {}
+
+impl<'q, M> Pending<'q, M> {
+    /// Delivery time, tie-break key, destination component and payload of
+    /// every pending event, in delivery order. The scheduling component
+    /// is the key's `src`.
+    pub fn iter(self) -> impl Iterator<Item = (Time, EventKey, CompId, &'q M)> {
+        self.0
+            .iter()
+            .map(|(t, key, qe)| (t, key, qe.dst as CompId, &qe.payload))
+    }
+}
 
 impl<M> Ctx<'_, M> {
     /// Current virtual time.
@@ -95,10 +115,14 @@ impl<M> Ctx<'_, M> {
     /// Send `payload` to `dst`, delivered after `delay`.
     #[inline]
     pub fn send_after(&mut self, delay: Duration, dst: CompId, payload: M) {
-        let src = self.self_id;
+        debug_assert!(
+            dst < self.key_counters.len(),
+            "unknown destination component"
+        );
         let key = self.alloc_key();
+        let dst = dst as u32; // the id space fits u32 (`Engine::with_world`)
         self.queue
-            .push_keyed(self.now + delay, key, QueuedEvent { src, dst, payload });
+            .push_keyed(self.now + delay, key, QueuedEvent { dst, payload });
     }
 
     /// Send `payload` to `dst` at the current instant (after events already
@@ -244,6 +268,7 @@ impl<M: 'static> Engine<M> {
         C: Component<M> + 'static,
     {
         let id = self.world.comps.len();
+        assert!(u32::try_from(id).is_ok(), "more than u32::MAX components");
         self.world.comps.push(Box::new(comp));
         self.world.names.push(name.into());
         self.key_counters.push(0);
@@ -268,6 +293,10 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
     /// Create an engine at time zero over a fully-built world. The
     /// component id space is fixed by `world.count()`.
     pub fn with_world(world: W) -> Self {
+        assert!(
+            u32::try_from(world.count()).is_ok(),
+            "more than u32::MAX components"
+        );
         let key_counters = vec![0; world.count()];
         Engine {
             now: Time::ZERO,
@@ -331,19 +360,20 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
             src: src as u32,
             seq,
         };
-        self.queue
-            .push_keyed(time, key, QueuedEvent { src, dst, payload });
+        self.post_keyed(time, key, dst, payload);
     }
 
-    /// Inject an event carrying a key allocated elsewhere (by another
-    /// shard's [`Ctx::alloc_key`]). `time` must not be in the past. This is
-    /// the cross-shard ingress: the event slots into the queue exactly
-    /// where the single-threaded run would have placed it.
-    pub fn post_keyed(&mut self, time: Time, key: EventKey, src: CompId, dst: CompId, payload: M) {
+    /// Inject an event carrying a key allocated elsewhere: by another
+    /// shard's [`Ctx::alloc_key`] (the cross-shard ingress), or by the run
+    /// a checkpoint captured. `time` must not be in the past. The event
+    /// slots into the queue exactly where the single-threaded run would
+    /// have placed it; its scheduling component is `key.src`.
+    pub fn post_keyed(&mut self, time: Time, key: EventKey, dst: CompId, payload: M) {
         assert!(time >= self.now, "cannot post an event in the past");
         assert!(dst < self.world.count(), "unknown destination component");
+        let dst = dst as u32; // the id space fits u32 (`Engine::with_world`)
         self.queue
-            .push_keyed(time, key, QueuedEvent { src, dst, payload });
+            .push_keyed(time, key, QueuedEvent { dst, payload });
     }
 
     /// Delivery time of the earliest pending event, if any. Runs component
@@ -379,38 +409,24 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
         &self.key_counters
     }
 
-    /// Non-destructive snapshot of every pending event, sorted by
-    /// `(time, key)` — the exact delivery order. Ladder geometry is not
-    /// captured (see `EventQueue::snapshot_events`).
-    pub fn snapshot_pending(&self) -> Vec<PendingEvent<M>>
-    where
-        M: Clone,
-    {
-        self.queue
-            .snapshot_events()
-            .into_iter()
-            .map(|(t, k, qe)| (t, k, qe.src, qe.dst, qe.payload))
-            .collect()
+    /// Hand `f` every pending event in `(time, key)` order — the exact
+    /// delivery order — without copying one (see
+    /// `EventQueue::with_in_order`; ladder geometry is not part of it).
+    pub fn with_pending<R>(&mut self, f: impl FnOnce(Pending<'_, M>) -> R) -> R {
+        self.queue.with_in_order(|events| f(Pending(events)))
     }
 
-    /// Overwrite the engine's dynamic state with a checkpoint: clock,
-    /// delivery counter, per-component key counters, and the pending-event
-    /// set (each event keeping its original [`EventKey`], so same-instant
-    /// ties replay in the checkpointed order).
+    /// Overwrite the engine's dynamic state with a checkpoint's: clock,
+    /// delivery counter and per-component key counters, with an empty
+    /// event set. The checkpoint's pending events follow through
+    /// [`Engine::post_keyed`], each keeping its original [`EventKey`], so
+    /// same-instant ties replay in the checkpointed order.
     ///
     /// Component `init` hooks are marked as already run — the caller is
     /// responsible for overlaying the matching component state onto the
     /// world *without* re-running init (init schedules initial events and
-    /// mutates state; the checkpoint already reflects all of that). A
-    /// pending event earlier than `now` or addressed outside the id space
-    /// panics: that is a corrupt checkpoint, not a recoverable condition.
-    pub fn restore(
-        &mut self,
-        now: Time,
-        events_processed: u64,
-        key_counters: Vec<u64>,
-        events: Vec<PendingEvent<M>>,
-    ) {
+    /// mutates state; the checkpoint already reflects all of that).
+    pub fn restore(&mut self, now: Time, events_processed: u64, key_counters: Vec<u64>) {
         assert_eq!(
             key_counters.len(),
             self.world.count(),
@@ -422,18 +438,6 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
         self.key_counters = key_counters;
         self.stop_requested = false;
         self.initialized = true;
-        for (t, k, src, dst, payload) in events {
-            assert!(
-                t >= now,
-                "checkpointed event earlier than the checkpoint instant"
-            );
-            assert!(
-                dst < self.world.count(),
-                "checkpointed event to unknown component"
-            );
-            self.queue
-                .push_keyed(t, k, QueuedEvent { src, dst, payload });
-        }
     }
 
     /// Notify the attached probe of one delivery (and any ladder-counter
@@ -472,28 +476,29 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
     /// the queue is empty.
     pub fn step(&mut self) -> bool {
         self.ensure_init();
-        let Some((time, qe)) = self.queue.pop() else {
+        let Some((time, key, qe)) = self.queue.pop_keyed() else {
             return false;
         };
         debug_assert!(time >= self.now, "event queue returned a past event");
         self.now = time;
         self.events_processed += 1;
+        let (src, dst) = (key.src as CompId, qe.dst as CompId);
         if self.probe.is_some() {
-            self.probe_delivery(time, qe.src, qe.dst);
+            self.probe_delivery(time, src, dst);
         }
         let mut ctx = Ctx {
             now: time,
-            self_id: qe.dst,
+            self_id: dst,
             queue: &mut self.queue,
             stop_requested: &mut self.stop_requested,
             key_counters: &mut self.key_counters,
         };
         self.world.handle(
-            qe.dst,
+            dst,
             Event {
                 time,
-                src: qe.src,
-                dst: qe.dst,
+                src,
+                dst,
                 payload: qe.payload,
             },
             &mut ctx,
@@ -554,18 +559,22 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
             // Deliver every event at instant `t`, including ones handlers
             // schedule for `t` as we go.
             'instant: loop {
-                let mut qe = match self.queue.peek() {
-                    Some((tt, _)) if tt == t => self.queue.pop().expect("peeked event vanished").1,
+                let (mut key, mut qe) = match self.queue.peek() {
+                    Some((tt, _)) if tt == t => {
+                        let (_, key, qe) = self.queue.pop_keyed().expect("peeked event vanished");
+                        (key, qe)
+                    }
                     _ => break 'instant,
                 };
                 // A run of same-instant events to one destination shares
                 // this component borrow.
-                let dst = qe.dst;
+                let dst = qe.dst as CompId;
                 loop {
                     self.events_processed += 1;
                     remaining -= 1;
+                    let src = key.src as CompId;
                     if self.probe.is_some() {
-                        self.probe_delivery(t, qe.src, dst);
+                        self.probe_delivery(t, src, dst);
                     }
                     let mut ctx = Ctx {
                         now: t,
@@ -578,7 +587,7 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
                         dst,
                         Event {
                             time: t,
-                            src: qe.src,
+                            src,
                             dst,
                             payload: qe.payload,
                         },
@@ -592,8 +601,8 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
                         return RunResult::EventLimit;
                     }
                     match self.queue.peek() {
-                        Some((tt, e)) if tt == t && e.dst == dst => {
-                            qe = self.queue.pop().expect("peeked event vanished").1;
+                        Some((tt, e)) if tt == t && e.dst as CompId == dst => {
+                            (_, key, qe) = self.queue.pop_keyed().expect("peeked event vanished");
                         }
                         _ => continue 'instant,
                     }

@@ -54,9 +54,11 @@ pub mod shard;
 pub mod sync;
 pub mod time;
 
-pub use engine::{BoxWorld, CompId, Component, Ctx, Engine, Event, PendingEvent, RunResult, World};
+pub use engine::{
+    BoxWorld, CompId, Component, Ctx, Engine, Event, Pending, QueuedEvent, RunResult, World,
+};
 pub use hash::{FastHashMap, FastHashSet};
 pub use probe::{EngineProbe, LadderStats};
-pub use queue::{EventKey, EventQueue};
+pub use queue::{EventKey, EventQueue, InOrder};
 pub use shard::{Rendezvous, WindowBarrier, IDLE as IDLE_PS};
 pub use time::{Duration, Frequency, Time};

@@ -55,6 +55,12 @@
 //! read once on pop. Ordering never looks at the slot, so the comparisons
 //! — and with them the pop sequence — are the ones the inline-payload
 //! queue made.
+//!
+//! The tiers are ordered among themselves: every record in `current` is
+//! earlier than every bucketed one, bucket `i`'s than bucket `i + 1`'s,
+//! and the far tier's come last. [`EventQueue::with_in_order`] uses that
+//! to hand a checkpoint every pending item in pop order after sorting
+//! each tier's records in place, without copying a payload.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -304,11 +310,12 @@ impl<T> EventQueue<T> {
                         .epoch_base
                         .saturating_add(self.width.saturating_mul(self.cursor as u64));
                     if !self.buckets[c].is_empty() {
-                        // Drain rather than take: the bucket keeps its
-                        // allocation for the next epoch.
-                        let batch = &mut self.buckets[c];
+                        // Take rather than drain: a drained bucket hands
+                        // its storage back instead of holding it until
+                        // its slot fills again in some later epoch.
+                        let batch = std::mem::take(&mut self.buckets[c]);
                         self.in_buckets -= batch.len();
-                        self.current.extend(batch.drain(..));
+                        self.current.extend(batch);
                         self.ladder.promotions += 1;
                         break;
                     }
@@ -377,15 +384,26 @@ impl<T> EventQueue<T> {
     /// out-pointer on every pop of the engine's hot loop.
     #[inline(always)]
     pub fn pop(&mut self) -> Option<(Time, T)> {
+        self.pop_keyed().map(|(t, _, item)| (t, item))
+    }
+
+    /// [`EventQueue::pop`], with the popped item's tie-break key.
+    #[inline(always)]
+    pub fn pop_keyed(&mut self) -> Option<(Time, EventKey, T)> {
         if self.current.is_empty() {
             self.settle();
         }
         let e = self.current.pop()?;
+        // The next pop most likely takes the new minimum: start loading
+        // its payload while the caller handles this one.
+        if let Some(next) = self.current.peek() {
+            prefetch(&self.slots, next.slot);
+        }
         let item = self.slots[e.slot as usize]
             .take()
             .expect("queue record points at a vacant slot");
         self.free.push(e.slot);
-        Some((e.time, item))
+        Some((e.time, e.key(), item))
     }
 
     /// Delivery time of the earliest pending item, if any.
@@ -441,25 +459,38 @@ impl<T> EventQueue<T> {
         self.next_seq
     }
 
-    /// Non-destructive snapshot of every pending entry, sorted by
-    /// `(time, key)` — the exact order the entries would pop in. Ladder
-    /// geometry (which tier an entry currently sits in) is deliberately
-    /// not captured: it is a performance artefact, not simulation state,
-    /// and a restored queue rebuilds it from scratch.
-    pub fn snapshot_events(&self) -> Vec<(Time, EventKey, T)>
-    where
-        T: Clone,
-    {
-        let records = self
-            .current
-            .iter()
-            .chain(self.buckets.iter().flatten())
-            .chain(self.far.iter());
-        // Sized up front: the chain's size hint misses the buckets.
-        let mut out: Vec<(Time, EventKey, T)> = Vec::with_capacity(self.len());
-        out.extend(records.map(|e| (e.time, e.key(), self.item(e).clone())));
-        out.sort_by_key(|a| (a.0, a.1));
-        out
+    /// Hand `f` every pending item in `(time, key)` order — the exact
+    /// order they would pop in — without copying one.
+    ///
+    /// Each tier's 32-byte records are sorted in place (keys are unique,
+    /// so an unstable sort gives that order), and the tiers are visited
+    /// front to back: they are ordered among themselves (see the module
+    /// docs). Sorting changes no pop: every tier orders by the same
+    /// `(time, key)`, and `current` is heapified again afterwards. Ladder
+    /// geometry is not part of what `f` sees; a restored queue rebuilds
+    /// it from scratch.
+    pub fn with_in_order<R>(&mut self, f: impl FnOnce(InOrder<'_, T>) -> R) -> R {
+        let mut current = std::mem::take(&mut self.current).into_vec();
+        current.sort_unstable_by_key(Entry::order);
+        for b in &mut self.buckets {
+            b.sort_unstable_by_key(Entry::order);
+        }
+        self.far.sort_unstable_by_key(Entry::order);
+        let view = InOrder {
+            current: &current,
+            buckets: &self.buckets,
+            far: &self.far,
+            slots: &self.slots,
+        };
+        debug_assert!(
+            view.records()
+                .zip(view.records().skip(1))
+                .all(|(a, b)| a.order() < b.order()),
+            "queue tiers out of order"
+        );
+        let r = f(view);
+        self.current = BinaryHeap::from(current);
+        r
     }
 
     /// Slab slots allocated, vacant ones included. Slots are reused before
@@ -479,6 +510,60 @@ impl<T> EventQueue<T> {
     pub fn ladder_stats(&self) -> LadderStats {
         self.ladder
     }
+}
+
+/// Every pending item of an [`EventQueue`] in pop order, as
+/// [`EventQueue::with_in_order`] hands them out.
+pub struct InOrder<'q, T> {
+    current: &'q [Entry],
+    buckets: &'q [Vec<Entry>],
+    far: &'q [Entry],
+    slots: &'q [Option<T>],
+}
+
+impl<T> Clone for InOrder<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for InOrder<'_, T> {}
+
+impl<'q, T> InOrder<'q, T> {
+    fn records(self) -> impl Iterator<Item = &'q Entry> {
+        let buckets = self.buckets.iter().flatten();
+        self.current.iter().chain(buckets).chain(self.far)
+    }
+
+    /// Delivery time, tie-break key and payload of every pending item, in
+    /// pop order.
+    pub fn iter(self) -> impl Iterator<Item = (Time, EventKey, &'q T)> {
+        self.records().map(move |e| {
+            let item = self.slots[e.slot as usize].as_ref();
+            (
+                e.time,
+                e.key(),
+                item.expect("queue record points at a vacant slot"),
+            )
+        })
+    }
+}
+
+/// Start loading `slots[slot]` into the cache. A hint only: it changes no
+/// result, and does nothing off x86_64 or for an index past the slab.
+#[inline]
+fn prefetch<T>(slots: &[Option<T>], slot: u32) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(p) = slots.get(slot as usize) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: `p` points at an element inside the slab, and a
+        // prefetch never faults or changes memory: it only asks the
+        // cache to load the line that holds it. SSE is part of every
+        // x86_64 target.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((p as *const Option<T>).cast::<i8>()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (slots, slot);
 }
 
 #[cfg(test)]

@@ -174,10 +174,12 @@ pub fn save_into(out: &mut Vec<u64>, walk: impl FnOnce(&mut Save<'_>) -> Result<
     walk(&mut Save(out)).expect("a capture walk only reads fields");
 }
 
-/// The record a capture walk produces.
+/// The record a capture walk produces, holding no spare capacity: a
+/// capture keeps one per component until it is written.
 pub fn save(walk: impl FnOnce(&mut Save<'_>) -> Result<(), String>) -> Vec<u64> {
     let mut out = Vec::new();
     save_into(&mut out, walk);
+    out.shrink_to_fit();
     out
 }
 

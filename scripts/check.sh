@@ -450,6 +450,20 @@ else
     echo "gcc not found: skipping the hostprof.sh smoke run"
 fi
 
+echo "==> info: peak RSS of the checkpointing faulty 8x8 call (scripts/peak_rss.sh; not a gate)"
+# The benchmark's task_faulty_ckpt call: 23 snapshots written straight
+# from the event queue.
+if command -v gcc > /dev/null; then
+    rss_ckpt_dir="$(mktemp -d -t mermaid-check-rss.XXXXXX)"
+    scripts/peak_rss.sh sim --machine t805 --topology torus:8x8 --pattern all2all \
+        --phases 7 --mode task --seed 7 \
+        --faults "drop:2000;corrupt:500;timeout:400000000;cap:3200000000;recv-timeout:20000000000" \
+        --fault-seed 3 --checkpoint-every 1000000000000 --checkpoint-dir "$rss_ckpt_dir"
+    rm -rf "$rss_ckpt_dir"
+else
+    echo "gcc not found: skipping the peak_rss.sh information step"
+fi
+
 echo "==> info: non-test library lines per crate (scripts/loc.sh; not a gate)"
 scripts/loc.sh
 

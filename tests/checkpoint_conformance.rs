@@ -71,6 +71,48 @@ fn restored_runs_are_byte_identical_across_the_matrix() {
     check(Block::Restore);
 }
 
+/// A restored run that checkpoints again writes the uninterrupted run's
+/// later snapshot files byte for byte, serially and on 2 shards. Their
+/// `keys` records carry the counters the restore resumed: a pending
+/// event's key and a key allocated after the restore never tie (their
+/// push instants lie on either side of the capture), so a restore that
+/// zeroed a component's counter changed no output but these files.
+#[test]
+fn restored_runs_write_the_uninterrupted_runs_later_snapshots() {
+    let dir = temp_dir("recapture");
+    let sc = scenario("topo=torus:4x2 pattern=all2all");
+    let every = sc.comm().finish.as_ps() / 4;
+    std::fs::create_dir_all(dir.join("straight")).unwrap();
+    let straight = capture(&sc, every, &dir.join("straight"));
+    assert!(straight.len() >= 3, "{straight:?}");
+    for shards in ["1", "2"] {
+        let out = dir.join(format!("restored-{shards}"));
+        std::fs::create_dir_all(&out).unwrap();
+        let mut args = sc.args("sim");
+        args.extend(s(&[
+            "--restore",
+            straight[0].to_str().unwrap(),
+            "--shards",
+            shards,
+        ]));
+        args.extend(s(&["--checkpoint-every", &every.to_string()]));
+        args.extend(s(&["--checkpoint-dir", out.to_str().unwrap()]));
+        run(&args).unwrap();
+        let mut again: Vec<PathBuf> = std::fs::read_dir(&out)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        again.sort();
+        assert_eq!(again.len(), straight.len() - 1, "--shards {shards}");
+        for (a, b) in straight[1..].iter().zip(&again) {
+            assert_eq!(a.file_name(), b.file_name(), "--shards {shards}");
+            let same = std::fs::read(a).unwrap() == std::fs::read(b).unwrap();
+            assert!(same, "--shards {shards}: {} differs", b.display());
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Faulty runs — a healing link outage plus transient loss, and a
 /// permanent cut — restore byte-identically too: outstanding retry
 /// state, fault status and delivery accounting all live in the snapshot.
@@ -152,10 +194,12 @@ fn torn_snapshots_are_detected_never_restored() {
 
 /// A snapshot whose body hash checks out but whose records do not fit —
 /// one integer short in a router record, one too many in a processor
-/// record, an event before the instant or addressed outside the machine —
-/// is refused with the same error at every shard count. The watchdog is
-/// the point: the sharded restore used to panic in the shard that owned
-/// the bad record and leave its peers waiting at the round gate for ever.
+/// record, an event before the instant, addressed outside the machine or
+/// from a source other than its key's, a packet whose count or wire time
+/// disagrees with what the message size and the network derive — is
+/// refused with the same error at every shard count. The watchdog is the
+/// point: the sharded restore used to panic in the shard that owned the
+/// bad record and leave its peers waiting at the round gate for ever.
 #[test]
 fn malformed_snapshot_records_fail_sharded_restores_like_serial_ones() {
     use mermaid_network::Snapshot;
@@ -164,45 +208,76 @@ fn malformed_snapshot_records_fail_sharded_restores_like_serial_ones() {
     let good = first_snapshot(&dir);
     let straight = run(&scenario("").args("sim")).unwrap();
 
-    fn short_router(snap: &mut Snapshot) {
-        snap.routers[0].pop();
+    /// Set integer `i` (0-based, after the tag) of event record `n` to
+    /// `f` of its value.
+    fn set(snap: &mut Snapshot, n: usize, i: usize, f: impl Fn(u64) -> u64) {
+        let mut lines: Vec<String> = snap.events.lines().map(String::from).collect();
+        let mut ints: Vec<String> = lines[n].split(' ').map(String::from).collect();
+        ints[i + 1] = f(ints[i + 1].parse().unwrap()).to_string();
+        lines[n] = ints.join(" ");
+        snap.events = lines.iter().map(|l| format!("{l}\n")).collect();
     }
-    fn long_proc(snap: &mut Snapshot) {
-        snap.procs[7].push(0);
-    }
-    // Event records a restore cannot place: the serial restore used to
-    // panic on the first, the sharded one hang, and both silently drop
-    // the second. Line 4 is the first `event` record.
-    fn early_event(snap: &mut Snapshot) {
-        snap.events[0].0 = pearl::Time::from_ps(snap.time.as_ps() - 1);
-    }
-    fn far_dst(snap: &mut Snapshot) {
-        snap.events[0].3 = 99;
-    }
-    fn far_src(snap: &mut Snapshot) {
-        snap.events[0].2 = 99;
-    }
-    let tampers = [
+    let snap = Snapshot::read_file(&good).unwrap();
+    // The first event carrying a packet (payload tags 1 to 6), and its
+    // packet's first integer: after `time push_ps key_src key_seq src dst
+    // tag`. Line 4 is the first `event` record.
+    let n = (snap.events.lines())
+        .position(|l| matches!(l.split(' ').nth(7), Some("1" | "2" | "3" | "4" | "5" | "6")))
+        .expect("a packet in flight");
+    let (line, p) = (4 + n, 7);
+    type Tamper = Box<dyn Fn(&mut Snapshot)>;
+    let tampers: Vec<(&str, Tamper, String)> = vec![
         (
             "router",
-            short_router as fn(&mut Snapshot),
-            "corrupt snapshot (router 0 record)",
+            Box::new(|snap| {
+                snap.routers[0].pop();
+            }),
+            "corrupt snapshot (router 0 record)".into(),
         ),
-        ("proc", long_proc, "corrupt snapshot (proc 7 record)"),
+        (
+            "proc",
+            Box::new(|snap| snap.procs[7].push(0)),
+            "corrupt snapshot (proc 7 record)".into(),
+        ),
+        // Event records a restore cannot place: the serial restore used to
+        // panic on the first, the sharded one hang, and both silently drop
+        // the second.
         (
             "early",
-            early_event,
-            "corrupt snapshot (line 4): an event at",
+            Box::new(|snap| {
+                let t = snap.time.as_ps();
+                set(snap, 0, 0, |_| t - 1)
+            }),
+            "corrupt snapshot (line 4): an event at".into(),
         ),
         (
             "dst",
-            far_dst,
-            "corrupt snapshot (line 4): event destination",
+            Box::new(|snap| set(snap, 0, 5, |_| 99)),
+            "corrupt snapshot (line 4): event destination".into(),
         ),
-        ("src", far_src, "corrupt snapshot (line 4): event source"),
+        (
+            "src",
+            Box::new(|snap| set(snap, 0, 4, |_| 99)),
+            "corrupt snapshot (line 4): event source".into(),
+        ),
+        (
+            "src-key",
+            Box::new(|snap| set(snap, 0, 4, |src| src ^ 1)),
+            "corrupt snapshot (line 4): event source".into(),
+        ),
+        (
+            "count",
+            Box::new(move |snap| set(snap, n, p + 4, |c| c + 1)),
+            format!("corrupt snapshot (line {line}): the packet count"),
+        ),
+        (
+            "wire",
+            Box::new(move |snap| set(snap, n, p + 16, |w| w + 1)),
+            format!("corrupt snapshot (line {line}): the path's wire time"),
+        ),
     ];
     for (tag, tamper, want) in tampers {
-        let mut snap = Snapshot::read_file(&good).unwrap();
+        let mut snap = snap.clone();
         tamper(&mut snap);
         let bad = dir.join(format!("bad-{tag}.snap"));
         snap.write_file(&bad).unwrap();
@@ -210,7 +285,7 @@ fn malformed_snapshot_records_fail_sharded_restores_like_serial_ones() {
         let mut serial_args = scenario("").args("sim");
         serial_args.extend(s(&["--restore", bad.to_str().unwrap()]));
         let serial_err = run(&serial_args).unwrap_err();
-        assert!(serial_err.starts_with(want), "{serial_err}");
+        assert!(serial_err.starts_with(&want), "{serial_err}");
 
         for shards in ["2", "3"] {
             let mut args = serial_args.clone();

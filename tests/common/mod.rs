@@ -22,7 +22,8 @@ use std::sync::{Arc, Mutex};
 pub use matrix::{rows, Block};
 use mermaid::{HybridSim, Mode, Outcome, Resolved, RunConfig, TaskLevelSim};
 use mermaid_network::{
-    run_comm, CheckpointOpts, CommResult, FaultSchedule, NetworkConfig, RunOptions, Snapshot,
+    run_comm, Capture, CheckpointOpts, CommResult, FaultSchedule, NetworkConfig, RunOptions,
+    Snapshot,
 };
 use mermaid_ops::{Operation, TraceSet};
 use mermaid_probe::{canonical_sort, ProbeHandle, ProbeStack, SimEvent};
@@ -321,7 +322,7 @@ fn observe(sc: &Scenario, exec: Exec, obs: &[Obs]) -> Observed {
         false => ProbeHandle::disabled(),
     };
     let snaps = Mutex::new(String::new());
-    let keep = |s: &Snapshot| {
+    let keep = |s: &Capture<'_>| {
         snaps.lock().unwrap().push_str(&s.to_file_string());
         Ok(())
     };
@@ -415,8 +416,8 @@ fn run(sc: &Scenario, r: &Resolved, opts: &RunOptions<'_>, exec: Exec) -> Outcom
 /// `at` × `finish`.
 fn capture(sc: &Scenario, r: &Resolved, at: (u64, u64), finish: u64, attr: bool) -> Snapshot {
     let first = Mutex::new(None);
-    let keep = |s: &Snapshot| {
-        first.lock().unwrap().get_or_insert_with(|| s.clone());
+    let keep = |s: &Capture<'_>| {
+        first.lock().unwrap().get_or_insert_with(|| s.to_snapshot());
         Ok(())
     };
     let ck = CheckpointOpts {

@@ -360,14 +360,14 @@ proptest! {
         pairs in prop::collection::vec((0u32..8, 0u32..8, 64u32..4_096), 1..12)
     ) {
         use std::sync::Mutex;
-        use mermaid_network::{run_comm, CheckpointOpts, NetworkConfig, RunOptions, Snapshot};
+        use mermaid_network::{run_comm, Capture, CheckpointOpts, NetworkConfig, RunOptions, Snapshot};
         use pearl::Duration;
 
         let (topo, ts) = balanced_traffic(topo_kind, &pairs);
         let cfg = NetworkConfig::test(topo);
         let snaps: Mutex<Vec<Snapshot>> = Mutex::new(Vec::new());
-        let keep = |s: &Snapshot| {
-            snaps.lock().unwrap().push(s.clone());
+        let keep = |s: &Capture<'_>| {
+            snaps.lock().unwrap().push(s.to_snapshot());
             Ok(())
         };
         let ck = CheckpointOpts {
@@ -726,4 +726,83 @@ proptest! {
 #[test]
 fn restored_runs_match_uninterrupted_runs() {
     common::check(common::Block::RestoreSweep);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The analytic oracle (ROADMAP item 3a): on an idle network one
+    /// single-packet message's latency decomposition is closed-form per
+    /// switching mode, to the picosecond. Each of the `h` hops costs a
+    /// routing decision and a wire latency and nothing waits; store-and-
+    /// forward serialises the whole packet on every link, cut-through
+    /// pipelines the header and streams the body in once, behind the last
+    /// hop. The network stores only hop counts, so this checks the derived
+    /// routing, wire and serialisation times against a source other than
+    /// their own earlier output.
+    #[test]
+    fn an_idle_message_decomposes_in_closed_form(
+        machine in 0u8..3,
+        topo_kind in 0u8..4,
+        switching in 0u8..3,
+        ends in (0u32..16, 0u32..16),
+        size in any::<u32>(),
+    ) {
+        use mermaid_network::{CommSim, NetworkConfig, Switching};
+        use mermaid_probe::{ProbeHandle, ProbeStack, SimEvent};
+
+        let topo = [
+            Topology::Ring(7),
+            Topology::Mesh2D { w: 4, h: 3 },
+            Topology::Torus2D { w: 4, h: 4 },
+            Topology::Hypercube { dim: 4 },
+        ][topo_kind as usize];
+        let mut cfg = [NetworkConfig::test, NetworkConfig::t805, NetworkConfig::hw_routed]
+            [machine as usize](topo);
+        cfg.router.switching = [
+            Switching::StoreAndForward,
+            Switching::VirtualCutThrough,
+            Switching::Wormhole,
+        ][switching as usize];
+        let n = topo.nodes();
+        let (src, dst) = (ends.0 % n, ends.1 % n);
+        // Anything from a header-only packet to a full one.
+        let bytes = size % (cfg.router.max_packet_payload + 1);
+        let mut ts = TraceSet::new(n as usize);
+        ts.trace_mut(src).push(Operation::ASend { bytes, dst });
+        ts.trace_mut(dst).push(Operation::Recv { src });
+        let probe = ProbeHandle::new(ProbeStack::new().with_buffer());
+        let r = CommSim::new_with_probe(cfg, &ts, probe.clone()).run();
+        prop_assert!(r.all_done);
+        let paths: Vec<SimEvent> = probe
+            .take_buffer()
+            .unwrap()
+            .into_iter()
+            .filter(|e| matches!(e, SimEvent::MsgPath { .. }))
+            .collect();
+        prop_assert_eq!(paths.len(), 1);
+        let SimEvent::MsgPath {
+            latency_ps, overhead_ps, retry_ps, queue_ps, routing_ps, ser_ps, wire_ps, ..
+        } = paths[0] else { unreachable!() };
+
+        let hops = topo.distance(src, dst) as u64;
+        let header = cfg.router.header_bytes;
+        let t_pkt = cfg.link.transfer_time(bytes + header).as_ps();
+        let t_hdr = cfg.link.transfer_time(header).as_ps();
+        let ser = match (cfg.router.switching, hops) {
+            (_, 0) => 0,
+            (Switching::StoreAndForward, h) => h * t_pkt,
+            (_, h) => h * t_hdr + (t_pkt - t_hdr),
+        };
+        prop_assert_eq!(overhead_ps, cfg.software.send_overhead.as_ps());
+        prop_assert_eq!(retry_ps, 0);
+        prop_assert_eq!(queue_ps, 0);
+        prop_assert_eq!(routing_ps, hops * cfg.router.routing_delay.as_ps());
+        prop_assert_eq!(wire_ps, hops * cfg.link.wire_latency.as_ps());
+        prop_assert_eq!(ser_ps, ser);
+        prop_assert_eq!(
+            latency_ps,
+            overhead_ps + retry_ps + queue_ps + routing_ps + ser_ps + wire_ps
+        );
+    }
 }

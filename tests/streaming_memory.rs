@@ -1,7 +1,8 @@
 //! Peak-heap regression test for the streamed run paths (EXPERIMENTS.md E3).
 //!
 //! Detailed and direct-execution runs pull operations from the generator
-//! as they simulate them, so their heap must not grow with `--ops`. A
+//! as they simulate them, so their heap must not grow with `--ops`; a
+//! task-mode run's checkpoints cost it no copy of its pending events. A
 //! counting global allocator records the peak of live heap bytes around
 //! `mermaid::cli::run`; this file is its own test binary so no other test
 //! allocates while it measures, and it has one `#[test]` for the same
@@ -119,5 +120,43 @@ fn heap_is_flat_in_ops_on_every_streamed_run_path() {
             "{path}: peak heap moved from {small} B to {large} B when --ops went 4x"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Task mode: checkpoints are written straight from the event queue,
+    // so a capture holds no copy of the pending events. A checkpointing
+    // run may peak above the same run without checkpoints by at most 64 B
+    // per event pending at its largest capture: the component records and
+    // buffers a capture does hold are independent of that count.
+    let task = [
+        "sim",
+        "--machine",
+        "t805",
+        "--topology",
+        "torus:8x8",
+        "--mode",
+        "task",
+        "--pattern",
+        "all2all",
+        "--phases",
+        "1",
+    ];
+    let plain = peak_heap(&task);
+    std::fs::create_dir_all(&dir).unwrap();
+    // A quarter of the run's 210 us predicted time.
+    let every = ["--checkpoint-every", "50000000000", "--checkpoint-dir", out];
+    let checkpointing = peak_heap(&[&task[..], &every].concat());
+    let pending = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|f| std::fs::read_to_string(f.unwrap().path()).unwrap())
+        .map(|snap| snap.lines().filter(|l| l.starts_with("event ")).count())
+        .max()
+        .expect("the run wrote snapshots");
+    println!("sim --mode task, plain / checkpointing: {plain} / {checkpointing} bytes, {pending} events pending at the largest capture");
+    assert!(pending > 10_000, "{pending} events pending");
+    assert!(
+        checkpointing.saturating_sub(plain) <= 64 * pending,
+        "checkpoints cost {} B over the plain run's {plain} B with {pending} events pending",
+        checkpointing.saturating_sub(plain)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
