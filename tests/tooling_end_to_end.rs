@@ -497,3 +497,116 @@ fn probe_artefacts_match_their_byte_goldens() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// FNV-1a (64-bit) of `bytes`: the multi-batch trace is too large to
+/// keep as a golden file, so its golden is this hash and its length.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The `sim` arguments of the multi-batch golden run: a torus:4x4
+/// all-to-all emitting 16,448 probe events, so the sinks see more than a
+/// dozen full event batches (the other probe goldens hold 185–1,417
+/// events, at most one batch).
+fn multibatch_args(extra: &[&str]) -> Vec<String> {
+    let mut args = [
+        "sim",
+        "--machine",
+        "test",
+        "--topology",
+        "torus:4x4",
+        "--mode",
+        "task",
+        "--pattern",
+        "all2all",
+        "--phases",
+        "2",
+    ]
+    .map(String::from)
+    .to_vec();
+    args.extend(extra.iter().map(|s| s.to_string()));
+    args
+}
+
+/// Byte goldens of a run long enough for many probe-event batches: the
+/// Chrome trace (by hash), `--metrics` and `attribution.json`. A
+/// checkpointing run of the same configuration captures the attribution
+/// sink mid-stream, and a run restored from one of its snapshots must
+/// write the straight run's `attribution.json`.
+#[test]
+fn a_multi_batch_run_matches_its_goldens_and_restores_its_attribution() {
+    let dir = std::env::temp_dir().join(format!("mermaid-multibatch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("ckpt")).unwrap();
+    let path = |leaf: &str| dir.join(leaf).to_str().unwrap().to_string();
+
+    let (trace, attribution) = (path("trace.json"), path("attribution.json"));
+    let stdout = mermaid::cli::run(&multibatch_args(&[
+        "--metrics",
+        "--trace-out",
+        &trace,
+        "--attribution",
+        &attribution,
+    ]))
+    .unwrap();
+    let stable = stdout
+        .split("\nSelf-profile")
+        .next()
+        .unwrap()
+        .replace(dir.to_str().unwrap(), "$D");
+    check_golden("probe_multibatch.metrics.txt", &stable);
+    let straight = std::fs::read_to_string(&attribution).unwrap();
+    check_golden("probe_multibatch.attribution.json", &straight);
+    let trace_bytes = std::fs::read(&trace).unwrap();
+    check_golden(
+        "probe_multibatch.trace.fnv",
+        &format!(
+            "bytes={} fnv1a64={:016x}\n",
+            trace_bytes.len(),
+            fnv1a64(&trace_bytes)
+        ),
+    );
+
+    // Captures every 20 µs of a 118 µs run fall between batches, with
+    // the sinks mid-stream.
+    let checkpointed = path("checkpointed.json");
+    mermaid::cli::run(&multibatch_args(&[
+        "--attribution",
+        &checkpointed,
+        "--checkpoint-every",
+        "20000000",
+        "--checkpoint-dir",
+        &path("ckpt"),
+    ]))
+    .unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&checkpointed).unwrap(),
+        straight,
+        "checkpointing changed attribution.json"
+    );
+    let mut snaps: Vec<_> = std::fs::read_dir(dir.join("ckpt"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    snaps.sort();
+    assert_eq!(snaps.len(), 5, "{snaps:?}");
+    for snap in [&snaps[1], &snaps[4]] {
+        let restored = path("restored.json");
+        mermaid::cli::run(&multibatch_args(&[
+            "--attribution",
+            &restored,
+            "--restore",
+            snap.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&restored).unwrap(),
+            straight,
+            "restored from {}",
+            snap.display()
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
