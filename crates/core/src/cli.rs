@@ -523,17 +523,10 @@ fn canonical_fault_spec(arg: &str) -> Result<String, String> {
     })
 }
 
-/// Write a run artifact to `path` through `render`, diagnosing a missing
-/// parent directory up front — the common scripted mistake — with the path
-/// *and* the cause, instead of the bare OS error the open would surface.
-/// The file is buffered and flushed before success is reported, so an I/O
-/// error in the middle of a streamed artifact is an error here, not a
-/// truncated file.
-fn write_output_with(
-    path: &str,
-    render: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
-) -> Result<(), String> {
-    use std::io::Write;
+/// Create the run artifact `path`, diagnosing a missing parent directory
+/// up front — the common scripted mistake — with the path *and* the cause,
+/// instead of the bare OS error the open would surface.
+fn create_output(path: &str) -> Result<std::fs::File, String> {
     let p = Path::new(path);
     if let Some(dir) = p.parent() {
         if !dir.as_os_str().is_empty() && !dir.is_dir() {
@@ -543,17 +536,34 @@ fn write_output_with(
             ));
         }
     }
-    std::fs::File::create(p)
-        .and_then(|file| {
-            let mut w = std::io::BufWriter::new(file);
-            render(&mut w)?;
-            w.flush()
-        })
-        .map_err(|e| format!("cannot write {path}: {e}"))
+    std::fs::File::create(p).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 fn write_output_file(path: &str, data: &str) -> Result<(), String> {
-    write_output_with(path, |w| std::io::Write::write_all(w, data.as_bytes()))
+    std::io::Write::write_all(&mut create_output(path)?, data.as_bytes())
+        .map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// An artifact written while the run goes: removed again unless
+/// [`Partial::keep`] is called, so a run that fails leaves no partial file
+/// behind. Only a regular file is removed — never `/dev/full` and the like.
+struct Partial<'a> {
+    path: &'a str,
+    kept: bool,
+}
+
+impl Partial<'_> {
+    fn keep(mut self) {
+        self.kept = true;
+    }
+}
+
+impl Drop for Partial<'_> {
+    fn drop(&mut self) {
+        if !self.kept && Path::new(self.path).is_file() {
+            let _ = std::fs::remove_file(self.path);
+        }
+    }
 }
 
 /// Render the `--shard-profile` epilogue. The numbers are host wall-clock
@@ -674,12 +684,21 @@ fn run_sim(a: &Args) -> Result<String, String> {
             ));
         }
     }
+    // The trace is written as the run records it, so its file is opened
+    // first; `partial` removes it again if the run or the trace fails.
+    let (trace_file, partial) = match trace_out {
+        Some(path) => (
+            Some(create_output(path)?),
+            Some(Partial { path, kept: false }),
+        ),
+        None => (None, None),
+    };
     // Instrumentation: one probe handle feeds every sink the user asked
     // for. Disabled (a single branch per event site) when no flag is given.
     let probe = if a.tracing() {
         let mut stack = ProbeStack::new();
-        if trace_out.is_some() {
-            stack = stack.with_chrome();
+        if let Some(file) = trace_file {
+            stack = stack.with_chrome_to(file);
         }
         if a.has("--metrics") {
             stack = stack
@@ -763,19 +782,22 @@ fn run_sim(a: &Args) -> Result<String, String> {
     }
 
     let finish_ps = finish.as_ps();
-    if let Some(path) = trace_out {
-        // The sink checked the trace as it recorded it and streams the
-        // document straight into the file: nothing is rendered in memory
-        // or parsed back.
+    if let Some(partial) = partial {
+        let path = partial.path;
+        // The sink checked the trace as it recorded it and has written all
+        // but its end into the file: nothing is parsed back.
         probe
             .with_stack(|s| {
-                let chrome = s.chrome.as_ref().ok_or("no trace was collected")?;
+                let chrome = s.chrome.as_mut().ok_or("no trace was collected")?;
                 chrome
                     .summary()
                     .map_err(|e| format!("internal error: emitted trace is invalid: {e}"))?;
-                write_output_with(path, |w| chrome.write_json(w))
+                chrome
+                    .finish()
+                    .map_err(|e| format!("cannot write {path}: {e}"))
             })
             .ok_or("no trace was collected")??;
+        partial.keep();
         out.push_str(&format!("trace written: {path}\n"));
     }
     if let Some(path) = attribution {
@@ -1321,6 +1343,22 @@ mod tests {
         args.extend(["--trace-out", "/dev/full"]);
         let err = run(&s(&args)).unwrap_err();
         assert!(err.starts_with("cannot write /dev/full: "), "{err}");
+    }
+
+    #[test]
+    fn a_traced_run_that_fails_mid_run_leaves_no_trace_file() {
+        // The first capture, halfway through a run of 16 event batches,
+        // fails on the missing directory while the trace is being written.
+        let trace =
+            std::env::temp_dir().join(format!("mermaid-failed-{}.json", std::process::id()));
+        let trace_s = trace.to_str().unwrap();
+        let mut args = vec!["sim", "--machine", "test", "--topology", "torus:4x4"];
+        args.extend(["--mode", "task", "--pattern", "all2all", "--phases", "2"]);
+        args.extend(["--trace-out", trace_s, "--checkpoint-every", "60000000"]);
+        args.extend(["--checkpoint-dir", "/nonexistent-mermaid-dir"]);
+        let err = run(&s(&args)).unwrap_err();
+        assert!(err.contains("create it first"), "{err}");
+        assert!(!trace.exists(), "the failed run left {trace_s} behind");
     }
 
     #[test]

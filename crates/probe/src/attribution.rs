@@ -23,6 +23,7 @@ use crate::{Probe, SimEvent};
 use mermaid_stats::state::StateWalk;
 use mermaid_stats::table::Align;
 use mermaid_stats::{chart, rank, timeline, Histogram, Table, Utilization};
+use pearl::FastHashMap;
 use serde::Value;
 use std::collections::BTreeMap;
 
@@ -45,12 +46,13 @@ pub struct AttributionSink {
     comp_hist: [Histogram; 6],
     /// Per-component exact totals, indexed like [`COMPONENTS`].
     comp_total: [u64; 6],
-    /// Busy intervals per directed link, unordered until report time.
-    link_busy: BTreeMap<(u32, u32), Vec<(u64, u64)>>,
-    /// Packets forwarded per router.
-    fwd: BTreeMap<u32, u64>,
+    /// Busy intervals per directed link; links and intervals are in no
+    /// order until report time.
+    link_busy: FastHashMap<(u32, u32), Vec<(u64, u64)>>,
+    /// Packets forwarded per router (in no order until report time).
+    fwd: FastHashMap<u32, u64>,
     /// Packets delivered to the local processor per router.
-    delivered: BTreeMap<u32, u64>,
+    delivered: FastHashMap<u32, u64>,
     /// Fault-layer counts.
     dropped: u64,
     corrupted: u64,
@@ -76,9 +78,9 @@ impl AttributionSink {
             latency: mk(),
             comp_hist: [mk(), mk(), mk(), mk(), mk(), mk()],
             comp_total: [0; 6],
-            link_busy: BTreeMap::new(),
-            fwd: BTreeMap::new(),
-            delivered: BTreeMap::new(),
+            link_busy: FastHashMap::default(),
+            fwd: FastHashMap::default(),
+            delivered: FastHashMap::default(),
             dropped: 0,
             corrupted: 0,
             retries: 0,
@@ -108,8 +110,10 @@ impl AttributionSink {
 
         // Per-link: sort the interval bags (making the fold independent
         // of observation order), then derive busy totals and timelines.
-        let mut links: Vec<LinkAttr> = Vec::with_capacity(self.link_busy.len());
-        for (&(node, to), bag) in &self.link_busy {
+        let mut link_busy: Vec<_> = self.link_busy.iter().collect();
+        link_busy.sort_unstable_by_key(|&(&link, _)| link);
+        let mut links: Vec<LinkAttr> = Vec::with_capacity(link_busy.len());
+        for (&(node, to), bag) in link_busy {
             let mut iv = bag.clone();
             iv.sort_unstable();
             let mut util = Utilization::new();

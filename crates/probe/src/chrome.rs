@@ -21,24 +21,28 @@
 //! end-to-end test uses it to compare a traced run against an untraced
 //! one without going through lossy `f64` microseconds.
 //!
-//! Recording and rendering are separate. [`ChromeTraceSink::record`]
-//! copies the events the trace shows into a `Vec<SimEvent>` (80 bytes
-//! each) and keeps the running [`TraceSummary`]; nothing is formatted
-//! while the simulation runs. [`ChromeTraceSink::write_json`] later
-//! streams the document into any `io::Write`, and because the summary —
-//! span-order check included — was taken at record time, the writer of a
-//! trace never has to parse it back. [`validate_chrome_trace`] is the
-//! parsing counterpart, for documents that come from somewhere else.
+//! The sink renders each event it shows as it records it, into one byte
+//! buffer that holds the document so far ([`ChromeTraceSink::new`]) or,
+//! for [`ChromeTraceSink::streaming`], is handed to the output file in
+//! 64 KB chunks — no copy of the trace's events is kept either way. The
+//! running [`TraceSummary`], span-order check included, is taken at
+//! record time too, so the writer of a trace never has to parse it back.
+//! [`validate_chrome_trace`] is the parsing counterpart, for documents
+//! that come from somewhere else.
 
 use crate::value_json::{fields, JsonObj, JsonVal, Micros, Raw};
 use crate::{Probe, SimEvent};
+use pearl::FastHashMap;
 use serde::Value;
-use std::collections::HashMap;
 use std::io;
 
 /// Engine deliveries are decimated to one queue-depth counter sample
 /// every this many events, so long runs stay viewable.
 const DEPTH_SAMPLE_EVERY: u64 = 64;
+
+/// A streaming sink hands its rendered bytes to the file once they reach
+/// this many.
+const FLUSH_AT: usize = 1 << 16;
 
 const PID_ENGINE: u64 = 1;
 const PID_NETWORK: u64 = 2;
@@ -53,14 +57,20 @@ const PROCESSES: [(u64, &str); 4] = [
     (PID_MEMORY, "memory"),
 ];
 
-/// Records the events the trace shows, as the fixed-width [`SimEvent`]s
-/// they arrived as (`size_of::<SimEvent>()` bytes each, nothing else per
-/// event), and renders them on demand: [`ChromeTraceSink::write_json`]
-/// streams the complete document, [`ChromeTraceSink::summary`] says what
-/// it will contain without rendering or parsing anything.
-#[derive(Default)]
+/// Renders the events the trace shows as they are recorded:
+/// [`ChromeTraceSink::to_json`] returns the complete document of an
+/// in-memory sink, [`ChromeTraceSink::finish`] completes a streaming
+/// one's file, and [`ChromeTraceSink::summary`] says what the document
+/// contains without parsing anything.
 pub struct ChromeTraceSink {
-    events: Vec<SimEvent>,
+    /// The document rendered so far, without its closing summary; for a
+    /// streaming sink only the part not yet handed to `file`.
+    doc: Vec<u8>,
+    /// Where a streaming sink hands `doc`; `None` keeps it in memory.
+    file: Option<Box<dyn io::Write + Send>>,
+    /// The first failed write to `file`; later bytes are dropped.
+    error: Option<io::Error>,
+    events: u64,
     deliveries: u64,
     msg_delivers: u64,
     max_ts_ps: u64,
@@ -69,25 +79,63 @@ pub struct ChromeTraceSink {
     fault_events: u64,
     /// Last span start (trace microseconds) per `(pid, tid, name)` track;
     /// the name is keyed by the number that distinguishes it on its pid.
-    span_clock: HashMap<(u64, u32, u32), f64>,
+    span_clock: FastHashMap<(u64, u32, u32), f64>,
     /// The first span found starting before its track's previous one.
     scrambled: Option<String>,
 }
 
+impl Default for ChromeTraceSink {
+    fn default() -> Self {
+        ChromeTraceSink::new()
+    }
+}
+
 impl ChromeTraceSink {
-    /// An empty sink.
+    /// An empty sink that keeps its document in memory.
     pub fn new() -> Self {
-        ChromeTraceSink::default()
+        let mut doc = b"{\"traceEvents\":[".to_vec();
+        for (i, (pid, name)) in PROCESSES.into_iter().enumerate() {
+            if i > 0 {
+                doc.push(b',');
+            }
+            let mut o = head(&mut doc, "process_name", "M", 0, pid, 0);
+            o.descend("args");
+            fields!(o; name);
+            o.end();
+        }
+        ChromeTraceSink {
+            doc,
+            file: None,
+            error: None,
+            events: 0,
+            deliveries: 0,
+            msg_delivers: 0,
+            max_ts_ps: 0,
+            spans: 0,
+            counters: 0,
+            fault_events: 0,
+            span_clock: FastHashMap::default(),
+            scrambled: None,
+        }
+    }
+
+    /// An empty sink that writes its document into `file` as it records;
+    /// [`ChromeTraceSink::finish`] writes the end of it.
+    pub fn streaming(file: impl io::Write + Send + 'static) -> Self {
+        ChromeTraceSink {
+            file: Some(Box::new(file)),
+            ..ChromeTraceSink::new()
+        }
     }
 
     /// Number of trace events collected so far (excluding metadata).
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events as usize
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.events == 0
     }
 
     /// What the rendered document contains, counted as events were
@@ -99,11 +147,10 @@ impl ChromeTraceSink {
             return Err(err.clone());
         }
         let metadata = PROCESSES.len() as u64;
-        let events = self.events.len() as u64;
         Ok(TraceSummary {
-            events: metadata + events,
+            events: metadata + self.events,
             spans: self.spans,
-            instants: events - self.spans - self.counters,
+            instants: self.events - self.spans - self.counters,
             counters: self.counters,
             metadata,
             fault_events: self.fault_events,
@@ -127,52 +174,55 @@ impl ChromeTraceSink {
         let ts = start_ps as f64 / 1e6;
         let prev = self.span_clock.insert((pid, tid, name_key), ts);
         if let Some(prev) = prev.filter(|&prev| ts < prev) {
-            let i = PROCESSES.len() + self.events.len();
+            let i = PROCESSES.len() as u64 + self.events;
             self.scrambled
                 .get_or_insert_with(|| regressing_span(i, &name(), pid, tid as u64, ts, prev));
         }
     }
 
-    /// Stream the complete Chrome-trace JSON document into `w`, byte for
-    /// byte what the vendored `serde_json` would emit for the same tree.
-    pub fn write_json(&self, w: &mut impl io::Write) -> io::Result<()> {
-        // Events are rendered into a scratch string (infallibly) that is
-        // handed to `w` in chunks.
-        let mut buf = String::new();
-        buf.push_str("{\"traceEvents\":[");
-        for (i, (pid, name)) in PROCESSES.into_iter().enumerate() {
-            if i > 0 {
-                buf.push(',');
-            }
-            let mut o = head(&mut buf, "process_name", "M", 0, pid, 0);
-            o.descend("args");
-            fields!(o; name);
-            o.end();
-        }
-        for ev in &self.events {
-            buf.push(',');
-            write_event(&mut buf, ev);
-            if buf.len() >= 1 << 16 {
-                w.write_all(buf.as_bytes())?;
-                buf.clear();
-            }
-        }
-        buf.push_str("],\"displayTimeUnit\":\"ns\",\"mermaidSummary\":");
-        let mut o = JsonObj::new(&mut buf);
+    /// Append what closes the document: the `traceEvents` array and the
+    /// `mermaidSummary` object.
+    fn write_end(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"],\"displayTimeUnit\":\"ns\",\"mermaidSummary\":");
+        let mut o = JsonObj::new(out);
         o.field("delivered_messages", self.msg_delivers);
         o.field("finish_ps", self.max_ts_ps);
         o.field("engine_deliveries", self.deliveries);
         o.end();
-        buf.push('}');
-        w.write_all(buf.as_bytes())
+        out.push(b'}');
     }
 
-    /// Render the complete Chrome-trace JSON document.
+    /// The complete Chrome-trace JSON document of an in-memory sink, byte
+    /// for byte what the vendored `serde_json` would emit for the same
+    /// tree.
+    ///
+    /// # Panics
+    ///
+    /// For a [`ChromeTraceSink::streaming`] sink, whose document is in
+    /// its file.
     pub fn to_json(&self) -> String {
-        let mut doc = Vec::new();
-        self.write_json(&mut doc)
-            .expect("writing to a Vec cannot fail");
-        String::from_utf8(doc).expect("the writer emits UTF-8")
+        assert!(
+            self.file.is_none(),
+            "a streaming trace sink's document is in its file"
+        );
+        let mut doc = self.doc.clone();
+        self.write_end(&mut doc);
+        String::from_utf8(doc).expect("the JSON writer emits UTF-8")
+    }
+
+    /// Write the rest of a streaming sink's document and flush its file,
+    /// returning the first error any write met; the file is closed when
+    /// this returns. Nothing to do for an in-memory sink.
+    pub fn finish(&mut self) -> io::Result<()> {
+        let Some(mut file) = self.file.take() else {
+            return Ok(());
+        };
+        let mut tail = std::mem::take(&mut self.doc);
+        self.write_end(&mut tail);
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => file.write_all(&tail).and_then(|()| file.flush()),
+        }
     }
 }
 
@@ -227,13 +277,23 @@ impl Probe for ChromeTraceSink {
         }
         self.fault_events += ev.is_fault() as u64;
         self.max_ts_ps = self.max_ts_ps.max(end_ps);
-        self.events.push(*ev);
+        self.events += 1;
+        self.doc.push(b',');
+        write_event(&mut self.doc, ev);
+        if self.doc.len() >= FLUSH_AT {
+            if let Some(file) = &mut self.file {
+                if self.error.is_none() {
+                    self.error = file.write_all(&self.doc).err();
+                }
+                self.doc.clear();
+            }
+        }
     }
 }
 
 /// Open a trace event: the five keys every phase carries.
 fn head<'a>(
-    out: &'a mut String,
+    out: &'a mut Vec<u8>,
     name: impl JsonVal,
     ph: &str,
     ts_ps: u64,
@@ -251,7 +311,7 @@ fn head<'a>(
 /// Open a complete span (`ph == "X"`) on track `(pid, tid)`, up to and
 /// into its `args`.
 fn span<'a>(
-    out: &'a mut String,
+    out: &'a mut Vec<u8>,
     name: impl JsonVal,
     (start_ps, end_ps): (u64, u64),
     (pid, tid): (u64, u32),
@@ -265,7 +325,7 @@ fn span<'a>(
 /// Open a thread-scoped instant (`ph == "i"`) on track `(pid, tid)`, up
 /// to and into its `args`.
 fn instant<'a>(
-    out: &'a mut String,
+    out: &'a mut Vec<u8>,
     name: impl JsonVal,
     ts_ps: u64,
     (pid, tid): (u64, u32),
@@ -277,7 +337,7 @@ fn instant<'a>(
 }
 
 /// Render one recorded event as its `traceEvents` entry.
-fn write_event(out: &mut String, ev: &SimEvent) {
+fn write_event(out: &mut Vec<u8>, ev: &SimEvent) {
     // One row per variant: the fields it takes from the event, the opener
     // (phase, name, start, track), and which of the fields become `args`,
     // keyed by their own names. Arms after the `;` are spelled out.
@@ -356,7 +416,7 @@ fn write_event(out: &mut String, ev: &SimEvent) {
 }
 
 /// The validator's (and the sink's) report of a scrambled span track.
-fn regressing_span(i: usize, name: &str, pid: u64, tid: u64, ts: f64, prev: f64) -> String {
+fn regressing_span(i: u64, name: &str, pid: u64, tid: u64, ts: f64, prev: f64) -> String {
     format!(
         "traceEvents[{i}] span `{name}` on pid {pid} tid {tid} starts at {ts}us, \
          before the previous span at {prev}us"
@@ -483,7 +543,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
                 let key = (pid as u64, tid as u64, name.to_string());
                 if let Some(&prev) = span_clock.get(&key) {
                     if ts < prev {
-                        return Err(regressing_span(i, name, key.0, key.1, ts, prev));
+                        return Err(regressing_span(i as u64, name, key.0, key.1, ts, prev));
                     }
                 }
                 span_clock.insert(key, ts);

@@ -12,7 +12,7 @@ use crate::{Probe, SimEvent};
 /// Accumulates the JSONL stream in memory.
 #[derive(Default)]
 pub struct JsonlSink {
-    out: String,
+    out: Vec<u8>,
     events: u64,
 }
 
@@ -34,7 +34,7 @@ impl JsonlSink {
 
     /// The stream recorded so far (one JSON object per line).
     pub fn output(&self) -> &str {
-        &self.out
+        std::str::from_utf8(&self.out).expect("the JSON writer emits UTF-8")
     }
 }
 
@@ -42,7 +42,7 @@ impl JsonlSink {
 /// an `"ev"` discriminator, then every field of the variant, in this
 /// order, keyed by its own name. The match is exhaustive in variants and
 /// (no `..`) in fields, so a new variant or field cannot be left out.
-fn write_line(out: &mut String, ev: &SimEvent) {
+fn write_line(out: &mut Vec<u8>, ev: &SimEvent) {
     macro_rules! all_fields {
         ($($variant:ident { $($f:ident),* })*) => {{
             let mut o = JsonObj::new(out);
@@ -77,7 +77,7 @@ fn write_line(out: &mut String, ev: &SimEvent) {
         MsgGaveUp { ts_ps, src, dst, retries }
         Reroute { ts_ps, node, to }
     }
-    out.push('\n');
+    out.push(b'\n');
 }
 
 impl Probe for JsonlSink {

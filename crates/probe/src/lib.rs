@@ -27,12 +27,31 @@
 //!
 //! # Record, then render
 //!
-//! While a simulation runs, sinks only fold or copy: [`SimEvent`] is
-//! `Copy` and fixed-width, the Chrome sink keeps the events it will show
-//! as they are, the metrics aggregator bumps counters keyed by `Copy`
-//! enums. JSON is produced afterwards by one streaming writer (the JSONL
-//! sink, whose product *is* the text, uses the same writer per event);
-//! no `serde::Value` tree is built on a record or render path.
+//! The simulation thread only records. A live [`ProbeHandle`] appends
+//! each [`SimEvent`] (`Copy`, fixed-width) to a batch of 1,024; a full
+//! batch goes over a bounded channel to one sink thread, which owns the
+//! [`ProbeStack`], folds the batch into every sink in emission order and
+//! sends the emptied batch back for reuse. A thread that finds the channel
+//! empty (the sink thread) or full (the simulation thread) yields a while
+//! before it parks: waking a parked thread costs more than a batch. The thread starts at the first
+//! full batch, so a run shorter than one batch never starts it, and a
+//! stack that only copies events (the [`EventBuffer`] of a sharded run's
+//! shards) never does. [`ProbeHandle::with_stack`] is the one point where
+//! the two threads meet: it joins the sink thread once the batches sent
+//! are folded, folds the partial batch itself and runs its closure on
+//! the stack; a later full batch starts a new thread. A panic in a sink resumes on the simulation thread there
+//! (or at the next hand-off). The [`SelfProfiler`] times the simulation
+//! thread, so it records there, outside the stack.
+//!
+//! On the sink thread, folds are cheap and renders are streams. The
+//! metrics aggregator bumps dense counter arrays keyed by `Copy` enums;
+//! the Chrome sink renders each event it shows as it records it, through
+//! one byte-level JSON writer, into memory or — for `--trace-out` —
+//! straight into the file in 64 KB chunks, so no copy of the trace's
+//! events is kept. The JSONL sink uses the same writer per event; no
+//! `serde::Value` tree is built on a record or render path. Because every
+//! sink folds the same ordered stream it folded when it ran on the
+//! simulation thread, every output byte is the same.
 //!
 //! # Determinism under observation
 //!
@@ -60,6 +79,10 @@ use pearl::probe::{EngineProbe, LadderStats};
 use pearl::{CompId, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::mpsc::{
+    self, Receiver, RecvError, SendError, SyncSender, TryRecvError, TrySendError,
+};
+use std::thread::{self, JoinHandle};
 
 /// What an abstract processor was doing over a virtual-time span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -486,7 +509,8 @@ pub fn canonical_sort(events: &mut [SimEvent]) {
 /// The set of sinks attached to one traced run.
 ///
 /// Concrete optional slots (rather than `Vec<Box<dyn Probe>>`) so results
-/// can be read back without downcasting after the run.
+/// can be read back without downcasting after the run. A stack is `Send`:
+/// a [`ProbeHandle`] folds it on a sink thread of its own.
 #[derive(Default)]
 pub struct ProbeStack {
     /// Metrics aggregation for the post-mortem report.
@@ -516,9 +540,16 @@ impl ProbeStack {
         self
     }
 
-    /// Attach a Chrome-trace sink.
+    /// Attach a Chrome-trace sink that keeps its document in memory.
     pub fn with_chrome(mut self) -> Self {
         self.chrome = Some(ChromeTraceSink::new());
+        self
+    }
+
+    /// Attach a Chrome-trace sink that writes its document into `file`
+    /// as events are recorded (see [`ChromeTraceSink::streaming`]).
+    pub fn with_chrome_to(mut self, file: impl std::io::Write + Send + 'static) -> Self {
+        self.chrome = Some(ChromeTraceSink::streaming(file));
         self
     }
 
@@ -546,42 +577,233 @@ impl ProbeStack {
         self.buffer = Some(EventBuffer::new());
         self
     }
-}
 
-impl Probe for ProbeStack {
-    fn record(&mut self, ev: &SimEvent) {
+    /// True when a sink that does more than copy events is attached: only
+    /// then is a sink thread worth starting.
+    fn folds(&self) -> bool {
+        self.metrics.is_some()
+            || self.chrome.is_some()
+            || self.jsonl.is_some()
+            || self.attribution.is_some()
+    }
+
+    /// Record `events`, in order, into every attached sink — one sink at
+    /// a time, which each sink cannot tell from one event at a time.
+    pub fn fold(&mut self, events: &[SimEvent]) {
+        fn each(sink: &mut impl Probe, events: &[SimEvent]) {
+            events.iter().for_each(|ev| sink.record(ev));
+        }
         if let Some(m) = &mut self.metrics {
-            m.record(ev);
+            each(m, events);
         }
         if let Some(c) = &mut self.chrome {
-            c.record(ev);
+            each(c, events);
         }
         if let Some(j) = &mut self.jsonl {
-            j.record(ev);
+            each(j, events);
         }
         if let Some(p) = &mut self.profiler {
-            p.record(ev);
+            each(p, events);
         }
         if let Some(a) = &mut self.attribution {
-            a.record(ev);
+            each(a, events);
         }
         if let Some(b) = &mut self.buffer {
-            b.record(ev);
+            b.events.extend_from_slice(events);
         }
     }
 }
 
+impl Probe for ProbeStack {
+    fn record(&mut self, ev: &SimEvent) {
+        self.fold(std::slice::from_ref(ev));
+    }
+}
+
+/// Events a live handle collects before handing them on (80 KB of
+/// [`SimEvent`]s).
+const BATCH: usize = 1024;
+
 /// A cloneable, possibly-disabled reference to a [`ProbeStack`], held by
 /// every instrumented component of one simulation.
 ///
-/// Internally `Option<Rc<RefCell<_>>>`: a disabled handle is `None`, so
-/// the per-emission cost of an untraced run is a single branch and the
-/// event closure is never evaluated. `Rc` (not `Arc`) is deliberate —
-/// simulations are single-threaded objects; `parallel_sweep` builds each
-/// sim inside its worker thread and never moves one across threads.
+/// A disabled handle is `None` inside, so the per-emission cost of an
+/// untraced run is a single branch and the event closure is never
+/// evaluated. A live one appends each event to a batch; a full batch goes
+/// to a sink thread that owns the stack and folds it (see the crate docs,
+/// "Record, then render"). The handle itself is `Rc` (not `Arc`):
+/// simulations are single-threaded objects — `parallel_sweep` builds each
+/// sim inside its worker thread and never moves one across threads — and
+/// only the stack crosses to the sink thread.
 #[derive(Clone, Default)]
 pub struct ProbeHandle {
-    inner: Option<Rc<RefCell<ProbeStack>>>,
+    inner: Option<Rc<RefCell<Recorder>>>,
+}
+
+/// The simulation thread's side of a live handle.
+struct Recorder {
+    /// The wall-clock profiler times this thread, so it records here.
+    profiler: Option<SelfProfiler>,
+    /// Events not yet handed on, in emission order.
+    batch: Vec<SimEvent>,
+    /// The sinks, while this thread holds them; `None` while `worker` does.
+    stack: Option<Box<ProbeStack>>,
+    worker: Option<SinkThread>,
+}
+
+/// A sink thread folding full batches into the stack it owns.
+struct SinkThread {
+    /// Full batches, one in flight at most besides the one being folded.
+    full: SyncSender<Vec<SimEvent>>,
+    /// Folded batches coming back, emptied, for reuse.
+    empty: Receiver<Vec<SimEvent>>,
+    thread: JoinHandle<Box<ProbeStack>>,
+}
+
+impl SinkThread {
+    /// Start a thread folding batches into `stack`, or hand the stack back
+    /// when the host refuses the thread.
+    fn spawn(stack: Box<ProbeStack>) -> Result<SinkThread, Box<ProbeStack>> {
+        let (hand_over, sinks) = mpsc::sync_channel::<Box<ProbeStack>>(1);
+        let (full, batches) = mpsc::sync_channel::<Vec<SimEvent>>(1);
+        let (give_back, empty) = mpsc::channel();
+        let spawned = thread::Builder::new()
+            .name("probe-sinks".into())
+            .spawn(move || {
+                let mut stack = sinks.recv().expect("the recorder hands its sinks over");
+                while let Ok(mut batch) = recv_yielding(&batches) {
+                    stack.fold(&batch);
+                    batch.clear();
+                    // The recorder may have stopped taking batches back.
+                    let _ = give_back.send(batch);
+                }
+                stack
+            });
+        match spawned {
+            Ok(thread) => {
+                hand_over
+                    .send(stack)
+                    .expect("the sink thread waits for its sinks");
+                Ok(SinkThread {
+                    full,
+                    empty,
+                    thread,
+                })
+            }
+            Err(_) => Err(stack),
+        }
+    }
+
+    /// Fold what was sent, end the thread and take its stack back. A
+    /// panic in a sink resumes here, on the calling thread.
+    fn join(self) -> Box<ProbeStack> {
+        drop(self.full);
+        self.thread
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+}
+
+/// How often a thread waiting on the other end of the batch channel
+/// yields before it parks. Waking a thread parked on another core takes
+/// longer than filling or folding a batch — on a 2-vCPU VM it doubled an
+/// all-sinks call (EXPERIMENTS.md P2) — and yielding rather than spinning
+/// lets the two threads take turns on a one-core host.
+const YIELDS_BEFORE_PARKING: u32 = 500;
+
+/// `rx.recv()`, yielding before it parks.
+fn recv_yielding<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    for _ in 0..YIELDS_BEFORE_PARKING {
+        match rx.try_recv() {
+            Err(TryRecvError::Empty) => thread::yield_now(),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Ok(v) => return Ok(v),
+        }
+    }
+    rx.recv()
+}
+
+/// `tx.send(v)`, yielding before it parks.
+fn send_yielding<T>(tx: &SyncSender<T>, mut v: T) -> Result<(), SendError<T>> {
+    for _ in 0..YIELDS_BEFORE_PARKING {
+        match tx.try_send(v) {
+            Err(TrySendError::Full(back)) => {
+                v = back;
+                thread::yield_now();
+            }
+            Err(TrySendError::Disconnected(back)) => return Err(SendError(back)),
+            Ok(()) => return Ok(()),
+        }
+    }
+    tx.send(v)
+}
+
+impl Recorder {
+    #[inline]
+    fn record(&mut self, ev: SimEvent) {
+        if let Some(p) = &mut self.profiler {
+            p.record(&ev);
+        }
+        self.batch.push(ev);
+        if self.batch.len() == BATCH {
+            self.hand_off();
+        }
+    }
+
+    /// Pass the full batch on: to the sink thread, started if need be, or
+    /// — when the stack only copies events, or no thread can be started —
+    /// into the stack here.
+    #[cold]
+    #[inline(never)]
+    fn hand_off(&mut self) {
+        if let Some(stack) = self.stack.take_if(|stack| stack.folds()) {
+            match SinkThread::spawn(stack) {
+                Ok(worker) => self.worker = Some(worker),
+                Err(stack) => self.stack = Some(stack),
+            }
+        }
+        let Some(worker) = &self.worker else {
+            let stack = self.stack.as_mut().expect("the stack is here");
+            stack.fold(&self.batch);
+            return self.batch.clear();
+        };
+        let next = worker
+            .empty
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(BATCH));
+        let full = std::mem::replace(&mut self.batch, next);
+        if send_yielding(&worker.full, full).is_err() {
+            // The thread is gone: a sink panicked. Resume the panic here.
+            self.settle();
+        }
+    }
+
+    /// Fold every event recorded so far and bring the stack back to this
+    /// thread: the sink thread's batches first, then the partial one here.
+    /// A later full batch starts a new sink thread.
+    fn settle(&mut self) {
+        if let Some(worker) = self.worker.take() {
+            self.stack = Some(worker.join());
+        }
+        let stack = self.stack.as_mut().expect("the stack is here");
+        stack.fold(&self.batch);
+        self.batch.clear();
+    }
+}
+
+impl Drop for Recorder {
+    fn drop(&mut self) {
+        if let Some(worker) = self.worker.take() {
+            // Joined, not detached; a sink panic nobody read back still
+            // surfaces, unless this thread is already unwinding.
+            drop(worker.full);
+            if let Err(panic) = worker.thread.join() {
+                if !thread::panicking() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
+    }
 }
 
 impl ProbeHandle {
@@ -591,9 +813,15 @@ impl ProbeHandle {
     }
 
     /// A live handle recording into `stack`.
-    pub fn new(stack: ProbeStack) -> Self {
+    pub fn new(mut stack: ProbeStack) -> Self {
+        let recorder = Recorder {
+            profiler: stack.profiler.take(),
+            batch: Vec::with_capacity(BATCH),
+            stack: Some(Box::new(stack)),
+            worker: None,
+        };
         ProbeHandle {
-            inner: Some(Rc::new(RefCell::new(stack))),
+            inner: Some(Rc::new(RefCell::new(recorder))),
         }
     }
 
@@ -607,16 +835,25 @@ impl ProbeHandle {
     /// handle is enabled.
     #[inline]
     pub fn emit(&self, f: impl FnOnce() -> SimEvent) {
-        if let Some(stack) = &self.inner {
-            stack.borrow_mut().record(&f());
+        if let Some(recorder) = &self.inner {
+            recorder.borrow_mut().record(f());
         }
     }
 
-    /// Run `f` against the attached stack, if any. This is how results
-    /// are read back after a run (components keep their handle clones, so
-    /// the stack stays shared).
+    /// Run `f` against the attached stack, if any, once every event
+    /// recorded so far has been folded into it. This is how results are
+    /// read back, after a run or mid-run (components keep their handle
+    /// clones, so the stack stays shared), and the one point where the
+    /// simulation thread waits for the sink thread.
     pub fn with_stack<R>(&self, f: impl FnOnce(&mut ProbeStack) -> R) -> Option<R> {
-        self.inner.as_ref().map(|s| f(&mut s.borrow_mut()))
+        let mut recorder = self.inner.as_ref()?.borrow_mut();
+        let recorder = &mut *recorder;
+        recorder.settle();
+        let stack = recorder.stack.as_mut().expect("settled");
+        stack.profiler = recorder.profiler.take();
+        let r = f(stack);
+        recorder.profiler = stack.profiler.take();
+        Some(r)
     }
 
     /// An adapter implementing [`pearl::EngineProbe`] that forwards
@@ -674,8 +911,8 @@ impl ProbeHandle {
     /// merging per-shard buffers into the caller's stack).
     #[inline]
     pub fn replay(&self, ev: &SimEvent) {
-        if let Some(stack) = &self.inner {
-            stack.borrow_mut().record(ev);
+        if let Some(recorder) = &self.inner {
+            recorder.borrow_mut().record(*ev);
         }
     }
 }
@@ -799,6 +1036,87 @@ mod tests {
         assert!(out.contains("promotion"));
         assert!(out.contains("rebase"));
         assert!(!out.contains("far_drain"));
+    }
+
+    /// `n` link spans, back to back on one link, from `start_ps` on.
+    fn link_spans(start_ps: u64, n: u64) -> impl Iterator<Item = SimEvent> {
+        (0..n).map(move |i| SimEvent::LinkBusy {
+            node: (i % 3) as u32,
+            to: 3,
+            start_ps: start_ps + 10 * i,
+            end_ps: start_ps + 10 * i + 10,
+        })
+    }
+
+    fn has_sink_thread(h: &ProbeHandle) -> bool {
+        h.inner.as_ref().unwrap().borrow().worker.is_some()
+    }
+
+    #[test]
+    fn a_stack_can_move_to_the_sink_thread() {
+        fn assert_send<T: Send>() {}
+        assert_send::<ProbeStack>();
+    }
+
+    #[test]
+    fn batches_fold_the_stream_direct_recording_folds() {
+        let events: Vec<SimEvent> = link_spans(0, 3 * BATCH as u64 + 5).collect();
+        let mut direct = ProbeStack::new().with_metrics().with_jsonl().with_chrome();
+        events.iter().for_each(|ev| direct.record(ev));
+
+        let h = ProbeHandle::new(ProbeStack::new().with_metrics().with_jsonl().with_chrome());
+        for (i, ev) in events.iter().enumerate() {
+            h.replay(ev);
+            // Mid-run readers bring the stack back; the next full batch
+            // starts a new sink thread.
+            if i == BATCH + 7 {
+                assert!(has_sink_thread(&h));
+                assert_eq!(
+                    h.with_stack(|s| s.jsonl.as_ref().unwrap().len()),
+                    Some(i as u64 + 1)
+                );
+                assert!(!has_sink_thread(&h));
+            }
+        }
+        assert!(has_sink_thread(&h));
+        assert_eq!(
+            h.jsonl_output().unwrap(),
+            direct.jsonl.as_ref().unwrap().output()
+        );
+        assert_eq!(
+            h.chrome_trace_json().unwrap(),
+            direct.chrome.as_ref().unwrap().to_json()
+        );
+        assert_eq!(
+            h.metrics_report(0).unwrap().render(),
+            direct.metrics.as_ref().unwrap().report(0).render()
+        );
+    }
+
+    #[test]
+    fn copying_sinks_and_short_runs_start_no_thread() {
+        let buffered = ProbeHandle::new(ProbeStack::new().with_buffer().with_profiler(1e9));
+        link_spans(0, 3 * BATCH as u64).for_each(|ev| buffered.replay(&ev));
+        assert!(!has_sink_thread(&buffered));
+        assert_eq!(buffered.take_buffer().unwrap().len(), 3 * BATCH);
+        assert_eq!(buffered.host_profile().unwrap().events, 3 * BATCH as u64);
+
+        let short = ProbeHandle::new(ProbeStack::new().with_metrics());
+        link_spans(0, BATCH as u64 - 1).for_each(|ev| short.replay(&ev));
+        assert!(!has_sink_thread(&short));
+        short.replay(&link_spans(1 << 40, 1).next().unwrap());
+        assert!(has_sink_thread(&short));
+    }
+
+    #[test]
+    #[should_panic(expected = "overlapping busy intervals")]
+    fn a_sink_panic_resumes_on_the_recording_thread() {
+        let h = ProbeHandle::new(ProbeStack::new().with_metrics());
+        link_spans(0, BATCH as u64).for_each(|ev| h.replay(&ev));
+        assert!(has_sink_thread(&h));
+        // The same spans again overlap the first ones on the sink thread.
+        link_spans(0, BATCH as u64).for_each(|ev| h.replay(&ev));
+        h.metrics_report(0);
     }
 
     #[test]

@@ -8,12 +8,13 @@
 
 use crate::{AccessKind, ActKind, DropReason, HitWhere, Probe, SimEvent, TierMove};
 use mermaid_stats::{chart, Counters, Histogram, Table, Utilization};
-use std::collections::BTreeMap;
+use pearl::FastHashMap;
 
 /// What a counter counts. Recording touches counters by this `Copy` key,
-/// per node or run-wide; [`Key::name`] spells the registry name when a
-/// report is made, so no string is built or compared per event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// per node or run-wide, in a dense array slot ([`Key::slot`]);
+/// [`Key::name`] spells the registry name when a report is made, so no
+/// string is built or compared per event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Key {
     // Per node.
     ActivePs(ActKind),
@@ -28,6 +29,7 @@ enum Key {
     Access(AccessKind),
     Hit(HitWhere),
     Misses,
+    /// Cache level 1 or 2.
     Evict(u8),
     Writebacks,
     BusWaitPs,
@@ -36,7 +38,8 @@ enum Key {
     BytesSent,
     SyncSends,
     Messages,
-    LatencyPs(&'static str),
+    /// Indexes [`LATENCY_PARTS`].
+    LatencyPs(usize),
     LinkFault(bool),
     RouterFault(bool),
     Dropped(DropReason),
@@ -46,7 +49,109 @@ enum Key {
     NetReroutes,
 }
 
+/// The latency components of `MsgPath`, in its field order.
+const LATENCY_PARTS: [&str; 6] = ["overhead", "retry", "queue", "routing", "ser", "wire"];
+
+/// The per-node keys in slot order.
+const NODE_KEYS: [Key; 24] = {
+    use AccessKind as A;
+    use ActKind as K;
+    use HitWhere as H;
+    [
+        Key::ActivePs(K::Compute),
+        Key::ActivePs(K::SendBlock),
+        Key::ActivePs(K::RecvBlock),
+        Key::ActivePs(K::GetBlock),
+        Key::Sends,
+        Key::Recvs,
+        Key::PktsForwarded,
+        Key::PktsDelivered,
+        Key::PktsDropped,
+        Key::Retries,
+        Key::GaveUp,
+        Key::Reroutes,
+        Key::Access(A::IFetch),
+        Key::Access(A::Read),
+        Key::Access(A::Write),
+        Key::Hit(H::L1),
+        Key::Hit(H::L2),
+        Key::Hit(H::CacheToCache),
+        Key::Hit(H::Dram),
+        Key::Misses,
+        Key::Evict(1),
+        Key::Evict(2),
+        Key::Writebacks,
+        Key::BusWaitPs,
+    ]
+};
+
+/// The run-wide keys in slot order.
+const RUN_KEYS: [Key; 24] = {
+    use DropReason as D;
+    use TierMove as T;
+    [
+        Key::Tier(T::Promotion),
+        Key::Tier(T::Rebase),
+        Key::Tier(T::FarDrain),
+        Key::BytesSent,
+        Key::SyncSends,
+        Key::Messages,
+        Key::LatencyPs(0),
+        Key::LatencyPs(1),
+        Key::LatencyPs(2),
+        Key::LatencyPs(3),
+        Key::LatencyPs(4),
+        Key::LatencyPs(5),
+        Key::LinkFault(false),
+        Key::LinkFault(true),
+        Key::RouterFault(false),
+        Key::RouterFault(true),
+        Key::Dropped(D::LinkDown),
+        Key::Dropped(D::RouterDown),
+        Key::Dropped(D::Corrupt),
+        Key::Dropped(D::Transient),
+        Key::Corrupted,
+        Key::NetRetries,
+        Key::MsgsFailed,
+        Key::NetReroutes,
+    ]
+};
+
 impl Key {
+    /// The key's index in [`NODE_KEYS`] or [`RUN_KEYS`].
+    fn slot(self) -> usize {
+        match self {
+            Key::ActivePs(kind) => kind as usize,
+            Key::Sends => 4,
+            Key::Recvs => 5,
+            Key::PktsForwarded => 6,
+            Key::PktsDelivered => 7,
+            Key::PktsDropped => 8,
+            Key::Retries => 9,
+            Key::GaveUp => 10,
+            Key::Reroutes => 11,
+            Key::Access(kind) => 12 + kind as usize,
+            Key::Hit(hit) => 15 + hit as usize,
+            Key::Misses => 19,
+            Key::Evict(level @ (1 | 2)) => 19 + level as usize,
+            Key::Evict(level) => panic!("cache level {level}: evictions are counted for L1 and L2"),
+            Key::Writebacks => 22,
+            Key::BusWaitPs => 23,
+            Key::Tier(kind) => kind as usize,
+            Key::BytesSent => 3,
+            Key::SyncSends => 4,
+            Key::Messages => 5,
+            Key::LatencyPs(part) => 6 + part,
+            Key::LinkFault(up) => 12 + up as usize,
+            Key::RouterFault(up) => 14 + up as usize,
+            Key::Dropped(reason) => 16 + reason as usize,
+            Key::Corrupted => 20,
+            Key::NetRetries => 21,
+            Key::MsgsFailed => 22,
+            Key::NetReroutes => 23,
+        }
+    }
+
     /// The counter's registry name; run-wide keys ignore `node`.
     fn name(self, node: usize) -> String {
         let up_down = |up| if up { "up" } else { "down" };
@@ -70,7 +175,7 @@ impl Key {
             Key::BytesSent => "net/bytes_sent".into(),
             Key::SyncSends => "net/sync_sends".into(),
             Key::Messages => "net/messages".into(),
-            Key::LatencyPs(part) => format!("lat/{part}_ps"),
+            Key::LatencyPs(part) => format!("lat/{}_ps", LATENCY_PARTS[part]),
             Key::LinkFault(up) => format!("fault/link_{}", up_down(up)),
             Key::RouterFault(up) => format!("fault/router_{}", up_down(up)),
             Key::Dropped(reason) => format!("net/dropped_{}", reason.label()),
@@ -82,16 +187,46 @@ impl Key {
     }
 }
 
+/// One counter per key of a key list, indexed by [`Key::slot`], plus
+/// which of them an event has touched (a touched counter is reported even
+/// when it holds zero).
+#[derive(Clone, Copy)]
+struct Slots {
+    counts: [u64; 24],
+    touched: u32,
+}
+
+impl Slots {
+    const EMPTY: Slots = Slots {
+        counts: [0; 24],
+        touched: 0,
+    };
+
+    fn add(&mut self, key: Key, n: u64) {
+        let slot = key.slot();
+        self.counts[slot] += n;
+        self.touched |= 1 << slot;
+    }
+
+    /// The touched counters of `keys` (the list the slots index).
+    fn iter<'a>(&'a self, keys: &'a [Key; 24]) -> impl Iterator<Item = (Key, u64)> + 'a {
+        (0..keys.len())
+            .filter(|&i| self.touched & (1 << i) != 0)
+            .map(|i| (keys[i], self.counts[i]))
+    }
+}
+
 /// Folds [`SimEvent`]s into per-component statistics.
 pub struct MetricsAggregator {
     /// Per-node counters, indexed by node (the models number nodes
     /// densely from zero).
-    per_node: Vec<BTreeMap<Key, u64>>,
+    per_node: Vec<Slots>,
     /// Run-wide counters (`engine/deliveries` is `deliveries`).
-    run_wide: BTreeMap<Key, u64>,
+    run_wide: Slots,
     msg_latency_ps: Histogram,
-    link_util: BTreeMap<(u32, u32), Utilization>,
-    bus_util: BTreeMap<u32, Utilization>,
+    /// Occupancy per link and bus, in no order until report time.
+    link_util: FastHashMap<(u32, u32), Utilization>,
+    bus_util: FastHashMap<u32, Utilization>,
     deliveries: u64,
     last_tier: [u64; 3],
     finish_ps: u64,
@@ -108,10 +243,10 @@ impl MetricsAggregator {
     pub fn new() -> Self {
         MetricsAggregator {
             per_node: Vec::new(),
-            run_wide: BTreeMap::new(),
+            run_wide: Slots::EMPTY,
             msg_latency_ps: Histogram::log2(),
-            link_util: BTreeMap::new(),
-            bus_util: BTreeMap::new(),
+            link_util: FastHashMap::default(),
+            bus_util: FastHashMap::default(),
             deliveries: 0,
             last_tier: [0; 3],
             finish_ps: 0,
@@ -126,11 +261,11 @@ impl MetricsAggregator {
         if self.deliveries > 0 {
             counters.add("engine/deliveries", self.deliveries);
         }
-        for (&key, &n) in &self.run_wide {
+        for (key, n) in self.run_wide.iter(&RUN_KEYS) {
             counters.add(&key.name(0), n);
         }
-        for (node, keys) in self.per_node.iter().enumerate() {
-            for (&key, &n) in keys {
+        for (node, slots) in self.per_node.iter().enumerate() {
+            for (key, n) in slots.iter(&NODE_KEYS) {
                 counters.add(&key.name(node), n);
             }
         }
@@ -138,15 +273,15 @@ impl MetricsAggregator {
     }
 
     fn add(&mut self, key: Key, n: u64) {
-        *self.run_wide.entry(key).or_default() += n;
+        self.run_wide.add(key, n);
     }
 
     fn add_at(&mut self, node: u32, key: Key, n: u64) {
         let node = node as usize;
         if node >= self.per_node.len() {
-            self.per_node.resize_with(node + 1, BTreeMap::new);
+            self.per_node.resize(node + 1, Slots::EMPTY);
         }
-        *self.per_node[node].entry(key).or_default() += n;
+        self.per_node[node].add(key, n);
     }
 
     /// Message end-to-end latency distribution (picoseconds).
@@ -157,14 +292,6 @@ impl MetricsAggregator {
     /// Latest virtual time seen in any event.
     pub fn finish_ps(&self) -> u64 {
         self.finish_ps
-    }
-
-    fn tier_index(kind: TierMove) -> usize {
-        match kind {
-            TierMove::Promotion => 0,
-            TierMove::Rebase => 1,
-            TierMove::FarDrain => 2,
-        }
     }
 
     /// Render the report. `horizon_ps` bounds utilisation fractions; pass
@@ -196,21 +323,23 @@ impl MetricsAggregator {
 
         let mut links = Table::new(["resource", "busy (ps)", "intervals", "util %"])
             .with_title("Link / bus occupancy");
-        for (&(node, to), u) in &self.link_util {
+        let mut row = |name: String, u: &Utilization| {
             links.row([
-                format!("link {node}->{to}"),
+                name,
                 u.busy_ps().to_string(),
                 u.intervals().to_string(),
                 format!("{:.1}", 100.0 * u.fraction(horizon)),
             ]);
+        };
+        let mut link_util: Vec<_> = self.link_util.iter().collect();
+        link_util.sort_unstable_by_key(|&(&link, _)| link);
+        for (&(node, to), u) in link_util {
+            row(format!("link {node}->{to}"), u);
         }
-        for (&node, u) in &self.bus_util {
-            links.row([
-                format!("bus {node}"),
-                u.busy_ps().to_string(),
-                u.intervals().to_string(),
-                format!("{:.1}", 100.0 * u.fraction(horizon)),
-            ]);
+        let mut bus_util: Vec<_> = self.bus_util.iter().collect();
+        bus_util.sort_unstable_by_key(|&(&node, _)| node);
+        for (&node, u) in bus_util {
+            row(format!("bus {node}"), u);
         }
 
         MetricsReport {
@@ -232,7 +361,7 @@ impl Probe for MetricsAggregator {
         match *ev {
             SimEvent::EngineDelivery { .. } => self.deliveries += 1,
             SimEvent::QueueTier { kind, total, .. } => {
-                let i = Self::tier_index(kind);
+                let i = kind as usize;
                 let delta = total.saturating_sub(self.last_tier[i]);
                 self.last_tier[i] = total;
                 self.add(Key::Tier(kind), delta);
@@ -271,12 +400,10 @@ impl Probe for MetricsAggregator {
                 wire_ps,
                 ..
             } => {
-                self.add(Key::LatencyPs("overhead"), overhead_ps);
-                self.add(Key::LatencyPs("retry"), retry_ps);
-                self.add(Key::LatencyPs("queue"), queue_ps);
-                self.add(Key::LatencyPs("routing"), routing_ps);
-                self.add(Key::LatencyPs("ser"), ser_ps);
-                self.add(Key::LatencyPs("wire"), wire_ps);
+                let parts = [overhead_ps, retry_ps, queue_ps, routing_ps, ser_ps, wire_ps];
+                for (part, ps) in parts.into_iter().enumerate() {
+                    self.add(Key::LatencyPs(part), ps);
+                }
             }
             SimEvent::LinkBusy {
                 node,
@@ -458,6 +585,15 @@ mod tests {
         assert!(csv.starts_with("counter,value\n"));
         assert!(csv.contains("node0/sends,1"));
         assert!(csv.contains("engine/deliveries,1"));
+    }
+
+    #[test]
+    fn key_slots_index_the_key_lists() {
+        for keys in [&NODE_KEYS, &RUN_KEYS] {
+            for (i, key) in keys.iter().enumerate() {
+                assert_eq!(key.slot(), i, "{key:?}");
+            }
+        }
     }
 
     #[test]

@@ -11,31 +11,33 @@
 
 use crate::{Probe, SimEvent};
 use mermaid_stats::{Histogram, Table};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Which subsystem an event came from (profile attribution key).
-fn category(ev: &SimEvent) -> &'static str {
+/// The subsystems events are attributed to, in report order.
+const CATEGORIES: [&str; 5] = ["engine", "fault", "memory", "network", "queue"];
+
+/// Which subsystem an event came from: its index in [`CATEGORIES`].
+fn category(ev: &SimEvent) -> usize {
     match ev {
-        SimEvent::EngineDelivery { .. } => "engine",
-        SimEvent::QueueTier { .. } => "queue",
+        SimEvent::EngineDelivery { .. } => 0,
+        SimEvent::QueueTier { .. } => 4,
         SimEvent::Activation { .. }
         | SimEvent::MsgSend { .. }
         | SimEvent::MsgDeliver { .. }
         | SimEvent::MsgPath { .. }
         | SimEvent::LinkBusy { .. }
         | SimEvent::PacketForward { .. }
-        | SimEvent::PacketDeliver { .. } => "network",
+        | SimEvent::PacketDeliver { .. } => 3,
         SimEvent::CacheAccess { .. }
         | SimEvent::CacheEvict { .. }
-        | SimEvent::BusTransaction { .. } => "memory",
+        | SimEvent::BusTransaction { .. } => 2,
         SimEvent::LinkFault { .. }
         | SimEvent::RouterFault { .. }
         | SimEvent::PacketDropped { .. }
         | SimEvent::PacketCorrupted { .. }
         | SimEvent::MsgRetry { .. }
         | SimEvent::MsgGaveUp { .. }
-        | SimEvent::Reroute { .. } => "fault",
+        | SimEvent::Reroute { .. } => 1,
     }
 }
 
@@ -52,7 +54,7 @@ pub struct SelfProfiler {
     /// the event stream, not whatever its owner did before (trace
     /// generation) or after (rendering and writing artefacts).
     span: Option<(Instant, Instant)>,
-    per_cat: BTreeMap<&'static str, CatStats>,
+    per_cat: [CatStats; CATEGORIES.len()],
     event_host_ns: Histogram,
     events: u64,
     max_ts_ps: u64,
@@ -64,7 +66,7 @@ impl SelfProfiler {
         SelfProfiler {
             host_hz,
             span: None,
-            per_cat: BTreeMap::new(),
+            per_cat: Default::default(),
             event_host_ns: Histogram::log2(),
             events: 0,
             max_ts_ps: 0,
@@ -101,10 +103,11 @@ impl SelfProfiler {
             host_cycles_per_event,
             sim_ps: self.max_ts_ps,
             slowdown,
-            per_category: self
-                .per_cat
-                .iter()
-                .map(|(&k, v)| (k, v.events, v.host_ns))
+            per_category: CATEGORIES
+                .into_iter()
+                .zip(&self.per_cat)
+                .filter(|(_, v)| v.events > 0)
+                .map(|(k, v)| (k, v.events, v.host_ns))
                 .collect(),
             event_host_ns: self.event_host_ns.clone(),
         }
@@ -120,7 +123,7 @@ impl Probe for SelfProfiler {
         self.events += 1;
         self.max_ts_ps = self.max_ts_ps.max(ev.ts_ps());
         self.event_host_ns.record(gap_ns);
-        let cat = self.per_cat.entry(category(ev)).or_default();
+        let cat = &mut self.per_cat[category(ev)];
         cat.events += 1;
         cat.host_ns += gap_ns;
     }

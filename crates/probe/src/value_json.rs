@@ -9,7 +9,7 @@
 
 use crate::{AccessKind, ActKind, DropReason, HitWhere, TierMove};
 use serde::{Deserialize, Error, Serialize, Value};
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Identity wrapper: serialises a pre-built [`Value`] tree as-is and
 /// deserialises arbitrary JSON into one.
@@ -44,15 +44,16 @@ pub(crate) fn s(text: &str) -> Value {
 /// emits for it: `{n}` for integers, `{x:?}` (shortest round-trip, always
 /// with a `.` or exponent) for floats. Strings are written unescaped —
 /// every key, label and formatted name in this crate is plain ASCII
-/// without quotes, backslashes or control characters.
+/// without quotes, backslashes or control characters — so the output is
+/// UTF-8 although it is written as bytes.
 pub(crate) trait JsonVal {
-    fn write_json(self, out: &mut String);
+    fn write_json(self, out: &mut Vec<u8>);
 }
 
 /// Append `n` in decimal, zero-padded to `min_width >= 1` digits — what
 /// `{n}` prints, at a fraction of `fmt`'s cost (most of a rendered event
 /// is integers).
-fn push_digits(out: &mut String, mut n: u64, min_width: usize) {
+fn push_digits(out: &mut Vec<u8>, mut n: u64, min_width: usize) {
     let mut digits = [b'0'; 20];
     let mut i = digits.len();
     while n > 0 || digits.len() - i < min_width {
@@ -60,13 +61,13 @@ fn push_digits(out: &mut String, mut n: u64, min_width: usize) {
         digits[i] += (n % 10) as u8;
         n /= 10;
     }
-    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+    out.extend_from_slice(&digits[i..]);
 }
 
 macro_rules! json_unsigned {
     ($($t:ty),*) => {$(
         impl JsonVal for $t {
-            fn write_json(self, out: &mut String) {
+            fn write_json(self, out: &mut Vec<u8>) {
                 push_digits(out, self as u64, 1);
             }
         }
@@ -80,7 +81,7 @@ json_unsigned!(u8, u32, u64, usize);
 pub(crate) struct Micros(pub u64);
 
 impl JsonVal for Micros {
-    fn write_json(self, out: &mut String) {
+    fn write_json(self, out: &mut Vec<u8>) {
         let Micros(ps) = self;
         // `{x:?}` prints the shortest decimal that parses back to `x`, in
         // exponent form below 1e-4. From there up to 10^15 ps the exact
@@ -91,7 +92,7 @@ impl JsonVal for Micros {
             return (ps as f64 / 1e6).write_json(out);
         }
         push_digits(out, ps / 1_000_000, 1);
-        out.push('.');
+        out.push(b'.');
         let (mut frac, mut width) = (ps % 1_000_000, 6);
         while width > 1 && frac % 10 == 0 {
             frac /= 10;
@@ -102,47 +103,49 @@ impl JsonVal for Micros {
 }
 
 impl JsonVal for bool {
-    fn write_json(self, out: &mut String) {
-        out.push_str(if self { "true" } else { "false" });
+    fn write_json(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(if self { b"true" } else { b"false" });
     }
 }
 
 impl JsonVal for f64 {
-    fn write_json(self, out: &mut String) {
+    fn write_json(self, out: &mut Vec<u8>) {
         debug_assert!(self.is_finite(), "JSON has no non-finite numbers");
-        write!(out, "{self:?}").expect("writing to a String cannot fail");
+        write!(out, "{self:?}").expect("writing to a Vec cannot fail");
     }
 }
 
 /// True when `s` is its own JSON string body (nothing to escape).
-fn is_plain(s: &str) -> bool {
-    !s.contains(|c: char| c == '"' || c == '\\' || c < ' ')
+fn is_plain(s: &[u8]) -> bool {
+    !s.iter().any(|&c| c == b'"' || c == b'\\' || c < b' ')
 }
 
 impl JsonVal for &str {
-    fn write_json(self, out: &mut String) {
-        debug_assert!(is_plain(self), "JSON string would need escaping: {self}");
-        out.push('"');
-        out.push_str(self);
-        out.push('"');
+    fn write_json(self, out: &mut Vec<u8>) {
+        debug_assert!(
+            is_plain(self.as_bytes()),
+            "JSON string would need escaping: {self}"
+        );
+        out.push(b'"');
+        out.extend_from_slice(self.as_bytes());
+        out.push(b'"');
     }
 }
 
 impl JsonVal for std::fmt::Arguments<'_> {
-    fn write_json(self, out: &mut String) {
-        out.push('"');
+    fn write_json(self, out: &mut Vec<u8>) {
+        out.push(b'"');
         let start = out.len();
-        out.write_fmt(self)
-            .expect("writing to a String cannot fail");
+        out.write_fmt(self).expect("writing to a Vec cannot fail");
         debug_assert!(is_plain(&out[start..]), "JSON string would need escaping");
-        out.push('"');
+        out.push(b'"');
     }
 }
 
 macro_rules! json_label {
     ($($t:ty),*) => {$(
         impl JsonVal for $t {
-            fn write_json(self, out: &mut String) {
+            fn write_json(self, out: &mut Vec<u8>) {
                 self.label().write_json(out);
             }
         }
@@ -150,28 +153,32 @@ macro_rules! json_label {
 }
 json_label!(ActKind, AccessKind, HitWhere, DropReason, TierMove);
 
-/// Streams one JSON object, `{"k":v,...}`, into a `String` without
+/// Streams one JSON object, `{"k":v,...}`, into a byte buffer without
 /// building a tree. [`JsonObj::end`] closes it.
 pub(crate) struct JsonObj<'a> {
-    out: &'a mut String,
-    sep: char,
+    out: &'a mut Vec<u8>,
+    sep: u8,
     depth: usize,
 }
 
 impl<'a> JsonObj<'a> {
-    pub(crate) fn new(out: &'a mut String) -> Self {
+    pub(crate) fn new(out: &'a mut Vec<u8>) -> Self {
         JsonObj {
             out,
-            sep: '{',
+            sep: b'{',
             depth: 1,
         }
     }
 
     fn key(&mut self, key: &str) {
-        self.out.push(self.sep);
-        self.sep = ',';
-        key.write_json(self.out);
-        self.out.push(':');
+        debug_assert!(
+            is_plain(key.as_bytes()),
+            "JSON key would need escaping: {key}"
+        );
+        self.out.extend_from_slice(&[self.sep, b'"']);
+        self.sep = b',';
+        self.out.extend_from_slice(key.as_bytes());
+        self.out.extend_from_slice(b"\":");
     }
 
     pub(crate) fn field(&mut self, key: &str, v: impl JsonVal) {
@@ -183,15 +190,15 @@ impl<'a> JsonObj<'a> {
     /// field goes into it, and `end` closes it along with its parents.
     pub(crate) fn descend(&mut self, key: &str) {
         self.key(key);
-        self.sep = '{';
+        self.sep = b'{';
         self.depth += 1;
     }
 
     pub(crate) fn end(self) {
-        if self.sep == '{' {
-            self.out.push('{');
+        if self.sep == b'{' {
+            self.out.push(b'{');
         }
-        (0..self.depth).for_each(|_| self.out.push('}'));
+        self.out.resize(self.out.len() + self.depth, b'}');
     }
 }
 
@@ -227,21 +234,22 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             cases.push(x >> (i % 64));
         }
+        let mut got = Vec::new();
         for ps in cases {
-            let mut got = String::new();
+            got.clear();
             Micros(ps).write_json(&mut got);
-            assert_eq!(got, format!("{:?}", ps as f64 / 1e6), "{ps} ps");
+            assert_eq!(got, format!("{:?}", ps as f64 / 1e6).as_bytes(), "{ps} ps");
         }
     }
 
     #[test]
     fn objects_nest_and_close() {
-        let mut out = String::new();
+        let mut out = Vec::new();
         let mut o = JsonObj::new(&mut out);
         o.field("a", 7u32);
         o.field("b", format_args!("x{}", 1));
         o.descend("c");
         o.end();
-        assert_eq!(out, r#"{"a":7,"b":"x1","c":{}}"#);
+        assert_eq!(out, br#"{"a":7,"b":"x1","c":{}}"#);
     }
 }

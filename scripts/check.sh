@@ -16,6 +16,14 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> probe: the multi-batch golden holds with both threads on one core"
+# The simulation thread hands full event batches to a sink thread; pinned
+# to one core the two interleave their hand-offs differently, and every
+# probe artefact must still be byte-identical.
+if command -v taskset > /dev/null; then
+    taskset -c 0 cargo test -q --test tooling_end_to_end multi_batch
+fi
+
 echo "==> member crates: unit and integration tests of every library crate"
 # `cargo test` above tests only the root package; the event queue's own
 # determinism oracle (pearl/tests/queue_order.rs), the network unit tests,
