@@ -28,30 +28,35 @@
 //! # Record, then render
 //!
 //! The simulation thread only records. A live [`ProbeHandle`] appends
-//! each [`SimEvent`] (`Copy`, fixed-width) to a batch of 1,024; a full
-//! batch goes over a bounded channel to one sink thread, which owns the
+//! each [`SimEvent`] (`Copy`, fixed-width) to a batch of 1,024. When the
+//! stack renders text (a Chrome or JSONL sink is attached), a full batch
+//! goes over a bounded channel to one sink thread, which owns the
 //! [`ProbeStack`], folds the batch into every sink in emission order and
-//! sends the emptied batch back for reuse. A thread that finds the channel
-//! empty (the sink thread) or full (the simulation thread) yields a while
-//! before it parks: waking a parked thread costs more than a batch. The thread starts at the first
-//! full batch, so a run shorter than one batch never starts it, and a
-//! stack that only copies events (the [`EventBuffer`] of a sharded run's
-//! shards) never does. [`ProbeHandle::with_stack`] is the one point where
-//! the two threads meet: it joins the sink thread once the batches sent
-//! are folded, folds the partial batch itself and runs its closure on
-//! the stack; a later full batch starts a new thread. A panic in a sink resumes on the simulation thread there
-//! (or at the next hand-off). The [`SelfProfiler`] times the simulation
-//! thread, so it records there, outside the stack.
+//! sends the emptied batch back for reuse. The thread starts at the first
+//! full batch, so a run shorter than one batch never starts one; a stack
+//! that only counts or copies events (metrics, attribution, the
+//! [`EventBuffer`] of a sharded run's shards) folds each full batch on the
+//! recording thread, which costs less than handing it over. A thread that
+//! finds the channel empty (the sink thread) or full (the simulation
+//! thread) yields for up to 2 ms before it parks: waking a parked thread
+//! costs more than a batch.
 //!
-//! On the sink thread, folds are cheap and renders are streams. The
-//! metrics aggregator bumps dense counter arrays keyed by `Copy` enums;
-//! the Chrome sink renders each event it shows as it records it, through
-//! one byte-level JSON writer, into memory or — for `--trace-out` —
-//! straight into the file in 64 KB chunks, so no copy of the trace's
-//! events is kept. The JSONL sink uses the same writer per event; no
-//! `serde::Value` tree is built on a record or render path. Because every
-//! sink folds the same ordered stream it folded when it ran on the
-//! simulation thread, every output byte is the same.
+//! [`ProbeHandle::with_stack`] is the one point where the two threads
+//! meet: it joins the sink thread once the batches sent are folded, folds
+//! the partial batch itself and runs its closure on the stack; a later
+//! full batch starts a new thread. A panic in a sink resumes on the
+//! simulation thread there (or at the next hand-off). The
+//! [`SelfProfiler`] times the simulation thread, so it records there,
+//! outside the stack.
+//!
+//! Folds are cheap and renders are streams. The metrics aggregator bumps
+//! dense counter arrays keyed by `Copy` enums; the Chrome sink renders
+//! each event it shows as it records it, through one byte-level JSON
+//! writer, into memory or — for `--trace-out` — straight into the file in
+//! 64 KB chunks, so no copy of the trace's events is kept. The JSONL sink
+//! uses the same writer per event; no `serde::Value` tree is built on a
+//! record or render path. Every sink folds the same ordered stream on
+//! whichever thread it runs, so every output byte is the same.
 //!
 //! # Determinism under observation
 //!
@@ -83,6 +88,7 @@ use std::sync::mpsc::{
     self, Receiver, RecvError, SendError, SyncSender, TryRecvError, TrySendError,
 };
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 /// What an abstract processor was doing over a virtual-time span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -510,7 +516,7 @@ pub fn canonical_sort(events: &mut [SimEvent]) {
 ///
 /// Concrete optional slots (rather than `Vec<Box<dyn Probe>>`) so results
 /// can be read back without downcasting after the run. A stack is `Send`:
-/// a [`ProbeHandle`] folds it on a sink thread of its own.
+/// a [`ProbeHandle`] folds one that renders text on a sink thread.
 #[derive(Default)]
 pub struct ProbeStack {
     /// Metrics aggregation for the post-mortem report.
@@ -578,13 +584,13 @@ impl ProbeStack {
         self
     }
 
-    /// True when a sink that does more than copy events is attached: only
-    /// then is a sink thread worth starting.
-    fn folds(&self) -> bool {
-        self.metrics.is_some()
-            || self.chrome.is_some()
-            || self.jsonl.is_some()
-            || self.attribution.is_some()
+    /// True when a sink that renders text per event (Chrome, JSONL) is
+    /// attached: only then does a sink thread pay for its hand-offs. The
+    /// counter folds of the metrics and attribution sinks, like the event
+    /// buffer's copy, cost about what handing their batches over would,
+    /// and a campaign's many short runs measured slower with the thread.
+    fn renders(&self) -> bool {
+        self.chrome.is_some() || self.jsonl.is_some()
     }
 
     /// Record `events`, in order, into every attached sink — one sink at
@@ -629,9 +635,9 @@ const BATCH: usize = 1024;
 ///
 /// A disabled handle is `None` inside, so the per-emission cost of an
 /// untraced run is a single branch and the event closure is never
-/// evaluated. A live one appends each event to a batch; a full batch goes
-/// to a sink thread that owns the stack and folds it (see the crate docs,
-/// "Record, then render"). The handle itself is `Rc` (not `Arc`):
+/// evaluated. A live one appends each event to a batch and folds full
+/// batches into the stack, on a sink thread when the stack renders text
+/// (see the crate docs, "Record, then render"). The handle itself is `Rc` (not `Arc`):
 /// simulations are single-threaded objects — `parallel_sweep` builds each
 /// sim inside its worker thread and never moves one across threads — and
 /// only the stack crosses to the sink thread.
@@ -704,38 +710,41 @@ impl SinkThread {
     }
 }
 
-/// How often a thread waiting on the other end of the batch channel
-/// yields before it parks. Waking a thread parked on another core takes
-/// longer than filling or folding a batch — on a 2-vCPU VM it doubled an
-/// all-sinks call (EXPERIMENTS.md P2) — and yielding rather than spinning
-/// lets the two threads take turns on a one-core host.
-const YIELDS_BEFORE_PARKING: u32 = 500;
+/// How long a thread waiting on the other end of the batch channel keeps
+/// yielding before it parks. A batch takes well under a millisecond to
+/// fill or fold, and waking a thread parked on another core takes longer
+/// than that — on a 2-vCPU VM it doubled an all-sinks call (EXPERIMENTS.md
+/// P2). Yielding rather than spinning lets the two threads take turns on
+/// a one-core host.
+const PATIENCE: Duration = Duration::from_millis(2);
 
-/// `rx.recv()`, yielding before it parks.
+/// `rx.recv()`, yielding for up to [`PATIENCE`] before it parks.
 fn recv_yielding<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
-    for _ in 0..YIELDS_BEFORE_PARKING {
+    let start = Instant::now();
+    loop {
         match rx.try_recv() {
-            Err(TryRecvError::Empty) => thread::yield_now(),
+            Err(TryRecvError::Empty) if start.elapsed() < PATIENCE => thread::yield_now(),
+            Err(TryRecvError::Empty) => return rx.recv(),
             Err(TryRecvError::Disconnected) => return Err(RecvError),
             Ok(v) => return Ok(v),
         }
     }
-    rx.recv()
 }
 
-/// `tx.send(v)`, yielding before it parks.
+/// `tx.send(v)`, yielding for up to [`PATIENCE`] before it parks.
 fn send_yielding<T>(tx: &SyncSender<T>, mut v: T) -> Result<(), SendError<T>> {
-    for _ in 0..YIELDS_BEFORE_PARKING {
+    let start = Instant::now();
+    loop {
         match tx.try_send(v) {
-            Err(TrySendError::Full(back)) => {
+            Err(TrySendError::Full(back)) if start.elapsed() < PATIENCE => {
                 v = back;
                 thread::yield_now();
             }
+            Err(TrySendError::Full(back)) => return tx.send(back),
             Err(TrySendError::Disconnected(back)) => return Err(SendError(back)),
             Ok(()) => return Ok(()),
         }
     }
-    tx.send(v)
 }
 
 impl Recorder {
@@ -751,12 +760,12 @@ impl Recorder {
     }
 
     /// Pass the full batch on: to the sink thread, started if need be, or
-    /// — when the stack only copies events, or no thread can be started —
+    /// — when the stack renders nothing, or no thread can be started —
     /// into the stack here.
     #[cold]
     #[inline(never)]
     fn hand_off(&mut self) {
-        if let Some(stack) = self.stack.take_if(|stack| stack.folds()) {
+        if let Some(stack) = self.stack.take_if(|stack| stack.renders()) {
             match SinkThread::spawn(stack) {
                 Ok(worker) => self.worker = Some(worker),
                 Err(stack) => self.stack = Some(stack),
@@ -1094,14 +1103,18 @@ mod tests {
     }
 
     #[test]
-    fn copying_sinks_and_short_runs_start_no_thread() {
+    fn short_runs_and_stacks_that_render_nothing_start_no_thread() {
         let buffered = ProbeHandle::new(ProbeStack::new().with_buffer().with_profiler(1e9));
         link_spans(0, 3 * BATCH as u64).for_each(|ev| buffered.replay(&ev));
         assert!(!has_sink_thread(&buffered));
         assert_eq!(buffered.take_buffer().unwrap().len(), 3 * BATCH);
         assert_eq!(buffered.host_profile().unwrap().events, 3 * BATCH as u64);
 
-        let short = ProbeHandle::new(ProbeStack::new().with_metrics());
+        let counted = ProbeHandle::new(ProbeStack::new().with_metrics().with_attribution());
+        link_spans(0, 3 * BATCH as u64).for_each(|ev| counted.replay(&ev));
+        assert!(!has_sink_thread(&counted));
+
+        let short = ProbeHandle::new(ProbeStack::new().with_jsonl());
         link_spans(0, BATCH as u64 - 1).for_each(|ev| short.replay(&ev));
         assert!(!has_sink_thread(&short));
         short.replay(&link_spans(1 << 40, 1).next().unwrap());
@@ -1111,7 +1124,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "overlapping busy intervals")]
     fn a_sink_panic_resumes_on_the_recording_thread() {
-        let h = ProbeHandle::new(ProbeStack::new().with_metrics());
+        let h = ProbeHandle::new(ProbeStack::new().with_metrics().with_jsonl());
         link_spans(0, BATCH as u64).for_each(|ev| h.replay(&ev));
         assert!(has_sink_thread(&h));
         // The same spans again overlap the first ones on the sink thread.

@@ -570,9 +570,12 @@ fn a_multi_batch_run_matches_its_goldens_and_restores_its_attribution() {
     );
 
     // Captures every 20 µs of a 118 µs run fall between batches, with
-    // the sinks mid-stream.
+    // the sinks mid-stream on their thread (the trace makes the stack
+    // render text, so it has one).
     let checkpointed = path("checkpointed.json");
     mermaid::cli::run(&multibatch_args(&[
+        "--trace-out",
+        &path("checkpointed-trace.json"),
         "--attribution",
         &checkpointed,
         "--checkpoint-every",
@@ -585,6 +588,10 @@ fn a_multi_batch_run_matches_its_goldens_and_restores_its_attribution() {
         std::fs::read_to_string(&checkpointed).unwrap(),
         straight,
         "checkpointing changed attribution.json"
+    );
+    assert!(
+        std::fs::read(path("checkpointed-trace.json")).unwrap() == trace_bytes,
+        "checkpointing changed the trace"
     );
     let mut snaps: Vec<_> = std::fs::read_dir(dir.join("ckpt"))
         .unwrap()
