@@ -595,7 +595,7 @@ impl ProbeStack {
 
     /// Record `events`, in order, into every attached sink — one sink at
     /// a time, which each sink cannot tell from one event at a time.
-    pub fn fold(&mut self, events: &[SimEvent]) {
+    fn fold(&mut self, events: &[SimEvent]) {
         fn each(sink: &mut impl Probe, events: &[SimEvent]) {
             events.iter().for_each(|ev| sink.record(ev));
         }
@@ -637,10 +637,11 @@ const BATCH: usize = 1024;
 /// untraced run is a single branch and the event closure is never
 /// evaluated. A live one appends each event to a batch and folds full
 /// batches into the stack, on a sink thread when the stack renders text
-/// (see the crate docs, "Record, then render"). The handle itself is `Rc` (not `Arc`):
-/// simulations are single-threaded objects — `parallel_sweep` builds each
-/// sim inside its worker thread and never moves one across threads — and
-/// only the stack crosses to the sink thread.
+/// (see the crate docs, "Record, then render"). The handle itself is
+/// `Rc` (not `Arc`): simulations are single-threaded objects —
+/// `parallel_sweep` builds each sim inside its worker thread and never
+/// moves one across threads — and only the stack crosses to the sink
+/// thread.
 #[derive(Clone, Default)]
 pub struct ProbeHandle {
     inner: Option<Rc<RefCell<Recorder>>>,
@@ -802,15 +803,11 @@ impl Recorder {
 
 impl Drop for Recorder {
     fn drop(&mut self) {
+        // Joined, not detached. A sink panic that no `with_stack` read back
+        // was printed on the sink thread and is not raised again here.
         if let Some(worker) = self.worker.take() {
-            // Joined, not detached; a sink panic nobody read back still
-            // surfaces, unless this thread is already unwinding.
             drop(worker.full);
-            if let Err(panic) = worker.thread.join() {
-                if !thread::panicking() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
+            let _ = worker.thread.join();
         }
     }
 }
