@@ -632,12 +632,12 @@ fn execute(
         probe: probe.clone(),
         shards: cfg.shards,
         faults: resolved.faults.clone(),
-        restore_from: restored.as_ref(),
+        restore_from: restored,
         checkpoint: checkpoint.as_ref(),
         progress: None,
     };
     let outcome = resolved
-        .run(&opts, busy)
+        .run(opts, busy)
         .map_err(|e| in_run(e.to_string()))?;
     if let Some(plan) = ckpt.filter(|plan| !plan.keep) {
         // The run completed; its rolling checkpoint is spent.

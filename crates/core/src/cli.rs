@@ -523,20 +523,24 @@ fn canonical_fault_spec(arg: &str) -> Result<String, String> {
     })
 }
 
-/// Create the run artifact `path`, diagnosing a missing parent directory
-/// up front — the common scripted mistake — with the path *and* the cause,
-/// instead of the bare OS error the open would surface.
-fn create_output(path: &str) -> Result<std::fs::File, String> {
-    let p = Path::new(path);
-    if let Some(dir) = p.parent() {
-        if !dir.as_os_str().is_empty() && !dir.is_dir() {
-            return Err(format!(
-                "cannot write {path}: output directory `{}` does not exist (create it first)",
-                dir.display()
-            ));
-        }
+/// Refuse the run artifact `path` when its parent directory is missing —
+/// the common scripted mistake — with the path *and* the cause, instead of
+/// the bare OS error an open would surface. Called before a run for every
+/// artifact written after it, so a mistyped directory costs no simulation.
+fn check_output_dir(path: &str) -> Result<(), String> {
+    match Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() && !dir.is_dir() => Err(format!(
+            "cannot write {path}: output directory `{}` does not exist (create it first)",
+            dir.display()
+        )),
+        _ => Ok(()),
     }
-    std::fs::File::create(p).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Create the run artifact `path` (see [`check_output_dir`]).
+fn create_output(path: &str) -> Result<std::fs::File, String> {
+    check_output_dir(path)?;
+    std::fs::File::create(path).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 fn write_output_file(path: &str, data: &str) -> Result<(), String> {
@@ -665,11 +669,11 @@ fn launch(
         probe: probe.clone(),
         shards: cfg.shards,
         faults: resolved.faults.clone(),
-        restore_from: restored.as_ref(),
+        restore_from: restored,
         checkpoint: checkpoint.as_ref(),
         progress,
     };
-    let outcome = resolved.run(&opts, 1).map_err(|e| e.to_string())?;
+    let outcome = resolved.run(opts, 1).map_err(|e| e.to_string())?;
     Ok((outcome, written.load(Ordering::Relaxed)))
 }
 
@@ -685,7 +689,11 @@ fn run_sim(a: &Args) -> Result<String, String> {
         }
     }
     // The trace is written as the run records it, so its file is opened
-    // first; `partial` removes it again if the run or the trace fails.
+    // first; `partial` removes it again if the run or the trace fails. The
+    // attribution is written after the run, into a directory checked now.
+    if let Some(path) = attribution {
+        check_output_dir(path)?;
+    }
     let (trace_file, partial) = match trace_out {
         Some(path) => (
             Some(create_output(path)?),
@@ -826,6 +834,9 @@ fn run_analyze(a: &Args) -> Result<String, String> {
     // mode is the default; `--mode detailed` attributes the same run with
     // the computational model in front.
     let (cfg, resolved) = describe(a, Mode::Task)?;
+    if let Some(path) = a.text("--json") {
+        check_output_dir(path)?;
+    }
     let probe = ProbeHandle::new(ProbeStack::new().with_attribution());
     let (outcome, _) = launch(a, &cfg, &resolved, &probe, None)?;
     let finish = outcome.predicted_time();
@@ -1359,6 +1370,74 @@ mod tests {
         let err = run(&s(&args)).unwrap_err();
         assert!(err.contains("create it first"), "{err}");
         assert!(!trace.exists(), "the failed run left {trace_s} behind");
+    }
+
+    #[test]
+    fn attribution_directories_are_checked_before_the_run() {
+        // The restore of a missing snapshot fails as the run starts, so the
+        // directory error coming first shows the check ran before it.
+        let missing = "/nonexistent-mermaid-dir/a.json";
+        let restoring = |attr| task_args(&["--attribution", attr, "--restore", "x.snap"]);
+        let err = run(&restoring(missing)).unwrap_err();
+        assert!(
+            err.contains(
+                "cannot write /nonexistent-mermaid-dir/a.json: output directory \
+                 `/nonexistent-mermaid-dir` does not exist (create it first)"
+            ),
+            "{err}"
+        );
+        // A run that fails after the check leaves no attribution file.
+        let attr = std::env::temp_dir().join(format!("mermaid-attr-{}.json", std::process::id()));
+        let attr_s = attr.to_str().unwrap();
+        let err = run(&restoring(attr_s)).unwrap_err();
+        assert!(err.contains("cannot read snapshot"), "{err}");
+        assert!(!attr.exists(), "the failed run left {attr_s} behind");
+        let mut args = vec!["analyze", "--machine", "test", "--topology", "ring:4"];
+        args.extend(["--phases", "1", "--json", missing]);
+        let err = run(&s(&args)).unwrap_err();
+        assert!(
+            err.contains("`/nonexistent-mermaid-dir` does not exist"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn the_self_profile_is_the_last_section_of_sim_metrics() {
+        // Output comparisons cut `sim --metrics` stdout at this title: only
+        // host-dependent figures may follow it.
+        let dir = std::env::temp_dir().join(format!("mermaid-last-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (trace, attr) = (dir.join("t.json"), dir.join("a.json"));
+        let (trace, attr) = (trace.to_str().unwrap(), attr.to_str().unwrap());
+        let mut args = vec!["sim", "--machine", "test", "--topology", "torus:4x4"];
+        args.extend(["--mode", "task", "--pattern", "all2all", "--phases", "2"]);
+        args.extend(["--faults", "drop:100", "--shards", "2", "--shard-profile"]);
+        args.extend(["--trace-out", trace, "--attribution", attr, "--metrics"]);
+        let out = run(&s(&args)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let (head, profile) = out.split_once("\nSelf-profile: ").expect("a self-profile");
+        for section in [
+            "fault injection",
+            "shard self-profile",
+            "attribution written",
+        ] {
+            assert!(
+                head.contains(section),
+                "{section} missing before the profile: {out}"
+            );
+        }
+        assert!(head.contains("engine/deliveries") || head.contains("net/messages"));
+        let mut lines = profile.lines();
+        assert!(lines.next().unwrap().contains(" timed in "), "{profile}");
+        // The rest is the category table: no blank line, no other section.
+        let categories = ["engine", "fault", "memory", "network", "queue"];
+        for line in lines.filter(|l| l.chars().any(|c| c.is_ascii_lowercase())) {
+            assert!(
+                line.contains("category") || categories.iter().any(|c| line.contains(c)),
+                "`{line}` follows the self-profile: {profile}"
+            );
+        }
+        assert!(!profile.contains("\n\n"), "{profile}");
     }
 
     #[test]

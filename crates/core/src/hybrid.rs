@@ -255,7 +255,8 @@ impl<'a> HybridSim<'a> {
             task_traces.push(x.task_trace);
         }
         let task_traces = TraceSet::from_traces(task_traces);
-        let (comm, shard_profile) = run_comm(self.machine.network, &task_traces, &self.opts)?;
+        let (comm, shard_profile) =
+            run_comm(self.machine.network, &task_traces, self.opts.clone())?;
         // Processor 0's tasks run in the communication model, which takes
         // at least their sum; a sibling processor may outlast the network.
         let last_cpu = node_stats.iter().map(|n| n.compute_finish).max();

@@ -308,12 +308,12 @@ impl Resolved {
     /// hundred microseconds more than it is worth. Only the snapshot
     /// options can fail. Detailed and direct runs are the same simulator
     /// with a different node model in front of the communication model.
-    pub fn run(&self, opts: &RunOptions<'_>, busy: usize) -> Result<Outcome, SnapshotError> {
+    pub fn run(&self, opts: RunOptions<'_>, busy: usize) -> Result<Outcome, SnapshotError> {
         let sim = match self.mode {
             Mode::Task => {
                 return Ok(Outcome::Task(
                     TaskLevelSim::new(self.machine.network)
-                        .with_options(opts.clone())
+                        .with_options(opts)
                         .try_run(&self.generator.generate_task_level())?,
                 ))
             }
@@ -321,7 +321,7 @@ impl Resolved {
             Mode::Direct => HybridSim::direct(self.machine.clone()),
         };
         Ok(Outcome::Hybrid(
-            sim.with_options(opts.clone())
+            sim.with_options(opts)
                 .with_workers(sweep::auto_workers_for(busy))
                 .try_run_streams(self.generator.streams())?,
         ))

@@ -29,6 +29,7 @@ pub struct TaskLevelResult {
 }
 
 /// The fast-prototyping simulator: the communication model alone.
+#[derive(Clone)]
 pub struct TaskLevelSim<'a> {
     network: NetworkConfig,
     opts: RunOptions<'a>,
@@ -73,14 +74,16 @@ impl<'a> TaskLevelSim<'a> {
     /// When a snapshot option set through [`TaskLevelSim::with_options`]
     /// fails; nothing else can.
     pub fn run(&self, traces: &TraceSet) -> TaskLevelResult {
-        self.try_run(traces)
+        self.clone()
+            .try_run(traces)
             .expect("a run without snapshot options cannot fail")
     }
 
     /// [`TaskLevelSim::run`], returning what restoring from or writing a
-    /// snapshot can fail with.
-    pub fn try_run(&self, traces: &TraceSet) -> Result<TaskLevelResult, SnapshotError> {
-        let (comm, shard_profile) = run_comm(self.network, traces, &self.opts)?;
+    /// snapshot can fail with. The run takes the options, and with them
+    /// the snapshot to restore, which it drops as soon as it can.
+    pub fn try_run(self, traces: &TraceSet) -> Result<TaskLevelResult, SnapshotError> {
+        let (comm, shard_profile) = run_comm(self.network, traces, self.opts)?;
         Ok(TaskLevelResult {
             predicted_time: comm.finish,
             comm,

@@ -280,13 +280,13 @@ pub struct CheckpointOpts<'a> {
 
 impl CheckpointOpts<'_> {
     /// The first capture instant of a run: the cadence itself, or — for a
-    /// restored run, which resumes the original cadence — the first
-    /// multiple after the restore instant.
-    fn first_capture_ps(&self, restore_from: Option<&Snapshot>) -> u64 {
+    /// run restored at `restored_at`, which resumes the original cadence —
+    /// the first multiple after the restore instant.
+    fn first_capture_ps(&self, restored_at: Option<Time>) -> u64 {
         let every = self.every.as_ps();
         assert!(every > 0, "checkpoint cadence must be non-zero");
-        match restore_from {
-            Some(snap) => (snap.time.as_ps() / every + 1) * every,
+        match restored_at {
+            Some(t) => (t.as_ps() / every + 1) * every,
             None => every,
         }
     }
@@ -303,8 +303,11 @@ pub struct RunOptions<'a> {
     pub shards: usize,
     /// Deterministic fault injection; `None` runs the healthy machine.
     pub faults: Option<Arc<FaultSchedule>>,
-    /// Resume from this snapshot instead of starting at time zero.
-    pub restore_from: Option<&'a Snapshot>,
+    /// Resume from this snapshot instead of starting at time zero. The run
+    /// owns it: a serial run drops it — its pending events as text, most
+    /// of the file — once the engine's queue holds them, rather than keep
+    /// it through the run.
+    pub restore_from: Option<Snapshot>,
     /// Write periodic snapshots during the run.
     pub checkpoint: Option<&'a CheckpointOpts<'a>>,
     /// Run-time observation: called with the virtual time reached and the
@@ -434,14 +437,14 @@ fn seed_attribution(probe: &ProbeHandle, snap: &Snapshot) -> Result<(), Snapshot
 pub fn run_comm(
     cfg: NetworkConfig,
     traces: &TraceSet,
-    opts: &RunOptions<'_>,
+    opts: RunOptions<'_>,
 ) -> Result<(CommResult, Option<ShardProfile>), SnapshotError> {
     cfg.validate();
     let part = Partition::contiguous(cfg.topology, opts.shards);
     if part.shards() > 1 {
         let la = lookahead(&cfg, traces, opts.faults.as_deref());
         if la.hop > Duration::ZERO {
-            return run_on_shards(cfg, traces, opts, part, la);
+            return run_on_shards(cfg, traces, &opts, part, la);
         }
     }
     Ok((run_serial(cfg, traces, opts)?, None))
@@ -453,23 +456,25 @@ pub fn run_comm(
 fn run_serial(
     cfg: NetworkConfig,
     traces: &TraceSet,
-    opts: &RunOptions<'_>,
+    opts: RunOptions<'_>,
 ) -> Result<CommResult, SnapshotError> {
     let probe = &opts.probe;
-    let mut sim = match opts.restore_from {
+    // The snapshot is dropped here, once the queue holds its events.
+    let (mut sim, restored_at) = match opts.restore_from {
         Some(snap) => {
-            let sim = CommSim::restore(cfg, traces, probe.clone(), opts.faults.clone(), snap)?;
-            seed_attribution(probe, snap)?;
-            sim
+            let sim = CommSim::restore(cfg, traces, probe.clone(), opts.faults, &snap)?;
+            seed_attribution(probe, &snap)?;
+            (sim, Some(snap.time))
         }
-        None => CommSim::build(cfg, traces, probe.clone(), opts.faults.clone()),
+        None => (
+            CommSim::build(cfg, traces, probe.clone(), opts.faults),
+            None,
+        ),
     };
     if opts.checkpoint.is_none() && opts.progress.is_none() {
         return Ok(sim.run());
     }
-    let mut next_cp = opts
-        .checkpoint
-        .map(|ck| ck.first_capture_ps(opts.restore_from));
+    let mut next_cp = opts.checkpoint.map(|ck| ck.first_capture_ps(restored_at));
     let every = opts.progress.map_or(u64::MAX, |_| PROGRESS_EVERY);
     let mut sampled_at = None;
     loop {
@@ -555,7 +560,7 @@ fn run_on_shards(
     la: Lookahead,
 ) -> Result<(CommResult, Option<ShardProfile>), SnapshotError> {
     let n = cfg.topology.nodes();
-    if let Some(snap) = opts.restore_from {
+    if let Some(snap) = &opts.restore_from {
         if snap.nodes != n {
             return Err(SnapshotError::NodesMismatch {
                 found: snap.nodes,
@@ -576,7 +581,7 @@ fn run_on_shards(
         part,
         la,
         faults: opts.faults.clone(),
-        restore_from: opts.restore_from,
+        restore_from: opts.restore_from.as_ref(),
         want_probe: opts.probe.is_enabled(),
         built: BuildGate {
             barrier: Barrier::new(k),
@@ -587,7 +592,10 @@ fn run_on_shards(
         txs,
         ckpt: opts.checkpoint.map(|ck| CkptSync {
             opts: ck,
-            base_attr: opts.restore_from.and_then(|s| s.attribution.clone()),
+            base_attr: opts
+                .restore_from
+                .as_ref()
+                .and_then(|s| s.attribution.clone()),
             want_attr: opts
                 .probe
                 .with_stack(|s| s.attribution.is_some())
@@ -733,7 +741,9 @@ impl<'a> Shard<'a> {
         // Every shard tracks the same next-capture instant (same cadence,
         // same agreed minima), so all reach each capture in the same round.
         let mut next_cp = match &shared.ckpt {
-            Some(ck) => ck.opts.first_capture_ps(shared.restore_from),
+            Some(ck) => ck
+                .opts
+                .first_capture_ps(shared.restore_from.map(|s| s.time)),
             None => u64::MAX,
         };
         let mut mins: Vec<u64> = Vec::new();
@@ -976,7 +986,7 @@ mod tests {
             shards,
             ..RunOptions::default()
         };
-        run_comm(cfg, ts, &opts).expect("a run without snapshot options cannot fail")
+        run_comm(cfg, ts, opts).expect("a run without snapshot options cannot fail")
     }
 
     #[test]
@@ -992,7 +1002,7 @@ mod tests {
                 progress: Some(&hook),
                 ..RunOptions::default()
             };
-            let (_, profile) = run_comm(cfg, &ts, &opts).unwrap();
+            let (_, profile) = run_comm(cfg, &ts, opts).unwrap();
             assert_eq!(profile.is_none(), sampled);
             assert_eq!(calls.get() > 0, sampled);
         }
@@ -1278,7 +1288,7 @@ mod tests {
         ts: &TraceSet,
         shards: usize,
         every_ps: u64,
-        restore_from: Option<&Snapshot>,
+        restore_from: Option<Snapshot>,
     ) -> (CommResult, Vec<String>) {
         let files = Mutex::new(Vec::new());
         let write = |snap: &Capture<'_>| {
@@ -1296,7 +1306,7 @@ mod tests {
             checkpoint: Some(&opts),
             ..RunOptions::default()
         };
-        let (r, _) = run_comm(cfg, ts, &run).expect("collecting sink cannot fail");
+        let (r, _) = run_comm(cfg, ts, run).expect("collecting sink cannot fail");
         (r, files.into_inner().unwrap())
     }
 
@@ -1335,10 +1345,10 @@ mod tests {
             for shards in [3, 1] {
                 let run = RunOptions {
                     shards,
-                    restore_from: Some(&snap),
+                    restore_from: Some(snap.clone()),
                     ..RunOptions::default()
                 };
-                let (restored, _) = run_comm(cfg, &ts, &run).expect("restore succeeds");
+                let (restored, _) = run_comm(cfg, &ts, run).expect("restore succeeds");
                 assert_identical(&plain, &restored);
             }
         }
@@ -1351,7 +1361,7 @@ mod tests {
         let (_, full_files) = run_collecting(cfg, &ts, 3, 2_000, None);
         assert!(full_files.len() >= 2, "need at least two capture instants");
         let first = Snapshot::parse(&full_files[0]).unwrap();
-        let (_, resumed_files) = run_collecting(cfg, &ts, 3, 2_000, Some(&first));
+        let (_, resumed_files) = run_collecting(cfg, &ts, 3, 2_000, Some(first));
         assert_eq!(resumed_files, full_files[1..].to_vec());
     }
 
@@ -1377,7 +1387,7 @@ mod tests {
                 checkpoint: Some(&opts),
                 ..RunOptions::default()
             };
-            let err = run_comm(cfg, &ts, &run).expect_err("a failing sink must surface");
+            let err = run_comm(cfg, &ts, run).expect_err("a failing sink must surface");
             assert!(err.to_string().contains("disk full"), "{err}");
         }
     }
@@ -1404,7 +1414,7 @@ mod tests {
                 checkpoint: Some(&opts),
                 ..RunOptions::default()
             };
-            let (r, _) = run_comm(cfg, &ts, &run).expect("capture succeeds");
+            let (r, _) = run_comm(cfg, &ts, run).expect("capture succeeds");
             let json = probe
                 .with_stack(|s| {
                     s.attribution
@@ -1427,10 +1437,10 @@ mod tests {
         let run = RunOptions {
             probe: probe.clone(),
             shards: 3,
-            restore_from: Some(&snap),
+            restore_from: Some(snap.clone()),
             ..RunOptions::default()
         };
-        let (r, _) = run_comm(cfg, &ts, &run).expect("restore succeeds");
+        let (r, _) = run_comm(cfg, &ts, run).expect("restore succeeds");
         let json = probe
             .with_stack(|s| {
                 s.attribution
@@ -1483,10 +1493,10 @@ mod tests {
         let snap = Snapshot::parse(&files[files.len() / 2]).expect("own capture parses");
         let run = RunOptions {
             shards: 3,
-            restore_from: Some(&snap),
+            restore_from: Some(snap.clone()),
             ..RunOptions::default()
         };
-        let (restored, _) = run_comm(cfg, &ts, &run).expect("restore succeeds");
+        let (restored, _) = run_comm(cfg, &ts, run).expect("restore succeeds");
         assert_identical(&plain, &restored);
     }
 
@@ -1502,10 +1512,10 @@ mod tests {
             let run = RunOptions {
                 probe: probe.clone(),
                 shards,
-                restore_from: Some(&snap),
+                restore_from: Some(snap.clone()),
                 ..RunOptions::default()
             };
-            let err = run_comm(cfg, &ts, &run)
+            let err = run_comm(cfg, &ts, run)
                 .expect_err("a silent partial attribution report must be refused");
             assert!(err.to_string().contains("attribution"), "{err}");
         }

@@ -12,9 +12,9 @@
 //! * [`ChromeTraceSink`] — a `chrome://tracing` / Perfetto JSON trace
 //!   (virtual picoseconds mapped to trace microseconds),
 //! * [`JsonlSink`] — a line-per-event JSON stream for external tooling,
-//! * [`SelfProfiler`] — wall-clock host-side profiling (events/sec,
-//!   host time per event category) extending the slowdown machinery of
-//!   the paper's Section 6.
+//! * [`SelfProfiler`] — host-side profiling (events per category,
+//!   events/sec, host cycles per event) extending the slowdown machinery
+//!   of the paper's Section 6.
 //!
 //! # Zero cost when disabled
 //!
@@ -27,27 +27,24 @@
 //!
 //! # Record, then render
 //!
-//! The simulation thread only records. A live [`ProbeHandle`] appends
-//! each [`SimEvent`] (`Copy`, fixed-width) to a batch of 1,024. When the
-//! stack renders text (a Chrome or JSONL sink is attached), a full batch
-//! goes over a bounded channel to one sink thread, which owns the
-//! [`ProbeStack`], folds the batch into every sink in emission order and
-//! sends the emptied batch back for reuse. The thread starts at the first
-//! full batch, so a run shorter than one batch never starts one; a stack
-//! that only counts or copies events (metrics, attribution, the
-//! [`EventBuffer`] of a sharded run's shards) folds each full batch on the
-//! recording thread, which costs less than handing it over. A thread that
-//! finds the channel empty (the sink thread) or full (the simulation
-//! thread) yields for up to 2 ms before it parks: waking a parked thread
-//! costs more than a batch.
+//! A live [`ProbeHandle`] appends each [`SimEvent`] (`Copy`, fixed-width)
+//! to a batch of 1,024 and folds each full batch into the stack on the
+//! recording thread, where the [`SelfProfiler`] also reads the host clock
+//! once. When the stack renders text (a Chrome or JSONL sink is attached),
+//! all sinks but the counters (metrics, profiler) move to one sink thread,
+//! and each full batch also goes over a bounded channel to it; it folds
+//! the batch and sends the emptied batch back for reuse. The thread starts
+//! at the first full batch, so a run shorter than one batch never starts
+//! one. A thread that finds the channel empty (the sink thread) or full
+//! (the simulation thread) yields for up to 2 ms before it parks: waking a
+//! parked thread costs more than a batch.
 //!
 //! [`ProbeHandle::with_stack`] is the one point where the two threads
-//! meet: it joins the sink thread once the batches sent are folded, folds
-//! the partial batch itself and runs its closure on the stack; a later
-//! full batch starts a new thread. A panic in a sink resumes on the
-//! simulation thread there (or at the next hand-off). The
-//! [`SelfProfiler`] times the simulation thread, so it records there,
-//! outside the stack.
+//! meet: it joins the sink thread once the batches sent are folded, puts
+//! its sinks back, folds the partial batch into every sink and runs its
+//! closure on the stack; a later full batch starts a new thread. A panic
+//! in a sink on the thread resumes on the simulation thread there (or at
+//! the next hand-off).
 //!
 //! Folds are cheap and renders are streams. The metrics aggregator bumps
 //! dense counter arrays keyed by `Copy` enums; the Chrome sink renders
@@ -516,7 +513,7 @@ pub fn canonical_sort(events: &mut [SimEvent]) {
 ///
 /// Concrete optional slots (rather than `Vec<Box<dyn Probe>>`) so results
 /// can be read back without downcasting after the run. A stack is `Send`:
-/// a [`ProbeHandle`] folds one that renders text on a sink thread.
+/// a [`ProbeHandle`] folds some of its sinks on a sink thread.
 #[derive(Default)]
 pub struct ProbeStack {
     /// Metrics aggregation for the post-mortem report.
@@ -525,7 +522,7 @@ pub struct ProbeStack {
     pub chrome: Option<ChromeTraceSink>,
     /// Line-per-event JSON stream.
     pub jsonl: Option<JsonlSink>,
-    /// Wall-clock self-profiler.
+    /// Host-side self-profiler.
     pub profiler: Option<SelfProfiler>,
     /// Bottleneck-attribution sink (utilization timelines + latency
     /// decomposition).
@@ -565,7 +562,7 @@ impl ProbeStack {
         self
     }
 
-    /// Attach a wall-clock self-profiler calibrated to `host_hz` host
+    /// Attach a host-side self-profiler calibrated to `host_hz` host
     /// cycles per second (see `mermaid`'s slowdown machinery).
     pub fn with_profiler(mut self, host_hz: f64) -> Self {
         self.profiler = Some(SelfProfiler::new(host_hz));
@@ -585,12 +582,32 @@ impl ProbeStack {
     }
 
     /// True when a sink that renders text per event (Chrome, JSONL) is
-    /// attached: only then does a sink thread pay for its hand-offs. The
-    /// counter folds of the metrics and attribution sinks, like the event
-    /// buffer's copy, cost about what handing their batches over would,
-    /// and a campaign's many short runs measured slower with the thread.
+    /// attached: only those pay for a sink thread's hand-offs. Stacks that
+    /// only count or copy — a campaign's many short attribution runs, a
+    /// sharded run's buffers — measured slower with the thread.
     fn renders(&self) -> bool {
         self.chrome.is_some() || self.jsonl.is_some()
+    }
+
+    /// Take out, for a sink thread, the sinks that keep what they fold:
+    /// the Chrome and JSONL text, the attribution sink's busy intervals,
+    /// the buffer's events. The counters (metrics, profiler) stay.
+    fn take_keepers(&mut self) -> Box<ProbeStack> {
+        Box::new(ProbeStack {
+            chrome: self.chrome.take(),
+            jsonl: self.jsonl.take(),
+            attribution: self.attribution.take(),
+            buffer: self.buffer.take(),
+            ..ProbeStack::default()
+        })
+    }
+
+    /// Put back the sinks [`ProbeStack::take_keepers`] took.
+    fn put_back(&mut self, keepers: Box<ProbeStack>) {
+        self.chrome = keepers.chrome;
+        self.jsonl = keepers.jsonl;
+        self.attribution = keepers.attribution;
+        self.buffer = keepers.buffer;
     }
 
     /// Record `events`, in order, into every attached sink — one sink at
@@ -636,12 +653,11 @@ const BATCH: usize = 1024;
 /// A disabled handle is `None` inside, so the per-emission cost of an
 /// untraced run is a single branch and the event closure is never
 /// evaluated. A live one appends each event to a batch and folds full
-/// batches into the stack, on a sink thread when the stack renders text
-/// (see the crate docs, "Record, then render"). The handle itself is
-/// `Rc` (not `Arc`): simulations are single-threaded objects —
-/// `parallel_sweep` builds each sim inside its worker thread and never
-/// moves one across threads — and only the stack crosses to the sink
-/// thread.
+/// batches into the stack, some sinks on a sink thread (see the crate
+/// docs, "Record, then render"). The handle itself is `Rc` (not
+/// `Arc`): simulations are single-threaded objects — `parallel_sweep`
+/// builds each sim inside its worker thread and never moves one across
+/// threads — and only sinks cross to the sink thread.
 #[derive(Clone, Default)]
 pub struct ProbeHandle {
     inner: Option<Rc<RefCell<Recorder>>>,
@@ -649,16 +665,14 @@ pub struct ProbeHandle {
 
 /// The simulation thread's side of a live handle.
 struct Recorder {
-    /// The wall-clock profiler times this thread, so it records here.
-    profiler: Option<SelfProfiler>,
     /// Events not yet handed on, in emission order.
     batch: Vec<SimEvent>,
-    /// The sinks, while this thread holds them; `None` while `worker` does.
-    stack: Option<Box<ProbeStack>>,
+    /// The sinks, less those `worker` holds while it runs.
+    stack: ProbeStack,
     worker: Option<SinkThread>,
 }
 
-/// A sink thread folding full batches into the stack it owns.
+/// A sink thread folding full batches into the sinks it owns.
 struct SinkThread {
     /// Full batches, one in flight at most besides the one being folded.
     full: SyncSender<Vec<SimEvent>>,
@@ -701,7 +715,7 @@ impl SinkThread {
         }
     }
 
-    /// Fold what was sent, end the thread and take its stack back. A
+    /// Fold what was sent, end the thread and take its sinks back. A
     /// panic in a sink resumes here, on the calling thread.
     fn join(self) -> Box<ProbeStack> {
         drop(self.full);
@@ -751,30 +765,30 @@ fn send_yielding<T>(tx: &SyncSender<T>, mut v: T) -> Result<(), SendError<T>> {
 impl Recorder {
     #[inline]
     fn record(&mut self, ev: SimEvent) {
-        if let Some(p) = &mut self.profiler {
-            p.record(&ev);
-        }
         self.batch.push(ev);
         if self.batch.len() == BATCH {
             self.hand_off();
         }
     }
 
-    /// Pass the full batch on: to the sink thread, started if need be, or
-    /// — when the stack renders nothing, or no thread can be started —
-    /// into the stack here.
+    /// Fold the full batch into the sinks held here, reading the
+    /// profiler's clock, and pass it on to the sink thread — started, with
+    /// the sinks that keep what they fold, when the stack renders text.
+    /// When no thread can be started every sink folds here.
     #[cold]
     #[inline(never)]
     fn hand_off(&mut self) {
-        if let Some(stack) = self.stack.take_if(|stack| stack.renders()) {
-            match SinkThread::spawn(stack) {
+        if self.stack.renders() {
+            match SinkThread::spawn(self.stack.take_keepers()) {
                 Ok(worker) => self.worker = Some(worker),
-                Err(stack) => self.stack = Some(stack),
+                Err(keepers) => self.stack.put_back(keepers),
             }
         }
+        self.stack.fold(&self.batch);
+        if let Some(p) = &mut self.stack.profiler {
+            p.lap();
+        }
         let Some(worker) = &self.worker else {
-            let stack = self.stack.as_mut().expect("the stack is here");
-            stack.fold(&self.batch);
             return self.batch.clear();
         };
         let next = worker
@@ -788,15 +802,16 @@ impl Recorder {
         }
     }
 
-    /// Fold every event recorded so far and bring the stack back to this
-    /// thread: the sink thread's batches first, then the partial one here.
-    /// A later full batch starts a new sink thread.
+    /// Fold every event recorded so far and bring the sink thread's sinks
+    /// back to this thread: the batches sent first, then the partial one,
+    /// into every sink, here. The profiler's clock is not read: this may
+    /// be long after the last event. A later full batch starts a new sink
+    /// thread.
     fn settle(&mut self) {
         if let Some(worker) = self.worker.take() {
-            self.stack = Some(worker.join());
+            self.stack.put_back(worker.join());
         }
-        let stack = self.stack.as_mut().expect("the stack is here");
-        stack.fold(&self.batch);
+        self.stack.fold(&self.batch);
         self.batch.clear();
     }
 }
@@ -819,11 +834,10 @@ impl ProbeHandle {
     }
 
     /// A live handle recording into `stack`.
-    pub fn new(mut stack: ProbeStack) -> Self {
+    pub fn new(stack: ProbeStack) -> Self {
         let recorder = Recorder {
-            profiler: stack.profiler.take(),
             batch: Vec::with_capacity(BATCH),
-            stack: Some(Box::new(stack)),
+            stack,
             worker: None,
         };
         ProbeHandle {
@@ -853,13 +867,8 @@ impl ProbeHandle {
     /// simulation thread waits for the sink thread.
     pub fn with_stack<R>(&self, f: impl FnOnce(&mut ProbeStack) -> R) -> Option<R> {
         let mut recorder = self.inner.as_ref()?.borrow_mut();
-        let recorder = &mut *recorder;
         recorder.settle();
-        let stack = recorder.stack.as_mut().expect("settled");
-        stack.profiler = recorder.profiler.take();
-        let r = f(stack);
-        recorder.profiler = stack.profiler.take();
-        Some(r)
+        Some(f(&mut recorder.stack))
     }
 
     /// An adapter implementing [`pearl::EngineProbe`] that forwards
@@ -1054,8 +1063,50 @@ mod tests {
         })
     }
 
+    /// `n` events from `start_ps` on: link spans back to back on one
+    /// link, with a packet forward and a decomposed delivery every 8th.
+    fn mixed_stream(start_ps: u64, n: u64) -> impl Iterator<Item = SimEvent> {
+        link_spans(start_ps, n)
+            .enumerate()
+            .map(|(i, ev)| match i % 8 {
+                3 => SimEvent::PacketForward {
+                    ts_ps: ev.ts_ps(),
+                    node: (i % 5) as u32,
+                    to: 3,
+                    packets: 1,
+                },
+                5 => SimEvent::MsgPath {
+                    ts_ps: ev.ts_ps(),
+                    src: (i % 3) as u32,
+                    dst: 3,
+                    bytes: 64,
+                    latency_ps: 60 + i as u64 % 7,
+                    overhead_ps: 10,
+                    retry_ps: 0,
+                    queue_ps: i as u64 % 7,
+                    routing_ps: 20,
+                    ser_ps: 20,
+                    wire_ps: 10,
+                },
+                _ => ev,
+            })
+    }
+
     fn has_sink_thread(h: &ProbeHandle) -> bool {
         h.inner.as_ref().unwrap().borrow().worker.is_some()
+    }
+
+    /// Which sinks the recording thread holds: metrics, Chrome, JSONL,
+    /// attribution.
+    fn held_here(h: &ProbeHandle) -> [bool; 4] {
+        let r = h.inner.as_ref().unwrap().borrow();
+        let s = &r.stack;
+        [
+            s.metrics.is_some(),
+            s.chrome.is_some(),
+            s.jsonl.is_some(),
+            s.attribution.is_some(),
+        ]
     }
 
     #[test]
@@ -1066,25 +1117,38 @@ mod tests {
 
     #[test]
     fn batches_fold_the_stream_direct_recording_folds() {
-        let events: Vec<SimEvent> = link_spans(0, 3 * BATCH as u64 + 5).collect();
-        let mut direct = ProbeStack::new().with_metrics().with_jsonl().with_chrome();
+        let all = || {
+            ProbeStack::new()
+                .with_metrics()
+                .with_chrome()
+                .with_jsonl()
+                .with_attribution()
+        };
+        let n = 4 * BATCH as u64 + 5;
+        let events: Vec<SimEvent> = mixed_stream(0, n).collect();
+        let mut direct = all();
         events.iter().for_each(|ev| direct.record(ev));
 
-        let h = ProbeHandle::new(ProbeStack::new().with_metrics().with_jsonl().with_chrome());
+        let h = ProbeHandle::new(all());
+        assert_eq!(held_here(&h), [true; 4]);
         for (i, ev) in events.iter().enumerate() {
             h.replay(ev);
-            // Mid-run readers bring the stack back; the next full batch
-            // starts a new sink thread.
+            // The counters stay here, the other sinks go to the sink
+            // thread; mid-run readers bring them back, and the next full
+            // batch starts a new thread.
             if i == BATCH + 7 {
                 assert!(has_sink_thread(&h));
+                assert_eq!(held_here(&h), [true, false, false, false]);
                 assert_eq!(
                     h.with_stack(|s| s.jsonl.as_ref().unwrap().len()),
                     Some(i as u64 + 1)
                 );
                 assert!(!has_sink_thread(&h));
+                assert_eq!(held_here(&h), [true; 4]);
             }
         }
         assert!(has_sink_thread(&h));
+        let horizon = 10 * n;
         assert_eq!(
             h.jsonl_output().unwrap(),
             direct.jsonl.as_ref().unwrap().output()
@@ -1094,8 +1158,23 @@ mod tests {
             direct.chrome.as_ref().unwrap().to_json()
         );
         assert_eq!(
-            h.metrics_report(0).unwrap().render(),
-            direct.metrics.as_ref().unwrap().report(0).render()
+            h.metrics_report(horizon).unwrap().render(),
+            direct.metrics.as_ref().unwrap().report(horizon).render()
+        );
+        let attribution = h.attribution_report(horizon).unwrap();
+        let paths = events
+            .iter()
+            .filter(|ev| matches!(ev, SimEvent::MsgPath { .. }))
+            .count();
+        assert_eq!(attribution.messages, paths as u64);
+        assert_eq!(
+            attribution.to_json(),
+            direct
+                .attribution
+                .as_ref()
+                .unwrap()
+                .report(horizon)
+                .to_json()
         );
     }
 
@@ -1118,14 +1197,27 @@ mod tests {
         assert!(has_sink_thread(&short));
     }
 
+    /// A trace file whose every write panics.
+    struct Unwritable;
+
+    impl std::io::Write for Unwritable {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            panic!("the trace file refused a chunk")
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "overlapping busy intervals")]
+    #[should_panic(expected = "the trace file refused a chunk")]
     fn a_sink_panic_resumes_on_the_recording_thread() {
-        let h = ProbeHandle::new(ProbeStack::new().with_metrics().with_jsonl());
+        let h = ProbeHandle::new(ProbeStack::new().with_metrics().with_chrome_to(Unwritable));
+        // A batch of spans renders more than one 64 KB chunk, which the
+        // sink thread's Chrome sink writes to the file.
         link_spans(0, BATCH as u64).for_each(|ev| h.replay(&ev));
         assert!(has_sink_thread(&h));
-        // The same spans again overlap the first ones on the sink thread.
-        link_spans(0, BATCH as u64).for_each(|ev| h.replay(&ev));
         h.metrics_report(0);
     }
 

@@ -109,7 +109,7 @@ impl Scenario {
             faults: r.faults.clone(),
             ..RunOptions::default()
         };
-        run(self, &r, &opts, Exec::Serial).comm().clone()
+        run(self, &r, opts, Exec::Serial).comm().clone()
     }
 }
 
@@ -335,11 +335,11 @@ fn observe(sc: &Scenario, exec: Exec, obs: &[Obs]) -> Observed {
         probe: probe.clone(),
         shards: exec.shards(),
         faults: r.faults.clone(),
-        restore_from: snap.as_ref(),
+        restore_from: snap,
         checkpoint: quarterly.as_ref().filter(|_| wants(Obs::Snapshots)),
         progress: None,
     };
-    let outcome = run(sc, &r, &opts, exec);
+    let outcome = run(sc, &r, opts, exec);
     let values = &mut observed.values;
     if wants(Obs::Result) {
         values.push((Obs::Result, result_text(&outcome)));
@@ -376,7 +376,7 @@ pub fn observe_traces(
         faults: Some(Arc::clone(faults)),
         ..RunOptions::default()
     };
-    let (comm, _) = run_comm(net, traces, &opts).unwrap();
+    let (comm, _) = run_comm(net, traces, opts).unwrap();
     let values = vec![
         (Obs::Result, format!("{comm:#?}")),
         (Obs::Probe, stream_text(probe.take_buffer().unwrap(), exec)),
@@ -391,7 +391,7 @@ pub fn observe_traces(
 
 /// One run of `sc` through the library: [`Resolved::run`], unless the
 /// scenario resizes its messages or the executor picks the worker count.
-fn run(sc: &Scenario, r: &Resolved, opts: &RunOptions<'_>, exec: Exec) -> Outcome {
+fn run(sc: &Scenario, r: &Resolved, opts: RunOptions<'_>, exec: Exec) -> Outcome {
     let outcome = match (exec, r.mode) {
         (Exec::Workers(_), Mode::Task) => panic!("{sc}: workers(n) needs a detailed or direct run"),
         (Exec::Workers(n), mode) => {
@@ -399,12 +399,12 @@ fn run(sc: &Scenario, r: &Resolved, opts: &RunOptions<'_>, exec: Exec) -> Outcom
                 Mode::Direct => HybridSim::direct(r.machine.clone()),
                 _ => HybridSim::new(r.machine.clone()),
             };
-            let sim = sim.with_options(opts.clone()).with_workers(n);
+            let sim = sim.with_options(opts).with_workers(n);
             sim.try_run_streams(r.generator.streams())
                 .map(Outcome::Hybrid)
         }
         _ if sc.msg_bytes.is_some() => TaskLevelSim::new(r.machine.network)
-            .with_options(opts.clone())
+            .with_options(opts)
             .try_run(&sc.task_traces())
             .map(Outcome::Task),
         _ => r.run(opts, 1),
@@ -434,7 +434,7 @@ fn capture(sc: &Scenario, r: &Resolved, at: (u64, u64), finish: u64, attr: bool)
         checkpoint: Some(&ck),
         ..RunOptions::default()
     };
-    run(sc, r, &opts, Exec::Serial);
+    run(sc, r, opts, Exec::Serial);
     let snap = first.into_inner().unwrap().expect("a capture");
     assert!(snap.time.as_ps() < finish, "{sc}: captured at the finish");
     snap

@@ -136,7 +136,7 @@ fn disabled_fault_layer_is_bit_identical_to_the_plain_path() {
         probe: off_probe.clone(),
         ..RunOptions::default()
     };
-    let (off, _) = run_comm(NetworkConfig::test(topo), &ts, &opts)
+    let (off, _) = run_comm(NetworkConfig::test(topo), &ts, opts)
         .expect("a run without snapshot options cannot fail");
 
     assert_eq!(format!("{plain:?}"), format!("{off:?}"));

@@ -375,7 +375,7 @@ proptest! {
             config_hash: "prop".into(),
             write: &keep,
         };
-        run_comm(cfg, &ts, &RunOptions { checkpoint: Some(&ck), ..RunOptions::default() }).unwrap();
+        run_comm(cfg, &ts, RunOptions { checkpoint: Some(&ck), ..RunOptions::default() }).unwrap();
         let snaps = snaps.into_inner().unwrap();
         prop_assume!(!snaps.is_empty());
         let text = snaps[cut_raw % snaps.len()].to_file_string();

@@ -67,12 +67,12 @@ fn watched(
         progress: Some(&hook),
         ..opts
     };
-    let (result, _) = run_comm(net, traces, &opts).unwrap();
+    let (result, _) = run_comm(net, traces, opts).unwrap();
     (result, samples.into_inner())
 }
 
 fn unwatched(net: NetworkConfig, traces: &TraceSet, opts: &RunOptions<'_>) -> CommResult {
-    run_comm(net, traces, opts).unwrap().0
+    run_comm(net, traces, opts.clone()).unwrap().0
 }
 
 /// An all-to-all workload long enough for a dozen progress samples.
@@ -149,7 +149,7 @@ fn nodes_done_climbs_through_intermediate_counts() {
         progress: Some(&hook),
         ..RunOptions::default()
     };
-    let (result, _) = run_comm(net, &traces, &opts).unwrap();
+    let (result, _) = run_comm(net, &traces, opts).unwrap();
     assert!(result.all_done);
     let done = samples.into_inner();
     assert!(
@@ -304,9 +304,17 @@ fn traced_run_is_deterministic_under_observation() {
         .count() as u64;
     assert_eq!(delivers, plain.total_messages);
 
-    // The self-profiler saw the run happen on the host.
+    // The self-profiler counted every event the stack recorded, one JSONL
+    // line each, and clocked the full batches after the first.
     let profile = probe.host_profile().unwrap();
-    assert!(profile.events > 0);
+    let recorded = jsonl.lines().count() as u64;
+    assert_eq!(profile.events, recorded);
+    let counted: u64 = profile.per_category.iter().map(|&(_, n)| n).sum();
+    assert_eq!(counted, recorded);
+    assert_eq!(
+        profile.timed_events,
+        (recorded / 1024).saturating_sub(1) * 1024
+    );
 }
 
 #[test]
