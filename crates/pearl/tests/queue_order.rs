@@ -1,8 +1,10 @@
 //! Property coverage for the two-tier event queue: its pop sequence must
 //! be indistinguishable from the plain stable binary heap it replaced,
 //! under arbitrary interleavings of pushes (at every tier distance) and
-//! pops; the keyed regime must match an ordered map; and the payload slab
-//! must drop every item exactly once and reuse its slots.
+//! pops; the keyed regime must match an ordered map, also step by step
+//! through each path into and out of the current window; the payload slab
+//! must drop every item exactly once and reuse its slots; and a large
+//! keyed run keeps its exact ladder counts and pop-sequence hash.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -312,4 +314,287 @@ fn slab_reuses_slots() {
     assert_eq!(q.slab_len(), K);
     q.clear();
     assert_eq!(q.slab_len(), 0, "clear resets the slab");
+}
+
+/// The queue checked step by step against a `BTreeMap` of `(time, key)`.
+/// Keys come from one counter, so every push is unique and ties at one
+/// instant break by push order.
+struct Checked {
+    q: EventQueue<u64>,
+    oracle: BTreeMap<(Time, EventKey), u64>,
+    n: u64,
+}
+
+impl Checked {
+    fn new() -> Self {
+        Checked {
+            q: EventQueue::new(),
+            oracle: BTreeMap::new(),
+            n: 0,
+        }
+    }
+
+    fn push(&mut self, t: u64) {
+        let (t, key) = (
+            Time::from_ps(t),
+            EventKey {
+                push_ps: 0,
+                src: (self.n % 3) as u32,
+                seq: self.n,
+            },
+        );
+        self.oracle.insert((t, key), self.n);
+        self.q.push_keyed(t, key, self.n);
+        self.n += 1;
+    }
+
+    /// Pop once from both and return the delivery time.
+    fn pop(&mut self) -> u64 {
+        let want = self.oracle.pop_first().map(|((t, _), v)| (t, v));
+        let got = self.q.pop();
+        assert_eq!(got, want, "pop {} disagrees", self.n);
+        got.expect("pop from an empty queue").0.as_ps()
+    }
+
+    fn snapshot(&mut self) {
+        let want: Vec<_> = self.oracle.iter().map(|(&(t, k), &v)| (t, k, v)).collect();
+        let got: Vec<_> = self
+            .q
+            .with_in_order(|v| v.iter().map(|(t, k, &x)| (t, k, x)).collect());
+        assert_eq!(got, want);
+    }
+
+    /// Pop both empty, comparing every pop.
+    fn drain(&mut self) {
+        while !self.oracle.is_empty() {
+            self.pop();
+        }
+        assert_eq!(self.q.pop(), None);
+    }
+}
+
+/// 300 far records at 1,000 + 10·i ps: the first pop rebases (k = 256,
+/// width 41) and promotes bucket 0, `[1000, 1041)`, which holds five.
+fn rebased_at_1000(c: &mut Checked) {
+    for i in 0..300 {
+        c.push(1_000 + 10 * i);
+    }
+    assert_eq!(c.pop(), 1_000);
+}
+
+/// A promoted bucket popped with nothing pushed into its window: pops
+/// come from the promoted records alone.
+#[test]
+fn a_promotion_with_no_pushes_into_its_window_pops_in_order() {
+    let mut c = Checked::new();
+    rebased_at_1000(&mut c);
+    let s = c.q.ladder_stats();
+    assert_eq!((s.rebases, s.promotions, s.far_drains), (1, 1, 0));
+    for want in [1_010, 1_020, 1_030, 1_040, 1_050] {
+        assert_eq!(c.pop(), want);
+    }
+    assert_eq!(c.q.ladder_stats().promotions, 2, "1,050 came from bucket 1");
+    c.drain();
+}
+
+/// Pushes below the window's end between pops interleave with the
+/// promoted records, ties included, and so do pushes at the popped
+/// instant itself.
+#[test]
+fn pushes_below_the_window_end_between_pops_interleave() {
+    let mut c = Checked::new();
+    rebased_at_1000(&mut c);
+    for t in [1_040, 1_005, 1_010, 1_000, 1_039, 1_020] {
+        c.push(t);
+    }
+    assert_eq!(c.pop(), 1_000);
+    c.push(1_000);
+    c.push(1_015);
+    for _ in 0..5 {
+        c.pop();
+        c.push(1_030);
+    }
+    c.drain();
+    assert_eq!(c.q.ladder_stats().rebases, 1);
+}
+
+/// A snapshot taken while the window holds both promoted records and
+/// records pushed into it afterwards lists both in pop order, and
+/// changes no later pop.
+#[test]
+fn a_snapshot_merges_the_promoted_records_with_later_pushes() {
+    let mut c = Checked::new();
+    rebased_at_1000(&mut c);
+    for t in [1_035, 1_001, 1_020, 1_040] {
+        c.push(t);
+    }
+    c.snapshot();
+    assert_eq!(c.pop(), 1_001);
+    c.push(1_002);
+    c.snapshot();
+    c.snapshot();
+    c.drain();
+}
+
+/// A small far set drains into the window in one piece; pushes into the
+/// widened window then interleave with it.
+#[test]
+fn pushes_into_a_drained_far_window_interleave() {
+    let mut c = Checked::new();
+    for i in 0..100 {
+        c.push(1_000_000 + 1_000 * (i % 37));
+    }
+    assert_eq!(c.pop(), 1_000_000);
+    assert_eq!(c.q.ladder_stats().far_drains, 1);
+    for t in [1_000_000, 1_000_500, 1_036_000, 1_036_001, 1_001_000] {
+        c.push(t);
+    }
+    c.snapshot();
+    for _ in 0..50 {
+        let t = c.pop();
+        c.push(t + 777);
+    }
+    c.drain();
+    assert_eq!(
+        c.q.ladder_stats().far_drains,
+        1,
+        "the window held every push"
+    );
+}
+
+/// A cleared queue starts from a fresh geometry, whatever state its tiers
+/// were in, and runs the same scripts correctly again.
+#[test]
+fn a_cleared_queue_is_reused() {
+    let mut c = Checked::new();
+    rebased_at_1000(&mut c);
+    c.push(1_003);
+    c.q.clear();
+    c.oracle.clear();
+    assert!(c.q.is_empty());
+    assert_eq!(c.q.pop(), None);
+    rebased_at_1000(&mut c);
+    c.push(1_003);
+    c.snapshot();
+    c.drain();
+    for i in 0..100 {
+        c.push(5_000 + 3 * i);
+    }
+    c.pop();
+    c.push(5_001);
+    c.drain();
+}
+
+/// FNV-1a-64 over a stream of words.
+fn fnv1a(h: &mut u64, word: u64) {
+    for b in word.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// The large keyed run's state: the queue, a xorshift stream, each
+/// source's push counter, the frontier, and the pop-sequence hash.
+struct LargeRun {
+    q: EventQueue<u64>,
+    x: u64,
+    seqs: [u64; 64],
+    now: u64,
+    pushed: u64,
+    hash: u64,
+}
+
+impl LargeRun {
+    fn rnd(&mut self, n: u64) -> u64 {
+        self.x ^= self.x << 13;
+        self.x ^= self.x >> 7;
+        self.x ^= self.x << 17;
+        self.x % n
+    }
+
+    /// Push at `now + dt` from a random source, keyed as the engine keys.
+    fn push(&mut self, dt: u64) {
+        let src = self.rnd(64) as usize;
+        let key = EventKey {
+            push_ps: self.now,
+            src: src as u32,
+            seq: self.seqs[src],
+        };
+        self.seqs[src] += 1;
+        self.q
+            .push_keyed(Time::from_ps(self.now + dt), key, self.pushed);
+        self.pushed += 1;
+    }
+
+    fn pop(&mut self) {
+        let (t, key, v) = self.q.pop_keyed().expect("the script pops a pending event");
+        assert!(t.as_ps() >= self.now, "time went backwards");
+        self.now = t.as_ps();
+        for w in [t.as_ps(), key.push_ps, u64::from(key.src), key.seq, v] {
+            fnv1a(&mut self.hash, w);
+        }
+    }
+}
+
+/// The ladder's geometry on a large keyed run, pinned. Over 50k events:
+/// a hold model (pop one, schedule up to two a short way ahead), bursts
+/// of thousands of records past the horizon, and run-downs to a few far
+/// timers. The counts of promotions, rebases and far drains are the tier
+/// layout's, not the pop order's: a change to where records sit moves
+/// them (and `task_traced`'s `queue_tier` events) even when every pop
+/// stays exact. The hash covers every popped `(time, key, payload)`.
+#[test]
+fn a_large_keyed_run_keeps_its_ladder_geometry() {
+    let mut r = LargeRun {
+        q: EventQueue::new(),
+        x: 0x2545_F491_4F6C_DD1D,
+        seqs: [0; 64],
+        now: 0,
+        pushed: 0,
+        hash: 0xcbf2_9ce4_8422_2325,
+    };
+    for round in 0..12 {
+        for _ in 0..500 + r.rnd(3_000) {
+            let dt = 1_000_000 + r.rnd(1_000_000_000);
+            r.push(dt);
+        }
+        for i in 0..1_000 + r.rnd(1_000) {
+            let dt = r.rnd(20_000);
+            r.push(dt);
+            if i % 3 == 0 {
+                let dt = r.rnd(200);
+                r.push(dt);
+            }
+        }
+        for _ in 0..2_000 + r.rnd(2_000) {
+            r.pop();
+            for _ in 0..r.rnd(3) {
+                let dt = if r.rnd(50) == 0 {
+                    r.rnd(50_000_000)
+                } else {
+                    r.rnd(5_000)
+                };
+                r.push(dt);
+            }
+        }
+        // Run down to a few far timers so the next pops drain the far tier.
+        while r.q.len() > 20 + round {
+            r.pop();
+        }
+        for _ in 0..3 {
+            r.pop();
+            let dt = 1 + r.rnd(100);
+            r.push(dt);
+        }
+    }
+    while !r.q.is_empty() {
+        r.pop();
+    }
+    let s = r.q.ladder_stats();
+    assert!(r.pushed >= 50_000, "the script pushes {}", r.pushed);
+    assert_eq!(
+        (s.promotions, s.rebases, s.far_drains, r.hash),
+        (4_266, 62, 6, 0x500c_c2bc_d475_c666),
+        "ladder geometry or pop order moved"
+    );
 }
