@@ -97,6 +97,11 @@ pub struct Router {
     topo: Topology,
     link: LinkParams,
     params: RouterParams,
+    /// Serialisation time on a link of a full packet (`max_packet_payload`
+    /// plus the header) and of the header alone, computed once: only a
+    /// message's short tail packet still divides.
+    full_time: Duration,
+    header_time: Duration,
     /// Component id of the local abstract processor.
     proc_comp: CompId,
     /// Per-output-link state as parallel flat arrays keyed by the small
@@ -156,6 +161,8 @@ impl Router {
             topo,
             link,
             params,
+            full_time: link.transfer_time(params.max_packet_payload + params.header_bytes),
+            header_time: link.transfer_time(params.header_bytes),
             proc_comp,
             out_nbrs: Vec::new(),
             out_busy: Vec::new(),
@@ -258,26 +265,23 @@ impl Router {
         ctx.send_at(at, dst, msg);
     }
 
-    /// Wire size of a packet: payload plus header.
-    fn packet_bytes(&self, pkt: &Packet) -> u32 {
-        pkt.payload(self.params.max_packet_payload) + self.params.header_bytes
-    }
-
-    /// Serialisation time of the whole packet on a link.
+    /// Serialisation time of the whole packet (payload plus header) on a
+    /// link.
+    #[inline]
     fn packet_time(&self, pkt: &Packet) -> Duration {
-        self.link.transfer_time(self.packet_bytes(pkt))
-    }
-
-    /// Serialisation time of just the header.
-    fn header_time(&self) -> Duration {
-        self.link.transfer_time(self.params.header_bytes)
+        let payload = pkt.payload(self.params.max_packet_payload);
+        if payload == self.params.max_packet_payload {
+            self.full_time
+        } else {
+            self.link.transfer_time(payload + self.params.header_bytes)
+        }
     }
 
     /// Time from a packet's tail being ejected relative to its head being
     /// at this router: non-zero only when the body is still streaming in.
     fn tail_residue(&self, pkt: &Packet, streamed: bool) -> Duration {
         if streamed {
-            self.packet_time(pkt).saturating_sub(self.header_time())
+            self.packet_time(pkt).saturating_sub(self.header_time)
         } else {
             Duration::ZERO
         }
@@ -334,7 +338,7 @@ impl Router {
         // Head arrival at the next router.
         let head_adv = match self.params.switching {
             Switching::StoreAndForward => t_pkt,
-            Switching::VirtualCutThrough | Switching::Wormhole => self.header_time(),
+            Switching::VirtualCutThrough | Switching::Wormhole => self.header_time,
         };
         start + self.link.wire_latency + head_adv
     }
@@ -802,6 +806,34 @@ mod tests {
         // routing 10 ns + serialise 1024 ns + wire 1 ns; SAF: delivered when
         // fully at router 1.
         assert_eq!(sink.deliveries[0].0, Time::from_ns(10 + 1024 + 1));
+    }
+
+    /// A full packet serialises for its 1,032 bytes and the message's
+    /// short tail packet, on the same link, for its own 108: the time
+    /// cached for a full packet is never charged to the tail.
+    #[test]
+    fn full_and_tail_packets_serialise_for_their_own_sizes() {
+        let (mut e, sinks) = line(2, Switching::StoreAndForward);
+        for index in 0..2 {
+            let p = Packet {
+                index,
+                msg_bytes: 1024 + 100,
+                ..pkt(0, 1, 0)
+            };
+            e.post(Time::ZERO, 0, 0, NetMsg::Inject(p));
+        }
+        e.run();
+        let sink = e.component::<Sink>(sinks[1]).unwrap();
+        let times: Vec<Time> = sink.deliveries.iter().map(|&(t, _)| t).collect();
+        // Full: routing 10 + serialise 1,032 + wire 1. The tail waits for
+        // the link to free at 1,042, then routing 10 + 108 + wire 1.
+        assert_eq!(
+            times,
+            [
+                Time::from_ns(10 + 1032 + 1),
+                Time::from_ns(1042 + 10 + 108 + 1)
+            ]
+        );
     }
 
     #[test]

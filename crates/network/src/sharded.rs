@@ -27,7 +27,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex, RwLock};
 use std::thread;
 use std::time::Instant;
 
@@ -304,9 +304,9 @@ pub struct RunOptions<'a> {
     /// Deterministic fault injection; `None` runs the healthy machine.
     pub faults: Option<Arc<FaultSchedule>>,
     /// Resume from this snapshot instead of starting at time zero. The run
-    /// owns it: a serial run drops it — its pending events as text, most
-    /// of the file — once the engine's queue holds them, rather than keep
-    /// it through the run.
+    /// owns it and drops it — its pending events as text, most of the
+    /// file — once the engine's queue holds them (in a sharded run, once
+    /// every shard's does), rather than keep it through the run.
     pub restore_from: Option<Snapshot>,
     /// Write periodic snapshots during the run.
     pub checkpoint: Option<&'a CheckpointOpts<'a>>,
@@ -444,7 +444,7 @@ pub fn run_comm(
     if part.shards() > 1 {
         let la = lookahead(&cfg, traces, opts.faults.as_deref());
         if la.hop > Duration::ZERO {
-            return run_on_shards(cfg, traces, &opts, part, la);
+            return run_on_shards(cfg, traces, opts, part, la);
         }
     }
     Ok((run_serial(cfg, traces, opts)?, None))
@@ -516,7 +516,11 @@ struct Shared<'a> {
     /// The per-hop lookahead every window bound is built from.
     la: Lookahead,
     faults: Option<Arc<FaultSchedule>>,
-    restore_from: Option<&'a Snapshot>,
+    /// The snapshot every shard restores its slice from, until the build
+    /// gate has agreed that all of them did; then shard 0 drops it.
+    restore_from: RwLock<Option<Snapshot>>,
+    /// The restored snapshot's instant, kept for the checkpoint cadence.
+    restored_at: Option<Time>,
     /// Whether the caller's probe is enabled (shards then buffer events).
     want_probe: bool,
     built: BuildGate,
@@ -555,7 +559,7 @@ impl BuildGate {
 fn run_on_shards(
     cfg: NetworkConfig,
     traces: &TraceSet,
-    opts: &RunOptions<'_>,
+    opts: RunOptions<'_>,
     part: Partition,
     la: Lookahead,
 ) -> Result<(CommResult, Option<ShardProfile>), SnapshotError> {
@@ -581,7 +585,7 @@ fn run_on_shards(
         part,
         la,
         faults: opts.faults.clone(),
-        restore_from: opts.restore_from.as_ref(),
+        restored_at: opts.restore_from.as_ref().map(|s| s.time),
         want_probe: opts.probe.is_enabled(),
         built: BuildGate {
             barrier: Barrier::new(k),
@@ -604,6 +608,7 @@ fn run_on_shards(
             barrier: Barrier::new(k),
             error: Mutex::new(None),
         }),
+        restore_from: RwLock::new(opts.restore_from),
     };
 
     let outs: Vec<Result<Option<ShardOut>, SnapshotError>> = thread::scope(|scope| {
@@ -645,6 +650,10 @@ fn shard_worker(
 ) -> Result<Option<ShardOut>, SnapshotError> {
     let built = Shard::build(s, shared, rx);
     let all_built = shared.built.agree(built.is_ok());
+    if s == 0 {
+        // Every shard is past its build: no one reads the snapshot again.
+        drop(shared.restore_from.write().unwrap().take());
+    }
     let mut shard = built?;
     if !all_built {
         return Ok(None);
@@ -693,7 +702,7 @@ impl<'a> Shard<'a> {
             &shared.faults,
             Some(cross),
         );
-        match shared.restore_from {
+        match shared.restore_from.read().unwrap().as_ref() {
             Some(snap) => {
                 // A restored shard overlays the snapshot instead of
                 // priming: the queue, clock and counters are replaced
@@ -741,9 +750,7 @@ impl<'a> Shard<'a> {
         // Every shard tracks the same next-capture instant (same cadence,
         // same agreed minima), so all reach each capture in the same round.
         let mut next_cp = match &shared.ckpt {
-            Some(ck) => ck
-                .opts
-                .first_capture_ps(shared.restore_from.map(|s| s.time)),
+            Some(ck) => ck.opts.first_capture_ps(shared.restored_at),
             None => u64::MAX,
         };
         let mut mins: Vec<u64> = Vec::new();

@@ -479,6 +479,14 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
         let Some((time, key, qe)) = self.queue.pop_keyed() else {
             return false;
         };
+        self.deliver(time, key, qe);
+        true
+    }
+
+    /// Advance the clock to `time` and hand a popped event to its
+    /// destination's handler.
+    #[inline(always)]
+    fn deliver(&mut self, time: Time, key: EventKey, qe: QueuedEvent<M>) {
         debug_assert!(time >= self.now, "event queue returned a past event");
         self.now = time;
         self.events_processed += 1;
@@ -503,7 +511,6 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
             },
             &mut ctx,
         );
-        true
     }
 
     /// Run until the event set drains or a component stops the engine.
@@ -528,12 +535,11 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
     /// Stop handling matches [`Engine::run_until`]. `max_events == 0`
     /// delivers nothing and reports [`RunResult::EventLimit`].
     ///
-    /// This is the batched main loop behind `run`/`run_until`. Events are
-    /// delivered strictly in `(time, seq)` order — identical to
-    /// repeated [`Engine::step`] — but consecutive events at the same
-    /// instant are dispatched in one inner loop, and a run of same-instant
-    /// events addressed to the same component reuses a single component
-    /// borrow, so the per-event cost is one queue pop plus the handler.
+    /// This is the main loop behind `run`/`run_until`. Events are
+    /// delivered strictly in `(time, key)` order — identical to repeated
+    /// [`Engine::step`] — at the cost of one queue pop plus the handler
+    /// per event: the pop itself tests the deadline against the earliest
+    /// record's time, before it takes a payload.
     pub fn run_core(&mut self, deadline: Time, max_events: u64) -> RunResult {
         self.ensure_init();
         if self.stop_requested {
@@ -547,66 +553,21 @@ impl<M: 'static, W: World<M>> Engine<M, W> {
         }
         let mut remaining = max_events;
         loop {
-            let t = match self.queue.peek_time() {
-                None => return RunResult::Drained,
-                Some(t) if t > deadline => {
-                    self.now = deadline;
-                    return RunResult::TimeLimit;
+            let Some((t, key, qe)) = self.queue.pop_keyed_until(deadline) else {
+                if self.queue.is_empty() {
+                    return RunResult::Drained;
                 }
-                Some(t) => t,
+                self.now = deadline;
+                return RunResult::TimeLimit;
             };
-            self.now = t;
-            // Deliver every event at instant `t`, including ones handlers
-            // schedule for `t` as we go.
-            'instant: loop {
-                let (mut key, mut qe) = match self.queue.peek() {
-                    Some((tt, _)) if tt == t => {
-                        let (_, key, qe) = self.queue.pop_keyed().expect("peeked event vanished");
-                        (key, qe)
-                    }
-                    _ => break 'instant,
-                };
-                // A run of same-instant events to one destination shares
-                // this component borrow.
-                let dst = qe.dst as CompId;
-                loop {
-                    self.events_processed += 1;
-                    remaining -= 1;
-                    let src = key.src as CompId;
-                    if self.probe.is_some() {
-                        self.probe_delivery(t, src, dst);
-                    }
-                    let mut ctx = Ctx {
-                        now: t,
-                        self_id: dst,
-                        queue: &mut self.queue,
-                        stop_requested: &mut self.stop_requested,
-                        key_counters: &mut self.key_counters,
-                    };
-                    self.world.handle(
-                        dst,
-                        Event {
-                            time: t,
-                            src,
-                            dst,
-                            payload: qe.payload,
-                        },
-                        &mut ctx,
-                    );
-                    if self.stop_requested {
-                        self.stop_requested = false;
-                        return RunResult::Stopped;
-                    }
-                    if remaining == 0 {
-                        return RunResult::EventLimit;
-                    }
-                    match self.queue.peek() {
-                        Some((tt, e)) if tt == t && e.dst as CompId == dst => {
-                            (_, key, qe) = self.queue.pop_keyed().expect("peeked event vanished");
-                        }
-                        _ => continue 'instant,
-                    }
-                }
+            self.deliver(t, key, qe);
+            remaining -= 1;
+            if self.stop_requested {
+                self.stop_requested = false;
+                return RunResult::Stopped;
+            }
+            if remaining == 0 {
+                return RunResult::EventLimit;
             }
         }
     }

@@ -16,11 +16,11 @@ use crate::time::Time;
 /// [`crate::EventQueue`] (see the queue module docs for the tier model).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LadderStats {
-    /// Buckets promoted wholesale into the current-window heap.
+    /// Buckets promoted wholesale into the current window's sorted run.
     pub promotions: u64,
     /// Epoch rebases sourced from the far tier.
     pub rebases: u64,
-    /// Plain-heap fallback drains of a small far set.
+    /// Fallback drains of a small far set into the sorted run.
     pub far_drains: u64,
 }
 

@@ -23,12 +23,16 @@
 //! rather than a single binary heap. Pending events live in one of three
 //! tiers by how far ahead of the consumption frontier they are:
 //!
-//! 1. **current** — a small binary min-heap holding every event earlier
-//!    than `cur_end`. All pops come from here.
+//! 1. **current** — every event earlier than `cur_end`, in two parts: the
+//!    *run*, the last promoted bucket sorted once with its earliest record
+//!    last, so a pop from it is an O(1) `Vec::pop`; and the *side heap*, a
+//!    small binary min-heap of the records pushed below `cur_end` after
+//!    that promotion. All pops come from here, each taking the earlier of
+//!    the two heads.
 //! 2. **buckets** — `NUM_BUCKETS` append-only vectors covering the epoch
 //!    window `[epoch_base, epoch_base + NUM_BUCKETS × width)`. A push into
-//!    this window is an O(1) `Vec::push`; the bucket is heapified in one
-//!    batch when the frontier reaches it.
+//!    this window is an O(1) `Vec::push`; the bucket is sorted in one
+//!    batch, in its own storage, when the frontier reaches it.
 //! 3. **far** — an unsorted vector of everything at or beyond the epoch
 //!    horizon. A push here is an O(1) `Vec::push` too.
 //!
@@ -39,12 +43,12 @@
 //! bucket in one linear pass. At least `k` records leave per rebase, a
 //! quarter of the tier or more, so each record is scanned a constant
 //! number of times: push, rebase and pop are amortised O(1) apart from
-//! the sift in `current`. Every tier orders entries by the same
-//! `(time, key)`, so the pop sequence is exactly the sequence a plain
-//! stable binary heap would produce — determinism is structural, not
-//! incidental. When the pending set is small the queue degrades to
-//! plain-heap operation (see `FAR_DRAIN`) instead of paying epoch
-//! bookkeeping per event.
+//! the sort of a promoted bucket and the sifts in the side heap. Every
+//! tier orders entries by the same `(time, key)`, so the pop sequence is
+//! exactly the sequence a plain stable binary heap would produce —
+//! determinism is structural, not incidental. When the pending set is
+//! small the queue degrades to one sorted run (see `FAR_DRAIN`) instead
+//! of paying epoch bookkeeping per event.
 //!
 //! # Records and the payload slab
 //!
@@ -158,7 +162,7 @@ impl Ord for Entry {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, key) pops
-        // first.
+        // first, and so an ascending sort puts a run's earliest record last.
         other.order().cmp(&self.order())
     }
 }
@@ -170,9 +174,13 @@ pub struct EventQueue<T> {
     slots: Vec<Option<T>>,
     /// Vacant slot indices, reused LIFO before the slab grows.
     free: Vec<u32>,
-    /// Tier 1: events below `cur_end`, in a min-heap. The global minimum
-    /// is always here once [`EventQueue::settle`] has run.
-    current: BinaryHeap<Entry>,
+    /// Tier 1, the run: the last promoted bucket (or drained far tier),
+    /// sorted latest first so its earliest record pops off the end.
+    run: Vec<Entry>,
+    /// Tier 1, the side heap: records pushed below `cur_end` since the
+    /// run was built. The global minimum is the earlier of the two heads
+    /// once [`EventQueue::settle`] has run.
+    side: BinaryHeap<Entry>,
     /// Exclusive upper bound of the current window (`epoch_base +
     /// cursor × width`, saturating).
     cur_end: u64,
@@ -206,7 +214,8 @@ impl<T> EventQueue<T> {
         EventQueue {
             slots: Vec::new(),
             free: Vec::new(),
-            current: BinaryHeap::new(),
+            run: Vec::new(),
+            side: BinaryHeap::new(),
             cur_end: 0,
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             epoch_base: 0,
@@ -223,7 +232,7 @@ impl<T> EventQueue<T> {
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = EventQueue::new();
         q.slots = Vec::with_capacity(cap);
-        q.current = BinaryHeap::with_capacity(cap.min(1024));
+        q.side = BinaryHeap::with_capacity(cap.min(1024));
         q.far = Vec::with_capacity(cap);
         q
     }
@@ -269,19 +278,11 @@ impl<T> EventQueue<T> {
         slot
     }
 
-    /// The payload `e` points at.
-    #[inline]
-    fn item(&self, e: &Entry) -> &T {
-        self.slots[e.slot as usize]
-            .as_ref()
-            .expect("queue record points at a vacant slot")
-    }
-
     #[inline]
     fn push_entry(&mut self, entry: Entry) {
         let t = entry.time.as_ps();
         if t < self.cur_end {
-            self.current.push(entry);
+            self.side.push(entry);
             return;
         }
         // `t >= cur_end >= epoch_base`, so this cannot underflow.
@@ -294,12 +295,30 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// True when the current window holds no record.
+    #[inline(always)]
+    fn current_is_empty(&self) -> bool {
+        self.run.is_empty() && self.side.is_empty()
+    }
+
+    /// The earliest record of the current window — the run's last or the
+    /// side heap's top, whichever is earlier (`Entry`'s order is inverted,
+    /// so the earlier one compares greater) — and whether it is the top.
+    #[inline(always)]
+    fn head(&self) -> Option<(Entry, bool)> {
+        match (self.run.last(), self.side.peek()) {
+            (Some(r), Some(s)) if s > r => Some((*s, true)),
+            (Some(r), _) => Some((*r, false)),
+            (None, s) => s.map(|s| (*s, true)),
+        }
+    }
+
     /// Ensure the global minimum (if any) sits in `current`, promoting
     /// buckets and rebasing from the far tier as needed. Kept out of line
     /// so that [`EventQueue::pop`] stays small enough to inline.
     #[inline(never)]
     fn settle(&mut self) {
-        while self.current.is_empty() {
+        while self.current_is_empty() {
             if self.in_buckets > 0 {
                 // Advance the frontier to the next non-empty bucket and
                 // promote it wholesale.
@@ -310,12 +329,14 @@ impl<T> EventQueue<T> {
                         .epoch_base
                         .saturating_add(self.width.saturating_mul(self.cursor as u64));
                     if !self.buckets[c].is_empty() {
-                        // Take rather than drain: a drained bucket hands
-                        // its storage back instead of holding it until
-                        // its slot fills again in some later epoch.
-                        let batch = std::mem::take(&mut self.buckets[c]);
+                        // Take rather than drain: the bucket's storage
+                        // becomes the run (the spent run's is freed)
+                        // instead of being held until its slot fills
+                        // again in some later epoch.
+                        let mut batch = std::mem::take(&mut self.buckets[c]);
                         self.in_buckets -= batch.len();
-                        self.current.extend(batch);
+                        sort_run(&mut batch);
+                        self.run = batch;
                         self.ladder.promotions += 1;
                         break;
                     }
@@ -334,7 +355,7 @@ impl<T> EventQueue<T> {
     /// the bucket width so `[t_min, t_k]` spans the buckets, and move every
     /// far record below the new horizon into its bucket in one pass.
     fn rebase(&mut self) {
-        debug_assert!(self.current.is_empty() && self.in_buckets == 0);
+        debug_assert!(self.current_is_empty() && self.in_buckets == 0);
         self.ladder.rebases += 1;
         let k = REBASE_BATCH.max(self.far.len() / 4).min(self.far.len());
         let (below, kth, _) = self.far.select_nth_unstable_by_key(k - 1, |e| e.time);
@@ -362,18 +383,19 @@ impl<T> EventQueue<T> {
         debug_assert!(self.in_buckets >= k, "a rebase must move its k records");
     }
 
-    /// Plain-heap fallback for a small pending set: heapify *all* far
-    /// events into `current` in O(n) (`current` is empty and hands its
-    /// allocation to `far`) and extend the window past them, so pushes
-    /// near the frontier keep landing straight in the heap until traffic
-    /// grows again.
+    /// Fallback for a small pending set: sort *all* far events into the
+    /// run (the spent run hands its allocation to `far`) and extend the
+    /// window past them, so pushes near the frontier keep landing in the
+    /// side heap until traffic grows again.
     fn drain_far(&mut self) {
-        debug_assert!(self.current.is_empty() && self.in_buckets == 0);
+        debug_assert!(self.current_is_empty() && self.in_buckets == 0);
         self.ladder.far_drains += 1;
-        let spare = std::mem::take(&mut self.current).into_vec();
-        let far = std::mem::replace(&mut self.far, spare);
-        let last = far.iter().map(|e| e.time.as_ps()).max().unwrap_or(0);
-        self.current = BinaryHeap::from(far);
+        let spare = std::mem::take(&mut self.run);
+        let mut far = std::mem::replace(&mut self.far, spare);
+        sort_run(&mut far);
+        // Sorted latest first: the run's first record is the last event.
+        let last = far.first().map_or(0, |e| e.time.as_ps());
+        self.run = far;
         self.cur_end = last.saturating_add(1);
         self.epoch_base = self.cur_end;
         self.cursor = 0;
@@ -390,13 +412,28 @@ impl<T> EventQueue<T> {
     /// [`EventQueue::pop`], with the popped item's tie-break key.
     #[inline(always)]
     pub fn pop_keyed(&mut self) -> Option<(Time, EventKey, T)> {
-        if self.current.is_empty() {
+        self.pop_keyed_until(Time::MAX)
+    }
+
+    /// [`EventQueue::pop_keyed`] if the earliest item is due at or before
+    /// `deadline`; otherwise `None`, and nothing is removed.
+    #[inline(always)]
+    pub fn pop_keyed_until(&mut self, deadline: Time) -> Option<(Time, EventKey, T)> {
+        if self.current_is_empty() {
             self.settle();
         }
-        let e = self.current.pop()?;
+        let (e, from_side) = self.head()?;
+        if e.time > deadline {
+            return None;
+        }
+        if from_side {
+            self.side.pop();
+        } else {
+            self.run.pop();
+        }
         // The next pop most likely takes the new minimum: start loading
         // its payload while the caller handles this one.
-        if let Some(next) = self.current.peek() {
+        if let Some((next, _)) = self.head() {
             prefetch(&self.slots, next.slot);
         }
         let item = self.slots[e.slot as usize]
@@ -409,26 +446,16 @@ impl<T> EventQueue<T> {
     /// Delivery time of the earliest pending item, if any.
     #[inline]
     pub fn peek_time(&mut self) -> Option<Time> {
-        if self.current.is_empty() {
+        if self.current_is_empty() {
             self.settle();
         }
-        self.current.peek().map(|e| e.time)
-    }
-
-    /// Delivery time and a view of the earliest pending item, if any.
-    #[inline]
-    pub fn peek(&mut self) -> Option<(Time, &T)> {
-        if self.current.is_empty() {
-            self.settle();
-        }
-        let e = self.current.peek()?;
-        Some((e.time, self.item(e)))
+        self.head().map(|(e, _)| e.time)
     }
 
     /// Number of pending items.
     #[inline]
     pub fn len(&self) -> usize {
-        self.current.len() + self.in_buckets + self.far.len()
+        self.run.len() + self.side.len() + self.in_buckets + self.far.len()
     }
 
     /// True when no items are pending.
@@ -441,7 +468,8 @@ impl<T> EventQueue<T> {
     pub fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
-        self.current.clear();
+        self.run.clear();
+        self.side.clear();
         for b in &mut self.buckets {
             b.clear();
         }
@@ -462,22 +490,23 @@ impl<T> EventQueue<T> {
     /// Hand `f` every pending item in `(time, key)` order — the exact
     /// order they would pop in — without copying one.
     ///
-    /// Each tier's 32-byte records are sorted in place (keys are unique,
-    /// so an unstable sort gives that order), and the tiers are visited
-    /// front to back: they are ordered among themselves (see the module
-    /// docs). Sorting changes no pop: every tier orders by the same
-    /// `(time, key)`, and `current` is heapified again afterwards. Ladder
-    /// geometry is not part of what `f` sees; a restored queue rebuilds
-    /// it from scratch.
+    /// The side heap is moved into the run and the run sorted again, as
+    /// a promotion builds it; each other tier's 32-byte records are sorted
+    /// in place (keys are unique, so an unstable sort gives that order).
+    /// The tiers are visited front to back: they are ordered among
+    /// themselves (see the module docs). Sorting changes no pop: every
+    /// tier orders by the same `(time, key)`, and the window keeps its
+    /// bounds. Ladder geometry is not part of what `f` sees; a restored
+    /// queue rebuilds it from scratch.
     pub fn with_in_order<R>(&mut self, f: impl FnOnce(InOrder<'_, T>) -> R) -> R {
-        let mut current = std::mem::take(&mut self.current).into_vec();
-        current.sort_unstable_by_key(Entry::order);
+        self.run.extend(self.side.drain());
+        sort_run(&mut self.run);
         for b in &mut self.buckets {
             b.sort_unstable_by_key(Entry::order);
         }
         self.far.sort_unstable_by_key(Entry::order);
         let view = InOrder {
-            current: &current,
+            run: &self.run,
             buckets: &self.buckets,
             far: &self.far,
             slots: &self.slots,
@@ -488,9 +517,7 @@ impl<T> EventQueue<T> {
                 .all(|(a, b)| a.order() < b.order()),
             "queue tiers out of order"
         );
-        let r = f(view);
-        self.current = BinaryHeap::from(current);
-        r
+        f(view)
     }
 
     /// Slab slots allocated, vacant ones included. Slots are reused before
@@ -512,10 +539,17 @@ impl<T> EventQueue<T> {
     }
 }
 
+/// Sort records latest first (`Entry`'s order is inverted), so that a run
+/// pops its earliest record off the end.
+fn sort_run(run: &mut [Entry]) {
+    run.sort_unstable();
+}
+
 /// Every pending item of an [`EventQueue`] in pop order, as
 /// [`EventQueue::with_in_order`] hands them out.
 pub struct InOrder<'q, T> {
-    current: &'q [Entry],
+    /// Sorted latest first, as the queue pops it.
+    run: &'q [Entry],
     buckets: &'q [Vec<Entry>],
     far: &'q [Entry],
     slots: &'q [Option<T>],
@@ -532,7 +566,7 @@ impl<T> Copy for InOrder<'_, T> {}
 impl<'q, T> InOrder<'q, T> {
     fn records(self) -> impl Iterator<Item = &'q Entry> {
         let buckets = self.buckets.iter().flatten();
-        self.current.iter().chain(buckets).chain(self.far)
+        self.run.iter().rev().chain(buckets).chain(self.far)
     }
 
     /// Delivery time, tie-break key and payload of every pending item, in
@@ -626,18 +660,8 @@ mod tests {
         assert_eq!(q.total_pushed(), 1);
     }
 
-    #[test]
-    fn peek_exposes_item() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_ps(9), "later");
-        q.push(Time::from_ps(3), "first");
-        assert_eq!(q.peek(), Some((Time::from_ps(3), &"first")));
-        assert_eq!(q.pop(), Some((Time::from_ps(3), "first")));
-        assert_eq!(q.peek(), Some((Time::from_ps(9), &"later")));
-    }
-
-    /// A small pending set takes the plain-heap drain path; pushes that
-    /// land inside the extended window must still interleave correctly.
+    /// A small pending set takes the far-drain path; pushes that land
+    /// inside the extended window must still interleave correctly.
     #[test]
     fn small_sets_drain_and_stay_ordered() {
         let mut q = EventQueue::new();
@@ -646,8 +670,8 @@ mod tests {
         }
         // First pop triggers the drain (all 10 are "far" initially).
         assert_eq!(q.pop(), Some((Time::from_ps(0), 0)));
-        // A push below the extended window joins the heap directly and
-        // pops in global order.
+        // A push below the extended window joins the side heap and pops
+        // in global order.
         q.push(Time::from_ps(500), 99);
         assert_eq!(q.pop(), Some((Time::from_ps(500), 99)));
         for i in 1u64..10 {
@@ -718,7 +742,7 @@ mod tests {
         }
         q.pop();
         assert_eq!(q.ladder_stats().promotions, 1);
-        // The remaining small far set drains via the plain-heap fallback.
+        // The remaining small far set drains via the sorted-run fallback.
         q.pop();
         assert_eq!(q.ladder_stats().far_drains, 1);
         assert_eq!(q.ladder_stats().rebases, 0);

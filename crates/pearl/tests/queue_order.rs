@@ -42,7 +42,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 enum KeyedOp {
     Push(u64, EventKey),
     Pop,
-    Peek,
     PeekTime,
     Clear,
     Snapshot,
@@ -64,8 +63,7 @@ fn keyed_op_strategy(first: u64) -> impl Strategy<Value = KeyedOp> {
     (0u32..1000, keyed_push(first)).prop_map(|(pick, (t, k))| match pick {
         0..=599 => KeyedOp::Push(t, k),
         600..=849 => KeyedOp::Pop,
-        850..=909 => KeyedOp::Peek,
-        910..=969 => KeyedOp::PeekTime,
+        850..=969 => KeyedOp::PeekTime,
         970..=997 => KeyedOp::Snapshot,
         _ => KeyedOp::Clear,
     })
@@ -214,10 +212,6 @@ fn keyed_workout(prefill: Vec<(u64, EventKey)>, ops: Vec<KeyedOp>) -> Result<(),
             KeyedOp::Pop => {
                 let want = oracle.pop_first().map(|((t, _), v)| (t, v));
                 prop_assert_eq!(q.pop(), want);
-            }
-            KeyedOp::Peek => {
-                let want = oracle.first_key_value().map(|(&(t, _), &v)| (t, v));
-                prop_assert_eq!(q.peek().map(|(t, &v)| (t, v)), want);
             }
             KeyedOp::PeekTime => {
                 let want = oracle.first_key_value().map(|(&(t, _), _)| t);

@@ -97,6 +97,26 @@ cargo run --release -p mermaid --bin mermaid-cli -- sim --machine t805 \
 grep "^lookahead: .*smallest packet 520 B" "$sharded_out" > /dev/null \
     || { echo "t805 lookahead is not sized by the 520 B packet" >&2; exit 1; }
 
+echo "==> cli: the t805 torus:16x16 all-to-all is bit-identical serial vs --shards 2"
+# At this scale a rebase spreads a quarter of the far tier over the 64
+# buckets, so each promoted bucket is a sorted run of thousands of
+# records, with the side heap taking the pushes below its end. The
+# sharded run must still print the serial run's stdout; its shard
+# profile, appended after a blank line, is cut before the diff and
+# supplies the event count. Wall times and ns/event are information.
+big_cli="${CARGO_TARGET_DIR:-target}/release/mermaid-cli"
+big=(sim --machine t805 --topology torus:16x16 --mode task --pattern all2all --phases 1 --seed 7)
+t0=$(date +%s%N)
+"$big_cli" "${big[@]}" > "$serial_out"
+t1=$(date +%s%N)
+"$big_cli" "${big[@]}" --shards 2 --shard-profile > "$sharded_out"
+t2=$(date +%s%N)
+big_events=$(awk '/^shard  windows/ { on = 1; next } on && NF == 9 { n += $3 } END { print n }' "$sharded_out")
+sed '/^shard self-profile/,$d' "$sharded_out" | sed '$d' | diff -u "$serial_out" - \
+    || { echo "sharded output diverged (t805 torus:16x16)" >&2; exit 1; }
+echo "serial $(( (t1 - t0) / 1000000 )) ms, --shards 2 $(( (t2 - t1) / 1000000 )) ms;" \
+    "$big_events events: $(( (t1 - t0) / big_events )) / $(( (t2 - t1) / big_events )) ns/event"
+
 echo "==> cli: sim output matches the pre-migration golden snapshot"
 # The checked-in snapshot predates the arena-world migration, so this diff
 # is a literal before/after smoke test of the storage refactor: any drift
