@@ -911,6 +911,17 @@ impl AbstractProcessor {
 }
 
 impl AbstractProcessor {
+    /// Queued arrivals and posted `arecv`s, each summed over sources.
+    #[cfg(test)]
+    pub(crate) fn rendezvous_depths(&mut self) -> (usize, usize) {
+        let (arrivals, waiters) = self.matcher.queues_mut();
+        let depth = |lens: Vec<usize>| lens.iter().sum();
+        (
+            depth(arrivals.values().map(|q| q.len()).collect()),
+            depth(waiters.values().map(|q| q.len()).collect()),
+        )
+    }
+
     /// Walk the processor's mutable simulation state for a checkpoint
     /// (crate::snapshot). Trace, config, probe and fault wiring are
     /// rebuilt from the run config on restore, which walks into a freshly

@@ -1457,6 +1457,45 @@ mod tests {
         (snap, fresh)
     }
 
+    /// The `proc` records of four mid-run captures, pinned by their
+    /// FNV-1a hash. Between them the captures hold posted `arecv`s and
+    /// queued arrivals, so both sides of the receive matcher's walk are
+    /// pinned, not only the empty channel lists.
+    #[test]
+    fn processor_records_hold_their_pinned_hash() {
+        let pins = [
+            (false, 100, 0xe89df461bd07e45au64),
+            (false, 200, 0x7d31e491992a091a),
+            (true, 150, 0x1199e3b60253d939),
+            (true, 250, 0x2451935138a2424b),
+        ];
+        for faulty in [false, true] {
+            let (mut arrivals, mut waiters) = (0, 0);
+            for &(_, us, _) in pins.iter().filter(|p| p.0 == faulty) {
+                let (snap, mut fresh) = mid_run(faulty, us);
+                for (node, rec) in snap.procs.iter().enumerate() {
+                    let proc = fresh.world_mut().proc_mut(node as u32);
+                    state::load(rec, "the processor state", |w| proc.walk(w)).unwrap();
+                    let (a, w) = proc.rendezvous_depths();
+                    arrivals += a;
+                    waiters += w;
+                }
+            }
+            assert!(arrivals > 0, "faulty: {faulty}: no queued arrival captured");
+            assert!(waiters > 0, "faulty: {faulty}: no posted arecv captured");
+        }
+        for (faulty, us, want) in pins {
+            let text = mid_run(faulty, us).0.to_file_string();
+            let procs: String = (text.lines())
+                .filter(|l| l.starts_with("proc "))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(procs.lines().count(), 16);
+            let got = fnv1a64(procs.as_bytes());
+            assert_eq!(got, want, "faulty: {faulty}, {us} us: {got:#018x}");
+        }
+    }
+
     #[test]
     fn router_walk_round_trips() {
         let (snap, mut fresh) = mid_run(true, 150);

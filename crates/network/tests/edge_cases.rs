@@ -153,3 +153,78 @@ fn sync_send_to_a_node_that_uses_arecv_still_gets_its_ack() {
     assert!(r.all_done, "sender never unblocked: {:?}", r.deadlocked);
     assert!(r.nodes[0].proc.send_block > pearl::Duration::ZERO);
 }
+
+#[test]
+fn messages_from_one_source_are_consumed_first_in_first_out() {
+    use mermaid_probe::{ProbeHandle, ProbeStack, SimEvent};
+    // All three arrive before the first receive, so each receive, blocking
+    // or not, takes the oldest queued message from that source.
+    let ts = traces(2, |node| match node {
+        0 => [100, 200, 300]
+            .map(|bytes| Operation::ASend { bytes, dst: 1 })
+            .to_vec(),
+        _ => vec![
+            Operation::Compute { ps: 10_000_000 },
+            Operation::Recv { src: 0 },
+            Operation::ARecv { src: 0 },
+            Operation::Recv { src: 0 },
+        ],
+    });
+    let probe = ProbeHandle::new(ProbeStack::new().with_buffer());
+    let r = CommSim::new_with_probe(cfg(2), &ts, probe.clone()).run();
+    assert!(r.all_done);
+    let consumed: Vec<u32> = (probe.take_buffer().unwrap().iter())
+        .filter_map(|e| match e {
+            SimEvent::MsgDeliver { bytes, .. } => Some(*bytes),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(consumed, [100, 200, 300]);
+}
+
+#[test]
+fn an_arecv_acks_a_sync_send_on_arrival_or_when_posted_after_it() {
+    // Posted before the message arrives, the arecv consumes it on arrival;
+    // posted after, it consumes the queued message at the post. The
+    // sender's rendezvous ack, sent on consumption, tells the two apart.
+    let send_block = |arecv_first: bool| {
+        let ts = traces(2, |node| match node {
+            0 => vec![Operation::Send { bytes: 64, dst: 1 }],
+            _ if arecv_first => vec![
+                Operation::ARecv { src: 0 },
+                Operation::Compute { ps: 10_000_000 },
+            ],
+            _ => vec![
+                Operation::Compute { ps: 10_000_000 },
+                Operation::ARecv { src: 0 },
+            ],
+        });
+        let r = CommSim::new(cfg(2), &ts).run();
+        assert!(r.all_done, "arecv first: {arecv_first}: {:?}", r.deadlocked);
+        assert_eq!(r.nodes[1].proc.msgs_received, 1);
+        r.nodes[0].proc.send_block
+    };
+    let on_arrival = send_block(true);
+    let at_post = send_block(false);
+    assert!(on_arrival < pearl::Duration::from_us(10), "{on_arrival:?}");
+    assert!(at_post >= pearl::Duration::from_us(10), "{at_post:?}");
+}
+
+#[test]
+fn a_posted_arecv_claims_a_message_before_a_blocked_recv() {
+    // Node 1 posts an arecv and then blocks in a recv on the same source:
+    // the first message satisfies the arecv, the second (5 us later) the
+    // recv. A matched arecv is used up, so the second is not claimed too.
+    let ts = traces(2, |node| match node {
+        0 => vec![
+            Operation::ASend { bytes: 8, dst: 1 },
+            Operation::Compute { ps: 5_000_000 },
+            Operation::ASend { bytes: 8, dst: 1 },
+        ],
+        _ => vec![Operation::ARecv { src: 0 }, Operation::Recv { src: 0 }],
+    });
+    let r = CommSim::new(cfg(2), &ts).run();
+    assert!(r.all_done, "the recv never completed: {:?}", r.deadlocked);
+    assert_eq!(r.nodes[1].proc.msgs_received, 2);
+    assert!(r.nodes[1].proc.recv_block >= pearl::Duration::from_us(5));
+}
