@@ -11,6 +11,16 @@
 //! * `asend` returns after the send overhead; `arecv` posts the receive and
 //!   returns immediately (the message is consumed on arrival).
 //!
+//! The processor owns its rendezvous state: per source, a FIFO queue of
+//! fully arrived messages no receive has taken yet, and a count of posted
+//! `arecv`s no message has matched yet. A source only ever has one of the
+//! two, since a receive takes a queued message and an arrival claims a
+//! posted `arecv` at once. A blocking `recv` is the processor's state
+//! (`AwaitRecv`), not a queued entry. Every blocking wait — `send`, `recv`,
+//! `get` — ends on one path that charges its time and closes its
+//! `Activation` span, whatever ended it: the awaited packet, a give-up or
+//! the receive watchdog.
+//!
 //! # Fault mode
 //!
 //! With a [`FaultSchedule`] attached (see `crate::fault`), the processor
@@ -39,13 +49,13 @@
 //! layer — every fault branch sits behind an `Option` that short-circuits
 //! to the original path.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mermaid_ops::{NodeId, Operation, Trace};
 use mermaid_probe::{ActKind, ProbeHandle, SimEvent};
 use mermaid_stats::state::StateWalk;
 use mermaid_stats::Histogram;
-use pearl::sync::MatchBox;
 use pearl::{CompId, Component, Ctx, Duration, Event, FastHashMap, FastHashSet, Time};
 
 use crate::config::NetworkConfig;
@@ -161,14 +171,6 @@ struct CompletedMsg {
     attempt: u32,
 }
 
-/// A posted asynchronous receive (blocking receives are represented by the
-/// processor state instead, so the matcher only ever queues `Async`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Waiter {
-    /// An `arecv`: consume silently on arrival.
-    Async,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcState {
     /// Processing trace operations (inside `advance`).
@@ -217,7 +219,12 @@ pub struct AbstractProcessor {
     state: ProcState,
     send_seq: u64,
     assembling: FastHashMap<MsgId, Assembly>,
-    matcher: MatchBox<NodeId, CompletedMsg, Waiter>,
+    /// Fully arrived messages no receive has taken yet, by source, oldest
+    /// first. A source with none has no entry.
+    arrivals: FastHashMap<NodeId, VecDeque<CompletedMsg>>,
+    /// Posted `arecv`s no arrival has matched yet, by source. A source
+    /// with none has no entry.
+    posted: FastHashMap<NodeId, usize>,
     /// The fault schedule, when fault injection is enabled. `None`
     /// short-circuits every reliability-protocol branch to the original
     /// fault-free path.
@@ -250,7 +257,8 @@ impl AbstractProcessor {
             state: ProcState::Running,
             send_seq: 0,
             assembling: FastHashMap::default(),
-            matcher: MatchBox::new(),
+            arrivals: FastHashMap::default(),
+            posted: FastHashMap::default(),
             faults: None,
             outstanding: FastHashMap::default(),
             completed: FastHashSet::default(),
@@ -514,10 +522,7 @@ impl AbstractProcessor {
                     return;
                 }
                 Operation::Recv { src } => {
-                    // Blocking receives are represented by the processor
-                    // state, not by a queued waiter (only `arecv` posts
-                    // waiters into the matcher).
-                    match self.matcher.take_arrival(&src) {
+                    match self.take_arrival(src) {
                         Some(msg) => {
                             // Message already here: pay the receive overhead
                             // and continue.
@@ -549,12 +554,11 @@ impl AbstractProcessor {
                         }
                     }
                 }
-                Operation::ARecv { src } => {
-                    if let Some(msg) = self.matcher.wait(src, Waiter::Async) {
-                        self.consume(msg, Duration::ZERO, ctx);
-                    }
-                    // Non-blocking either way.
-                }
+                Operation::ARecv { src } => match self.take_arrival(src) {
+                    Some(msg) => self.consume(msg, Duration::ZERO, ctx),
+                    // Non-blocking: the first arrival from `src` claims it.
+                    None => *self.posted.entry(src).or_default() += 1,
+                },
                 Operation::Put { bytes, to } => {
                     let overhead = self.cfg.software.send_overhead;
                     self.inject_message_kind(to, bytes, PacketKind::OneWay, overhead, ctx);
@@ -596,6 +600,55 @@ impl AbstractProcessor {
         self.stats.finished_at = Some(ctx.now());
     }
 
+    /// Take the oldest queued arrival from `src`, if any.
+    fn take_arrival(&mut self, src: NodeId) -> Option<CompletedMsg> {
+        let queue = self.arrivals.get_mut(&src)?;
+        let msg = queue.pop_front();
+        if queue.is_empty() {
+            self.arrivals.remove(&src);
+        }
+        msg
+    }
+
+    /// Use up one posted `arecv` on `src`; false when there is none.
+    fn claim_posted(&mut self, src: NodeId) -> bool {
+        match self.posted.get_mut(&src) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                if *n == 0 {
+                    self.posted.remove(&src);
+                }
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// End the blocking wait the processor is in at `now`: charge the time
+    /// since it began to the `send`, `recv` or `get` block total and close
+    /// its `Activation` span. The caller moves the trace on.
+    fn end_wait(&mut self, now: Time) {
+        let (since, total, kind) = match self.state {
+            ProcState::AwaitAck { since, .. } => {
+                (since, &mut self.stats.send_block, ActKind::SendBlock)
+            }
+            ProcState::AwaitRecv { since, .. } => {
+                (since, &mut self.stats.recv_block, ActKind::RecvBlock)
+            }
+            ProcState::AwaitGet { since, .. } => {
+                (since, &mut self.stats.get_block, ActKind::GetBlock)
+            }
+            other => unreachable!("node {}: no wait to end in {other:?}", self.node),
+        };
+        *total += now.since(since);
+        self.probe.emit(|| SimEvent::Activation {
+            node: self.node,
+            kind,
+            start_ps: since.as_ps(),
+            end_ps: now.as_ps(),
+        });
+    }
+
     /// A data packet arrived; returns the completed message when it was the
     /// last packet.
     fn assemble(&mut self, pkt: &Packet, now: Time) -> Option<CompletedMsg> {
@@ -635,17 +688,9 @@ impl AbstractProcessor {
         };
         self.stats.msgs_acked += 1;
         self.stats.retry_counts.record(out.attempt as u64);
-        if let ProcState::AwaitAck { since, msg } = self.state {
-            if msg == id {
-                self.stats.send_block += ctx.now().since(since);
-                self.probe.emit(|| SimEvent::Activation {
-                    node: self.node,
-                    kind: ActKind::SendBlock,
-                    start_ps: since.as_ps(),
-                    end_ps: ctx.now().as_ps(),
-                });
-                self.advance(ctx);
-            }
+        if matches!(self.state, ProcState::AwaitAck { msg, .. } if msg == id) {
+            self.end_wait(ctx.now());
+            self.advance(ctx);
         }
     }
 
@@ -710,28 +755,13 @@ impl AbstractProcessor {
             dst: out.dst,
             retries: out.attempt,
         });
-        match self.state {
-            ProcState::AwaitAck { since, msg } if msg == id => {
-                self.stats.send_block += now.since(since);
-                self.probe.emit(|| SimEvent::Activation {
-                    node: self.node,
-                    kind: ActKind::SendBlock,
-                    start_ps: since.as_ps(),
-                    end_ps: now.as_ps(),
-                });
-                self.advance(ctx);
-            }
-            ProcState::AwaitGet { since, msg } if msg == id => {
-                self.stats.get_block += now.since(since);
-                self.probe.emit(|| SimEvent::Activation {
-                    node: self.node,
-                    kind: ActKind::GetBlock,
-                    start_ps: since.as_ps(),
-                    end_ps: now.as_ps(),
-                });
-                self.advance(ctx);
-            }
-            _ => {}
+        let held = match self.state {
+            ProcState::AwaitAck { msg, .. } | ProcState::AwaitGet { msg, .. } => msg == id,
+            _ => false,
+        };
+        if held {
+            self.end_wait(now);
+            self.advance(ctx);
         }
     }
 
@@ -742,24 +772,27 @@ impl AbstractProcessor {
         if epoch != self.wait_epoch {
             return; // stale: that wait completed long ago
         }
-        let ProcState::AwaitRecv { since, .. } = self.state else {
+        if !matches!(self.state, ProcState::AwaitRecv { .. }) {
             return; // the wait was satisfied but the trace has not advanced
                     // past the receive overhead yet
-        };
-        let now = ctx.now();
+        }
         self.stats.recv_timeouts += 1;
-        self.stats.recv_block += now.since(since);
-        self.probe.emit(|| SimEvent::Activation {
-            node: self.node,
-            kind: ActKind::RecvBlock,
-            start_ps: since.as_ps(),
-            end_ps: now.as_ps(),
-        });
+        self.end_wait(ctx.now());
         self.advance(ctx);
     }
 
     fn on_deliver(&mut self, pkt: Packet, ctx: &mut Ctx<'_, NetMsg>) {
         match pkt.kind {
+            PacketKind::Data { .. } | PacketKind::OneWay
+                if self.faults.is_some() && self.completed.contains(&pkt.msg) =>
+            {
+                // A retransmitted packet of a message already assembled
+                // here: the arrival ack may have been lost, so acknowledge
+                // again on the tail packet and the sender can complete.
+                if pkt.index + 1 == pkt.count(self.cfg.router.max_packet_payload) {
+                    self.inject_ack(pkt.msg, pkt.attempt, Duration::ZERO, ctx);
+                }
+            }
             PacketKind::GetRequest { bytes } => {
                 // Service the one-sided read: reply with the data after the
                 // software service cost, without touching our own trace
@@ -795,73 +828,36 @@ impl AbstractProcessor {
                     self.stats.msgs_acked += 1;
                     self.stats.retry_counts.record(out.attempt as u64);
                 }
-                let ProcState::AwaitGet { since, .. } = self.state else {
-                    panic!(
-                        "node {}: get reply {:?} while not waiting (state {:?})",
-                        self.node, pkt.msg, self.state
-                    );
-                };
+                assert!(
+                    matches!(self.state, ProcState::AwaitGet { .. }),
+                    "node {}: get reply {:?} while not waiting (state {:?})",
+                    self.node,
+                    pkt.msg,
+                    self.state
+                );
                 let now = ctx.now();
-                self.stats.get_block += now.since(since);
                 self.stats
                     .get_latency
                     .record(now.since(pkt.sent_at).as_ps());
-                self.probe.emit(|| SimEvent::Activation {
-                    node: self.node,
-                    kind: ActKind::GetBlock,
-                    start_ps: since.as_ps(),
-                    end_ps: now.as_ps(),
-                });
+                self.end_wait(now);
                 self.advance(ctx);
-            }
-            PacketKind::OneWay => {
-                if self.faults.is_some() && self.completed.contains(&pkt.msg) {
-                    // Duplicate put: the earlier arrival ack may have been
-                    // lost — re-acknowledge on the tail packet.
-                    if pkt.index + 1 == pkt.count(self.cfg.router.max_packet_payload) {
-                        self.inject_ack(pkt.msg, pkt.attempt, Duration::ZERO, ctx);
-                    }
-                    return;
-                }
-                if self.assemble(&pkt, ctx.now()).is_some() {
-                    self.stats.puts_received += 1;
-                    if self.faults.is_some() {
-                        self.completed.insert(pkt.msg);
-                        self.inject_ack(pkt.msg, pkt.attempt, Duration::ZERO, ctx);
-                    }
-                }
             }
             PacketKind::Ack => {
                 if self.faults.is_some() {
                     self.on_transport_ack(pkt.msg, ctx);
                     return;
                 }
-                let ProcState::AwaitAck { since, .. } = self.state else {
-                    panic!(
-                        "node {}: unexpected ack for message {:?} in state {:?}",
-                        self.node, pkt.msg, self.state
-                    );
-                };
-                self.stats.send_block += ctx.now().since(since);
-                self.probe.emit(|| SimEvent::Activation {
-                    node: self.node,
-                    kind: ActKind::SendBlock,
-                    start_ps: since.as_ps(),
-                    end_ps: ctx.now().as_ps(),
-                });
+                assert!(
+                    matches!(self.state, ProcState::AwaitAck { .. }),
+                    "node {}: unexpected ack for message {:?} in state {:?}",
+                    self.node,
+                    pkt.msg,
+                    self.state
+                );
+                self.end_wait(ctx.now());
                 self.advance(ctx);
             }
-            PacketKind::Data { .. } => {
-                if self.faults.is_some() && self.completed.contains(&pkt.msg) {
-                    // Duplicate from a retransmission of a message we
-                    // already assembled — the arrival ack may have been
-                    // lost; re-acknowledge on the tail packet so the sender
-                    // can complete.
-                    if pkt.index + 1 == pkt.count(self.cfg.router.max_packet_payload) {
-                        self.inject_ack(pkt.msg, pkt.attempt, Duration::ZERO, ctx);
-                    }
-                    return;
-                }
+            PacketKind::Data { .. } | PacketKind::OneWay => {
                 let Some(msg) = self.assemble(&pkt, ctx.now()) else {
                     return;
                 };
@@ -871,40 +867,30 @@ impl AbstractProcessor {
                     self.completed.insert(msg.id);
                     self.inject_ack(msg.id, pkt.attempt, Duration::ZERO, ctx);
                 }
+                if pkt.kind == PacketKind::OneWay {
+                    self.stats.puts_received += 1;
+                    return;
+                }
+                let src = msg.id.src;
                 // Async receives posted earlier claim the message first.
-                if self.matcher.has_waiter(&msg.id.src) {
-                    let w = self
-                        .matcher
-                        .arrive(msg.id.src, msg)
-                        .expect("has_waiter implies a match");
-                    debug_assert_eq!(w, Waiter::Async);
+                if self.claim_posted(src) {
                     self.consume(msg, Duration::ZERO, ctx);
                     return;
                 }
-                // A blocked recv on this source?
-                if let ProcState::AwaitRecv { src, since } = self.state {
-                    if src == msg.id.src {
-                        self.stats.recv_block += ctx.now().since(since);
-                        self.probe.emit(|| SimEvent::Activation {
-                            node: self.node,
-                            kind: ActKind::RecvBlock,
-                            start_ps: since.as_ps(),
-                            end_ps: ctx.now().as_ps(),
-                        });
-                        let overhead = self.cfg.software.recv_overhead;
-                        self.consume(msg, overhead, ctx);
-                        if overhead.is_zero() {
-                            self.advance(ctx);
-                        } else {
-                            self.state = ProcState::Computing;
-                            ctx.timer(overhead, NetMsg::Resume);
-                        }
-                        return;
-                    }
+                if !matches!(self.state, ProcState::AwaitRecv { src: from, .. } if from == src) {
+                    // Queue it for a future recv/arecv.
+                    self.arrivals.entry(src).or_default().push_back(msg);
+                    return;
                 }
-                // Otherwise queue it for a future recv/arecv.
-                let matched = self.matcher.arrive(msg.id.src, msg);
-                debug_assert!(matched.is_none());
+                self.end_wait(ctx.now());
+                let overhead = self.cfg.software.recv_overhead;
+                self.consume(msg, overhead, ctx);
+                if overhead.is_zero() {
+                    self.advance(ctx);
+                } else {
+                    self.state = ProcState::Computing;
+                    ctx.timer(overhead, NetMsg::Resume);
+                }
             }
         }
     }
@@ -914,12 +900,8 @@ impl AbstractProcessor {
     /// Queued arrivals and posted `arecv`s, each summed over sources.
     #[cfg(test)]
     pub(crate) fn rendezvous_depths(&mut self) -> (usize, usize) {
-        let (arrivals, waiters) = self.matcher.queues_mut();
-        let depth = |lens: Vec<usize>| lens.iter().sum();
-        (
-            depth(arrivals.values().map(|q| q.len()).collect()),
-            depth(waiters.values().map(|q| q.len()).collect()),
-        )
+        let arrivals = self.arrivals.values().map(VecDeque::len).sum();
+        (arrivals, self.posted.values().sum())
     }
 
     /// Walk the processor's mutable simulation state for a checkpoint
@@ -940,33 +922,37 @@ impl AbstractProcessor {
                 w.field("proc assembly total", &mut a.total)
             },
         )?;
-        // Matcher channels, sorted by source node, each queue front to
-        // back. A channel only ever holds one side (arrive/wait match
-        // eagerly); waiters are all `Async`, so their queues are counted.
+        // Queued arrivals, then posted `arecv` counts, each sorted by
+        // source node; a queue is walked front to back.
         let net = PacketParams::of(&self.cfg);
-        let (arrivals, waiters) = self.matcher.queues_mut();
-        w.sorted("proc arrival channel count", arrivals, |w, (src, q)| {
-            w.field("proc arrival channel", src)?;
-            let mut msgs = Vec::from(std::mem::take(q));
-            w.list("proc arrival queue length", &mut msgs, |w, m| {
-                m.walk(w, net)
-            })?;
-            *q = msgs.into();
-            Ok(())
-        })?;
-        let posts = self.trace.len(); // each `arecv` posts one waiter
-        w.sorted("proc waiter channel count", waiters, |w, (src, q)| {
-            w.field("proc waiter channel", src)?;
-            let mut n = q.len();
-            w.field("proc waiter queue length", &mut n)?;
-            if n > posts {
-                return Err(format!(
-                    "{n} waiters, but the trace has {posts} operation(s)"
-                ));
-            }
-            q.resize(n, Waiter::Async);
-            Ok(())
-        })?;
+        w.sorted(
+            "proc arrival channel count",
+            &mut self.arrivals,
+            |w, (src, q)| {
+                w.field("proc arrival channel", src)?;
+                let mut msgs = Vec::from(std::mem::take(q));
+                w.list("proc arrival queue length", &mut msgs, |w, m| {
+                    m.walk(w, net)
+                })?;
+                *q = msgs.into();
+                Ok(())
+            },
+        )?;
+        let posts = self.trace.len(); // each `arecv` posts at most one
+        w.sorted(
+            "proc waiter channel count",
+            &mut self.posted,
+            |w, (src, n)| {
+                w.field("proc waiter channel", src)?;
+                w.field("proc waiter queue length", n)?;
+                if *n > posts {
+                    return Err(format!(
+                        "{n} waiters, but the trace has {posts} operation(s)"
+                    ));
+                }
+                Ok(())
+            },
+        )?;
         w.sorted(
             "proc outstanding count",
             &mut self.outstanding,

@@ -713,7 +713,8 @@ impl<'a> Shard<'a> {
                 // delivery count; the merge sums per-shard counts, so the
                 // total matches an uninterrupted run.
                 let base = if s == 0 { snap.events_processed } else { 0 };
-                restore_engine(&mut engine, PacketParams::of(&shared.cfg), snap, base)?;
+                let (net, faulty) = (PacketParams::of(&shared.cfg), shared.faults.is_some());
+                restore_engine(&mut engine, net, faulty, snap, base)?;
             }
             None => {
                 // Post this shard's scripted fault events *before*

@@ -399,9 +399,11 @@ impl CommSim {
                 expected: n,
             });
         }
+        let faulty = faults.is_some();
         let mut sim = CommSim::build(cfg, traces, probe, faults);
         let net = PacketParams::of(&cfg);
-        crate::snapshot::restore_engine(&mut sim.engine, net, snap, snap.events_processed)?;
+        let base = snap.events_processed;
+        crate::snapshot::restore_engine(&mut sim.engine, net, faulty, snap, base)?;
         Ok(sim)
     }
 

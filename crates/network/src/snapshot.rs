@@ -566,9 +566,10 @@ fn walk_event<W: StateWalk>(
 }
 
 /// Decode one `event` record's integers, refusing an event a restore
-/// could not place: one before the snapshot instant `at`, or addressed
-/// outside the `2 × nodes` components. With `net` the payload's derived
-/// fields are checked too.
+/// could not place: one before the snapshot instant `at`, addressed
+/// outside the `2 × nodes` components, or carrying a payload its
+/// destination does not take. With `net` the payload's derived fields are
+/// checked too.
 fn decode_event(
     ints: &[u64],
     at: Time,
@@ -591,6 +592,23 @@ fn decode_event(
                 "event {end} component {comp} is outside the 2×nodes = {components} component(s)"
             ));
         }
+    }
+    // Router `i` is component `i`, its processor `nodes + i`.
+    let to_router = ev.2 < nodes as usize;
+    let for_router = matches!(
+        ev.3,
+        NetMsg::Inject(_)
+            | NetMsg::InjectTrain(_)
+            | NetMsg::Forward(_)
+            | NetMsg::ForwardTrain(_)
+            | NetMsg::Fault(_)
+    );
+    if to_router != for_router {
+        let (tag, dst) = (ints[6], ev.2);
+        let kind = if to_router { "a router" } else { "a processor" };
+        return Err(format!(
+            "an event with payload tag {tag} cannot go to component {dst}, {kind}"
+        ));
     }
     Ok(ev)
 }
@@ -1154,12 +1172,13 @@ pub(crate) fn capture<R>(
 /// snapshot's delivery count — the full count serially; in a sharded
 /// restore shard 0 carries it and the merge sums the rest.
 ///
-/// Every event is decoded and checked against `net`, owned or not, so
-/// each shard of a sharded restore refuses a bad file with the error the
-/// serial restore reports.
+/// Every event is decoded and checked against `net` and `faulty` (whether
+/// the run has a fault schedule), owned or not, so each shard of a sharded
+/// restore refuses a bad file with the error the serial restore reports.
 pub(crate) fn restore_engine(
     engine: &mut Engine<NetMsg, NetWorld>,
     net: PacketParams,
+    faulty: bool,
     snap: &Snapshot,
     events_base: u64,
 ) -> Result<(), SnapshotError> {
@@ -1174,6 +1193,11 @@ pub(crate) fn restore_engine(
         record_ints(line, &mut ints).map_err(fail)?;
         let (t, key, dst, msg) =
             decode_event(&ints, snap.time, snap.nodes, Some(net)).map_err(fail)?;
+        if !faulty && matches!(msg, NetMsg::RetryCheck(_) | NetMsg::RecvDeadline { .. }) {
+            return Err(fail(
+                "a retry check or receive deadline in a run without faults".into(),
+            ));
+        }
         // Router `i` is component `i`, its processor `nodes + i`.
         if nodes.contains(&(dst as u32 % snap.nodes)) {
             engine.post_keyed(t, key, dst, msg);
@@ -1664,7 +1688,14 @@ mod tests {
                     assert_eq!(ints[7 + 12], 0, "{line}");
                 }
             }
-            restore_engine(&mut fresh, mid_run_net(), &snap, snap.events_processed).unwrap();
+            restore_engine(
+                &mut fresh,
+                mid_run_net(),
+                faulty,
+                &snap,
+                snap.events_processed,
+            )
+            .unwrap();
             let again = capture(
                 &mut fresh,
                 mid_run_net(),
@@ -1713,7 +1744,7 @@ mod tests {
             });
             let bad = Snapshot::parse(&bad.to_file_string()).expect("parse knows no network");
             let (_, mut fresh) = mid_run(false, 150);
-            match restore_engine(&mut fresh, mid_run_net(), &bad, 0) {
+            match restore_engine(&mut fresh, mid_run_net(), false, &bad, 0) {
                 Err(SnapshotError::Parse { context, detail }) => {
                     assert_eq!(context, format!("line {}", EVENTS_LINE + n));
                     assert!(detail.starts_with(want), "{want}: {detail}");

@@ -21,8 +21,12 @@
 //!   sharded run ([`shard`]) replays the exact single-threaded order.
 //! * [`Component`] — the object trait. A component receives events addressed
 //!   to it and may schedule further events through [`Ctx`].
-//! * [`sync`] — helpers for Pearl-style synchronous (rendezvous) messaging
-//!   on top of the asynchronous kernel.
+//! * [`shard`] — the barriers of a sharded run's conservative windows.
+//!
+//! Pearl models also communicate synchronously (rendezvous). The kernel has
+//! no helper for that: a model that blocks on a peer keeps its own queue of
+//! early arrivals and posted receives, as the communication model's abstract
+//! processor does.
 //!
 //! ```
 //! use pearl::{Component, Ctx, Engine, Event, Duration};
@@ -51,7 +55,6 @@ pub mod hash;
 pub mod probe;
 pub mod queue;
 pub mod shard;
-pub mod sync;
 pub mod time;
 
 pub use engine::{

@@ -12,15 +12,13 @@
 //! the events a single-threaded run would deliver, in the same order (given
 //! deterministic [`EventKey`](crate::EventKey) tie-breaking).
 //!
-//! [`WindowBarrier`] is the agreement primitive: a pair of phase barriers plus
-//! a lock-free min-reduction slot per shard. Every barrier is a
-//! [`Rendezvous`], which spins before it parks.
+//! [`WindowBarrier`] is the agreement primitive: two phase barriers around
+//! a lock-free slot per shard. Every barrier is a [`Rendezvous`], which
+//! spins before it parks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread;
-
-use crate::time::Time;
 
 /// Sentinel published by a shard with no pending events (and no other
 /// future cross-shard obligations). Public so callers of
@@ -113,34 +111,28 @@ impl Rendezvous {
     }
 }
 
-/// Barrier used by sharded runs to agree on the next window start.
+/// The min-exchange of a sharded run's window protocol: every shard
+/// publishes one bound per round through
+/// [`publish_mins_timed`](WindowBarrier::publish_mins_timed) and reads back
+/// every shard's, from which each computes its own window end.
 ///
-/// Each round has two phases:
+/// A round is two [`Rendezvous`] waits. `resolve` opens the reads: every
+/// shard has written its slot. `close` ends the round: every shard has
+/// read all slots, so none can overwrite its slot with the next round's
+/// value while a slow peer still reads this round's. The caller's own
+/// round gate, where the shards make their cross-shard messages visible
+/// before reading their queues (`sharded.rs` in the network crate), is a
+/// separate barrier.
 ///
-/// 1. [`exchange`](WindowBarrier::exchange) — all shards rendezvous after
-///    flushing their cross-shard outboxes, so every in-flight message is
-///    visible in the destination shard's inbox before anyone computes its
-///    local minimum.
-/// 2. [`agree_min`](WindowBarrier::agree_min) — each shard publishes the
-///    timestamp of its earliest pending event (or "idle") and receives the
-///    global minimum across all shards. `None` means every shard is idle and
-///    the simulation has terminated.
-///
-/// Memory ordering: the per-shard slots are written and read with `Relaxed`
-/// ordering. This is sound because each min-exchange round is bracketed by
-/// [`Rendezvous::wait`] calls, which establish happens-before edges between
-/// every writer and every reader: a shard reads slot values only after the
-/// interior rendezvous, which all writers have passed; and a shard overwrites
-/// its slot in round *k+1* only after the round-closing rendezvous inside
-/// [`publish_mins_timed`](WindowBarrier::publish_mins_timed), which the
-/// round-*k* readers must also have passed.
-///
-/// [`exchange`]: WindowBarrier::exchange
+/// Memory ordering: the per-shard slots are written and read with
+/// `Relaxed` ordering. This is sound because every slot write
+/// happens-before the `resolve` rendezvous, which happens-before every slot
+/// read of the round, and every read happens-before the `close`
+/// rendezvous, which happens-before the next round's writes.
 pub struct WindowBarrier {
-    shards: usize,
     mins: Vec<AtomicU64>,
-    publish: Rendezvous,
     resolve: Rendezvous,
+    close: Rendezvous,
 }
 
 impl WindowBarrier {
@@ -148,91 +140,39 @@ impl WindowBarrier {
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "WindowBarrier needs at least one shard");
         Self {
-            shards,
             mins: (0..shards).map(|_| AtomicU64::new(IDLE)).collect(),
-            publish: Rendezvous::new(shards),
             resolve: Rendezvous::new(shards),
+            close: Rendezvous::new(shards),
         }
     }
 
-    /// Number of participating shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Phase-1 rendezvous: blocks until all shards have arrived.
+    /// One round: publish this shard's earliest-obligation bound (in raw
+    /// picoseconds, [`IDLE`] when it has none) and fill `out` with *every*
+    /// shard's published value, indexed by shard id. Returns how long this
+    /// shard blocked waiting for its peers, in host nanoseconds — host
+    /// wall-clock, for self-profiling only, never fed back into simulated
+    /// state.
     ///
-    /// Call after pushing this round's cross-shard messages into their
-    /// destination channels; on return, every message sent before any peer's
-    /// `exchange` call is available to its destination shard.
-    pub fn exchange(&self) {
-        self.publish.wait();
-    }
-
-    /// Phase-2 min-reduction: publish this shard's earliest pending event
-    /// time and return the global minimum across all shards.
-    ///
-    /// `local` is `None` when the shard has no pending events. Returns `None`
-    /// only when *every* shard is idle, i.e. the simulation has terminated.
-    pub fn agree_min(&self, shard: usize, local: Option<Time>) -> Option<Time> {
-        self.agree_min_timed(shard, local).0
-    }
-
-    /// [`agree_min`](WindowBarrier::agree_min) that also reports how long
-    /// this shard blocked waiting for its peers, in host nanoseconds.
-    ///
-    /// The wait time is host wall-clock — it varies run to run and between
-    /// machines, so it must never feed back into simulated state; it exists
-    /// purely for self-profiling (how much of a shard's life is barrier
-    /// overhead versus useful event execution).
-    pub fn agree_min_timed(&self, shard: usize, local: Option<Time>) -> (Option<Time>, u64) {
-        let mut all = Vec::with_capacity(self.shards);
-        let waited_ns = self.publish_mins_timed(shard, local.map_or(IDLE, |t| t.as_ps()), &mut all);
-        let min = all.iter().copied().min().unwrap_or(IDLE);
-        if min == IDLE {
-            (None, waited_ns)
-        } else {
-            (Some(Time::from_ps(min)), waited_ns)
-        }
-    }
-
-    /// Full min-exchange: publish this shard's earliest-obligation bound
-    /// (in raw picoseconds, [`IDLE`] when it has none) and fill `out` with
-    /// *every* shard's published value, indexed by shard id. Returns how
-    /// long this shard blocked waiting for its peers, in host nanoseconds.
-    ///
-    /// This is the primitive behind per-shard window bounds: a caller that
-    /// knows a lower bound `L` on the latency of any cross-shard effect can
-    /// run shard `i` up to `min(min over j != i of out[j] + L, out[i] + 2L)`
-    /// — every peer's earliest event plus one crossing, and its own plus a
-    /// round trip — see the sharded runner in the network crate
-    /// (DESIGN.md §11).
+    /// A caller that knows a lower bound `L` on the latency of any
+    /// cross-shard effect can run shard `i` up to `min(min over j != i of
+    /// out[j] + L, out[i] + 2L)` — every peer's earliest event plus one
+    /// crossing, and its own plus a round trip — see the sharded runner in
+    /// the network crate (DESIGN.md §11). All values [`IDLE`] means every
+    /// shard is done.
     ///
     /// The published value is a *promise*, not just a queue peek: a shard
     /// must publish a value `p` such that every event it will ever hand to
     /// a peer from now on arrives no earlier than `p + L`. Publishing the
     /// earliest pending event time satisfies this.
-    ///
-    /// The same barrier memory-ordering argument as [`agree_min`]
-    /// (see the type-level docs) covers the whole-slice read: every slot
-    /// write happens-before the `resolve` rendezvous, which happens-before
-    /// every slot read.
-    ///
-    /// [`agree_min`]: WindowBarrier::agree_min
     pub fn publish_mins_timed(&self, shard: usize, local_ps: u64, out: &mut Vec<u64>) -> u64 {
         self.mins[shard].store(local_ps, Ordering::Relaxed);
         let waited = std::time::Instant::now();
         self.resolve.wait();
         out.clear();
         out.extend(self.mins.iter().map(|m| m.load(Ordering::Relaxed)));
-        // Close the round before returning: without this rendezvous a fast
-        // shard could re-enter and overwrite its slot for round k+1 while a
-        // slow peer is still reading round k's values, handing the slow
-        // shard an inconsistent (future) minimum. `agree_min` historically
-        // relied on callers interposing `exchange()` between rounds;
-        // publish_mins_timed is called back-to-back, so it closes the round
-        // itself.
-        self.publish.wait();
+        // Without this a fast shard could re-enter and overwrite its slot
+        // for round k+1 while a slow peer still reads round k's values.
+        self.close.wait();
         waited.elapsed().as_nanos() as u64
     }
 }
@@ -240,59 +180,16 @@ impl WindowBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
     use std::thread;
 
     #[test]
-    fn single_shard_agrees_with_itself() {
+    fn a_single_shard_reads_back_its_own_value() {
         let b = WindowBarrier::new(1);
-        assert_eq!(
-            b.agree_min(0, Some(Time::from_ps(42))),
-            Some(Time::from_ps(42))
-        );
-        assert_eq!(b.agree_min(0, None), None);
-        assert_eq!(b.shards(), 1);
-    }
-
-    #[test]
-    fn min_reduction_across_threads() {
-        let b = WindowBarrier::new(4);
-        let locals = [Some(700u64), Some(300), None, Some(500)];
-        let (tx, rx) = mpsc::channel();
-        thread::scope(|s| {
-            for (i, l) in locals.iter().enumerate() {
-                let b = &b;
-                let tx = tx.clone();
-                s.spawn(move || {
-                    b.exchange();
-                    let got = b.agree_min(i, l.map(Time::from_ps));
-                    tx.send(got).unwrap();
-                });
-            }
-        });
-        drop(tx);
-        for got in rx {
-            assert_eq!(got, Some(Time::from_ps(300)));
+        let mut out = Vec::new();
+        for v in [42, IDLE] {
+            b.publish_mins_timed(0, v, &mut out);
+            assert_eq!(out, [v]);
         }
-    }
-
-    #[test]
-    fn timed_variant_agrees_and_reports_a_wait() {
-        let b = WindowBarrier::new(2);
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|i| {
-                    let b = &b;
-                    s.spawn(move || b.agree_min_timed(i, Some(Time::from_ps(100 + i as u64))))
-                })
-                .collect();
-            for h in handles {
-                let (min, _waited_ns) = h.join().unwrap();
-                // Wait time is host wall-clock and may legitimately be 0ns
-                // on the last arrival; only the agreed minimum is checkable.
-                assert_eq!(min, Some(Time::from_ps(100)));
-            }
-        });
     }
 
     #[test]
@@ -317,36 +214,9 @@ mod tests {
     }
 
     #[test]
-    fn publish_mins_rounds_interleave_with_agree_min() {
-        // The two entry points share slots and barriers; mixing them
-        // across rounds must keep every shard's view consistent.
-        let b = WindowBarrier::new(2);
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..2u64)
-                .map(|i| {
-                    let b = &b;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        b.publish_mins_timed(i as usize, 10 + i, &mut out);
-                        assert_eq!(out, vec![10, 11]);
-                        let got = b.agree_min(i as usize, Some(Time::from_ps(20 + i)));
-                        assert_eq!(got, Some(Time::from_ps(20)));
-                        b.publish_mins_timed(i as usize, 30 + i, &mut out);
-                        assert_eq!(out, vec![30, 31]);
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-        });
-    }
-
-    #[test]
     fn back_to_back_rounds_never_see_a_peers_next_round() {
-        // No `exchange` between rounds: only the round-closing rendezvous
-        // keeps a fast shard's round-k+1 value out of a slow peer's round-k
-        // read.
+        // Rounds back to back: only the round-closing rendezvous keeps a
+        // fast shard's round-k+1 value out of a slow peer's round-k read.
         const ROUNDS: u64 = 20_000;
         let b = WindowBarrier::new(3);
         thread::scope(|s| {
@@ -370,58 +240,6 @@ mod tests {
                 .collect();
             for (shard, h) in handles.into_iter().enumerate() {
                 assert_eq!(h.join().unwrap(), None, "shard {shard} read a wrong round");
-            }
-        });
-    }
-
-    #[test]
-    fn all_idle_terminates() {
-        let b = WindowBarrier::new(3);
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..3)
-                .map(|i| {
-                    let b = &b;
-                    s.spawn(move || b.agree_min(i, None))
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), None);
-            }
-        });
-    }
-
-    #[test]
-    fn repeated_rounds_reuse_slots() {
-        let b = WindowBarrier::new(2);
-        thread::scope(|s| {
-            let h0 = {
-                let b = &b;
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    for round in 0..10u64 {
-                        b.exchange();
-                        out.push(b.agree_min(0, Some(Time::from_ps(round * 10 + 5))));
-                    }
-                    out
-                })
-            };
-            let h1 = {
-                let b = &b;
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    for round in 0..10u64 {
-                        b.exchange();
-                        out.push(b.agree_min(1, Some(Time::from_ps(round * 10 + 7))));
-                    }
-                    out
-                })
-            };
-            let a = h0.join().unwrap();
-            let c = h1.join().unwrap();
-            for (round, (x, y)) in a.iter().zip(c.iter()).enumerate() {
-                let want = Some(Time::from_ps(round as u64 * 10 + 5));
-                assert_eq!(*x, want);
-                assert_eq!(*y, want);
             }
         });
     }

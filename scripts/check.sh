@@ -421,10 +421,13 @@ echo "==> cli: a malformed snapshot record fails cleanly at every shard count (n
 # FNV-1a-64 body hash, so only the per-record checks can refuse the file:
 # `router` drops the last integer of the first router record; `early`
 # moves the first event before the snapshot instant; `dst` and `src`
-# address it to component 99, outside the machine. Exit 1 is the CLI's
-# error path; 101 is a panic; 124 is the watchdog (the sharded restore
-# used to panic in one shard and leave the others waiting for it, and an
-# early event hung it the same way).
+# address it to component 99, outside the machine; `payload` turns it
+# into a processor's resume sent to router 0; `retry` into a retry check
+# sent to processor 0 of this healthy run. Exit 1 is the CLI's error
+# path; 101 is a panic; 124 is the watchdog (the sharded restore used to
+# panic in one shard and leave the others waiting for it, and an early
+# event, a payload its destination does not take or a retry check
+# without faults hung it the same way).
 tamper() { # <mode> <output file>
 python3 - "$mid" "$2" "$1" <<'PY'
 import sys
@@ -438,6 +441,10 @@ if mode == "router":
     f.pop()
 elif mode == "early":
     f[1] = str(int(next(h for h in head.split(" ") if h.startswith("time="))[5:]) - 1)
+elif mode == "payload":
+    f = f[:6] + ["0", "0"]
+elif mode == "retry":
+    f = f[:6] + [next(h for h in head.split(" ") if h.startswith("nodes="))[6:], "8", "0", "0"]
 else:
     f[{"src": 5, "dst": 6}[mode]] = "99"
 lines[i] = " ".join(f)
@@ -461,7 +468,7 @@ tamper router "$ckpt_serial_dir/bad.snap"
 for shards in 1 2 3; do
     restore_bad "$ckpt_serial_dir/bad.snap" "$shards" "corrupt snapshot (router 0 record)"
 done
-for mode in early dst src; do
+for mode in early dst src payload retry; do
     tamper "$mode" "$ckpt_serial_dir/bad-$mode.snap"
     for shards in 1 2; do
         restore_bad "$ckpt_serial_dir/bad-$mode.snap" "$shards" "corrupt snapshot (line "
@@ -490,6 +497,15 @@ if command -v gcc > /dev/null; then
     rm -rf "$rss_ckpt_dir"
 else
     echo "gcc not found: skipping the peak_rss.sh information step"
+fi
+
+echo "==> mutants: every scripts/mutants/*.patch is caught by the test it names (MUTANTS=1)"
+# Builds a copy of the repository and runs one test per patch: minutes,
+# so it runs only on request.
+if [ "${MUTANTS:-}" = 1 ]; then
+    scripts/mutants.sh
+else
+    echo "MUTANTS=1 not set: skipping scripts/mutants.sh"
 fi
 
 echo "==> info: non-test library lines per crate (scripts/loc.sh; not a gate)"

@@ -217,7 +217,17 @@ fn malformed_snapshot_records_fail_sharded_restores_like_serial_ones() {
         lines[n] = ints.join(" ");
         snap.events = lines.iter().map(|l| format!("{l}\n")).collect();
     }
+    /// Readdress event record 0 to component `dst` with `payload`: its
+    /// tag, then its fields.
+    fn send(snap: &mut Snapshot, dst: u32, payload: &[u64]) {
+        let mut lines: Vec<String> = snap.events.lines().map(String::from).collect();
+        let mut ints: Vec<String> = lines[0].split(' ').take(6).map(String::from).collect();
+        ints.extend([dst as u64].iter().chain(payload).map(u64::to_string));
+        lines[0] = ints.join(" ");
+        snap.events = lines.iter().map(|l| format!("{l}\n")).collect();
+    }
     let snap = Snapshot::read_file(&good).unwrap();
+    let nodes = snap.nodes;
     // The first event carrying a packet (payload tags 1 to 6), and its
     // packet's first integer: after `time push_ps key_src key_seq src dst
     // tag`. Line 4 is the first `event` record.
@@ -264,6 +274,27 @@ fn malformed_snapshot_records_fail_sharded_restores_like_serial_ones() {
             "src-key",
             Box::new(|snap| set(snap, 0, 4, |src| src ^ 1)),
             "corrupt snapshot (line 4): event source".into(),
+        ),
+        // Payloads their destination cannot take: a processor's resume at a
+        // router, a router's scripted fault at a processor, and a fault-mode
+        // retry check in a healthy run. Each used to panic the handler at run
+        // time, and the sharded restore hung on the panicked shard.
+        (
+            "payload-router",
+            Box::new(|snap| send(snap, 0, &[0])),
+            "corrupt snapshot (line 4): an event with payload tag 0 cannot go to component 0, a router"
+                .into(),
+        ),
+        (
+            "payload-proc",
+            Box::new(move |snap| send(snap, nodes + 1, &[7, 3, 0, 0])),
+            format!("corrupt snapshot (line 4): an event with payload tag 7 cannot go to component {}, a processor", nodes + 1),
+        ),
+        (
+            "retry",
+            Box::new(move |snap| send(snap, nodes, &[8, 0, 0])),
+            "corrupt snapshot (line 4): a retry check or receive deadline in a run without faults"
+                .into(),
         ),
         (
             "count",
